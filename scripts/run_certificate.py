@@ -15,15 +15,14 @@ import numpy as np
 from kamtorus import (
     DiophantineParams,
     NewtonSchedule,
-    TorusCandidate,
     build_frames,
     builtin_system,
     certify,
     estimate_gamma,
     estimate_global_constants,
     iterate_kam,
+    seed_torus,
 )
-from kamtorus.fourier import FourierMap
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -32,12 +31,8 @@ def run_one(eps, bands_n, rho0, tau, sigma_factor):
     omega = np.array([1.0, GOLDEN])
     sys_obj = builtin_system("lagrangian_rotors", epsilon=eps, y_center=omega,
                              y_radius=0.5, imag_width=0.2)
-    bands = (bands_n, bands_n)
-    grid = tuple(2 * b + 1 for b in bands)
-    k_per = FourierMap.zeros(bands, grid, (4, 1))
-    k_per.coeffs[bands_n, bands_n, 2:, 0] = omega
     dio = DiophantineParams(omega, estimate_gamma(omega, tau, 1000), tau, 1000)
-    cand = TorusCandidate(k_per, omega, dio, rho=rho0, system=sys_obj)
+    cand = seed_torus(sys_obj, dio, (bands_n, bands_n), rho0)
     sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, max_iters=12, stop_tol=1e-13,
                            rho0=rho0)
     res = iterate_kam(cand, sched)

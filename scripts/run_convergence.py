@@ -15,15 +15,14 @@ import numpy as np
 from kamtorus import (
     DiophantineParams,
     NewtonSchedule,
-    TorusCandidate,
     builtin_system,
     contraction_slope,
     estimate_gamma,
     estimate_global_constants,
     iterate_kam,
+    seed_torus,
 )
 from kamtorus.certificate import contraction_constant_factory
-from kamtorus.fourier import FourierMap
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -34,11 +33,8 @@ def seed(system_name, eps, omega, bands, rho):
     y_center[: len(omega)] = omega
     sys_obj = builtin_system(system_name, epsilon=eps, y_center=y_center,
                              y_radius=0.5, imag_width=0.2)
-    grid = tuple(2 * b + 1 for b in bands)
-    k_per = FourierMap.zeros(bands, grid, (2 * n, 1))
-    k_per.coeffs[tuple(bands) + (slice(n, None), 0)] = y_center
     dio = DiophantineParams(omega, estimate_gamma(omega, 1.0, 1000), 1.0, 1000)
-    return TorusCandidate(k_per, omega, dio, rho=rho, system=sys_obj)
+    return seed_torus(sys_obj, dio, bands, rho)
 
 
 def main():

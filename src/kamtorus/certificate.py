@@ -21,14 +21,14 @@ model, and that gamma is a scan-limited lower-bound certificate.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cohomology import DiophantineParams, russmann_constant
 from .frames import FrameBundle, TorusCandidate, measure_hypothesis_data
 from .hamiltonian import ConservedQuantity, HamiltonianSystem
-from .solver import NewtonSchedule
+from .solver import NewtonSchedule, resolve_smallness_scale
 
 REPORT_HEADER = (
     "floating-point constant chain (no directed rounding); norms are Fourier "
@@ -769,15 +769,8 @@ def certify(cand: TorusCandidate, frames: FrameBundle, schedule: NewtonSchedule,
     from .frames import invariance_error
 
     if c_small is None:
-        base = NewtonSchedule(a1=schedule.a1, a2=schedule.a2, c_n=None,
-                              max_iters=schedule.max_iters, stop_tol=schedule.stop_tol,
-                              rho0=cand.rho)
-        from .solver import resolve_smallness_scale
-
-        c_small = resolve_smallness_scale(base, cand)
-    sched = NewtonSchedule(a1=schedule.a1, a2=schedule.a2, c_n=c_small,
-                           max_iters=schedule.max_iters, stop_tol=schedule.stop_tol,
-                           rho0=cand.rho)
+        c_small = resolve_smallness_scale(replace(schedule, c_n=None), cand)
+    sched = replace(schedule, c_n=c_small, rho0=cand.rho)
     if globs is None:
         globs = estimate_global_constants(cand.system, conserved=conserved)
     hyp = measure_hypothesis_data(cand, frames, sigma_factor=sigma_factor)
@@ -825,12 +818,7 @@ def soundness_report(cand: TorusCandidate, frames: FrameBundle,
     rho = cand.rho
     sched = schedule
     if sched.c_n is None:
-        from .solver import resolve_smallness_scale
-
-        sched = NewtonSchedule(a1=schedule.a1, a2=schedule.a2,
-                               c_n=resolve_smallness_scale(schedule, cand),
-                               max_iters=schedule.max_iters,
-                               stop_tol=schedule.stop_tol, rho0=rho)
+        sched = replace(schedule, c_n=resolve_smallness_scale(schedule, cand), rho0=rho)
     if error_norm / delta >= sched.c_n:
         raise ValueError(
             f"smallness ||E||/delta = {error_norm / delta:.3e} >= c = {sched.c_n:.3e}: "
@@ -881,12 +869,8 @@ def contraction_constant_factory(globs: GlobalNormConstants, schedule: NewtonSch
     def constant(cand: TorusCandidate, frames: FrameBundle, delta: float) -> float:
         sched = schedule
         if sched.c_n is None:
-            from .solver import resolve_smallness_scale
-
-            sched = NewtonSchedule(a1=schedule.a1, a2=schedule.a2,
-                                   c_n=resolve_smallness_scale(schedule, cand),
-                                   max_iters=schedule.max_iters,
-                                   stop_tol=schedule.stop_tol, rho0=cand.rho)
+            sched = replace(schedule, c_n=resolve_smallness_scale(schedule, cand),
+                            rho0=cand.rho)
         hyp = measure_hypothesis_data(cand, frames, sigma_factor=sigma_factor)
         kw = {}
         if mode == "iso":

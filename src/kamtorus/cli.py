@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +22,11 @@ import numpy as np
 from . import __version__
 from .cohomology import DiophantineParams, DivisorCollisionError, estimate_gamma
 from .fourier import FourierMap
-from .frames import TorusCandidate, build_frames, invariance_error
+from .frames import TorusCandidate, build_frames, invariance_error, seed_torus
 from .hamiltonian import builtin_system, check_derivatives, verify_commutation, verify_involution
-from .isoenergetic import FrequencyRay, iterate_kam_iso, total_error
+from .isoenergetic import FrequencyRay, IsoTarget, total_error
 from .certificate import certify, estimate_global_constants
-from .solver import NewtonSchedule, iterate_kam
+from .solver import NewtonSchedule, iterate_newton
 
 
 class ConfigError(ValueError):
@@ -95,6 +95,11 @@ class RunConfig:
             raise ConfigError(f"tau must be >= d-1 = {d-1}")
         if self.a1 <= 1 or self.a2 <= 1:
             raise ConfigError("a1, a2 must be > 1")
+        if type(self.max_iters) is not int or self.max_iters < 0:
+            raise ConfigError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
+        if not (isinstance(self.stop_tol, (int, float)) and math.isfinite(self.stop_tol)
+                and self.stop_tol > 0):
+            raise ConfigError(f"stop_tol must be a finite number > 0, got {self.stop_tol!r}")
         return self
 
     @staticmethod
@@ -103,44 +108,54 @@ class RunConfig:
         return [1.0, GOLDEN][:d] if d <= 2 else [1.0, GOLDEN, GOLDEN**2][:d]
 
     @classmethod
+    def from_dict(cls, data: dict) -> "RunConfig":
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+        return cls(**data).validate()
+
+    @classmethod
     def load(cls, path: str | None, overrides: dict) -> "RunConfig":
         data = {}
         if path:
             with open(path) as fh:
                 data = json.load(fh)
-        cfg = cls(**{**data, **{k: v for k, v in overrides.items() if v is not None}})
-        return cfg.validate()
+        return cls.from_dict({**data, **{k: v for k, v in overrides.items() if v is not None}})
 
 
 def _json_dump(obj, path: Path):
     path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
-def _build_setup(cfg: RunConfig):
-    """System, seed candidate, schedule and (iso) ray from a validated config."""
-    n = 2 if cfg.system == "lagrangian_rotors" else 3
-    d = n if cfg.system == "lagrangian_rotors" else n - 1
-    ray = None
+def _seed_frequency(cfg: RunConfig):
+    """Seed frequency and, in iso mode, the ray at its midpoint."""
     if cfg.mode == "iso":
         ray = FrequencyRay.at_midpoint(np.asarray(cfg.omega_star), cfg.sigma_omega)
-        omega = ray.omega
-        gamma = estimate_gamma(ray.omega_star, cfg.tau, cfg.scan_limit)
-    else:
-        omega = np.asarray(cfg.omega)
-        gamma = estimate_gamma(omega, cfg.tau, cfg.scan_limit)
-    y_center = np.zeros(n)
-    y_center[:d] = omega
-    sys_obj = builtin_system(cfg.system, epsilon=cfg.epsilon, y_center=y_center,
-                             y_radius=cfg.y_radius, imag_width=cfg.imag_width)
-    bands = tuple(cfg.bands)
-    grid = tuple(2 * b + 1 for b in bands)
-    k_per = FourierMap.zeros(bands, grid, (2 * n, 1))
-    k_per.coeffs[tuple(bands) + (slice(n, None), 0)] = y_center
+        return ray.omega, ray
+    return np.asarray(cfg.omega), None
+
+
+def _system(cfg: RunConfig, omega: np.ndarray):
+    """The configured system, its momentum domain centred at (omega, 0)."""
+    y_center = np.zeros(2 if cfg.system == "lagrangian_rotors" else 3)
+    y_center[: len(omega)] = omega
+    return builtin_system(cfg.system, epsilon=cfg.epsilon, y_center=y_center,
+                          y_radius=cfg.y_radius, imag_width=cfg.imag_width)
+
+
+def _schedule(cfg: RunConfig) -> NewtonSchedule:
+    return NewtonSchedule(a1=cfg.a1, a2=cfg.a2, c_n=cfg.c_n, max_iters=cfg.max_iters,
+                          stop_tol=cfg.stop_tol, rho0=cfg.rho0)
+
+
+def _build_setup(cfg: RunConfig):
+    """System, seed candidate, schedule and (iso) ray from a validated config."""
+    omega, ray = _seed_frequency(cfg)
+    # a ray point s*omega_* with s > 1 inherits the scan certificate of omega_*
+    gamma = estimate_gamma(omega if ray is None else ray.omega_star, cfg.tau, cfg.scan_limit)
+    sys_obj = _system(cfg, omega)
     dio = DiophantineParams(omega, gamma, cfg.tau, cfg.scan_limit)
-    cand = TorusCandidate(k_per, omega, dio, rho=cfg.rho0, system=sys_obj)
-    schedule = NewtonSchedule(a1=cfg.a1, a2=cfg.a2, c_n=cfg.c_n, max_iters=cfg.max_iters,
-                              stop_tol=cfg.stop_tol, rho0=cfg.rho0)
-    return sys_obj, cand, schedule, ray
+    return sys_obj, seed_torus(sys_obj, dio, cfg.bands, cfg.rho0), _schedule(cfg), ray
 
 
 def _candidate_doc(cand: TorusCandidate, cfg: RunConfig, extra: dict | None = None) -> dict:
@@ -161,8 +176,9 @@ def _candidate_doc(cand: TorusCandidate, cfg: RunConfig, extra: dict | None = No
 
 
 def _candidate_from_doc(doc: dict):
-    cfg = RunConfig(**doc["config"]).validate()
-    sys_obj, _, schedule, ray = _build_setup(cfg)
+    cfg = RunConfig.from_dict(doc["config"])
+    seed_omega, ray = _seed_frequency(cfg)
+    sys_obj = _system(cfg, seed_omega)
     k_per = FourierMap.from_json_dict(doc["map"], grid=tuple(doc["grid"]))
     omega = np.asarray(doc["omega"])
     dio = DiophantineParams(omega, doc["dio"]["gamma"], doc["dio"]["tau"],
@@ -172,27 +188,29 @@ def _candidate_from_doc(doc: dict):
     if ray is not None and "ray_scale" in doc:
         ray = FrequencyRay(np.asarray(cfg.omega_star), cfg.sigma_omega,
                            float(doc["ray_scale"]))
-    return cand, cfg, schedule, ray
+    return cand, cfg, _schedule(cfg), ray
+
+
+def _selector(cfg: RunConfig):
+    """The conserved-quantity selector of an iso config: "H" or ("p", j)."""
+    return "H" if cfg.conserved == "H" else ("p", int(cfg.conserved.split(":")[1]))
 
 
 def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     sys_obj, cand, schedule, ray = _build_setup(cfg)
-    if cfg.mode == "ordinary":
-        result = iterate_kam(cand, schedule)
-        extra = {}
-        final = result.candidate
-    else:
-        sel = "H" if cfg.conserved == "H" else ("p", int(cfg.conserved.split(":")[1]))
-        conserved = sys_obj.conserved(sel)
-        seed_err = total_error(cand, conserved, 0.0)
-        c0 = seed_err.E_omega + cfg.c0_offset  # seed level + offset
-        result = iterate_kam_iso(cand, ray, conserved, c0, schedule)
+    target, extra = None, {}
+    if cfg.mode == "iso":
+        conserved = sys_obj.conserved(_selector(cfg))
+        c0 = total_error(cand, conserved, 0.0).E_omega + cfg.c0_offset  # seed level + offset
+        target = IsoTarget(conserved, c0)
+    result = iterate_newton(cand, schedule, target, ray)
+    final = result.candidate
+    if target is not None:
         extra = {"omega_initial": result.omega_initial.tolist(),
                  "omega_final": result.omega_final.tolist(),
                  "c0": result.c0, "c_final": result.c_final,
                  "ray_scale": result.ray.scale}
-        final = result.candidate
 
     log_lines = "\n".join(json.dumps(rec, sort_keys=True) for rec in result.log)
     (out_dir / "log.jsonl").write_text(log_lines + "\n")
@@ -224,8 +242,7 @@ def cmd_certify(torus_path: str, cfg_overrides: dict, out_dir: Path) -> int:
     conserved = None
     kw = {}
     if cfg.mode == "iso":
-        sel = "H" if cfg.conserved == "H" else ("p", int(cfg.conserved.split(":")[1]))
-        conserved = cand.system.conserved(sel)
+        conserved = cand.system.conserved(_selector(cfg))
         kw["ray"] = ray
     globs = estimate_global_constants(cand.system, conserved=conserved)
     frames = build_frames(cand, conserved)

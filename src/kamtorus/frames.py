@@ -151,6 +151,19 @@ class TorusCandidate:
         return float(margin)
 
 
+def seed_torus(system: HamiltonianSystem, dio: DiophantineParams, bands,
+               rho: float) -> TorusCandidate:
+    """Integrable-limit seed K(theta) = (theta, y_center) at frequency dio.omega.
+
+    The periodic part is the constant momentum row y_center of the system's
+    domain, on the band ``bands`` and the grid 2*bands + 1.
+    """
+    bands = tuple(int(b) for b in bands)
+    k_per = FourierMap.zeros(bands, tuple(2 * b + 1 for b in bands), (2 * system.n, 1))
+    k_per.coeffs[bands + (slice(system.domain.angle_count, None), 0)] = system.domain.y_center
+    return TorusCandidate(k_per, dio.omega, dio, rho=rho, system=system)
+
+
 def _rowwise_majorant(f: FourierMap, rho: float) -> np.ndarray:
     from .fourier import TWO_PI, _k1_box
 

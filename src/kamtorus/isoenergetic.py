@@ -10,12 +10,14 @@ pure rescaling.
 
 The linearized system augments the triangular block system with the scalar
 level condition <Tdown xi^N> = eta^omega, Tdown = Dc(K) N, solved through the
-bordered matrix <T_c> = [[<T>, omega_hat], [<Tdown>, 0]].
+bordered matrix <T_c> = [[<T>, omega_hat], [<Tdown>, 0]].  The Newton loop and
+step are the ones of ``kamtorus.solver``; an ``IsoTarget`` supplies the level
+error and the bordered solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,16 +28,19 @@ from .frames import (
     GridKitchen,
     TorusCandidate,
     TwistDegeneracyError,
-    build_frames,
     grid_kitchen,
     invariance_error,
 )
 from .hamiltonian import ConservedQuantity
-from .solver import CompatibilityError, HypothesisError, NewtonSchedule, resolve_smallness_scale
-
-
-class RayExitError(RuntimeError):
-    """The corrected frequency leaves the admissible ray."""
+from .solver import (
+    CompatibilityError,
+    Iterate,
+    NewtonSchedule,
+    RayExitError,
+    SolveResult,
+    iterate_newton,
+    newton_correction,
+)
 
 
 @dataclass(frozen=True)
@@ -77,25 +82,13 @@ class FrequencyRay:
         return FrequencyRay(self.omega_star, self.sigma_omega, new_scale)
 
 
-@dataclass
-class TotalError:
-    """Invariance error paired with the conserved-level error E^omega = <c o K> - c0."""
-
-    E: FourierMap
-    E_omega: float
-
-    def combined_norm(self, rho: float) -> float:
-        return max(self.E.norm(rho).value, abs(self.E_omega))
-
-
 def total_error(cand: TorusCandidate, conserved: ConservedQuantity, c0: float,
-                kitchen: GridKitchen | None = None) -> TotalError:
+                kitchen: GridKitchen | None = None) -> Iterate:
+    """The invariance error E paired with the level error E^omega = <c o K> - c0."""
     kk = kitchen if kitchen is not None else grid_kitchen(cand, conserved)
     if kk.c_map is None:
         kk = grid_kitchen(cand, conserved)
-    E = invariance_error(cand, kk)
-    c_avg = float(kk.c_map.average().real[0, 0])
-    return TotalError(E=E, E_omega=c_avg - c0)
+    return Iterate(cand, kk, invariance_error(cand, kk), float(kk.c_map.average().real[0, 0]) - c0)
 
 
 # ---------------------------------------------------------------------------
@@ -166,199 +159,45 @@ def solve_triangular_iso(eta_L: FourierMap, eta_N: FourierMap, eta_omega: float,
 
 
 # ---------------------------------------------------------------------------
-# one iso step
+# the iso target and the iso entry points of the shared iteration
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IsoStepDiagnostics:
-    step: int
-    rho: float
-    delta: float
-    err_before: float
-    err_omega_before: float
-    err_after: float
-    err_omega_after: float
-    xi_omega: float
-    omega_after: np.ndarray
-    ray_margin: float
-    delta_k_norm: float
-    solve_residual: float
-    compat: float
-    avg_xi_L: float
-    frame_norms: dict = field(default_factory=dict)
-    hypothesis_margins: dict = field(default_factory=dict)
-    contraction_bound: float | None = None
-    contraction_ok: bool | None = None
+@dataclass(frozen=True)
+class IsoTarget:
+    """The level <c o K> = c0 that iso mode steers the torus onto."""
+
+    conserved: ConservedQuantity
+    c0: float
+
+    def evaluate(self, cand: TorusCandidate, ray: FrequencyRay,
+                 kitchen: GridKitchen | None = None) -> Iterate:
+        """The iterate at ``cand`` on ``ray``, with its invariance and level errors."""
+        return replace(total_error(cand, self.conserved, self.c0, kitchen), ray=ray)
+
+    def solve(self, eta_L: FourierMap, eta_N: FourierMap, eta_omega: float,
+              frames: FrameBundle, dio: DiophantineParams):
+        """The bordered triangular solve; needs the frames' extended torsion."""
+        if frames.Tdown is None:
+            raise ValueError("frames were built without the extended torsion")
+        return solve_triangular_iso(eta_L, eta_N, eta_omega, frames.T, frames.Tdown, dio)
 
 
 def newton_step_iso(cand: TorusCandidate, ray: FrequencyRay, conserved: ConservedQuantity,
                     c0: float, schedule: NewtonSchedule, delta: float, step_index: int = 0,
                     kitchen: GridKitchen | None = None, frames: FrameBundle | None = None):
     """One simultaneous (K, omega) correction; returns
-    (new candidate, new ray, IsoStepDiagnostics)."""
-    rho = cand.rho
-    if not 0 < 3 * delta < rho:
-        raise ValueError(f"need 0 < 3*delta < rho, got delta={delta}, rho={rho}")
+    (new candidate, new ray, StepDiagnostics)."""
     if not np.allclose(ray.omega, cand.omega, rtol=0, atol=1e-300):
         raise ValueError("candidate frequency must equal ray.omega exactly")
-    kk = kitchen if kitchen is not None else grid_kitchen(cand, conserved)
-    terr = total_error(cand, conserved, c0, kk)
-    err_c = terr.combined_norm(rho)
-    c_small = resolve_smallness_scale(schedule, cand, kk)
-    if err_c / delta >= c_small:
-        raise HypothesisError(
-            "smallness ||E_c||/delta < c",
-            f"||E_c||_rho/delta = {err_c / delta:.3e} >= {c_small:.3e}",
-        )
-    fr = frames if frames is not None else build_frames(cand, conserved, kitchen=kk)
-    if fr.Tdown is None:
-        raise ValueError("frames were built without the extended torsion")
-
-    Om_E = matmul(kk.Omega, terr.E, out_bands=cand.bands)
-    eta_L = -matmul(fr.N.T, Om_E, out_bands=cand.bands)
-    eta_N = matmul(fr.L.T, Om_E, out_bands=cand.bands)
-    eta_omega = -terr.E_omega
-    xi_L, xi_N, xi_N0, xi_omega, sdiag = solve_triangular_iso(
-        eta_L, eta_N, eta_omega, fr.T, fr.Tdown, cand.dio
-    )
-
-    new_ray = ray.rescaled(1.0 - xi_omega)  # raises RayExitError at the boundary
-    delta_K = matmul(fr.L, xi_L, out_bands=cand.bands) + matmul(fr.N, xi_N, out_bands=cand.bands)
-    new_per = cand.k_per + delta_K
-    # every ray point s*omega_* with s > 1 inherits the base scan certificate
-    new_dio = DiophantineParams(
-        new_ray.omega, cand.dio.gamma, cand.dio.tau, cand.dio.scan_limit, check=False
-    )
-    new_cand = cand.with_updates(
-        k_per=new_per, rho=rho - 3 * delta, omega=new_ray.omega, dio=new_dio
-    )
-    margin = new_cand.domain_margin()
-    if margin <= 0:
-        raise HypothesisError("domain", f"corrected torus leaves the domain (margin {margin:.3e})")
-
-    new_kitchen = grid_kitchen(new_cand, conserved)
-    new_terr = total_error(new_cand, conserved, c0, new_kitchen)
-    mid_rho = max(rho - 2 * delta, new_cand.rho)
-    diag = IsoStepDiagnostics(
-        step=step_index,
-        rho=rho,
-        delta=delta,
-        err_before=terr.E.norm(rho).value,
-        err_omega_before=terr.E_omega,
-        err_after=new_terr.E.norm(mid_rho).value,
-        err_omega_after=new_terr.E_omega,
-        xi_omega=xi_omega,
-        omega_after=new_ray.omega,
-        ray_margin=new_ray.boundary_margin(),
-        delta_k_norm=delta_K.norm(mid_rho).value,
-        solve_residual=sdiag["residual"],
-        compat=sdiag["compat"],
-        avg_xi_L=float(np.max(np.abs(xi_L.average()))),
-        frame_norms=fr.norm_table(rho, delta),
-        hypothesis_margins={"domain_margin": margin, "ray_margin": new_ray.boundary_margin(),
-                            "smallness": c_small - err_c / delta},
-    )
-    diag._new_kitchen = new_kitchen
-    diag._new_terr = new_terr
-    return new_cand, new_ray, diag
-
-
-@dataclass
-class IsoSolveResult:
-    converged: bool
-    reason: str
-    candidate: TorusCandidate
-    ray: FrequencyRay
-    omega_initial: np.ndarray
-    omega_final: np.ndarray
-    c0: float
-    c_final: float
-    final_error: float
-    steps: list
-    log: list
+    target = IsoTarget(conserved, c0)
+    nxt, diag = newton_correction(target.evaluate(cand, ray, kitchen), schedule, delta,
+                                  step_index, target, frames)
+    return nxt.cand, nxt.ray, diag
 
 
 def iterate_kam_iso(cand: TorusCandidate, ray: FrequencyRay, conserved: ConservedQuantity,
                     c0: float, schedule: NewtonSchedule,
-                    contraction_ledger=None) -> IsoSolveResult:
-    """Drive newton_step_iso until max(||E||, |E^omega|) <= stop_tol.
-
-    The ray direction is immutable: every iterate's frequency is scale * omega_star
-    with the same stored omega_star, so omega_s / |omega_s| is bit-identical
-    across steps.
-    """
-    if abs(cand.rho - schedule.rho0) > 1e-12 * max(1.0, schedule.rho0):
-        cand = cand.with_updates(rho=schedule.rho0)
-    omega_initial = ray.omega.copy()
-    log: list = []
-    steps: list = []
-    current, current_ray = cand, ray
-    increases = 0
-    prev = None
-    kk = None
-    terr = None
-    for s in range(schedule.max_iters + 1):
-        if kk is None:
-            kk = grid_kitchen(current, conserved)
-            terr = total_error(current, conserved, c0, kk)
-        err = terr.combined_norm(current.rho)
-        log.append({
-            "step": s,
-            "rho": current.rho,
-            "delta": schedule.delta(s),
-            "err": err,
-            "err_inv": terr.E.norm(current.rho).value,
-            "err_omega": terr.E_omega,
-            "omega": current.omega.tolist(),
-            "ray_scale": current_ray.scale,
-        })
-        c_final = c0 + terr.E_omega
-        if err <= schedule.stop_tol:
-            return IsoSolveResult(True, f"converged in {s} steps", current, current_ray,
-                                  omega_initial, current.omega.copy(), c0, c_final, err,
-                                  steps, log)
-        if prev is not None:
-            increases = increases + 1 if err > prev else 0
-            if increases >= 2:
-                return IsoSolveResult(False, "divergence: error grew twice consecutively",
-                                      current, current_ray, omega_initial,
-                                      current.omega.copy(), c0, c_final, err, steps, log)
-        if s == schedule.max_iters:
-            return IsoSolveResult(False, f"iteration cap {schedule.max_iters} reached",
-                                  current, current_ray, omega_initial, current.omega.copy(),
-                                  c0, c_final, err, steps, log)
-        delta = schedule.delta(s)
-        frames = build_frames(current, conserved, kitchen=kk)
-        try:
-            new_cand, new_ray, diag = newton_step_iso(
-                current, current_ray, conserved, c0, schedule, delta,
-                step_index=s, kitchen=kk, frames=frames,
-            )
-        except (HypothesisError, CompatibilityError, TwistDegeneracyError, RayExitError) as exc:
-            return IsoSolveResult(False, f"step {s}: {exc}", current, current_ray,
-                                  omega_initial, current.omega.copy(), c0, c_final, err,
-                                  steps, log)
-        if contraction_ledger is not None:
-            c_ec = contraction_ledger(current, frames, delta)
-            gamma, tau = current.dio.gamma, current.dio.tau
-            bound = c_ec / (gamma**4 * delta ** (4 * tau)) * err**2
-            diag.contraction_bound = bound
-            diag.contraction_ok = bool(
-                max(diag.err_after, abs(diag.err_omega_after)) <= bound
-            )
-        log[-1].update({
-            "err_after": diag.err_after,
-            "err_omega_after": diag.err_omega_after,
-            "xi_omega": diag.xi_omega,
-            "ray_margin": diag.ray_margin,
-            "contraction_bound": diag.contraction_bound,
-            "contraction_ok": diag.contraction_ok,
-        })
-        steps.append(diag)
-        prev = err
-        current, current_ray = new_cand, new_ray
-        kk = getattr(diag, "_new_kitchen", None)
-        terr = getattr(diag, "_new_terr", None)
-    return IsoSolveResult(False, "unreachable", current, current_ray, omega_initial,
-                          current.omega.copy(), c0, np.nan, np.inf, steps, log)
+                    contraction_ledger=None) -> SolveResult:
+    """Iso mode of iterate_newton: drive (K, omega) until max(||E||, |E^omega|) <= stop_tol."""
+    return iterate_newton(cand, schedule, IsoTarget(conserved, c0), ray, contraction_ledger)

@@ -1,4 +1,4 @@
-"""Quasi-Newton iteration for invariant tori at fixed Diophantine frequency.
+"""Quasi-Newton iteration for invariant tori, in ordinary and iso mode.
 
 One step solves the block-triangular cohomological system in the adapted
 frame,
@@ -12,13 +12,19 @@ shrinks analyticity strips on the schedule
     delta_s = delta_0 / a1^s,   rho_{s+1} = rho_s - 3 delta_s,
     delta_0 = rho_0 / a3,       a3 = 3 a1 a2 / ((a1-1)(a2-1)),
 
-so the final strip never drops below rho_inf = rho_0 / a2.  The frequency is
-never modified.  Error norms are Fourier majorants of the truncated model.
+so the final strip never drops below rho_inf = rho_0 / a2.  In ordinary mode
+the frequency is never modified.  Iso mode (an ``IsoTarget`` from
+``kamtorus.isoenergetic``) runs the same loop and step, and also moves the
+frequency along a ray so the torus lands on a prescribed conserved level; it
+differs only in the level error and the bordered linear solve.  Error norms
+are Fourier majorants of the truncated model.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,6 +40,9 @@ from .frames import (
     invariance_error,
 )
 
+if TYPE_CHECKING:
+    from .isoenergetic import FrequencyRay, IsoTarget
+
 
 class CompatibilityError(ArithmeticError):
     """The solvability condition <eta^N> = 0 fails beyond tolerance."""
@@ -45,6 +54,10 @@ class HypothesisError(RuntimeError):
     def __init__(self, name: str, detail: str):
         self.hypothesis = name
         super().__init__(f"hypothesis {name} failed: {detail}")
+
+
+class RayExitError(RuntimeError):
+    """The corrected frequency leaves the admissible ray (iso mode)."""
 
 
 @dataclass(frozen=True)
@@ -70,6 +83,8 @@ class NewtonSchedule:
             raise ValueError("a1 and a2 must be > 1")
         if self.rho0 <= 0:
             raise ValueError("rho0 must be positive")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
 
     @property
     def a3(self) -> float:
@@ -153,8 +168,37 @@ def solve_triangular(eta_L: FourierMap, eta_N: FourierMap, T: FourierMap,
 
 
 # ---------------------------------------------------------------------------
-# one Newton step
+# the iterate and one Newton step
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Iterate:
+    """A candidate with its grid kitchen and invariance error E.
+
+    In iso mode it also carries the level error E^omega = <c o K> - c0 and
+    the frequency ray that the candidate's omega lies on.
+    """
+
+    cand: TorusCandidate
+    kitchen: GridKitchen
+    E: FourierMap
+    E_omega: float | None = None
+    ray: FrequencyRay | None = None
+
+    def combined_norm(self, rho: float) -> float:
+        """The stopping norm: ||E||_rho, or max(||E||_rho, |E^omega|) in iso mode."""
+        err = self.E.norm(rho).value
+        return err if self.E_omega is None else max(err, abs(self.E_omega))
+
+
+def evaluate(cand: TorusCandidate, target: IsoTarget | None = None,
+             ray: FrequencyRay | None = None, kitchen: GridKitchen | None = None) -> Iterate:
+    """The iterate at ``cand``: its grid kitchen and error (and level error in iso mode)."""
+    if target is not None:
+        return target.evaluate(cand, ray, kitchen)
+    kk = kitchen if kitchen is not None else grid_kitchen(cand)
+    return Iterate(cand, kk, invariance_error(cand, kk))
 
 
 @dataclass
@@ -172,63 +216,99 @@ class StepDiagnostics:
     hypothesis_margins: dict = field(default_factory=dict)
     contraction_bound: float | None = None
     contraction_ok: bool | None = None
+    # iso mode only
+    err_omega_before: float | None = None
+    err_omega_after: float | None = None
+    xi_omega: float | None = None
+    omega_after: np.ndarray | None = None
+    ray_margin: float | None = None
+
+
+def newton_correction(it: Iterate, schedule: NewtonSchedule, delta: float,
+                      step_index: int = 0, target: IsoTarget | None = None,
+                      frames: FrameBundle | None = None, contraction_ledger=None):
+    """One quasi-Newton correction of ``it``; returns (next Iterate, StepDiagnostics).
+
+    With an iso ``target`` the frequency moves too, along ``it.ray``, through
+    the bordered solve.  The next candidate lives on the strip rho - 3*delta.
+    ``contraction_ledger`` is as in iterate_newton.  Raises HypothesisError
+    (named), CompatibilityError, TwistDegeneracyError, RayExitError or
+    DomainEscapeError on failure.
+    """
+    cand, kk = it.cand, it.kitchen
+    rho = cand.rho
+    if not 0 < 3 * delta < rho:
+        raise ValueError(f"need 0 < 3*delta < rho, got delta={delta}, rho={rho}")
+    err = it.combined_norm(rho)
+    c_small = resolve_smallness_scale(schedule, cand, kk)
+    if err / delta >= c_small:
+        e = "E" if target is None else "E_c"
+        raise HypothesisError(
+            f"smallness ||{e}||/delta < c",
+            f"||{e}||_rho/delta = {err / delta:.3e} >= {c_small:.3e}",
+        )
+    conserved = None if target is None else target.conserved
+    fr = frames if frames is not None else build_frames(cand, conserved, kitchen=kk)
+
+    Om_E = matmul(kk.Omega, it.E, out_bands=cand.bands)
+    eta_L = -matmul(fr.N.T, Om_E, out_bands=cand.bands)
+    eta_N = matmul(fr.L.T, Om_E, out_bands=cand.bands)
+    if target is None:
+        xi_L, xi_N, _, sdiag = solve_triangular(eta_L, eta_N, fr.T, cand.dio)
+        ray, moved = None, {}
+    else:
+        xi_L, xi_N, _, xi_omega, sdiag = target.solve(eta_L, eta_N, -it.E_omega, fr, cand.dio)
+        ray = it.ray.rescaled(1.0 - xi_omega)  # raises RayExitError at the boundary
+        # every ray point s*omega_* with s > 1 inherits the base scan certificate
+        moved = {"omega": ray.omega, "dio": DiophantineParams(
+            ray.omega, cand.dio.gamma, cand.dio.tau, cand.dio.scan_limit, check=False)}
+
+    delta_K = matmul(fr.L, xi_L, out_bands=cand.bands) + matmul(fr.N, xi_N, out_bands=cand.bands)
+    new_cand = cand.with_updates(k_per=cand.k_per + delta_K, rho=rho - 3 * delta, **moved)
+    margin = new_cand.domain_margin()
+    if margin <= 0:
+        raise HypothesisError("domain", f"corrected torus leaves the domain (margin {margin:.3e})")
+
+    nxt = evaluate(new_cand, target, ray)
+    mid_rho = max(rho - 2 * delta, new_cand.rho)
+    margins = {"domain_margin": margin, "smallness": c_small - err / delta}
+    iso = {}
+    if ray is not None:
+        iso = {"err_omega_before": it.E_omega, "err_omega_after": nxt.E_omega,
+               "xi_omega": xi_omega, "omega_after": ray.omega,
+               "ray_margin": ray.boundary_margin()}
+        margins["ray_margin"] = iso["ray_margin"]
+    diag = StepDiagnostics(
+        step=step_index,
+        rho=rho,
+        delta=delta,
+        err_before=it.E.norm(rho).value,
+        err_after=nxt.E.norm(mid_rho).value,
+        delta_k_norm=delta_K.norm(mid_rho).value,
+        solve_residual=sdiag["residual"],
+        compat=sdiag["compat"],
+        avg_xi_L=float(np.max(np.abs(xi_L.average()))),
+        frame_norms=fr.norm_table(rho, delta),
+        hypothesis_margins=margins,
+        **iso,
+    )
+    if contraction_ledger is not None:
+        c_e = contraction_ledger(cand, fr, delta)
+        gamma, tau = cand.dio.gamma, cand.dio.tau
+        diag.contraction_bound = c_e / (gamma**4 * delta ** (4 * tau)) * err**2
+        measured = diag.err_after if target is None else max(
+            diag.err_after, abs(diag.err_omega_after))
+        diag.contraction_ok = bool(measured <= diag.contraction_bound)
+    return nxt, diag
 
 
 def newton_step(cand: TorusCandidate, schedule: NewtonSchedule, delta: float,
                 step_index: int = 0, kitchen: GridKitchen | None = None,
                 frames: FrameBundle | None = None):
-    """One quasi-Newton correction; returns (new candidate, StepDiagnostics).
-
-    The new candidate lives on the strip rho - 3*delta.  Raises
-    HypothesisError (named), CompatibilityError, TwistDegeneracyError or
-    DomainEscapeError on failure.
-    """
-    rho = cand.rho
-    if not 0 < 3 * delta < rho:
-        raise ValueError(f"need 0 < 3*delta < rho, got delta={delta}, rho={rho}")
-    kk = kitchen if kitchen is not None else grid_kitchen(cand)
-    E = invariance_error(cand, kk)
-    errE = E.norm(rho).value
-    c_small = resolve_smallness_scale(schedule, cand, kk)
-    if errE / delta >= c_small:
-        raise HypothesisError(
-            "smallness ||E||/delta < c",
-            f"||E||_rho/delta = {errE / delta:.3e} >= {c_small:.3e}",
-        )
-    fr = frames if frames is not None else build_frames(cand, kitchen=kk)
-
-    Om_E = matmul(kk.Omega, E, out_bands=cand.bands)
-    eta_L = -matmul(fr.N.T, Om_E, out_bands=cand.bands)
-    eta_N = matmul(fr.L.T, Om_E, out_bands=cand.bands)
-    xi_L, xi_N, xi_N0, sdiag = solve_triangular(eta_L, eta_N, fr.T, cand.dio)
-
-    delta_K = matmul(fr.L, xi_L, out_bands=cand.bands) + matmul(fr.N, xi_N, out_bands=cand.bands)
-    new_per = cand.k_per + delta_K
-    new_cand = cand.with_updates(k_per=new_per, rho=rho - 3 * delta)
-
-    margin = new_cand.domain_margin()
-    if margin <= 0:
-        raise HypothesisError("domain", f"corrected torus leaves the domain (margin {margin:.3e})")
-
-    new_kitchen = grid_kitchen(new_cand)
-    new_E = invariance_error(new_cand, new_kitchen)
-    err_after_mid = new_E.norm(max(rho - 2 * delta, new_cand.rho)).value
-    diag = StepDiagnostics(
-        step=step_index,
-        rho=rho,
-        delta=delta,
-        err_before=errE,
-        err_after=err_after_mid,
-        delta_k_norm=delta_K.norm(max(rho - 2 * delta, new_cand.rho)).value,
-        solve_residual=sdiag["residual"],
-        compat=sdiag["compat"],
-        avg_xi_L=float(np.max(np.abs(xi_L.average()))),
-        frame_norms=fr.norm_table(rho, delta),
-        hypothesis_margins={"domain_margin": margin, "smallness": c_small - errE / delta},
-    )
-    diag._new_kitchen = new_kitchen  # reused by the driving loop
-    diag._new_E = new_E
-    return new_cand, diag
+    """One ordinary quasi-Newton correction; returns (new candidate, StepDiagnostics)."""
+    nxt, diag = newton_correction(evaluate(cand, kitchen=kitchen), schedule, delta,
+                                  step_index, frames=frames)
+    return nxt.cand, diag
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +324,21 @@ class SolveResult:
     final_error: float
     steps: list
     log: list
+    # iso mode only
+    ray: FrequencyRay | None = None
+    omega_initial: np.ndarray | None = None
+    omega_final: np.ndarray | None = None
+    c0: float | None = None
+    c_final: float | None = None
 
 
-def iterate_kam(cand: TorusCandidate, schedule: NewtonSchedule,
-                contraction_ledger=None) -> SolveResult:
-    """Iterate newton_step on the shrinking-strip schedule until ||E|| <= stop_tol.
+def iterate_newton(cand: TorusCandidate, schedule: NewtonSchedule,
+                   target: IsoTarget | None = None, ray: FrequencyRay | None = None,
+                   contraction_ledger=None) -> SolveResult:
+    """Iterate newton_correction on the shrinking-strip schedule until the
+    error is <= stop_tol: ||E|| in ordinary mode, max(||E||, |E^omega|) in iso
+    mode (``target`` given), where the frequency moves along ``ray``.  The ray
+    direction is immutable: every iterate's omega is scale * the same omega_star.
 
     ``contraction_ledger`` is an optional callable (cand, frames, delta) ->
     C_E evaluating the per-step quadratic-contraction constant; when given,
@@ -262,60 +352,46 @@ def iterate_kam(cand: TorusCandidate, schedule: NewtonSchedule,
         cand = cand.with_updates(rho=schedule.rho0)
     log: list = []
     steps: list = []
-    current = cand
+    it = evaluate(cand, target, ray)
     increases = 0
     prev_err = None
-    kk = None
-    for s in range(schedule.max_iters + 1):
-        if kk is None:
-            kk = grid_kitchen(current)
-        E = invariance_error(current, kk)
-        err = E.norm(current.rho).value
-        tail = tail_fraction(E, current.rho) if err > 0 else 0.0
-        log.append({
-            "step": s,
-            "rho": current.rho,
-            "delta": schedule.delta(s),
-            "err": err,
-            "tail_fraction": tail,
-            "bands": list(current.bands),
-        })
+
+    def finish(converged: bool, reason: str, err: float) -> SolveResult:
+        iso = {} if target is None else {
+            "ray": it.ray, "omega_initial": ray.omega, "omega_final": it.cand.omega.copy(),
+            "c0": target.c0, "c_final": target.c0 + it.E_omega}
+        return SolveResult(converged, reason, it.cand, err, steps, log, **iso)
+
+    for s in itertools.count():
+        rho = it.cand.rho
+        err = it.combined_norm(rho)
+        rec = {"step": s, "rho": rho, "delta": schedule.delta(s), "err": err,
+               "tail_fraction": tail_fraction(it.E, rho), "bands": list(it.cand.bands)}
+        if target is not None:
+            rec.update(err_inv=it.E.norm(rho).value, err_omega=it.E_omega,
+                       omega=it.cand.omega.tolist(), ray_scale=it.ray.scale)
+        log.append(rec)
         if err <= schedule.stop_tol:
-            return SolveResult(True, f"converged in {s} steps", current, err, steps, log)
-        if schedule.band_refinement and tail > schedule.tail_threshold:
-            new_bands = tuple(2 * n for n in current.bands)
+            return finish(True, f"converged in {s} steps", err)
+        if schedule.band_refinement and rec["tail_fraction"] > schedule.tail_threshold:
+            new_bands = tuple(2 * n for n in it.cand.bands)
             new_grid = tuple(2 * n + 1 for n in new_bands)
-            current = current.with_updates(
-                k_per=current.k_per.pad_bands(new_bands, new_grid)
-            )
-            kk = grid_kitchen(current)
-            E = invariance_error(current, kk)
-            log[-1]["band_refined_to"] = list(new_bands)
+            padded = it.cand.k_per.pad_bands(new_bands, new_grid)
+            it = evaluate(it.cand.with_updates(k_per=padded), target, it.ray)
+            rec["band_refined_to"] = list(new_bands)
         if prev_err is not None:
-            if err > prev_err:
-                increases += 1
-            else:
-                increases = 0
+            increases = increases + 1 if err > prev_err else 0
             if increases >= 2:
-                return SolveResult(False, "divergence: error grew twice consecutively",
-                                   current, err, steps, log)
-        if s == schedule.max_iters:
-            return SolveResult(False, f"iteration cap {schedule.max_iters} reached",
-                               current, err, steps, log)
-        delta = schedule.delta(s)
-        frames = build_frames(current, kitchen=kk)
+                return finish(False, "divergence: error grew twice consecutively", err)
+        if s >= schedule.max_iters:
+            return finish(False, f"iteration cap {schedule.max_iters} reached", err)
         try:
-            new_cand, diag = newton_step(current, schedule, delta, step_index=s,
-                                         kitchen=kk, frames=frames)
-        except (HypothesisError, CompatibilityError, TwistDegeneracyError) as exc:
-            return SolveResult(False, f"step {s}: {exc}", current, err, steps, log)
-        if contraction_ledger is not None:
-            c_e = contraction_ledger(current, frames, delta)
-            gamma, tau = current.dio.gamma, current.dio.tau
-            bound = c_e / (gamma**4 * delta ** (4 * tau)) * err**2
-            diag.contraction_bound = bound
-            diag.contraction_ok = bool(diag.err_after <= bound)
-        log[-1].update({
+            nxt, diag = newton_correction(it, schedule, schedule.delta(s), s, target,
+                                          contraction_ledger=contraction_ledger)
+        except (HypothesisError, CompatibilityError, TwistDegeneracyError,
+                RayExitError) as exc:
+            return finish(False, f"step {s}: {exc}", err)
+        rec.update({
             "err_after": diag.err_after,
             "delta_k": diag.delta_k_norm,
             "solve_residual": diag.solve_residual,
@@ -325,11 +401,18 @@ def iterate_kam(cand: TorusCandidate, schedule: NewtonSchedule,
             "frame_norms": diag.frame_norms,
             "hypothesis_margins": diag.hypothesis_margins,
         })
+        if target is not None:
+            rec.update(err_omega_after=diag.err_omega_after, xi_omega=diag.xi_omega,
+                       ray_margin=diag.ray_margin)
         steps.append(diag)
         prev_err = err
-        current = new_cand
-        kk = getattr(diag, "_new_kitchen", None)
-    return SolveResult(False, "unreachable", current, np.inf, steps, log)
+        it = nxt
+
+
+def iterate_kam(cand: TorusCandidate, schedule: NewtonSchedule,
+                contraction_ledger=None) -> SolveResult:
+    """Ordinary mode of iterate_newton: the frequency stays fixed."""
+    return iterate_newton(cand, schedule, contraction_ledger=contraction_ledger)
 
 
 def contraction_slope(log: list, floor_factor: float = 30.0, cap: float = 1e-1) -> float | None:

@@ -8,8 +8,7 @@ from kamtorus.cohomology import DiophantineParams, estimate_gamma
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
-from kamtorus.fourier import FourierMap
-from kamtorus.frames import TorusCandidate
+from kamtorus.frames import seed_torus
 from kamtorus.hamiltonian import builtin_system
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -34,12 +33,9 @@ def seed_candidate(system_name, epsilon, omega, bands=(16, 16), rho=0.03,
     y_center[: len(omega)] = omega
     sys_obj = builtin_system(system_name, epsilon=epsilon, y_center=y_center,
                              y_radius=0.5, imag_width=0.2)
-    grid = tuple(2 * b + 1 for b in bands)
-    k_per = FourierMap.zeros(bands, grid, (2 * n, 1))
-    k_per.coeffs[tuple(bands) + (slice(n, None), 0)] = y_center
     if dio is None:
         dio = DiophantineParams(omega, estimate_gamma(omega, tau, scan_limit), tau, scan_limit)
-    return TorusCandidate(k_per, np.asarray(omega, float), dio, rho=rho, system=sys_obj)
+    return seed_torus(sys_obj, dio, bands, rho)
 
 
 @pytest.fixture(scope="session")

@@ -153,3 +153,18 @@ def test_iso_solve_via_cli(tmp_path):
     assert report["mode"] == "iso"
     ledger = (out / "ledger.csv").read_text()
     assert "C_Deltaomega" in ledger and "C_Delta3" in ledger
+
+
+@pytest.mark.parametrize("override, field", [
+    ({"bandz": [8, 8]}, "bandz"),
+    ({"max_iters": -3}, "max_iters"),
+    ({"max_iters": 2.5}, "max_iters"),
+    ({"stop_tol": -1.0}, "stop_tol"),
+    ({"stop_tol": 0.0}, "stop_tol"),
+    ({"stop_tol": float("nan")}, "stop_tol"),
+    ({"stop_tol": float("inf")}, "stop_tol"),
+])
+def test_malformed_config_exit_two_names_field(tmp_path, capsys, override, field):
+    cfg = write_config(tmp_path, **override)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert field in capsys.readouterr().err
