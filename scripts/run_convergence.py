@@ -28,8 +28,7 @@ GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 
 def seed(system_name, eps, omega, bands, rho):
-    n = 2 if system_name == "lagrangian_rotors" else 3
-    y_center = np.zeros(n)
+    y_center = np.zeros(builtin_system(system_name).n)
     y_center[: len(omega)] = omega
     sys_obj = builtin_system(system_name, epsilon=eps, y_center=y_center,
                              y_radius=0.5, imag_width=0.2)

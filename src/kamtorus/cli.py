@@ -36,6 +36,22 @@ class ConfigError(ValueError):
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 
+def _is_real(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _vector(name: str, value, d: int, valid, what: str) -> list:
+    """``value`` as a list of d entries that each pass ``valid``."""
+    if not (isinstance(value, (list, tuple)) and len(value) == d and all(map(valid, value))):
+        raise ConfigError(f"{name} must be a list of d={d} {what}, got {value!r}")
+    return list(value)
+
+
 @dataclass
 class RunConfig:
     system: str = "lagrangian_rotors"
@@ -61,45 +77,46 @@ class RunConfig:
     out_dir: str = "out"
 
     def validate(self) -> "RunConfig":
-        if self.system not in ("lagrangian_rotors", "symmetric_rotors"):
-            raise ConfigError(f"unknown system {self.system!r}")
+        try:
+            registered = builtin_system(self.system)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.mode not in ("ordinary", "iso"):
             raise ConfigError(f"mode must be 'ordinary' or 'iso', got {self.mode!r}")
-        n = 2 if self.system == "lagrangian_rotors" else 3
-        m = 0 if self.system == "lagrangian_rotors" else 1
-        d = n - m
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
+        d, m = registered.d, registered.n_integrals
+        inf = math.inf
+        reals = [("epsilon", -inf, inf), ("c0_offset", -inf, inf), ("rho0", 0, 1),
+                 ("stop_tol", 0, inf), ("y_radius", 0, inf), ("imag_width", 0, inf),
+                 *((name, 1, inf) for name in ("sigma_omega", "a1", "a2", "sigma_factor")),
+                 *([("c_n", 0, inf)] if self.c_n is not None else [])]
+        for name, low, high in reals:
+            value = getattr(self, name)
+            if not (_is_real(value) and low < value < high):
+                raise ConfigError(f"{name} must be a finite number in ({low}, {high}), "
+                                  f"got {value!r}")
+        if not (_is_real(self.tau) and self.tau >= d - 1):
+            raise ConfigError(f"tau must be a finite number >= d-1 = {d - 1}, got {self.tau!r}")
+        for name, low in (("max_iters", 0), ("scan_limit", 1)):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= low):
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.mode == "ordinary":
             omega = self.omega if self.omega is not None else self._default_omega(d)
-            if len(omega) != d:
-                raise ConfigError(f"omega must have dimension d={d}, got {len(omega)}")
-            self.omega = [float(v) for v in omega]
+            self.omega = [float(v) for v in _vector("omega", omega, d, _is_real, "finite numbers")]
         else:
             base = self.omega_star if self.omega_star is not None else [
                 v / np.sqrt(self.sigma_omega) for v in self._default_omega(d)
             ]
-            if len(base) != d:
-                raise ConfigError(f"omega_star must have dimension d={d}, got {len(base)}")
-            self.omega_star = [float(v) for v in base]
-            if self.sigma_omega <= 1:
-                raise ConfigError("sigma_omega must be > 1")
-            if self.conserved != "H" and not self.conserved.startswith("p:"):
-                raise ConfigError("conserved must be 'H' or 'p:<index>'")
-            if self.conserved.startswith("p:") and m == 0:
-                raise ConfigError("this system has no first integrals to target")
-        if len(self.bands) != d or any(int(b) < 1 for b in self.bands):
-            raise ConfigError(f"bands must be {d} positive integers")
-        self.bands = [int(b) for b in self.bands]
-        if not 0 < self.rho0 < 1:
-            raise ConfigError("rho0 must lie in (0, 1)")
-        if self.tau < d - 1:
-            raise ConfigError(f"tau must be >= d-1 = {d-1}")
-        if self.a1 <= 1 or self.a2 <= 1:
-            raise ConfigError("a1, a2 must be > 1")
-        if type(self.max_iters) is not int or self.max_iters < 0:
-            raise ConfigError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
-        if not (isinstance(self.stop_tol, (int, float)) and math.isfinite(self.stop_tol)
-                and self.stop_tol > 0):
-            raise ConfigError(f"stop_tol must be a finite number > 0, got {self.stop_tol!r}")
+            self.omega_star = [float(v) for v in _vector("omega_star", base, d, _is_real,
+                                                         "finite numbers")]
+            allowed = ["H"] + [f"p:{j}" for j in range(m)]
+            if self.conserved not in allowed:
+                raise ConfigError(f"conserved must be one of {allowed} for {self.system}, "
+                                  f"got {self.conserved!r}")
+        self.bands = _vector("bands", self.bands, d, lambda b: _is_int(b) and b >= 1,
+                             "integers >= 1")
         return self
 
     @staticmethod
@@ -137,7 +154,7 @@ def _seed_frequency(cfg: RunConfig):
 
 def _system(cfg: RunConfig, omega: np.ndarray):
     """The configured system, its momentum domain centred at (omega, 0)."""
-    y_center = np.zeros(2 if cfg.system == "lagrangian_rotors" else 3)
+    y_center = np.zeros(builtin_system(cfg.system).n)
     y_center[: len(omega)] = omega
     return builtin_system(cfg.system, epsilon=cfg.epsilon, y_center=y_center,
                           y_radius=cfg.y_radius, imag_width=cfg.imag_width)

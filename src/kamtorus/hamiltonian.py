@@ -433,252 +433,120 @@ def check_derivatives(sys: HamiltonianSystem, sample_count: int = 20, seed: int 
 # ---------------------------------------------------------------------------
 
 
+def _constant(value: np.ndarray) -> Callable:
+    """Callback broadcasting a constant array over the batch axes of z."""
+
+    def cb(z):
+        z = np.asarray(z)
+        out = np.zeros(z.shape[:-1] + value.shape, dtype=np.result_type(z, 0.0))
+        out[...] = value
+        return out
+
+    return cb
+
+
+def _linear_integrals(c: np.ndarray):
+    """Callbacks of the linear momenta p_a = c_a . y, one row of c (m, n) per integral.
+
+    In the canonical structure X_p = (c_a, 0) is constant and DXp, D2Xp vanish.
+    """
+    m, n = c.shape
+
+    def p(z):
+        return np.einsum("...j,aj->...a", np.asarray(z)[..., n:], c)
+
+    return (p, _constant(np.concatenate([np.zeros((m, n)), c], axis=1)),
+            _constant(np.concatenate([c.T, np.zeros((n, m))])),
+            _constant(np.zeros((2 * n, m, 2 * n))), _constant(np.zeros((2 * n, m, 2 * n, 2 * n))))
+
+
 def _empty_integrals(n: int):
     """Integral callbacks for the d = n case: zero-width arrays, same code path."""
-    n2 = 2 * n
-
-    def p(z):
-        z = np.asarray(z)
-        return np.zeros(z.shape[:-1] + (0,), dtype=z.dtype)
-
-    def Dp(z):
-        z = np.asarray(z)
-        return np.zeros(z.shape[:-1] + (0, n2), dtype=z.dtype)
-
-    def Xp(z):
-        z = np.asarray(z)
-        return np.zeros(z.shape[:-1] + (n2, 0), dtype=z.dtype)
-
-    def DXp(z):
-        z = np.asarray(z)
-        return np.zeros(z.shape[:-1] + (n2, 0, n2), dtype=z.dtype)
-
-    def D2Xp(z):
-        z = np.asarray(z)
-        return np.zeros(z.shape[:-1] + (n2, 0, n2, n2), dtype=z.dtype)
-
-    return p, Dp, Xp, DXp, D2Xp
+    return _linear_integrals(np.zeros((0, n)))
 
 
-def _lagrangian_rotors(eps: float, y_center, y_radius: float, imag_width: float):
-    """Two coupled rotors on T^2 x R^2: H = |y|^2/2 + eps(cos 2pi x1 + cos 2pi(x1-x2))."""
-    n = 2
+def _trig_potential_system(name: str, terms, c: np.ndarray, domain: DomainBox,
+                           params: dict) -> HamiltonianSystem:
+    """H = |y|^2/2 + V(x), V = sum_j v_j cos(2 pi k_j . x), canonical structure,
+    with the linear first integrals p_a = c_a . y.
+
+    Every derivative of V comes from one formula,
+        d^r V = sum_j v_j (2 pi)^r cos(2 pi k_j . x + r pi/2) k_j^{(x) r},
+    at order r = 0 (H), 1 (DH, XH), 2 (DXH) and 3 (D2XH).
+    """
+    v = np.array([coef for coef, _ in terms], dtype=float)
+    k = np.array([kv for _, kv in terms], dtype=float)
+    n = k.shape[1]
     tp = 2 * np.pi
+    k_powers = [np.ones((len(v), 1))]  # k_j^{(x) r}, flattened to shape (terms, n**r)
+    for _ in range(3):
+        k_powers.append(np.einsum("jm,ja->jma", k_powers[-1], k).reshape(len(v), -1))
 
-    def split(z):
+    def dV(z, r):
         z = np.asarray(z)
-        return z[..., 0], z[..., 1], z[..., 2], z[..., 3]
+        phase = tp * np.einsum("...a,ja->...j", z[..., :n], k)
+        # cos(t + r pi/2) is cos, -sin, -cos, sin for r = 0, 1, 2, 3
+        wave = np.sin(phase) if r % 2 else np.cos(phase)
+        amp = wave * ((-1.0 if r in (1, 2) else 1.0) * tp**r * v)
+        return np.einsum("...j,jm->...m", amp, k_powers[r]).reshape(z.shape[:-1] + (n,) * r)
 
     def H(z):
-        x1, x2, y1, y2 = split(z)
-        return 0.5 * (y1**2 + y2**2) + eps * (np.cos(tp * x1) + np.cos(tp * (x1 - x2)))
+        y = np.asarray(z)[..., n:]
+        return 0.5 * np.sum(y * y, axis=-1) + dV(z, 0)
 
     def DH(z):
-        x1, x2, y1, y2 = split(z)
-        s1, sd = np.sin(tp * x1), np.sin(tp * (x1 - x2))
-        return np.stack([-tp * eps * (s1 + sd), tp * eps * sd, y1, y2], axis=-1)
+        return np.concatenate([dV(z, 1), np.asarray(z)[..., n:]], axis=-1)
 
     def XH(z):
-        x1, x2, y1, y2 = split(z)
-        s1, sd = np.sin(tp * x1), np.sin(tp * (x1 - x2))
-        return np.stack([y1, y2, tp * eps * (s1 + sd), -tp * eps * sd], axis=-1)
+        return np.concatenate([np.asarray(z)[..., n:], -dV(z, 1)], axis=-1)
 
-    def _vxx(z):
-        """Hessian of the potential, shape (..., 2, 2)."""
-        x1, x2, _, _ = split(z)
-        c1, cd = np.cos(tp * x1), np.cos(tp * (x1 - x2))
-        out = np.empty(np.asarray(x1).shape + (2, 2), dtype=np.result_type(x1, 0.0))
-        out[..., 0, 0] = -(tp**2) * eps * (c1 + cd)
-        out[..., 0, 1] = (tp**2) * eps * cd
-        out[..., 1, 0] = (tp**2) * eps * cd
-        out[..., 1, 1] = -(tp**2) * eps * cd
-        return out
+    flow = _constant(np.eye(2 * n, k=n))  # dx/dt = y
 
     def DXH(z):
-        z = np.asarray(z)
-        out = np.zeros(z.shape[:-1] + (4, 4), dtype=np.result_type(z, 0.0))
-        out[..., 0, 2] = 1.0
-        out[..., 1, 3] = 1.0
-        out[..., 2:, :2] = -_vxx(z)
+        out = flow(z)
+        out[..., n:, :n] = -dV(z, 2)
         return out
+
+    zero3 = _constant(np.zeros((2 * n,) * 3))
 
     def D2XH(z):
-        """Third derivatives of -V feed the momentum rows."""
-        x1, x2, _, _ = split(np.asarray(z))
-        s1, sd = np.sin(tp * x1), np.sin(tp * (x1 - x2))
-        t3 = tp**3 * eps
-        out = np.zeros(np.asarray(z).shape[:-1] + (4, 4, 4), dtype=np.result_type(z, 0.0))
-        # V_{111} = t3 (s1 + sd); V_{112} = -t3 sd; V_{122} = t3 sd; V_{222} = -t3 sd
-        v111 = t3 * (s1 + sd)
-        v112 = -t3 * sd
-        v122 = t3 * sd
-        v222 = -t3 * sd
-        # rows 2,3 carry -dV/dx_i, so D2XH[2+i, j, k] = -V_{ijk}
-        third = np.zeros(np.asarray(x1).shape + (2, 2, 2), dtype=np.result_type(z, 0.0))
-        third[..., 0, 0, 0] = v111
-        third[..., 0, 0, 1] = third[..., 0, 1, 0] = third[..., 1, 0, 0] = v112
-        third[..., 0, 1, 1] = third[..., 1, 0, 1] = third[..., 1, 1, 0] = v122
-        third[..., 1, 1, 1] = v222
-        out[..., 2:, :2, :2] = -third
+        out = zero3(z)
+        out[..., n:, :n, :n] = -dV(z, 3)
         return out
 
-    p, Dp, Xp, DXp, D2Xp = _empty_integrals(n)
+    p, Dp, Xp, DXp, D2Xp = _linear_integrals(c)
     return HamiltonianSystem(
-        name="lagrangian_rotors",
-        n=n,
-        n_integrals=0,
-        geometry=canonical_structure(n),
+        name=name, n=n, n_integrals=c.shape[0], geometry=canonical_structure(n),
         H=H, DH=DH, XH=XH, DXH=DXH, D2XH=D2XH,
         p=p, Dp=Dp, Xp=Xp, DXp=DXp, D2Xp=D2Xp,
-        domain=DomainBox(n=n, y_center=np.asarray(y_center, dtype=float),
-                         y_radius=y_radius, imag_width=imag_width),
-        params={"epsilon": eps},
+        domain=domain, params=params,
     )
 
 
-def _symmetric_rotors(eps: float, y_center, y_radius: float, imag_width: float):
-    """Three rotors with translation symmetry: H = |y|^2/2 + eps cos(2pi x1)(1 + cos 2pi(x2-x3)),
-    first integral p = y2 + y3."""
-    n = 3
-    tp = 2 * np.pi
-
-    def split(z):
-        z = np.asarray(z)
-        return (z[..., 0], z[..., 1], z[..., 2], z[..., 3], z[..., 4], z[..., 5])
-
-    def H(z):
-        x1, x2, x3, y1, y2, y3 = split(z)
-        return 0.5 * (y1**2 + y2**2 + y3**2) + eps * np.cos(tp * x1) * (
-            1.0 + np.cos(tp * (x2 - x3))
-        )
-
-    def _gradV(z):
-        x1, x2, x3, *_ = split(z)
-        s1, c1 = np.sin(tp * x1), np.cos(tp * x1)
-        sd, cd = np.sin(tp * (x2 - x3)), np.cos(tp * (x2 - x3))
-        g1 = -tp * eps * s1 * (1.0 + cd)
-        g2 = -tp * eps * c1 * sd
-        g3 = tp * eps * c1 * sd
-        return g1, g2, g3
-
-    def DH(z):
-        _, _, _, y1, y2, y3 = split(z)
-        g1, g2, g3 = _gradV(z)
-        return np.stack([g1, g2, g3, y1, y2, y3], axis=-1)
-
-    def XH(z):
-        _, _, _, y1, y2, y3 = split(z)
-        g1, g2, g3 = _gradV(z)
-        return np.stack([y1, y2, y3, -g1, -g2, -g3], axis=-1)
-
-    def _vxx(z):
-        x1, x2, x3, *_ = split(z)
-        s1, c1 = np.sin(tp * x1), np.cos(tp * x1)
-        sd, cd = np.sin(tp * (x2 - x3)), np.cos(tp * (x2 - x3))
-        t2 = tp**2 * eps
-        out = np.empty(np.asarray(x1).shape + (3, 3), dtype=np.result_type(x1, 0.0))
-        out[..., 0, 0] = -t2 * c1 * (1.0 + cd)
-        out[..., 0, 1] = t2 * s1 * sd
-        out[..., 0, 2] = -t2 * s1 * sd
-        out[..., 1, 0] = t2 * s1 * sd
-        out[..., 1, 1] = -t2 * c1 * cd
-        out[..., 1, 2] = t2 * c1 * cd
-        out[..., 2, 0] = -t2 * s1 * sd
-        out[..., 2, 1] = t2 * c1 * cd
-        out[..., 2, 2] = -t2 * c1 * cd
-        return out
-
-    def DXH(z):
-        z = np.asarray(z)
-        out = np.zeros(z.shape[:-1] + (6, 6), dtype=np.result_type(z, 0.0))
-        for i in range(3):
-            out[..., i, 3 + i] = 1.0
-        out[..., 3:, :3] = -_vxx(z)
-        return out
-
-    def D2XH(z):
-        x1, x2, x3, *_ = split(np.asarray(z))
-        s1, c1 = np.sin(tp * x1), np.cos(tp * x1)
-        sd, cd = np.sin(tp * (x2 - x3)), np.cos(tp * (x2 - x3))
-        t3 = tp**3 * eps
-        third = np.zeros(np.asarray(x1).shape + (3, 3, 3), dtype=np.result_type(z, 0.0))
-        # V_{ijk}: V = eps c1 (1 + cd); signs from repeated differentiation
-        v111 = t3 * s1 * (1.0 + cd)
-        v112 = t3 * c1 * sd
-        v113 = -t3 * c1 * sd
-        v122 = t3 * s1 * cd
-        v123 = -t3 * s1 * cd
-        v133 = t3 * s1 * cd
-        v222 = t3 * c1 * sd
-        v223 = -t3 * c1 * sd
-        v233 = t3 * c1 * sd
-        v333 = -t3 * c1 * sd
-        vals = {
-            (0, 0, 0): v111, (0, 0, 1): v112, (0, 0, 2): v113,
-            (0, 1, 1): v122, (0, 1, 2): v123, (0, 2, 2): v133,
-            (1, 1, 1): v222, (1, 1, 2): v223, (1, 2, 2): v233,
-            (2, 2, 2): v333,
-        }
-        from itertools import permutations
-
-        for (i, j, k), v in vals.items():
-            for a, b, c in set(permutations((i, j, k))):
-                third[..., a, b, c] = v
-        out = np.zeros(np.asarray(z).shape[:-1] + (6, 6, 6), dtype=np.result_type(z, 0.0))
-        out[..., 3:, :3, :3] = -third
-        return out
-
-    def p(z):
-        z = np.asarray(z)
-        return (z[..., 4] + z[..., 5])[..., None]
-
-    def Dp(z):
-        z = np.asarray(z)
-        out = np.zeros(z.shape[:-1] + (1, 6), dtype=np.result_type(z, 0.0))
-        out[..., 0, 4] = 1.0
-        out[..., 0, 5] = 1.0
-        return out
-
-    def Xp(z):
-        z = np.asarray(z)
-        out = np.zeros(z.shape[:-1] + (6, 1), dtype=np.result_type(z, 0.0))
-        out[..., 1, 0] = 1.0
-        out[..., 2, 0] = 1.0
-        return out
-
-    def DXp(z):
-        z = np.asarray(z)
-        return np.zeros(z.shape[:-1] + (6, 1, 6), dtype=np.result_type(z, 0.0))
-
-    def D2Xp(z):
-        z = np.asarray(z)
-        return np.zeros(z.shape[:-1] + (6, 1, 6, 6), dtype=np.result_type(z, 0.0))
-
-    return HamiltonianSystem(
-        name="symmetric_rotors",
-        n=n,
-        n_integrals=1,
-        geometry=canonical_structure(n),
-        H=H, DH=DH, XH=XH, DXH=DXH, D2XH=D2XH,
-        p=p, Dp=Dp, Xp=Xp, DXp=DXp, D2Xp=D2Xp,
-        domain=DomainBox(n=n, y_center=np.asarray(y_center, dtype=float),
-                         y_radius=y_radius, imag_width=imag_width),
-        params={"epsilon": eps},
-    )
+# name -> (terms (v_j / epsilon, k_j) of V, rows c_a of the integrals p_a = c_a . y)
+_BUILTIN_TERMS = {
+    # H = |y|^2/2 + eps (cos 2pi x1 + cos 2pi(x1 - x2))
+    "lagrangian_rotors": ([(1.0, (1, 0)), (1.0, (1, -1))], []),
+    # H = |y|^2/2 + eps cos(2pi x1)(1 + cos 2pi(x2 - x3)), p = y2 + y3
+    "symmetric_rotors": ([(1.0, (1, 0, 0)), (0.5, (1, 1, -1)), (0.5, (1, -1, 1))],
+                         [(0, 1, 1)]),
+}
 
 
 def builtin_system(name: str, epsilon: float = 0.0, y_center=None,
                    y_radius: float = 0.5, imag_width: float = 0.2) -> HamiltonianSystem:
-    """Registered example systems.
+    """Registered example systems, generated from their term table.
 
     "lagrangian_rotors":  n = d = 2 coupled rotors (no extra integrals).
     "symmetric_rotors":   n = 3, d = 2 rotors with translation symmetry,
                           p = y2 + y3; target quantity selectable as H or p.
     """
-    if name == "lagrangian_rotors":
-        yc = np.zeros(2) if y_center is None else y_center
-        return _lagrangian_rotors(epsilon, yc, y_radius, imag_width)
-    if name == "symmetric_rotors":
-        yc = np.zeros(3) if y_center is None else y_center
-        return _symmetric_rotors(epsilon, yc, y_radius, imag_width)
-    raise ValueError(f"unknown system {name!r}; registered: lagrangian_rotors, symmetric_rotors")
+    if not isinstance(name, str) or name not in _BUILTIN_TERMS:
+        raise ValueError(f"unknown system {name!r}; registered: {', '.join(_BUILTIN_TERMS)}")
+    terms, integrals = _BUILTIN_TERMS[name]
+    n = len(terms[0][1])
+    domain = DomainBox(n=n, y_center=np.zeros(n) if y_center is None else y_center,
+                       y_radius=y_radius, imag_width=imag_width)
+    return _trig_potential_system(name, [(epsilon * coef, kv) for coef, kv in terms],
+                                  np.array(integrals, dtype=float).reshape(-1, n), domain,
+                                  {"epsilon": epsilon})

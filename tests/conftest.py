@@ -28,8 +28,7 @@ def golden_dio(golden_omega):
 def seed_candidate(system_name, epsilon, omega, bands=(16, 16), rho=0.03,
                    tau=1.0, scan_limit=1000, dio=None):
     """Integrable-limit candidate K = (theta, 0, omega, 0) for a builtin system."""
-    n = 2 if system_name == "lagrangian_rotors" else 3
-    y_center = np.zeros(n)
+    y_center = np.zeros(builtin_system(system_name).n)
     y_center[: len(omega)] = omega
     sys_obj = builtin_system(system_name, epsilon=epsilon, y_center=y_center,
                              y_radius=0.5, imag_width=0.2)

@@ -163,6 +163,19 @@ def test_iso_solve_via_cli(tmp_path):
     ({"stop_tol": 0.0}, "stop_tol"),
     ({"stop_tol": float("nan")}, "stop_tol"),
     ({"stop_tol": float("inf")}, "stop_tol"),
+    ({"tau": float("nan")}, "tau"),
+    ({"bands": "88"}, "bands"),
+    ({"bands": [8.7, 8]}, "bands"),
+    ({"bands": [True, 8]}, "bands"),
+    ({"sigma_factor": 0.5}, "sigma_factor"),
+    ({"epsilon": float("nan")}, "epsilon"),
+    ({"y_radius": -1}, "y_radius"),
+    ({"imag_width": 0}, "imag_width"),
+    ({"scan_limit": 0}, "scan_limit"),
+    ({"c_n": -1}, "c_n"),
+    ({"a1": float("nan")}, "a1"),
+    ({"epsilon": "0.01"}, "epsilon"),
+    ({"rho0": "0.03"}, "rho0"),
 ])
 def test_malformed_config_exit_two_names_field(tmp_path, capsys, override, field):
     cfg = write_config(tmp_path, **override)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kamtorus.hamiltonian import (
+    _BUILTIN_TERMS,
     DomainBox,
     HamiltonianSystem,
     builtin_system,
@@ -151,6 +152,34 @@ def test_builtin_xp_constant_column():
     expected[:, 1, 0] = 1.0
     expected[:, 2, 0] = 1.0
     assert np.max(np.abs(xp - expected)) == 0.0
+
+
+# H of each registered system as the README states it, independent of its term table
+CLOSED_FORMS = {
+    "lagrangian_rotors": lambda x, y, eps: 0.5 * np.sum(y**2, axis=-1) + eps * (
+        np.cos(2 * np.pi * x[:, 0]) + np.cos(2 * np.pi * (x[:, 0] - x[:, 1]))),
+    "symmetric_rotors": lambda x, y, eps: 0.5 * np.sum(y**2, axis=-1) + eps * np.cos(
+        2 * np.pi * x[:, 0]) * (1.0 + np.cos(2 * np.pi * (x[:, 1] - x[:, 2]))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTIN_TERMS))
+def test_registered_system_matches_closed_form(name):
+    """The FD cross-check cannot see a wrong table coefficient: the derivatives
+    stay consistent with a wrong H.  So H is also checked against its closed form."""
+    eps = 0.03
+    n = builtin_system(name).n
+    y_center = np.zeros(n)
+    y_center[:2] = [1.0, GOLDEN]
+    sys_obj = builtin_system(name, epsilon=eps, y_center=y_center)
+    rng = np.random.default_rng(11)
+    z = rng.uniform(-1, 1, (200, 2 * n)) + 1j * rng.uniform(-0.2, 0.2, (200, 2 * n))
+    expected = CLOSED_FORMS[name](z[:, :n], z[:, n:], eps)
+    assert np.max(np.abs(sys_obj.H(z) - expected)) <= 1e-14 * np.max(np.abs(expected))
+    assert check_derivatives(sys_obj)["passed"]
+    assert verify_involution(sys_obj).passed and verify_commutation(sys_obj).passed
+    d2xh = sys_obj.D2XH(z)
+    assert np.array_equal(d2xh, np.swapaxes(d2xh, -1, -2))
 
 
 def test_builtin_unknown_name():

@@ -50,6 +50,9 @@ def test_traced_child_sees_one_mode(tmp_path, monkeypatch, mode):
     assert res["rc_solve"] == 0
     trace = res["trace"]
     assert trace["counters"]["rebinds.fourier.matmul"] == run.MATMUL_HOLDERS == 5
+    # the callbacks of the generated systems are traced through the rebound builder
+    assert trace["counters"]["rebinds.hamiltonian.builtin_system"] >= 1
+    assert trace["calls"].get("hamiltonian.callback", 0) > 0
     own, other = ((run.ORDINARY_ONLY, run.ISO_ONLY) if mode == "ordinary"
                   else (run.ISO_ONLY, run.ORDINARY_ONLY))
     assert [name for name in other if trace["calls"].get(name, 0)] == []
