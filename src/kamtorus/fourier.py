@@ -408,32 +408,82 @@ def dealias_grid(bands_a: tuple, bands_b: tuple) -> tuple:
     return tuple(2 * (na + nb) + 1 for na, nb in zip(bands_a, bands_b))
 
 
+def _is_constant(f: FourierMap) -> bool:
+    """True when every coefficient off k = 0 is exactly zero."""
+    flat = f.coeffs.reshape(-1, *f.shape)
+    center = flat.shape[0] // 2  # k = 0 is the middle of the odd-sized index box
+    return not (np.any(flat[:center]) or np.any(flat[center + 1:]))
+
+
+def _half_embed(bands: tuple, grid: tuple):
+    """Index arrays mapping the k_d >= 0 half of the box ``bands`` to rfftn bins."""
+    idx = [np.arange(-n, n + 1) % m for n, m in zip(bands[:-1], grid[:-1])]
+    return np.ix_(*idx, np.arange(bands[-1] + 1))
+
+
+def _real_samples(f: FourierMap, grid: tuple) -> np.ndarray:
+    """Real samples of a real-analytic map on ``grid``: irfftn of the half spectrum.
+
+    Only the modes with k_d >= 0 are read; the others are implied by
+    f_{-k} = conj(f_k).
+    """
+    if any(m < 2 * n + 1 for n, m in zip(f.bands, grid)):
+        raise FourierShapeError(f"evaluation grid {grid} too small for bands {f.bands}")
+    half = np.zeros(grid[:-1] + (grid[-1] // 2 + 1,) + f.shape, dtype=np.complex128)
+    half[_half_embed(f.bands, grid)] = f.coeffs[..., f.bands[-1]:, :, :]
+    return np.fft.irfftn(half, s=grid, axes=tuple(range(f.d)), norm="forward")
+
+
+def _real_analysis(samples: np.ndarray, bands: tuple) -> np.ndarray:
+    """Symmetrized coefficients on the box ``bands`` of real grid samples (rfftn).
+
+    The k_d < 0 modes are filled from the k_d > 0 ones by conjugate symmetry.
+    """
+    d = len(bands)
+    hat = np.fft.rfftn(samples, axes=tuple(range(d)), norm="forward")
+    upper = hat[_half_embed(bands, samples.shape[:d])]
+    lower = np.conj(upper[tuple(slice(None, None, -1) for _ in range(d - 1))])
+    return _symmetrize(np.concatenate([lower[..., :0:-1, :, :], upper], axis=d - 1))
+
+
 def matmul(a: FourierMap, b: FourierMap, out_bands=None, work_grid=None) -> FourierMap:
-    """Pointwise matrix product of two maps, dealiased then truncated.
+    """Pointwise matrix product of two real-analytic maps, dealiased then truncated.
 
     The product is synthesized on a grid of at least 2x the sum of the band
     limits so the retained modes are alias-free; ``out_bands`` defaults to the
-    exact product band N_a + N_b.
+    exact product band N_a + N_b.  Both operands must be real-analytic
+    (f_{-k} = conj f_k): they are synthesized from their k_d >= 0 modes with
+    real FFTs, multiplied as real sample arrays and analysed back with a real
+    FFT.  A zero operand gives zeros, and a constant operand (every mode off
+    k = 0 exactly zero) multiplies the other operand's coefficients directly;
+    both shortcuts skip the FFTs and return the bands, grid and shape of the
+    transform path.
     """
     if a.bands != b.bands and len(a.bands) != len(b.bands):
         raise FourierShapeError("operands live on different tori")
     if a.shape[1] != b.shape[0]:
         raise FourierShapeError(f"matrix shapes {a.shape} x {b.shape} do not chain")
     work = tuple(work_grid) if work_grid is not None else dealias_grid(a.bands, b.bands)
-    va = a.eval_grid(work)
-    vb = b.eval_grid(work)
-    prod = va @ vb
     full_bands = tuple(na + nb for na, nb in zip(a.bands, b.bands))
     if out_bands is None:
         out_bands = full_bands
     out_bands = tuple(int(n) for n in out_bands)
     if any(m < 2 * n + 1 for n, m in zip(out_bands, work)):
         raise FourierShapeError("work grid too small for requested output bands")
-    d = len(out_bands)
-    hat = np.fft.fftn(prod, axes=tuple(range(d))) / float(np.prod(work))
-    coeffs = _symmetrize(hat[_embed_slices(out_bands, work)])
     out_grid = tuple(max(2 * n + 1, g) for n, g in zip(out_bands, a.grid))
-    return FourierMap(coeffs, out_bands, out_grid)
+    if not (np.any(a.coeffs) and np.any(b.coeffs)):
+        return FourierMap.zeros(out_bands, out_grid, (a.shape[0], b.shape[1]))
+
+    def fitted(f):  # f truncated or zero-padded, axis by axis, to out_bands
+        keep = tuple(min(n, m) for n, m in zip(f.bands, out_bands))
+        return f.truncate(keep, out_grid).pad_bands(out_bands, out_grid)
+
+    if _is_constant(a):
+        return fitted(b).rmatmul_constant(a.average())
+    if _is_constant(b):
+        return fitted(a).matmul_constant(b.average())
+    prod = _real_samples(a, work) @ _real_samples(b, work)
+    return FourierMap(_real_analysis(prod, out_bands), out_bands, out_grid)
 
 
 def concat_cols(*maps: FourierMap) -> FourierMap:

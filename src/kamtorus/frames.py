@@ -13,7 +13,8 @@ symplecticity E_sym, reducibility E_red), and the torsion matrices T and T_c.
 
 Every map is represented on the candidate's common Fourier band; nonlinear
 ingredients (compositions with the system callbacks, pointwise inverses) are
-sampled on a dealiased work grid and truncated back, and the (1,2) block of
+sampled on a dealiased work grid and truncated back, except that the maps of
+a canonical structure are built as exact constants; and the (1,2) block of
 E_red reuses the torsion product verbatim, so its vanishing is exact by
 construction rather than a numerical accident.
 """
@@ -209,13 +210,20 @@ def grid_kitchen(cand: TorusCandidate, conserved: ConservedQuantity | None = Non
     def analyze(samples):
         return FourierMap.from_samples(samples, bands, wg).with_grid(grid)
 
+    if sys.geometry.is_canonical:  # constant structure: one point, no transform
+        def structure(callback):
+            return FourierMap.constant(callback(kv[(0,) * cand.d][None])[0], bands, grid)
+    else:
+        def structure(callback):
+            return analyze(callback(kv))
+
     n2 = 2 * sys.n
     xh = analyze(sys.XH(kv)[..., :, None])
     dxh = analyze(sys.DXH(kv))
-    om = analyze(sys.geometry.omega_mat(kv))
-    g = analyze(sys.geometry.metric_G(kv))
-    jj = analyze(sys.geometry.iso_J(kv))
-    tom = analyze(sys.geometry.tilde_omega(kv))
+    om = structure(sys.geometry.omega_mat)
+    g = structure(sys.geometry.metric_G)
+    jj = structure(sys.geometry.iso_J)
+    tom = structure(sys.geometry.tilde_omega)
     if sys.n_integrals:
         xp = analyze(sys.Xp(kv))
     else:
@@ -381,15 +389,39 @@ def torsion(cand: TorusCandidate, N: FourierMap, kitchen: GridKitchen | None = N
     NT_Om = matmul(N.T, kk.Omega, out_bands=bands)
     T = matmul(NT_Om, loper_n, out_bands=bands)
     avgT = T.average().real
-    _check_twist(avgT, "averaged torsion <T>")
+    _check_twist(avgT, "averaged torsion <T>", _twist_scale(cand, N, kk))
     return T, avgT, loper_n
 
 
-def _check_twist(avg: np.ndarray, what: str, cond_limit: float = 1e12):
+def _twist_scale(cand: TorusCandidate, N: FourierMap, kitchen: GridKitchen) -> float:
+    """Majorant bound at rho = 0 of the factors of T = N^T (Omega o K)(DX_H N + L_omega N).
+
+    The two terms of L_op N are bounded apart: for an isochronous torus their
+    sum cancels to round-off, so ||L_op N|| alone would not measure the size
+    the average was computed at.
+    """
+    norm_n = N.norm(0.0).value
+    return (N.norm(0.0, transpose=True).value * kitchen.Omega.norm(0.0).value
+            * (kitchen.DXH.norm(0.0).value * norm_n + N.lie(cand.omega).norm(0.0).value))
+
+
+def _check_twist(avg: np.ndarray, what: str, scale: float, cond_limit: float = 1e12):
+    """Reject a singular or ill-conditioned average, and one that is round-off.
+
+    ``scale`` bounds the majorant of the factors the average was taken from; an
+    average whose smallest singular value is at most scale / cond_limit is a
+    cancellation to round-off (a zero twist), whatever its own conditioning.
+    """
     try:
+        smin = float(np.linalg.svd(avg, compute_uv=False)[-1])
         inv = np.linalg.inv(avg)
     except np.linalg.LinAlgError as exc:
         raise TwistDegeneracyError(f"{what} is singular") from exc
+    if not smin > scale / cond_limit:
+        raise TwistDegeneracyError(
+            f"{what} smallest singular value {smin:.3e} is at most {1 / cond_limit:.1e} "
+            f"times its factors' scale {scale:.3e}"
+        )
     cond = float(np.abs(avg).sum(axis=1).max() * np.abs(inv).sum(axis=1).max())
     if cond > cond_limit:
         raise TwistDegeneracyError(f"{what} condition {cond:.3e} exceeds {cond_limit:.1e}")
@@ -417,7 +449,10 @@ def extended_torsion(cand: TorusCandidate, T: FourierMap, N: FourierMap,
     coeffs[center + (slice(None, n), n)] += omega_hat
     Tc = FourierMap(coeffs, bands, grid)
     avgTc = Tc.average().real
-    _check_twist(avgTc, "averaged extended torsion <T_c>")
+    # row sums of the factor bounds: the rows of T plus omega_hat, and Dc N
+    scale = max(_twist_scale(cand, N, kk) + float(np.max(np.abs(omega_hat))),
+                kk.Dc.norm(0.0).value * N.norm(0.0).value)
+    _check_twist(avgTc, "averaged extended torsion <T_c>", scale)
     return Tc, avgTc, Tdown
 
 

@@ -49,7 +49,9 @@ class GeometricStructure:
     the frame coefficient A vanishes identically; "II" is the generic
     metric-compatible case.  ``is_canonical`` marks the standard structure
     (Omega = Omega_0, G = I, J = Omega_0), for which all global structure
-    constants are known exactly.
+    constants are known exactly and the frames treat Omega, G, J and
+    tilde-Omega as constants.  Only :func:`canonical_structure` sets it; a
+    structure that claims it is checked at a few points on construction.
     """
 
     dim_n: int
@@ -59,7 +61,7 @@ class GeometricStructure:
     iso_J: Callable
     tilde_omega: Callable
     case_tag: str = "III"
-    is_canonical: bool = True
+    is_canonical: bool = False
     d_omega: Callable | None = None
     d_G: Callable | None = None
     d_J: Callable | None = None
@@ -67,6 +69,20 @@ class GeometricStructure:
     d2_G: Callable | None = None
     d2_J: Callable | None = None
     d2_tilde_omega: Callable | None = None
+
+    def __post_init__(self):
+        if not self.is_canonical:
+            return
+        n2 = 2 * self.dim_n
+        omega0 = _omega0(self.dim_n)
+        z = np.linspace(-1.0, 1.0, 3 * n2).reshape(3, n2) + np.arange(3)[:, None]
+        expect = {"omega_mat": omega0, "metric_G": np.eye(n2), "iso_J": omega0,
+                  "tilde_omega": omega0}
+        wrong = [name for name, mat in expect.items()
+                 if not np.array_equal(getattr(self, name)(z), np.broadcast_to(mat, (3, n2, n2)))]
+        if wrong:
+            raise StructureError(f"structure claims is_canonical but {wrong} differ from "
+                                 "Omega_0, I, Omega_0, Omega_0")
 
     def check_invariants(self, points: np.ndarray, tol: float = 1e-10, fd_step: float = 1e-6):
         """Verify Omega^T = -Omega, G^T = G > 0, J^T Omega = G at sample points,
@@ -111,9 +127,14 @@ class GeometricStructure:
         return errs
 
 
+def _omega0(n: int) -> np.ndarray:
+    """Omega_0 = [[0, -I], [I, 0]] on R^{2n}."""
+    return np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
+
+
 def canonical_structure(n: int) -> GeometricStructure:
     """Standard structure on R^{2n}: Omega = Omega_0, G = I, J = Omega_0 (Case III)."""
-    omega0 = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
+    omega0 = _omega0(n)
     eye = np.eye(2 * n)
 
     def _bcast(mat):

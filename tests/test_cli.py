@@ -181,3 +181,27 @@ def test_malformed_config_exit_two_names_field(tmp_path, capsys, override, field
     cfg = write_config(tmp_path, **override)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_outputs_identical_across_thread_caps(tmp_path):
+    """KAMTORUS_THREADS changes throughput only: the solve outputs keep their bytes."""
+    import os
+    import subprocess
+    import sys
+
+    cfg = write_config(tmp_path, mode="iso", epsilon=5e-3, bands=[8, 8], rho0=0.03,
+                       conserved="H", c0_offset=1e-3, stop_tol=1e-10, max_iters=6)
+    src = Path(__file__).resolve().parents[1] / "src"
+    base = {k: v for k, v in os.environ.items() if k not in (
+        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(base, KAMTORUS_THREADS=threads, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "kamtorus._entry", "solve", "--config",
+                               str(cfg), "--out", str(out)], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outs.append(out)
+    for name in ("torus.json", "log.jsonl", "summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -297,3 +297,107 @@ def test_strip_norm_monotone_property(r1, r2):
     f = random_map((4, 4), (9, 9), (1, 1), np.random.default_rng(7), decay=0.2)
     lo, hi = min(r1, r2), max(r1, r2)
     assert f.norm(lo).value <= f.norm(hi).value + 1e-12
+
+
+# ------------------------------------------------------------ product engine
+
+
+def complex_fft_product(a, b, out_bands=None, work_grid=None):
+    """Reference product: complex synthesis, complex @, complex analysis.
+
+    The engine ``matmul`` uses real transforms and shortcuts constant and zero
+    operands; it must agree with this on real-analytic operands.
+    """
+    work = tuple(work_grid) if work_grid is not None else tuple(
+        2 * (na + nb) + 1 for na, nb in zip(a.bands, b.bands))
+    full = tuple(na + nb for na, nb in zip(a.bands, b.bands))
+    out_bands = full if out_bands is None else tuple(out_bands)
+    d = len(out_bands)
+    prod = a.eval_grid(work) @ b.eval_grid(work)
+    hat = np.fft.fftn(prod, axes=tuple(range(d))) / float(np.prod(work))
+    coeffs = hat[np.ix_(*(np.arange(-n, n + 1) % m for n, m in zip(out_bands, work)))]
+    flipped = np.conj(coeffs[tuple(slice(None, None, -1) for _ in range(d))])
+    out_grid = tuple(max(2 * n + 1, g) for n, g in zip(out_bands, a.grid))
+    return FourierMap(0.5 * (coeffs + flipped), out_bands, out_grid)
+
+
+def _operand(kind, bands, shape, rng):
+    grid = tuple(2 * n + 1 for n in bands)
+    if kind == "const":
+        return FourierMap.constant(rng.standard_normal(shape), bands, grid)
+    if kind == "zero":
+        return FourierMap.zeros(bands, grid, shape)
+    return random_map(bands, grid, shape, rng, decay=0.2)
+
+
+def assert_matches_reference(a, b, out_bands=None, work_grid=None):
+    got = matmul(a, b, out_bands=out_bands, work_grid=work_grid)
+    ref = complex_fft_product(a, b, out_bands=out_bands, work_grid=work_grid)
+    assert (got.bands, got.grid, got.shape) == (ref.bands, ref.grid, ref.shape)
+    assert np.max(np.abs(got.coeffs - ref.coeffs), initial=0.0) <= 1e-13 * _scale(a, b)
+    return got
+
+
+def _scale(a, b):
+    """Sum of |coefficients| of a times that of b: bounds every product coefficient."""
+    return float(np.abs(a.coeffs).sum() * np.abs(b.coeffs).sum())
+
+
+@pytest.mark.parametrize("bands_a, bands_b, shape_a, shape_b, out_bands, work_grid", [
+    ((5,), (3,), (2, 3), (3, 4), None, None),
+    ((5,), (3,), (1, 1), (1, 2), (4,), None),
+    ((4, 3), (2, 5), (3, 2), (2, 1), (3, 3), None),
+    ((4, 3), (2, 5), (3, 2), (2, 1), (6, 8), None),
+    ((2, 1, 3), (1, 2, 2), (1, 3), (3, 2), None, None),
+    ((2, 1, 3), (1, 2, 2), (2, 3), (3, 1), (2, 2, 2), None),
+    ((3, 4), (3, 4), (2, 2), (2, 3), (3, 4), (15, 17)),
+    ((3, 4), (3, 4), (2, 2), (2, 3), (3, 4), (16, 18)),
+    ((3, 4), (3, 4), (2, 2), (2, 2), (3, 4), (9, 10)),
+])
+def test_matmul_matches_complex_fft_product(bands_a, bands_b, shape_a, shape_b, out_bands,
+                                            work_grid):
+    rng = np.random.default_rng(sum(bands_a) + 10 * len(bands_b))
+    a = _operand("varying", bands_a, shape_a, rng)
+    b = _operand("varying", bands_b, shape_b, rng)
+    assert_matches_reference(a, b, out_bands, work_grid)
+
+
+@pytest.mark.parametrize("kinds", [("const", "varying"), ("varying", "const"),
+                                   ("const", "const"), ("zero", "varying"),
+                                   ("varying", "zero")])
+@pytest.mark.parametrize("out_bands", [None, (2, 5)])
+def test_matmul_constant_and_zero_operands_skip_transforms(monkeypatch, kinds, out_bands):
+    rng = np.random.default_rng(5)
+    a = _operand(kinds[0], (3, 4), (3, 2), rng)
+    b = _operand(kinds[1], (4, 2), (2, 4), rng)
+    ref = complex_fft_product(a, b, out_bands=out_bands)
+
+    def no_transform(*args, **kwargs):
+        raise AssertionError("a constant or zero operand must not be transformed")
+
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, no_transform)
+    got = matmul(a, b, out_bands=out_bands)
+    assert (got.bands, got.grid, got.shape) == (ref.bands, ref.grid, ref.shape)
+    assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-13 * _scale(a, b)
+
+
+def test_matmul_constant_result_keeps_exact_zeros():
+    rng = np.random.default_rng(6)
+    c1 = FourierMap.constant(rng.standard_normal((2, 3)), (2, 3), (5, 7))
+    c2 = FourierMap.constant(rng.standard_normal((3, 2)), (4, 1), (9, 3))
+    prod = matmul(c1, c2, out_bands=(3, 3))
+    off = prod.coeffs.copy()
+    off[3, 3] = 0.0
+    assert not np.any(off)
+    diff = prod.average() - c1.average() @ c2.average()
+    assert np.max(np.abs(diff)) <= 1e-15 * _scale(c1, c2)
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [((3, 4), (4, 0)), ((4, 0), (0, 2))])
+def test_matmul_empty_operand_gives_zeros(shape_a, shape_b):
+    rng = np.random.default_rng(7)
+    a = _operand("varying", (3, 2), shape_a, rng)
+    b = _operand("varying", (3, 2), shape_b, rng)
+    got = assert_matches_reference(a, b, out_bands=(3, 2))
+    assert not np.any(got.coeffs)

@@ -388,3 +388,13 @@ def test_conserved_shadowing_inequality(exact_torus_b):
     c_r = russmann_constant(cand.dio.tau, delta, cand.d, cand.bands)
     bound = c_r * globs.c_c_1 / (cand.dio.gamma * delta**cand.dio.tau) * E.norm(rho).value
     assert measured <= bound + 1e-9
+
+
+@pytest.mark.parametrize("avg", [np.diag([1.5e-16, 7.5e-32]), np.diag([5.9e-17, -3.5e-16])])
+def test_twist_gate_rejects_round_off_average(avg):
+    """A zero twist made of round-off fails however well conditioned it is."""
+    from kamtorus.frames import TwistDegeneracyError, _check_twist
+
+    with pytest.raises(TwistDegeneracyError, match="smallest singular value"):
+        _check_twist(avg, "averaged torsion <T>", scale=1.0)  # factors of unit size
+    _check_twist(np.diag([1.5, -0.7]), "averaged torsion <T>", scale=1.0)

@@ -271,3 +271,68 @@ def test_canonical_structure_case_tag():
     z = np.zeros((1, 6))
     J = geo.iso_J(z)[0]
     assert np.max(np.abs(J @ J + np.eye(6))) == 0.0
+
+
+# ------------------------------------------------ canonical flag and structure
+
+
+def scaled_structure(n, **kw):
+    """Omega = Omega_0, G = 2I, J = 2 Omega_0, tilde-Omega = 4 Omega_0: not canonical."""
+    from kamtorus.hamiltonian import GeometricStructure
+
+    canon = canonical_structure(n)
+    omega0 = canon.omega_mat(np.zeros((1, 2 * n)))[0]
+
+    def const(mat):
+        return lambda z: np.broadcast_to(mat, np.shape(z)[:-1] + mat.shape).copy()
+
+    zero3, zero4 = const(np.zeros((2 * n,) * 3)), const(np.zeros((2 * n,) * 4))
+    return GeometricStructure(
+        dim_n=n, action_a=canon.action_a, omega_mat=const(omega0),
+        metric_G=const(2.0 * np.eye(2 * n)), iso_J=const(2.0 * omega0),
+        tilde_omega=const(4.0 * omega0), case_tag="II", d_omega=zero3, d_G=zero3,
+        d_J=zero3, d_tilde_omega=zero3, d2_G=zero4, d2_J=zero4, d2_tilde_omega=zero4, **kw)
+
+
+def test_unflagged_structure_is_not_canonical():
+    import dataclasses
+
+    from kamtorus.certificate import estimate_global_constants
+
+    geo = scaled_structure(2)
+    assert not geo.is_canonical
+    geo.check_invariants(np.random.default_rng(3).uniform(-1, 1, size=(5, 4)))
+    g = estimate_global_constants(dataclasses.replace(system_a(), geometry=geo))
+    for key in ("c_Omega_0", "c_tOmega_0", "c_G_0", "c_J_0", "c_JT_0"):
+        assert g.provenance[key] == "sampled"
+    assert g.values["c_G_0"] >= 2.0 and g.values["c_tOmega_0"] >= 4.0
+
+
+def test_false_canonical_claim_raises():
+    from kamtorus.hamiltonian import StructureError
+
+    with pytest.raises(StructureError, match="metric_G"):
+        scaled_structure(2, is_canonical=True)
+
+
+def test_grid_kitchen_structure_maps_constant_only_when_canonical():
+    import dataclasses
+
+    from kamtorus.fourier import FourierMap
+    from kamtorus.frames import grid_kitchen, seed_torus
+    from kamtorus.cohomology import DiophantineParams
+
+    omega = np.array([1.0, GOLDEN])
+    dio = DiophantineParams(omega, 0.5, 1.0, 100)
+    cand = seed_torus(system_a(), dio, (4, 4), 0.03)
+    omega0 = canonical_structure(2).omega_mat(np.zeros((1, 4)))[0]
+    kk = grid_kitchen(cand)
+    for got, mat in ((kk.Omega, omega0), (kk.G, np.eye(4)), (kk.J, omega0),
+                     (kk.tOmega, omega0)):
+        assert np.array_equal(got.coeffs, FourierMap.constant(mat, got.bands, got.grid).coeffs)
+    scaled = cand.with_updates(system=dataclasses.replace(cand.system,
+                                                          geometry=scaled_structure(2)))
+    kk = grid_kitchen(scaled)
+    for got, mat in ((kk.G, 2.0 * np.eye(4)), (kk.J, 2.0 * omega0), (kk.tOmega, 4.0 * omega0)):
+        want = FourierMap.constant(mat, got.bands, got.grid).coeffs
+        assert np.max(np.abs(got.coeffs - want)) <= 1e-14
