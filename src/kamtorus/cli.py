@@ -197,6 +197,10 @@ def _candidate_from_doc(doc: dict):
     seed_omega, ray = _seed_frequency(cfg)
     sys_obj = _system(cfg, seed_omega)
     k_per = FourierMap.from_json_dict(doc["map"], grid=tuple(doc["grid"]))
+    # the grid compositions sample only the k_d >= 0 half of K, so K must be real
+    defect = k_per.real_symmetry_defect()
+    if defect > 1e-12 * max(1.0, float(np.max(np.abs(k_per.coeffs), initial=0.0))):
+        raise ConfigError(f"torus map is not real: f_-k and conj(f_k) differ by {defect:.3e}")
     omega = np.asarray(doc["omega"])
     dio = DiophantineParams(omega, doc["dio"]["gamma"], doc["dio"]["tau"],
                             int(doc["dio"]["scan_limit"]))

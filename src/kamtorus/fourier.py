@@ -8,8 +8,10 @@ through the coefficients f_k of
 stored on a dense rectangular index box together with per-direction grid
 sizes M_i >= 2*N_i + 1.  Differentiation and averaging act coefficient-wise
 and are exact on the truncation; products are computed on a dealiased grid
-(at least twice the sum of the band limits) and truncated back, so the
-library always manipulates the *truncated model* of each object.
+(per axis the smallest size with no prime factor above 5 that is at least
+2(N_a + N_b) + 1) and truncated back, so the library always manipulates the
+*truncated model* of each object.  Products synthesize their real-analytic
+operands with real FFTs, and real grid samples are analysed with real FFTs.
 
 Norms: the sup of |f| on the complex strip |Im theta| < rho is bounded
 entry-wise by the Fourier majorant
@@ -134,8 +136,12 @@ class FourierMap:
 
         ``samples`` has shape (M_1, ..., M_d, n1, n2); ``grid`` defaults to the
         sample counts.  Inverse of :meth:`eval_grid` on band-limited input.
+        Real samples are analysed with a real FFT, complex ones with a complex
+        FFT.
         """
-        samples = np.asarray(samples, dtype=np.complex128)
+        samples = np.asarray(samples)
+        real = np.isrealobj(samples)
+        samples = samples.astype(np.float64 if real else np.complex128, copy=False)
         bands = tuple(int(n) for n in bands)
         d = len(bands)
         sample_grid = samples.shape[:d]
@@ -146,6 +152,8 @@ class FourierMap:
             raise FourierShapeError(f"sample grid {sample_grid} does not match grid {grid}")
         if any(m < 2 * n + 1 for n, m in zip(bands, grid)):
             raise FourierShapeError(f"grid {grid} too small for bands {bands}")
+        if real:
+            return cls(_real_analysis(samples, bands), bands, grid)
         hat = np.fft.fftn(samples, axes=tuple(range(d))) / float(np.prod(grid))
         coeffs = hat[_embed_slices(bands, grid)]
         return cls(_symmetrize(coeffs), bands, grid)
@@ -231,7 +239,7 @@ class FourierMap:
             )
         weights = np.exp(arg)
         entry = np.tensordot(weights, np.abs(self.coeffs), axes=(tuple(range(self.d)),) * 2)
-        value = float(np.max(entry.sum(axis=0 if transpose else 1)))
+        value = float(np.max(entry.sum(axis=0 if transpose else 1), initial=0.0))
         return StripNorm(rho=float(rho), value=value)
 
     def real_symmetry_defect(self) -> float:
@@ -403,9 +411,21 @@ def _symmetrize(coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * (coeffs + flipped)
 
 
+def _next_smooth(n: int) -> int:
+    """Smallest integer >= n with no prime factor above 5 (a fast FFT size)."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def dealias_grid(bands_a: tuple, bands_b: tuple) -> tuple:
-    """Grid >= 2x the summed band limits, per the product dealiasing policy."""
-    return tuple(2 * (na + nb) + 1 for na, nb in zip(bands_a, bands_b))
+    """Product work grid: per axis, the smallest 5-smooth size >= 2(N_a+N_b)+1."""
+    return tuple(_next_smooth(2 * (na + nb) + 1) for na, nb in zip(bands_a, bands_b))
 
 
 def _is_constant(f: FourierMap) -> bool:
@@ -450,7 +470,8 @@ def matmul(a: FourierMap, b: FourierMap, out_bands=None, work_grid=None) -> Four
     """Pointwise matrix product of two real-analytic maps, dealiased then truncated.
 
     The product is synthesized on a grid of at least 2x the sum of the band
-    limits so the retained modes are alias-free; ``out_bands`` defaults to the
+    limits so the retained modes are alias-free (by default the smallest such
+    size with no prime factor above 5); ``out_bands`` defaults to the
     exact product band N_a + N_b.  Both operands must be real-analytic
     (f_{-k} = conj f_k): they are synthesized from their k_d >= 0 modes with
     real FFTs, multiplied as real sample arrays and analysed back with a real

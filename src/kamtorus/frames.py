@@ -13,10 +13,13 @@ symplecticity E_sym, reducibility E_red), and the torsion matrices T and T_c.
 
 Every map is represented on the candidate's common Fourier band; nonlinear
 ingredients (compositions with the system callbacks, pointwise inverses) are
-sampled on a dealiased work grid and truncated back, except that the maps of
-a canonical structure are built as exact constants; and the (1,2) block of
-E_red reuses the torsion product verbatim, so its vanishing is exact by
-construction rather than a numerical accident.
+sampled as real arrays on the work grid 4N+1, analysed with real FFTs and
+truncated back, except that the maps of a canonical structure are built as
+exact constants.  The rank check of L and the samples of K are real
+syntheses too.  ``build_frames`` forms N^T (Omega o K) and L^T (Omega o K)
+once and shares them between the torsion and the error maps; and the (1,2)
+block of E_red reuses the torsion product verbatim, so its vanishing is exact
+by construction rather than a numerical accident.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohomology import DiophantineParams
-from .fourier import FourierMap, concat_cols, matmul
+from .fourier import FourierMap, _real_samples, concat_cols, matmul
 from .hamiltonian import ConservedQuantity, HamiltonianSystem
 
 
@@ -101,7 +104,7 @@ class TorusCandidate:
 
     def k_values(self, grid) -> np.ndarray:
         """Real samples of K on a uniform grid (theta added to angle components)."""
-        vals = self.k_per.eval_grid(grid)[..., 0].real
+        vals = _real_samples(self.k_per, tuple(grid))[..., 0]
         if self.angle_block:
             axes = [np.arange(m) / m for m in grid]
             mesh = np.meshgrid(*axes, indexing="ij")
@@ -299,7 +302,7 @@ def tangent_frame(cand: TorusCandidate, kitchen: GridKitchen | None = None,
     """L = (DK  X_p o K); raises FrameRankError if rank < n anywhere on the grid."""
     kk = kitchen if kitchen is not None else grid_kitchen(cand)
     L = concat_cols(cand.dk(), kk.Xp)
-    vals = L.eval_grid(cand.grid)
+    vals = _real_samples(L, cand.grid)
     svals = np.linalg.svd(vals, compute_uv=False)
     smin = float(svals[..., -1].min())
     if smin <= rank_tol:
@@ -309,10 +312,10 @@ def tangent_frame(cand: TorusCandidate, kitchen: GridKitchen | None = None,
 
 def _pointwise_inverse(f: FourierMap, wgrid: tuple, out_grid: tuple,
                        cond_limit: float = 1e12):
-    """Grid-pointwise inverse (LU, partial pivoting, one refinement step)."""
-    vals = f.eval_grid(wgrid)
-    n = vals.shape[-1]
-    eye = np.eye(n, dtype=np.complex128)
+    """Grid-pointwise inverse of a real-analytic map (real LU, partial pivoting,
+    one refinement step)."""
+    vals = _real_samples(f, wgrid)
+    eye = np.eye(vals.shape[-1])
     try:
         inv = np.linalg.solve(vals, np.broadcast_to(eye, vals.shape).copy())
         inv = inv + np.linalg.solve(vals, eye - vals @ inv)
@@ -356,14 +359,17 @@ def normal_frame(cand: TorusCandidate, L: FourierMap,
     return N0, B, A, N, diag
 
 
-def isotropy_errors(cand: TorusCandidate, L: FourierMap,
+def isotropy_errors(cand: TorusCandidate, L: FourierMap, LT_Om: FourierMap,
                     kitchen: GridKitchen | None = None):
-    """(Omega_K, E_lag): pulled-back form on the torus and Lagrangianity defect."""
+    """(Omega_K, E_lag): pulled-back form on the torus and Lagrangianity defect.
+
+    ``LT_Om`` is the product L^T (Omega o K), shared with the reducibility error.
+    """
     kk = kitchen if kitchen is not None else grid_kitchen(cand)
     bands = cand.bands
     dk = cand.dk()
     OmegaK = matmul(matmul(dk.T, kk.Omega, out_bands=bands), dk, out_bands=bands)
-    Elag = matmul(matmul(L.T, kk.Omega, out_bands=bands), L, out_bands=bands)
+    Elag = matmul(LT_Om, L, out_bands=bands)
     return OmegaK, Elag
 
 
@@ -377,16 +383,19 @@ def symplecticity_error(cand: TorusCandidate, P: FourierMap,
     return prod.add_constant(-omega0)
 
 
-def torsion(cand: TorusCandidate, N: FourierMap, kitchen: GridKitchen | None = None):
+def torsion(cand: TorusCandidate, N: FourierMap, kitchen: GridKitchen | None = None,
+            NT_Om: FourierMap | None = None):
     """(T, <T>) with T = N^T (Omega o K) Loper(N), Loper N = DX_H o K . N + L_omega N.
 
     The Lie derivative of N is spectral (exact on the truncation); a singular
-    averaged torsion raises TwistDegeneracyError.
+    averaged torsion raises TwistDegeneracyError.  ``NT_Om`` is the product
+    N^T (Omega o K) when the caller already has it.
     """
     kk = kitchen if kitchen is not None else grid_kitchen(cand)
     bands = cand.bands
     loper_n = matmul(kk.DXH, N, out_bands=bands) + N.lie(cand.omega)
-    NT_Om = matmul(N.T, kk.Omega, out_bands=bands)
+    if NT_Om is None:
+        NT_Om = matmul(N.T, kk.Omega, out_bands=bands)
     T = matmul(NT_Om, loper_n, out_bands=bands)
     avgT = T.average().real
     _check_twist(avgT, "averaged torsion <T>", _twist_scale(cand, N, kk))
@@ -456,19 +465,19 @@ def extended_torsion(cand: TorusCandidate, T: FourierMap, N: FourierMap,
     return Tc, avgTc, Tdown
 
 
-def reducibility_error(cand: TorusCandidate, L: FourierMap, N: FourierMap,
-                       T: FourierMap, LoperN: FourierMap,
+def reducibility_error(cand: TorusCandidate, L: FourierMap, T: FourierMap,
+                       LoperN: FourierMap, LT_Om: FourierMap, NT_Om: FourierMap,
                        kitchen: GridKitchen | None = None) -> FourierMap:
     """E_red = -Omega_0 P^T (Omega o K)(DX_H o K . P + L_omega P) - Lambda.
 
-    Assembled block-wise; the (1,2) block reuses the exact torsion product, so
-    it vanishes identically (Lambda = [[0, T], [0, 0]] by construction).
+    Assembled block-wise from the products LT_Om = L^T (Omega o K) and
+    NT_Om = N^T (Omega o K) that the torsion and E_lag also use; the (1,2)
+    block reuses the exact torsion product, so it vanishes identically
+    (Lambda = [[0, T], [0, 0]] by construction).
     """
     kk = kitchen if kitchen is not None else grid_kitchen(cand)
     bands = cand.bands
     loper_l = matmul(kk.DXH, L, out_bands=bands) + L.lie(cand.omega)
-    LT_Om = matmul(L.T, kk.Omega, out_bands=bands)
-    NT_Om = matmul(N.T, kk.Omega, out_bands=bands)
     m11 = matmul(LT_Om, loper_l, out_bands=bands)
     m12 = matmul(LT_Om, LoperN, out_bands=bands)
     m21 = matmul(NT_Om, loper_l, out_bands=bands)
@@ -486,10 +495,12 @@ def build_frames(cand: TorusCandidate, conserved: ConservedQuantity | None = Non
     L = tangent_frame(cand, kk)
     N0, B, A, N, diag = normal_frame(cand, L, kk)
     P = concat_cols(L, N)
-    OmegaK, Elag = isotropy_errors(cand, L, kk)
+    LT_Om = matmul(L.T, kk.Omega, out_bands=cand.bands)
+    NT_Om = matmul(N.T, kk.Omega, out_bands=cand.bands)
+    OmegaK, Elag = isotropy_errors(cand, L, LT_Om, kk)
     Esym = symplecticity_error(cand, P, kk)
-    T, avgT, loper_n = torsion(cand, N, kk)
-    Ered = reducibility_error(cand, L, N, T, loper_n, kk)
+    T, avgT, loper_n = torsion(cand, N, kk, NT_Om)
+    Ered = reducibility_error(cand, L, T, loper_n, LT_Om, NT_Om, kk)
     residuals = dict(diag)
     residuals["avg_OmegaK"] = float(np.max(np.abs(OmegaK.average())))
     residuals["Ered_block12"] = float(

@@ -110,6 +110,19 @@ def test_certify_roundtrip_outputs(tmp_path):
     assert "header" in report and "ratio" in report
 
 
+def test_certify_rejects_torus_map_that_is_not_real(tmp_path, capsys):
+    cfg = write_config(tmp_path, system="lagrangian_rotors", epsilon=0.0,
+                       bands=[4, 4], rho0=0.1)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    torus = json.loads((out / "torus.json").read_text())
+    torus["map"]["coeffs"][3] += 1e-3  # imaginary part of one k != 0 coefficient only
+    (out / "torus.json").write_text(json.dumps(torus))
+    assert main(["certify", str(out / "torus.json"), "--out", str(out)]) == 2
+    assert "not real" in capsys.readouterr().err
+    assert not (out / "certificate.json").exists()
+
+
 def test_config_validation_direct():
     with pytest.raises(ConfigError):
         RunConfig(system="lagrangian_rotors", bands=[4]).validate()

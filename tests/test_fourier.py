@@ -12,6 +12,7 @@ from kamtorus.fourier import (
     FourierShapeError,
     StripOverflowError,
     cauchy_bound,
+    dealias_grid,
     matmul,
     random_map,
 )
@@ -96,6 +97,26 @@ def test_round_trip_eval_of_from_samples_on_random_samples():
 def test_from_samples_dimension_mismatch():
     with pytest.raises(FourierShapeError):
         FourierMap.from_samples(np.zeros((5, 5, 1, 1), dtype=complex), (4, 4))
+
+
+@pytest.mark.parametrize("bands, grid, shape", [
+    ((4,), (9,), (1, 1)),
+    ((4,), (12,), (2, 3)),
+    ((4, 5), (11, 12), (2, 3)),
+    ((3, 2), (10, 7), (3, 1)),
+    ((1, 2, 2), (4, 5, 6), (2, 2)),
+])
+def test_from_samples_real_samples_match_complex_path(monkeypatch, bands, grid, shape):
+    samples = np.random.default_rng(sum(grid)).standard_normal(grid + shape)
+    ref = FourierMap.from_samples(samples.astype(complex), bands, grid)
+
+    def no_complex_fft(*args, **kwargs):
+        raise AssertionError("real samples must be analysed with a real FFT")
+
+    monkeypatch.setattr(np.fft, "fftn", no_complex_fft)
+    got = FourierMap.from_samples(samples, bands, grid)
+    assert (got.bands, got.grid, got.shape) == (ref.bands, ref.grid, ref.shape)
+    assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-14 * np.max(np.abs(samples))
 
 
 def test_real_symmetry_enforced():
@@ -212,6 +233,13 @@ def test_strip_norm_transpose_is_column_sums():
     assert abs(f.norm(0.0, transpose=True).value - 2.25) < 1e-15
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_strip_norm_of_empty_map_is_zero(shape):
+    f = FourierMap.zeros((2,), (5,), shape)
+    assert f.norm(0.0).value == 0.0
+    assert f.norm(0.1, transpose=True).value == 0.0
+
+
 def test_strip_norm_monotone_in_rho():
     f = random_map((5, 5), (11, 11), (2, 2), RNG)
     values = [f.norm(r).value for r in (0.0, 0.05, 0.1, 0.2)]
@@ -300,6 +328,30 @@ def test_strip_norm_monotone_property(r1, r2):
 
 
 # ------------------------------------------------------------ product engine
+
+
+def _prime_factors(m):
+    factors, p = [], 2
+    while p * p <= m:
+        while m % p == 0:
+            factors.append(p)
+            m //= p
+        p += 1
+    return factors + ([m] if m > 1 else [])
+
+
+def _is_5_smooth(m):
+    return all(p <= 5 for p in _prime_factors(m))
+
+
+def test_dealias_grid_is_smallest_5_smooth_alias_free_size():
+    for na in range(1, 71):
+        for nb in range(1, 71):
+            (size,) = dealias_grid((na,), (nb,))
+            need = 2 * (na + nb) + 1
+            assert size >= need and _is_5_smooth(size)
+            assert not any(_is_5_smooth(m) for m in range(need, size))
+    assert dealias_grid((2, 4, 16, 32, 64), (2, 4, 16, 32, 64)) == (9, 18, 72, 135, 270)
 
 
 def complex_fft_product(a, b, out_bands=None, work_grid=None):
