@@ -20,7 +20,9 @@ model, and that gamma is a scan-limited lower-bound certificate.
 
 from __future__ import annotations
 
+import ast
 import io
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -53,12 +55,12 @@ _CANONICAL_EXACT = {
     "c_JT_0": 1.0, "c_JT_1": 0.0,
 }
 
-_GLOBAL_FIELDS = list(_CANONICAL_EXACT) + [
-    "c_H_1", "c_XH_0", "c_XH_1", "c_XH_2", "c_XHT_1",
-    "c_p_1", "c_pT_1",
-    "c_Xp_0", "c_Xp_1", "c_Xp_2", "c_XpT_0", "c_XpT_1", "c_XpT_2",
-    "c_c_1", "c_c_2",
-]
+# the bounds of the first integrals p and their fields X_p: exact zeros when m = 0
+_INTEGRAL_FIELDS = ("c_p_1", "c_pT_1", "c_Xp_0", "c_Xp_1", "c_Xp_2",
+                    "c_XpT_0", "c_XpT_1", "c_XpT_2")
+
+_GLOBAL_FIELDS = [*_CANONICAL_EXACT, "c_H_1", "c_XH_0", "c_XH_1", "c_XH_2", "c_XHT_1",
+                  *_INTEGRAL_FIELDS, "c_c_1", "c_c_2"]
 
 
 @dataclass
@@ -78,8 +80,7 @@ class GlobalNormConstants:
         """Copy with every p / X_p constant zeroed (the Lagrangian reduction)."""
         vals = dict(self.values)
         prov = dict(self.provenance)
-        for key in ("c_p_1", "c_pT_1", "c_Xp_0", "c_Xp_1", "c_Xp_2",
-                    "c_XpT_0", "c_XpT_1", "c_XpT_2"):
+        for key in _INTEGRAL_FIELDS:
             vals[key] = 0.0
             prov[key] = "canonical-exact"
         return GlobalNormConstants(vals, prov)
@@ -173,8 +174,7 @@ def estimate_global_constants(sys: HamiltonianSystem, lattice_density: int = 204
 
     m = sys.n_integrals
     if m == 0:
-        for key in ("c_p_1", "c_pT_1", "c_Xp_0", "c_Xp_1", "c_Xp_2",
-                    "c_XpT_0", "c_XpT_1", "c_XpT_2"):
+        for key in _INTEGRAL_FIELDS:
             vals[key] = 0.0
             prov[key] = "canonical-exact"
     else:
@@ -229,6 +229,8 @@ class ConstantLedger:
     mode: str
     rows: dict = field(default_factory=dict)
     case_tag: str = "III"
+    # sigma bound -> sigma minus its measured norm; build_ledger checks each > 0
+    margins: dict = field(default_factory=dict)
 
     def set(self, name: str, value: float, formula: str, group: str,
             provenance: str = "derived"):
@@ -266,6 +268,230 @@ class ConstantLedger:
         return out
 
 
+# The chain of constants, one row per constant in dependency order, grouped.
+# Each row is (name, expression) or (name, expression, variant): the
+# expression is written in the names of the rows above it (inputs, measured
+# data and global bounds included), it gives the row's value through
+# _evaluate, and it is the row's formula in ledger.csv.  A row with a
+# variant applies only in that mode ("ordinary", "iso") or structure case
+# ("II", "III").  Every factor gamma delta^tau is written (gamma * delta**tau):
+# the grouping fixes the rounding.
+_LEDGER_TABLE = {
+    "frame": (
+        ("C_LieOmegaK", "2 * n * c_Omega_0 * sigma_K + sigma_KT * c_Omega_1 * sigma_K * delta"
+                        " + d * sigma_KT * c_Omega_0"),
+        ("C_OmegaK", "c_R * C_LieOmegaK"),
+        ("C_L", "sigma_K + c_Xp_0"),
+        ("C_LT", "max(sigma_KT, c_XpT_0)"),
+        ("C_OmegaL", "c_R * max(C_LieOmegaK + c_pT_1, d * c_p_1)"),
+        ("C_GL", "C_LT * c_G_0 * C_L"),
+        ("C_tOmegaL", "C_LT * c_tOmega_0 * C_L"),
+        ("C_N0", "c_J_0 * C_L"),
+        ("C_N0T", "C_LT * c_JT_0"),
+        ("C_A", "0.5 * sigma_B**2 * C_tOmegaL", "II"),
+        ("C_A", "0.0", "III"),
+        ("C_N", "C_L * C_A + C_N0 * sigma_B"),
+        ("C_NT", "C_A * C_LT + sigma_B * C_N0T"),
+        ("C_sym", "(1 + C_A) * max(1.0, C_A + sigma_B**2 * (1.0 if C_A == 0.0 else 0.0))"
+                  " * C_tOmegaL"),
+        ("C_LieK", "delta * c_small + c_XH_0"),
+        ("C_LieL", "d * c_small + c_XH_1 * sigma_K + c_Xp_1 * C_LieK"),
+        ("C_LieLT", "max(2 * n * c_small + c_XHT_1 * sigma_K, c_XpT_1 * C_LieK)"),
+        ("C_LieJ", "c_J_1 * C_LieK"),
+        ("C_LieG", "c_G_1 * C_LieK"),
+        ("C_LietOmega", "c_tOmega_1 * C_LieK"),
+        ("C_LieN0", "C_LieJ * C_L + c_J_0 * C_LieL"),
+        ("C_LieGL", "C_LieLT * c_G_0 * C_L + C_LT * C_LieG * C_L + C_LT * c_G_0 * C_LieL"),
+        ("C_LietOmegaL", "C_LieLT * c_tOmega_0 * C_L + C_LT * C_LietOmega * C_L"
+                         " + C_LT * c_tOmega_0 * C_LieL"),
+        ("C_LieB", "sigma_B**2 * C_LieGL"),
+        ("C_LieA", "C_LieB * C_tOmegaL * sigma_B + 0.5 * sigma_B**2 * C_LietOmegaL", "II"),
+        ("C_LieA", "0.0", "III"),
+        ("C_LieN", "C_LieL * C_A + C_L * C_LieA + C_LieN0 * sigma_B + C_N0 * C_LieB"),
+        ("C_LoperL", "d + c_Xp_1 * delta"),
+        ("C_LoperLT", "max(2.0 * n, c_XpT_1 * delta)"),
+        ("C_LoperN", "C_LoperL * c_small * C_A + c_XH_1 * C_N0 * sigma_B + C_L * C_LieA"
+                     " + C_LieN0 * sigma_B + C_N0 * C_LieB"),
+        ("C_T", "C_NT * c_Omega_0 * C_LoperN"),
+        ("C_LieOmegaL", "max(C_LieOmegaK + c_pT_1, d * c_p_1)"),
+        ("C_red11", "C_NT * c_Omega_0 * C_LoperL"),
+        ("C_red21", "C_LT * c_Omega_0 * C_LoperL"),
+        ("C_red22", "(C_LT * c_Omega_1 * C_N * delta + C_LoperLT * c_Omega_0 * C_N"
+                    " + C_LieOmegaL * C_A) * (gamma * delta**tau) + C_OmegaL * C_LieA"),
+        ("C_red", "max(C_red11 * (gamma * delta**tau), C_red21 * (gamma * delta**tau) + C_red22)"),
+    ),
+    "step": (
+        ("C_omega", "sigma_omega * omega_star_norm", "iso"),
+        ("C_xiN0", "sigma_T * (C_NT * c_Omega_0 * (gamma * delta**tau)"
+                   " + c_R * C_T * C_LT * c_Omega_0)", "ordinary"),
+        ("C_xiN0", "sigma_Tc * max(C_NT * c_Omega_0 * (gamma * delta**tau)"
+                   " + c_R * C_T * C_LT * c_Omega_0,"
+                   " gamma * delta**tau + c_R * c_c_1 * C_N * C_LT * c_Omega_0)", "iso"),
+        ("C_xiomega", "C_xiN0", "iso"),
+        ("C_Deltaomega", "C_omega * C_xiN0", "iso"),
+        ("C_xiN", "C_xiN0 + c_R * C_LT * c_Omega_0"),
+        ("C_xiL", "c_R * (C_NT * c_Omega_0 * (gamma * delta**tau) + C_T * C_xiN)"),
+        ("C_xi", "max(C_xiL, C_xiN * (gamma * delta**tau))"),
+        ("C_DeltaK", "C_L * C_xiL + C_N * C_xiN * (gamma * delta**tau)"),
+        ("C_LiexiN", "C_LT * c_Omega_0"),
+        ("C_LiexiL", "C_NT * c_Omega_0 * (gamma * delta**tau) + C_T * C_xiN", "ordinary"),
+        ("C_LiexiL", "C_NT * c_Omega_0 * (gamma * delta**tau) + C_T * C_xiN"
+                     " + C_omega * C_xiomega", "iso"),
+        ("C_Liexi", "max(C_LiexiL, C_LiexiN * (gamma * delta**tau))"),
+        ("C_lin", "C_red * C_xi + c_Omega_0 * C_sym * C_Liexi * (gamma * delta**tau)",
+         "ordinary"),
+        ("C_lin", "C_red * C_xi + c_Omega_0 * C_sym * C_Liexi * (gamma * delta**tau)"
+                  " + max(C_A, 1.0) * C_OmegaL * C_omega * C_xiomega", "iso"),
+        ("C_lin_omega", "d * c_R * c_c_1 * C_xiL", "iso"),
+        ("C_LieDeltaK", "C_LieL * C_xiL + (C_L * C_LiexiL + C_LieN * C_xiN) * (gamma * delta**tau)"
+                        " + C_N * C_LiexiN * (gamma * delta**tau)**2"),
+        ("C_E", "2 * (C_L + C_N) * C_lin * gamma * delta ** (tau - 1)"
+                " + 0.5 * c_XH_2 * C_DeltaK**2", "ordinary"),
+        ("C_E", "2 * (C_L + C_N) * C_lin * gamma * delta ** (tau - 1)"
+                " + 0.5 * c_XH_2 * C_DeltaK**2"
+                " + C_xiomega * C_LieDeltaK * (gamma * delta**tau)", "iso"),
+        ("C_E_omega", "C_lin_omega * gamma * delta ** (tau - 1) + 0.5 * c_c_2 * C_DeltaK**2",
+         "iso"),
+        ("C_Ec", "max(C_E, C_E_omega)", "iso"),
+        ("C_DeltaL", "(d + c_Xp_1 * delta) * C_DeltaK"),
+        ("C_DeltaLT", "max(2.0 * n, c_XpT_1 * delta) * C_DeltaK"),
+        ("C_DeltaG", "c_G_1 * C_DeltaK"),
+        ("C_DeltaGL", "C_LT * c_G_0 * C_DeltaL + C_LT * C_DeltaG * C_L * delta"
+                      " + C_DeltaLT * c_G_0 * C_L"),
+        ("C_DeltaB", "2 * sigma_B**2 * C_DeltaGL"),
+        ("C_DeltatOmega", "c_tOmega_1 * C_DeltaK"),
+        ("C_DeltatOmegaL", "C_LT * c_tOmega_0 * C_DeltaL + C_LT * C_DeltatOmega * C_L * delta"
+                           " + C_DeltaLT * c_tOmega_0 * C_L"),
+        ("C_DeltaA", "sigma_B * C_tOmegaL * C_DeltaB + 0.5 * sigma_B**2 * C_DeltatOmegaL", "II"),
+        ("C_DeltaA", "0.0", "III"),
+        ("C_DeltaJ", "c_J_1 * C_DeltaK"),
+        ("C_DeltaJT", "c_JT_1 * C_DeltaK"),
+        ("C_DeltaN0", "c_J_0 * C_DeltaL + C_DeltaJ * C_L * delta"),
+        ("C_DeltaN0T", "C_DeltaLT * c_JT_0 + C_LT * C_DeltaJT * delta"),
+        ("C_DeltaN", "C_L * C_DeltaA + C_DeltaL * C_A + C_N0 * C_DeltaB + C_DeltaN0 * sigma_B"),
+        ("C_DeltaNT", "C_A * C_DeltaLT + C_DeltaA * C_LT + C_DeltaB * C_N0T"
+                      " + sigma_B * C_DeltaN0T"),
+        ("C_DeltaLieK", "C_LieDeltaK", "ordinary"),
+        ("C_DeltaLieK", "sigma_omega * C_xiomega * C_LieK * (gamma * delta**tau) + C_LieDeltaK",
+         "iso"),
+        ("C_DeltaLieL", "d * C_DeltaLieK + c_Xp_1 * C_DeltaLieK * delta"
+                        " + c_Xp_2 * C_DeltaK * C_LieK * delta"),
+        ("C_DeltaLieLT", "max(2 * n * C_DeltaLieK, c_XpT_1 * C_DeltaLieK * delta"
+                         " + c_XpT_2 * C_DeltaK * C_LieK * delta)"),
+        ("C_DeltaLieG", "c_G_1 * C_DeltaLieK + c_G_2 * C_DeltaK * C_LieK"),
+        ("C_DeltaLieGL", "C_LieLT * c_G_0 * C_DeltaL + C_LieLT * c_G_1 * C_DeltaK * C_L * delta"
+                         " + C_DeltaLieLT * c_G_0 * C_L + C_LT * c_G_1 * C_LieK * C_DeltaL"
+                         " + C_LT * C_DeltaLieG * C_L * delta + C_DeltaLT * c_G_1 * C_LieK * C_L"
+                         " + C_LT * c_G_0 * C_DeltaLieL + C_LT * c_G_1 * C_DeltaK * C_LieL * delta"
+                         " + C_DeltaLT * c_G_0 * C_LieL"),
+        ("C_DeltaLieB", "2 * sigma_B * C_LieGL * C_DeltaB + sigma_B**2 * C_DeltaLieGL"),
+        ("C_DeltaLietOmega", "c_tOmega_1 * C_DeltaLieK + c_tOmega_2 * C_DeltaK * C_LieK"),
+        ("C_DeltaLietOmegaL", "C_LieLT * c_tOmega_0 * C_DeltaL"
+                              " + C_LieLT * c_tOmega_1 * C_DeltaK * C_L * delta"
+                              " + C_DeltaLieLT * c_tOmega_0 * C_L"
+                              " + C_LT * c_tOmega_1 * C_LieK * C_DeltaL"
+                              " + C_LT * C_DeltaLietOmega * C_L * delta"
+                              " + C_DeltaLT * c_tOmega_1 * C_LieK * C_L"
+                              " + C_LT * c_tOmega_0 * C_DeltaLieL"
+                              " + C_LT * c_tOmega_1 * C_DeltaK * C_LieL * delta"
+                              " + C_DeltaLT * c_tOmega_0 * C_LieL"),
+        ("C_DeltaLieA", "C_LieB * C_tOmegaL * C_DeltaB + C_LieB * C_DeltatOmegaL * sigma_B"
+                        " + C_DeltaLieB * C_tOmegaL * sigma_B + sigma_B * C_LietOmegaL * C_DeltaB"
+                        " + 0.5 * sigma_B**2 * C_DeltaLietOmegaL", "II"),
+        ("C_DeltaLieA", "0.0", "III"),
+        ("C_DeltaLieJ", "c_J_1 * C_DeltaLieL + c_J_2 * C_DeltaK * C_LieK"),
+        ("C_DeltaLieN0", "C_LieJ * C_DeltaL + C_DeltaLieJ * C_L * delta + c_J_0 * C_DeltaLieL"
+                         " + C_DeltaJ * C_LieL * delta"),
+        ("C_DeltaLieN", "C_LieL * C_DeltaA + C_DeltaLieL * C_A + C_L * C_DeltaLieA"
+                        " + C_DeltaL * C_LieA + C_LieN0 * C_DeltaB + C_DeltaLieN0 * sigma_B"
+                        " + C_N0 * C_DeltaLieB + C_DeltaN0 * C_LieB"),
+        ("C_DeltaLoperN", "c_XH_1 * C_DeltaN + c_XH_2 * C_DeltaK * C_N * delta + C_DeltaLieN"),
+        ("C_DeltaT", "C_NT * c_Omega_0 * C_DeltaLoperN"
+                     " + C_NT * c_Omega_1 * C_DeltaK * C_LoperN * delta"
+                     " + C_DeltaNT * c_Omega_0 * C_LoperN"),
+        ("C_DeltaTInv", "2 * sigma_T**2 * C_DeltaT", "ordinary"),
+        ("C_DeltaTc", "max(C_DeltaT + C_Deltaomega * gamma * delta ** (tau + 1),"
+                      " c_c_1 * C_DeltaN + c_c_2 * C_DeltaK * C_N * delta)", "iso"),
+        ("C_DeltaTcInv", "2 * sigma_Tc**2 * C_DeltaTc", "iso"),
+    ),
+    "convergence": (
+        ("C_Delta1", "max(d * C_DeltaK / (sigma_K - norm_DK),"
+                     " 2 * n * C_DeltaK / (sigma_KT - norm_DKT), C_DeltaB / (sigma_B - norm_B),"
+                     " C_DeltaTInv / (sigma_T - norm_avgT_inv))", "ordinary"),
+        ("C_Delta1", "max(d * C_DeltaK / (sigma_K - norm_DK),"
+                     " 2 * n * C_DeltaK / (sigma_KT - norm_DKT), C_DeltaB / (sigma_B - norm_B),"
+                     " C_DeltaTcInv / (sigma_Tc - norm_avgTc_inv))", "iso"),
+        ("C_Delta2", "C_DeltaK * delta / dist_domain"),
+        ("C_Delta3", "C_Deltaomega * gamma * delta ** (tau + 1) / dist_ray", "iso"),
+        ("C_Delta", "max(gamma**2 * delta ** (2 * tau) / c_small, 2 * C_sym * gamma * delta**tau,"
+                    " C_Delta1 / (1 - a1 ** (1 - 2 * tau)), C_Delta2 / (1 - a1 ** (-2 * tau)))",
+         "ordinary"),
+        ("C_Delta", "max(gamma**2 * delta ** (2 * tau) / c_small, 2 * C_sym * gamma * delta**tau,"
+                    " C_Delta1 / (1 - a1 ** (1 - 2 * tau)), C_Delta2 / (1 - a1 ** (-2 * tau)),"
+                    " C_Delta3 / (1 - a1 ** (1 - 3 * tau)))", "iso"),
+        ("E1", "max((a1 * a3) ** (4 * tau) * C_E,"
+               " a3 ** (2 * tau + 1) * gamma**2 * rho ** (2 * tau - 1) * C_Delta)", "ordinary"),
+        ("E1", "max((a1 * a3) ** (4 * tau) * C_Ec,"
+               " a3 ** (2 * tau + 1) * gamma**2 * rho ** (2 * tau - 1) * C_Delta)", "iso"),
+        ("E2", "a3 ** (2 * tau) * C_DeltaK / (1 - a1 ** (-2 * tau))"),
+        ("E3", "c_c_1 * E2", "ordinary"),
+        ("E3", "a3**tau * C_Deltaomega / (1 - a1 ** (-3 * tau))", "iso"),
+    ),
+}
+
+# the terms of C_Delta's max(), in table order, as named by E1_dominant
+_DELTA_TERMS = ("smallness", "sym", "margins", "domain", "ray")
+
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_NODES = (ast.BinOp, ast.UnaryOp, ast.USub, ast.Call, ast.Name, ast.Load, ast.Constant,
+          ast.IfExp, ast.Compare, ast.Eq, *_BINARY)
+
+
+def _parse(expr: str) -> ast.expr:
+    """The tree of a ledger expression; any construct beyond the table's is refused."""
+    tree = ast.parse(expr, mode="eval").body
+    for node in ast.walk(tree):
+        allowed = isinstance(node, _NODES)
+        if isinstance(node, ast.Call):
+            allowed = getattr(node.func, "id", None) == "max" and not node.keywords
+        elif isinstance(node, ast.Compare):
+            allowed = len(node.ops) == 1
+        if not allowed:
+            raise ValueError(f"ledger expression {expr!r}: {type(node).__name__} not allowed")
+    return tree
+
+
+def _evaluate(node: ast.expr, led: "ConstantLedger") -> float:
+    """Value of a parsed ledger expression over the rows of ``led``, in plain
+    floating point with Python's operator order and grouping."""
+    if isinstance(node, ast.BinOp):
+        return _BINARY[type(node.op)](_evaluate(node.left, led), _evaluate(node.right, led))
+    if isinstance(node, ast.Name):
+        return led[node.id]
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.UnaryOp):
+        return -_evaluate(node.operand, led)
+    if isinstance(node, ast.Call):
+        return max(_evaluate(arg, led) for arg in node.args)
+    if isinstance(node, ast.IfExp):
+        return _evaluate(node.body if _evaluate(node.test, led) else node.orelse, led)
+    return _evaluate(node.left, led) == _evaluate(node.comparators[0], led)
+
+
+def _first_max(node: ast.Call, led: "ConstantLedger") -> int:
+    """Index of the first largest argument of a max() row."""
+    terms = [_evaluate(arg, led) for arg in node.args]
+    return terms.index(max(terms))
+
+
+# (name, expression, tree, group, variant) for every row, parsed once
+_LEDGER_ROWS = tuple((name, expr, _parse(expr), group, variant[0] if variant else None)
+                     for group, rows in _LEDGER_TABLE.items()
+                     for name, expr, *variant in rows)
+
+
 def build_ledger(mode: str, globs: GlobalNormConstants, hyp: dict,
                  dio: DiophantineParams, rho: float, delta: float,
                  schedule: NewtonSchedule, c_R: float | None = None,
@@ -280,30 +506,29 @@ def build_ledger(mode: str, globs: GlobalNormConstants, hyp: dict,
     norm_avgTc_inv, and the ray data (omega_star_norm, sigma_omega, dist_ray)
     must be supplied.  ``delta`` is the strip bite; the theorem-level
     constants use the worst step value delta_0 = rho / a3, so pass that when
-    evaluating the existence ratio.
+    evaluating the existence ratio.  The derived rows are those of
+    _LEDGER_TABLE for this mode and case.
     """
     if mode not in ("ordinary", "iso"):
         raise ValueError("mode must be 'ordinary' or 'iso'")
+    if mode == "iso" and None in (omega_star_norm, sigma_omega, dist_ray):
+        raise ValueError("iso mode needs omega_star_norm, sigma_omega and dist_ray")
     if d is None:
         d = dio.d
     if n is None:
         raise ValueError("n (degrees of freedom) is required")
-    gamma, tau = dio.gamma, dio.tau
-    a1, a2, a3 = schedule.a1, schedule.a2, schedule.a3
+    tau = dio.tau
     c_small = schedule.c_n
     if c_small is None:
         raise ValueError("the smallness scale schedule.c_n must be pinned for a ledger")
     if c_R is None:
         c_R = russmann_constant(tau, delta, d, (0,))
     led = ConstantLedger(mode=mode, case_tag=case_tag)
-    g = globs.values
-    case3 = case_tag == "III"
 
-    # inputs
     grp = "inputs"
-    for key, val in (("gamma", gamma), ("tau", tau), ("rho", rho), ("delta", delta),
-                     ("a1", a1), ("a2", a2), ("a3", a3), ("c_R", c_R),
-                     ("c_small", c_small), ("n", float(n)), ("d", float(d))):
+    for key, val in (("gamma", dio.gamma), ("tau", tau), ("rho", rho), ("delta", delta),
+                     ("a1", schedule.a1), ("a2", schedule.a2), ("a3", schedule.a3),
+                     ("c_R", c_R), ("c_small", c_small), ("n", float(n)), ("d", float(d))):
         led.set(key, val, "input", grp, "user-supplied")
     for key in ("sigma_K", "sigma_KT", "sigma_B", "sigma_T", "sigma_Tc",
                 "norm_DK", "norm_DKT", "norm_B", "norm_avgT_inv",
@@ -314,349 +539,29 @@ def build_ledger(mode: str, globs: GlobalNormConstants, hyp: dict,
         for key, val in (("sigma_omega", sigma_omega),
                          ("omega_star_norm", omega_star_norm),
                          ("dist_ray", dist_ray)):
-            if val is not None:
-                led.set(key, val, "ray data", grp, "user-supplied")
-    for key, val in g.items():
+            led.set(key, val, "ray data", grp, "user-supplied")
+    for key, val in globs.values.items():
         led.set(key, val, "global bound", "globals", globs.provenance[key])
 
-    sK, sKT, sB = hyp["sigma_K"], hyp["sigma_KT"], hyp["sigma_B"]
-    gd_t = gamma * delta**tau
-
-    # frame group: geometric constants of the error maps
-    grp = "frame"
-    C_LieOK = led.set("C_LieOmegaK",
-                      2 * n * g["c_Omega_0"] * sK + sKT * g["c_Omega_1"] * sK * delta
-                      + d * sKT * g["c_Omega_0"],
-                      "2n c_Omega_0 sigma_K + sigma_KT c_Omega_1 sigma_K delta + d sigma_KT c_Omega_0",
-                      grp)
-    led.set("C_OmegaK", c_R * C_LieOK, "c_R * C_LieOmegaK", grp)
-    C_L = led.set("C_L", sK + g["c_Xp_0"], "sigma_K + c_Xp_0", grp)
-    C_LT = led.set("C_LT", max(sKT, g["c_XpT_0"]), "max(sigma_KT, c_XpT_0)", grp)
-    C_OmegaL = led.set("C_OmegaL",
-                       c_R * max(C_LieOK + g["c_pT_1"], d * g["c_p_1"]),
-                       "c_R * max(C_LieOmegaK + c_pT_1, d c_p_1)", grp)
-    C_GL = led.set("C_GL", C_LT * g["c_G_0"] * C_L, "C_LT c_G_0 C_L", grp)
-    C_tOmegaL = led.set("C_tOmegaL", C_LT * g["c_tOmega_0"] * C_L, "C_LT c_tOmega_0 C_L", grp)
-    C_N0 = led.set("C_N0", g["c_J_0"] * C_L, "c_J_0 C_L", grp)
-    C_N0T = led.set("C_N0T", C_LT * g["c_JT_0"], "C_LT c_JT_0", grp)
-    C_A = led.set("C_A", 0.0 if case3 else 0.5 * sB**2 * C_tOmegaL,
-                  "1/2 sigma_B^2 C_tOmegaL (0 in Case III)", grp)
-    C_N = led.set("C_N", C_L * C_A + C_N0 * sB, "C_L C_A + C_N0 sigma_B", grp)
-    C_NT = led.set("C_NT", C_A * C_LT + sB * C_N0T, "C_A C_LT + sigma_B C_N0T", grp)
-    chi0 = 1.0 if C_A == 0.0 else 0.0
-    C_sym = led.set("C_sym",
-                    (1 + C_A) * max(1.0, C_A + sB**2 * chi0) * C_tOmegaL,
-                    "(1+C_A) max(1, C_A + sigma_B^2 chi0(C_A)) C_tOmegaL", grp)
-    C_LieK = led.set("C_LieK", delta * c_small + g["c_XH_0"], "delta c + c_XH_0", grp)
-    C_LieL = led.set("C_LieL", d * c_small + g["c_XH_1"] * sK + g["c_Xp_1"] * C_LieK,
-                     "d c + c_XH_1 sigma_K + c_Xp_1 C_LieK", grp)
-    C_LieLT = led.set("C_LieLT",
-                      max(2 * n * c_small + g["c_XHT_1"] * sK, g["c_XpT_1"] * C_LieK),
-                      "max(2n c + c_XHT_1 sigma_K, c_XpT_1 C_LieK)", grp)
-    C_LieJ = led.set("C_LieJ", g["c_J_1"] * C_LieK, "c_J_1 C_LieK", grp)
-    C_LieG = led.set("C_LieG", g["c_G_1"] * C_LieK, "c_G_1 C_LieK", grp)
-    C_LietOmega = led.set("C_LietOmega", g["c_tOmega_1"] * C_LieK, "c_tOmega_1 C_LieK", grp)
-    C_LieN0 = led.set("C_LieN0", C_LieJ * C_L + g["c_J_0"] * C_LieL,
-                      "C_LieJ C_L + c_J_0 C_LieL", grp)
-    C_LieGL = led.set("C_LieGL",
-                      C_LieLT * g["c_G_0"] * C_L + C_LT * C_LieG * C_L + C_LT * g["c_G_0"] * C_LieL,
-                      "C_LieLT c_G_0 C_L + C_LT C_LieG C_L + C_LT c_G_0 C_LieL", grp)
-    C_LietOmegaL = led.set("C_LietOmegaL",
-                           C_LieLT * g["c_tOmega_0"] * C_L + C_LT * C_LietOmega * C_L
-                           + C_LT * g["c_tOmega_0"] * C_LieL,
-                           "C_LieLT c_tOmega_0 C_L + C_LT C_LietOmega C_L + C_LT c_tOmega_0 C_LieL",
-                           grp)
-    C_LieB = led.set("C_LieB", sB**2 * C_LieGL, "sigma_B^2 C_LieGL", grp)
-    C_LieA = led.set("C_LieA",
-                     0.0 if case3 else C_LieB * C_tOmegaL * sB + 0.5 * sB**2 * C_LietOmegaL,
-                     "C_LieB C_tOmegaL sigma_B + 1/2 sigma_B^2 C_LietOmegaL (0 in Case III)", grp)
-    C_LieN = led.set("C_LieN",
-                     C_LieL * C_A + C_L * C_LieA + C_LieN0 * sB + C_N0 * C_LieB,
-                     "C_LieL C_A + C_L C_LieA + C_LieN0 sigma_B + C_N0 C_LieB", grp)
-    C_LoperL = led.set("C_LoperL", d + g["c_Xp_1"] * delta, "d + c_Xp_1 delta", grp)
-    C_LoperLT = led.set("C_LoperLT", max(2.0 * n, g["c_XpT_1"] * delta),
-                        "max(2n, c_XpT_1 delta)", grp)
-    C_LoperN = led.set("C_LoperN",
-                       C_LoperL * c_small * C_A + g["c_XH_1"] * C_N0 * sB + C_L * C_LieA
-                       + C_LieN0 * sB + C_N0 * C_LieB,
-                       "C_LoperL c C_A + c_XH_1 C_N0 sigma_B + C_L C_LieA + C_LieN0 sigma_B "
-                       "+ C_N0 C_LieB", grp)
-    C_T = led.set("C_T", C_NT * g["c_Omega_0"] * C_LoperN, "C_NT c_Omega_0 C_LoperN", grp)
-    C_LieOmegaL = led.set("C_LieOmegaL",
-                          max(C_LieOK + g["c_pT_1"], d * g["c_p_1"]),
-                          "max(C_LieOmegaK + c_pT_1, d c_p_1)", grp)
-    C_red11 = led.set("C_red11", C_NT * g["c_Omega_0"] * C_LoperL,
-                      "C_NT c_Omega_0 C_LoperL", grp)
-    C_red21 = led.set("C_red21", C_LT * g["c_Omega_0"] * C_LoperL,
-                      "C_LT c_Omega_0 C_LoperL", grp)
-    C_red22 = led.set("C_red22",
-                      (C_LT * g["c_Omega_1"] * C_N * delta + C_LoperLT * g["c_Omega_0"] * C_N
-                       + C_LieOmegaL * C_A) * gd_t + C_OmegaL * C_LieA,
-                      "(C_LT c_Omega_1 C_N delta + C_LoperLT c_Omega_0 C_N + C_LieOmegaL C_A) "
-                      "gamma delta^tau + C_OmegaL C_LieA", grp)
-    C_red = led.set("C_red", max(C_red11 * gd_t, C_red21 * gd_t + C_red22),
-                    "max(C_red11 gamma delta^tau, C_red21 gamma delta^tau + C_red22)", grp)
-
-    # step group: one quasi-Newton correction
-    grp = "step"
-    sT = hyp["sigma_T"]
-    if mode == "iso":
-        sTc = hyp["sigma_Tc"]
-        if omega_star_norm is None or sigma_omega is None:
-            raise ValueError("iso mode needs omega_star_norm and sigma_omega")
-        C_omega = led.set("C_omega", sigma_omega * omega_star_norm,
-                          "sigma_omega |omega_*|", grp)
-        C_xiN0 = led.set("C_xiN0",
-                         sTc * max(C_NT * g["c_Omega_0"] * gd_t + c_R * C_T * C_LT * g["c_Omega_0"],
-                                   gd_t + c_R * g["c_c_1"] * C_N * C_LT * g["c_Omega_0"]),
-                         "sigma_Tc max(C_NT c_Omega_0 gd + c_R C_T C_LT c_Omega_0, "
-                         "gd + c_R c_c_1 C_N C_LT c_Omega_0)", grp)
-        C_xiomega = led.set("C_xiomega", C_xiN0, "= C_xiN0", grp)
-        C_Deltaomega = led.set("C_Deltaomega", C_omega * C_xiN0, "C_omega C_xiN0", grp)
-    else:
-        C_xiN0 = led.set("C_xiN0",
-                         sT * (C_NT * g["c_Omega_0"] * gd_t + c_R * C_T * C_LT * g["c_Omega_0"]),
-                         "sigma_T (C_NT c_Omega_0 gamma delta^tau + c_R C_T C_LT c_Omega_0)", grp)
-    C_xiN = led.set("C_xiN", C_xiN0 + c_R * C_LT * g["c_Omega_0"],
-                    "C_xiN0 + c_R C_LT c_Omega_0", grp)
-    C_xiL = led.set("C_xiL", c_R * (C_NT * g["c_Omega_0"] * gd_t + C_T * C_xiN),
-                    "c_R (C_NT c_Omega_0 gamma delta^tau + C_T C_xiN)", grp)
-    C_xi = led.set("C_xi", max(C_xiL, C_xiN * gd_t),
-                   "max(C_xiL, C_xiN gamma delta^tau)", grp)
-    C_DeltaK = led.set("C_DeltaK", C_L * C_xiL + C_N * C_xiN * gd_t,
-                       "C_L C_xiL + C_N C_xiN gamma delta^tau", grp)
-    C_LiexiN = led.set("C_LiexiN", C_LT * g["c_Omega_0"], "C_LT c_Omega_0", grp)
-    if mode == "iso":
-        C_LiexiL = led.set("C_LiexiL",
-                           C_NT * g["c_Omega_0"] * gd_t + C_T * C_xiN + led["C_omega"] * C_xiomega,
-                           "C_NT c_Omega_0 gd + C_T C_xiN + C_omega C_xiomega", grp)
-    else:
-        C_LiexiL = led.set("C_LiexiL", C_NT * g["c_Omega_0"] * gd_t + C_T * C_xiN,
-                           "C_NT c_Omega_0 gamma delta^tau + C_T C_xiN", grp)
-    C_Liexi = led.set("C_Liexi", max(C_LiexiL, C_LiexiN * gd_t),
-                      "max(C_LiexiL, C_LiexiN gamma delta^tau)", grp)
-    if mode == "iso":
-        C_lin = led.set("C_lin",
-                        C_red * C_xi + g["c_Omega_0"] * C_sym * C_Liexi * gd_t
-                        + max(C_A, 1.0) * C_OmegaL * led["C_omega"] * C_xiomega,
-                        "C_red C_xi + c_Omega_0 C_sym C_Liexi gd + max(C_A,1) C_OmegaL "
-                        "C_omega C_xiomega", grp)
-        C_lin_omega = led.set("C_lin_omega", d * c_R * g["c_c_1"] * C_xiL,
-                              "d c_R c_c_1 C_xiL", grp)
-    else:
-        C_lin = led.set("C_lin", C_red * C_xi + g["c_Omega_0"] * C_sym * C_Liexi * gd_t,
-                        "C_red C_xi + c_Omega_0 C_sym C_Liexi gamma delta^tau", grp)
-    C_LieDeltaK = led.set("C_LieDeltaK",
-                          C_LieL * C_xiL + (C_L * C_LiexiL + C_LieN * C_xiN) * gd_t
-                          + C_N * C_LiexiN * gd_t**2,
-                          "C_LieL C_xiL + (C_L C_LiexiL + C_LieN C_xiN) gd + C_N C_LiexiN gd^2",
-                          grp)
-    if mode == "iso":
-        C_E = led.set("C_E",
-                      2 * (C_L + C_N) * C_lin * gamma * delta ** (tau - 1)
-                      + 0.5 * g["c_XH_2"] * C_DeltaK**2
-                      + C_xiomega * C_LieDeltaK * gd_t,
-                      "2(C_L+C_N) C_lin gamma delta^(tau-1) + 1/2 c_XH_2 C_DeltaK^2 "
-                      "+ C_xiomega C_LieDeltaK gamma delta^tau", grp)
-        C_E_omega = led.set("C_E_omega",
-                            C_lin_omega * gamma * delta ** (tau - 1)
-                            + 0.5 * g["c_c_2"] * C_DeltaK**2,
-                            "C_lin_omega gamma delta^(tau-1) + 1/2 c_c_2 C_DeltaK^2", grp)
-        C_Ec = led.set("C_Ec", max(C_E, C_E_omega), "max(C_E, C_E_omega)", grp)
-        contraction = C_Ec
-    else:
-        C_E = led.set("C_E",
-                      2 * (C_L + C_N) * C_lin * gamma * delta ** (tau - 1)
-                      + 0.5 * g["c_XH_2"] * C_DeltaK**2,
-                      "2(C_L+C_N) C_lin gamma delta^(tau-1) + 1/2 c_XH_2 C_DeltaK^2", grp)
-        contraction = C_E
-    C_DeltaL = led.set("C_DeltaL", (d + g["c_Xp_1"] * delta) * C_DeltaK,
-                       "(d + c_Xp_1 delta) C_DeltaK", grp)
-    C_DeltaLT = led.set("C_DeltaLT", max(2.0 * n, g["c_XpT_1"] * delta) * C_DeltaK,
-                        "max(2n, c_XpT_1 delta) C_DeltaK", grp)
-    C_DeltaG = led.set("C_DeltaG", g["c_G_1"] * C_DeltaK, "c_G_1 C_DeltaK", grp)
-    C_DeltaGL = led.set("C_DeltaGL",
-                        C_LT * g["c_G_0"] * C_DeltaL + C_LT * C_DeltaG * C_L * delta
-                        + C_DeltaLT * g["c_G_0"] * C_L,
-                        "C_LT c_G_0 C_DeltaL + C_LT C_DeltaG C_L delta + C_DeltaLT c_G_0 C_L",
-                        grp)
-    C_DeltaB = led.set("C_DeltaB", 2 * sB**2 * C_DeltaGL, "2 sigma_B^2 C_DeltaGL", grp)
-    C_DeltatOmega = led.set("C_DeltatOmega", g["c_tOmega_1"] * C_DeltaK,
-                            "c_tOmega_1 C_DeltaK", grp)
-    C_DeltatOmegaL = led.set("C_DeltatOmegaL",
-                             C_LT * g["c_tOmega_0"] * C_DeltaL
-                             + C_LT * C_DeltatOmega * C_L * delta
-                             + C_DeltaLT * g["c_tOmega_0"] * C_L,
-                             "C_LT c_tOmega_0 C_DeltaL + C_LT C_DeltatOmega C_L delta "
-                             "+ C_DeltaLT c_tOmega_0 C_L", grp)
-    C_DeltaA = led.set("C_DeltaA",
-                       0.0 if case3 else sB * C_tOmegaL * C_DeltaB + 0.5 * sB**2 * C_DeltatOmegaL,
-                       "sigma_B C_tOmegaL C_DeltaB + 1/2 sigma_B^2 C_DeltatOmegaL (0 in Case III)",
-                       grp)
-    C_DeltaJ = led.set("C_DeltaJ", g["c_J_1"] * C_DeltaK, "c_J_1 C_DeltaK", grp)
-    C_DeltaJT = led.set("C_DeltaJT", g["c_JT_1"] * C_DeltaK, "c_JT_1 C_DeltaK", grp)
-    C_DeltaN0 = led.set("C_DeltaN0", g["c_J_0"] * C_DeltaL + C_DeltaJ * C_L * delta,
-                        "c_J_0 C_DeltaL + C_DeltaJ C_L delta", grp)
-    C_DeltaN0T = led.set("C_DeltaN0T", C_DeltaLT * g["c_JT_0"] + C_LT * C_DeltaJT * delta,
-                         "C_DeltaLT c_JT_0 + C_LT C_DeltaJT delta", grp)
-    C_DeltaN = led.set("C_DeltaN",
-                       C_L * C_DeltaA + C_DeltaL * C_A + C_N0 * C_DeltaB + C_DeltaN0 * sB,
-                       "C_L C_DeltaA + C_DeltaL C_A + C_N0 C_DeltaB + C_DeltaN0 sigma_B", grp)
-    C_DeltaNT = led.set("C_DeltaNT",
-                        C_A * C_DeltaLT + C_DeltaA * C_LT + C_DeltaB * C_N0T + sB * C_DeltaN0T,
-                        "C_A C_DeltaLT + C_DeltaA C_LT + C_DeltaB C_N0T + sigma_B C_DeltaN0T",
-                        grp)
-    if mode == "iso":
-        C_DeltaLieK = led.set("C_DeltaLieK",
-                              sigma_omega * C_xiomega * C_LieK * gd_t + C_LieDeltaK,
-                              "sigma_omega C_xiomega C_LieK gamma delta^tau + C_LieDeltaK", grp)
-    else:
-        C_DeltaLieK = led.set("C_DeltaLieK", C_LieDeltaK, "= C_LieDeltaK", grp)
-    C_DeltaLieL = led.set("C_DeltaLieL",
-                          d * C_DeltaLieK + g["c_Xp_1"] * C_DeltaLieK * delta
-                          + g["c_Xp_2"] * C_DeltaK * C_LieK * delta,
-                          "d C_DeltaLieK + c_Xp_1 C_DeltaLieK delta + c_Xp_2 C_DeltaK C_LieK delta",
-                          grp)
-    C_DeltaLieLT = led.set("C_DeltaLieLT",
-                           max(2 * n * C_DeltaLieK,
-                               g["c_XpT_1"] * C_DeltaLieK * delta
-                               + g["c_XpT_2"] * C_DeltaK * C_LieK * delta),
-                           "max(2n C_DeltaLieK, c_XpT_1 C_DeltaLieK delta "
-                           "+ c_XpT_2 C_DeltaK C_LieK delta)", grp)
-    C_DeltaLieG = led.set("C_DeltaLieG",
-                          g["c_G_1"] * C_DeltaLieK + g["c_G_2"] * C_DeltaK * C_LieK,
-                          "c_G_1 C_DeltaLieK + c_G_2 C_DeltaK C_LieK", grp)
-    C_DeltaLieGL = led.set(
-        "C_DeltaLieGL",
-        C_LieLT * g["c_G_0"] * C_DeltaL + C_LieLT * g["c_G_1"] * C_DeltaK * C_L * delta
-        + C_DeltaLieLT * g["c_G_0"] * C_L
-        + C_LT * g["c_G_1"] * C_LieK * C_DeltaL + C_LT * C_DeltaLieG * C_L * delta
-        + C_DeltaLT * g["c_G_1"] * C_LieK * C_L
-        + C_LT * g["c_G_0"] * C_DeltaLieL + C_LT * g["c_G_1"] * C_DeltaK * C_LieL * delta
-        + C_DeltaLT * g["c_G_0"] * C_LieL,
-        "nine-term product rule for Delta Lie G_L", grp)
-    C_DeltaLieB = led.set("C_DeltaLieB",
-                          2 * sB * C_LieGL * C_DeltaB + sB**2 * C_DeltaLieGL,
-                          "2 sigma_B C_LieGL C_DeltaB + sigma_B^2 C_DeltaLieGL", grp)
-    C_DeltaLietOmega = led.set("C_DeltaLietOmega",
-                               g["c_tOmega_1"] * C_DeltaLieK + g["c_tOmega_2"] * C_DeltaK * C_LieK,
-                               "c_tOmega_1 C_DeltaLieK + c_tOmega_2 C_DeltaK C_LieK", grp)
-    C_DeltaLietOmegaL = led.set(
-        "C_DeltaLietOmegaL",
-        C_LieLT * g["c_tOmega_0"] * C_DeltaL + C_LieLT * g["c_tOmega_1"] * C_DeltaK * C_L * delta
-        + C_DeltaLieLT * g["c_tOmega_0"] * C_L
-        + C_LT * g["c_tOmega_1"] * C_LieK * C_DeltaL + C_LT * C_DeltaLietOmega * C_L * delta
-        + C_DeltaLT * g["c_tOmega_1"] * C_LieK * C_L
-        + C_LT * g["c_tOmega_0"] * C_DeltaLieL + C_LT * g["c_tOmega_1"] * C_DeltaK * C_LieL * delta
-        + C_DeltaLT * g["c_tOmega_0"] * C_LieL,
-        "nine-term product rule for Delta Lie tOmega_L", grp)
-    C_DeltaLieA = led.set(
-        "C_DeltaLieA",
-        0.0 if case3 else (C_LieB * C_tOmegaL * C_DeltaB + C_LieB * C_DeltatOmegaL * sB
-                           + C_DeltaLieB * C_tOmegaL * sB + sB * C_LietOmegaL * C_DeltaB
-                           + 0.5 * sB**2 * C_DeltaLietOmegaL),
-        "C_LieB C_tOmegaL C_DeltaB + C_LieB C_DeltatOmegaL sigma_B + C_DeltaLieB C_tOmegaL "
-        "sigma_B + sigma_B C_LietOmegaL C_DeltaB + 1/2 sigma_B^2 C_DeltaLietOmegaL "
-        "(0 in Case III)", grp)
-    C_DeltaLieJ = led.set("C_DeltaLieJ",
-                          g["c_J_1"] * C_DeltaLieL + g["c_J_2"] * C_DeltaK * C_LieK,
-                          "c_J_1 C_DeltaLieL + c_J_2 C_DeltaK C_LieK", grp)
-    C_DeltaLieN0 = led.set("C_DeltaLieN0",
-                           C_LieJ * C_DeltaL + C_DeltaLieJ * C_L * delta
-                           + g["c_J_0"] * C_DeltaLieL + C_DeltaJ * C_LieL * delta,
-                           "C_LieJ C_DeltaL + C_DeltaLieJ C_L delta + c_J_0 C_DeltaLieL "
-                           "+ C_DeltaJ C_LieL delta", grp)
-    C_DeltaLieN = led.set(
-        "C_DeltaLieN",
-        C_LieL * C_DeltaA + C_DeltaLieL * C_A + C_L * C_DeltaLieA + C_DeltaL * C_LieA
-        + C_LieN0 * C_DeltaB + C_DeltaLieN0 * sB + C_N0 * C_DeltaLieB + C_DeltaN0 * C_LieB,
-        "C_LieL C_DeltaA + C_DeltaLieL C_A + C_L C_DeltaLieA + C_DeltaL C_LieA + C_LieN0 "
-        "C_DeltaB + C_DeltaLieN0 sigma_B + C_N0 C_DeltaLieB + C_DeltaN0 C_LieB", grp)
-    C_DeltaLoperN = led.set("C_DeltaLoperN",
-                            g["c_XH_1"] * C_DeltaN + g["c_XH_2"] * C_DeltaK * C_N * delta
-                            + C_DeltaLieN,
-                            "c_XH_1 C_DeltaN + c_XH_2 C_DeltaK C_N delta + C_DeltaLieN", grp)
-    C_DeltaT = led.set("C_DeltaT",
-                       C_NT * g["c_Omega_0"] * C_DeltaLoperN
-                       + C_NT * g["c_Omega_1"] * C_DeltaK * C_LoperN * delta
-                       + C_DeltaNT * g["c_Omega_0"] * C_LoperN,
-                       "C_NT c_Omega_0 C_DeltaLoperN + C_NT c_Omega_1 C_DeltaK C_LoperN delta "
-                       "+ C_DeltaNT c_Omega_0 C_LoperN", grp)
-    if mode == "iso":
-        sTc = hyp["sigma_Tc"]
-        C_DeltaTc = led.set("C_DeltaTc",
-                            max(C_DeltaT + led["C_Deltaomega"] * gamma * delta ** (tau + 1),
-                                g["c_c_1"] * C_DeltaN + g["c_c_2"] * C_DeltaK * C_N * delta),
-                            "max(C_DeltaT + C_Deltaomega gamma delta^(tau+1), c_c_1 C_DeltaN "
-                            "+ c_c_2 C_DeltaK C_N delta)", grp)
-        C_DeltaTinv = led.set("C_DeltaTcInv", 2 * sTc**2 * C_DeltaTc,
-                              "2 sigma_Tc^2 C_DeltaTc", grp)
-    else:
-        C_DeltaTinv = led.set("C_DeltaTInv", 2 * sT**2 * C_DeltaT, "2 sigma_T^2 C_DeltaT", grp)
-
-    # convergence group: the headline constants
-    grp = "convergence"
-    md = hyp
-    margins = {
-        "sigma_K": md["sigma_K"] - md["norm_DK"],
-        "sigma_KT": md["sigma_KT"] - md["norm_DKT"],
-        "sigma_B": md["sigma_B"] - md["norm_B"],
-    }
-    if mode == "iso":
-        margins["sigma_Tc"] = md["sigma_Tc"] - md["norm_avgTc_inv"]
-    else:
-        margins["sigma_T"] = md["sigma_T"] - md["norm_avgT_inv"]
-    bad = {k: v for k, v in margins.items() if v <= 0}
+    twist = ("sigma_Tc", "norm_avgTc_inv") if mode == "iso" else ("sigma_T", "norm_avgT_inv")
+    led.margins = {sigma: led[sigma] - led[norm] for sigma, norm in (
+        ("sigma_K", "norm_DK"), ("sigma_KT", "norm_DKT"), ("sigma_B", "norm_B"), twist)}
+    bad = {k: v for k, v in led.margins.items() if v <= 0}
     if bad:
         raise LedgerError(f"non-positive sigma margins {bad}: the strict norm "
                           "hypotheses fail on this candidate")
-    terms1 = {
-        "DK margin": d * C_DeltaK / margins["sigma_K"],
-        "DKT margin": 2 * n * C_DeltaK / margins["sigma_KT"],
-        "B margin": C_DeltaB / margins["sigma_B"],
-    }
-    if mode == "iso":
-        terms1["Tc margin"] = C_DeltaTinv / margins["sigma_Tc"]
-    else:
-        terms1["T margin"] = C_DeltaTinv / margins["sigma_T"]
-    C_Delta1 = led.set("C_Delta1", max(terms1.values()),
-                       "max(d C_DeltaK/(sigma_K-|DK|), 2n C_DeltaK/(sigma_KT-|DK^T|), "
-                       "C_DeltaB/(sigma_B-|B|), C_DeltaTInv/(sigma_T-|<T>^-1|))", grp)
-    C_Delta2 = led.set("C_Delta2", C_DeltaK * delta / md["dist_domain"],
-                       "C_DeltaK delta / dist(K(T_rho), boundary)", grp)
-    terms = {
-        "smallness": gamma**2 * delta ** (2 * tau) / c_small,
-        "sym": 2 * C_sym * gamma * delta**tau,
-        "margins": C_Delta1 / (1 - a1 ** (1 - 2 * tau)),
-        "domain": C_Delta2 / (1 - a1 ** (-2 * tau)),
-    }
-    if mode == "iso":
-        if dist_ray is None:
-            raise ValueError("iso mode needs dist_ray")
-        C_Delta3 = led.set("C_Delta3",
-                           led["C_Deltaomega"] * gamma * delta ** (tau + 1) / dist_ray,
-                           "C_Deltaomega gamma delta^(tau+1) / dist(omega, ray boundary)", grp)
-        terms["ray"] = C_Delta3 / (1 - a1 ** (1 - 3 * tau))
-    C_Delta = led.set("C_Delta", max(terms.values()),
-                      "max(gamma^2 delta^2tau/c, 2 C_sym gamma delta^tau, "
-                      "C_Delta1/(1-a1^(1-2tau)), C_Delta2/(1-a1^(-2tau))"
-                      + (", C_Delta3/(1-a1^(1-3tau))" if mode == "iso" else "") + ")", grp)
-    dominant_delta = max(terms, key=terms.get)
-    branch1 = (a1 * a3) ** (4 * tau) * contraction
-    branch2 = a3 ** (2 * tau + 1) * gamma**2 * rho ** (2 * tau - 1) * C_Delta
-    E1 = led.set("E1", max(branch1, branch2),
-                 "max((a1 a3)^4tau C_E, a3^(2tau+1) gamma^2 rho^(2tau-1) C_Delta)", grp)
-    led.set("E2", a3 ** (2 * tau) * C_DeltaK / (1 - a1 ** (-2 * tau)),
-            "a3^2tau C_DeltaK / (1 - a1^-2tau)", grp)
-    if mode == "iso":
-        led.set("E3", a3**tau * led["C_Deltaomega"] / (1 - a1 ** (-3 * tau)),
-                "a3^tau C_Deltaomega / (1 - a1^-3tau)", grp)
-    else:
-        led.set("E3", g["c_c_1"] * led["E2"], "c_c_1 E2", grp)
+
+    variants = (None, mode, "III" if case_tag == "III" else "II")
+    trees = {}
+    for name, expr, tree, group, variant in _LEDGER_ROWS:
+        if variant in variants:
+            led.set(name, _evaluate(tree, led), expr, group)
+            trees[name] = tree
     led.set(
-        "E1_dominant", 1.0 if branch1 >= branch2 else 2.0,
-        f"1: contraction branch, 2: margin branch (dominant margin term: {dominant_delta})",
-        grp,
+        "E1_dominant", 1.0 + _first_max(trees["E1"], led),
+        "1: contraction branch, 2: margin branch (dominant margin term: "
+        f"{_DELTA_TERMS[_first_max(trees['C_Delta'], led)]})",
+        "convergence",
     )
     return led
 
@@ -712,18 +617,6 @@ def kam_check(cand: TorusCandidate, ledger: ConstantLedger, mode: str,
     (ordinary) or the frequency (iso, with denominator gamma rho^tau).
     """
     gamma, tau, rho = ledger["gamma"], ledger["tau"], ledger["rho"]
-    sig_margins = {
-        "sigma_K": ledger["sigma_K"] - ledger["norm_DK"],
-        "sigma_KT": ledger["sigma_KT"] - ledger["norm_DKT"],
-        "sigma_B": ledger["sigma_B"] - ledger["norm_B"],
-    }
-    if mode == "iso":
-        sig_margins["sigma_Tc"] = ledger.rows["sigma_Tc"].value - ledger.rows["norm_avgTc_inv"].value \
-            if "sigma_Tc" in ledger else None
-    else:
-        sig_margins["sigma_T"] = ledger["sigma_T"] - ledger["norm_avgT_inv"]
-    if any(v is not None and v <= 0 for v in sig_margins.values()):
-        raise ValueError(f"sigma margins must be positive: {sig_margins}")
     denom = gamma**4 * rho ** (4 * tau)
     ratio = ledger["E1"] * error_norm / denom
     passed = bool(ratio < 1.0)
@@ -750,7 +643,7 @@ def kam_check(cand: TorusCandidate, ledger: ConstantLedger, mode: str,
         closeness_K=closeness_K,
         closeness_second=closeness_second,
         dominant=dominant,
-        margins={k: v for k, v in sig_margins.items() if v is not None},
+        margins=dict(ledger.margins),
     )
 
 

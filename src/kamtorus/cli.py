@@ -257,6 +257,10 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_certify(torus_path: str, cfg_overrides: dict, out_dir: Path) -> int:
+    """Certify the torus in ``torus_path`` under the config embedded in it.
+
+    ``cfg_overrides`` is not read; it stays in the signature for existing callers.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = json.loads(Path(torus_path).read_text())
     cand, cfg, schedule, ray = _candidate_from_doc(doc)
@@ -339,42 +343,44 @@ def make_parser() -> argparse.ArgumentParser:
                                  description="invariant-torus solver and certifier")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def configured(p):
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--mode", choices=["ordinary", "iso"], default=None)
         p.add_argument("--epsilon", type=float, default=None)
         p.add_argument("--bands", type=int, nargs="+", default=None)
 
-    p_solve = sub.add_parser("solve", help="run the quasi-Newton solver")
-    common(p_solve)
-    p_cert = sub.add_parser("certify", help="evaluate the existence certificate")
-    p_cert.add_argument("torus", help="torus JSON produced by solve")
-    common(p_cert)
-    p_val = sub.add_parser("validate", help="check system callbacks and structure")
-    common(p_val)
+    def from_torus(p):
+        # the run's config is the one embedded in the torus file
+        p.add_argument("torus", help="torus JSON produced by solve")
+        p.add_argument("--out", default=None, help="output directory")
+
+    configured(sub.add_parser("solve", help="run the quasi-Newton solver"))
+    from_torus(sub.add_parser("certify", help="evaluate the existence certificate"))
+    configured(sub.add_parser("validate", help="check system callbacks and structure"))
     p_plot = sub.add_parser("plotdata", help="emit CSV grid data for plotting")
-    p_plot.add_argument("torus", help="torus JSON produced by solve")
+    from_torus(p_plot)
     p_plot.add_argument("--log", default=None, help="convergence log (JSON lines)")
-    common(p_plot)
     return ap
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    overrides = {"mode": args.mode, "epsilon": args.epsilon,
-                 "bands": list(args.bands) if args.bands else None}
-    try:
-        cfg = RunConfig.load(args.config, overrides)
-    except (ConfigError, DivisorCollisionError, json.JSONDecodeError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
+    cfg = None
+    if args.command in ("solve", "validate"):
+        overrides = {"mode": args.mode, "epsilon": args.epsilon,
+                     "bands": list(args.bands) if args.bands else None}
+        try:
+            cfg = RunConfig.load(args.config, overrides)
+        except (ConfigError, DivisorCollisionError, json.JSONDecodeError, OSError) as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 2
+    out_dir = Path(args.out or (cfg.out_dir if cfg else RunConfig.out_dir))
     try:
         if args.command == "solve":
             return cmd_solve(cfg, out_dir)
         if args.command == "certify":
-            return cmd_certify(args.torus, overrides, out_dir)
+            return cmd_certify(args.torus, {}, out_dir)
         if args.command == "validate":
             return cmd_validate(cfg)
         if args.command == "plotdata":

@@ -1,5 +1,8 @@
 """Global constants, the ledger chain, the existence check, inverse control."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +105,36 @@ def base_ledger_inputs(case="III", mode="ordinary", n=2, d=2, eps_zero=True):
         hyp.update({"sigma_Tc": 2.2, "norm_avgTc_inv": 2.0})
         kw = {"omega_star_norm": GOLDEN, "sigma_omega": 2.0, "dist_ray": 0.3}
     return globs, hyp, dio, sched, kw
+
+
+LEDGER_GOLDEN = Path(__file__).with_name("ledger_golden.json")
+
+
+def golden_ledgers() -> dict:
+    """Every row of the ordinary and iso ledgers, Case II and III, as float.hex."""
+    out = {}
+    for mode in ("ordinary", "iso"):
+        globs, hyp, dio, sched, kw = base_ledger_inputs(mode=mode, eps_zero=False)
+        for case in ("II", "III"):
+            led = build_ledger(mode, globs, hyp, dio, 0.1, 0.1 / 12, sched, n=2, d=2,
+                               case_tag=case, **kw)
+            out[f"{mode}-{case}"] = [[row.name, row.value.hex()] for row in led.rows.values()]
+    return out
+
+
+def test_ledger_values_bit_identical_to_golden():
+    """Row names, order and values to the last bit, against a committed fixture."""
+    assert golden_ledgers() == json.loads(LEDGER_GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("expr", ["__import__('os')", "C_L.real", "min(C_L, C_N)",
+                                  "max(C_L, key=C_N)", "C_L < C_N", "C_L == C_N == C_A",
+                                  "not C_L", "[C_L]"])
+def test_ledger_expression_refuses_foreign_constructs(expr):
+    from kamtorus.certificate import _parse
+
+    with pytest.raises(ValueError, match="not allowed"):
+        _parse(expr)
 
 
 def test_free_rotor_ledger_hand_rows():

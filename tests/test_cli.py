@@ -218,3 +218,42 @@ def test_outputs_identical_across_thread_caps(tmp_path):
         outs.append(out)
     for name in ("torus.json", "log.jsonl", "summary.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["certify", "plotdata"])
+@pytest.mark.parametrize("flag", [["--config", "run.json"], ["--mode", "iso"],
+                                  ["--epsilon", "0.5"], ["--bands", "3", "3"]])
+def test_torus_commands_refuse_config_flags(tmp_path, capsys, command, flag):
+    """certify and plotdata take the torus file's config, so a config flag is an error."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(tmp_path / "torus.json"), "--out", str(tmp_path), *flag])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"system": "lagrangian_rotors", "epsilon": 1e-3, "bands": [8, 8], "rho0": 0.05},
+    {"mode": "iso", "epsilon": 2e-3, "bands": [8, 8], "rho0": 0.03, "conserved": "H",
+     "c0_offset": 1e-4, "max_iters": 8},
+], ids=["ordinary", "iso"])
+def test_ledger_formula_column_evaluates_to_value(tmp_path, overrides):
+    """Each derived row's formula, evaluated as Python over the values of the rows
+    above it, gives exactly the row's value."""
+    import csv
+
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    assert main(["certify", str(out / "torus.json"), "--out", str(out)]) in (0, 1)
+    with open(out / "ledger.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    values, checked = {}, 0
+    for row in rows:
+        value = float(row["value"])
+        if row["provenance"] == "derived" and row["name"] != "E1_dominant":
+            formula = row["formula_label"]
+            assert eval(formula, {"__builtins__": {}, "max": max}, dict(values)) == value, \
+                (row["name"], formula)
+            checked += 1
+        values[row["name"]] = value
+    assert checked >= 80
