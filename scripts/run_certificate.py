@@ -20,7 +20,8 @@ from kamtorus import (
     certify,
     estimate_gamma,
     estimate_global_constants,
-    iterate_kam,
+    evaluate,
+    iterate_newton,
     seed_torus,
 )
 
@@ -35,14 +36,14 @@ def run_one(eps, bands_n, rho0, tau, sigma_factor):
     cand = seed_torus(sys_obj, dio, (bands_n, bands_n), rho0)
     sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, max_iters=12, stop_tol=1e-13,
                            rho0=rho0)
-    res = iterate_kam(cand, sched)
+    res = iterate_newton(cand, sched)
     if not res.converged:
         return {"eps": eps, "bands": bands_n, "rho0": rho0, "tau": tau,
                 "converged": False, "reason": res.reason}
     globs = estimate_global_constants(sys_obj)
-    frames = build_frames(res.candidate)
-    report, ledger = certify(res.candidate, frames, sched, "ordinary",
-                             globs=globs, sigma_factor=sigma_factor)
+    it = evaluate(res.candidate)
+    frames = build_frames(it.cand, it.kitchen)
+    report, ledger = certify(it, frames, sched, globs, sigma_factor=sigma_factor)
     return {
         "eps": eps, "bands": bands_n, "rho0": rho0, "tau": tau,
         "sigma_factor": sigma_factor, "converged": True,

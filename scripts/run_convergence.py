@@ -19,7 +19,7 @@ from kamtorus import (
     contraction_slope,
     estimate_gamma,
     estimate_global_constants,
-    iterate_kam,
+    iterate_newton,
     seed_torus,
 )
 from kamtorus.certificate import contraction_constant_factory
@@ -49,7 +49,7 @@ def main():
                                rho0=args.rho0)
         globs = estimate_global_constants(cand.system)
         hook = contraction_constant_factory(globs, sched)
-        res = iterate_kam(cand, sched, contraction_ledger=hook)
+        res = iterate_newton(cand, sched, contraction_ledger=hook)
         for rec in res.log:
             out = {"system": name, "epsilon": eps}
             out.update({k: v for k, v in rec.items()

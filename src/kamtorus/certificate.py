@@ -30,7 +30,7 @@ import numpy as np
 from .cohomology import DiophantineParams, russmann_constant
 from .frames import FrameBundle, TorusCandidate, measure_hypothesis_data
 from .hamiltonian import ConservedQuantity, HamiltonianSystem
-from .solver import NewtonSchedule, resolve_smallness_scale
+from .solver import Iterate, NewtonSchedule, resolve_smallness_scale
 
 REPORT_HEADER = (
     "floating-point constant chain (no directed rounding); norms are Fourier "
@@ -607,11 +607,12 @@ class CertificateReport:
         }
 
 
-def kam_check(cand: TorusCandidate, ledger: ConstantLedger, mode: str,
+def kam_check(cand: TorusCandidate, ledger: ConstantLedger,
               error_norm: float) -> CertificateReport:
     """Evaluate the existence hypothesis ratio E1 ||E|| / (gamma^4 rho^{4 tau}).
 
-    ``error_norm`` is ||E||_rho (ordinary) or the combined ||E_c||_rho (iso).
+    The mode is the ledger's.  ``error_norm`` is ||E||_rho (ordinary) or the
+    combined ||E_c||_rho (iso).
     On pass, the closeness bounds are reported: E2 ||E||/(gamma^2 rho^{2tau})
     for the parameterization and the E3 bound for the conserved quantity
     (ordinary) or the frequency (iso, with denominator gamma rho^tau).
@@ -624,14 +625,14 @@ def kam_check(cand: TorusCandidate, ledger: ConstantLedger, mode: str,
     closeness_second = None
     if passed:
         closeness_K = ledger["E2"] * error_norm / (gamma**2 * rho ** (2 * tau))
-        if mode == "iso":
+        if ledger.mode == "iso":
             closeness_second = ledger["E3"] * error_norm / (gamma * rho**tau)
         else:
             closeness_second = ledger["E3"] * error_norm / (gamma**2 * rho ** (2 * tau))
     branch = ledger["E1_dominant"]
     dominant = ledger.rows["E1_dominant"].formula if branch == 2.0 else "contraction constant C_E"
     return CertificateReport(
-        mode=mode,
+        mode=ledger.mode,
         passed=passed,
         ratio=float(ratio),
         error_norm=float(error_norm),
@@ -647,57 +648,56 @@ def kam_check(cand: TorusCandidate, ledger: ConstantLedger, mode: str,
     )
 
 
-def certify(cand: TorusCandidate, frames: FrameBundle, schedule: NewtonSchedule,
-            mode: str = "ordinary", globs: GlobalNormConstants | None = None,
-            conserved: ConservedQuantity | None = None, error_norm: float | None = None,
-            sigma_factor: float = 1.1, ray=None, c_small: float | None = None):
-    """Convenience wrapper: measure hypothesis data, build the ledger at the
-    worst-step bite delta_0 = rho/a3, and run kam_check.  Returns
-    (report, ledger).
+def _ledger(it: Iterate, frames: FrameBundle, schedule: NewtonSchedule,
+            globs: GlobalNormConstants, delta: float, sigma_factor: float) -> ConstantLedger:
+    """The ledger of the iterate ``it`` at the bite ``delta``.
 
-    ``c_small`` defaults to the natural scale max(1, ||X_H o K||_rho); the
-    solver may run with a much larger override, but the smallness scale is a
-    free parameter of the theorem and the certificate picks its own.
+    Iso mode is an iterate with a frequency ray, whose data enter the ledger.
+    An unpinned smallness scale (``schedule.c_n`` None) is the natural
+    max(1, ||X_H o K||_rho) of the iterate's kitchen.
     """
-    from .frames import invariance_error
-
-    if c_small is None:
-        c_small = resolve_smallness_scale(replace(schedule, c_n=None), cand)
-    sched = replace(schedule, c_n=c_small, rho0=cand.rho)
-    if globs is None:
-        globs = estimate_global_constants(cand.system, conserved=conserved)
+    cand, ray = it.cand, it.ray
+    sched = replace(schedule, c_n=resolve_smallness_scale(schedule, it.kitchen))
     hyp = measure_hypothesis_data(cand, frames, sigma_factor=sigma_factor)
-    rho = cand.rho
-    delta = rho / sched.a3
-    kw = {}
-    if mode == "iso":
-        if ray is None:
-            raise ValueError("iso certification needs the frequency ray")
-        kw = {
-            "omega_star_norm": float(np.max(np.abs(ray.omega_star))),
-            "sigma_omega": ray.sigma_omega,
-            "dist_ray": ray.boundary_margin(),
-        }
-    ledger = build_ledger(mode, globs, hyp, cand.dio, rho, delta, sched,
-                          case_tag=cand.system.geometry.case_tag, n=cand.system.n,
-                          d=cand.d, **kw)
+    kw = {} if ray is None else {"omega_star_norm": float(np.max(np.abs(ray.omega_star))),
+                                 "sigma_omega": ray.sigma_omega,
+                                 "dist_ray": ray.boundary_margin()}
+    return build_ledger("ordinary" if ray is None else "iso", globs, hyp, cand.dio, cand.rho,
+                        delta, sched, case_tag=cand.system.geometry.case_tag, n=cand.system.n,
+                        d=cand.d, **kw)
+
+
+def certify(it: Iterate, frames: FrameBundle, schedule: NewtonSchedule,
+            globs: GlobalNormConstants, sigma_factor: float = 1.1,
+            error_norm: float | None = None):
+    """Measure the hypothesis data of ``it``, build the ledger at the worst-step
+    bite delta_0 = rho/a3, and run kam_check.  Returns (report, ledger).
+
+    The mode is the iterate's: iso when it carries a frequency ray.  The
+    error is the iterate's ||E||_rho, or ||E_c||_rho = max(||E||_rho,
+    |E^omega|) in iso mode; ``error_norm`` overrides it.  The smallness scale
+    is the natural max(1, ||X_H o K||_rho): the solver may run with a much
+    larger override, but the smallness scale is a free parameter of the
+    theorem and the certificate picks its own.
+    """
+    rho = it.cand.rho
+    ledger = _ledger(it, frames, replace(schedule, c_n=None), globs, rho / schedule.a3,
+                     sigma_factor)
     if error_norm is None:
-        error_norm = invariance_error(cand).norm(rho).value
-    report = kam_check(cand, ledger, mode, error_norm)
-    return report, ledger
+        error_norm = it.combined_norm(rho)
+    return kam_check(it.cand, ledger, error_norm), ledger
 
 
-def soundness_report(cand: TorusCandidate, frames: FrameBundle,
-                     globs: GlobalNormConstants, delta: float,
-                     schedule: NewtonSchedule, error_norm: float,
-                     conserved: ConservedQuantity | None = None,
+def soundness_report(it: Iterate, frames: FrameBundle, globs: GlobalNormConstants,
+                     delta: float, schedule: NewtonSchedule,
                      c_level_norm: float | None = None,
                      p_level_norm: float | None = None,
                      sigma_factor: float = 1.1) -> list:
     """Measured-vs-ledger pairs for every statically bounded quantity.
 
     Returns [(name, measured, bound), ...] where each bound is the literal
-    ledger inequality at the stated strips:
+    ledger inequality at the stated strips, with ||E||_rho the iterate's
+    error (||E_c||_rho in iso mode):
 
         ||c o K - <c o K>||_{rho-delta} <= c_R c_c1/(gamma delta^tau) ||E||_rho
         ||Omega_K||_{rho-2delta}        <= C_OmegaK/(gamma delta^(tau+1)) ||E||_rho
@@ -706,20 +706,18 @@ def soundness_report(cand: TorusCandidate, frames: FrameBundle,
         ||E_sym||_{rho-2delta}          <= C_sym/(gamma delta^(tau+1)) ||E||_rho
         ||T||_{rho-delta}               <= C_T
         ||E_red||_{rho-2delta}          <= C_red/(gamma delta^(tau+1)) ||E||_rho
+
+    The c and p rows are reported when their measured norms are given.
     """
-    hyp = measure_hypothesis_data(cand, frames, sigma_factor=sigma_factor)
+    cand = it.cand
     rho = cand.rho
-    sched = schedule
-    if sched.c_n is None:
-        sched = replace(schedule, c_n=resolve_smallness_scale(schedule, cand), rho0=rho)
-    if error_norm / delta >= sched.c_n:
+    error_norm = it.combined_norm(rho)
+    led = _ledger(it, frames, schedule, globs, delta, sigma_factor)
+    if error_norm / delta >= led["c_small"]:
         raise ValueError(
-            f"smallness ||E||/delta = {error_norm / delta:.3e} >= c = {sched.c_n:.3e}: "
+            f"smallness ||E||/delta = {error_norm / delta:.3e} >= c = {led['c_small']:.3e}: "
             "the torsion bound hypothesis fails for this candidate"
         )
-    led = build_ledger("ordinary", globs, hyp, cand.dio, rho, delta, sched,
-                       case_tag=cand.system.geometry.case_tag, n=cand.system.n,
-                       d=cand.d)
     gamma, tau = cand.dio.gamma, cand.dio.tau
     loss1 = 1.0 / (gamma * delta**tau)
     loss2 = 1.0 / (gamma * delta ** (tau + 1))
@@ -736,7 +734,7 @@ def soundness_report(cand: TorusCandidate, frames: FrameBundle,
         ("T", frames.T.norm(r1).value, led["C_T"]),
         ("Ered", frames.Ered.norm(r2).value, led["C_red"] * loss2 * error_norm),
     ]
-    if conserved is not None and c_level_norm is not None:
+    if c_level_norm is not None:
         pairs.append(
             ("c_shadow", c_level_norm,
              led["c_R"] * globs.c_c_1 * loss1 * error_norm)
@@ -750,37 +748,17 @@ def soundness_report(cand: TorusCandidate, frames: FrameBundle,
 
 
 def contraction_constant_factory(globs: GlobalNormConstants, schedule: NewtonSchedule,
-                                 mode: str = "ordinary", sigma_factor: float = 1.1,
-                                 ray=None):
-    """Per-step quadratic-contraction constant hook for the iteration drivers.
+                                 sigma_factor: float = 1.1):
+    """Per-step quadratic-contraction constant hook for the Newton loop.
 
-    Returns a callable (cand, frames, delta) -> C_E (or C_Ec in iso mode)
-    that measures the hypothesis data on the current candidate and evaluates
-    the ledger rows at the step's bite delta with the run's smallness scale.
+    Returns a callable (it, frames, delta) -> C_E (or C_Ec in iso mode) that
+    measures the hypothesis data on the iterate ``it`` and evaluates the
+    ledger rows at the step's bite delta with the run's smallness scale.
     """
 
-    def constant(cand: TorusCandidate, frames: FrameBundle, delta: float) -> float:
-        sched = schedule
-        if sched.c_n is None:
-            sched = replace(schedule, c_n=resolve_smallness_scale(schedule, cand),
-                            rho0=cand.rho)
-        hyp = measure_hypothesis_data(cand, frames, sigma_factor=sigma_factor)
-        kw = {}
-        if mode == "iso":
-            if ray is None:
-                raise ValueError("iso contraction hook needs the frequency ray")
-            star_norm = float(np.max(np.abs(ray.omega_star)))
-            scale = float(np.max(np.abs(cand.omega))) / star_norm
-            margin = min(scale - 1.0, ray.sigma_omega - scale) * star_norm
-            kw = {
-                "omega_star_norm": star_norm,
-                "sigma_omega": ray.sigma_omega,
-                "dist_ray": max(margin, 1e-300),
-            }
-        led = build_ledger(mode, globs, hyp, cand.dio, cand.rho, delta, sched,
-                           case_tag=cand.system.geometry.case_tag, n=cand.system.n,
-                           d=cand.d, **kw)
-        return led["C_Ec"] if mode == "iso" else led["C_E"]
+    def constant(it: Iterate, frames: FrameBundle, delta: float) -> float:
+        led = _ledger(it, frames, schedule, globs, delta, sigma_factor)
+        return led["C_E"] if it.ray is None else led["C_Ec"]
 
     return constant
 

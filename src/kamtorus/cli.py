@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -22,11 +23,11 @@ import numpy as np
 from . import __version__
 from .cohomology import DiophantineParams, DivisorCollisionError, estimate_gamma
 from .fourier import FourierMap
-from .frames import TorusCandidate, build_frames, invariance_error, seed_torus
+from .frames import TorusCandidate, build_frames, seed_torus
 from .hamiltonian import builtin_system, check_derivatives, verify_commutation, verify_involution
 from .isoenergetic import FrequencyRay, IsoTarget, total_error
 from .certificate import certify, estimate_global_constants
-from .solver import NewtonSchedule, iterate_newton
+from .solver import NewtonSchedule, evaluate, iterate_newton
 
 
 class ConfigError(ValueError):
@@ -192,23 +193,45 @@ def _candidate_doc(cand: TorusCandidate, cfg: RunConfig, extra: dict | None = No
     return doc
 
 
+@contextmanager
+def _torus_field(name: str):
+    """Turn an error raised while reading field ``name`` of a torus file into a
+    ConfigError that names it (FourierShapeError and ConfigError are ValueErrors)."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"torus file field {name!r}: {type(exc).__name__}: {exc}") from None
+
+
 def _candidate_from_doc(doc: dict):
-    cfg = RunConfig.from_dict(doc["config"])
+    with _torus_field("config"):
+        cfg = RunConfig.from_dict(doc["config"])
     seed_omega, ray = _seed_frequency(cfg)
     sys_obj = _system(cfg, seed_omega)
-    k_per = FourierMap.from_json_dict(doc["map"], grid=tuple(doc["grid"]))
+    with _torus_field("omega"):
+        omega = np.asarray(_vector("omega", doc["omega"], sys_obj.d, _is_real, "finite numbers"))
+    with _torus_field("dio"):
+        dio = DiophantineParams(omega, doc["dio"]["gamma"], doc["dio"]["tau"],
+                                int(doc["dio"]["scan_limit"]))
+    with _torus_field("rho"):
+        rho = doc["rho"]
+        if not (_is_real(rho) and rho > 0):
+            raise ValueError(f"must be a positive number, got {rho!r}")
+    with _torus_field("map"):
+        k_per = FourierMap.from_json_dict(doc["map"])
+    with _torus_field("grid"):
+        k_per = k_per.with_grid(doc["grid"])
     # the grid compositions sample only the k_d >= 0 half of K, so K must be real
     defect = k_per.real_symmetry_defect()
     if defect > 1e-12 * max(1.0, float(np.max(np.abs(k_per.coeffs), initial=0.0))):
         raise ConfigError(f"torus map is not real: f_-k and conj(f_k) differ by {defect:.3e}")
-    omega = np.asarray(doc["omega"])
-    dio = DiophantineParams(omega, doc["dio"]["gamma"], doc["dio"]["tau"],
-                            int(doc["dio"]["scan_limit"]))
-    cand = TorusCandidate(k_per, omega, dio, rho=float(doc["rho"]), system=sys_obj,
-                          angle_block=bool(doc.get("angle_block", True)))
+    with _torus_field("map"):
+        cand = TorusCandidate(k_per, omega, dio, rho=float(rho), system=sys_obj,
+                              angle_block=bool(doc.get("angle_block", True)))
     if ray is not None and "ray_scale" in doc:
-        ray = FrequencyRay(np.asarray(cfg.omega_star), cfg.sigma_omega,
-                           float(doc["ray_scale"]))
+        with _torus_field("ray_scale"):
+            ray = FrequencyRay(np.asarray(cfg.omega_star), cfg.sigma_omega,
+                               float(doc["ray_scale"]))
     return cand, cfg, _schedule(cfg), ray
 
 
@@ -264,25 +287,20 @@ def cmd_certify(torus_path: str, cfg_overrides: dict, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = json.loads(Path(torus_path).read_text())
     cand, cfg, schedule, ray = _candidate_from_doc(doc)
-    conserved = None
-    kw = {}
+    conserved = target = None
     if cfg.mode == "iso":
         conserved = cand.system.conserved(_selector(cfg))
-        kw["ray"] = ray
+        with _torus_field("c0"):
+            target = IsoTarget(conserved, float(doc["c0"]))
+    # the sampled bounds first: their lattice arrays then peak without the kitchen alive
     globs = estimate_global_constants(cand.system, conserved=conserved)
-    frames = build_frames(cand, conserved)
-    if cfg.mode == "iso":
-        terr = total_error(cand, conserved, float(doc.get("c0", 0.0)))
-        err_norm = terr.combined_norm(cand.rho)
-    else:
-        err_norm = invariance_error(cand).norm(cand.rho).value
-    report, ledger = certify(cand, frames, schedule, cfg.mode, globs=globs,
-                             conserved=conserved, error_norm=err_norm,
-                             sigma_factor=cfg.sigma_factor, **kw)
+    it = evaluate(cand, target, ray)
+    frames = build_frames(cand, it.kitchen)
+    report, ledger = certify(it, frames, schedule, globs, sigma_factor=cfg.sigma_factor)
     (out_dir / "ledger.csv").write_text(ledger.to_csv())
     _json_dump(report.to_dict(), out_dir / "certificate.json")
     status = "PASS" if report.passed else "FAIL"
-    print(f"certificate {status}: ratio = {report.ratio:.6g} (error {err_norm:.3e}); "
+    print(f"certificate {status}: ratio = {report.ratio:.6g} (error {report.error_norm:.3e}); "
           f"ledger and report in {out_dir}")
     return 0 if report.passed else 1
 
@@ -345,22 +363,23 @@ def make_parser() -> argparse.ArgumentParser:
 
     def configured(p):
         p.add_argument("--config", default=None, help="JSON config path")
-        p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--mode", choices=["ordinary", "iso"], default=None)
         p.add_argument("--epsilon", type=float, default=None)
         p.add_argument("--bands", type=int, nargs="+", default=None)
+        return p
 
     def from_torus(p):
         # the run's config is the one embedded in the torus file
         p.add_argument("torus", help="torus JSON produced by solve")
-        p.add_argument("--out", default=None, help="output directory")
+        return p
 
-    configured(sub.add_parser("solve", help="run the quasi-Newton solver"))
-    from_torus(sub.add_parser("certify", help="evaluate the existence certificate"))
+    p_solve = configured(sub.add_parser("solve", help="run the quasi-Newton solver"))
+    p_certify = from_torus(sub.add_parser("certify", help="evaluate the existence certificate"))
     configured(sub.add_parser("validate", help="check system callbacks and structure"))
-    p_plot = sub.add_parser("plotdata", help="emit CSV grid data for plotting")
-    from_torus(p_plot)
+    p_plot = from_torus(sub.add_parser("plotdata", help="emit CSV grid data for plotting"))
     p_plot.add_argument("--log", default=None, help="convergence log (JSON lines)")
+    for p in (p_solve, p_certify, p_plot):  # validate writes nothing
+        p.add_argument("--out", default=None, help="output directory")
     return ap
 
 
@@ -375,14 +394,14 @@ def main(argv=None) -> int:
         except (ConfigError, DivisorCollisionError, json.JSONDecodeError, OSError) as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2
-    out_dir = Path(args.out or (cfg.out_dir if cfg else RunConfig.out_dir))
     try:
+        if args.command == "validate":
+            return cmd_validate(cfg)
+        out_dir = Path(args.out or (cfg.out_dir if cfg else RunConfig.out_dir))
         if args.command == "solve":
             return cmd_solve(cfg, out_dir)
         if args.command == "certify":
             return cmd_certify(args.torus, {}, out_dir)
-        if args.command == "validate":
-            return cmd_validate(cfg)
         if args.command == "plotdata":
             return cmd_plotdata(args.torus, out_dir, args.log)
     except (ConfigError, DivisorCollisionError) as exc:

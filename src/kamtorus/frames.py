@@ -188,7 +188,11 @@ def work_grid(bands: tuple) -> tuple:
 
 @dataclass
 class GridKitchen:
-    """Band-truncated Fourier data of every composition the frames need."""
+    """Band-truncated Fourier data of every composition the frames need.
+
+    One kitchen is built per candidate, where its Iterate is made; ``Dc`` and
+    ``c_map`` (the target conserved quantity) are set in iso mode only.
+    """
 
     cand: TorusCandidate
     wgrid: tuple
@@ -284,7 +288,7 @@ class FrameBundle:
         return out
 
 
-def invariance_error(cand: TorusCandidate, kitchen: GridKitchen | None = None) -> FourierMap:
+def invariance_error(cand: TorusCandidate, kitchen: GridKitchen) -> FourierMap:
     """E(theta) = X_H(K(theta)) - DK(theta) omega, band-truncated.
 
     Raises DomainEscapeError if the strip image of K is not inside the domain.
@@ -292,16 +296,13 @@ def invariance_error(cand: TorusCandidate, kitchen: GridKitchen | None = None) -
     margin = cand.domain_margin()
     if margin <= 0:
         raise DomainEscapeError(f"K(T^d_rho) leaves the system domain (margin {margin:.3e})")
-    kk = kitchen if kitchen is not None else grid_kitchen(cand)
-    dk_omega = cand.dk().matmul_constant(cand.omega)
-    return kk.XH - dk_omega
+    return kitchen.XH - cand.dk().matmul_constant(cand.omega)
 
 
-def tangent_frame(cand: TorusCandidate, kitchen: GridKitchen | None = None,
+def tangent_frame(cand: TorusCandidate, kitchen: GridKitchen,
                   rank_tol: float = 1e-8) -> FourierMap:
     """L = (DK  X_p o K); raises FrameRankError if rank < n anywhere on the grid."""
-    kk = kitchen if kitchen is not None else grid_kitchen(cand)
-    L = concat_cols(cand.dk(), kk.Xp)
+    L = concat_cols(cand.dk(), kitchen.Xp)
     vals = _real_samples(L, cand.grid)
     svals = np.linalg.svd(vals, compute_uv=False)
     smin = float(svals[..., -1].min())
@@ -330,19 +331,17 @@ def _pointwise_inverse(f: FourierMap, wgrid: tuple, out_grid: tuple,
     return out, cond
 
 
-def normal_frame(cand: TorusCandidate, L: FourierMap,
-                 kitchen: GridKitchen | None = None):
+def normal_frame(cand: TorusCandidate, L: FourierMap, kitchen: GridKitchen):
     """(N0, B, A, N) per the metric construction; A = 0 under the Case III tag.
 
     B is symmetrized after inversion and the asymmetry residual is returned in
     the accompanying diagnostics dict.
     """
-    kk = kitchen if kitchen is not None else grid_kitchen(cand)
     bands, grid = cand.bands, cand.grid
     diag = {}
 
-    N0 = matmul(kk.J, L, out_bands=bands)
-    GL = matmul(matmul(L.T, kk.G, out_bands=bands), L, out_bands=bands)
+    N0 = matmul(kitchen.J, L, out_bands=bands)
+    GL = matmul(matmul(L.T, kitchen.G, out_bands=bands), L, out_bands=bands)
     B_raw, cond = _pointwise_inverse(GL, work_grid(bands), grid)
     diag["gram_condition"] = cond
     B = 0.5 * (B_raw + B_raw.T)
@@ -351,7 +350,7 @@ def normal_frame(cand: TorusCandidate, L: FourierMap,
     if cand.system.geometry.case_tag == "III":
         A = FourierMap.zeros(bands, grid, (cand.system.n, cand.system.n))
     else:
-        tOmL = matmul(matmul(L.T, kk.tOmega, out_bands=bands), L, out_bands=bands)
+        tOmL = matmul(matmul(L.T, kitchen.tOmega, out_bands=bands), L, out_bands=bands)
         A_raw = -0.5 * matmul(matmul(B.T, tOmL, out_bands=bands), B, out_bands=bands)
         A = 0.5 * (A_raw - A_raw.T)
         diag["A_symmetric_part"] = (A_raw + A_raw.T).norm(0.0).value * 0.5
@@ -360,30 +359,28 @@ def normal_frame(cand: TorusCandidate, L: FourierMap,
 
 
 def isotropy_errors(cand: TorusCandidate, L: FourierMap, LT_Om: FourierMap,
-                    kitchen: GridKitchen | None = None):
+                    kitchen: GridKitchen):
     """(Omega_K, E_lag): pulled-back form on the torus and Lagrangianity defect.
 
     ``LT_Om`` is the product L^T (Omega o K), shared with the reducibility error.
     """
-    kk = kitchen if kitchen is not None else grid_kitchen(cand)
     bands = cand.bands
     dk = cand.dk()
-    OmegaK = matmul(matmul(dk.T, kk.Omega, out_bands=bands), dk, out_bands=bands)
+    OmegaK = matmul(matmul(dk.T, kitchen.Omega, out_bands=bands), dk, out_bands=bands)
     Elag = matmul(LT_Om, L, out_bands=bands)
     return OmegaK, Elag
 
 
 def symplecticity_error(cand: TorusCandidate, P: FourierMap,
-                        kitchen: GridKitchen | None = None) -> FourierMap:
+                        kitchen: GridKitchen) -> FourierMap:
     """E_sym = P^T (Omega o K) P - Omega_0."""
-    kk = kitchen if kitchen is not None else grid_kitchen(cand)
     n = cand.system.n
     omega0 = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
-    prod = matmul(matmul(P.T, kk.Omega, out_bands=cand.bands), P, out_bands=cand.bands)
+    prod = matmul(matmul(P.T, kitchen.Omega, out_bands=cand.bands), P, out_bands=cand.bands)
     return prod.add_constant(-omega0)
 
 
-def torsion(cand: TorusCandidate, N: FourierMap, kitchen: GridKitchen | None = None,
+def torsion(cand: TorusCandidate, N: FourierMap, kitchen: GridKitchen,
             NT_Om: FourierMap | None = None):
     """(T, <T>) with T = N^T (Omega o K) Loper(N), Loper N = DX_H o K . N + L_omega N.
 
@@ -391,14 +388,13 @@ def torsion(cand: TorusCandidate, N: FourierMap, kitchen: GridKitchen | None = N
     averaged torsion raises TwistDegeneracyError.  ``NT_Om`` is the product
     N^T (Omega o K) when the caller already has it.
     """
-    kk = kitchen if kitchen is not None else grid_kitchen(cand)
     bands = cand.bands
-    loper_n = matmul(kk.DXH, N, out_bands=bands) + N.lie(cand.omega)
+    loper_n = matmul(kitchen.DXH, N, out_bands=bands) + N.lie(cand.omega)
     if NT_Om is None:
-        NT_Om = matmul(N.T, kk.Omega, out_bands=bands)
+        NT_Om = matmul(N.T, kitchen.Omega, out_bands=bands)
     T = matmul(NT_Om, loper_n, out_bands=bands)
     avgT = T.average().real
-    _check_twist(avgT, "averaged torsion <T>", _twist_scale(cand, N, kk))
+    _check_twist(avgT, "averaged torsion <T>", _twist_scale(cand, N, kitchen))
     return T, avgT, loper_n
 
 
@@ -437,18 +433,15 @@ def _check_twist(avg: np.ndarray, what: str, scale: float, cond_limit: float = 1
 
 
 def extended_torsion(cand: TorusCandidate, T: FourierMap, N: FourierMap,
-                     conserved: ConservedQuantity,
-                     kitchen: GridKitchen | None = None):
-    """(T_c, <T_c>, Tdown): the (n+1) x (n+1) bordered torsion for the target c.
+                     kitchen: GridKitchen):
+    """(T_c, <T_c>, Tdown): the (n+1) x (n+1) bordered torsion for the target c
+    whose differential the kitchen carries.
 
     T_c = [[T, omega_hat], [Dc(K) N, 0]] with omega_hat = (omega, 0_{n-d}).
     """
-    kk = kitchen if kitchen is not None else grid_kitchen(cand, conserved)
-    if kk.Dc is None:
-        kk = grid_kitchen(cand, conserved)
     bands, grid = cand.bands, cand.grid
     n = cand.system.n
-    Tdown = matmul(kk.Dc, N, out_bands=bands)
+    Tdown = matmul(kitchen.Dc, N, out_bands=bands)
     omega_hat = np.concatenate([cand.omega, np.zeros(n - cand.d)])
     box = T.coeffs.shape[: T.d]
     coeffs = np.zeros(box + (n + 1, n + 1), dtype=np.complex128)
@@ -459,15 +452,15 @@ def extended_torsion(cand: TorusCandidate, T: FourierMap, N: FourierMap,
     Tc = FourierMap(coeffs, bands, grid)
     avgTc = Tc.average().real
     # row sums of the factor bounds: the rows of T plus omega_hat, and Dc N
-    scale = max(_twist_scale(cand, N, kk) + float(np.max(np.abs(omega_hat))),
-                kk.Dc.norm(0.0).value * N.norm(0.0).value)
+    scale = max(_twist_scale(cand, N, kitchen) + float(np.max(np.abs(omega_hat))),
+                kitchen.Dc.norm(0.0).value * N.norm(0.0).value)
     _check_twist(avgTc, "averaged extended torsion <T_c>", scale)
     return Tc, avgTc, Tdown
 
 
 def reducibility_error(cand: TorusCandidate, L: FourierMap, T: FourierMap,
                        LoperN: FourierMap, LT_Om: FourierMap, NT_Om: FourierMap,
-                       kitchen: GridKitchen | None = None) -> FourierMap:
+                       kitchen: GridKitchen) -> FourierMap:
     """E_red = -Omega_0 P^T (Omega o K)(DX_H o K . P + L_omega P) - Lambda.
 
     Assembled block-wise from the products LT_Om = L^T (Omega o K) and
@@ -475,9 +468,8 @@ def reducibility_error(cand: TorusCandidate, L: FourierMap, T: FourierMap,
     block reuses the exact torsion product, so it vanishes identically
     (Lambda = [[0, T], [0, 0]] by construction).
     """
-    kk = kitchen if kitchen is not None else grid_kitchen(cand)
     bands = cand.bands
-    loper_l = matmul(kk.DXH, L, out_bands=bands) + L.lie(cand.omega)
+    loper_l = matmul(kitchen.DXH, L, out_bands=bands) + L.lie(cand.omega)
     m11 = matmul(LT_Om, loper_l, out_bands=bands)
     m12 = matmul(LT_Om, LoperN, out_bands=bands)
     m21 = matmul(NT_Om, loper_l, out_bands=bands)
@@ -488,19 +480,18 @@ def reducibility_error(cand: TorusCandidate, L: FourierMap, T: FourierMap,
     return ered
 
 
-def build_frames(cand: TorusCandidate, conserved: ConservedQuantity | None = None,
-                 kitchen: GridKitchen | None = None) -> FrameBundle:
-    """Construct the complete frame bundle for a candidate (ordinary or extended)."""
-    kk = kitchen if kitchen is not None else grid_kitchen(cand, conserved)
-    L = tangent_frame(cand, kk)
-    N0, B, A, N, diag = normal_frame(cand, L, kk)
+def build_frames(cand: TorusCandidate, kitchen: GridKitchen) -> FrameBundle:
+    """Construct the complete frame bundle for a candidate; the bordered torsion
+    too when the kitchen carries a conserved quantity (iso mode)."""
+    L = tangent_frame(cand, kitchen)
+    N0, B, A, N, diag = normal_frame(cand, L, kitchen)
     P = concat_cols(L, N)
-    LT_Om = matmul(L.T, kk.Omega, out_bands=cand.bands)
-    NT_Om = matmul(N.T, kk.Omega, out_bands=cand.bands)
-    OmegaK, Elag = isotropy_errors(cand, L, LT_Om, kk)
-    Esym = symplecticity_error(cand, P, kk)
-    T, avgT, loper_n = torsion(cand, N, kk, NT_Om)
-    Ered = reducibility_error(cand, L, T, loper_n, LT_Om, NT_Om, kk)
+    LT_Om = matmul(L.T, kitchen.Omega, out_bands=cand.bands)
+    NT_Om = matmul(N.T, kitchen.Omega, out_bands=cand.bands)
+    OmegaK, Elag = isotropy_errors(cand, L, LT_Om, kitchen)
+    Esym = symplecticity_error(cand, P, kitchen)
+    T, avgT, loper_n = torsion(cand, N, kitchen, NT_Om)
+    Ered = reducibility_error(cand, L, T, loper_n, LT_Om, NT_Om, kitchen)
     residuals = dict(diag)
     residuals["avg_OmegaK"] = float(np.max(np.abs(OmegaK.average())))
     residuals["Ered_block12"] = float(
@@ -509,8 +500,8 @@ def build_frames(cand: TorusCandidate, conserved: ConservedQuantity | None = Non
     bundle = FrameBundle(L=L, N0=N0, A=A, B=B, N=N, P=P, OmegaK=OmegaK, Elag=Elag,
                          Esym=Esym, Ered=Ered, T=T, avgT=avgT, LoperN=loper_n,
                          residuals=residuals)
-    if conserved is not None:
-        Tc, avgTc, Tdown = extended_torsion(cand, T, N, conserved, kk)
+    if kitchen.Dc is not None:
+        Tc, avgTc, Tdown = extended_torsion(cand, T, N, kitchen)
         bundle.Tc, bundle.avgTc, bundle.Tdown = Tc, avgTc, Tdown
     return bundle
 

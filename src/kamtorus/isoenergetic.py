@@ -25,7 +25,6 @@ from .cohomology import DiophantineParams, solve_cohomological
 from .fourier import FourierMap, matmul
 from .frames import (
     FrameBundle,
-    GridKitchen,
     TorusCandidate,
     TwistDegeneracyError,
     grid_kitchen,
@@ -37,8 +36,6 @@ from .solver import (
     Iterate,
     NewtonSchedule,
     RayExitError,
-    SolveResult,
-    iterate_newton,
     newton_correction,
 )
 
@@ -82,13 +79,11 @@ class FrequencyRay:
         return FrequencyRay(self.omega_star, self.sigma_omega, new_scale)
 
 
-def total_error(cand: TorusCandidate, conserved: ConservedQuantity, c0: float,
-                kitchen: GridKitchen | None = None) -> Iterate:
+def total_error(cand: TorusCandidate, conserved: ConservedQuantity, c0: float) -> Iterate:
     """The invariance error E paired with the level error E^omega = <c o K> - c0."""
-    kk = kitchen if kitchen is not None else grid_kitchen(cand, conserved)
-    if kk.c_map is None:
-        kk = grid_kitchen(cand, conserved)
-    return Iterate(cand, kk, invariance_error(cand, kk), float(kk.c_map.average().real[0, 0]) - c0)
+    kitchen = grid_kitchen(cand, conserved)
+    return Iterate(cand, kitchen, invariance_error(cand, kitchen),
+                   float(kitchen.c_map.average().real[0, 0]) - c0)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +154,7 @@ def solve_triangular_iso(eta_L: FourierMap, eta_N: FourierMap, eta_omega: float,
 
 
 # ---------------------------------------------------------------------------
-# the iso target and the iso entry points of the shared iteration
+# the iso target and the iso step of the shared iteration
 # ---------------------------------------------------------------------------
 
 
@@ -170,10 +165,9 @@ class IsoTarget:
     conserved: ConservedQuantity
     c0: float
 
-    def evaluate(self, cand: TorusCandidate, ray: FrequencyRay,
-                 kitchen: GridKitchen | None = None) -> Iterate:
+    def evaluate(self, cand: TorusCandidate, ray: FrequencyRay) -> Iterate:
         """The iterate at ``cand`` on ``ray``, with its invariance and level errors."""
-        return replace(total_error(cand, self.conserved, self.c0, kitchen), ray=ray)
+        return replace(total_error(cand, self.conserved, self.c0), ray=ray)
 
     def solve(self, eta_L: FourierMap, eta_N: FourierMap, eta_omega: float,
               frames: FrameBundle, dio: DiophantineParams):
@@ -185,19 +179,12 @@ class IsoTarget:
 
 def newton_step_iso(cand: TorusCandidate, ray: FrequencyRay, conserved: ConservedQuantity,
                     c0: float, schedule: NewtonSchedule, delta: float, step_index: int = 0,
-                    kitchen: GridKitchen | None = None, frames: FrameBundle | None = None):
+                    frames: FrameBundle | None = None):
     """One simultaneous (K, omega) correction; returns
     (new candidate, new ray, StepDiagnostics)."""
     if not np.allclose(ray.omega, cand.omega, rtol=0, atol=1e-300):
         raise ValueError("candidate frequency must equal ray.omega exactly")
     target = IsoTarget(conserved, c0)
-    nxt, diag = newton_correction(target.evaluate(cand, ray, kitchen), schedule, delta,
-                                  step_index, target, frames)
+    nxt, diag = newton_correction(target.evaluate(cand, ray), schedule, delta, step_index,
+                                  target, frames)
     return nxt.cand, nxt.ray, diag
-
-
-def iterate_kam_iso(cand: TorusCandidate, ray: FrequencyRay, conserved: ConservedQuantity,
-                    c0: float, schedule: NewtonSchedule,
-                    contraction_ledger=None) -> SolveResult:
-    """Iso mode of iterate_newton: drive (K, omega) until max(||E||, |E^omega|) <= stop_tol."""
-    return iterate_newton(cand, schedule, IsoTarget(conserved, c0), ray, contraction_ledger)

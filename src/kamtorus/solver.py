@@ -102,13 +102,11 @@ class NewtonSchedule:
         return self.rho0 / self.a2
 
 
-def resolve_smallness_scale(schedule: NewtonSchedule, cand: TorusCandidate,
-                            kitchen: GridKitchen | None = None) -> float:
+def resolve_smallness_scale(schedule: NewtonSchedule, kitchen: GridKitchen) -> float:
     """The auxiliary smallness scale: user override or max(1, ||X_H o K||_rho)."""
     if schedule.c_n is not None:
         return float(schedule.c_n)
-    kk = kitchen if kitchen is not None else grid_kitchen(cand)
-    return max(1.0, kk.XH.norm(cand.rho).value)
+    return max(1.0, kitchen.XH.norm(kitchen.cand.rho).value)
 
 
 def tail_fraction(f, rho: float) -> float:
@@ -193,12 +191,16 @@ class Iterate:
 
 
 def evaluate(cand: TorusCandidate, target: IsoTarget | None = None,
-             ray: FrequencyRay | None = None, kitchen: GridKitchen | None = None) -> Iterate:
-    """The iterate at ``cand``: its grid kitchen and error (and level error in iso mode)."""
+             ray: FrequencyRay | None = None) -> Iterate:
+    """The iterate at ``cand``: its grid kitchen and error (and level error in iso mode).
+
+    This and ``IsoTarget.evaluate`` are where a candidate's kitchen is built;
+    everything downstream of the iterate reads ``it.kitchen``.
+    """
     if target is not None:
-        return target.evaluate(cand, ray, kitchen)
-    kk = kitchen if kitchen is not None else grid_kitchen(cand)
-    return Iterate(cand, kk, invariance_error(cand, kk))
+        return target.evaluate(cand, ray)
+    kitchen = grid_kitchen(cand)
+    return Iterate(cand, kitchen, invariance_error(cand, kitchen))
 
 
 @dataclass
@@ -240,15 +242,14 @@ def newton_correction(it: Iterate, schedule: NewtonSchedule, delta: float,
     if not 0 < 3 * delta < rho:
         raise ValueError(f"need 0 < 3*delta < rho, got delta={delta}, rho={rho}")
     err = it.combined_norm(rho)
-    c_small = resolve_smallness_scale(schedule, cand, kk)
+    c_small = resolve_smallness_scale(schedule, kk)
     if err / delta >= c_small:
         e = "E" if target is None else "E_c"
         raise HypothesisError(
             f"smallness ||{e}||/delta < c",
             f"||{e}||_rho/delta = {err / delta:.3e} >= {c_small:.3e}",
         )
-    conserved = None if target is None else target.conserved
-    fr = frames if frames is not None else build_frames(cand, conserved, kitchen=kk)
+    fr = frames if frames is not None else build_frames(cand, kk)
 
     Om_E = matmul(kk.Omega, it.E, out_bands=cand.bands)
     eta_L = -matmul(fr.N.T, Om_E, out_bands=cand.bands)
@@ -293,7 +294,7 @@ def newton_correction(it: Iterate, schedule: NewtonSchedule, delta: float,
         **iso,
     )
     if contraction_ledger is not None:
-        c_e = contraction_ledger(cand, fr, delta)
+        c_e = contraction_ledger(it, fr, delta)
         gamma, tau = cand.dio.gamma, cand.dio.tau
         diag.contraction_bound = c_e / (gamma**4 * delta ** (4 * tau)) * err**2
         measured = diag.err_after if target is None else max(
@@ -303,11 +304,10 @@ def newton_correction(it: Iterate, schedule: NewtonSchedule, delta: float,
 
 
 def newton_step(cand: TorusCandidate, schedule: NewtonSchedule, delta: float,
-                step_index: int = 0, kitchen: GridKitchen | None = None,
-                frames: FrameBundle | None = None):
+                step_index: int = 0, frames: FrameBundle | None = None):
     """One ordinary quasi-Newton correction; returns (new candidate, StepDiagnostics)."""
-    nxt, diag = newton_correction(evaluate(cand, kitchen=kitchen), schedule, delta,
-                                  step_index, frames=frames)
+    nxt, diag = newton_correction(evaluate(cand), schedule, delta, step_index,
+                                  frames=frames)
     return nxt.cand, diag
 
 
@@ -340,10 +340,10 @@ def iterate_newton(cand: TorusCandidate, schedule: NewtonSchedule,
     mode (``target`` given), where the frequency moves along ``ray``.  The ray
     direction is immutable: every iterate's omega is scale * the same omega_star.
 
-    ``contraction_ledger`` is an optional callable (cand, frames, delta) ->
-    C_E evaluating the per-step quadratic-contraction constant; when given,
-    the literal inequality ||E_{s+1}|| <= C_E/(gamma^4 delta_s^{4 tau})
-    ||E_s||^2 is recorded in the step diagnostics.
+    ``contraction_ledger`` is an optional callable (it, frames, delta) ->
+    C_E evaluating the per-step quadratic-contraction constant of the iterate
+    ``it``; when given, the literal inequality ||E_{s+1}|| <= C_E/(gamma^4
+    delta_s^{4 tau}) ||E_s||^2 is recorded in the step diagnostics.
 
     Failure modes: two consecutive error increases (divergence), any named
     hypothesis failure, or the iteration cap.
@@ -407,12 +407,6 @@ def iterate_newton(cand: TorusCandidate, schedule: NewtonSchedule,
         steps.append(diag)
         prev_err = err
         it = nxt
-
-
-def iterate_kam(cand: TorusCandidate, schedule: NewtonSchedule,
-                contraction_ledger=None) -> SolveResult:
-    """Ordinary mode of iterate_newton: the frequency stays fixed."""
-    return iterate_newton(cand, schedule, contraction_ledger=contraction_ledger)
 
 
 def contraction_slope(log: list, floor_factor: float = 30.0, cap: float = 1e-1) -> float | None:

@@ -32,8 +32,8 @@ from kamtorus.frames import (
     measure_hypothesis_data,
     tangent_frame,
 )
-from kamtorus.isoenergetic import FrequencyRay, iterate_kam_iso, total_error
-from kamtorus.solver import NewtonSchedule, contraction_slope, iterate_kam
+from kamtorus.isoenergetic import FrequencyRay, IsoTarget, total_error
+from kamtorus.solver import Iterate, NewtonSchedule, contraction_slope, evaluate, iterate_newton
 
 from conftest import GOLDEN, seed_candidate
 
@@ -80,7 +80,7 @@ def test_criterion_2_exact_torus_zeroing(golden_omega):
                           rho=0.05)
     kk = grid_kitchen(cand)
     err = invariance_error(cand, kk).norm(cand.rho).value
-    fr = build_frames(cand, kitchen=kk)
+    fr = build_frames(cand, kk)
     mid = 0.6 * cand.rho
     norms = {
         "OmegaK": fr.OmegaK.norm(mid).value,
@@ -111,7 +111,7 @@ def test_criterion_3_structural_identities(golden_omega):
     for cand in cases:
         kk = grid_kitchen(cand)
         E = invariance_error(cand, kk)
-        fr = build_frames(cand, kitchen=kk)
+        fr = build_frames(cand, kk)
         worst_avg = max(worst_avg, float(np.max(np.abs(fr.OmegaK.average()))))
         eta_N = matmul(fr.L.T, matmul(kk.Omega, E, out_bands=cand.bands),
                        out_bands=cand.bands)
@@ -136,7 +136,7 @@ def test_criterion_4_quadratic_convergence(name, eps, golden_omega):
     globs = estimate_global_constants(cand.system)
     hook = contraction_constant_factory(globs, sched)
     t0 = time.time()
-    res = iterate_kam(cand, sched, contraction_ledger=hook)
+    res = iterate_newton(cand, sched, contraction_ledger=hook)
     elapsed = time.time() - t0
     slope = contraction_slope(res.log)
     per_step_ok = all(st.contraction_ok for st in res.steps)
@@ -162,10 +162,10 @@ def test_criterion_5_isoenergetic_targeting(selector):
     c0 = seed_level + 1e-3
     sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, max_iters=10, stop_tol=1e-12,
                            rho0=cand.rho)
-    res = iterate_kam_iso(cand, ray, conserved, c0, sched)
+    res = iterate_newton(cand, sched, IsoTarget(conserved, c0), ray)
     level_err = abs(res.c_final - c0)
     margin = res.ray.boundary_margin()
-    fr = build_frames(res.candidate, conserved)
+    fr = build_frames(res.candidate, grid_kitchen(res.candidate, conserved))
     n, d = res.candidate.system.n, res.candidate.d
     if conserved.name == "H":
         target = np.concatenate([res.omega_final, np.zeros(n - d)])
@@ -189,8 +189,8 @@ def test_criterion_6_lemma_bound_soundness(golden_omega):
     for name, eps, bands in (("lagrangian_rotors", 1e-3, (16, 16)),
                              ("symmetric_rotors", 1e-3, (12, 12))):
         base = seed_candidate(name, eps, golden_omega, bands=bands, rho=0.03)
-        settle = iterate_kam(base, NewtonSchedule(a1=2, a2=2, c_n=1e4,
-                                                  stop_tol=1e-12, rho0=0.03))
+        settle = iterate_newton(base, NewtonSchedule(a1=2, a2=2, c_n=1e4,
+                                                     stop_tol=1e-12, rho0=0.03))
         assert settle.converged
         anchor = settle.candidate
         for k in range(10):
@@ -201,9 +201,8 @@ def test_criterion_6_lemma_bound_soundness(golden_omega):
         conserved = cand.system.conserved("H")
         globs = estimate_global_constants(cand.system, conserved=conserved)
         kk = grid_kitchen(cand, conserved)
-        E = invariance_error(cand, kk)
-        err = E.norm(cand.rho).value
-        fr = build_frames(cand, conserved, kitchen=kk)
+        it = Iterate(cand, kk, invariance_error(cand, kk))
+        fr = build_frames(cand, kk)
         delta = cand.rho / 4.0
         c_centered = kk.c_map.add_constant(-kk.c_map.average())
         p_level = None
@@ -212,8 +211,7 @@ def test_criterion_6_lemma_bound_soundness(golden_omega):
             p_map = FourierMap.from_samples(p_vals, cand.bands, kk.wgrid)
             p_map = p_map.add_constant(-p_map.average())
             p_level = p_map.norm(cand.rho - delta).value
-        pairs = soundness_report(cand, fr, globs, delta, sched, err,
-                                 conserved=conserved,
+        pairs = soundness_report(it, fr, globs, delta, sched,
                                  c_level_norm=c_centered.norm(cand.rho - delta).value,
                                  p_level_norm=p_level)
         for label, measured, bound in pairs:
@@ -236,16 +234,16 @@ def test_criterion_7_certificate_end_to_end(golden_omega):
     sched = NewtonSchedule(a1=2.0, a2=2.0, c_n=1e4, max_iters=10, stop_tol=1e-13,
                            rho0=0.03)
     globs = estimate_global_constants(cand.system)
-    res = iterate_kam(cand, sched)
+    res = iterate_newton(cand, sched)
     assert res.converged, res.reason
     torus = res.candidate
-    fr = build_frames(torus)
-    report, ledger = certify(torus, fr, sched, "ordinary", globs=globs)
+    it = evaluate(torus)
+    fr = build_frames(torus, it.kitchen)
+    report, ledger = certify(it, fr, sched, globs)
     primary_pass = report.passed and report.ratio < 1.0
 
     # garbage candidate must fail loudly
-    report_bad, _ = certify(torus, fr, sched, "ordinary", globs=globs,
-                            error_norm=1e-2)
+    report_bad, _ = certify(it, fr, sched, globs, error_norm=1e-2)
     bad_fails = (not report_bad.passed) and report_bad.ratio > 1.0
 
     if primary_pass:
@@ -254,13 +252,14 @@ def test_criterion_7_certificate_end_to_end(golden_omega):
         noise = random_map(torus.bands, torus.grid, torus.k_per.shape, rng,
                            decay=1.5, scale=1e-9)
         perturbed = torus.with_updates(k_per=torus.k_per + noise)
-        err_p = invariance_error(perturbed).norm(perturbed.rho).value
-        fr_p = build_frames(perturbed)
-        report_p, ledger_p = certify(perturbed, fr_p, sched, "ordinary", globs=globs,
-                                     error_norm=err_p)
+        it_p = evaluate(perturbed)
+        err_p = it_p.E.norm(perturbed.rho).value
+        fr_p = build_frames(perturbed, it_p.kitchen)
+        report_p, ledger_p = certify(it_p, fr_p, sched, globs)
+        assert report_p.error_norm == err_p
         resched = NewtonSchedule(a1=2.0, a2=2.0, c_n=1e4, max_iters=8,
                                  stop_tol=1e-13, rho0=perturbed.rho)
-        re_res = iterate_kam(perturbed, resched)
+        re_res = iterate_newton(perturbed, resched)
         assert re_res.converged
         rho_inf = perturbed.rho / sched.a2
         measured = (re_res.candidate.k_per - perturbed.k_per).norm(rho_inf).value
@@ -280,8 +279,8 @@ def test_criterion_7_certificate_end_to_end(golden_omega):
         ratios = []
         current = sweep
         for s in range(4):
-            fr_s = build_frames(current)
-            rep_s, _ = certify(current, fr_s, sched, "ordinary", globs=globs)
+            it_s = evaluate(current)
+            rep_s, _ = certify(it_s, build_frames(current, it_s.kitchen), sched, globs)
             ratios.append(rep_s.ratio)
             from kamtorus.solver import newton_step
 
@@ -333,7 +332,8 @@ def test_criterion_9_lagrangian_reduction(golden_omega):
                  "c_XpT_0", "c_XpT_1", "c_XpT_2")
     zeros_ok = all(globs.values[k] == 0.0 for k in zero_keys)
     # the ledger with explicitly zeroed integral constants is bit-identical
-    fr = build_frames(cand)
+    kk = grid_kitchen(cand)
+    fr = build_frames(cand, kk)
     hyp = measure_hypothesis_data(cand, fr)
     sched = NewtonSchedule(a1=2, a2=2, c_n=2.0, rho0=cand.rho)
     led = build_ledger("ordinary", globs, hyp, cand.dio, cand.rho, cand.rho / 12,
@@ -342,7 +342,7 @@ def test_criterion_9_lagrangian_reduction(golden_omega):
                               cand.dio, cand.rho, cand.rho / 12, sched, n=2, d=2)
     diff = led.diff(led_zeroed)
     # the solver path is the general one with width-zero X_p columns
-    L = tangent_frame(cand)
+    L = tangent_frame(cand, kk)
     same_frame = (L.shape == (4, 2)
                   and np.max(np.abs(L.coeffs - cand.dk().coeffs)) == 0.0
                   and cand.system.Xp(np.zeros((1, 4))).shape == (1, 4, 0))

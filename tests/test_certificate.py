@@ -20,7 +20,7 @@ from kamtorus.certificate import (
 from kamtorus.cohomology import DiophantineParams, estimate_gamma
 from kamtorus.frames import build_frames, measure_hypothesis_data
 from kamtorus.hamiltonian import builtin_system
-from kamtorus.solver import NewtonSchedule
+from kamtorus.solver import NewtonSchedule, evaluate
 
 from conftest import GOLDEN, seed_candidate
 
@@ -253,9 +253,10 @@ def test_iso_ledger_rows():
     assert led["dist_ray"] == kw["dist_ray"]
 
 
-def test_iso_kam_check_reports_bordered_margin(golden_omega):
-    from kamtorus.frames import build_frames
-    from kamtorus.isoenergetic import FrequencyRay
+def iso_flat_torus(golden_omega, level_offset):
+    """The flat torus of the uncoupled symmetric rotors, as an iso iterate whose
+    target level is ``level_offset`` above its own; with its globals."""
+    from kamtorus.isoenergetic import FrequencyRay, IsoTarget, total_error
 
     omega_star = golden_omega / np.sqrt(2.0)
     ray = FrequencyRay.at_midpoint(omega_star, 2.0)
@@ -263,35 +264,55 @@ def test_iso_kam_check_reports_bordered_margin(golden_omega):
     cand = seed_candidate("symmetric_rotors", 0.0, ray.omega, bands=(8, 8), rho=0.05,
                           dio=dio)
     conserved = cand.system.conserved("H")
-    fr = build_frames(cand, conserved)
-    sched = NewtonSchedule(a1=2, a2=2, rho0=cand.rho)
-    report, ledger = certify(cand, fr, sched, "iso", conserved=conserved,
-                             error_norm=0.0, ray=ray)
+    level = total_error(cand, conserved, 0.0).E_omega
+    it = IsoTarget(conserved, level + level_offset).evaluate(cand, ray)
+    return it, estimate_global_constants(cand.system, conserved=conserved)
+
+
+def test_iso_kam_check_reports_bordered_margin(golden_omega):
+    it, globs = iso_flat_torus(golden_omega, 0.0)
+    fr = build_frames(it.cand, it.kitchen)
+    sched = NewtonSchedule(a1=2, a2=2, rho0=it.cand.rho)
+    report, ledger = certify(it, fr, sched, globs, error_norm=0.0)
+    assert report.mode == "iso" and ledger.mode == "iso"
     assert report.passed and report.ratio == 0.0
     assert report.margins.get("sigma_Tc") is not None
     assert report.margins["sigma_Tc"] > 0
+    assert ledger["dist_ray"] == it.ray.boundary_margin()
+
+
+def test_iso_certify_default_error_is_the_combined_norm(golden_omega):
+    """Without an override, an iso certificate bounds max(||E||, |E^omega|)."""
+    it, globs = iso_flat_torus(golden_omega, 1e-3)
+    assert abs(it.E_omega) > it.E.norm(it.cand.rho).value
+    fr = build_frames(it.cand, it.kitchen)
+    sched = NewtonSchedule(a1=2, a2=2, rho0=it.cand.rho)
+    report, _ = certify(it, fr, sched, globs)
+    assert report.error_norm == abs(it.E_omega)
 
 
 # ----------------------------------------------------------------- kam_check
 
 
 def test_kam_check_zero_error_passes(golden_omega):
-    cand = seed_candidate("lagrangian_rotors", 0.0, golden_omega, bands=(8, 8),
-                          rho=0.1)
-    fr = build_frames(cand)
-    sched = NewtonSchedule(a1=2, a2=2, rho0=cand.rho)
-    report, ledger = certify(cand, fr, sched, "ordinary", error_norm=0.0)
+    it = evaluate(seed_candidate("lagrangian_rotors", 0.0, golden_omega, bands=(8, 8),
+                                 rho=0.1))
+    fr = build_frames(it.cand, it.kitchen)
+    sched = NewtonSchedule(a1=2, a2=2, rho0=it.cand.rho)
+    report, ledger = certify(it, fr, sched, estimate_global_constants(it.cand.system),
+                             error_norm=0.0)
     assert report.passed and report.ratio == 0.0
     assert report.closeness_K == 0.0
     assert report.header == REPORT_HEADER
 
 
 def test_kam_check_garbage_candidate_fails(golden_omega):
-    cand = seed_candidate("lagrangian_rotors", 0.0, golden_omega, bands=(8, 8),
-                          rho=0.1)
-    fr = build_frames(cand)
-    sched = NewtonSchedule(a1=2, a2=2, rho0=cand.rho)
-    report, ledger = certify(cand, fr, sched, "ordinary", error_norm=1.0)
+    it = evaluate(seed_candidate("lagrangian_rotors", 0.0, golden_omega, bands=(8, 8),
+                                 rho=0.1))
+    fr = build_frames(it.cand, it.kitchen)
+    sched = NewtonSchedule(a1=2, a2=2, rho0=it.cand.rho)
+    report, ledger = certify(it, fr, sched, estimate_global_constants(it.cand.system),
+                             error_norm=1.0)
     assert not report.passed
     assert report.ratio > 1.0
     assert report.dominant  # names the dominant constant branch
@@ -301,7 +322,7 @@ def test_kam_check_garbage_candidate_fails(golden_omega):
 def test_kam_check_requires_positive_margins(golden_omega):
     cand = seed_candidate("lagrangian_rotors", 0.0, golden_omega, bands=(8, 8),
                           rho=0.1)
-    fr = build_frames(cand)
+    fr = build_frames(cand, evaluate(cand).kitchen)
     hyp = measure_hypothesis_data(cand, fr)
     hyp["sigma_K"] = hyp["norm_DK"]  # kill the margin
     globs = estimate_global_constants(cand.system)

@@ -257,3 +257,89 @@ def test_ledger_formula_column_evaluates_to_value(tmp_path, overrides):
             checked += 1
         values[row["name"]] = value
     assert checked >= 80
+
+
+@pytest.fixture(scope="module")
+def solved_tori(tmp_path_factory):
+    """The torus document of a small solve in each mode."""
+    docs = {}
+    for mode, overrides in (("ordinary", {"system": "lagrangian_rotors", "rho0": 0.1}),
+                            ("iso", {"mode": "iso", "conserved": "H"})):
+        tmp = tmp_path_factory.mktemp(mode)
+        cfg = write_config(tmp, bands=[4, 4], **overrides)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp)]) == 0
+        docs[mode] = json.loads((tmp / "torus.json").read_text())
+    return docs
+
+
+def _drop(key):
+    return lambda doc: doc.pop(key)
+
+
+def _short_map(doc):
+    del doc["map"]["coeffs"][-2:]  # one (re, im) pair
+
+
+@pytest.mark.parametrize("mode, spoil, field", [
+    ("ordinary", _drop("dio"), "dio"),
+    ("ordinary", lambda doc: doc.update(rho="x"), "rho"),
+    ("ordinary", lambda doc: doc.update(rho=-1.0), "rho"),
+    ("ordinary", lambda doc: doc.update(grid=[3, 3]), "grid"),
+    ("ordinary", lambda doc: doc.update(omega=[1.0]), "omega"),
+    ("ordinary", _short_map, "map"),
+    ("iso", _drop("c0"), "c0"),
+    ("iso", lambda doc: doc.update(c0="x"), "c0"),
+], ids=["dio-missing", "rho-string", "rho-negative", "grid-too-small", "omega-short",
+        "map-short", "c0-missing", "c0-string"])
+def test_certify_malformed_torus_exit_two_names_field(tmp_path, capsys, solved_tori, mode,
+                                                       spoil, field):
+    doc = json.loads(json.dumps(solved_tori[mode]))
+    spoil(doc)
+    torus = tmp_path / "torus.json"
+    torus.write_text(json.dumps(doc))
+    assert main(["certify", str(torus), "--out", str(tmp_path)]) == 2
+    assert f"torus file field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.json").exists()
+
+
+def test_validate_refuses_out(tmp_path, capsys):
+    """validate writes nothing, so --out is an error rather than silently ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--out", str(tmp_path / "x"), "--epsilon", "0.01"])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"system": "lagrangian_rotors", "epsilon": 1e-3, "bands": [8, 8], "rho0": 0.05},
+    {"mode": "iso", "epsilon": 2e-3, "bands": [8, 8], "rho0": 0.03, "conserved": "H",
+     "c0_offset": 1e-4, "max_iters": 8},
+], ids=["ordinary", "iso"])
+def test_certify_builds_one_grid_kitchen(tmp_path, monkeypatch, overrides):
+    """certify composes K with the system callbacks once: the frames, the error
+    and the smallness scale all read the iterate's kitchen."""
+    import sys
+
+    from kamtorus import frames
+    from kamtorus.cli import cmd_certify
+
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    original, calls = frames.grid_kitchen, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    holders = [module for name, module in sys.modules.items() if name.startswith("kamtorus")
+               and getattr(module, "grid_kitchen", None) is original]
+    assert {"kamtorus.frames", "kamtorus.solver", "kamtorus.isoenergetic"} <= {
+        module.__name__ for module in holders}
+    for module in holders:
+        monkeypatch.setattr(module, "grid_kitchen", counted)
+    assert cmd_certify(str(out / "torus.json"), {}, out) in (0, 1)
+    assert len(calls) == 1
+    report = json.loads((out / "certificate.json").read_text())
+    assert report["mode"] == overrides.get("mode", "ordinary")

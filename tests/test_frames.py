@@ -38,7 +38,7 @@ def test_exact_torus_all_errors_vanish(exact_torus_b):
     kk = grid_kitchen(cand)
     E = invariance_error(cand, kk)
     assert E.norm(cand.rho).value <= 1e-13
-    fr = build_frames(cand, kitchen=kk)
+    fr = build_frames(cand, kk)
     mid = cand.rho * 0.6
     assert fr.OmegaK.norm(mid).value <= 1e-11
     assert fr.Elag.norm(mid).value <= 1e-11
@@ -51,7 +51,7 @@ def test_exact_torus_all_errors_vanish(exact_torus_b):
 def test_invariance_error_order_epsilon_and_pointwise_oracle(perturbed_candidate_a):
     cand = perturbed_candidate_a
     eps = cand.system.params["epsilon"]
-    E = invariance_error(cand)
+    E = invariance_error(cand, grid_kitchen(cand))
     norm = E.norm(cand.rho).value
     assert 0.1 * eps < norm < 100 * eps
     # direct grid evaluation of X_H o K - DK omega
@@ -77,8 +77,8 @@ def test_invariance_error_phase_shift_invariant(perturbed_candidate_a):
     const[: cand.d, 0] = alpha
     k_shift = k_shift.add_constant(const)
     cand2 = cand.with_updates(k_per=k_shift)
-    n1 = invariance_error(cand).norm(cand.rho).value
-    n2 = invariance_error(cand2).norm(cand2.rho).value
+    n1 = invariance_error(cand, grid_kitchen(cand)).norm(cand.rho).value
+    n2 = invariance_error(cand2, grid_kitchen(cand2)).norm(cand2.rho).value
     assert abs(n1 - n2) < 1e-9 * max(1, n1)
 
 
@@ -86,7 +86,7 @@ def test_domain_escape_detected(perturbed_candidate_a):
     cand = perturbed_candidate_a
     bad = cand.with_updates(rho=cand.system.domain.imag_width + 0.05)
     with pytest.raises(DomainEscapeError):
-        invariance_error(bad)
+        invariance_error(bad, grid_kitchen(bad))
 
 
 # ------------------------------------------------------------ tangent frame
@@ -94,13 +94,13 @@ def test_domain_escape_detected(perturbed_candidate_a):
 
 def test_tangent_frame_lagrangian_case_is_dk(perturbed_candidate_a):
     cand = perturbed_candidate_a
-    L = tangent_frame(cand)
+    L = tangent_frame(cand, grid_kitchen(cand))
     assert L.shape == (4, 2)
     assert np.max(np.abs(L.coeffs - cand.dk().coeffs)) == 0.0
 
 
 def test_tangent_frame_includes_symmetry_column(exact_torus_b):
-    L = tangent_frame(exact_torus_b)
+    L = tangent_frame(exact_torus_b, grid_kitchen(exact_torus_b))
     assert L.shape == (6, 3)
     col = L.block(slice(None), slice(2, 3)).average().real
     assert np.allclose(col[:, 0], [0, 1, 1, 0, 0, 0], atol=1e-12)
@@ -163,7 +163,7 @@ def test_pointwise_inverse_matches_neumann_oracle(perturbed_candidate_a):
 
 
 def test_case_iii_forces_zero_A(exact_torus_b):
-    fr = build_frames(exact_torus_b)
+    fr = build_frames(exact_torus_b, grid_kitchen(exact_torus_b))
     assert np.max(np.abs(fr.A.coeffs)) == 0.0
 
 
@@ -173,7 +173,7 @@ def test_case_iii_forces_zero_A(exact_torus_b):
 def test_reducibility_block12_vanishes_identically(perturbed_candidate_a):
     for seed in (0, 1):
         cand = perturb_candidate(perturbed_candidate_a, scale=1e-2, seed=seed)
-        fr = build_frames(cand)
+        fr = build_frames(cand, grid_kitchen(cand))
         n = cand.system.n
         block12 = fr.Ered.coeffs[..., :n, n:]
         assert np.max(np.abs(block12)) == 0.0
@@ -182,14 +182,14 @@ def test_reducibility_block12_vanishes_identically(perturbed_candidate_a):
 def test_avg_pullback_vanishes_on_any_candidate(perturbed_candidate_a, exact_torus_b):
     for cand in (perturbed_candidate_a, perturb_candidate(perturbed_candidate_a, 1e-2, 7),
                  exact_torus_b):
-        fr = build_frames(cand)
+        fr = build_frames(cand, grid_kitchen(cand))
         assert np.max(np.abs(fr.OmegaK.average())) <= 1e-12
 
 
 def test_esym_block_structure_case_iii(perturbed_candidate_a):
     """E_sym = diag(E_lag, B^T E_lag B) in the anti-involutive case."""
     cand = perturb_candidate(perturbed_candidate_a, scale=5e-3, seed=11)
-    fr = build_frames(cand)
+    fr = build_frames(cand, grid_kitchen(cand))
     n = cand.system.n
     bands = cand.bands
     top_left = FourierMap(fr.Esym.coeffs[..., :n, :n], bands, cand.grid)
@@ -209,8 +209,8 @@ def test_frame_identity_tangent_normal_pairing(perturbed_candidate_a):
     """L^T (Omega o K) N = E_lag A - I (here A = 0: equals -I), modulo the
     band-truncation defect of the pointwise inverse B."""
     cand = perturb_candidate(perturbed_candidate_a, scale=5e-3, seed=13)
-    fr = build_frames(cand)
     kk = grid_kitchen(cand)
+    fr = build_frames(cand, kk)
     lhs = matmul(matmul(fr.L.T, kk.Omega, out_bands=cand.bands), fr.N,
                  out_bands=cand.bands)
     lhs = lhs.add_constant(np.eye(cand.system.n))
@@ -225,8 +225,8 @@ def test_frame_identity_tangent_normal_pairing(perturbed_candidate_a):
 def test_normal_isotropy_identity_case_iii(perturbed_candidate_a):
     """N^T (Omega o K) N = B^T E_lag B in Case III."""
     cand = perturb_candidate(perturbed_candidate_a, scale=5e-3, seed=17)
-    fr = build_frames(cand)
     kk = grid_kitchen(cand)
+    fr = build_frames(cand, kk)
     lhs = matmul(matmul(fr.N.T, kk.Omega, out_bands=cand.bands), fr.N,
                  out_bands=cand.bands)
     rhs = matmul(matmul(fr.B.T, fr.Elag, out_bands=cand.bands), fr.B,
@@ -256,7 +256,7 @@ def test_extended_torsion_free_rotor_determinant():
     L = tangent_frame(cand, kk)
     _, _, _, N, _ = normal_frame(cand, L, kk)
     T, avgT, _ = torsion(cand, N, kk)
-    Tc, avgTc, Tdown = extended_torsion(cand, T, N, cand.system.conserved("H"), kk)
+    Tc, avgTc, Tdown = extended_torsion(cand, T, N, kk)
     omega_hat = cand.omega  # d = n: omega_hat = omega
     expected = -float(omega_hat @ omega_hat)
     assert np.linalg.det(avgTc) == pytest.approx(expected, rel=1e-10)
@@ -268,15 +268,19 @@ def test_extended_torsion_bottom_row_limits(exact_torus_b):
                           (("p", 0), np.array([0.0, 0.0, 1.0]))):
         conserved = cand.system.conserved(sel)
         kk = grid_kitchen(cand, conserved)
-        fr = build_frames(cand, conserved, kitchen=kk)
+        fr = build_frames(cand, kk)
         bottom = fr.avgTc[-1, :-1]
         assert np.allclose(bottom, expected, atol=1e-10)
+    # a kitchen without a conserved quantity builds no bordered torsion
+    fr = build_frames(cand, grid_kitchen(cand))
+    assert fr.Tc is None and fr.avgTc is None and fr.Tdown is None
 
 
 def test_torsion_symmetry_reported_not_asserted(perturbed_candidate_a):
-    fr = build_frames(perturbed_candidate_a)
+    kk = grid_kitchen(perturbed_candidate_a)
+    fr = build_frames(perturbed_candidate_a, kk)
     asym = (fr.T - fr.T.T).norm(0.0).value
-    errn = invariance_error(perturbed_candidate_a).norm(perturbed_candidate_a.rho).value
+    errn = invariance_error(perturbed_candidate_a, kk).norm(perturbed_candidate_a.rho).value
     # diagnostic only: asymmetry is O(||E||); track that it is not wildly larger
     assert asym <= 1e3 * max(errn, 1e-14)
 
@@ -352,9 +356,9 @@ def test_fully_periodic_parameterization_without_marker(golden_dio):
                           system=sys_obj, angle_block=False)
     # DK carries no identity block in this topology
     assert np.max(np.abs(cand.dk().average())) < 1e-14
-    E = invariance_error(cand)
-    assert E.norm(cand.rho).value <= 1e-12
     kk = grid_kitchen(cand)
+    E = invariance_error(cand, kk)
+    assert E.norm(cand.rho).value <= 1e-12
     L = tangent_frame(cand, kk)
     _, _, _, N, _ = normal_frame(cand, L, kk)
     # the oscillator pair is isochronous: zero twist, and the degeneracy gate

@@ -8,13 +8,13 @@ from kamtorus.fourier import FourierMap, random_map
 from kamtorus.frames import TorusCandidate, build_frames, grid_kitchen
 from kamtorus.isoenergetic import (
     FrequencyRay,
+    IsoTarget,
     RayExitError,
-    iterate_kam_iso,
     newton_step_iso,
     solve_triangular_iso,
     total_error,
 )
-from kamtorus.solver import NewtonSchedule
+from kamtorus.solver import NewtonSchedule, iterate_newton
 
 from conftest import GOLDEN, seed_candidate
 
@@ -134,7 +134,7 @@ def test_newton_step_iso_level_gain():
     seed_level = total_error(cand, conserved, 0.0).E_omega
     sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, rho0=cand.rho, stop_tol=1e-12,
                            max_iters=10)
-    settled = iterate_kam_iso(cand, ray, conserved, seed_level, sched)
+    settled = iterate_newton(cand, sched, IsoTarget(conserved, seed_level), ray)
     assert settled.converged
     base, base_ray = settled.candidate, settled.ray
     c0 = settled.c_final + 1e-4
@@ -164,7 +164,7 @@ def test_iterate_iso_exact_level_keeps_frequency():
     conserved = cand.system.conserved("H")
     c0 = float(grid_kitchen(cand, conserved).c_map.average().real[0, 0])
     sched = NewtonSchedule(a1=2, a2=2, c_n=100.0, rho0=cand.rho, stop_tol=1e-12)
-    res = iterate_kam_iso(cand, ray, conserved, c0, sched)
+    res = iterate_newton(cand, sched, IsoTarget(conserved, c0), ray)
     assert res.converged and "0 steps" in res.reason
     assert res.omega_final.tobytes() == res.omega_initial.tobytes()
 
@@ -177,7 +177,7 @@ def test_iterate_iso_targets_offset_level(selector):
     c0 = seed_level + 1e-3
     sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, rho0=cand.rho, stop_tol=1e-12,
                            max_iters=10)
-    res = iterate_kam_iso(cand, ray, conserved, c0, sched)
+    res = iterate_newton(cand, sched, IsoTarget(conserved, c0), ray)
     assert res.converged, res.reason
     assert abs(res.c_final - c0) <= 1e-11
     assert res.ray.boundary_margin() > 0
@@ -200,7 +200,7 @@ def test_iso_on_lagrangian_tori():
     c0 = seed_level + 1e-3
     sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, rho0=cand.rho, stop_tol=1e-12,
                            max_iters=10)
-    res = iterate_kam_iso(cand, ray, conserved, c0, sched)
+    res = iterate_newton(cand, sched, IsoTarget(conserved, c0), ray)
     assert res.converged, res.reason
     assert abs(res.c_final - c0) <= 1e-11
 
@@ -216,9 +216,8 @@ def test_iso_per_step_contraction_ledger():
     sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, rho0=cand.rho, stop_tol=1e-12,
                            max_iters=10)
     globs = estimate_global_constants(cand.system, conserved=conserved)
-    hook = contraction_constant_factory(globs, sched, mode="iso", ray=ray)
-    res = iterate_kam_iso(cand, ray, conserved, seed_level + 1e-3, sched,
-                          contraction_ledger=hook)
+    hook = contraction_constant_factory(globs, sched)
+    res = iterate_newton(cand, sched, IsoTarget(conserved, seed_level + 1e-3), ray, hook)
     assert res.converged
     assert res.steps and all(st.contraction_ok for st in res.steps)
 
@@ -257,20 +256,20 @@ def test_iso_frequency_drift_within_reported_bound():
     seed_level = total_error(cand, conserved, 0.0).E_omega
     sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, rho0=cand.rho, stop_tol=1e-12,
                            max_iters=10)
-    settled = iterate_kam_iso(cand, ray, conserved, seed_level, sched)
+    settled = iterate_newton(cand, sched, IsoTarget(conserved, seed_level), ray)
     assert settled.converged
     base, base_ray = settled.candidate, settled.ray
 
     c0 = settled.c_final + 1e-6
-    terr = total_error(base, conserved, c0)
-    err_c = terr.combined_norm(base.rho)
+    it = IsoTarget(conserved, c0).evaluate(base, base_ray)
+    err_c = it.combined_norm(base.rho)
     globs = estimate_global_constants(base.system, conserved=conserved)
-    fr = build_frames(base, conserved)
-    report, ledger = certify(base, fr, sched, "iso", globs=globs,
-                             conserved=conserved, error_norm=err_c, ray=base_ray)
+    fr = build_frames(base, it.kitchen)
+    report, ledger = certify(it, fr, sched, globs)
+    assert report.mode == "iso" and report.error_norm == err_c
     resched = NewtonSchedule(a1=2, a2=2, c_n=1e4, rho0=base.rho, stop_tol=1e-12,
                              max_iters=8)
-    res = iterate_kam_iso(base, base_ray, conserved, c0, resched)
+    res = iterate_newton(base, resched, IsoTarget(conserved, c0), base_ray)
     assert res.converged
     measured = float(np.max(np.abs(res.omega_final - base.omega)))
     gamma, tau = base.dio.gamma, base.dio.tau
@@ -286,9 +285,9 @@ def test_bottom_row_limit_on_converged_torus():
     seed_level = total_error(cand, conserved, 0.0).E_omega
     sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, rho0=cand.rho, stop_tol=1e-12,
                            max_iters=10)
-    res = iterate_kam_iso(cand, ray, conserved, seed_level + 1e-3, sched)
+    res = iterate_newton(cand, sched, IsoTarget(conserved, seed_level + 1e-3), ray)
     assert res.converged
-    fr = build_frames(res.candidate, conserved)
+    fr = build_frames(res.candidate, grid_kitchen(res.candidate, conserved))
     omega_hat = np.concatenate([res.omega_final, np.zeros(res.candidate.system.n - 2)])
     row = fr.Tdown.add_constant(-omega_hat[None, :])
     assert row.norm(0.0).value <= 1e-8

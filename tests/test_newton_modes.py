@@ -3,8 +3,8 @@
 import numpy as np
 
 from kamtorus.cohomology import DiophantineParams, estimate_gamma
-from kamtorus.isoenergetic import FrequencyRay, iterate_kam_iso, total_error
-from kamtorus.solver import NewtonSchedule, iterate_kam
+from kamtorus.isoenergetic import FrequencyRay, IsoTarget, total_error
+from kamtorus.solver import NewtonSchedule, iterate_newton
 
 from conftest import GOLDEN, seed_candidate
 
@@ -20,10 +20,10 @@ def iso_seed(eps, bands):
 
 def test_iso_log_carries_every_ordinary_key(golden_omega):
     sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, max_iters=6, stop_tol=1e-10, rho0=0.03)
-    ordinary = iterate_kam(seed_candidate("lagrangian_rotors", 5e-3, golden_omega,
-                                          bands=(8, 8), rho=0.03), sched)
+    ordinary = iterate_newton(seed_candidate("lagrangian_rotors", 5e-3, golden_omega,
+                                             bands=(8, 8), rho=0.03), sched)
     cand, ray, conserved, c0 = iso_seed(5e-3, (8, 8))
-    iso = iterate_kam_iso(cand, ray, conserved, c0, sched)
+    iso = iterate_newton(cand, sched, IsoTarget(conserved, c0), ray)
     assert len(ordinary.log) > 1 and len(iso.log) > 1
     # a record with a step, and the closing record without one
     for ours, theirs in ((ordinary.log[0], iso.log[0]), (ordinary.log[-1], iso.log[-1])):
@@ -39,7 +39,7 @@ def test_iso_band_refinement_from_coarse_seed():
     cand, ray, conserved, c0 = iso_seed(5e-3, (2, 2))
     sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, max_iters=10, stop_tol=1e-12, rho0=0.03,
                            band_refinement=True, tail_threshold=0.1)
-    res = iterate_kam_iso(cand, ray, conserved, c0, sched)
+    res = iterate_newton(cand, sched, IsoTarget(conserved, c0), ray)
     refined = [rec["band_refined_to"] for rec in res.log if "band_refined_to" in rec]
     assert refined
     assert res.converged, res.reason

@@ -5,13 +5,14 @@ import pytest
 
 from kamtorus.cohomology import solve_cohomological
 from kamtorus.fourier import FourierMap, matmul, random_map
-from kamtorus.frames import build_frames, grid_kitchen, invariance_error
+from kamtorus.frames import build_frames
 from kamtorus.solver import (
     CompatibilityError,
     HypothesisError,
     NewtonSchedule,
     contraction_slope,
-    iterate_kam,
+    evaluate,
+    iterate_newton,
     newton_step,
     solve_triangular,
 )
@@ -146,7 +147,7 @@ def test_newton_step_smallness_gate(golden_omega):
 def test_iterate_zero_coupling_converges_immediately(exact_torus_b):
     sched = NewtonSchedule(a1=2, a2=2, c_n=10.0, rho0=exact_torus_b.rho,
                            stop_tol=1e-12)
-    res = iterate_kam(exact_torus_b, sched)
+    res = iterate_newton(exact_torus_b, sched)
     assert res.converged and "0 steps" in res.reason
     assert len(res.steps) == 0
 
@@ -156,7 +157,7 @@ def test_iterate_converges_and_bookkeeping(golden_omega):
                           bands=(16, 16), rho=0.03)
     sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, max_iters=10, stop_tol=1e-11,
                            rho0=0.03)
-    res = iterate_kam(cand, sched)
+    res = iterate_newton(cand, sched)
     assert res.converged, res.reason
     # frequency bit-identical across the run
     assert res.candidate.omega.tobytes() == cand.omega.tobytes()
@@ -178,7 +179,7 @@ def test_iterate_divergence_reported(golden_omega):
                           bands=(8, 8), rho=0.03)
     sched = NewtonSchedule(a1=2, a2=2, c_n=1e6, max_iters=6, stop_tol=1e-12,
                            rho0=0.03)
-    res = iterate_kam(cand, sched)
+    res = iterate_newton(cand, sched)
     assert not res.converged
 
 
@@ -195,8 +196,9 @@ def test_per_step_ledger_soundness(golden_omega):
     current = cand
     for s in range(3):
         delta = sched.delta(s)
-        frames = build_frames(current)
-        err = invariance_error(current).norm(current.rho).value
+        it = evaluate(current)
+        frames = build_frames(current, it.kitchen)
+        err = it.E.norm(current.rho).value
         if err < 1e-13:
             break
         hyp = measure_hypothesis_data(current, frames)
@@ -218,7 +220,7 @@ def test_band_refinement_reported(golden_omega):
                           rho=0.03)
     sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, max_iters=6, stop_tol=1e-10,
                            rho0=0.03, band_refinement=True, tail_threshold=0.1)
-    res = iterate_kam(cand, sched)
+    res = iterate_newton(cand, sched)
     refined = [rec for rec in res.log if "band_refined_to" in rec]
     assert all("tail_fraction" in rec for rec in res.log)
     if refined:  # the tail rule decides; bands never shrink
@@ -230,7 +232,7 @@ def test_log_carries_norm_tables(golden_omega):
                           rho=0.03)
     sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, max_iters=4, stop_tol=1e-10,
                            rho0=0.03)
-    res = iterate_kam(cand, sched)
+    res = iterate_newton(cand, sched)
     stepped = [rec for rec in res.log if "frame_norms" in rec]
     assert stepped
     assert "T@rho-delta" in stepped[0]["frame_norms"]
