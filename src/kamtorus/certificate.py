@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cohomology import DiophantineParams, russmann_constant
-from .frames import FrameBundle, TorusCandidate, measure_hypothesis_data
+from .frames import FrameBundle, TorusCandidate, error_maps, measure_hypothesis_data
 from .hamiltonian import ConservedQuantity, HamiltonianSystem
 from .solver import Iterate, NewtonSchedule, resolve_smallness_scale
 
@@ -723,16 +723,17 @@ def soundness_report(it: Iterate, frames: FrameBundle, globs: GlobalNormConstant
     loss2 = 1.0 / (gamma * delta ** (tau + 1))
     r1 = max(rho - delta, 0.0)
     r2 = max(rho - 2 * delta, 0.0)
+    maps = error_maps(cand, frames, it.kitchen)
     pairs = [
         ("L@rho", frames.L.norm(rho).value, led["C_L"]),
         ("LT@rho", frames.L.norm(rho, transpose=True).value, led["C_LT"]),
         ("N@rho", frames.N.norm(rho).value, led["C_N"]),
         ("NT@rho", frames.N.norm(rho, transpose=True).value, led["C_NT"]),
-        ("OmegaK", frames.OmegaK.norm(r2).value, led["C_OmegaK"] * loss2 * error_norm),
-        ("Elag", frames.Elag.norm(r2).value, led["C_OmegaL"] * loss2 * error_norm),
-        ("Esym", frames.Esym.norm(r2).value, led["C_sym"] * loss2 * error_norm),
+        ("OmegaK", maps.OmegaK.norm(r2).value, led["C_OmegaK"] * loss2 * error_norm),
+        ("Elag", maps.Elag.norm(r2).value, led["C_OmegaL"] * loss2 * error_norm),
+        ("Esym", maps.Esym.norm(r2).value, led["C_sym"] * loss2 * error_norm),
         ("T", frames.T.norm(r1).value, led["C_T"]),
-        ("Ered", frames.Ered.norm(r2).value, led["C_red"] * loss2 * error_norm),
+        ("Ered", maps.Ered.norm(r2).value, led["C_red"] * loss2 * error_norm),
     ]
     if c_level_norm is not None:
         pairs.append(

@@ -97,6 +97,8 @@ class RunConfig:
             if not (_is_real(value) and low < value < high):
                 raise ConfigError(f"{name} must be a finite number in ({low}, {high}), "
                                   f"got {value!r}")
+        if self.rho0 >= self.imag_width:  # the seed's domain margin is imag_width - rho0
+            raise ConfigError(f"rho0 must be below imag_width = {self.imag_width}, got {self.rho0}")
         if not (_is_real(self.tau) and self.tau >= d - 1):
             raise ConfigError(f"tau must be a finite number >= d-1 = {d - 1}, got {self.tau!r}")
         for name, low in (("max_iters", 0), ("scan_limit", 1)):
@@ -228,6 +230,9 @@ def _candidate_from_doc(doc: dict):
     with _torus_field("map"):
         cand = TorusCandidate(k_per, omega, dio, rho=float(rho), system=sys_obj,
                               angle_block=bool(doc.get("angle_block", True)))
+    with _torus_field("rho"):
+        if (margin := cand.domain_margin()) <= 0:
+            raise ValueError(f"K(T^d_rho) leaves the system domain (margin {margin:.3e})")
     if ray is not None and "ray_scale" in doc:
         with _torus_field("ray_scale"):
             ray = FrequencyRay(np.asarray(cfg.omega_star), cfg.sigma_omega,

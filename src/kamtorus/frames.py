@@ -8,28 +8,29 @@ tangent-family frame is L = (DK  X_p o K) and the normal complement is
 
 so that P = (L N) is approximately symplectic: P^T (Omega o K) P ~ Omega_0.
 This module evaluates the frame, the invariance error E = X_H o K - DK omega,
-the geometric error maps (pulled-back form Omega_K, Lagrangianity E_lag,
-symplecticity E_sym, reducibility E_red), and the torsion matrices T and T_c.
+the torsion matrices T and T_c, and on demand the geometric error maps (Omega_K
+pulled back, Lagrangianity E_lag, symplecticity E_sym, reducibility E_red).
 
 Every map is represented on the candidate's common Fourier band; nonlinear
 ingredients (compositions with the system callbacks, pointwise inverses) are
 sampled as real arrays on the work grid 4N+1, analysed with real FFTs and
 truncated back, except that the maps of a canonical structure are built as
 exact constants.  The rank check of L and the samples of K are real
-syntheses too.  ``build_frames`` forms N^T (Omega o K) and L^T (Omega o K)
-once and shares them between the torsion and the error maps; and the (1,2)
-block of E_red reuses the torsion product verbatim, so its vanishing is exact
-by construction rather than a numerical accident.
+syntheses too.  ``build_frames`` builds only what the Newton step and the
+certificate read; ``error_maps`` builds the maps the proof's lemmas bound.
+The (1,2) block of E_red repeats the torsion's products call for call, so its
+vanishing is exact by construction rather than a numerical accident.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cohomology import DiophantineParams
-from .fourier import FourierMap, _real_samples, concat_cols, matmul
+from .fourier import (TWO_PI, FourierMap, _k1_box, _real_samples, assemble_blocks, concat_cols,
+                      matmul)
 from .hamiltonian import ConservedQuantity, HamiltonianSystem
 
 
@@ -169,8 +170,6 @@ def seed_torus(system: HamiltonianSystem, dio: DiophantineParams, bands,
 
 
 def _rowwise_majorant(f: FourierMap, rho: float) -> np.ndarray:
-    from .fourier import TWO_PI, _k1_box
-
     weights = np.exp(TWO_PI * rho * _k1_box(f.bands))
     entry = np.tensordot(weights, np.abs(f.coeffs), axes=(tuple(range(f.d)),) * 2)
     return entry.sum(axis=1)
@@ -250,23 +249,18 @@ def grid_kitchen(cand: TorusCandidate, conserved: ConservedQuantity | None = Non
 
 @dataclass
 class FrameBundle:
+    """The frames, the torsion and (iso mode) the bordered torsion of a candidate."""
+
     L: FourierMap
-    N0: FourierMap
     A: FourierMap
     B: FourierMap
     N: FourierMap
-    P: FourierMap
-    OmegaK: FourierMap
-    Elag: FourierMap
-    Esym: FourierMap
-    Ered: FourierMap
     T: FourierMap
     avgT: np.ndarray
     LoperN: FourierMap
     Tc: FourierMap | None = None
     avgTc: np.ndarray | None = None
     Tdown: FourierMap | None = None
-    residuals: dict = field(default_factory=dict)
 
     def norm_table(self, rho: float, delta: float) -> dict:
         """Measured majorant norms on the strips where each object is controlled."""
@@ -277,15 +271,21 @@ class FrameBundle:
             "NT@rho": self.N.norm(rho, transpose=True).value,
             "B@rho": self.B.norm(rho).value,
             "A@rho": self.A.norm(rho).value,
-            "OmegaK@rho-2delta": self.OmegaK.norm(max(rho - 2 * delta, 0.0)).value,
-            "Elag@rho-2delta": self.Elag.norm(max(rho - 2 * delta, 0.0)).value,
-            "Esym@rho-2delta": self.Esym.norm(max(rho - 2 * delta, 0.0)).value,
-            "Ered@rho-2delta": self.Ered.norm(max(rho - 2 * delta, 0.0)).value,
             "T@rho-delta": self.T.norm(max(rho - delta, 0.0)).value,
         }
         if self.Tc is not None:
             out["Tc@rho-delta"] = self.Tc.norm(max(rho - delta, 0.0)).value
         return out
+
+
+@dataclass(frozen=True)
+class ErrorMaps:
+    """The geometric error maps of a candidate, which the proof's lemmas bound."""
+
+    OmegaK: FourierMap
+    Elag: FourierMap
+    Esym: FourierMap
+    Ered: FourierMap
 
 
 def invariance_error(cand: TorusCandidate, kitchen: GridKitchen) -> FourierMap:
@@ -380,18 +380,15 @@ def symplecticity_error(cand: TorusCandidate, P: FourierMap,
     return prod.add_constant(-omega0)
 
 
-def torsion(cand: TorusCandidate, N: FourierMap, kitchen: GridKitchen,
-            NT_Om: FourierMap | None = None):
+def torsion(cand: TorusCandidate, N: FourierMap, kitchen: GridKitchen):
     """(T, <T>) with T = N^T (Omega o K) Loper(N), Loper N = DX_H o K . N + L_omega N.
 
     The Lie derivative of N is spectral (exact on the truncation); a singular
-    averaged torsion raises TwistDegeneracyError.  ``NT_Om`` is the product
-    N^T (Omega o K) when the caller already has it.
+    averaged torsion raises TwistDegeneracyError.
     """
     bands = cand.bands
     loper_n = matmul(kitchen.DXH, N, out_bands=bands) + N.lie(cand.omega)
-    if NT_Om is None:
-        NT_Om = matmul(N.T, kitchen.Omega, out_bands=bands)
+    NT_Om = matmul(N.T, kitchen.Omega, out_bands=bands)  # error_maps repeats this call
     T = matmul(NT_Om, loper_n, out_bands=bands)
     avgT = T.average().real
     _check_twist(avgT, "averaged torsion <T>", _twist_scale(cand, N, kitchen))
@@ -464,8 +461,8 @@ def reducibility_error(cand: TorusCandidate, L: FourierMap, T: FourierMap,
     """E_red = -Omega_0 P^T (Omega o K)(DX_H o K . P + L_omega P) - Lambda.
 
     Assembled block-wise from the products LT_Om = L^T (Omega o K) and
-    NT_Om = N^T (Omega o K) that the torsion and E_lag also use; the (1,2)
-    block reuses the exact torsion product, so it vanishes identically
+    NT_Om = N^T (Omega o K); when NT_Om and LoperN are the torsion's, the
+    (1,2) block repeats the torsion's arithmetic, so it vanishes identically
     (Lambda = [[0, T], [0, 0]] by construction).
     """
     bands = cand.bands
@@ -474,36 +471,31 @@ def reducibility_error(cand: TorusCandidate, L: FourierMap, T: FourierMap,
     m12 = matmul(LT_Om, LoperN, out_bands=bands)
     m21 = matmul(NT_Om, loper_l, out_bands=bands)
     m22 = matmul(NT_Om, LoperN, out_bands=bands)  # identical arithmetic to T
-    from .fourier import assemble_blocks
-
-    ered = assemble_blocks([[m21, m22 - T], [-m11, -m12]])
-    return ered
+    return assemble_blocks([[m21, m22 - T], [-m11, -m12]])
 
 
 def build_frames(cand: TorusCandidate, kitchen: GridKitchen) -> FrameBundle:
-    """Construct the complete frame bundle for a candidate; the bordered torsion
-    too when the kitchen carries a conserved quantity (iso mode)."""
+    """The frames and torsion that the Newton step and the certificate read;
+    the bordered torsion too when the kitchen carries a conserved quantity
+    (iso mode).  The error maps are left to ``error_maps``."""
     L = tangent_frame(cand, kitchen)
-    N0, B, A, N, diag = normal_frame(cand, L, kitchen)
-    P = concat_cols(L, N)
-    LT_Om = matmul(L.T, kitchen.Omega, out_bands=cand.bands)
-    NT_Om = matmul(N.T, kitchen.Omega, out_bands=cand.bands)
-    OmegaK, Elag = isotropy_errors(cand, L, LT_Om, kitchen)
-    Esym = symplecticity_error(cand, P, kitchen)
-    T, avgT, loper_n = torsion(cand, N, kitchen, NT_Om)
-    Ered = reducibility_error(cand, L, T, loper_n, LT_Om, NT_Om, kitchen)
-    residuals = dict(diag)
-    residuals["avg_OmegaK"] = float(np.max(np.abs(OmegaK.average())))
-    residuals["Ered_block12"] = float(
-        np.max(np.abs(Ered.coeffs[..., : cand.system.n, cand.system.n :]))
-    )
-    bundle = FrameBundle(L=L, N0=N0, A=A, B=B, N=N, P=P, OmegaK=OmegaK, Elag=Elag,
-                         Esym=Esym, Ered=Ered, T=T, avgT=avgT, LoperN=loper_n,
-                         residuals=residuals)
+    _, B, A, N, _ = normal_frame(cand, L, kitchen)
+    T, avgT, loper_n = torsion(cand, N, kitchen)
+    bundle = FrameBundle(L=L, A=A, B=B, N=N, T=T, avgT=avgT, LoperN=loper_n)
     if kitchen.Dc is not None:
-        Tc, avgTc, Tdown = extended_torsion(cand, T, N, kitchen)
-        bundle.Tc, bundle.avgTc, bundle.Tdown = Tc, avgTc, Tdown
+        bundle.Tc, bundle.avgTc, bundle.Tdown = extended_torsion(cand, T, N, kitchen)
     return bundle
+
+
+def error_maps(cand: TorusCandidate, frames: FrameBundle, kitchen: GridKitchen) -> ErrorMaps:
+    """Omega_K, E_lag, E_sym and E_red of a candidate whose frames are ``frames``."""
+    LT_Om = matmul(frames.L.T, kitchen.Omega, out_bands=cand.bands)
+    # the call torsion makes, so the (1,2) block of E_red is exactly zero
+    NT_Om = matmul(frames.N.T, kitchen.Omega, out_bands=cand.bands)
+    OmegaK, Elag = isotropy_errors(cand, frames.L, LT_Om, kitchen)
+    Esym = symplecticity_error(cand, concat_cols(frames.L, frames.N), kitchen)
+    Ered = reducibility_error(cand, frames.L, frames.T, frames.LoperN, LT_Om, NT_Om, kitchen)
+    return ErrorMaps(OmegaK=OmegaK, Elag=Elag, Esym=Esym, Ered=Ered)
 
 
 # ---------------------------------------------------------------------------

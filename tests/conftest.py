@@ -13,6 +13,10 @@ from kamtorus.hamiltonian import builtin_system
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
+# the frame_norms keys of an ordinary log record; the error maps are built only
+# on request, so the log carries no norm of them
+ORDINARY_FRAME_NORMS = {"L@rho", "LT@rho", "N@rho", "NT@rho", "B@rho", "A@rho", "T@rho-delta"}
+
 
 @pytest.fixture(scope="session")
 def golden_omega():

@@ -27,6 +27,7 @@ from kamtorus.cohomology import (
 from kamtorus.fourier import FourierMap, matmul, random_map
 from kamtorus.frames import (
     build_frames,
+    error_maps,
     grid_kitchen,
     invariance_error,
     measure_hypothesis_data,
@@ -80,13 +81,13 @@ def test_criterion_2_exact_torus_zeroing(golden_omega):
                           rho=0.05)
     kk = grid_kitchen(cand)
     err = invariance_error(cand, kk).norm(cand.rho).value
-    fr = build_frames(cand, kk)
+    maps = error_maps(cand, build_frames(cand, kk), kk)
     mid = 0.6 * cand.rho
     norms = {
-        "OmegaK": fr.OmegaK.norm(mid).value,
-        "Elag": fr.Elag.norm(mid).value,
-        "Esym": fr.Esym.norm(mid).value,
-        "Ered": fr.Ered.norm(mid).value,
+        "OmegaK": maps.OmegaK.norm(mid).value,
+        "Elag": maps.Elag.norm(mid).value,
+        "Esym": maps.Esym.norm(mid).value,
+        "Ered": maps.Ered.norm(mid).value,
     }
     ok = err <= 1e-13 and all(v <= 1e-11 for v in norms.values())
     announce(2, ok, f"||E|| = {err:.2e}, error maps <= {max(norms.values()):.2e}")
@@ -112,13 +113,14 @@ def test_criterion_3_structural_identities(golden_omega):
         kk = grid_kitchen(cand)
         E = invariance_error(cand, kk)
         fr = build_frames(cand, kk)
-        worst_avg = max(worst_avg, float(np.max(np.abs(fr.OmegaK.average()))))
+        maps = error_maps(cand, fr, kk)
+        worst_avg = max(worst_avg, float(np.max(np.abs(maps.OmegaK.average()))))
         eta_N = matmul(fr.L.T, matmul(kk.Omega, E, out_bands=cand.bands),
                        out_bands=cand.bands)
         worst_compat = max(worst_compat, float(np.max(np.abs(eta_N.average()))))
         n = cand.system.n
         worst_block = max(worst_block,
-                          float(np.max(np.abs(fr.Ered.coeffs[..., :n, n:]))))
+                          float(np.max(np.abs(maps.Ered.coeffs[..., :n, n:]))))
     ok = worst_avg <= 1e-11 and worst_compat <= 1e-11 and worst_block <= 1e-11
     announce(3, ok, f"<Omega_K> {worst_avg:.2e}, <L^T Omega E> {worst_compat:.2e}, "
                     f"Ered(1,2) {worst_block:.2e} over {len(cases)} candidates")

@@ -189,11 +189,24 @@ def test_iso_solve_via_cli(tmp_path):
     ({"a1": float("nan")}, "a1"),
     ({"epsilon": "0.01"}, "epsilon"),
     ({"rho0": "0.03"}, "rho0"),
+    ({"rho0": 0.2}, "rho0"),  # the seed's strip reaches the edge of the default domain
 ])
 def test_malformed_config_exit_two_names_field(tmp_path, capsys, override, field):
     cfg = write_config(tmp_path, **override)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_seed_strip_outside_domain_is_config_error(tmp_path, capsys, command):
+    """rho0 >= imag_width puts the seed's strip outside the domain: exit 2 naming
+    rho0, not a solver failure."""
+    cfg = write_config(tmp_path, system="lagrangian_rotors", epsilon=0.01, bands=[8, 8],
+                       rho0=0.5)
+    out = ["--out", str(tmp_path / "x")] if command == "solve" else []
+    assert main([command, "--config", str(cfg), *out]) == 2
+    err = capsys.readouterr().err
+    assert "rho0" in err and "solver failure" not in err
 
 
 def test_outputs_identical_across_thread_caps(tmp_path):
@@ -287,10 +300,11 @@ def _short_map(doc):
     ("ordinary", lambda doc: doc.update(grid=[3, 3]), "grid"),
     ("ordinary", lambda doc: doc.update(omega=[1.0]), "omega"),
     ("ordinary", _short_map, "map"),
+    ("iso", lambda doc: doc.update(rho=0.5), "rho"),  # the strip leaves the domain
     ("iso", _drop("c0"), "c0"),
     ("iso", lambda doc: doc.update(c0="x"), "c0"),
 ], ids=["dio-missing", "rho-string", "rho-negative", "grid-too-small", "omega-short",
-        "map-short", "c0-missing", "c0-string"])
+        "map-short", "rho-outside-domain", "c0-missing", "c0-string"])
 def test_certify_malformed_torus_exit_two_names_field(tmp_path, capsys, solved_tori, mode,
                                                        spoil, field):
     doc = json.loads(json.dumps(solved_tori[mode]))
@@ -343,3 +357,54 @@ def test_certify_builds_one_grid_kitchen(tmp_path, monkeypatch, overrides):
     assert len(calls) == 1
     report = json.loads((out / "certificate.json").read_text())
     assert report["mode"] == overrides.get("mode", "ordinary")
+
+
+@pytest.mark.parametrize("overrides", [
+    {"system": "lagrangian_rotors", "epsilon": 1e-3, "bands": [8, 8], "rho0": 0.05},
+    {"mode": "iso", "epsilon": 2e-3, "bands": [8, 8], "rho0": 0.03, "conserved": "H",
+     "c0_offset": 1e-4, "max_iters": 8},
+], ids=["ordinary", "iso"])
+def test_solve_and_certify_build_no_error_map(tmp_path, monkeypatch, overrides):
+    """Neither the Newton step nor the certificate reads the error maps, so
+    neither builds one; soundness_report still builds and bounds all four."""
+    import sys
+
+    from kamtorus import frames
+    from kamtorus.certificate import estimate_global_constants, soundness_report
+    from kamtorus.cli import _candidate_from_doc, _selector, cmd_certify, cmd_solve
+    from kamtorus.isoenergetic import IsoTarget
+    from kamtorus.solver import evaluate
+
+    calls = []
+
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            calls.append(original.__name__)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("isotropy_errors", "symplecticity_error", "reducibility_error"):
+        original = getattr(frames, name)
+        holders = [module for key, module in sys.modules.items() if key.startswith("kamtorus")
+                   and getattr(module, name, None) is original]
+        assert {"kamtorus", "kamtorus.frames"} <= {module.__name__ for module in holders}
+        for module in holders:
+            monkeypatch.setattr(module, name, counted(original))
+    out = tmp_path / "run"
+    cfg = RunConfig.from_dict(json.loads(write_config(tmp_path, **overrides).read_text()))
+    assert cmd_solve(cfg, out) == 0
+    assert cmd_certify(str(out / "torus.json"), {}, out) in (0, 1)
+    assert calls == []
+
+    doc = json.loads((out / "torus.json").read_text())
+    cand, cfg, schedule, ray = _candidate_from_doc(doc)
+    conserved = target = None
+    if cfg.mode == "iso":
+        conserved = cand.system.conserved(_selector(cfg))
+        target = IsoTarget(conserved, doc["c0"])
+    it = evaluate(cand, target, ray)
+    pairs = soundness_report(it, frames.build_frames(cand, it.kitchen),
+                             estimate_global_constants(cand.system, conserved=conserved),
+                             cand.rho / 4, schedule)
+    assert {"OmegaK", "Elag", "Esym", "Ered"} <= {name for name, _, _ in pairs}
+    assert sorted(calls) == ["isotropy_errors", "reducibility_error", "symplecticity_error"]

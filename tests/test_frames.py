@@ -9,6 +9,7 @@ from kamtorus.frames import (
     DomainEscapeError,
     TorusCandidate,
     build_frames,
+    error_maps,
     extended_torsion,
     grid_kitchen,
     invariance_error,
@@ -39,11 +40,12 @@ def test_exact_torus_all_errors_vanish(exact_torus_b):
     E = invariance_error(cand, kk)
     assert E.norm(cand.rho).value <= 1e-13
     fr = build_frames(cand, kk)
+    maps = error_maps(cand, fr, kk)
     mid = cand.rho * 0.6
-    assert fr.OmegaK.norm(mid).value <= 1e-11
-    assert fr.Elag.norm(mid).value <= 1e-11
-    assert fr.Esym.norm(mid).value <= 1e-11
-    assert fr.Ered.norm(mid).value <= 1e-10
+    assert maps.OmegaK.norm(mid).value <= 1e-11
+    assert maps.Elag.norm(mid).value <= 1e-11
+    assert maps.Esym.norm(mid).value <= 1e-11
+    assert maps.Ered.norm(mid).value <= 1e-10
     # the averaged torsion is comfortably invertible at zero coupling
     assert abs(np.linalg.det(fr.avgT)) > 0.5
 
@@ -173,33 +175,37 @@ def test_case_iii_forces_zero_A(exact_torus_b):
 def test_reducibility_block12_vanishes_identically(perturbed_candidate_a):
     for seed in (0, 1):
         cand = perturb_candidate(perturbed_candidate_a, scale=1e-2, seed=seed)
-        fr = build_frames(cand, grid_kitchen(cand))
+        kk = grid_kitchen(cand)
+        maps = error_maps(cand, build_frames(cand, kk), kk)
         n = cand.system.n
-        block12 = fr.Ered.coeffs[..., :n, n:]
+        block12 = maps.Ered.coeffs[..., :n, n:]
         assert np.max(np.abs(block12)) == 0.0
 
 
 def test_avg_pullback_vanishes_on_any_candidate(perturbed_candidate_a, exact_torus_b):
     for cand in (perturbed_candidate_a, perturb_candidate(perturbed_candidate_a, 1e-2, 7),
                  exact_torus_b):
-        fr = build_frames(cand, grid_kitchen(cand))
-        assert np.max(np.abs(fr.OmegaK.average())) <= 1e-12
+        kk = grid_kitchen(cand)
+        maps = error_maps(cand, build_frames(cand, kk), kk)
+        assert np.max(np.abs(maps.OmegaK.average())) <= 1e-12
 
 
 def test_esym_block_structure_case_iii(perturbed_candidate_a):
     """E_sym = diag(E_lag, B^T E_lag B) in the anti-involutive case."""
     cand = perturb_candidate(perturbed_candidate_a, scale=5e-3, seed=11)
-    fr = build_frames(cand, grid_kitchen(cand))
+    kk = grid_kitchen(cand)
+    fr = build_frames(cand, kk)
+    maps = error_maps(cand, fr, kk)
     n = cand.system.n
     bands = cand.bands
-    top_left = FourierMap(fr.Esym.coeffs[..., :n, :n], bands, cand.grid)
-    diff1 = (top_left - fr.Elag).norm(0.0).value
-    bottom_right = FourierMap(fr.Esym.coeffs[..., n:, n:], bands, cand.grid)
-    BT_Elag_B = matmul(matmul(fr.B.T, fr.Elag, out_bands=bands), fr.B, out_bands=bands)
+    top_left = FourierMap(maps.Esym.coeffs[..., :n, :n], bands, cand.grid)
+    diff1 = (top_left - maps.Elag).norm(0.0).value
+    bottom_right = FourierMap(maps.Esym.coeffs[..., n:, n:], bands, cand.grid)
+    BT_Elag_B = matmul(matmul(fr.B.T, maps.Elag, out_bands=bands), fr.B, out_bands=bands)
     diff2 = (bottom_right - BT_Elag_B).norm(0.0).value
-    off = max(np.max(np.abs(fr.Esym.coeffs[..., :n, n:])),
-              np.max(np.abs(fr.Esym.coeffs[..., n:, :n])))
-    scale = max(1.0, fr.Elag.norm(0.0).value)
+    off = max(np.max(np.abs(maps.Esym.coeffs[..., :n, n:])),
+              np.max(np.abs(maps.Esym.coeffs[..., n:, :n])))
+    scale = max(1.0, maps.Elag.norm(0.0).value)
     assert diff1 <= 1e-10 * scale
     assert diff2 <= 1e-8 * scale  # two truncated products on each side
     assert off <= 1e-10 * scale
@@ -211,6 +217,7 @@ def test_frame_identity_tangent_normal_pairing(perturbed_candidate_a):
     cand = perturb_candidate(perturbed_candidate_a, scale=5e-3, seed=13)
     kk = grid_kitchen(cand)
     fr = build_frames(cand, kk)
+    maps = error_maps(cand, fr, kk)
     lhs = matmul(matmul(fr.L.T, kk.Omega, out_bands=cand.bands), fr.N,
                  out_bands=cand.bands)
     lhs = lhs.add_constant(np.eye(cand.system.n))
@@ -219,7 +226,7 @@ def test_frame_identity_tangent_normal_pairing(perturbed_candidate_a):
     trunc = matmul(GL, fr.B, out_bands=cand.bands).add_constant(
         -np.eye(cand.system.n)
     ).norm(0.0).value
-    assert resid <= 1e-10 + 2 * trunc + 10 * fr.Elag.norm(0.0).value * fr.A.norm(0.0).value
+    assert resid <= 1e-10 + 2 * trunc + 10 * maps.Elag.norm(0.0).value * fr.A.norm(0.0).value
 
 
 def test_normal_isotropy_identity_case_iii(perturbed_candidate_a):
@@ -227,9 +234,10 @@ def test_normal_isotropy_identity_case_iii(perturbed_candidate_a):
     cand = perturb_candidate(perturbed_candidate_a, scale=5e-3, seed=17)
     kk = grid_kitchen(cand)
     fr = build_frames(cand, kk)
+    maps = error_maps(cand, fr, kk)
     lhs = matmul(matmul(fr.N.T, kk.Omega, out_bands=cand.bands), fr.N,
                  out_bands=cand.bands)
-    rhs = matmul(matmul(fr.B.T, fr.Elag, out_bands=cand.bands), fr.B,
+    rhs = matmul(matmul(fr.B.T, maps.Elag, out_bands=cand.bands), fr.B,
                  out_bands=cand.bands)
     assert (lhs - rhs).norm(0.0).value <= 1e-8 * max(1.0, rhs.norm(0.0).value)
 

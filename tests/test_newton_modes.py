@@ -6,7 +6,7 @@ from kamtorus.cohomology import DiophantineParams, estimate_gamma
 from kamtorus.isoenergetic import FrequencyRay, IsoTarget, total_error
 from kamtorus.solver import NewtonSchedule, iterate_newton
 
-from conftest import GOLDEN, seed_candidate
+from conftest import GOLDEN, ORDINARY_FRAME_NORMS, seed_candidate
 
 
 def iso_seed(eps, bands):
@@ -29,7 +29,8 @@ def test_iso_log_carries_every_ordinary_key(golden_omega):
     for ours, theirs in ((ordinary.log[0], iso.log[0]), (ordinary.log[-1], iso.log[-1])):
         assert set(ours) <= set(theirs), sorted(set(ours) - set(theirs))
     stepped = iso.log[0]
-    assert "T@rho-delta" in stepped["frame_norms"]
+    assert set(ordinary.log[0]["frame_norms"]) == ORDINARY_FRAME_NORMS
+    assert set(stepped["frame_norms"]) == ORDINARY_FRAME_NORMS | {"Tc@rho-delta"}
     assert {"domain_margin", "ray_margin", "smallness"} <= set(stepped["hypothesis_margins"])
     assert {"err_inv", "err_omega", "omega", "ray_scale", "err_omega_after", "xi_omega",
             "ray_margin"} <= set(stepped)
