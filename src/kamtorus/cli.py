@@ -171,10 +171,11 @@ def _schedule(cfg: RunConfig) -> NewtonSchedule:
 def _build_setup(cfg: RunConfig):
     """System, seed candidate, schedule and (iso) ray from a validated config."""
     omega, ray = _seed_frequency(cfg)
-    # a ray point s*omega_* with s > 1 inherits the scan certificate of omega_*
+    # a ray point s*omega_* with s > 1 inherits the scan certificate of omega_*,
+    # which the construction checks; in ordinary mode gamma is omega's own scan
     gamma = estimate_gamma(omega if ray is None else ray.omega_star, cfg.tau, cfg.scan_limit)
     sys_obj = _system(cfg, omega)
-    dio = DiophantineParams(omega, gamma, cfg.tau, cfg.scan_limit)
+    dio = DiophantineParams(omega, gamma, cfg.tau, cfg.scan_limit, check=ray is not None)
     return sys_obj, seed_torus(sys_obj, dio, cfg.bands, cfg.rho0), _schedule(cfg), ray
 
 

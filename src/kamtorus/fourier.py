@@ -8,10 +8,14 @@ through the coefficients f_k of
 stored on a dense rectangular index box together with per-direction grid
 sizes M_i >= 2*N_i + 1.  Differentiation and averaging act coefficient-wise
 and are exact on the truncation; products are computed on a dealiased grid
-(per axis the smallest size with no prime factor above 5 that is at least
-2(N_a + N_b) + 1) and truncated back, so the library always manipulates the
-*truncated model* of each object.  Products synthesize their real-analytic
-operands with real FFTs, and real grid samples are analysed with real FFTs.
+and truncated back to the requested output band N_out, so the library always
+manipulates the *truncated model* of each object.  Per axis the grid is the
+smallest size with no prime factor above 5 that is at least
+N_a + N_b + N_out + 1: only the kept modes need to be alias-free (the 3/2
+rule), so the full product band N_out = N_a + N_b needs 2(N_a + N_b) + 1
+points and N_out = N_a = N_b needs 3N + 1.  Products synthesize their
+real-analytic operands with real FFTs, and real grid samples are analysed with
+real FFTs.
 
 Norms: the sup of |f| on the complex strip |Im theta| < rho is bounded
 entry-wise by the Fourier majorant
@@ -423,9 +427,20 @@ def _next_smooth(n: int) -> int:
         n += 1
 
 
-def dealias_grid(bands_a: tuple, bands_b: tuple) -> tuple:
-    """Product work grid: per axis, the smallest 5-smooth size >= 2(N_a+N_b)+1."""
-    return tuple(_next_smooth(2 * (na + nb) + 1) for na, nb in zip(bands_a, bands_b))
+def dealias_grid(bands_a: tuple, bands_b: tuple, out_bands=None) -> tuple:
+    """Product work grid: per axis, the smallest 5-smooth size >= N_a+N_b+N_out+1.
+
+    ``out_bands`` defaults to the full product band N_a + N_b, which gives
+    2(N_a+N_b)+1.  A product mode k (|k| <= N_a+N_b) aliases onto a kept bin k'
+    (|k'| <= N_out) only if the grid size M divides k - k', and
+    |k - k'| <= N_a+N_b+N_out < M, so the kept modes are alias-free (the 3/2
+    rule when all three bands are equal).  The size is never below
+    2 max(N_a, N_b)+1, so that each operand synthesizes on it.
+    """
+    if out_bands is None:
+        out_bands = tuple(na + nb for na, nb in zip(bands_a, bands_b))
+    return tuple(_next_smooth(max(na + nb + no, 2 * max(na, nb)) + 1)
+                 for na, nb, no in zip(bands_a, bands_b, out_bands))
 
 
 def _is_constant(f: FourierMap) -> bool:
@@ -469,26 +484,26 @@ def _real_analysis(samples: np.ndarray, bands: tuple) -> np.ndarray:
 def matmul(a: FourierMap, b: FourierMap, out_bands=None, work_grid=None) -> FourierMap:
     """Pointwise matrix product of two real-analytic maps, dealiased then truncated.
 
-    The product is synthesized on a grid of at least 2x the sum of the band
-    limits so the retained modes are alias-free (by default the smallest such
-    size with no prime factor above 5); ``out_bands`` defaults to the
-    exact product band N_a + N_b.  Both operands must be real-analytic
-    (f_{-k} = conj f_k): they are synthesized from their k_d >= 0 modes with
-    real FFTs, multiplied as real sample arrays and analysed back with a real
-    FFT.  A zero operand gives zeros, and a constant operand (every mode off
-    k = 0 exactly zero) multiplies the other operand's coefficients directly;
-    both shortcuts skip the FFTs and return the bands, grid and shape of the
-    transform path.
+    ``out_bands`` defaults to the exact product band N_a + N_b.  The product
+    is synthesized on ``work_grid``, by default :func:`dealias_grid`: per axis
+    the smallest size with no prime factor above 5 that is at least
+    N_a + N_b + N_out + 1, on which the retained modes are alias-free (100
+    points for bands 32 kept at 32, against 135 for the full product band).
+    Both operands must be real-analytic (f_{-k} = conj f_k): they are
+    synthesized from their k_d >= 0 modes with real FFTs, multiplied as real
+    sample arrays and analysed back with a real FFT.  A zero operand gives
+    zeros, and a constant operand (every mode off k = 0 exactly zero)
+    multiplies the other operand's coefficients directly; both shortcuts skip
+    the FFTs and return the bands, grid and shape of the transform path.
     """
     if a.bands != b.bands and len(a.bands) != len(b.bands):
         raise FourierShapeError("operands live on different tori")
     if a.shape[1] != b.shape[0]:
         raise FourierShapeError(f"matrix shapes {a.shape} x {b.shape} do not chain")
-    work = tuple(work_grid) if work_grid is not None else dealias_grid(a.bands, b.bands)
-    full_bands = tuple(na + nb for na, nb in zip(a.bands, b.bands))
     if out_bands is None:
-        out_bands = full_bands
+        out_bands = tuple(na + nb for na, nb in zip(a.bands, b.bands))
     out_bands = tuple(int(n) for n in out_bands)
+    work = dealias_grid(a.bands, b.bands, out_bands) if work_grid is None else tuple(work_grid)
     if any(m < 2 * n + 1 for n, m in zip(out_bands, work)):
         raise FourierShapeError("work grid too small for requested output bands")
     out_grid = tuple(max(2 * n + 1, g) for n, g in zip(out_bands, a.grid))

@@ -408,3 +408,37 @@ def test_solve_and_certify_build_no_error_map(tmp_path, monkeypatch, overrides):
                              cand.rho / 4, schedule)
     assert {"OmegaK", "Elag", "Esym", "Ered"} <= {name for name, _, _ in pairs}
     assert sorted(calls) == ["isotropy_errors", "reducibility_error", "symplecticity_error"]
+
+
+@pytest.mark.parametrize("overrides, scans", [
+    ({"system": "lagrangian_rotors", "epsilon": 1e-3, "bands": [8, 8], "rho0": 0.05}, 1),
+    ({"mode": "iso", "epsilon": 2e-3, "bands": [8, 8], "rho0": 0.03, "conserved": "H",
+      "c0_offset": 1e-4, "max_iters": 8}, 2),
+], ids=["ordinary", "iso"])
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_setup_scans_divisors_once_per_frequency(tmp_path, monkeypatch, overrides, scans,
+                                                 command):
+    """Ordinary mode measures gamma on omega itself, so the params skip the repeat
+    scan; iso mode checks the ray midpoint against omega_*'s gamma (a second scan)."""
+    import sys
+
+    from kamtorus import cohomology
+    from kamtorus.cli import cmd_solve, cmd_validate
+
+    original, calls = cohomology.estimate_gamma, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    holders = [module for name, module in sys.modules.items() if name.startswith("kamtorus")
+               and getattr(module, "estimate_gamma", None) is original]
+    assert {"kamtorus.cli", "kamtorus.cohomology"} <= {module.__name__ for module in holders}
+    for module in holders:
+        monkeypatch.setattr(module, "estimate_gamma", counted)
+    cfg = RunConfig.from_dict(json.loads(write_config(tmp_path, **overrides).read_text()))
+    if command == "solve":
+        assert cmd_solve(cfg, tmp_path / "run") == 0
+    else:
+        assert cmd_validate(cfg) == 0
+    assert len(calls) == scans

@@ -354,6 +354,52 @@ def test_dealias_grid_is_smallest_5_smooth_alias_free_size():
     assert dealias_grid((2, 4, 16, 32, 64), (2, 4, 16, 32, 64)) == (9, 18, 72, 135, 270)
 
 
+def test_dealias_grid_sized_to_the_kept_modes():
+    """With out_bands given the grid only has to keep the retained modes
+    alias-free: the smallest 5-smooth size >= N_a+N_b+N_out+1 (never below an
+    operand's own 2N+1)."""
+    for na in range(1, 25):
+        for nb in range(1, 25):
+            for no in range(0, na + nb + 1):
+                (size,) = dealias_grid((na,), (nb,), (no,))
+                need = max(na + nb + no, 2 * max(na, nb)) + 1
+                if no >= abs(na - nb):
+                    assert need == na + nb + no + 1
+                assert size >= need and _is_5_smooth(size)
+                assert not any(_is_5_smooth(m) for m in range(need, size))
+    assert dealias_grid((32, 32), (32, 32), (32, 32)) == (100, 100)
+    assert dealias_grid((16, 64), (16, 64), (16, 64)) == (50, 200)
+    assert dealias_grid((5, 7), (3, 2)) == dealias_grid((5, 7), (3, 2), (8, 9))
+
+
+@pytest.mark.parametrize("bands, out_bands", [((6,), (6,)), ((5, 4), (5, 3))])
+def test_dealias_grid_is_tight(bands, out_bands):
+    """One point short of N_a+N_b+N_out+1 folds product mode N_a+N_b onto the top
+    kept mode; the rule's own size matches the full-band reference."""
+    rng = np.random.default_rng(11)
+    a = random_map(bands, tuple(2 * n + 1 for n in bands), (2, 2), rng)
+    b = random_map(bands, tuple(2 * n + 1 for n in bands), (2, 2), rng)
+    ref = complex_fft_product(a, b, out_bands)
+    need = tuple(2 * n + no + 1 for n, no in zip(bands, out_bands))
+    good = matmul(a, b, out_bands, work_grid=need)
+    assert np.max(np.abs(good.coeffs - ref.coeffs)) <= 1e-13 * _scale(a, b)
+    short = matmul(a, b, out_bands, work_grid=tuple(m - 1 for m in need))
+    top = tuple(slice(None) if i else -1 for i in range(len(bands)))  # k_1 = +N_out
+    assert np.max(np.abs(short.coeffs[top] - ref.coeffs[top])) > 1e6 * 1e-13 * _scale(a, b)
+
+
+@pytest.mark.parametrize("bands_a, bands_b, out_bands", [
+    ((3,), (2,), (8,)),
+    ((4, 3), (2, 5), (12, 8)),
+])
+def test_default_grid_refuses_out_bands_above_product(bands_a, bands_b, out_bands):
+    rng = np.random.default_rng(12)
+    a = _operand("varying", bands_a, (2, 2), rng)
+    b = _operand("varying", bands_b, (2, 2), rng)
+    with pytest.raises(FourierShapeError):
+        matmul(a, b, out_bands=out_bands)
+
+
 def complex_fft_product(a, b, out_bands=None, work_grid=None):
     """Reference product: complex synthesis, complex @, complex analysis.
 
@@ -405,6 +451,11 @@ def _scale(a, b):
     ((3, 4), (3, 4), (2, 2), (2, 3), (3, 4), (15, 17)),
     ((3, 4), (3, 4), (2, 2), (2, 3), (3, 4), (16, 18)),
     ((3, 4), (3, 4), (2, 2), (2, 2), (3, 4), (9, 10)),
+    ((6,), (6,), (2, 2), (2, 2), (6,), None),
+    ((8,), (2,), (1, 2), (2, 1), (1,), None),
+    ((6, 2), (3, 5), (2, 2), (2, 1), (4, 3), None),
+    ((8, 8), (8, 8), (3, 2), (2, 3), (8, 8), None),
+    ((32, 32), (32, 32), (2, 2), (2, 2), (32, 32), None),
 ])
 def test_matmul_matches_complex_fft_product(bands_a, bands_b, shape_a, shape_b, out_bands,
                                             work_grid):
