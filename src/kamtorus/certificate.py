@@ -94,22 +94,24 @@ def _rank1_lattice(npts: int, dim: int) -> np.ndarray:
     return np.modf(j * gen[None, :] + 0.5 / npts)[0]
 
 
-def _domain_points(sys: HamiltonianSystem, lattice_density: int) -> np.ndarray:
+LATTICE_DENSITY = 2048  # points in each of the three sample sets of _domain_points
+
+
+def _domain_points(sys: HamiltonianSystem) -> np.ndarray:
     """Complexified sample set: rank-1 lattice through the domain box plus a
     sweep with the imaginary parts pinned at the extreme width."""
     box = sys.domain
     a = box.angle_count
     m = 2 * sys.n - a  # disc-constrained coordinates
-    npts = max(int(lattice_density), 64)
-    u = _rank1_lattice(npts, 2 * a + 2 * m)
+    u = _rank1_lattice(LATTICE_DENSITY, 2 * a + 2 * m)
     x = u[:, :a] + 1j * box.imag_width * (2.0 * u[:, a : 2 * a] - 1.0)
     ang = 2.0 * np.pi * u[:, 2 * a : 2 * a + m]
     rad = box.y_radius * u[:, 2 * a + m :]
     y = box.y_center + rad * np.exp(1j * ang)
     interior = np.concatenate([x, y], axis=1)
 
-    u2 = _rank1_lattice(npts, a + m)
-    signs = np.where(_rank1_lattice(npts, max(a, 1))[:, :a] > 0.5, 1.0, -1.0)
+    u2 = _rank1_lattice(LATTICE_DENSITY, a + m)
+    signs = np.where(_rank1_lattice(LATTICE_DENSITY, max(a, 1))[:, :a] > 0.5, 1.0, -1.0)
     x2 = u2[:, :a] + 1j * box.imag_width * signs
     y2 = box.y_center + box.y_radius * np.exp(2j * np.pi * u2[:, a:])
     boundary = np.concatenate([x2, y2], axis=1)
@@ -119,8 +121,7 @@ def _domain_points(sys: HamiltonianSystem, lattice_density: int) -> np.ndarray:
     return np.concatenate([interior, boundary, real_pts], axis=0)
 
 
-def estimate_global_constants(sys: HamiltonianSystem, lattice_density: int = 2048,
-                              margin: float = 0.05,
+def estimate_global_constants(sys: HamiltonianSystem, margin: float = 0.05,
                               conserved: ConservedQuantity | None = None) -> GlobalNormConstants:
     """Sampled maxima (x 1+margin) of the callback norms over the complexified domain.
 
@@ -129,7 +130,7 @@ def estimate_global_constants(sys: HamiltonianSystem, lattice_density: int = 204
     """
     vals: dict = {}
     prov: dict = {}
-    z = _domain_points(sys, lattice_density)
+    z = _domain_points(sys)
     up = 1.0 + margin
 
     if sys.geometry.is_canonical:
@@ -522,7 +523,7 @@ def build_ledger(mode: str, globs: GlobalNormConstants, hyp: dict,
     if c_small is None:
         raise ValueError("the smallness scale schedule.c_n must be pinned for a ledger")
     if c_R is None:
-        c_R = russmann_constant(tau, delta, d, (0,))
+        c_R = russmann_constant(tau, delta)
     led = ConstantLedger(mode=mode, case_tag=case_tag)
 
     grp = "inputs"

@@ -222,8 +222,9 @@ def _candidate_from_doc(doc: dict):
             raise ValueError(f"must be a positive number, got {rho!r}")
     with _torus_field("map"):
         k_per = FourierMap.from_json_dict(doc["map"])
-    with _torus_field("grid"):
-        k_per = k_per.with_grid(doc["grid"])
+    with _torus_field("grid"):  # the rank check and plotdata sample K on 2*bands + 1
+        if doc["grid"] != (exact := [2 * n + 1 for n in k_per.bands]):
+            raise ValueError(f"must be 2*bands + 1 = {exact}, got {doc['grid']!r}")
     # the grid compositions sample only the k_d >= 0 half of K, so K must be real
     defect = k_per.real_symmetry_defect()
     if defect > 1e-12 * max(1.0, float(np.max(np.abs(k_per.coeffs), initial=0.0))):

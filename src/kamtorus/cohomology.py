@@ -187,10 +187,10 @@ def solve_cohomological(v: FourierMap, dio: DiophantineParams) -> FourierMap:
     denom[center] = 1.0  # placeholder, the k=0 mode is zeroed below
     coeffs = -v.coeffs / denom.reshape(denom.shape + (1, 1))
     coeffs[center] = 0.0
-    return FourierMap(coeffs, v.bands, v.grid)
+    return FourierMap(coeffs, v.bands)
 
 
-def russmann_constant(tau: float, delta: float, d: int, band_limit) -> float:
+def russmann_constant(tau: float, delta: float) -> float:
     """Numeric small-divisor constant c_R(delta) for the majorant norm.
 
     The realized gain of R_omega on any band-limited v is bounded mode-wise by
@@ -209,7 +209,6 @@ def russmann_constant(tau: float, delta: float, d: int, band_limit) -> float:
         raise ValueError("delta must be positive")
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    del d, band_limit  # the envelope is dimension- and band-independent
     peak = tau / TWO_PI
     if tau == 0:
         return float(np.exp(-TWO_PI * delta) / TWO_PI)

@@ -5,12 +5,13 @@ through the coefficients f_k of
 
     f(theta) = sum_k  f_k  exp(2*pi*i k.theta),       k in Z^d, |k_i| <= N_i,
 
-stored on a dense rectangular index box together with per-direction grid
-sizes M_i >= 2*N_i + 1.  Differentiation and averaging act coefficient-wise
+stored on a dense rectangular index box: a map is its coefficients and its
+bands, and a sample grid (M_i >= 2*N_i + 1 points per axis) is chosen only
+where sampling happens.  Differentiation and averaging act coefficient-wise
 and are exact on the truncation; products are computed on a dealiased grid
 and truncated back to the requested output band N_out, so the library always
-manipulates the *truncated model* of each object.  Per axis the grid is the
-smallest size with no prime factor above 5 that is at least
+manipulates the *truncated model* of each object.  Per axis a product's grid
+is the smallest size with no prime factor above 5 that is at least
 N_a + N_b + N_out + 1: only the kept modes need to be alias-free (the 3/2
 rule), so the full product band N_out = N_a + N_b needs 2(N_a + N_b) + 1
 points and N_out = N_a = N_b needs 3N + 1.  Products synthesize their
@@ -80,13 +81,10 @@ class FourierMap:
 
     coeffs: np.ndarray
     bands: tuple
-    grid: tuple
 
     def __post_init__(self):
         bands = tuple(int(n) for n in self.bands)
-        grid = tuple(int(m) for m in self.grid)
         object.__setattr__(self, "bands", bands)
-        object.__setattr__(self, "grid", grid)
         expect = tuple(2 * n + 1 for n in bands)
         if self.coeffs.ndim != len(bands) + 2:
             raise FourierShapeError(
@@ -97,8 +95,6 @@ class FourierMap:
             raise FourierShapeError(
                 f"coefficient box {self.coeffs.shape[:len(bands)]} does not match bands {bands}"
             )
-        if len(grid) != len(bands) or any(m < 2 * n + 1 for n, m in zip(bands, grid)):
-            raise FourierShapeError(f"grid {grid} must satisfy M_i >= 2*N_i+1 for bands {bands}")
         if self.coeffs.dtype != np.complex128:
             object.__setattr__(self, "coeffs", self.coeffs.astype(np.complex128))
 
@@ -114,59 +110,57 @@ class FourierMap:
 
     @property
     def T(self) -> "FourierMap":
-        return FourierMap(np.swapaxes(self.coeffs, -1, -2), self.bands, self.grid)
+        return FourierMap(np.swapaxes(self.coeffs, -1, -2), self.bands)
 
     def block(self, rows: slice, cols: slice) -> "FourierMap":
-        return FourierMap(self.coeffs[..., rows, cols], self.bands, self.grid)
+        return FourierMap(self.coeffs[..., rows, cols], self.bands)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zeros(cls, bands, grid, shape) -> "FourierMap":
+    def zeros(cls, bands, shape) -> "FourierMap":
         bands = tuple(bands)
         box = tuple(2 * n + 1 for n in bands)
-        return cls(np.zeros(box + tuple(shape), dtype=np.complex128), bands, tuple(grid))
+        return cls(np.zeros(box + tuple(shape), dtype=np.complex128), bands)
 
     @classmethod
-    def constant(cls, matrix, bands, grid) -> "FourierMap":
+    def constant(cls, matrix, bands) -> "FourierMap":
         matrix = np.atleast_2d(np.asarray(matrix, dtype=np.complex128))
-        out = cls.zeros(bands, grid, matrix.shape)
+        out = cls.zeros(bands, matrix.shape)
         out.coeffs[tuple(n for n in out.bands)] = matrix
         return out
 
     @classmethod
-    def from_samples(cls, samples: np.ndarray, bands, grid=None) -> "FourierMap":
+    def from_samples(cls, samples: np.ndarray, bands) -> "FourierMap":
         """FFT analysis of uniform-grid samples, band-truncated and symmetrized.
 
-        ``samples`` has shape (M_1, ..., M_d, n1, n2); ``grid`` defaults to the
-        sample counts.  Inverse of :meth:`eval_grid` on band-limited input.
-        Real samples are analysed with a real FFT, complex ones with a complex
-        FFT.
+        ``samples`` has shape (M_1, ..., M_d, n1, n2): the grid is the sample
+        array's own shape, and M_i >= 2*N_i + 1 is required.  Inverse of
+        :meth:`eval_grid` on band-limited input.  Real samples are analysed
+        with a real FFT, complex ones with a complex FFT.
         """
         samples = np.asarray(samples)
         real = np.isrealobj(samples)
         samples = samples.astype(np.float64 if real else np.complex128, copy=False)
         bands = tuple(int(n) for n in bands)
         d = len(bands)
-        sample_grid = samples.shape[:d]
-        if grid is None:
-            grid = sample_grid
-        grid = tuple(int(m) for m in grid)
-        if sample_grid != grid:
-            raise FourierShapeError(f"sample grid {sample_grid} does not match grid {grid}")
+        grid = samples.shape[:d]
         if any(m < 2 * n + 1 for n, m in zip(bands, grid)):
             raise FourierShapeError(f"grid {grid} too small for bands {bands}")
         if real:
-            return cls(_real_analysis(samples, bands), bands, grid)
+            return cls(_real_analysis(samples, bands), bands)
         hat = np.fft.fftn(samples, axes=tuple(range(d))) / float(np.prod(grid))
         coeffs = hat[_embed_slices(bands, grid)]
-        return cls(_symmetrize(coeffs), bands, grid)
+        return cls(_symmetrize(coeffs), bands)
 
     # -- synthesis / analysis ------------------------------------------------
 
     def eval_grid(self, grid=None) -> np.ndarray:
-        """Samples on the uniform grid theta_j = j/M (complex array)."""
-        grid = self.grid if grid is None else tuple(int(m) for m in grid)
+        """Samples on the uniform grid theta_j = j/M (complex array); ``grid``
+        defaults to the smallest exact one, M_i = 2*N_i + 1."""
+        if grid is None:
+            grid = tuple(2 * n + 1 for n in self.bands)
+        grid = tuple(int(m) for m in grid)
         if any(m < 2 * n + 1 for n, m in zip(self.bands, grid)):
             raise FourierShapeError(f"evaluation grid {grid} too small for bands {self.bands}")
         full = np.zeros(grid + self.shape, dtype=np.complex128)
@@ -202,7 +196,7 @@ class FourierMap:
         k = _index_box(self.bands)[axis]
         shape = [1] * self.coeffs.ndim
         shape[axis] = k.size
-        return FourierMap(self.coeffs * (TWO_PI * 1j * k.reshape(shape)), self.bands, self.grid)
+        return FourierMap(self.coeffs * (TWO_PI * 1j * k.reshape(shape)), self.bands)
 
     def lie(self, omega: np.ndarray) -> "FourierMap":
         """Left operator -sum_i omega_i d/dtheta_i: f_k -> -2*pi*i*(k.omega)*f_k.
@@ -253,58 +247,48 @@ class FourierMap:
 
     # -- band management -------------------------------------------------------
 
-    def truncate(self, bands, grid=None) -> "FourierMap":
+    def truncate(self, bands) -> "FourierMap":
         """Restrict to a smaller index box (tails are discarded)."""
         bands = tuple(int(n) for n in bands)
         if any(nb > n for nb, n in zip(bands, self.bands)):
             raise FourierShapeError(f"cannot truncate {self.bands} to larger bands {bands}")
         sl = tuple(slice(n - nb, n + nb + 1) for n, nb in zip(self.bands, bands))
-        grid = tuple(grid) if grid is not None else tuple(
-            max(m, 2 * nb + 1) for m, nb in zip(self.grid, bands)
-        )
-        return FourierMap(self.coeffs[sl].copy(), bands, grid)
+        return FourierMap(self.coeffs[sl].copy(), bands)
 
-    def pad_bands(self, bands, grid=None) -> "FourierMap":
+    def pad_bands(self, bands) -> "FourierMap":
         """Embed into a larger index box (new modes are zero)."""
         bands = tuple(int(n) for n in bands)
         if any(nb < n for nb, n in zip(bands, self.bands)):
             raise FourierShapeError(f"cannot pad {self.bands} into smaller bands {bands}")
-        out = FourierMap.zeros(bands, grid if grid is not None else
-                               tuple(max(m, 2 * nb + 1) for m, nb in zip(self.grid, bands)),
-                               self.shape)
+        out = FourierMap.zeros(bands, self.shape)
         sl = tuple(slice(nb - n, nb + n + 1) for n, nb in zip(self.bands, bands))
         out.coeffs[sl] = self.coeffs
         return out
 
-    def with_grid(self, grid) -> "FourierMap":
-        return FourierMap(self.coeffs, self.bands, tuple(grid))
-
     # -- algebra ----------------------------------------------------------------
 
     def _check_compatible(self, other: "FourierMap"):
-        if self.bands != other.bands or self.grid != other.grid:
-            raise FourierShapeError(
-                f"operands have bands/grid {self.bands}/{self.grid} vs {other.bands}/{other.grid}"
-            )
+        if self.bands != other.bands:
+            raise FourierShapeError(f"operands have bands {self.bands} vs {other.bands}")
 
     def __add__(self, other: "FourierMap") -> "FourierMap":
         self._check_compatible(other)
-        return FourierMap(self.coeffs + other.coeffs, self.bands, self.grid)
+        return FourierMap(self.coeffs + other.coeffs, self.bands)
 
     def __sub__(self, other: "FourierMap") -> "FourierMap":
         self._check_compatible(other)
-        return FourierMap(self.coeffs - other.coeffs, self.bands, self.grid)
+        return FourierMap(self.coeffs - other.coeffs, self.bands)
 
     def __neg__(self) -> "FourierMap":
-        return FourierMap(-self.coeffs, self.bands, self.grid)
+        return FourierMap(-self.coeffs, self.bands)
 
     def __mul__(self, scalar) -> "FourierMap":
-        return FourierMap(self.coeffs * scalar, self.bands, self.grid)
+        return FourierMap(self.coeffs * scalar, self.bands)
 
     __rmul__ = __mul__
 
     def add_constant(self, matrix) -> "FourierMap":
-        out = FourierMap(self.coeffs.copy(), self.bands, self.grid)
+        out = FourierMap(self.coeffs.copy(), self.bands)
         out.coeffs[tuple(n for n in self.bands)] += np.asarray(matrix, dtype=np.complex128)
         return out
 
@@ -313,12 +297,12 @@ class FourierMap:
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.ndim == 1:
             matrix = matrix[:, None]
-        return FourierMap(self.coeffs @ matrix, self.bands, self.grid)
+        return FourierMap(self.coeffs @ matrix, self.bands)
 
     def rmatmul_constant(self, matrix) -> "FourierMap":
         """Left-multiply by a constant matrix (exact in coefficients)."""
         matrix = np.asarray(matrix, dtype=np.complex128)
-        return FourierMap(np.einsum("ij,...jk->...ik", matrix, self.coeffs), self.bands, self.grid)
+        return FourierMap(np.einsum("ij,...jk->...ik", matrix, self.coeffs), self.bands)
 
     # -- serialization -------------------------------------------------------------
 
@@ -339,7 +323,7 @@ class FourierMap:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict, grid=None) -> "FourierMap":
+    def from_json_dict(cls, doc: dict) -> "FourierMap":
         d, n1, n2 = (int(v) for v in doc["dims"])
         bands = tuple(int(n) for n in doc["bands"])
         if len(bands) != d:
@@ -347,17 +331,14 @@ class FourierMap:
         box = tuple(2 * n + 1 for n in bands)
         pairs = np.asarray(doc["coeffs"], dtype=np.float64)
         flat = pairs[0::2] + 1j * pairs[1::2]
-        coeffs = flat.reshape(box + (n1, n2))
-        if grid is None:
-            grid = tuple(2 * n + 1 for n in bands)
-        return cls(coeffs, bands, tuple(grid))
+        return cls(flat.reshape(box + (n1, n2)), bands)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str, grid=None) -> "FourierMap":
-        return cls.from_json_dict(json.loads(text), grid=grid)
+    def from_json(cls, text: str) -> "FourierMap":
+        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -494,7 +475,7 @@ def matmul(a: FourierMap, b: FourierMap, out_bands=None, work_grid=None) -> Four
     sample arrays and analysed back with a real FFT.  A zero operand gives
     zeros, and a constant operand (every mode off k = 0 exactly zero)
     multiplies the other operand's coefficients directly; both shortcuts skip
-    the FFTs and return the bands, grid and shape of the transform path.
+    the FFTs and return the bands and shape of the transform path.
     """
     if a.bands != b.bands and len(a.bands) != len(b.bands):
         raise FourierShapeError("operands live on different tori")
@@ -506,20 +487,17 @@ def matmul(a: FourierMap, b: FourierMap, out_bands=None, work_grid=None) -> Four
     work = dealias_grid(a.bands, b.bands, out_bands) if work_grid is None else tuple(work_grid)
     if any(m < 2 * n + 1 for n, m in zip(out_bands, work)):
         raise FourierShapeError("work grid too small for requested output bands")
-    out_grid = tuple(max(2 * n + 1, g) for n, g in zip(out_bands, a.grid))
     if not (np.any(a.coeffs) and np.any(b.coeffs)):
-        return FourierMap.zeros(out_bands, out_grid, (a.shape[0], b.shape[1]))
-
-    def fitted(f):  # f truncated or zero-padded, axis by axis, to out_bands
-        keep = tuple(min(n, m) for n, m in zip(f.bands, out_bands))
-        return f.truncate(keep, out_grid).pad_bands(out_bands, out_grid)
-
+        return FourierMap.zeros(out_bands, (a.shape[0], b.shape[1]))
+    # a constant factor scales the other one, truncated or zero-padded axis by axis
     if _is_constant(a):
-        return fitted(b).rmatmul_constant(a.average())
+        fitted = b.truncate(tuple(map(min, b.bands, out_bands))).pad_bands(out_bands)
+        return fitted.rmatmul_constant(a.average())
     if _is_constant(b):
-        return fitted(a).matmul_constant(b.average())
+        fitted = a.truncate(tuple(map(min, a.bands, out_bands))).pad_bands(out_bands)
+        return fitted.matmul_constant(b.average())
     prod = _real_samples(a, work) @ _real_samples(b, work)
-    return FourierMap(_real_analysis(prod, out_bands), out_bands, out_grid)
+    return FourierMap(_real_analysis(prod, out_bands), out_bands)
 
 
 def concat_cols(*maps: FourierMap) -> FourierMap:
@@ -530,7 +508,7 @@ def concat_cols(*maps: FourierMap) -> FourierMap:
         if m.shape[0] != first.shape[0]:
             raise FourierShapeError("row counts differ")
     coeffs = np.concatenate([m.coeffs for m in maps], axis=-1)
-    return FourierMap(coeffs, first.bands, first.grid)
+    return FourierMap(coeffs, first.bands)
 
 
 def assemble_blocks(blocks) -> FourierMap:
@@ -541,14 +519,14 @@ def assemble_blocks(blocks) -> FourierMap:
         for m in row:
             ref._check_compatible(m)
         rows.append(np.concatenate([m.coeffs for m in row], axis=-1))
-    return FourierMap(np.concatenate(rows, axis=-2), ref.bands, ref.grid)
+    return FourierMap(np.concatenate(rows, axis=-2), ref.bands)
 
 
-def random_map(bands, grid, shape, rng, decay: float = 0.0, scale: float = 1.0) -> FourierMap:
+def random_map(bands, shape, rng, decay: float = 0.0, scale: float = 1.0) -> FourierMap:
     """Random real-analytic map; coefficients damped by exp(-decay*|k|_1)."""
     box = tuple(2 * n + 1 for n in bands)
     raw = rng.standard_normal(box + tuple(shape)) + 1j * rng.standard_normal(box + tuple(shape))
     if decay > 0:
         k1 = _k1_box(tuple(bands))
         raw = raw * np.exp(-decay * k1).reshape(k1.shape + (1, 1))
-    return FourierMap(_symmetrize(scale * raw), tuple(bands), tuple(grid))
+    return FourierMap(_symmetrize(scale * raw), tuple(bands))

@@ -24,7 +24,7 @@ vanishing is exact by construction rather than a numerical accident.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from .cohomology import DiophantineParams
 from .fourier import (TWO_PI, FourierMap, _k1_box, _real_samples, assemble_blocks, concat_cols,
                       matmul)
 from .hamiltonian import ConservedQuantity, HamiltonianSystem
+
+RANK_TOL = 1e-8  # L is rank-deficient if a singular value on the grid is at most this
+COND_LIMIT = 1e12  # largest condition accepted for a pointwise inverse or an averaged twist
 
 
 class FrameRankError(ArithmeticError):
@@ -91,7 +94,8 @@ class TorusCandidate:
 
     @property
     def grid(self) -> tuple:
-        return self.k_per.grid
+        """The exact sample grid 2*bands + 1 of the rank check, plotdata and torus.json."""
+        return tuple(2 * n + 1 for n in self.bands)
 
     def dk(self) -> FourierMap:
         """DK as a (2n x d) map; exact spectral derivative plus identity block."""
@@ -114,16 +118,7 @@ class TorusCandidate:
         return vals
 
     def with_updates(self, **kw) -> "TorusCandidate":
-        data = {
-            "k_per": self.k_per,
-            "omega": self.omega,
-            "dio": self.dio,
-            "rho": self.rho,
-            "system": self.system,
-            "angle_block": self.angle_block,
-        }
-        data.update(kw)
-        return TorusCandidate(**data)
+        return replace(self, **kw)
 
     def domain_margin(self) -> float:
         """Distance bound from K(T^d_rho) to the domain boundary via majorants.
@@ -161,10 +156,10 @@ def seed_torus(system: HamiltonianSystem, dio: DiophantineParams, bands,
     """Integrable-limit seed K(theta) = (theta, y_center) at frequency dio.omega.
 
     The periodic part is the constant momentum row y_center of the system's
-    domain, on the band ``bands`` and the grid 2*bands + 1.
+    domain, on the band ``bands``.
     """
     bands = tuple(int(b) for b in bands)
-    k_per = FourierMap.zeros(bands, tuple(2 * b + 1 for b in bands), (2 * system.n, 1))
+    k_per = FourierMap.zeros(bands, (2 * system.n, 1))
     k_per.coeffs[bands + (slice(system.domain.angle_count, None), 0)] = system.domain.y_center
     return TorusCandidate(k_per, dio.omega, dio, rho=rho, system=system)
 
@@ -194,8 +189,6 @@ class GridKitchen:
     """
 
     cand: TorusCandidate
-    wgrid: tuple
-    k_vals: np.ndarray
     XH: FourierMap
     DXH: FourierMap
     Omega: FourierMap
@@ -209,16 +202,15 @@ class GridKitchen:
 
 def grid_kitchen(cand: TorusCandidate, conserved: ConservedQuantity | None = None) -> GridKitchen:
     sys = cand.system
-    bands, grid = cand.bands, cand.grid
-    wg = work_grid(bands)
-    kv = cand.k_values(wg)
+    bands = cand.bands
+    kv = cand.k_values(work_grid(bands))
 
     def analyze(samples):
-        return FourierMap.from_samples(samples, bands, wg).with_grid(grid)
+        return FourierMap.from_samples(samples, bands)
 
     if sys.geometry.is_canonical:  # constant structure: one point, no transform
         def structure(callback):
-            return FourierMap.constant(callback(kv[(0,) * cand.d][None])[0], bands, grid)
+            return FourierMap.constant(callback(kv[(0,) * cand.d][None])[0], bands)
     else:
         def structure(callback):
             return analyze(callback(kv))
@@ -233,9 +225,8 @@ def grid_kitchen(cand: TorusCandidate, conserved: ConservedQuantity | None = Non
     if sys.n_integrals:
         xp = analyze(sys.Xp(kv))
     else:
-        xp = FourierMap.zeros(bands, grid, (n2, 0))
-    kk = GridKitchen(cand=cand, wgrid=wg, k_vals=kv, XH=xh, DXH=dxh, Omega=om, G=g, J=jj,
-                     tOmega=tom, Xp=xp)
+        xp = FourierMap.zeros(bands, (n2, 0))
+    kk = GridKitchen(cand=cand, XH=xh, DXH=dxh, Omega=om, G=g, J=jj, tOmega=tom, Xp=xp)
     if conserved is not None:
         kk.Dc = analyze(np.asarray(conserved.Dc(kv))[..., None, :])
         kk.c_map = analyze(np.asarray(conserved.c(kv))[..., None, None])
@@ -299,23 +290,21 @@ def invariance_error(cand: TorusCandidate, kitchen: GridKitchen) -> FourierMap:
     return kitchen.XH - cand.dk().matmul_constant(cand.omega)
 
 
-def tangent_frame(cand: TorusCandidate, kitchen: GridKitchen,
-                  rank_tol: float = 1e-8) -> FourierMap:
+def tangent_frame(cand: TorusCandidate, kitchen: GridKitchen) -> FourierMap:
     """L = (DK  X_p o K); raises FrameRankError if rank < n anywhere on the grid."""
     L = concat_cols(cand.dk(), kitchen.Xp)
     vals = _real_samples(L, cand.grid)
     svals = np.linalg.svd(vals, compute_uv=False)
     smin = float(svals[..., -1].min())
-    if smin <= rank_tol:
+    if smin <= RANK_TOL:
         raise FrameRankError(f"tangent frame rank-deficient: min singular value {smin:.3e}")
     return L
 
 
-def _pointwise_inverse(f: FourierMap, wgrid: tuple, out_grid: tuple,
-                       cond_limit: float = 1e12):
-    """Grid-pointwise inverse of a real-analytic map (real LU, partial pivoting,
-    one refinement step)."""
-    vals = _real_samples(f, wgrid)
+def _pointwise_inverse(f: FourierMap):
+    """Pointwise inverse of a real-analytic map on its work grid (real LU,
+    partial pivoting, one refinement step)."""
+    vals = _real_samples(f, work_grid(f.bands))
     eye = np.eye(vals.shape[-1])
     try:
         inv = np.linalg.solve(vals, np.broadcast_to(eye, vals.shape).copy())
@@ -325,10 +314,9 @@ def _pointwise_inverse(f: FourierMap, wgrid: tuple, out_grid: tuple,
     cond = float(
         np.max(np.abs(vals).sum(axis=-1).max(axis=-1) * np.abs(inv).sum(axis=-1).max(axis=-1))
     )
-    if cond > cond_limit:
-        raise SingularGramError(f"pointwise condition estimate {cond:.3e} exceeds {cond_limit:.1e}")
-    out = FourierMap.from_samples(inv, f.bands, wgrid).with_grid(out_grid)
-    return out, cond
+    if cond > COND_LIMIT:
+        raise SingularGramError(f"pointwise condition estimate {cond:.3e} exceeds {COND_LIMIT:.1e}")
+    return FourierMap.from_samples(inv, f.bands), cond
 
 
 def normal_frame(cand: TorusCandidate, L: FourierMap, kitchen: GridKitchen):
@@ -337,18 +325,18 @@ def normal_frame(cand: TorusCandidate, L: FourierMap, kitchen: GridKitchen):
     B is symmetrized after inversion and the asymmetry residual is returned in
     the accompanying diagnostics dict.
     """
-    bands, grid = cand.bands, cand.grid
+    bands = cand.bands
     diag = {}
 
     N0 = matmul(kitchen.J, L, out_bands=bands)
     GL = matmul(matmul(L.T, kitchen.G, out_bands=bands), L, out_bands=bands)
-    B_raw, cond = _pointwise_inverse(GL, work_grid(bands), grid)
+    B_raw, cond = _pointwise_inverse(GL)
     diag["gram_condition"] = cond
     B = 0.5 * (B_raw + B_raw.T)
     diag["B_asymmetry"] = (B_raw - B_raw.T).norm(0.0).value * 0.5
 
     if cand.system.geometry.case_tag == "III":
-        A = FourierMap.zeros(bands, grid, (cand.system.n, cand.system.n))
+        A = FourierMap.zeros(bands, (cand.system.n, cand.system.n))
     else:
         tOmL = matmul(matmul(L.T, kitchen.tOmega, out_bands=bands), L, out_bands=bands)
         A_raw = -0.5 * matmul(matmul(B.T, tOmL, out_bands=bands), B, out_bands=bands)
@@ -407,11 +395,11 @@ def _twist_scale(cand: TorusCandidate, N: FourierMap, kitchen: GridKitchen) -> f
             * (kitchen.DXH.norm(0.0).value * norm_n + N.lie(cand.omega).norm(0.0).value))
 
 
-def _check_twist(avg: np.ndarray, what: str, scale: float, cond_limit: float = 1e12):
+def _check_twist(avg: np.ndarray, what: str, scale: float):
     """Reject a singular or ill-conditioned average, and one that is round-off.
 
     ``scale`` bounds the majorant of the factors the average was taken from; an
-    average whose smallest singular value is at most scale / cond_limit is a
+    average whose smallest singular value is at most scale / COND_LIMIT is a
     cancellation to round-off (a zero twist), whatever its own conditioning.
     """
     try:
@@ -419,14 +407,14 @@ def _check_twist(avg: np.ndarray, what: str, scale: float, cond_limit: float = 1
         inv = np.linalg.inv(avg)
     except np.linalg.LinAlgError as exc:
         raise TwistDegeneracyError(f"{what} is singular") from exc
-    if not smin > scale / cond_limit:
+    if not smin > scale / COND_LIMIT:
         raise TwistDegeneracyError(
-            f"{what} smallest singular value {smin:.3e} is at most {1 / cond_limit:.1e} "
+            f"{what} smallest singular value {smin:.3e} is at most {1 / COND_LIMIT:.1e} "
             f"times its factors' scale {scale:.3e}"
         )
     cond = float(np.abs(avg).sum(axis=1).max() * np.abs(inv).sum(axis=1).max())
-    if cond > cond_limit:
-        raise TwistDegeneracyError(f"{what} condition {cond:.3e} exceeds {cond_limit:.1e}")
+    if cond > COND_LIMIT:
+        raise TwistDegeneracyError(f"{what} condition {cond:.3e} exceeds {COND_LIMIT:.1e}")
 
 
 def extended_torsion(cand: TorusCandidate, T: FourierMap, N: FourierMap,
@@ -436,7 +424,7 @@ def extended_torsion(cand: TorusCandidate, T: FourierMap, N: FourierMap,
 
     T_c = [[T, omega_hat], [Dc(K) N, 0]] with omega_hat = (omega, 0_{n-d}).
     """
-    bands, grid = cand.bands, cand.grid
+    bands = cand.bands
     n = cand.system.n
     Tdown = matmul(kitchen.Dc, N, out_bands=bands)
     omega_hat = np.concatenate([cand.omega, np.zeros(n - cand.d)])
@@ -446,7 +434,7 @@ def extended_torsion(cand: TorusCandidate, T: FourierMap, N: FourierMap,
     coeffs[..., n, :n] = Tdown.coeffs[..., 0, :]
     center = tuple(b for b in bands)
     coeffs[center + (slice(None, n), n)] += omega_hat
-    Tc = FourierMap(coeffs, bands, grid)
+    Tc = FourierMap(coeffs, bands)
     avgTc = Tc.average().real
     # row sums of the factor bounds: the rows of T plus omega_hat, and Dc N
     scale = max(_twist_scale(cand, N, kitchen) + float(np.max(np.abs(omega_hat))),

@@ -32,6 +32,7 @@ from .frames import (
 )
 from .hamiltonian import ConservedQuantity
 from .solver import (
+    COMPAT_TOL,
     CompatibilityError,
     Iterate,
     NewtonSchedule,
@@ -93,7 +94,7 @@ def total_error(cand: TorusCandidate, conserved: ConservedQuantity, c0: float) -
 
 def solve_triangular_iso(eta_L: FourierMap, eta_N: FourierMap, eta_omega: float,
                          T: FourierMap, Tdown: FourierMap, dio: DiophantineParams,
-                         xi_L0: np.ndarray | None = None, compat_tol: float = 1e-10):
+                         xi_L0: np.ndarray | None = None):
     """Solve the frequency-augmented triangular system.
 
         xi^N = xi^N_0 + R_omega(eta^N),
@@ -110,9 +111,9 @@ def solve_triangular_iso(eta_L: FourierMap, eta_N: FourierMap, eta_omega: float,
     d = eta_L.d
     scale = max(1.0, eta_L.norm(0.0).value, eta_N.norm(0.0).value, abs(eta_omega))
     compat = float(np.max(np.abs(eta_N.average())))
-    if compat > compat_tol * scale:
+    if compat > COMPAT_TOL * scale:
         raise CompatibilityError(
-            f"<eta^N> = {compat:.3e} exceeds {compat_tol:.1e} x scale {scale:.3e}"
+            f"<eta^N> = {compat:.3e} exceeds {COMPAT_TOL:.1e} x scale {scale:.3e}"
         )
     avgT = T.average().real
     avgTdown = Tdown.average().real.reshape(n)
@@ -137,7 +138,7 @@ def solve_triangular_iso(eta_L: FourierMap, eta_N: FourierMap, eta_omega: float,
 
     xi_N = R_etaN.add_constant(xi_N0)
     T_xiN = T_RetaN + T.matmul_constant(xi_N0)
-    omega_hat_map = FourierMap.constant(omega_hat[:, None] * xi_omega, bands, eta_L.grid)
+    omega_hat_map = FourierMap.constant(omega_hat[:, None] * xi_omega, bands)
     xi_L = solve_cohomological(eta_L - T_xiN - omega_hat_map, dio)
     if xi_L0 is not None:
         xi_L = xi_L.add_constant(np.asarray(xi_L0, dtype=float).reshape(n, 1))

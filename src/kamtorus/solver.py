@@ -43,6 +43,10 @@ from .frames import (
 if TYPE_CHECKING:
     from .isoenergetic import FrequencyRay, IsoTarget
 
+COMPAT_TOL = 1e-10  # largest <eta^N> accepted, relative to the size of eta
+SLOPE_FLOOR_FACTOR = 30.0  # contraction pairs stay above this multiple of the final error
+SLOPE_CAP = 1e-1  # contraction pairs start below this error (the asymptotic regime)
+
 
 class CompatibilityError(ArithmeticError):
     """The solvability condition <eta^N> = 0 fails beyond tolerance."""
@@ -124,8 +128,7 @@ def tail_fraction(f, rho: float) -> float:
 
 
 def solve_triangular(eta_L: FourierMap, eta_N: FourierMap, T: FourierMap,
-                     dio: DiophantineParams, xi_L0: np.ndarray | None = None,
-                     compat_tol: float = 1e-10):
+                     dio: DiophantineParams, xi_L0: np.ndarray | None = None):
     """Solve [[O,T],[O,O]] xi + L_omega xi = eta for xi = (xi^L, xi^N).
 
         xi^N = xi^N_0 + R_omega(eta^N),
@@ -139,9 +142,9 @@ def solve_triangular(eta_L: FourierMap, eta_N: FourierMap, T: FourierMap,
     n = eta_L.shape[0]
     scale = max(1.0, eta_L.norm(0.0).value, eta_N.norm(0.0).value)
     compat = float(np.max(np.abs(eta_N.average())))
-    if compat > compat_tol * scale:
+    if compat > COMPAT_TOL * scale:
         raise CompatibilityError(
-            f"<eta^N> = {compat:.3e} exceeds {compat_tol:.1e} x scale {scale:.3e}"
+            f"<eta^N> = {compat:.3e} exceeds {COMPAT_TOL:.1e} x scale {scale:.3e}"
         )
     avgT = T.average().real
     try:
@@ -375,8 +378,7 @@ def iterate_newton(cand: TorusCandidate, schedule: NewtonSchedule,
             return finish(True, f"converged in {s} steps", err)
         if schedule.band_refinement and rec["tail_fraction"] > schedule.tail_threshold:
             new_bands = tuple(2 * n for n in it.cand.bands)
-            new_grid = tuple(2 * n + 1 for n in new_bands)
-            padded = it.cand.k_per.pad_bands(new_bands, new_grid)
+            padded = it.cand.k_per.pad_bands(new_bands)
             it = evaluate(it.cand.with_updates(k_per=padded), target, it.ray)
             rec["band_refined_to"] = list(new_bands)
         if prev_err is not None:
@@ -409,22 +411,22 @@ def iterate_newton(cand: TorusCandidate, schedule: NewtonSchedule,
         it = nxt
 
 
-def contraction_slope(log: list, floor_factor: float = 30.0, cap: float = 1e-1) -> float | None:
+def contraction_slope(log: list) -> float | None:
     """Contraction exponent log||E_{s+1}|| / log||E_s|| averaged over the
     pre-roundoff regime.
 
-    Pairs qualify when the incoming error is below ``cap`` (asymptotic regime)
-    and the outgoing error stays above floor_factor x the final error (not yet
+    Pairs qualify when the incoming error is below SLOPE_CAP (asymptotic regime)
+    and the outgoing error stays above SLOPE_FLOOR_FACTOR x the final error (not yet
     contaminated by the truncation/roundoff floor).  Returns None when no pair
     qualifies.
     """
     errs = [rec["err"] for rec in log]
     if len(errs) < 3:
         return None
-    floor = max(errs[-1], 1e-300) * floor_factor
+    floor = max(errs[-1], 1e-300) * SLOPE_FLOOR_FACTOR
     ratios = []
     for a, b in zip(errs, errs[1:]):
-        if floor < a < cap and b > floor and b < a:
+        if floor < a < SLOPE_CAP and b > floor and b < a:
             ratios.append(np.log(b) / np.log(a))
     if not ratios:
         return None

@@ -32,6 +32,7 @@ from kamtorus.frames import (
     invariance_error,
     measure_hypothesis_data,
     tangent_frame,
+    work_grid,
 )
 from kamtorus.isoenergetic import FrequencyRay, IsoTarget, total_error
 from kamtorus.solver import Iterate, NewtonSchedule, contraction_slope, evaluate, iterate_newton
@@ -52,15 +53,15 @@ def test_criterion_1_cohomology_round_trip(golden_dio):
     """100 random band-limited maps: residual <= 1e-12 relative and the
     small-divisor inequality with the computed constant; wall time < 5 s."""
     rng = np.random.default_rng(1001)
-    bands, grid = (16, 16), (33, 33)
+    bands = (16, 16)
     rho, delta = 0.1, 0.03
     tau, gamma = golden_dio.tau, golden_dio.gamma
-    c_r = russmann_constant(tau, delta, 2, bands)
+    c_r = russmann_constant(tau, delta)
     factor = c_r / (gamma * delta**tau)
     t0 = time.time()
     worst_resid, worst_gain = 0.0, 0.0
     for _ in range(100):
-        v = random_map(bands, grid, (1, 1), rng, decay=rng.uniform(0.0, 0.6))
+        v = random_map(bands, (1, 1), rng, decay=rng.uniform(0.0, 0.6))
         u = solve_cohomological(v, golden_dio)
         recon = u.lie(golden_dio.omega).add_constant(v.average())
         resid = np.max(np.abs(recon.coeffs - v.coeffs)) / np.max(np.abs(v.coeffs))
@@ -106,7 +107,7 @@ def test_criterion_3_structural_identities(golden_omega):
                              ("symmetric_rotors", 1e-2, (10, 10))):
         base = seed_candidate(name, eps, golden_omega, bands=bands, rho=0.03)
         cases.append(base)
-        noise = random_map(base.bands, base.grid, base.k_per.shape, rng,
+        noise = random_map(base.bands, base.k_per.shape, rng,
                            decay=1.5, scale=3e-3)
         cases.append(base.with_updates(k_per=base.k_per + noise))
     for cand in cases:
@@ -196,7 +197,7 @@ def test_criterion_6_lemma_bound_soundness(golden_omega):
         assert settle.converged
         anchor = settle.candidate
         for k in range(10):
-            noise = random_map(anchor.bands, anchor.grid, anchor.k_per.shape, rng,
+            noise = random_map(anchor.bands, anchor.k_per.shape, rng,
                                decay=1.5, scale=10.0 ** rng.uniform(-7, -5))
             candidates.append(anchor.with_updates(k_per=anchor.k_per + noise))
     for cand in candidates:
@@ -209,8 +210,8 @@ def test_criterion_6_lemma_bound_soundness(golden_omega):
         c_centered = kk.c_map.add_constant(-kk.c_map.average())
         p_level = None
         if cand.system.n_integrals:
-            p_vals = cand.system.p(cand.k_values(kk.wgrid))[..., None]
-            p_map = FourierMap.from_samples(p_vals, cand.bands, kk.wgrid)
+            p_vals = cand.system.p(cand.k_values(work_grid(cand.bands)))[..., None]
+            p_map = FourierMap.from_samples(p_vals, cand.bands)
             p_map = p_map.add_constant(-p_map.average())
             p_level = p_map.norm(cand.rho - delta).value
         pairs = soundness_report(it, fr, globs, delta, sched,
@@ -251,7 +252,7 @@ def test_criterion_7_certificate_end_to_end(golden_omega):
     if primary_pass:
         # closeness bound: perturb, re-measure, re-converge, compare
         rng = np.random.default_rng(7)
-        noise = random_map(torus.bands, torus.grid, torus.k_per.shape, rng,
+        noise = random_map(torus.bands, torus.k_per.shape, rng,
                            decay=1.5, scale=1e-9)
         perturbed = torus.with_updates(k_per=torus.k_per + noise)
         it_p = evaluate(perturbed)

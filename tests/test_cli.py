@@ -298,13 +298,14 @@ def _short_map(doc):
     ("ordinary", lambda doc: doc.update(rho="x"), "rho"),
     ("ordinary", lambda doc: doc.update(rho=-1.0), "rho"),
     ("ordinary", lambda doc: doc.update(grid=[3, 3]), "grid"),
+    ("ordinary", lambda doc: doc.update(grid=[11, 11]), "grid"),
     ("ordinary", lambda doc: doc.update(omega=[1.0]), "omega"),
     ("ordinary", _short_map, "map"),
     ("iso", lambda doc: doc.update(rho=0.5), "rho"),  # the strip leaves the domain
     ("iso", _drop("c0"), "c0"),
     ("iso", lambda doc: doc.update(c0="x"), "c0"),
-], ids=["dio-missing", "rho-string", "rho-negative", "grid-too-small", "omega-short",
-        "map-short", "rho-outside-domain", "c0-missing", "c0-string"])
+], ids=["dio-missing", "rho-string", "rho-negative", "grid-too-small", "grid-not-2N+1",
+        "omega-short", "map-short", "rho-outside-domain", "c0-missing", "c0-string"])
 def test_certify_malformed_torus_exit_two_names_field(tmp_path, capsys, solved_tori, mode,
                                                        spoil, field):
     doc = json.loads(json.dumps(solved_tori[mode]))
@@ -314,6 +315,18 @@ def test_certify_malformed_torus_exit_two_names_field(tmp_path, capsys, solved_t
     assert main(["certify", str(torus), "--out", str(tmp_path)]) == 2
     assert f"torus file field '{field}'" in capsys.readouterr().err
     assert not (tmp_path / "certificate.json").exists()
+
+
+def test_plotdata_refuses_grid_not_2n_plus_1(tmp_path, capsys, solved_tori):
+    """plotdata samples K on the grid 2*bands + 1, so a torus file claiming
+    another grid exits 2 naming the field instead of plotting a different one."""
+    doc = json.loads(json.dumps(solved_tori["ordinary"]))
+    doc["grid"] = [11, 11]
+    torus = tmp_path / "torus.json"
+    torus.write_text(json.dumps(doc))
+    assert main(["plotdata", str(torus), "--out", str(tmp_path)]) == 2
+    assert "torus file field 'grid'" in capsys.readouterr().err
+    assert not (tmp_path / "torus_grid.csv").exists()
 
 
 def test_validate_refuses_out(tmp_path, capsys):

@@ -79,18 +79,18 @@ def test_scaled_params(golden_dio):
 
 
 def test_solve_constant_gives_zero(golden_dio):
-    v = FourierMap.constant(np.array([[4.2]]), (4, 4), (9, 9))
+    v = FourierMap.constant(np.array([[4.2]]), (4, 4))
     u = solve_cohomological(v, golden_dio)
     assert np.max(np.abs(u.coeffs)) == 0.0
 
 
 def test_solve_cosine_closed_form(golden_dio):
-    bands, grid = (4, 4), (9, 9)
-    v = FourierMap.zeros(bands, grid, (1, 1))
+    bands = (4, 4)
+    v = FourierMap.zeros(bands, (1, 1))
     v.coeffs[4 + 1, 4, 0, 0] = 0.5
     v.coeffs[4 - 1, 4, 0, 0] = 0.5
     u = solve_cohomological(v, golden_dio)
-    expected = FourierMap.zeros(bands, grid, (1, 1))
+    expected = FourierMap.zeros(bands, (1, 1))
     w1 = golden_dio.omega[0]
     expected.coeffs[4 + 1, 4, 0, 0] = -(-0.5j) / (2 * np.pi * w1)
     expected.coeffs[4 - 1, 4, 0, 0] = -(0.5j) / (2 * np.pi * w1)
@@ -102,7 +102,7 @@ def test_solve_cosine_closed_form(golden_dio):
 
 def test_solve_residual_random(golden_dio):
     for _ in range(5):
-        v = random_map((8, 8), (17, 17), (2, 1), RNG, decay=0.2)
+        v = random_map((8, 8), (2, 1), RNG, decay=0.2)
         u = solve_cohomological(v, golden_dio)
         recon = u.lie(golden_dio.omega).add_constant(v.average())
         rel = np.max(np.abs(recon.coeffs - v.coeffs)) / np.max(np.abs(v.coeffs))
@@ -111,14 +111,14 @@ def test_solve_residual_random(golden_dio):
 
 
 def test_solve_uniqueness_mod_constants(golden_dio):
-    v = random_map((6, 6), (13, 13), (1, 1), RNG)
+    v = random_map((6, 6), (1, 1), RNG)
     u1 = solve_cohomological(v, golden_dio)
     u2 = solve_cohomological(v.add_constant(np.array([[3.7]])), golden_dio)
     assert np.max(np.abs(u1.coeffs - u2.coeffs)) == 0.0
 
 
 def test_left_then_right_is_projection(golden_dio):
-    v = random_map((6, 6), (13, 13), (1, 1), RNG, decay=0.1)
+    v = random_map((6, 6), (1, 1), RNG, decay=0.1)
     omega = golden_dio.omega
     # L_omega (R_omega v) = v - <v>
     lr = solve_cohomological(v, golden_dio).lie(omega)
@@ -131,7 +131,7 @@ def test_left_then_right_is_projection(golden_dio):
 
 def test_solve_resonant_frequency_raises():
     dio_like = DiophantineParams(np.array([1.0, 0.5]), 1e-3, 1.0, 5, check=False)
-    v = random_map((4, 4), (9, 9), (1, 1), RNG)
+    v = random_map((4, 4), (1, 1), RNG)
     with pytest.raises(DivisorCollisionError):
         solve_cohomological(v, dio_like)  # k = (1, -2) kills it
 
@@ -167,22 +167,22 @@ def test_generic_scan_dimension_three():
 def test_russmann_single_mode_oracle(golden_dio):
     """A one-mode v realizes the ratio |k|^tau e^{-2 pi |k| delta}/(2 pi gamma)
     at worst; the constant must dominate it."""
-    bands, grid = (6, 6), (13, 13)
+    bands = (6, 6)
     tau, delta = golden_dio.tau, 0.05
     for k in [(1, 0), (2, -1), (5, 3), (-6, 6)]:
-        v = FourierMap.zeros(bands, grid, (1, 1))
+        v = FourierMap.zeros(bands, (1, 1))
         v.coeffs[6 + k[0], 6 + k[1], 0, 0] = 1.0
         v.coeffs[6 - k[0], 6 - k[1], 0, 0] = 1.0
         u = solve_cohomological(v, golden_dio)
         rho = 0.2
         realized = u.norm(rho - delta).value / v.norm(rho).value
-        c_r = russmann_constant(tau, delta, 2, bands)
+        c_r = russmann_constant(tau, delta)
         assert realized <= c_r / (golden_dio.gamma * delta**tau) * (1 + 1e-12)
 
 
 def test_russmann_monotone_in_delta():
     deltas = [0.002, 0.01, 0.03, 0.08, 0.1589, 0.2, 0.5, 1.0]
-    vals = [russmann_constant(1.0, dl, 2, (16, 16)) for dl in deltas]
+    vals = [russmann_constant(1.0, dl) for dl in deltas]
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
@@ -190,18 +190,18 @@ def test_russmann_envelopes_raw_ratio():
     for tau in (1.0, 1.4, 2.0):
         for delta in (0.003, 0.02, 0.1, 0.3):
             raw = russmann_raw_ratio(tau, delta, (16, 16))
-            assert russmann_constant(tau, delta, 2, (16, 16)) >= raw * (1 - 1e-12)
+            assert russmann_constant(tau, delta) >= raw * (1 - 1e-12)
 
 
 def test_russmann_inequality_random_sweep(golden_dio):
     """Lemma-style inequality on 100 random band-limited maps."""
     tau = golden_dio.tau
     rho, delta = 0.15, 0.04
-    c_r = russmann_constant(tau, delta, 2, (8, 8))
+    c_r = russmann_constant(tau, delta)
     factor = c_r / (golden_dio.gamma * delta**tau)
     rng = np.random.default_rng(2)
     for _ in range(100):
-        v = random_map((8, 8), (17, 17), (1, 1), rng, decay=rng.uniform(0, 0.5))
+        v = random_map((8, 8), (1, 1), rng, decay=rng.uniform(0, 0.5))
         u = solve_cohomological(v, golden_dio)
         assert u.norm(rho - delta).value <= factor * v.norm(rho).value * (1 + 1e-12)
 
@@ -214,4 +214,4 @@ def test_russmann_inequality_random_sweep(golden_dio):
 )
 def test_russmann_monotone_property(tau, d1, d2):
     lo, hi = min(d1, d2), max(d1, d2)
-    assert russmann_constant(tau, lo, 2, (8, 8)) >= russmann_constant(tau, hi, 2, (8, 8)) - 1e-15
+    assert russmann_constant(tau, lo) >= russmann_constant(tau, hi) - 1e-15

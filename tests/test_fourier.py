@@ -20,16 +20,16 @@ from kamtorus.fourier import (
 RNG = np.random.default_rng(20240817)
 
 
-def cos_map(bands=(4,), grid=(9,), axis_k=1):
-    f = FourierMap.zeros(bands, grid, (1, 1))
+def cos_map(bands=(4,), axis_k=1):
+    f = FourierMap.zeros(bands, (1, 1))
     c = bands[0]
     f.coeffs[c + axis_k, 0, 0] = 0.5
     f.coeffs[c - axis_k, 0, 0] = 0.5
     return f
 
 
-def sin_map(bands=(4,), grid=(9,)):
-    f = FourierMap.zeros(bands, grid, (1, 1))
+def sin_map(bands=(4,)):
+    f = FourierMap.zeros(bands, (1, 1))
     c = bands[0]
     f.coeffs[c + 1, 0, 0] = -0.5j
     f.coeffs[c - 1, 0, 0] = 0.5j
@@ -40,22 +40,22 @@ def sin_map(bands=(4,), grid=(9,)):
 
 
 def test_eval_grid_constant():
-    f = FourierMap.constant(np.array([[3.0]]), (4, 4), (9, 9))
+    f = FourierMap.constant(np.array([[3.0]]), (4, 4))
     samples = f.eval_grid()
     assert np.allclose(samples, 3.0, atol=1e-14)
 
 
 def test_eval_grid_cosine_quarter_points():
-    f = cos_map(bands=(1,), grid=(4,))
-    samples = f.eval_grid()[..., 0, 0].real
+    f = cos_map(bands=(1,))
+    samples = f.eval_grid((4,))[..., 0, 0].real
     assert np.allclose(samples, [1.0, 0.0, -1.0, 0.0], atol=1e-15)
 
 
 def test_eval_grid_matches_direct_summation():
-    f = random_map((8,), (32,), (2, 2), RNG, decay=0.1)
+    f = random_map((8,), (2, 2), RNG, decay=0.1)
     theta = (np.arange(32) / 32.0)[:, None]
     direct = f.eval_at(theta)
-    fast = f.eval_grid()
+    fast = f.eval_grid((32,))
     assert np.max(np.abs(direct - fast)) < 1e-13 * max(1, np.max(np.abs(direct)))
 
 
@@ -80,8 +80,8 @@ def test_from_samples_sine_euler_coefficients():
 
 
 def test_round_trip_from_samples_of_eval():
-    f = random_map((6, 6), (13, 13), (3, 2), RNG, decay=0.2)
-    g = FourierMap.from_samples(f.eval_grid(), f.bands, f.grid)
+    f = random_map((6, 6), (3, 2), RNG, decay=0.2)
+    g = FourierMap.from_samples(f.eval_grid(), f.bands)
     rel = np.max(np.abs(g.coeffs - f.coeffs)) / np.max(np.abs(f.coeffs))
     assert rel < 1e-13
 
@@ -108,14 +108,14 @@ def test_from_samples_dimension_mismatch():
 ])
 def test_from_samples_real_samples_match_complex_path(monkeypatch, bands, grid, shape):
     samples = np.random.default_rng(sum(grid)).standard_normal(grid + shape)
-    ref = FourierMap.from_samples(samples.astype(complex), bands, grid)
+    ref = FourierMap.from_samples(samples.astype(complex), bands)
 
     def no_complex_fft(*args, **kwargs):
         raise AssertionError("real samples must be analysed with a real FFT")
 
     monkeypatch.setattr(np.fft, "fftn", no_complex_fft)
-    got = FourierMap.from_samples(samples, bands, grid)
-    assert (got.bands, got.grid, got.shape) == (ref.bands, ref.grid, ref.shape)
+    got = FourierMap.from_samples(samples, bands)
+    assert (got.bands, got.shape) == (ref.bands, ref.shape)
     assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-14 * np.max(np.abs(samples))
 
 
@@ -129,7 +129,7 @@ def test_real_symmetry_enforced():
 
 
 def test_partial_derivative_constant_is_zero():
-    f = FourierMap.constant(np.array([[7.0]]), (4,), (9,))
+    f = FourierMap.constant(np.array([[7.0]]), (4,))
     assert np.max(np.abs(f.deriv(0).coeffs)) == 0.0
 
 
@@ -141,7 +141,7 @@ def test_partial_derivative_sine():
 
 
 def test_partial_derivative_finite_difference_oracle():
-    f = random_map((8, 8), (17, 17), (1, 1), RNG, decay=0.4)
+    f = random_map((8, 8), (1, 1), RNG, decay=0.4)
     theta = RNG.uniform(0, 1, size=(40, 2))
     h = 1e-5
     for axis in range(2):
@@ -164,21 +164,21 @@ def test_lie_derivative_solves_cosine():
 
 
 def test_lie_derivative_zero_average():
-    f = random_map((5, 5), (11, 11), (2, 1), RNG)
+    f = random_map((5, 5), (2, 1), RNG)
     lied = f.lie(np.array([0.9, 1.3]))
     assert np.max(np.abs(lied.average())) < 1e-16
 
 
 def test_lie_equals_weighted_partials_exactly():
-    f = random_map((5, 5), (11, 11), (2, 2), RNG)
+    f = random_map((5, 5), (2, 2), RNG)
     omega = np.array([1.1, -0.4])
     combo = f.deriv(0) * (-omega[0]) + f.deriv(1) * (-omega[1])
     assert np.max(np.abs(f.lie(omega).coeffs - combo.coeffs)) == 0.0
 
 
 def test_linearity_of_operators():
-    a = random_map((5, 5), (11, 11), (2, 2), RNG)
-    b = random_map((5, 5), (11, 11), (2, 2), RNG)
+    a = random_map((5, 5), (2, 2), RNG)
+    b = random_map((5, 5), (2, 2), RNG)
     omega = np.array([0.3, 0.8])
     lhs = (a * 2.0 + b * (-0.5)).lie(omega)
     rhs = a.lie(omega) * 2.0 + b.lie(omega) * (-0.5)
@@ -193,13 +193,13 @@ def test_linearity_of_operators():
 
 def test_average_trivial_cases():
     assert abs(sin_map().average()[0, 0]) == 0.0
-    f = cos_map(bands=(4,), grid=(9,))
+    f = cos_map(bands=(4,))
     f = f.add_constant(np.array([[5.0]]))
     assert abs(f.average()[0, 0] - 5.0) < 1e-15
 
 
 def test_average_equals_grid_mean():
-    f = random_map((6, 6), (13, 13), (2, 3), RNG, decay=0.1)
+    f = random_map((6, 6), (2, 3), RNG, decay=0.1)
     mean = f.eval_grid().mean(axis=(0, 1))
     assert np.max(np.abs(mean - f.average())) < 1e-13
 
@@ -208,7 +208,7 @@ def test_average_equals_grid_mean():
 
 
 def test_strip_norm_constant():
-    f = FourierMap.constant(np.array([[-2.0]]), (3, 3), (7, 7))
+    f = FourierMap.constant(np.array([[-2.0]]), (3, 3))
     for rho in (0.0, 0.1, 1.0):
         assert abs(f.norm(rho).value - 2.0) < 1e-15
 
@@ -222,39 +222,39 @@ def test_strip_norm_cosine_dominates_true_sup():
 
 
 def test_strip_norm_at_zero_dominates_grid_max():
-    f = random_map((6, 6), (16, 16), (2, 2), RNG, decay=0.3)
-    grid_max = np.max(np.abs(f.eval_grid()).sum(axis=-1))
+    f = random_map((6, 6), (2, 2), RNG, decay=0.3)
+    grid_max = np.max(np.abs(f.eval_grid((16, 16))).sum(axis=-1))
     assert f.norm(0.0).value >= grid_max - 1e-12
 
 
 def test_strip_norm_transpose_is_column_sums():
-    f = FourierMap.constant(np.array([[1.0, 2.0], [0.5, 0.25]]), (2,), (5,))
+    f = FourierMap.constant(np.array([[1.0, 2.0], [0.5, 0.25]]), (2,))
     assert abs(f.norm(0.0).value - 3.0) < 1e-15          # max row sum
     assert abs(f.norm(0.0, transpose=True).value - 2.25) < 1e-15
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
 def test_strip_norm_of_empty_map_is_zero(shape):
-    f = FourierMap.zeros((2,), (5,), shape)
+    f = FourierMap.zeros((2,), shape)
     assert f.norm(0.0).value == 0.0
     assert f.norm(0.1, transpose=True).value == 0.0
 
 
 def test_strip_norm_monotone_in_rho():
-    f = random_map((5, 5), (11, 11), (2, 2), RNG)
+    f = random_map((5, 5), (2, 2), RNG)
     values = [f.norm(r).value for r in (0.0, 0.05, 0.1, 0.2)]
     assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
 
 def test_strip_norm_overflow_flagged():
-    f = random_map((40, 40), (81, 81), (1, 1), RNG)
+    f = random_map((40, 40), (1, 1), RNG)
     with pytest.raises(StripOverflowError):
         f.norm(2.0)
 
 
 def test_strip_norm_submultiplicative():
-    a = random_map((5, 5), (11, 11), (2, 3), RNG, decay=0.2)
-    b = random_map((5, 5), (11, 11), (3, 2), RNG, decay=0.2)
+    a = random_map((5, 5), (2, 3), RNG, decay=0.2)
+    b = random_map((5, 5), (3, 2), RNG, decay=0.2)
     prod = matmul(a, b)  # full product band: no truncation slack
     rho = 0.07
     lhs = prod.norm(rho).value
@@ -295,7 +295,7 @@ def test_cauchy_bound_rejects_bad_delta():
 
 
 def test_cauchy_dominates_measured_derivative():
-    f = random_map((6, 6), (13, 13), (1, 1), RNG, decay=0.3)
+    f = random_map((6, 6), (1, 1), RNG, decay=0.3)
     rho, delta = 0.1, 0.04
     base = f.norm(rho)
     bound = cauchy_bound(base, delta, "D", dim=2)
@@ -307,12 +307,12 @@ def test_cauchy_dominates_measured_derivative():
 
 
 def test_json_round_trip():
-    f = random_map((3, 2), (7, 5), (2, 1), RNG)
+    f = random_map((3, 2), (2, 1), RNG)
     doc = json.loads(f.to_json())
     assert doc["dims"] == [2, 2, 1]
     assert doc["bands"] == [3, 2]
     assert len(doc["coeffs"]) == 2 * f.coeffs.size
-    g = FourierMap.from_json(f.to_json(), grid=f.grid)
+    g = FourierMap.from_json(f.to_json())
     assert np.max(np.abs(g.coeffs - f.coeffs)) == 0.0
 
 
@@ -322,7 +322,7 @@ def test_json_round_trip():
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=0.0, max_value=0.15), st.floats(min_value=0.0, max_value=0.15))
 def test_strip_norm_monotone_property(r1, r2):
-    f = random_map((4, 4), (9, 9), (1, 1), np.random.default_rng(7), decay=0.2)
+    f = random_map((4, 4), (1, 1), np.random.default_rng(7), decay=0.2)
     lo, hi = min(r1, r2), max(r1, r2)
     assert f.norm(lo).value <= f.norm(hi).value + 1e-12
 
@@ -377,8 +377,8 @@ def test_dealias_grid_is_tight(bands, out_bands):
     """One point short of N_a+N_b+N_out+1 folds product mode N_a+N_b onto the top
     kept mode; the rule's own size matches the full-band reference."""
     rng = np.random.default_rng(11)
-    a = random_map(bands, tuple(2 * n + 1 for n in bands), (2, 2), rng)
-    b = random_map(bands, tuple(2 * n + 1 for n in bands), (2, 2), rng)
+    a = random_map(bands, (2, 2), rng)
+    b = random_map(bands, (2, 2), rng)
     ref = complex_fft_product(a, b, out_bands)
     need = tuple(2 * n + no + 1 for n, no in zip(bands, out_bands))
     good = matmul(a, b, out_bands, work_grid=need)
@@ -415,23 +415,21 @@ def complex_fft_product(a, b, out_bands=None, work_grid=None):
     hat = np.fft.fftn(prod, axes=tuple(range(d))) / float(np.prod(work))
     coeffs = hat[np.ix_(*(np.arange(-n, n + 1) % m for n, m in zip(out_bands, work)))]
     flipped = np.conj(coeffs[tuple(slice(None, None, -1) for _ in range(d))])
-    out_grid = tuple(max(2 * n + 1, g) for n, g in zip(out_bands, a.grid))
-    return FourierMap(0.5 * (coeffs + flipped), out_bands, out_grid)
+    return FourierMap(0.5 * (coeffs + flipped), out_bands)
 
 
 def _operand(kind, bands, shape, rng):
-    grid = tuple(2 * n + 1 for n in bands)
     if kind == "const":
-        return FourierMap.constant(rng.standard_normal(shape), bands, grid)
+        return FourierMap.constant(rng.standard_normal(shape), bands)
     if kind == "zero":
-        return FourierMap.zeros(bands, grid, shape)
-    return random_map(bands, grid, shape, rng, decay=0.2)
+        return FourierMap.zeros(bands, shape)
+    return random_map(bands, shape, rng, decay=0.2)
 
 
 def assert_matches_reference(a, b, out_bands=None, work_grid=None):
     got = matmul(a, b, out_bands=out_bands, work_grid=work_grid)
     ref = complex_fft_product(a, b, out_bands=out_bands, work_grid=work_grid)
-    assert (got.bands, got.grid, got.shape) == (ref.bands, ref.grid, ref.shape)
+    assert (got.bands, got.shape) == (ref.bands, ref.shape)
     assert np.max(np.abs(got.coeffs - ref.coeffs), initial=0.0) <= 1e-13 * _scale(a, b)
     return got
 
@@ -481,14 +479,14 @@ def test_matmul_constant_and_zero_operands_skip_transforms(monkeypatch, kinds, o
     for name in ("fftn", "ifftn", "rfftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, no_transform)
     got = matmul(a, b, out_bands=out_bands)
-    assert (got.bands, got.grid, got.shape) == (ref.bands, ref.grid, ref.shape)
+    assert (got.bands, got.shape) == (ref.bands, ref.shape)
     assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-13 * _scale(a, b)
 
 
 def test_matmul_constant_result_keeps_exact_zeros():
     rng = np.random.default_rng(6)
-    c1 = FourierMap.constant(rng.standard_normal((2, 3)), (2, 3), (5, 7))
-    c2 = FourierMap.constant(rng.standard_normal((3, 2)), (4, 1), (9, 3))
+    c1 = FourierMap.constant(rng.standard_normal((2, 3)), (2, 3))
+    c2 = FourierMap.constant(rng.standard_normal((3, 2)), (4, 1))
     prod = matmul(c1, c2, out_bands=(3, 3))
     off = prod.coeffs.copy()
     off[3, 3] = 0.0

@@ -26,7 +26,7 @@ from conftest import GOLDEN, seed_candidate
 def perturb_candidate(cand, scale=1e-3, seed=0, decay=1.2):
     """Add a small analytic periodic perturbation to K."""
     rng = np.random.default_rng(seed)
-    noise = random_map(cand.bands, cand.grid, cand.k_per.shape, rng, decay=decay,
+    noise = random_map(cand.bands, cand.k_per.shape, rng, decay=decay,
                        scale=scale)
     return cand.with_updates(k_per=cand.k_per + noise)
 
@@ -73,7 +73,7 @@ def test_invariance_error_phase_shift_invariant(perturbed_candidate_a):
     ks = _index_box(cand.bands)
     phase = np.exp(2j * np.pi * (np.add.outer(ks[0] * alpha[0], ks[1] * alpha[1])))
     shifted = shifted * phase[..., None, None]
-    k_shift = FourierMap(shifted, cand.bands, cand.grid)
+    k_shift = FourierMap(shifted, cand.bands)
     # the identity part contributes K(theta + alpha) = theta + alpha + per(theta+alpha)
     const = np.zeros((2 * cand.system.n, 1))
     const[: cand.d, 0] = alpha
@@ -158,8 +158,8 @@ def test_pointwise_inverse_matches_neumann_oracle(perturbed_candidate_a):
     X = np.linalg.inv(vals)
     for _ in range(3):
         X = X @ (2 * np.eye(vals.shape[-1]) - vals @ X)
-    oracle = FourierMap.from_samples(X, cand.bands, wg)
-    diff = (B - 0.5 * (oracle + oracle.T).with_grid(cand.grid)).norm(0.0).value
+    oracle = FourierMap.from_samples(X, cand.bands)
+    diff = (B - 0.5 * (oracle + oracle.T)).norm(0.0).value
     assert diff < 1e-12 * max(1.0, B.norm(0.0).value)
     assert diag["B_asymmetry"] < 1e-12
 
@@ -198,9 +198,9 @@ def test_esym_block_structure_case_iii(perturbed_candidate_a):
     maps = error_maps(cand, fr, kk)
     n = cand.system.n
     bands = cand.bands
-    top_left = FourierMap(maps.Esym.coeffs[..., :n, :n], bands, cand.grid)
+    top_left = FourierMap(maps.Esym.coeffs[..., :n, :n], bands)
     diff1 = (top_left - maps.Elag).norm(0.0).value
-    bottom_right = FourierMap(maps.Esym.coeffs[..., n:, n:], bands, cand.grid)
+    bottom_right = FourierMap(maps.Esym.coeffs[..., n:, n:], bands)
     BT_Elag_B = matmul(matmul(fr.B.T, maps.Elag, out_bands=bands), fr.B, out_bands=bands)
     diff2 = (bottom_right - BT_Elag_B).norm(0.0).value
     off = max(np.max(np.abs(maps.Esym.coeffs[..., :n, n:])),
@@ -350,8 +350,8 @@ def harmonic_pair_system():
 def test_fully_periodic_parameterization_without_marker(golden_dio):
     """K purely periodic (no zero-section block): the circle pair is invariant."""
     sys_obj = harmonic_pair_system()
-    bands, grid = (3, 3), (7, 7)
-    k_per = FourierMap.zeros(bands, grid, (4, 1))
+    bands = (3, 3)
+    k_per = FourierMap.zeros(bands, (4, 1))
     # x_j = r_j cos(2 pi theta_j), y_j = -r_j sin(2 pi theta_j)
     for j, r in ((0, 0.6), (1, 0.4)):
         plus, minus = [3, 3], [3, 3]
@@ -397,7 +397,7 @@ def test_conserved_shadowing_inequality(exact_torus_b):
     from kamtorus.certificate import estimate_global_constants
 
     globs = estimate_global_constants(cand.system, conserved=conserved)
-    c_r = russmann_constant(cand.dio.tau, delta, cand.d, cand.bands)
+    c_r = russmann_constant(cand.dio.tau, delta)
     bound = c_r * globs.c_c_1 / (cand.dio.gamma * delta**cand.dio.tau) * E.norm(rho).value
     assert measured <= bound + 1e-9
 

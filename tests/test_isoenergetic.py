@@ -60,12 +60,12 @@ def test_ray_direction_immutable():
 
 
 def test_solve_triangular_iso_zero_data(golden_dio):
-    bands, grid = (6, 6), (13, 13)
+    bands = (6, 6)
     n = 2
-    zero = FourierMap.zeros(bands, grid, (n, 1))
-    T = FourierMap.constant(np.eye(n), bands, grid)
+    zero = FourierMap.zeros(bands, (n, 1))
+    T = FourierMap.constant(np.eye(n), bands)
     Tdown = FourierMap.constant(
-        np.concatenate([golden_dio.omega, np.zeros(n - 2)])[None, :], bands, grid
+        np.concatenate([golden_dio.omega, np.zeros(n - 2)])[None, :], bands
     )
     xi_L, xi_N, xi_N0, xi_omega, diag = solve_triangular_iso(
         zero, zero, 0.0, T, Tdown, golden_dio
@@ -78,12 +78,12 @@ def test_solve_triangular_iso_zero_data(golden_dio):
 def test_solve_triangular_iso_hand_block(golden_dio):
     """T = I, Tdown = omega_hat^T, eta = 0, eta^omega = 1:
     xi^omega = -1/|omega_hat|_2^2 and xi^N_0 = omega_hat/|omega_hat|_2^2."""
-    bands, grid = (6, 6), (13, 13)
+    bands = (6, 6)
     n = 2
     omega_hat = golden_dio.omega
-    zero = FourierMap.zeros(bands, grid, (n, 1))
-    T = FourierMap.constant(np.eye(n), bands, grid)
-    Tdown = FourierMap.constant(omega_hat[None, :], bands, grid)
+    zero = FourierMap.zeros(bands, (n, 1))
+    T = FourierMap.constant(np.eye(n), bands)
+    Tdown = FourierMap.constant(omega_hat[None, :], bands)
     xi_L, xi_N, xi_N0, xi_omega, diag = solve_triangular_iso(
         zero, zero, 1.0, T, Tdown, golden_dio
     )
@@ -94,15 +94,15 @@ def test_solve_triangular_iso_hand_block(golden_dio):
 
 def test_solve_triangular_iso_random_plugback(golden_dio):
     rng = np.random.default_rng(77)
-    bands, grid = (8, 8), (17, 17)
+    bands = (8, 8)
     n = 3
-    T = random_map(bands, grid, (n, n), rng, decay=0.7, scale=0.2)
+    T = random_map(bands, (n, n), rng, decay=0.7, scale=0.2)
     T = T.add_constant(np.eye(n))
-    Tdown = random_map(bands, grid, (1, n), rng, decay=0.7, scale=0.2)
+    Tdown = random_map(bands, (1, n), rng, decay=0.7, scale=0.2)
     Tdown = Tdown.add_constant(np.concatenate([golden_dio.omega, [0.0]])[None, :])
     for _ in range(5):
-        eta_L = random_map(bands, grid, (n, 1), rng, decay=0.4)
-        eta_N = random_map(bands, grid, (n, 1), rng, decay=0.4)
+        eta_L = random_map(bands, (n, 1), rng, decay=0.4)
+        eta_N = random_map(bands, (n, 1), rng, decay=0.4)
         eta_N = eta_N.add_constant(-eta_N.average())
         eta_omega = float(rng.standard_normal())
         xi_L, xi_N, xi_N0, xi_omega, diag = solve_triangular_iso(

@@ -47,15 +47,15 @@ def test_schedule_validation():
 # ---------------------------------------------------------- triangular solve
 
 
-def _identity_torsion(bands, grid, n):
-    return FourierMap.constant(np.eye(n), bands, grid)
+def _identity_torsion(bands, n):
+    return FourierMap.constant(np.eye(n), bands)
 
 
 def test_solve_triangular_zero_data(golden_dio):
-    bands, grid = (6, 6), (13, 13)
+    bands = (6, 6)
     n = 2
-    eta = FourierMap.zeros(bands, grid, (n, 1))
-    T = _identity_torsion(bands, grid, n)
+    eta = FourierMap.zeros(bands, (n, 1))
+    T = _identity_torsion(bands, n)
     xi_L, xi_N, xi_N0, diag = solve_triangular(eta, eta, T, golden_dio,
                                                xi_L0=np.array([0.4, -0.1]))
     assert np.max(np.abs(xi_N.coeffs)) == 0.0
@@ -66,13 +66,13 @@ def test_solve_triangular_zero_data(golden_dio):
 
 def test_solve_triangular_cosine_chain(golden_dio):
     """T = I, eta^L = 0, eta^N = cos(2 pi theta_1) e_1: the closed-form chain."""
-    bands, grid = (6, 6), (13, 13)
+    bands = (6, 6)
     n = 2
-    eta_L = FourierMap.zeros(bands, grid, (n, 1))
-    eta_N = FourierMap.zeros(bands, grid, (n, 1))
+    eta_L = FourierMap.zeros(bands, (n, 1))
+    eta_N = FourierMap.zeros(bands, (n, 1))
     eta_N.coeffs[6 + 1, 6, 0, 0] = 0.5
     eta_N.coeffs[6 - 1, 6, 0, 0] = 0.5
-    T = _identity_torsion(bands, grid, n)
+    T = _identity_torsion(bands, n)
     xi_L, xi_N, xi_N0, diag = solve_triangular(eta_L, eta_N, T, golden_dio)
     # xi^N = R(eta^N) = -sin(2 pi theta_1)/(2 pi omega_1) e_1, zero average
     assert np.max(np.abs(xi_N0)) < 1e-15
@@ -88,13 +88,13 @@ def test_solve_triangular_cosine_chain(golden_dio):
 
 def test_solve_triangular_random_plugback(golden_dio):
     rng = np.random.default_rng(31)
-    bands, grid = (8, 8), (17, 17)
+    bands = (8, 8)
     n = 3
-    T = random_map(bands, grid, (n, n), rng, decay=0.8, scale=0.3)
+    T = random_map(bands, (n, n), rng, decay=0.8, scale=0.3)
     T = T.add_constant(np.eye(n) * 2.0)
     for trial in range(5):
-        eta_L = random_map(bands, grid, (n, 1), rng, decay=0.4)
-        eta_N = random_map(bands, grid, (n, 1), rng, decay=0.4)
+        eta_L = random_map(bands, (n, 1), rng, decay=0.4)
+        eta_N = random_map(bands, (n, 1), rng, decay=0.4)
         eta_N = eta_N.add_constant(-eta_N.average())  # force compatibility
         xi_L, xi_N, xi_N0, diag = solve_triangular(eta_L, eta_N, T, golden_dio)
         scale = max(eta_L.norm(0.0).value, eta_N.norm(0.0).value)
@@ -103,11 +103,11 @@ def test_solve_triangular_random_plugback(golden_dio):
 
 
 def test_solve_triangular_compatibility_gate(golden_dio):
-    bands, grid = (4, 4), (9, 9)
-    T = _identity_torsion(bands, grid, 2)
-    eta_N = FourierMap.constant(np.array([[0.3], [0.0]]), bands, grid)
+    bands = (4, 4)
+    T = _identity_torsion(bands, 2)
+    eta_N = FourierMap.constant(np.array([[0.3], [0.0]]), bands)
     with pytest.raises(CompatibilityError):
-        solve_triangular(FourierMap.zeros(bands, grid, (2, 1)), eta_N, T, golden_dio)
+        solve_triangular(FourierMap.zeros(bands, (2, 1)), eta_N, T, golden_dio)
 
 
 # -------------------------------------------------------------- newton steps
