@@ -67,96 +67,45 @@ class DiophantineParams:
     def d(self) -> int:
         return self.omega.size
 
-    def verify_scan(self, scan_limit: int | None = None) -> float:
-        """Re-scan the divisor bound; returns the measured min of |k.w|*|k|^tau."""
-        limit = self.scan_limit if scan_limit is None else scan_limit
-        measured = estimate_gamma(self.omega, self.tau, limit)
-        if measured < self.gamma * (1.0 - 1e-12):
-            raise ValueError(
-                f"gamma={self.gamma} not supported by scan up to {limit}: measured {measured}"
-            )
-        return measured
 
-    def scaled(self, factor: float) -> "DiophantineParams":
-        """Diophantine data of factor*omega; the scan certificate scales linearly."""
-        return DiophantineParams(self.omega * factor, self.gamma * factor, self.tau,
-                                 self.scan_limit, check=False)
+def _divisors(k1: np.ndarray, kp: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """|k.omega| for k = (k1[i, j], kp[i]), summed left to right as k1 w1 + k2 w2 + ...
 
-
-def _scan_d2(omega: np.ndarray, tau: float, limit: int, chunk_rows: int = 512):
-    """Vectorized half-lattice scan for d = 2: k2 >= 1 rows plus the k2 = 0 axis."""
-    best = np.inf
-    k1_axis = np.arange(1, limit + 1, dtype=np.float64)
-    axis_dots = np.abs(k1_axis * omega[0])
-    worst = float(axis_dots.min())
-    if worst < RESONANCE_EPS:
+    Raises DivisorCollisionError naming the first k (in row-major order) whose
+    |k.omega| falls below RESONANCE_EPS.
+    """
+    dots = k1 * omega[0]
+    for i in range(1, omega.size):
+        dots += kp[:, i - 1, None] * omega[i]
+    np.abs(dots, out=dots)
+    bad = np.argwhere(dots < RESONANCE_EPS)
+    if bad.size:
+        i, j = bad[0]
+        k = (int(k1[i, j]),) + tuple(int(v) for v in kp[i])
         raise DivisorCollisionError(
-            f"resonance within precision at k=({int(np.argmin(axis_dots)) + 1}, 0)"
+            f"resonance within precision at k={k}: |k.omega|={dots[i, j]:.3e}"
         )
-    best = min(best, float(np.min(axis_dots * k1_axis**tau)))
-    # |k|_1^tau looked up by integer |k|_1 (avoids ~limit^2 libm pow calls)
-    pow_table = None if tau == 1.0 else np.arange(limit + 1, dtype=np.float64) ** tau
-    for start in range(1, limit + 1, chunk_rows):
-        stop = min(start + chunk_rows, limit + 1)
-        width = limit - start  # widest valid |k1| within this chunk
-        k1 = np.arange(-width, width + 1, dtype=np.float64)[None, :]
-        k2 = np.arange(start, stop, dtype=np.float64)[:, None]
-        norm1 = np.abs(k1) + k2
-        valid = norm1 <= limit
-        dots = np.abs(k1 * omega[0] + k2 * omega[1])
-        bad = valid & (dots < RESONANCE_EPS)
-        if np.any(bad):
-            i, j = np.argwhere(bad)[0]
-            raise DivisorCollisionError(
-                f"resonance within precision at k=({int(k1[0, j])}, {int(k2[i, 0])}): "
-                f"|k.omega|={dots[i, j]:.3e}"
-            )
-        if pow_table is None:
-            weights = norm1
-        else:
-            weights = pow_table[np.minimum(norm1, limit).astype(np.intp)]
-        dots *= weights
-        dots[~valid] = np.inf
-        best = min(best, float(dots.min()))
-    return best
-
-
-def _scan_generic(omega: np.ndarray, tau: float, limit: int):
-    """Half-lattice meshgrid scan for small d > 2."""
-    d = omega.size
-    rngs = [np.arange(-limit, limit + 1, dtype=np.int64)] * (d - 1) + [
-        np.arange(0, limit + 1, dtype=np.int64)
-    ]
-    mesh = np.stack(np.meshgrid(*rngs, indexing="ij"), axis=-1).reshape(-1, d)
-    k1 = np.abs(mesh).sum(axis=1)
-    keep = (k1 > 0) & (k1 <= limit)
-    lead = mesh[:, :-1]
-    zero_last = mesh[:, -1] == 0
-    first_sign = np.zeros(mesh.shape[0], dtype=np.int64)
-    for i in range(d - 1):
-        col = lead[:, i]
-        unset = first_sign == 0
-        first_sign = np.where(unset & (col != 0), np.sign(col), first_sign)
-    keep &= ~(zero_last & (first_sign < 0))
-    block = mesh[keep]
-    dots = np.abs(block.astype(np.float64) @ omega)
-    worst = float(dots.min())
-    if worst < RESONANCE_EPS:
-        idx = int(np.argmin(dots))
-        raise DivisorCollisionError(
-            f"resonance within precision at k={tuple(int(v) for v in block[idx])}: "
-            f"|k.omega|={worst:.3e}"
-        )
-    norm1 = np.abs(block).sum(axis=1).astype(np.float64)
-    return float(np.min(dots * norm1**tau))
+    return dots
 
 
 def estimate_gamma(omega, tau: float, scan_limit: int) -> float:
-    """min over 0 < |k|_1 <= scan_limit of |k.omega| * |k|_1^tau.
+    """min over 0 < |k|_1 <= scan_limit of |k.omega| * |k|_1^tau, exactly.
 
     Raises DivisorCollisionError when some scanned |k.omega| < 1e-14
     (resonance within double precision).  Scans one representative of each
-    {k, -k} pair.
+    {k, -k} pair in O(L^(d-1)) work, L = scan_limit, by pruning k_1:
+
+    Write k = (k_1, k') and take k' != 0 from the half-lattice of Z^(d-1)
+    whose last nonzero entry is positive, with m = |k'|_1 <= L.  With
+    r = -(k'.omega')/omega_1, |k.omega| = |omega_1| |k_1 - r| and
+    |k|_1 = |k_1| + m.  On the side of 0 away from r, and past r, both
+    factors grow with |k_1|; between 0 and r the product is log-concave in
+    k_1 (tau >= 0), so its minimum over that integer interval sits at an end.
+    The minimum over |k_1| <= L - m is therefore at k_1 = 0, clip(floor r) or
+    clip(floor r + 1), clip limiting to [-(L - m), L - m].  On the axis
+    k' = 0 the product |k_1 omega_1| k_1^tau grows with k_1, so k = (1, 0, ...)
+    is its minimum; it is checked first, which reports omega_1 = 0 as a
+    resonance there before r is formed.
     """
     omega = np.asarray(omega, dtype=np.float64)
     d = omega.size
@@ -164,11 +113,31 @@ def estimate_gamma(omega, tau: float, scan_limit: int) -> float:
         raise ValueError("d >= 2 required")
     if scan_limit < 1:
         raise ValueError("scan_limit must be >= 1")
-    if d == 2:
-        return _scan_d2(omega, tau, int(scan_limit))
     if d > 4:
         raise ValueError("divisor scans are supported for 2 <= d <= 4")
-    return _scan_generic(omega, tau, int(scan_limit))
+    if tau < 0:
+        raise ValueError("tau must be >= 0")
+    limit = int(scan_limit)
+    best = float(_divisors(np.ones((1, 1)), np.zeros((1, d - 1)), omega)[0, 0])  # k = (1, 0, ...)
+    kp = np.indices((2 * limit + 1,) * (d - 2) + (limit + 1,)).reshape(d - 1, -1).T
+    kp[:, :-1] -= limit
+    last_sign = np.zeros(kp.shape[0], dtype=kp.dtype)
+    for col in kp.T:
+        last_sign = np.where(col != 0, np.sign(col), last_sign)
+    m = np.abs(kp).sum(axis=1)
+    keep = (last_sign > 0) & (m <= limit)
+    kp, m = kp[keep].astype(np.float64), m[keep]
+    floor_r = np.floor(-(kp @ omega[1:]) / omega[0])
+    room = (limit - m)[:, None]
+    k1 = np.clip(np.stack([np.zeros_like(floor_r), floor_r, floor_r + 1], axis=1),
+                 -room, room)
+    dots = _divisors(k1, kp, omega)
+    norm1 = np.abs(k1) + m[:, None]
+    if tau != 1.0:
+        # |k|_1^tau looked up by integer |k|_1: limit + 1 pow calls, not one per k
+        norm1 = (np.arange(limit + 1, dtype=np.float64) ** tau)[norm1.astype(np.intp)]
+    dots *= norm1
+    return min(best, float(dots.min()))
 
 
 def solve_cohomological(v: FourierMap, dio: DiophantineParams) -> FourierMap:

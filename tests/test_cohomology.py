@@ -1,5 +1,8 @@
 """Small-divisor solver, Diophantine scans, and the loss-of-domain constant."""
 
+import ast
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,25 +35,57 @@ def test_estimate_gamma_golden_pair():
     assert refined > 0.9 * gamma  # golden pair: no deep near-resonances appear
 
 
-def test_estimate_gamma_brute_force_oracle():
-    omega = np.array([1.0, GOLDEN])
-    tau, limit = 1.3, 40
-    ks = [
-        (k1, k2)
-        for k1 in range(-limit, limit + 1)
-        for k2 in range(-limit, limit + 1)
-        if 0 < abs(k1) + abs(k2) <= limit
+def brute_gamma(omega, tau, limit):
+    """Per-k reference over every 0 < |k|_1 <= limit, both signs of k.
+
+    k.omega is summed left to right as k1 w1 + k2 w2 + ... in float64, and
+    |k|_1^tau is looked up in arange(limit + 1)**tau, or is |k|_1 at tau = 1.
+    """
+    d = omega.size
+    box = np.indices((2 * limit + 1,) * d).reshape(d, -1).T - limit
+    norm1 = np.abs(box).sum(axis=1)
+    keep = (norm1 > 0) & (norm1 <= limit)
+    box, norm1 = box[keep].astype(np.float64), norm1[keep]
+    dots = box[:, 0] * omega[0]
+    for i in range(1, d):
+        dots = dots + box[:, i] * omega[i]
+    if tau == 1.0:
+        weights = norm1.astype(np.float64)
+    else:
+        weights = (np.arange(limit + 1, dtype=np.float64) ** tau)[norm1]
+    return float(np.min(np.abs(dots) * weights))
+
+
+def _random_cases(d, taus, limits, count, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        pytest.param(np.concatenate([[1.0], rng.uniform(-3.0, 3.0, d - 1)]) * rng.uniform(0.2, 2.0),
+                     float(rng.choice(taus)), int(rng.integers(*limits)), id=f"random{i}")
+        for i in range(count)
     ]
-    brute = min(
-        abs(k1 * omega[0] + k2 * omega[1]) * (abs(k1) + abs(k2)) ** tau for k1, k2 in ks
-    )
-    assert abs(estimate_gamma(omega, tau, limit) - brute) < 1e-13
+
+
+@pytest.mark.parametrize("omega, tau, limit", [
+    pytest.param(np.array([1.0, GOLDEN]), 1.3, 40, id="golden"),
+    pytest.param(np.array([-0.7, GOLDEN]), 1.0, 60, id="tau1"),
+    pytest.param(np.array([0.01, 1.3]), 2.0, 40, id="all-clipped"),  # |w2/w1| > limit
+    *_random_cases(2, (1.0, 1.3, 2.0, 2.7), (5, 90), 8, seed=2),
+])
+def test_estimate_gamma_brute_force_oracle(omega, tau, limit):
+    assert estimate_gamma(omega, tau, limit) == brute_gamma(omega, tau, limit)
 
 
 def test_estimate_gamma_resonance():
-    with pytest.raises(DivisorCollisionError) as info:
+    with pytest.raises(DivisorCollisionError, match=r"k=\(-2, 1\)"):
         estimate_gamma(np.array([1.0, 2.0]), 1.0, 10)
-    assert "k=" in str(info.value)
+    with pytest.raises(DivisorCollisionError, match=r"k=\(1, 0\)"):
+        estimate_gamma(np.array([0.0, 1.0]), 1.0, 10)
+    omega, limit = np.array([1.0, np.sqrt(2.0), 1.0 + np.sqrt(2.0)]), 12
+    with pytest.raises(DivisorCollisionError) as info:
+        estimate_gamma(omega, 2.0, limit)
+    k = np.array(ast.literal_eval(re.search(r"k=(\([^)]*\))", str(info.value)).group(1)))
+    assert abs(float(k @ omega)) < 1e-14
+    assert 0 < np.abs(k).sum() <= limit
 
 
 def test_dimension_one_rejected():
@@ -61,18 +96,22 @@ def test_dimension_one_rejected():
 
 
 def test_params_validation(golden_dio):
-    assert golden_dio.verify_scan() >= golden_dio.gamma * (1 - 1e-12)
+    rescan = estimate_gamma(golden_dio.omega, golden_dio.tau, golden_dio.scan_limit)
+    assert rescan >= golden_dio.gamma * (1 - 1e-12)
     with pytest.raises(ValueError):
         DiophantineParams(golden_dio.omega, -1.0, 1.0, 100)
     with pytest.raises(ValueError):
         DiophantineParams(golden_dio.omega, 1.0, 0.5, 100)  # tau < d-1
+    with pytest.raises(ValueError):
+        estimate_gamma(golden_dio.omega, -0.5, 100)  # the pruned scan needs tau >= 0
 
 
 def test_scaled_params(golden_dio):
-    scaled = golden_dio.scaled(1.4)
-    assert np.allclose(scaled.omega, 1.4 * golden_dio.omega)
-    assert abs(scaled.gamma - 1.4 * golden_dio.gamma) < 1e-15
-    scaled.verify_scan(200)
+    """The scanned gamma of 1.4*omega is 1.4*gamma, and holds on a shorter scan."""
+    omega, gamma, tau = golden_dio.omega, golden_dio.gamma, golden_dio.tau
+    assert estimate_gamma(1.4 * omega, tau, golden_dio.scan_limit) == pytest.approx(
+        1.4 * gamma, rel=1e-12)
+    assert estimate_gamma(1.4 * omega, tau, 200) >= 1.4 * gamma * (1 - 1e-12)
 
 
 # --------------------------------------------------------- cohomological solve
@@ -145,20 +184,14 @@ def test_params_scan_checked_at_construction():
         DiophantineParams(np.array([1.0, 2.0]), 0.1, 1.0, 10)
 
 
-def test_generic_scan_dimension_three():
-    omega = np.array([1.0, 2.0 ** (1.0 / 3.0), 3.0 ** (1.0 / 3.0)])
-    gamma = estimate_gamma(omega, 2.0, 12)
-    brute = np.inf
-    rng = range(-12, 13)
-    for k1 in rng:
-        for k2 in rng:
-            for k3 in rng:
-                n1 = abs(k1) + abs(k2) + abs(k3)
-                if 0 < n1 <= 12:
-                    brute = min(brute,
-                                abs(k1 * omega[0] + k2 * omega[1] + k3 * omega[2])
-                                * n1**2.0)
-    assert gamma == pytest.approx(brute, rel=1e-12)
+@pytest.mark.parametrize("omega, tau, limit", [
+    pytest.param(np.array([1.0, 2.0 ** (1.0 / 3.0), 3.0 ** (1.0 / 3.0)]), 2.0, 12, id="cube-roots"),
+    pytest.param(np.array([1.0, 2.0 ** (1.0 / 3.0), 4.0 ** (1.0 / 3.0)]), 1.0, 14, id="tau1"),
+    pytest.param(np.array([0.02, 1.0, GOLDEN]), 2.0, 10, id="all-clipped"),  # |w2/w1| > limit
+    *_random_cases(3, (2.0, 2.5), (4, 16), 6, seed=3),
+])
+def test_generic_scan_dimension_three(omega, tau, limit):
+    assert estimate_gamma(omega, tau, limit) == brute_gamma(omega, tau, limit)
 
 
 # -------------------------------------------------------- Russmann constants
