@@ -392,8 +392,10 @@ def _k_dot_omega(bands: tuple, omega: tuple) -> np.ndarray:
 def _symmetrize(coeffs: np.ndarray) -> np.ndarray:
     """Project onto real-analytic symmetry f_{-k} = conj(f_k)."""
     d = coeffs.ndim - 2
-    flipped = np.conj(coeffs[tuple(slice(None, None, -1) for _ in range(d))])
-    return 0.5 * (coeffs + flipped)
+    out = np.conj(coeffs[tuple(slice(None, None, -1) for _ in range(d))])
+    out += coeffs
+    out *= 0.5
+    return out
 
 
 def _next_smooth(n: int) -> int:
@@ -458,6 +460,7 @@ def _real_analysis(samples: np.ndarray, bands: tuple) -> np.ndarray:
     d = len(bands)
     hat = np.fft.rfftn(samples, axes=tuple(range(d)), norm="forward")
     upper = hat[_half_embed(bands, samples.shape[:d])]
+    del hat  # the full spectrum need not outlive the kept box
     lower = np.conj(upper[tuple(slice(None, None, -1) for _ in range(d - 1))])
     return _symmetrize(np.concatenate([lower[..., :0:-1, :, :], upper], axis=d - 1))
 

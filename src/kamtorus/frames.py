@@ -13,7 +13,8 @@ pulled back, Lagrangianity E_lag, symplecticity E_sym, reducibility E_red).
 
 Every map is represented on the candidate's common Fourier band; nonlinear
 ingredients (compositions with the system callbacks, pointwise inverses) are
-sampled as real arrays on the work grid 4N+1, analysed with real FFTs and
+sampled as real arrays on the work grid of ``work_grid`` (the smallest size
+>= 4N+1 per axis with no prime factor above 5), analysed with real FFTs and
 truncated back, except that the maps of a canonical structure are built as
 exact constants.  The rank check of L and the samples of K are real
 syntheses too.  ``build_frames`` builds only what the Newton step and the
@@ -30,7 +31,7 @@ import numpy as np
 
 from .cohomology import DiophantineParams
 from .fourier import (TWO_PI, FourierMap, _k1_box, _real_samples, assemble_blocks, concat_cols,
-                      matmul)
+                      dealias_grid, matmul)
 from .hamiltonian import ConservedQuantity, HamiltonianSystem
 
 RANK_TOL = 1e-8  # L is rank-deficient if a singular value on the grid is at most this
@@ -176,8 +177,9 @@ def _rowwise_majorant(f: FourierMap, rho: float) -> np.ndarray:
 
 
 def work_grid(bands: tuple) -> tuple:
-    """Dealiased grid for products of two maps on the common band."""
-    return tuple(4 * n + 1 for n in bands)
+    """Dealiased grid for products of two maps on the common band: the full-band
+    product grid of :func:`~kamtorus.fourier.dealias_grid`, 5-smooth and >= 4N+1."""
+    return dealias_grid(bands, bands)
 
 
 @dataclass
@@ -302,21 +304,49 @@ def tangent_frame(cand: TorusCandidate, kitchen: GridKitchen) -> FourierMap:
 
 
 def _pointwise_inverse(f: FourierMap):
-    """Pointwise inverse of a real-analytic map on its work grid (real LU,
-    partial pivoting, one refinement step)."""
+    """Pointwise inverse of a symmetric positive definite map on its work grid.
+
+    The Gram matrix L^T (G o K) L is SPD wherever G is positive definite
+    (``GeometricStructure.check_invariants`` samples it) and L has full rank
+    (``tangent_frame`` checks it), so Gauss-Jordan elimination needs no
+    pivoting.  It runs with the matrix axes in front, each operation over the
+    whole grid, followed by one refinement step X <- X + X (I - A X).  A pivot that is not finite and positive raises
+    SingularGramError, and so does a condition estimate above COND_LIMIT or
+    NaN.  Returns (inverse, cond).
+    """
     vals = _real_samples(f, work_grid(f.bands))
-    eye = np.eye(vals.shape[-1])
-    try:
-        inv = np.linalg.solve(vals, np.broadcast_to(eye, vals.shape).copy())
-        inv = inv + np.linalg.solve(vals, eye - vals @ inv)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGramError(f"pointwise inversion failed: {exc}") from exc
-    cond = float(
-        np.max(np.abs(vals).sum(axis=-1).max(axis=-1) * np.abs(inv).sum(axis=-1).max(axis=-1))
-    )
-    if cond > COND_LIMIT:
+    a = np.ascontiguousarray(np.moveaxis(vals, (-2, -1), (0, 1)))
+    n = a.shape[0]
+    diag = (np.arange(n),) * 2
+    w = a.copy()
+    x = np.zeros_like(a)
+    x[diag] = 1.0
+    for p in range(n):
+        piv = w[p, p].copy()
+        bad = ~(np.isfinite(piv) & (piv > 0))
+        if bad.any():
+            raise SingularGramError(
+                f"Gram matrix pivot {p} is {piv[bad][0]:.3e} at {int(bad.sum())} grid "
+                "point(s): not finite and positive")
+        w[p] /= piv
+        x[p] /= piv
+        for r in range(n):
+            if r != p:
+                fac = w[r, p].copy()
+                w[r] -= fac * w[p]
+                x[r] -= fac * x[p]
+    resid = -_front_matmul(a, x)
+    resid[diag] += 1.0
+    x += _front_matmul(x, resid)
+    cond = float(np.max(np.abs(a).sum(axis=1).max(axis=0) * np.abs(x).sum(axis=1).max(axis=0)))
+    if not cond <= COND_LIMIT:
         raise SingularGramError(f"pointwise condition estimate {cond:.3e} exceeds {COND_LIMIT:.1e}")
-    return FourierMap.from_samples(inv, f.bands), cond
+    return FourierMap.from_samples(np.moveaxis(x, (0, 1), (-2, -1)), f.bands), cond
+
+
+def _front_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product of arrays whose first two axes are the matrix axes."""
+    return np.stack([sum(a[i, j] * b[j] for j in range(a.shape[1])) for i in range(a.shape[0])])
 
 
 def normal_frame(cand: TorusCandidate, L: FourierMap, kitchen: GridKitchen):

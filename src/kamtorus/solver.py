@@ -32,7 +32,9 @@ from .cohomology import DiophantineParams, solve_cohomological
 from .fourier import FourierMap, matmul
 from .frames import (
     FrameBundle,
+    FrameRankError,
     GridKitchen,
+    SingularGramError,
     TorusCandidate,
     TwistDegeneracyError,
     build_frames,
@@ -237,8 +239,8 @@ def newton_correction(it: Iterate, schedule: NewtonSchedule, delta: float,
     With an iso ``target`` the frequency moves too, along ``it.ray``, through
     the bordered solve.  The next candidate lives on the strip rho - 3*delta.
     ``contraction_ledger`` is as in iterate_newton.  Raises HypothesisError
-    (named), CompatibilityError, TwistDegeneracyError, RayExitError or
-    DomainEscapeError on failure.
+    (named), CompatibilityError, TwistDegeneracyError, FrameRankError,
+    SingularGramError, RayExitError or DomainEscapeError on failure.
     """
     cand, kk = it.cand, it.kitchen
     rho = cand.rho
@@ -349,7 +351,8 @@ def iterate_newton(cand: TorusCandidate, schedule: NewtonSchedule,
     delta_s^{4 tau}) ||E_s||^2 is recorded in the step diagnostics.
 
     Failure modes: two consecutive error increases (divergence), any named
-    hypothesis failure, or the iteration cap.
+    hypothesis failure, a frame that loses rank or a singular Gram matrix,
+    or the iteration cap.
     """
     if abs(cand.rho - schedule.rho0) > 1e-12 * max(1.0, schedule.rho0):
         cand = cand.with_updates(rho=schedule.rho0)
@@ -390,8 +393,8 @@ def iterate_newton(cand: TorusCandidate, schedule: NewtonSchedule,
         try:
             nxt, diag = newton_correction(it, schedule, schedule.delta(s), s, target,
                                           contraction_ledger=contraction_ledger)
-        except (HypothesisError, CompatibilityError, TwistDegeneracyError,
-                RayExitError) as exc:
+        except (HypothesisError, CompatibilityError, TwistDegeneracyError, FrameRankError,
+                SingularGramError, RayExitError) as exc:
             return finish(False, f"step {s}: {exc}", err)
         rec.update({
             "err_after": diag.err_after,

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kamtorus import frames
 from kamtorus.cli import ConfigError, RunConfig, main
 
 
@@ -121,6 +122,22 @@ def test_certify_rejects_torus_map_that_is_not_real(tmp_path, capsys):
     assert main(["certify", str(out / "torus.json"), "--out", str(out)]) == 2
     assert "not real" in capsys.readouterr().err
     assert not (out / "certificate.json").exists()
+
+
+@pytest.mark.parametrize("name, error", [("_pointwise_inverse", frames.SingularGramError),
+                                         ("tangent_frame", frames.FrameRankError)])
+def test_frame_failure_is_a_named_step_failure(tmp_path, monkeypatch, name, error):
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(frames, name, fail)
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, epsilon=0.01)
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert not summary["converged"]
+    assert summary["reason"].startswith("step 0:") and "injected" in summary["reason"]
+    assert (out / "log.jsonl").read_text().strip()
 
 
 def test_config_validation_direct():

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from kamtorus.cohomology import DiophantineParams, estimate_gamma, russmann_constant
-from kamtorus.fourier import FourierMap, matmul, random_map
+from kamtorus.fourier import FourierMap, _real_samples, dealias_grid, matmul, random_map
 from kamtorus.frames import (
     DomainEscapeError,
+    SingularGramError,
     TorusCandidate,
+    _pointwise_inverse,
     build_frames,
     error_maps,
     extended_torsion,
@@ -154,7 +156,7 @@ def test_pointwise_inverse_matches_neumann_oracle(perturbed_candidate_a):
     N0, B, A, N, diag = normal_frame(cand, L, kk)
     wg = work_grid(cand.bands)
     vals = GL.eval_grid(wg)
-    # Neumann-series refinement oracle, independent of the LU path
+    # Neumann-series refinement oracle, independent of the elimination in _pointwise_inverse
     X = np.linalg.inv(vals)
     for _ in range(3):
         X = X @ (2 * np.eye(vals.shape[-1]) - vals @ X)
@@ -162,6 +164,46 @@ def test_pointwise_inverse_matches_neumann_oracle(perturbed_candidate_a):
     diff = (B - 0.5 * (oracle + oracle.T)).norm(0.0).value
     assert diff < 1e-12 * max(1.0, B.norm(0.0).value)
     assert diag["B_asymmetry"] < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pointwise_inverse_matches_per_point_inv(n):
+    rng = np.random.default_rng(40 + n)
+    m = random_map((3, 2), (n, n), rng, decay=1.0, scale=3.0)
+    spd = matmul(m.T, m).add_constant(np.eye(n))  # exact product: eigenvalues >= 1 pointwise
+    bands = spd.bands
+    inv, cond = _pointwise_inverse(spd)
+    samples = _real_samples(spd, work_grid(bands))
+    ref = FourierMap.from_samples(np.linalg.inv(samples), bands)
+    assert np.max(np.abs(inv.coeffs - ref.coeffs)) <= 1e-13 * np.max(np.abs(ref.coeffs))
+    assert 10.0 < cond < 1e3  # conditioned well away from the identity
+
+
+def _nan_sample_map():
+    samples = np.broadcast_to(np.eye(2), work_grid((3, 3)) + (2, 2)).copy()
+    samples[1, 2, 0, 1] = np.nan
+    return FourierMap.from_samples(samples, (3, 3))
+
+
+@pytest.mark.parametrize("make", [lambda: FourierMap.constant([[0.0, 1.0], [1.0, 0.0]], (3, 3)),
+                                  lambda: FourierMap.constant([[1.0, 1.0], [1.0, 1.0]], (3, 3)),
+                                  _nan_sample_map], ids=["swap", "rank-one", "nan-sample"])
+def test_pointwise_inverse_rejects_non_spd(make):
+    with pytest.raises(SingularGramError, match="pivot"):
+        _pointwise_inverse(make())
+
+
+@pytest.mark.parametrize("band", [16, 32, 64])
+def test_work_grid_is_the_full_band_product_grid(band):
+    bands = (band, band)
+    grid = work_grid(bands)
+    assert grid == dealias_grid(bands, bands)
+    for m in grid:
+        assert m >= 4 * band + 1
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        assert m == 1
 
 
 def test_case_iii_forces_zero_A(exact_torus_b):
