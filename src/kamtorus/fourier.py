@@ -398,11 +398,11 @@ def _symmetrize(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _next_smooth(n: int) -> int:
-    """Smallest integer >= n with no prime factor above 5 (a fast FFT size)."""
+def _next_smooth(n: int, primes: tuple = (2, 3, 5)) -> int:
+    """Smallest integer >= n with no prime factor outside ``primes`` (a fast FFT size)."""
     while True:
         m = n
-        for p in (2, 3, 5):
+        for p in primes:
             while m % p == 0:
                 m //= p
         if m == 1:
