@@ -76,15 +76,6 @@ class GlobalNormConstants:
         except KeyError as exc:
             raise AttributeError(name) from exc
 
-    def with_zero_integrals(self) -> "GlobalNormConstants":
-        """Copy with every p / X_p constant zeroed (the Lagrangian reduction)."""
-        vals = dict(self.values)
-        prov = dict(self.provenance)
-        for key in _INTEGRAL_FIELDS:
-            vals[key] = 0.0
-            prov[key] = "canonical-exact"
-        return GlobalNormConstants(vals, prov)
-
 
 def _rank1_lattice(npts: int, dim: int) -> np.ndarray:
     """Deterministic rank-1 lattice in [0,1)^dim (Korobov-style generator)."""
@@ -95,6 +86,7 @@ def _rank1_lattice(npts: int, dim: int) -> np.ndarray:
 
 
 LATTICE_DENSITY = 2048  # points in each of the three sample sets of _domain_points
+LATTICE_SLICE = 1024  # points per callback evaluation in estimate_global_constants
 
 
 def _domain_points(sys: HamiltonianSystem) -> np.ndarray:
@@ -133,6 +125,14 @@ def estimate_global_constants(sys: HamiltonianSystem, margin: float = 0.05,
     z = _domain_points(sys)
     up = 1.0 + margin
 
+    def sup(f):
+        """Entry-wise max of |f| over z, evaluated LATTICE_SLICE points at a time
+        (a max is exact in any order, so the slicing cannot change a bit)."""
+        out = np.abs(f(z[:LATTICE_SLICE])).max(axis=0)
+        for start in range(LATTICE_SLICE, len(z), LATTICE_SLICE):
+            np.maximum(out, np.abs(f(z[start:start + LATTICE_SLICE])).max(axis=0), out=out)
+        return out
+
     if sys.geometry.is_canonical:
         vals.update(_CANONICAL_EXACT)
         prov.update({k: "canonical-exact" for k in _CANONICAL_EXACT})
@@ -145,33 +145,32 @@ def estimate_global_constants(sys: HamiltonianSystem, margin: float = 0.05,
             "c_J": (geo.iso_J, geo.d_J, geo.d2_J),
         }
         for key, (f0, f1, f2) in mats.items():
-            sup0 = np.abs(f0(z)).max(axis=0)
+            sup0 = sup(f0)
             vals[f"{key}_0"] = up * float(sup0.sum(axis=1).max())
             if f1 is None:
                 raise ValueError(f"non-canonical structure needs derivative callback for {key}")
-            sup1 = np.abs(f1(z)).max(axis=0)  # (2n, 2n, 2n): d M_ij / dz_l
+            sup1 = sup(f1)  # (2n, 2n, 2n): d M_ij / dz_l
             vals[f"{key}_1"] = up * float(sup1.sum(axis=(1, 2)).max())
             if key != "c_Omega":
                 if f2 is None:
                     raise ValueError(f"missing second-derivative callback for {key}")
-                sup2 = np.abs(f2(z)).max(axis=0)
+                sup2 = sup(f2)
                 vals[f"{key}_2"] = up * float(sup2.sum(axis=(1, 2, 3)).max())
-        vals["c_JT_0"] = up * float(np.abs(geo.iso_J(z)).max(axis=0).sum(axis=0).max())
-        vals["c_JT_1"] = up * float(np.abs(geo.d_J(z)).max(axis=0).sum(axis=(0, 2)).max())
+        # the loop ends on c_J, so sup0 and sup1 are the sups of J and DJ
+        vals["c_JT_0"] = up * float(sup0.sum(axis=0).max())
+        vals["c_JT_1"] = up * float(sup1.sum(axis=(0, 2)).max())
         prov.update({k: "sampled" for k in vals})
 
     def sampled(key, value):
         vals[key] = up * float(value)
         prov[key] = "sampled"
 
-    sampled("c_H_1", np.abs(sys.DH(z)).max(axis=0).sum())
-    xh = np.abs(sys.XH(z)).max(axis=0)
-    sampled("c_XH_0", xh.max())
-    dxh = np.abs(sys.DXH(z)).max(axis=0)
+    sampled("c_H_1", sup(sys.DH).sum())
+    sampled("c_XH_0", sup(sys.XH).max())
+    dxh = sup(sys.DXH)
     sampled("c_XH_1", dxh.sum(axis=1).max())
     sampled("c_XHT_1", dxh.sum())
-    d2xh = np.abs(sys.D2XH(z)).max(axis=0)
-    sampled("c_XH_2", d2xh.sum(axis=(1, 2)).max())
+    sampled("c_XH_2", sup(sys.D2XH).sum(axis=(1, 2)).max())
 
     m = sys.n_integrals
     if m == 0:
@@ -179,29 +178,27 @@ def estimate_global_constants(sys: HamiltonianSystem, margin: float = 0.05,
             vals[key] = 0.0
             prov[key] = "canonical-exact"
     else:
-        dp = np.abs(sys.Dp(z)).max(axis=0)  # (m, 2n)
+        dp = sup(sys.Dp)  # (m, 2n)
         per_int = dp.sum(axis=1)
         sampled("c_p_1", per_int.max())
         sampled("c_pT_1", per_int.sum())
-        xp = np.abs(sys.Xp(z)).max(axis=0)  # (2n, m)
+        xp = sup(sys.Xp)  # (2n, m)
         sampled("c_Xp_0", xp.sum(axis=1).max())
         sampled("c_XpT_0", xp.sum(axis=0).max())
-        dxp = np.abs(sys.DXp(z)).max(axis=0)  # (2n, m, 2n)
+        dxp = sup(sys.DXp)  # (2n, m, 2n)
         sampled("c_Xp_1", dxp.sum(axis=(1, 2)).max())
         sampled("c_XpT_1", dxp.sum(axis=(0, 2)).max())
-        d2xp = np.abs(sys.D2Xp(z)).max(axis=0)
+        d2xp = sup(sys.D2Xp)
         sampled("c_Xp_2", d2xp.sum(axis=(1, 2, 3)).max())
         sampled("c_XpT_2", d2xp.sum(axis=(0, 2, 3)).max())
 
     if conserved is not None:
-        sampled("c_c_1", np.abs(conserved.Dc(z)).max(axis=0).sum())
-        sampled("c_c_2", np.abs(conserved.D2c(z)).max(axis=0).sum())
-    else:
+        sampled("c_c_1", sup(conserved.Dc).sum())
+        sampled("c_c_2", sup(conserved.D2c).sum())
+    else:  # c = H: its Hessian is Omega DXH
         vals["c_c_1"] = vals["c_H_1"]
-        vals["c_c_2"] = up * float(np.abs(np.einsum(
-            "...ij,...jk->...ik", sys.geometry.omega_mat(z), sys.DXH(z)
-        )).max(axis=0).sum())
-        prov["c_c_1"] = prov["c_c_2"] = "sampled"
+        prov["c_c_1"] = "sampled"
+        sampled("c_c_2", sup(sys.conserved("H").D2c).sum())
 
     for key in _GLOBAL_FIELDS:
         if key not in vals:

@@ -300,8 +300,7 @@ class HamiltonianSystem:
             z = np.asarray(z)
             Om = self.geometry.omega_mat(z)
             dX = self.DXH(z)
-            hess = np.einsum("...ij,...jk->...ik", Om, dX)
-            return hess
+            return Om @ dX
 
         return D2H
 
@@ -309,7 +308,7 @@ class HamiltonianSystem:
         z = np.asarray(z)
         Om = self.geometry.omega_mat(z)
         dXp = self.DXp(z)[..., :, j, :]
-        return np.einsum("...ij,...jk->...ik", Om, dXp)
+        return Om @ dXp
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
-"""Shared fixtures: golden-frequency Diophantine data and seeded candidates."""
+"""Shared fixtures and helpers: golden-frequency Diophantine data, seeded
+candidates, a non-canonical structure and zeroed integral constants."""
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from kamtorus.certificate import _INTEGRAL_FIELDS, GlobalNormConstants
 from kamtorus.cohomology import DiophantineParams, estimate_gamma
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
 from kamtorus.frames import seed_torus
-from kamtorus.hamiltonian import builtin_system
+from kamtorus.hamiltonian import GeometricStructure, builtin_system, canonical_structure
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -27,6 +29,32 @@ def golden_omega():
 def golden_dio(golden_omega):
     gamma = estimate_gamma(golden_omega, 1.0, 1000)
     return DiophantineParams(golden_omega, gamma, 1.0, 1000)
+
+
+def scaled_structure(n, **kw):
+    """Omega = Omega_0, G = 2I, J = 2 Omega_0, tilde-Omega = 4 Omega_0: not canonical."""
+    canon = canonical_structure(n)
+    omega0 = canon.omega_mat(np.zeros((1, 2 * n)))[0]
+
+    def const(mat):
+        return lambda z: np.broadcast_to(mat, np.shape(z)[:-1] + mat.shape).copy()
+
+    zero3, zero4 = const(np.zeros((2 * n,) * 3)), const(np.zeros((2 * n,) * 4))
+    return GeometricStructure(
+        dim_n=n, action_a=canon.action_a, omega_mat=const(omega0),
+        metric_G=const(2.0 * np.eye(2 * n)), iso_J=const(2.0 * omega0),
+        tilde_omega=const(4.0 * omega0), case_tag="II", d_omega=zero3, d_G=zero3,
+        d_J=zero3, d_tilde_omega=zero3, d2_G=zero4, d2_J=zero4, d2_tilde_omega=zero4, **kw)
+
+
+def with_zero_integrals(globs: GlobalNormConstants) -> GlobalNormConstants:
+    """Copy with every p / X_p constant zeroed (the Lagrangian reduction)."""
+    vals = dict(globs.values)
+    prov = dict(globs.provenance)
+    for key in _INTEGRAL_FIELDS:
+        vals[key] = 0.0
+        prov[key] = "canonical-exact"
+    return GlobalNormConstants(vals, prov)
 
 
 def seed_candidate(system_name, epsilon, omega, bands=(16, 16), rho=0.03,

@@ -37,7 +37,7 @@ from kamtorus.frames import (
 from kamtorus.isoenergetic import FrequencyRay, IsoTarget, total_error
 from kamtorus.solver import Iterate, NewtonSchedule, contraction_slope, evaluate, iterate_newton
 
-from conftest import GOLDEN, seed_candidate
+from conftest import GOLDEN, seed_candidate, with_zero_integrals
 
 
 def announce(num: int, ok: bool, detail: str):
@@ -341,7 +341,7 @@ def test_criterion_9_lagrangian_reduction(golden_omega):
     sched = NewtonSchedule(a1=2, a2=2, c_n=2.0, rho0=cand.rho)
     led = build_ledger("ordinary", globs, hyp, cand.dio, cand.rho, cand.rho / 12,
                        sched, n=2, d=2)
-    led_zeroed = build_ledger("ordinary", globs.with_zero_integrals(), hyp,
+    led_zeroed = build_ledger("ordinary", with_zero_integrals(globs), hyp,
                               cand.dio, cand.rho, cand.rho / 12, sched, n=2, d=2)
     diff = led.diff(led_zeroed)
     # the solver path is the general one with width-zero X_p columns

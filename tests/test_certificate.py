@@ -1,6 +1,8 @@
 """Global constants, the ledger chain, the existence check, inverse control."""
 
+import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kamtorus.certificate
 from kamtorus.certificate import (
     LedgerError,
     REPORT_HEADER,
@@ -22,7 +25,7 @@ from kamtorus.frames import build_frames, measure_hypothesis_data
 from kamtorus.hamiltonian import builtin_system
 from kamtorus.solver import NewtonSchedule, evaluate
 
-from conftest import GOLDEN, seed_candidate
+from conftest import GOLDEN, scaled_structure, seed_candidate, with_zero_integrals
 
 
 # ----------------------------------------------------------- global constants
@@ -81,6 +84,59 @@ def test_sampled_constants_dominate_real_samples():
     assert np.max(np.abs(sys_obj.XH(z))) <= g.values["c_XH_0"]
     assert np.max(np.abs(sys_obj.DXH(z)).sum(axis=-1)) <= g.values["c_XH_1"]
     assert np.max(np.abs(sys_obj.DH(z)).sum(axis=-1)) <= g.values["c_H_1"]
+
+
+GLOBALS_GOLDEN = Path(__file__).with_name("globals_golden.json")
+
+
+def golden_global_systems() -> dict:
+    """Name -> (system, conserved) for every fixture entry of globals_golden.json."""
+    def rotors(name, eps, y_center):
+        return builtin_system(name, epsilon=eps, y_center=y_center, y_radius=0.5,
+                              imag_width=0.2)
+
+    sys_a = rotors("lagrangian_rotors", 0.02, [1.0, GOLDEN])
+    sys_b = rotors("symmetric_rotors", 0.01, [1.0, GOLDEN, 0.0])
+    return {
+        "lagrangian_rotors-0.02": (sys_a, None),
+        "symmetric_rotors-0.01": (sys_b, None),
+        "symmetric_rotors-0.01-H": (sys_b, sys_b.conserved("H")),
+        "symmetric_rotors-0.01-p0": (sys_b, sys_b.conserved(("p", 0))),
+        "scaled_structure": (dataclasses.replace(sys_a, geometry=scaled_structure(2)), None),
+    }
+
+
+def golden_globals() -> dict:
+    """Every global constant (as float.hex) and its provenance, per fixture system."""
+    out = {}
+    for name, (sys_obj, conserved) in golden_global_systems().items():
+        g = estimate_global_constants(sys_obj, conserved=conserved)
+        out[name] = {"values": {k: float(v).hex() for k, v in g.values.items()},
+                     "provenance": g.provenance}
+    return out
+
+
+@pytest.mark.parametrize("length", [kamtorus.certificate.LATTICE_SLICE, 1000, 7000])
+def test_global_constants_bit_identical_to_golden(monkeypatch, length):
+    """Every constant to the last bit, and its provenance, against a committed
+    fixture: at the module's slice length, at one that does not divide the
+    6144 sample points, and at one longer than all of them."""
+    monkeypatch.setattr(kamtorus.certificate, "LATTICE_SLICE", length)
+    assert golden_globals() == json.loads(GLOBALS_GOLDEN.read_text())
+
+
+def test_global_constants_peak_memory_bounded():
+    """The lattice is evaluated a slice at a time: at n = 3, D2XH on all 6144
+    points at once would take 21 MB, and its |.| copy 11 MB more."""
+    sys_b, conserved = golden_global_systems()["symmetric_rotors-0.01-H"]
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        estimate_global_constants(sys_b, conserved=conserved)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry < 8e6
 
 
 # -------------------------------------------------------------------- ledger
@@ -205,7 +261,7 @@ def test_degenerate_reduction_to_lagrangian_ledger():
     sys_b = builtin_system("symmetric_rotors", epsilon=1e-3,
                            y_center=[omega[0], omega[1], 0.0])
     globs_b = estimate_global_constants(sys_b)
-    zeroed = globs_b.with_zero_integrals()
+    zeroed = with_zero_integrals(globs_b)
     hyp = {
         "sigma_K": 1.1, "norm_DK": 1.0, "sigma_KT": 1.1, "norm_DKT": 1.0,
         "sigma_B": 1.2, "norm_B": 1.0, "sigma_T": 1.2, "norm_avgT_inv": 1.0,

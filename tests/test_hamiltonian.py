@@ -15,6 +15,8 @@ from kamtorus.hamiltonian import (
     verify_involution,
 )
 
+from conftest import scaled_structure
+
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 
@@ -274,24 +276,6 @@ def test_canonical_structure_case_tag():
 
 
 # ------------------------------------------------ canonical flag and structure
-
-
-def scaled_structure(n, **kw):
-    """Omega = Omega_0, G = 2I, J = 2 Omega_0, tilde-Omega = 4 Omega_0: not canonical."""
-    from kamtorus.hamiltonian import GeometricStructure
-
-    canon = canonical_structure(n)
-    omega0 = canon.omega_mat(np.zeros((1, 2 * n)))[0]
-
-    def const(mat):
-        return lambda z: np.broadcast_to(mat, np.shape(z)[:-1] + mat.shape).copy()
-
-    zero3, zero4 = const(np.zeros((2 * n,) * 3)), const(np.zeros((2 * n,) * 4))
-    return GeometricStructure(
-        dim_n=n, action_a=canon.action_a, omega_mat=const(omega0),
-        metric_G=const(2.0 * np.eye(2 * n)), iso_J=const(2.0 * omega0),
-        tilde_omega=const(4.0 * omega0), case_tag="II", d_omega=zero3, d_G=zero3,
-        d_J=zero3, d_tilde_omega=zero3, d2_G=zero4, d2_J=zero4, d2_tilde_omega=zero4, **kw)
 
 
 def test_unflagged_structure_is_not_canonical():
