@@ -106,6 +106,12 @@ def estimate_gamma(omega, tau: float, scan_limit: int) -> float:
     k' = 0 the product |k_1 omega_1| k_1^tau grows with k_1, so k = (1, 0, ...)
     is its minimum; it is checked first, which reports omega_1 = 0 as a
     resonance there before r is formed.
+
+    The end k_1 = 0 is not scanned: where |k'.omega'| >= |omega_1| its value
+    |k'.omega'| m^tau is at least |omega_1|, the axis value; elsewhere
+    |r| < 1, so 0 is floor r or floor r + 1.  Both hold in floats because
+    k'.omega' is summed left to right exactly as the divisors sum it at
+    k_1 = 0, and a quotient of doubles |a| < |b| rounds below 1.
     """
     omega = np.asarray(omega, dtype=np.float64)
     d = omega.size
@@ -127,10 +133,12 @@ def estimate_gamma(omega, tau: float, scan_limit: int) -> float:
     m = np.abs(kp).sum(axis=1)
     keep = (last_sign > 0) & (m <= limit)
     kp, m = kp[keep].astype(np.float64), m[keep]
-    floor_r = np.floor(-(kp @ omega[1:]) / omega[0])
+    dot_p = kp[:, 0] * omega[1]  # k'.omega' summed as _divisors sums it at k_1 = 0
+    for i in range(2, d):
+        dot_p += kp[:, i - 1] * omega[i]
+    floor_r = np.floor(-dot_p / omega[0])
     room = (limit - m)[:, None]
-    k1 = np.clip(np.stack([np.zeros_like(floor_r), floor_r, floor_r + 1], axis=1),
-                 -room, room)
+    k1 = np.clip(np.stack([floor_r, floor_r + 1], axis=1), -room, room)
     dots = _divisors(k1, kp, omega)
     norm1 = np.abs(k1) + m[:, None]
     if tau != 1.0:

@@ -16,7 +16,10 @@ N_a + N_b + N_out + 1: only the kept modes need to be alias-free (the 3/2
 rule), so the full product band N_out = N_a + N_b needs 2(N_a + N_b) + 1
 points and N_out = N_a = N_b needs 3N + 1.  Products synthesize their
 real-analytic operands with real FFTs, and real grid samples are analysed with
-real FFTs.
+real FFTs.  These real transforms are pruned to the kept box: they run
+numpy's 1-D transforms in the axis order of ``rfftn``/``irfftn`` but only on
+the lines that hold kept modes, so each kept value is bit for bit what
+``rfftn``/``irfftn`` give.
 
 Norms: the sup of |f| on the complex strip |Im theta| < rho is bounded
 entry-wise by the Fourier majorant
@@ -30,7 +33,6 @@ truncated series, which is the direction the certification layer needs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -65,10 +67,14 @@ def _k1_box(bands: tuple) -> np.ndarray:
     return total
 
 
+def _kept_rows(n: int, m: int) -> np.ndarray:
+    """FFT bins k mod m of the modes k = -n .. n, in box order."""
+    return np.arange(-n, n + 1) % m
+
+
 def _embed_slices(bands: tuple, grid: tuple):
     """Advanced-index arrays mapping box position k+N to FFT bin k mod M."""
-    idx = tuple(np.arange(-n, n + 1) % m for n, m in zip(bands, grid))
-    return np.ix_(*idx)
+    return np.ix_(*(_kept_rows(n, m) for n, m in zip(bands, grid)))
 
 
 @dataclass(frozen=True)
@@ -167,25 +173,6 @@ class FourierMap:
         full[_embed_slices(self.bands, grid)] = self.coeffs
         axes = tuple(range(self.d))
         return np.fft.ifftn(full, axes=axes) * float(np.prod(grid))
-
-    def eval_at(self, theta: np.ndarray) -> np.ndarray:
-        """Direct O(#modes * #points) summation at arbitrary angles.
-
-        Slow but independent of the FFT path; used as an oracle and for
-        off-grid evaluation.  ``theta`` has shape (..., d).
-        """
-        theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))
-        lead = theta.shape[:-1]
-        flat = theta.reshape(-1, self.d)
-        axes = _index_box(self.bands)
-        # phase factors per axis, then an outer product walk across axes
-        work = np.ones((flat.shape[0], 1), dtype=np.complex128)
-        for i, ax in enumerate(axes):
-            phase = np.exp(TWO_PI * 1j * np.outer(flat[:, i], ax))
-            work = (work[:, :, None] * phase[:, None, :]).reshape(flat.shape[0], -1)
-        cf = self.coeffs.reshape(-1, *self.shape)
-        out = np.tensordot(work, cf, axes=(1, 0))
-        return out.reshape(lead + self.shape)
 
     # -- coefficient-wise calculus -------------------------------------------
 
@@ -333,13 +320,6 @@ class FourierMap:
         flat = pairs[0::2] + 1j * pairs[1::2]
         return cls(flat.reshape(box + (n1, n2)), bands)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FourierMap":
-        return cls.from_json_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class StripNorm:
@@ -433,34 +413,40 @@ def _is_constant(f: FourierMap) -> bool:
     return not (np.any(flat[:center]) or np.any(flat[center + 1:]))
 
 
-def _half_embed(bands: tuple, grid: tuple):
-    """Index arrays mapping the k_d >= 0 half of the box ``bands`` to rfftn bins."""
-    idx = [np.arange(-n, n + 1) % m for n, m in zip(bands[:-1], grid[:-1])]
-    return np.ix_(*idx, np.arange(bands[-1] + 1))
-
-
 def _real_samples(f: FourierMap, grid: tuple) -> np.ndarray:
-    """Real samples of a real-analytic map on ``grid``: irfftn of the half spectrum.
+    """Real samples of a real-analytic map on ``grid``, equal bit for bit to
+    ``irfftn`` of its k_d >= 0 half spectrum (``norm="forward"``).
 
     Only the modes with k_d >= 0 are read; the others are implied by
-    f_{-k} = conj(f_k).
+    f_{-k} = conj(f_k).  The 1-D transforms run in ``irfftn``'s order, but only
+    on lines that hold kept modes: axes 0 .. d-2 embed the kept rows and
+    ``ifft`` them, then ``irfft`` zero-pads the N_d + 1 kept bins to M_d.
     """
     if any(m < 2 * n + 1 for n, m in zip(f.bands, grid)):
         raise FourierShapeError(f"evaluation grid {grid} too small for bands {f.bands}")
-    half = np.zeros(grid[:-1] + (grid[-1] // 2 + 1,) + f.shape, dtype=np.complex128)
-    half[_half_embed(f.bands, grid)] = f.coeffs[..., f.bands[-1]:, :, :]
-    return np.fft.irfftn(half, s=grid, axes=tuple(range(f.d)), norm="forward")
+    data = f.coeffs[..., f.bands[-1]:, :, :]
+    for axis in range(f.d - 1):
+        full = np.zeros(data.shape[:axis] + (grid[axis],) + data.shape[axis + 1:],
+                        dtype=np.complex128)
+        full[(slice(None),) * axis + (_kept_rows(f.bands[axis], grid[axis]),)] = data
+        data = np.fft.ifft(full, axis=axis, norm="forward", out=full)
+    return np.fft.irfft(data, n=grid[-1], axis=f.d - 1, norm="forward")
 
 
 def _real_analysis(samples: np.ndarray, bands: tuple) -> np.ndarray:
-    """Symmetrized coefficients on the box ``bands`` of real grid samples (rfftn).
+    """Symmetrized coefficients on the box ``bands`` of real grid samples, from
+    a spectrum equal bit for bit to ``rfftn`` (``norm="forward"``) on that box.
 
-    The k_d < 0 modes are filled from the k_d > 0 ones by conjugate symmetry.
+    The 1-D transforms run in ``rfftn``'s order, but each keeps only the kept
+    modes: ``rfft`` on the last axis is cut to its N_d + 1 kept bins, then
+    ``fft`` on axes d-2 .. 0 is cut to the 2N_i + 1 kept rows.  The k_d < 0
+    modes are filled from the k_d > 0 ones by conjugate symmetry.
     """
     d = len(bands)
-    hat = np.fft.rfftn(samples, axes=tuple(range(d)), norm="forward")
-    upper = hat[_half_embed(bands, samples.shape[:d])]
-    del hat  # the full spectrum need not outlive the kept box
+    upper = np.fft.rfft(samples, axis=d - 1, norm="forward")[..., :bands[-1] + 1, :, :]
+    for axis in range(d - 2, -1, -1):
+        upper = np.fft.fft(upper, axis=axis, norm="forward", out=upper)
+        upper = upper.take(_kept_rows(bands[axis], samples.shape[axis]), axis=axis)
     lower = np.conj(upper[tuple(slice(None, None, -1) for _ in range(d - 1))])
     return _symmetrize(np.concatenate([lower[..., :0:-1, :, :], upper], axis=d - 1))
 
@@ -524,12 +510,3 @@ def assemble_blocks(blocks) -> FourierMap:
         rows.append(np.concatenate([m.coeffs for m in row], axis=-1))
     return FourierMap(np.concatenate(rows, axis=-2), ref.bands)
 
-
-def random_map(bands, shape, rng, decay: float = 0.0, scale: float = 1.0) -> FourierMap:
-    """Random real-analytic map; coefficients damped by exp(-decay*|k|_1)."""
-    box = tuple(2 * n + 1 for n in bands)
-    raw = rng.standard_normal(box + tuple(shape)) + 1j * rng.standard_normal(box + tuple(shape))
-    if decay > 0:
-        k1 = _k1_box(tuple(bands))
-        raw = raw * np.exp(-decay * k1).reshape(k1.shape + (1, 1))
-    return FourierMap(_symmetrize(scale * raw), tuple(bands))

@@ -1,5 +1,8 @@
 """Shared fixtures and helpers: golden-frequency Diophantine data, seeded
-candidates, a non-canonical structure and zeroed integral constants."""
+candidates, a non-canonical structure, zeroed integral constants, and the
+test-side Fourier helpers (random maps, direct summation, JSON text)."""
+
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import settings
 
 from kamtorus.certificate import _INTEGRAL_FIELDS, GlobalNormConstants
 from kamtorus.cohomology import DiophantineParams, estimate_gamma
+from kamtorus.fourier import TWO_PI, FourierMap, _index_box, _k1_box, _symmetrize
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -79,3 +83,38 @@ def exact_torus_b(golden_omega):
 def perturbed_candidate_a(golden_omega):
     """System A at epsilon = 1e-3 with the integrable guess (order-epsilon error)."""
     return seed_candidate("lagrangian_rotors", 1e-3, golden_omega, bands=(16, 16), rho=0.03)
+
+
+def random_map(bands, shape, rng, decay: float = 0.0, scale: float = 1.0) -> FourierMap:
+    """Random real-analytic map; coefficients damped by exp(-decay*|k|_1)."""
+    box = tuple(2 * n + 1 for n in bands)
+    raw = rng.standard_normal(box + tuple(shape)) + 1j * rng.standard_normal(box + tuple(shape))
+    if decay > 0:
+        k1 = _k1_box(tuple(bands))
+        raw = raw * np.exp(-decay * k1).reshape(k1.shape + (1, 1))
+    return FourierMap(_symmetrize(scale * raw), tuple(bands))
+
+
+def eval_at(f: FourierMap, theta) -> np.ndarray:
+    """f at arbitrary angles ``theta`` of shape (..., d) by direct summation.
+
+    Slow, O(#modes * #points), but independent of the FFT path: an oracle.
+    """
+    theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))
+    lead = theta.shape[:-1]
+    flat = theta.reshape(-1, f.d)
+    # phase factors per axis, then an outer product walk across axes
+    work = np.ones((flat.shape[0], 1), dtype=np.complex128)
+    for i, ax in enumerate(_index_box(f.bands)):
+        phase = np.exp(TWO_PI * 1j * np.outer(flat[:, i], ax))
+        work = (work[:, :, None] * phase[:, None, :]).reshape(flat.shape[0], -1)
+    out = np.tensordot(work, f.coeffs.reshape(-1, *f.shape), axes=(1, 0))
+    return out.reshape(lead + f.shape)
+
+
+def map_to_json(f: FourierMap) -> str:
+    return json.dumps(f.to_json_dict(), sort_keys=True)
+
+
+def map_from_json(text: str) -> FourierMap:
+    return FourierMap.from_json_dict(json.loads(text))

@@ -24,7 +24,7 @@ from kamtorus.cohomology import (
     russmann_constant,
     solve_cohomological,
 )
-from kamtorus.fourier import FourierMap, matmul, random_map
+from kamtorus.fourier import FourierMap, matmul
 from kamtorus.frames import (
     build_frames,
     error_maps,
@@ -37,7 +37,7 @@ from kamtorus.frames import (
 from kamtorus.isoenergetic import FrequencyRay, IsoTarget, total_error
 from kamtorus.solver import Iterate, NewtonSchedule, contraction_slope, evaluate, iterate_newton
 
-from conftest import GOLDEN, seed_candidate, with_zero_integrals
+from conftest import GOLDEN, random_map, seed_candidate, with_zero_integrals
 
 
 def announce(num: int, ok: bool, detail: str):

@@ -472,3 +472,39 @@ def test_setup_scans_divisors_once_per_frequency(tmp_path, monkeypatch, override
     else:
         assert cmd_validate(cfg) == 0
     assert len(calls) == scans
+
+
+@pytest.fixture(scope="module")
+def bands8_torus(tmp_path_factory):
+    """The torus document of a bands-8 solve, and the bytes its solve wrote."""
+    tmp = tmp_path_factory.mktemp("bands8")
+    cfg = write_config(tmp, system="lagrangian_rotors", epsilon=1e-3, bands=[8, 8])
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp)]) == 0
+    text = (tmp / "torus.json").read_text()
+    return json.loads(text), text
+
+
+def _empty_map(doc):
+    doc["map"]["coeffs"] = []
+
+
+def _nan_coefficient(doc):
+    doc["map"]["coeffs"][3] = float("nan")
+    doc["map"]["coeffs"][8] = -float("inf")
+
+
+@pytest.mark.parametrize("edit", [None, _empty_map, _nan_coefficient],
+                         ids=["solved", "empty-coeffs", "nan-coeff"])
+def test_json_dump_writes_the_bytes_of_json_dumps(tmp_path, bands8_torus, edit):
+    """The spliced coefficient list leaves the torus file as json.dumps writes it."""
+    from kamtorus.cli import _json_dump
+
+    doc, solved_text = bands8_torus
+    doc = json.loads(json.dumps(doc))
+    if edit is not None:
+        edit(doc)
+    _json_dump(doc, tmp_path / "torus.json")
+    expect = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    assert (tmp_path / "torus.json").read_text() == expect
+    if edit is None:  # the solve wrote the same bytes
+        assert solved_text == expect and len(doc["map"]["coeffs"]) == 2 * 17 * 17 * 4

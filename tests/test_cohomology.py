@@ -16,7 +16,9 @@ from kamtorus.cohomology import (
     russmann_raw_ratio,
     solve_cohomological,
 )
-from kamtorus.fourier import FourierMap, random_map
+from kamtorus.fourier import FourierMap
+
+from conftest import random_map
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 RNG = np.random.default_rng(411)
@@ -69,6 +71,7 @@ def _random_cases(d, taus, limits, count, seed):
     pytest.param(np.array([1.0, GOLDEN]), 1.3, 40, id="golden"),
     pytest.param(np.array([-0.7, GOLDEN]), 1.0, 60, id="tau1"),
     pytest.param(np.array([0.01, 1.3]), 2.0, 40, id="all-clipped"),  # |w2/w1| > limit
+    pytest.param(np.array([1.0, -(1.0 - 1e-9)]), 0.0, 30, id="unit-ratio-tau0"),  # r ~ 1
     *_random_cases(2, (1.0, 1.3, 2.0, 2.7), (5, 90), 8, seed=2),
 ])
 def test_estimate_gamma_brute_force_oracle(omega, tau, limit):
@@ -188,6 +191,8 @@ def test_params_scan_checked_at_construction():
     pytest.param(np.array([1.0, 2.0 ** (1.0 / 3.0), 3.0 ** (1.0 / 3.0)]), 2.0, 12, id="cube-roots"),
     pytest.param(np.array([1.0, 2.0 ** (1.0 / 3.0), 4.0 ** (1.0 / 3.0)]), 1.0, 14, id="tau1"),
     pytest.param(np.array([0.02, 1.0, GOLDEN]), 2.0, 10, id="all-clipped"),  # |w2/w1| > limit
+    pytest.param(np.array([1.0, np.sqrt(2.0) - 1.0, 2.0 - np.sqrt(2.0) + 1e-9]), 2.0, 12,
+                 id="near-unit-r"),  # k' = (1, 1) gives r ~ -1
     *_random_cases(3, (2.0, 2.5), (4, 16), 6, seed=3),
 ])
 def test_generic_scan_dimension_three(omega, tau, limit):

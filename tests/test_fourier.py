@@ -11,11 +11,14 @@ from kamtorus.fourier import (
     FourierMap,
     FourierShapeError,
     StripOverflowError,
+    _real_analysis,
+    _real_samples,
     cauchy_bound,
     dealias_grid,
     matmul,
-    random_map,
 )
+
+from conftest import eval_at, map_from_json, map_to_json, random_map
 
 RNG = np.random.default_rng(20240817)
 
@@ -54,7 +57,7 @@ def test_eval_grid_cosine_quarter_points():
 def test_eval_grid_matches_direct_summation():
     f = random_map((8,), (2, 2), RNG, decay=0.1)
     theta = (np.arange(32) / 32.0)[:, None]
-    direct = f.eval_at(theta)
+    direct = eval_at(f, theta)
     fast = f.eval_grid((32,))
     assert np.max(np.abs(direct - fast)) < 1e-13 * max(1, np.max(np.abs(direct)))
 
@@ -147,8 +150,8 @@ def test_partial_derivative_finite_difference_oracle():
     for axis in range(2):
         e = np.zeros(2)
         e[axis] = h
-        fd = (f.eval_at(theta + e) - f.eval_at(theta - e)) / (2 * h)
-        exact = f.deriv(axis).eval_at(theta)
+        fd = (eval_at(f, theta + e) - eval_at(f, theta - e)) / (2 * h)
+        exact = eval_at(f.deriv(axis), theta)
         # |FD - f'| <= h^2/6 max|f'''| plus roundoff
         third = f.deriv(axis).deriv(axis).deriv(axis)
         bound = h**2 / 6.0 * np.max(np.abs(third.eval_grid())) * 1.05 + 1e-9
@@ -308,12 +311,67 @@ def test_cauchy_dominates_measured_derivative():
 
 def test_json_round_trip():
     f = random_map((3, 2), (2, 1), RNG)
-    doc = json.loads(f.to_json())
+    doc = json.loads(map_to_json(f))
     assert doc["dims"] == [2, 2, 1]
     assert doc["bands"] == [3, 2]
     assert len(doc["coeffs"]) == 2 * f.coeffs.size
-    g = FourierMap.from_json(f.to_json())
+    g = map_from_json(map_to_json(f))
     assert np.max(np.abs(g.coeffs - f.coeffs)) == 0.0
+
+
+# ------------------------------------------------------ pruned real transforms
+
+
+def irfftn_samples(f, grid):
+    """Reference synthesis: irfftn of the whole k_d >= 0 half spectrum on ``grid``."""
+    half = np.zeros(grid[:-1] + (grid[-1] // 2 + 1,) + f.shape, dtype=np.complex128)
+    rows = [np.arange(-n, n + 1) % m for n, m in zip(f.bands[:-1], grid[:-1])]
+    half[np.ix_(*rows, np.arange(f.bands[-1] + 1))] = f.coeffs[..., f.bands[-1]:, :, :]
+    return np.fft.irfftn(half, s=grid, axes=tuple(range(f.d)), norm="forward")
+
+
+def rfftn_coefficients(samples, bands):
+    """Reference analysis: the box ``bands`` cut from the whole rfftn spectrum,
+    its k_d < 0 half filled by conjugate symmetry, then symmetrized."""
+    d = len(bands)
+    hat = np.fft.rfftn(samples, axes=tuple(range(d)), norm="forward")
+    rows = [np.arange(-n, n + 1) % m for n, m in zip(bands[:-1], samples.shape[:d - 1])]
+    upper = hat[np.ix_(*rows, np.arange(bands[-1] + 1))]
+    lower = np.conj(upper[tuple(slice(None, None, -1) for _ in range(d - 1))])
+    box = np.concatenate([lower[..., :0:-1, :, :], upper], axis=d - 1)
+    return 0.5 * (box + np.conj(box[tuple(slice(None, None, -1) for _ in range(d))]))
+
+
+def assert_same_bits(got, ref):
+    assert np.array_equal(got, ref)
+    assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+
+
+@pytest.mark.parametrize("bands, grid", [
+    ((4,), (9,)),                        # d = 1: 2N+1, even, odd
+    ((4,), (10,)),
+    ((4,), (15,)),
+    ((5, 5), (11, 11)),                  # d = 2: 2N+1
+    ((16, 16), (72, 72)),                # the 3-smooth kitchen grids
+    ((32, 32), (144, 144)),
+    ((32, 32), (100, 100)),              # the 5-smooth product grids
+    ((32, 32), (135, 135)),
+    ((3, 9), (8, 25)),                   # anisotropic, even and odd
+    ((16, 32), (72, 100)),
+    ((2, 3, 4), (5, 7, 9)),              # d = 3: 2N+1, even, odd, anisotropic
+    ((2, 3, 4), (6, 8, 10)),
+    ((1, 4, 2), (9, 15, 5)),
+])
+def test_pruned_real_transforms_equal_rfftn_irfftn_bit_for_bit(bands, grid):
+    rng = np.random.default_rng(sum(grid))
+    f = random_map(bands, (3, 2), rng, decay=0.1)
+    f.coeffs[..., 1, 0] = 0.0  # an identically zero entry keeps its zeros' signs
+    assert_same_bits(_real_samples(f, grid), irfftn_samples(f, grid))
+    samples = rng.standard_normal(grid + (2, 3))
+    samples[..., 0, 1] = 0.25  # a constant entry
+    assert_same_bits(_real_analysis(samples, bands), rfftn_coefficients(samples, bands))
+    synthesized = irfftn_samples(f, grid)
+    assert_same_bits(_real_analysis(synthesized, bands), rfftn_coefficients(synthesized, bands))
 
 
 # ---------------------------------------------------------- property sampling
@@ -476,7 +534,7 @@ def test_matmul_constant_and_zero_operands_skip_transforms(monkeypatch, kinds, o
     def no_transform(*args, **kwargs):
         raise AssertionError("a constant or zero operand must not be transformed")
 
-    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, no_transform)
     got = matmul(a, b, out_bands=out_bands)
     assert (got.bands, got.shape) == (ref.bands, ref.shape)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kamtorus.cohomology import DiophantineParams, estimate_gamma, russmann_constant
-from kamtorus.fourier import FourierMap, _real_samples, dealias_grid, matmul, random_map
+from kamtorus.fourier import FourierMap, _real_samples, dealias_grid, matmul
 from kamtorus.frames import (
     DomainEscapeError,
     SingularGramError,
@@ -22,7 +22,7 @@ from kamtorus.frames import (
 )
 from kamtorus.hamiltonian import builtin_system
 
-from conftest import GOLDEN, seed_candidate
+from conftest import GOLDEN, random_map, seed_candidate
 
 
 def perturb_candidate(cand, scale=1e-3, seed=0, decay=1.2):

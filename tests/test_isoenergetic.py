@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kamtorus.cohomology import DiophantineParams, estimate_gamma
-from kamtorus.fourier import FourierMap, random_map
+from kamtorus.fourier import FourierMap
 from kamtorus.frames import TorusCandidate, build_frames, grid_kitchen
 from kamtorus.isoenergetic import (
     FrequencyRay,
@@ -16,7 +16,7 @@ from kamtorus.isoenergetic import (
 )
 from kamtorus.solver import NewtonSchedule, iterate_newton
 
-from conftest import GOLDEN, seed_candidate
+from conftest import GOLDEN, random_map, seed_candidate
 
 
 def iso_setup(eps=0.01, bands=(16, 16), rho=0.03, sigma_omega=2.0):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +29,37 @@ def test_run_convergence_reports_each_system():
     finals = [rec for rec in records if "contraction_exponent" in rec]
     assert [rec["system"] for rec in finals] == ["lagrangian_rotors", "symmetric_rotors"]
     assert all(rec["converged"] and rec["contraction_exponent"] is not None for rec in finals)
+
+
+def compare_outputs(tree_b: Path, config: dict, tmp_path: Path) -> subprocess.CompletedProcess:
+    """Run compare_outputs.py on this checkout and ``tree_b`` for one config."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "compare_outputs.py"),
+                           str(ROOT), str(tree_b), "--config", str(path)],
+                          capture_output=True, text=True, timeout=600)
+
+
+def test_compare_outputs_finds_a_tree_identical_to_itself(tmp_path):
+    config = {"system": "lagrangian_rotors", "epsilon": 1e-3, "bands": [8, 8], "rho0": 0.05}
+    proc = compare_outputs(ROOT, config, tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    names = ["torus.json", "log.jsonl", "summary.json", "certificate.json", "ledger.csv",
+             "exit codes"]
+    assert [line.split(" ", 1)[1].rsplit(" ", 2)[0] for line in lines] == names
+    assert all(line.endswith(" same") for line in lines)
+    assert lines[-1] == "config.json exit codes 0/0 same"
+
+
+def test_compare_outputs_reports_a_difference(tmp_path):
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src" / "kamtorus", other / "kamtorus",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    init = other / "kamtorus" / "__init__.py"
+    init.write_text(init.read_text().replace('__version__ = "', '__version__ = "changed-', 1))
+    config = {"system": "symmetric_rotors", "epsilon": 0.0, "bands": [4, 4], "rho0": 0.05}
+    proc = compare_outputs(other, config, tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr[-2000:]
+    torus = next(line for line in proc.stdout.splitlines() if " torus.json " in line)
+    assert " differs A1=" in torus

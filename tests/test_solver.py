@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kamtorus.cohomology import solve_cohomological
-from kamtorus.fourier import FourierMap, matmul, random_map
+from kamtorus.fourier import FourierMap, matmul
 from kamtorus.frames import build_frames
 from kamtorus.solver import (
     CompatibilityError,
@@ -17,7 +17,7 @@ from kamtorus.solver import (
     solve_triangular,
 )
 
-from conftest import GOLDEN, ORDINARY_FRAME_NORMS, seed_candidate
+from conftest import GOLDEN, ORDINARY_FRAME_NORMS, random_map, seed_candidate
 
 
 # ----------------------------------------------------------------- schedule
