@@ -143,7 +143,7 @@ class RunConfig:
         return cls.from_dict({**data, **{k: v for k, v in overrides.items() if v is not None}})
 
 
-_SPLICE = "\0coeffs"  # a placeholder no other string of an output holds (paths have no NUL)
+_SPLICE = "\0coeffs"  # placeholder of the coefficient list while the rest is encoded
 
 
 def _json_dump(obj, path: Path):
@@ -153,19 +153,23 @@ def _json_dump(obj, path: Path):
     coefficient list (33,800 numbers at bands 32) is encoded instead by the C
     encoder with the indented item separator, which writes each number as the
     indented encoder does (``float.__repr__``, or NaN and Infinity), and is
-    spliced into the indented text of the rest: the bytes are the same.
+    spliced into the indented text of the rest at a placeholder: the bytes
+    are the same.  When the placeholder's text occurs more than once (a
+    config string can hold it), the whole document is encoded plainly.
     """
     coeffs = obj.get("map", {}).get("coeffs")
     if coeffs:
-        obj = {**obj, "map": {**obj["map"], "coeffs": _SPLICE}}
-    text = json.dumps(obj, sort_keys=True, indent=1)
-    if coeffs:
-        head, tail = text.split(json.dumps(_SPLICE))
-        line = head[head.rfind("\n") + 1:]
-        indent = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-        items = json.dumps(coeffs, separators=("," + indent + " ", ": "))
-        text = head + "[" + indent + " " + items[1:-1] + indent + "]" + tail
-    path.write_text(text + "\n")
+        text = json.dumps({**obj, "map": {**obj["map"], "coeffs": _SPLICE}},
+                          sort_keys=True, indent=1)
+        marker = json.dumps(_SPLICE)
+        if text.count(marker) == 1:
+            head, tail = text.split(marker)
+            line = head[head.rfind("\n") + 1:]
+            indent = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+            items = json.dumps(coeffs, separators=("," + indent + " ", ": "))
+            path.write_text(head + "[" + indent + " " + items[1:-1] + indent + "]" + tail + "\n")
+            return
+    path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 def _seed_frequency(cfg: RunConfig):

@@ -68,15 +68,21 @@ class DiophantineParams:
         return self.omega.size
 
 
+def _k_dot(k1: np.ndarray, kp: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """k.omega for k = (k1[i, j], kp[i]), summed left to right as k1 w1 + k2 w2 + ..."""
+    dots = k1 * omega[0]
+    for i in range(1, omega.size):
+        dots += kp[:, i - 1, None] * omega[i]
+    return dots
+
+
 def _divisors(k1: np.ndarray, kp: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """|k.omega| for k = (k1[i, j], kp[i]), summed left to right as k1 w1 + k2 w2 + ...
+    """|k.omega| for k = (k1[i, j], kp[i]), summed by :func:`_k_dot`.
 
     Raises DivisorCollisionError naming the first k (in row-major order) whose
     |k.omega| falls below RESONANCE_EPS.
     """
-    dots = k1 * omega[0]
-    for i in range(1, omega.size):
-        dots += kp[:, i - 1, None] * omega[i]
+    dots = _k_dot(k1, kp, omega)
     np.abs(dots, out=dots)
     bad = np.argwhere(dots < RESONANCE_EPS)
     if bad.size:
@@ -110,8 +116,8 @@ def estimate_gamma(omega, tau: float, scan_limit: int) -> float:
     The end k_1 = 0 is not scanned: where |k'.omega'| >= |omega_1| its value
     |k'.omega'| m^tau is at least |omega_1|, the axis value; elsewhere
     |r| < 1, so 0 is floor r or floor r + 1.  Both hold in floats because
-    k'.omega' is summed left to right exactly as the divisors sum it at
-    k_1 = 0, and a quotient of doubles |a| < |b| rounds below 1.
+    r is formed from :func:`_k_dot` at k_1 = 0, the very sum the divisors
+    take there, and a quotient of doubles |a| < |b| rounds below 1.
     """
     omega = np.asarray(omega, dtype=np.float64)
     d = omega.size
@@ -133,12 +139,9 @@ def estimate_gamma(omega, tau: float, scan_limit: int) -> float:
     m = np.abs(kp).sum(axis=1)
     keep = (last_sign > 0) & (m <= limit)
     kp, m = kp[keep].astype(np.float64), m[keep]
-    dot_p = kp[:, 0] * omega[1]  # k'.omega' summed as _divisors sums it at k_1 = 0
-    for i in range(2, d):
-        dot_p += kp[:, i - 1] * omega[i]
-    floor_r = np.floor(-dot_p / omega[0])
+    floor_r = np.floor(-_k_dot(np.zeros((kp.shape[0], 1)), kp, omega) / omega[0])
     room = (limit - m)[:, None]
-    k1 = np.clip(np.stack([floor_r, floor_r + 1], axis=1), -room, room)
+    k1 = np.clip(np.concatenate([floor_r, floor_r + 1], axis=1), -room, room)
     dots = _divisors(k1, kp, omega)
     norm1 = np.abs(k1) + m[:, None]
     if tau != 1.0:

@@ -429,7 +429,7 @@ def _real_samples(f: FourierMap, grid: tuple) -> np.ndarray:
         full = np.zeros(data.shape[:axis] + (grid[axis],) + data.shape[axis + 1:],
                         dtype=np.complex128)
         full[(slice(None),) * axis + (_kept_rows(f.bands[axis], grid[axis]),)] = data
-        data = np.fft.ifft(full, axis=axis, norm="forward", out=full)
+        data = np.fft.ifft(full, axis=axis, norm="forward")
     return np.fft.irfft(data, n=grid[-1], axis=f.d - 1, norm="forward")
 
 
@@ -445,7 +445,7 @@ def _real_analysis(samples: np.ndarray, bands: tuple) -> np.ndarray:
     d = len(bands)
     upper = np.fft.rfft(samples, axis=d - 1, norm="forward")[..., :bands[-1] + 1, :, :]
     for axis in range(d - 2, -1, -1):
-        upper = np.fft.fft(upper, axis=axis, norm="forward", out=upper)
+        upper = np.fft.fft(upper, axis=axis, norm="forward")
         upper = upper.take(_kept_rows(bands[axis], samples.shape[axis]), axis=axis)
     lower = np.conj(upper[tuple(slice(None, None, -1) for _ in range(d - 1))])
     return _symmetrize(np.concatenate([lower[..., :0:-1, :, :], upper], axis=d - 1))

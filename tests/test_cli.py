@@ -493,8 +493,12 @@ def _nan_coefficient(doc):
     doc["map"]["coeffs"][8] = -float("inf")
 
 
-@pytest.mark.parametrize("edit", [None, _empty_map, _nan_coefficient],
-                         ids=["solved", "empty-coeffs", "nan-coeff"])
+def _placeholder_in_config(doc):
+    doc["config"]["conserved"] = "\0coeffs"
+
+
+@pytest.mark.parametrize("edit", [None, _empty_map, _nan_coefficient, _placeholder_in_config],
+                         ids=["solved", "empty-coeffs", "nan-coeff", "placeholder-in-config"])
 def test_json_dump_writes_the_bytes_of_json_dumps(tmp_path, bands8_torus, edit):
     """The spliced coefficient list leaves the torus file as json.dumps writes it."""
     from kamtorus.cli import _json_dump
