@@ -3,6 +3,10 @@ quasi-periodic invariant tori in partially integrable Hamiltonian systems."""
 
 __version__ = "0.1.0"
 
+from ._entry import apply_thread_cap
+
+apply_thread_cap()  # before the imports below load numpy and start its thread pools
+
 from .certificate import (
     CertificateReport,
     ConstantLedger,

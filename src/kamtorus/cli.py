@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -150,12 +150,11 @@ def _json_dump(obj, path: Path):
     """Write ``json.dumps(obj, sort_keys=True, indent=1)`` and a newline.
 
     With ``indent`` set, ``json`` encodes in pure Python.  A torus document's
-    coefficient list (33,800 numbers at bands 32) is encoded instead by the C
-    encoder with the indented item separator, which writes each number as the
-    indented encoder does (``float.__repr__``, or NaN and Infinity), and is
-    spliced into the indented text of the rest at a placeholder: the bytes
-    are the same.  When the placeholder's text occurs more than once (a
-    config string can hold it), the whole document is encoded plainly.
+    coefficient list (33,800 numbers at bands 32) is written instead by
+    :func:`_number_items` and spliced into the indented text of the rest at a
+    placeholder: the bytes are the same.  When the placeholder's text occurs
+    more than once (a config string can hold it), the whole document is
+    encoded plainly.
     """
     coeffs = obj.get("map", {}).get("coeffs")
     if coeffs:
@@ -166,10 +165,29 @@ def _json_dump(obj, path: Path):
             head, tail = text.split(marker)
             line = head[head.rfind("\n") + 1:]
             indent = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-            items = json.dumps(coeffs, separators=("," + indent + " ", ": "))
-            path.write_text(head + "[" + indent + " " + items[1:-1] + indent + "]" + tail + "\n")
+            items = _number_items(coeffs, "," + indent + " ")
+            path.write_text(head + "[" + indent + " " + items + indent + "]" + tail + "\n")
             return
     path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+
+
+def _number_items(values: list, sep: str) -> str:
+    """The items of ``json.dumps(values)`` joined by ``sep``, as the indented
+    encoder writes them.
+
+    Each number is ``float.__repr__`` (or NaN and Infinity), which the C
+    encoder writes too.  A list of finite floats is encoded one distinct
+    magnitude at a time, and a set sign bit is written as "-" before the
+    magnitude's text (so -0.0 gives "-0.0"): a real map's f_-k = conj(f_k)
+    repeats each magnitude, so this halves the encoding work.
+    """
+    if set(map(type, values)) != {float} or not np.isfinite(arr := np.array(values)).all():
+        return json.dumps(values, separators=(sep, ": "))[1:-1]
+    mags, inverse = np.unique(np.abs(arr), return_inverse=True)
+    items = np.array(json.dumps(mags.tolist())[1:-1].split(", "), dtype=object)[inverse]
+    neg = np.signbit(arr)
+    items[neg] = "-" + items[neg]
+    return sep.join(items.tolist())
 
 
 def _seed_frequency(cfg: RunConfig):
@@ -182,10 +200,11 @@ def _seed_frequency(cfg: RunConfig):
 
 def _system(cfg: RunConfig, omega: np.ndarray):
     """The configured system, its momentum domain centred at (omega, 0)."""
-    y_center = np.zeros(builtin_system(cfg.system).n)
+    system = builtin_system(cfg.system, epsilon=cfg.epsilon, y_radius=cfg.y_radius,
+                            imag_width=cfg.imag_width)
+    y_center = np.zeros(system.n)
     y_center[: len(omega)] = omega
-    return builtin_system(cfg.system, epsilon=cfg.epsilon, y_center=y_center,
-                          y_radius=cfg.y_radius, imag_width=cfg.imag_width)
+    return replace(system, domain=replace(system.domain, y_center=y_center))
 
 
 def _schedule(cfg: RunConfig) -> NewtonSchedule:

@@ -280,16 +280,44 @@ class FourierMap:
         return out
 
     def matmul_constant(self, matrix) -> "FourierMap":
-        """Right-multiply by a constant matrix (exact in coefficients)."""
+        """Right-multiply by a constant matrix (exact in coefficients).
+
+        One GEMM over the flattened modes gives numpy's per-mode ``@`` bit for
+        bit when the map has at least 2 rows and the product at least 2
+        columns, or 1 column of a map whose rows are unit-stride.  The other
+        cases (a 1-row map, where numpy takes its vector kernel, and a
+        1-column product of a transposed view) keep the per-mode ``@``.
+        """
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.ndim == 1:
             matrix = matrix[:, None]
-        return FourierMap(self.coeffs @ matrix, self.bands)
+        c = self.coeffs
+        if c.shape[-2] < 2 or (matrix.shape[-1] < 2 and c.strides[-1] != c.itemsize):
+            return FourierMap(c @ matrix, self.bands)
+        flat = c.reshape(-1, c.shape[-1]) @ matrix
+        return FourierMap(flat.reshape(c.shape[:-1] + matrix.shape[1:]), self.bands)
 
     def rmatmul_constant(self, matrix) -> "FourierMap":
-        """Left-multiply by a constant matrix (exact in coefficients)."""
+        """Left-multiply by a constant matrix (exact in coefficients).
+
+        A real matrix (every constant factor of a real-analytic map is real)
+        multiplies the float64 view of the coefficients row by row, skipping
+        its zero entries; accumulating into zeros, in column order, gives
+        ``einsum("ij,...jk->...ik")`` of the complex matrix bit for bit on
+        finite coefficients.  A complex matrix keeps the ``einsum``.
+        """
         matrix = np.asarray(matrix, dtype=np.complex128)
-        return FourierMap(np.einsum("ij,...jk->...ik", matrix, self.coeffs), self.bands)
+        if matrix.ndim != 2 or matrix.shape[1] != self.shape[0]:
+            raise FourierShapeError(f"matrix {matrix.shape} does not chain with {self.shape}")
+        if np.any(matrix.imag):
+            return FourierMap(np.einsum("ij,...jk->...ik", matrix, self.coeffs), self.bands)
+        x = np.ascontiguousarray(self.coeffs).view(np.float64)
+        out = np.zeros(x.shape[:-2] + (matrix.shape[0], x.shape[-1]))
+        term = np.empty(x.shape[:-2] + x.shape[-1:])
+        for i, row in enumerate(matrix.real):
+            for j in np.flatnonzero(row):
+                out[..., i, :] += np.multiply(x[..., j, :], row[j], out=term)
+        return FourierMap(out.view(np.complex128), self.bands)
 
     # -- serialization -------------------------------------------------------------
 
@@ -451,6 +479,16 @@ def _real_analysis(samples: np.ndarray, bands: tuple) -> np.ndarray:
     return _symmetrize(np.concatenate([lower[..., :0:-1, :, :], upper], axis=d - 1))
 
 
+def _scaled_fit(f: FourierMap, out_bands: tuple, scale) -> FourierMap:
+    """``scale`` applied to the modes of ``f`` inside ``out_bands`` (a view, no
+    copy), then zero-padded to ``out_bands``: a mode-wise product commutes
+    with truncation and padding."""
+    keep = tuple(map(min, f.bands, out_bands))
+    box = tuple(slice(n - k, n + k + 1) for n, k in zip(f.bands, keep))
+    out = scale(FourierMap(f.coeffs[box], keep))
+    return out if keep == out_bands else out.pad_bands(out_bands)
+
+
 def matmul(a: FourierMap, b: FourierMap, out_bands=None, work_grid=None) -> FourierMap:
     """Pointwise matrix product of two real-analytic maps, dealiased then truncated.
 
@@ -478,13 +516,11 @@ def matmul(a: FourierMap, b: FourierMap, out_bands=None, work_grid=None) -> Four
         raise FourierShapeError("work grid too small for requested output bands")
     if not (np.any(a.coeffs) and np.any(b.coeffs)):
         return FourierMap.zeros(out_bands, (a.shape[0], b.shape[1]))
-    # a constant factor scales the other one, truncated or zero-padded axis by axis
+    # a constant factor scales the other one's kept modes, zero-padded to out_bands
     if _is_constant(a):
-        fitted = b.truncate(tuple(map(min, b.bands, out_bands))).pad_bands(out_bands)
-        return fitted.rmatmul_constant(a.average())
+        return _scaled_fit(b, out_bands, lambda f: f.rmatmul_constant(a.average()))
     if _is_constant(b):
-        fitted = a.truncate(tuple(map(min, a.bands, out_bands))).pad_bands(out_bands)
-        return fitted.matmul_constant(b.average())
+        return _scaled_fit(a, out_bands, lambda f: f.matmul_constant(b.average()))
     prod = _real_samples(a, work) @ _real_samples(b, work)
     return FourierMap(_real_analysis(prod, out_bands), out_bands)
 

@@ -100,13 +100,20 @@ class TorusCandidate:
 
     def dk(self) -> FourierMap:
         """DK as a (2n x d) map; exact spectral derivative plus identity block."""
-        cols = [self.k_per.deriv(i) for i in range(self.d)]
-        dk = concat_cols(*cols)
-        if self.angle_block:
-            block = np.zeros((2 * self.system.n, self.d))
-            block[: self.d, : self.d] = np.eye(self.d)
-            dk = dk.add_constant(block)
-        return dk
+        return self.tangent_family(FourierMap.zeros(self.bands, (2 * self.system.n, 0)))
+
+    def tangent_family(self, xp: FourierMap) -> FourierMap:
+        """(DK  xp), built in one buffer: the d columns of DK, then those of ``xp``."""
+        d = self.d
+        coeffs = np.empty(self.k_per.coeffs.shape[:-1] + (d + xp.shape[1],), dtype=np.complex128)
+        for i in range(d):
+            coeffs[..., i:i + 1] = self.k_per.deriv(i).coeffs
+        coeffs[..., d:] = xp.coeffs
+        if self.angle_block:  # DK gains the identity block at k = 0
+            block = np.zeros((2 * self.system.n, d))
+            block[:d, :d] = np.eye(d)
+            coeffs[self.bands + (slice(None), slice(0, d))] += block
+        return FourierMap(coeffs, self.bands)
 
     def k_values(self, grid) -> np.ndarray:
         """Real samples of K on a uniform grid (theta added to angle components)."""
@@ -129,24 +136,30 @@ class TorusCandidate:
         plus |Im| of the constant term (a real phase shift costs nothing).
         Momentum components must stay in the complex disc around the center.
         Overestimating the excursions underestimates the margin, which is the
-        safe direction for the certificate.
+        safe direction for the certificate.  It is computed once per
+        candidate (the step, the error and the certificate all ask).
         """
+        if "_margin" not in self.__dict__:
+            object.__setattr__(self, "_margin", self._domain_margin())
+        return self.__dict__["_margin"]
+
+    def _domain_margin(self) -> float:
         sys = self.system
         a = sys.domain.angle_count
-        center_coeff = self.k_per.average()[:, 0]
-        osc = self.k_per.add_constant(-self.k_per.average())
-        osc_norms = _rowwise_majorant(osc, self.rho)
+        f0 = self.k_per.average()
+        weights = np.exp(TWO_PI * self.rho * _k1_box(self.bands))
+        mags = np.abs(self.k_per.coeffs)  # |f_k|, then f_0 shifted as add_constant shifts it:
+        mags[self.bands] = np.abs(f0 + -f0)  # the oscillating part K - <K>
+        osc_norms = _rowwise_majorant(mags, weights)
         margin = np.inf
         for i in range(a):  # periodic rows: imaginary excursion only
-            excur = osc_norms[i] + abs(center_coeff[i].imag)
+            excur = osc_norms[i] + abs(f0[i, 0].imag)
             if self.angle_block and i < self.d:
                 excur += self.rho
             margin = min(margin, sys.domain.imag_width - excur)
-        center = sys.domain.y_center
-        shifted = self.k_per.add_constant(
-            np.concatenate([np.zeros(a), -center])[:, None]
-        )
-        mom_norms = _rowwise_majorant(shifted, self.rho)
+        shift = np.concatenate([np.zeros(a), -sys.domain.y_center])[:, None]
+        mags[self.bands] = np.abs(f0 + shift.astype(np.complex128))  # K - (0, y_center)
+        mom_norms = _rowwise_majorant(mags, weights)
         for j in range(a, 2 * sys.n):
             margin = min(margin, sys.domain.y_radius - mom_norms[j])
         return float(margin)
@@ -165,10 +178,9 @@ def seed_torus(system: HamiltonianSystem, dio: DiophantineParams, bands,
     return TorusCandidate(k_per, dio.omega, dio, rho=rho, system=system)
 
 
-def _rowwise_majorant(f: FourierMap, rho: float) -> np.ndarray:
-    weights = np.exp(TWO_PI * rho * _k1_box(f.bands))
-    entry = np.tensordot(weights, np.abs(f.coeffs), axes=(tuple(range(f.d)),) * 2)
-    return entry.sum(axis=1)
+def _rowwise_majorant(mags: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row sums of the entry-wise majorants of coefficients with moduli ``mags``."""
+    return np.tensordot(weights, mags, axes=(tuple(range(weights.ndim)),) * 2).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +207,9 @@ class GridKitchen:
     """Band-truncated Fourier data of every composition the frames need.
 
     One kitchen is built per candidate, where its Iterate is made; ``Dc`` and
-    ``c_map`` (the target conserved quantity) are set in iso mode only.
+    ``c_map`` (the target conserved quantity) are set in iso mode only.  ``L``
+    is the tangent family (DK  X_p o K), so DK is formed once per candidate;
+    ``tangent_frame`` checks its rank.
     """
 
     cand: TorusCandidate
@@ -205,7 +219,7 @@ class GridKitchen:
     G: FourierMap
     J: FourierMap
     tOmega: FourierMap
-    Xp: FourierMap
+    L: FourierMap
     Dc: FourierMap | None = None
     c_map: FourierMap | None = None
 
@@ -236,11 +250,13 @@ def grid_kitchen(cand: TorusCandidate, conserved: ConservedQuantity | None = Non
         xp = analyze(sys.Xp(kv))
     else:
         xp = FourierMap.zeros(bands, (n2, 0))
-    kk = GridKitchen(cand=cand, XH=xh, DXH=dxh, Omega=om, G=g, J=jj, tOmega=tom, Xp=xp)
+    dc = c_map = None
     if conserved is not None:
-        kk.Dc = analyze(np.asarray(conserved.Dc(kv))[..., None, :])
-        kk.c_map = analyze(np.asarray(conserved.c(kv))[..., None, None])
-    return kk
+        dc = analyze(np.asarray(conserved.Dc(kv))[..., None, :])
+        c_map = analyze(np.asarray(conserved.c(kv))[..., None, None])
+    del kv  # L is built last, when the samples are gone
+    return GridKitchen(cand=cand, XH=xh, DXH=dxh, Omega=om, G=g, J=jj, tOmega=tom,
+                       L=cand.tangent_family(xp), Dc=dc, c_map=c_map)
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +313,57 @@ def invariance_error(cand: TorusCandidate, kitchen: GridKitchen) -> FourierMap:
     margin = cand.domain_margin()
     if margin <= 0:
         raise DomainEscapeError(f"K(T^d_rho) leaves the system domain (margin {margin:.3e})")
-    return kitchen.XH - cand.dk().matmul_constant(cand.omega)
+    dk = kitchen.L.block(slice(None), slice(0, cand.d))
+    return kitchen.XH - dk.matmul_constant(cand.omega)
 
 
 def tangent_frame(cand: TorusCandidate, kitchen: GridKitchen) -> FourierMap:
-    """L = (DK  X_p o K); raises FrameRankError if rank < n anywhere on the grid."""
-    L = concat_cols(cand.dk(), kitchen.Xp)
+    """L = (DK  X_p o K); raises FrameRankError if rank < n anywhere on the grid.
+
+    The SVD decides only when :func:`_clears_rank_tol` cannot show that every
+    sample of L has its smallest singular value above RANK_TOL.
+    """
+    L = kitchen.L
     vals = _real_samples(L, cand.grid)
-    svals = np.linalg.svd(vals, compute_uv=False)
-    smin = float(svals[..., -1].min())
-    if smin <= RANK_TOL:
-        raise FrameRankError(f"tangent frame rank-deficient: min singular value {smin:.3e}")
+    if not _clears_rank_tol(vals):
+        smin = float(np.linalg.svd(vals, compute_uv=False)[..., -1].min())
+        if smin <= RANK_TOL:
+            raise FrameRankError(f"tangent frame rank-deficient: min singular value {smin:.3e}")
     return L
+
+
+def _clears_rank_tol(vals: np.ndarray) -> bool:
+    """True only if the SVD of every m x r sample of ``vals`` (m >= r) would
+    give a smallest singular value above RANK_TOL.
+
+    At each point it forms G = L^T L and runs LDL^T elimination without
+    pivoting on G - tau I, tau = max(kappa g, 4 RANK_TOL^2), g = max diag G,
+    kappa = 4 r (m + r + 2) u, u = 2^-53, and asks for positive pivots.  The
+    rounding bound: fl(L^T L) is within gamma_m r g of G in the 2-norm; the
+    diagonal subtraction adds u max(g, tau); if every computed pivot is
+    positive, L D L^T = A + dA is positive definite with ||dA|| <= gamma_{r+1}
+    trace(A) <= gamma_{r+1} r g (Higham, Accuracy and Stability, Thm 10.5, in
+    its LDL^T form).  These sum to at most 2 r (m + r + 1) u g + u tau, which
+    kappa puts below tau / 2, so lambda_min(G) > tau / 2 and sigma_min(L)
+    exceeds both sqrt(2) RANK_TOL and s = sqrt(2 r (m + r + 2) u g).  The
+    SVD's singular values lie within p u ||L||_2 <= p u sqrt(r g) of the exact
+    ones, p = p(m, r) a low-degree polynomial, and sigma_min - RANK_TOL >
+    (1 - 1/sqrt(2)) s exceeds that for any p below 1e7: the test never
+    accepts a frame that the SVD rejects.  NaN, overflow, tiny and
+    ill-conditioned frames fail it and go to the SVD.
+    """
+    m, r = vals.shape[-2:]
+    a = np.moveaxis(vals, (-2, -1), (0, 1))
+    w = _front_matmul(a.swapaxes(0, 1), a)
+    diag = (np.arange(r),) * 2
+    w[diag] -= np.maximum(4 * r * (m + r + 2) * 2.0**-53 * w[diag].max(axis=0),
+                          4 * RANK_TOL**2)
+    for p in range(r):  # upper triangle only: the LDL^T of the symmetric w
+        if not np.all(w[p, p] > 0):
+            return False
+        for i in range(p + 1, r):
+            w[i, i:] -= w[p, i] / w[p, p] * w[p, i:]
+    return True
 
 
 def _pointwise_inverse(f: FourierMap):
@@ -406,18 +461,22 @@ def symplecticity_error(cand: TorusCandidate, P: FourierMap,
     return prod.add_constant(-omega0)
 
 
-def torsion(cand: TorusCandidate, N: FourierMap, kitchen: GridKitchen):
+def torsion(cand: TorusCandidate, N: FourierMap, kitchen: GridKitchen,
+            scale: float | None = None):
     """(T, <T>) with T = N^T (Omega o K) Loper(N), Loper N = DX_H o K . N + L_omega N.
 
     The Lie derivative of N is spectral (exact on the truncation); a singular
-    averaged torsion raises TwistDegeneracyError.
+    averaged torsion raises TwistDegeneracyError.  ``scale`` is
+    ``_twist_scale(cand, N, kitchen)`` when the caller has it.
     """
     bands = cand.bands
     loper_n = matmul(kitchen.DXH, N, out_bands=bands) + N.lie(cand.omega)
     NT_Om = matmul(N.T, kitchen.Omega, out_bands=bands)  # error_maps repeats this call
     T = matmul(NT_Om, loper_n, out_bands=bands)
     avgT = T.average().real
-    _check_twist(avgT, "averaged torsion <T>", _twist_scale(cand, N, kitchen))
+    if scale is None:
+        scale = _twist_scale(cand, N, kitchen)
+    _check_twist(avgT, "averaged torsion <T>", scale)
     return T, avgT, loper_n
 
 
@@ -456,11 +515,12 @@ def _check_twist(avg: np.ndarray, what: str, scale: float):
 
 
 def extended_torsion(cand: TorusCandidate, T: FourierMap, N: FourierMap,
-                     kitchen: GridKitchen):
+                     kitchen: GridKitchen, scale: float | None = None):
     """(T_c, <T_c>, Tdown): the (n+1) x (n+1) bordered torsion for the target c
     whose differential the kitchen carries.
 
-    T_c = [[T, omega_hat], [Dc(K) N, 0]] with omega_hat = (omega, 0_{n-d}).
+    T_c = [[T, omega_hat], [Dc(K) N, 0]] with omega_hat = (omega, 0_{n-d});
+    ``scale`` is as in :func:`torsion`.
     """
     bands = cand.bands
     n = cand.system.n
@@ -475,9 +535,11 @@ def extended_torsion(cand: TorusCandidate, T: FourierMap, N: FourierMap,
     Tc = FourierMap(coeffs, bands)
     avgTc = Tc.average().real
     # row sums of the factor bounds: the rows of T plus omega_hat, and Dc N
-    scale = max(_twist_scale(cand, N, kitchen) + float(np.max(np.abs(omega_hat))),
-                kitchen.Dc.norm(0.0).value * N.norm(0.0).value)
-    _check_twist(avgTc, "averaged extended torsion <T_c>", scale)
+    if scale is None:
+        scale = _twist_scale(cand, N, kitchen)
+    _check_twist(avgTc, "averaged extended torsion <T_c>",
+                 max(scale + float(np.max(np.abs(omega_hat))),
+                     kitchen.Dc.norm(0.0).value * N.norm(0.0).value))
     return Tc, avgTc, Tdown
 
 
@@ -506,10 +568,11 @@ def build_frames(cand: TorusCandidate, kitchen: GridKitchen) -> FrameBundle:
     (iso mode).  The error maps are left to ``error_maps``."""
     L = tangent_frame(cand, kitchen)
     _, B, A, N, _ = normal_frame(cand, L, kitchen)
-    T, avgT, loper_n = torsion(cand, N, kitchen)
+    scale = _twist_scale(cand, N, kitchen)  # shared by both twist gates
+    T, avgT, loper_n = torsion(cand, N, kitchen, scale)
     bundle = FrameBundle(L=L, A=A, B=B, N=N, T=T, avgT=avgT, LoperN=loper_n)
     if kitchen.Dc is not None:
-        bundle.Tc, bundle.avgTc, bundle.Tdown = extended_torsion(cand, T, N, kitchen)
+        bundle.Tc, bundle.avgTc, bundle.Tdown = extended_torsion(cand, T, N, kitchen, scale)
     return bundle
 
 
@@ -536,7 +599,7 @@ def measure_hypothesis_data(cand: TorusCandidate, frames: FrameBundle,
     The strict inequalities of the hypotheses need headroom; the default
     supplies sigma = sigma_factor * measured value.
     """
-    dk = cand.dk()
+    dk = frames.L.block(slice(None), slice(0, cand.d))
     norm_dk = dk.norm(cand.rho).value
     norm_dkt = dk.norm(cand.rho, transpose=True).value
     norm_b = frames.B.norm(cand.rho).value

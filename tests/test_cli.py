@@ -497,8 +497,30 @@ def _placeholder_in_config(doc):
     doc["config"]["conserved"] = "\0coeffs"
 
 
-@pytest.mark.parametrize("edit", [None, _empty_map, _nan_coefficient, _placeholder_in_config],
-                         ids=["solved", "empty-coeffs", "nan-coeff", "placeholder-in-config"])
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               0.1, -0.1, 1e16, -1e-7, 2.5, -2.5, 1 / 3, -1 / 3]
+
+
+def _signed_magnitudes(doc):
+    """Repeated magnitudes of both signs, zeros of both signs and the extreme doubles."""
+    rng = np.random.default_rng(8)
+    doc["map"]["coeffs"] = [float(v) for v in rng.choice(EDGE_FLOATS, 500)]
+
+
+def _infinite_coefficient(doc):
+    _signed_magnitudes(doc)
+    doc["map"]["coeffs"][-1] = float("inf")
+
+
+def _int_coefficient(doc):
+    _signed_magnitudes(doc)
+    doc["map"]["coeffs"][0] = 0
+
+
+@pytest.mark.parametrize("edit", [None, _empty_map, _nan_coefficient, _placeholder_in_config,
+                                  _signed_magnitudes, _infinite_coefficient, _int_coefficient],
+                         ids=["solved", "empty-coeffs", "nan-coeff", "placeholder-in-config",
+                              "signed-magnitudes", "inf-coeff", "int-coeff"])
 def test_json_dump_writes_the_bytes_of_json_dumps(tmp_path, bands8_torus, edit):
     """The spliced coefficient list leaves the torus file as json.dumps writes it."""
     from kamtorus.cli import _json_dump
@@ -512,3 +534,36 @@ def test_json_dump_writes_the_bytes_of_json_dumps(tmp_path, bands8_torus, edit):
     assert (tmp_path / "torus.json").read_text() == expect
     if edit is None:  # the solve wrote the same bytes
         assert solved_text == expect and len(doc["map"]["coeffs"]) == 2 * 17 * 17 * 4
+
+
+@pytest.mark.parametrize("values", [EDGE_FLOATS, EDGE_FLOATS[::-1] * 3, [-0.0], [5e-324, 0.0],
+                                    [1.5, float("nan")], [-float("nan"), 2.0, -2.0],
+                                    [-float("inf"), 1.0, -1.0],
+                                    [float("inf"), -float("inf")], [1, 1.0, True]])
+def test_number_items_are_the_items_of_json_dumps(values):
+    """One encoding per distinct magnitude gives the bytes json.dumps gives, item by item."""
+    from kamtorus.cli import _number_items
+
+    sep = ",\n   "
+    assert _number_items(values, sep) == json.dumps(values, separators=(sep, ": "))[1:-1]
+
+
+def test_kamtorus_threads_caps_the_backends_before_numpy_starts(tmp_path):
+    """Importing the entry point with KAMTORUS_THREADS=1 leaves one thread in the
+    process: the cap is in place before numpy starts its BLAS pool."""
+    import os
+    import subprocess
+    import sys
+
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("no /proc/self/task to count threads")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    code = ("import os, kamtorus._entry, numpy\n"
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(env, KAMTORUS_THREADS="1",
+                          PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["1", "1"]

@@ -564,3 +564,98 @@ def test_matmul_empty_operand_gives_zeros(shape_a, shape_b):
     b = _operand("varying", (3, 2), shape_b, rng)
     got = assert_matches_reference(a, b, out_bands=(3, 2))
     assert not np.any(got.coeffs)
+
+
+# ---------------------------------------------------------- constant factors
+
+
+def einsum_rmatmul_constant(f, matrix):
+    """The left constant product as the einsum of the complex matrix (reference)."""
+    return np.einsum("ij,...jk->...ik", np.asarray(matrix, dtype=np.complex128), f.coeffs)
+
+
+def per_mode_matmul_constant(f, matrix):
+    """The right constant product as numpy's per-mode ``@`` (reference)."""
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    return f.coeffs @ (matrix[:, None] if matrix.ndim == 1 else matrix)
+
+
+def reference_constant_product(const, varying, side, out_bands):
+    """matmul's constant shortcut as it was: the reference product of a
+    truncated-and-padded copy of the varying operand."""
+    fitted = varying.truncate(tuple(map(min, varying.bands, out_bands))).pad_bands(out_bands)
+    if side == "left":
+        return einsum_rmatmul_constant(fitted, const.average())
+    return per_mode_matmul_constant(fitted, const.average())
+
+
+def _awkward_coeffs(box, shape, rng):
+    """Random coefficients with exact zeros and negative zeros in both parts."""
+    c = rng.standard_normal(box + shape) + 1j * rng.standard_normal(box + shape)
+    c.real[rng.random(c.shape) < 0.2] = 0.0
+    c.imag[rng.random(c.shape) < 0.2] = -0.0
+    c.real[rng.random(c.shape) < 0.1] = -0.0
+    if shape[0] > 1:
+        c[..., 1, :] = 0.0  # a whole zero row
+    return c
+
+
+def _awkward_matrix(shape, rng):
+    m = rng.standard_normal(shape)
+    m[rng.random(shape) < 0.3] = 0.0
+    m[rng.random(shape) < 0.1] = -0.0
+    return m
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_constant_products_equal_reference_bit_for_bit(seed):
+    """Left products equal the complex einsum and right products numpy's per-mode @,
+    byte for byte, on 1-row, 1-column, transposed and zero-laden operands."""
+    rng = np.random.default_rng(100 + seed)
+    cases = 0
+    for bands in [(3,), (4, 5), (2, 1, 3)]:
+        box = tuple(2 * n + 1 for n in bands)
+        for n1, n2, n3 in [(1, 1, 1), (1, 3, 2), (2, 1, 3), (3, 2, 1), (4, 4, 4), (4, 2, 2),
+                           (6, 3, 1), (1, 4, 1), (2, 2, 6), (5, 5, 2)]:
+            coeffs = _awkward_coeffs(box, (n2, n3), rng)
+            wide = _awkward_coeffs(box, (n2 + 2, n3 + 2), rng)
+            views = [FourierMap(coeffs, bands),
+                     FourierMap(np.swapaxes(_awkward_coeffs(box, (n3, n2), rng), -1, -2), bands),
+                     FourierMap(wide, bands).block(slice(1, n2 + 1), slice(2, n3 + 2)),
+                     FourierMap(np.swapaxes(wide, -1, -2), bands).block(slice(0, n3),
+                                                                         slice(1, n2 + 1))]
+            for f in views:
+                left = _awkward_matrix((n1, f.shape[0]), rng)
+                got = f.rmatmul_constant(left)
+                assert got.coeffs.tobytes() == einsum_rmatmul_constant(f, left).tobytes()
+                right = _awkward_matrix((f.shape[1], n1), rng)
+                for matrix in (right, right[:, 0]):
+                    got = f.matmul_constant(matrix)
+                    assert got.coeffs.tobytes() == per_mode_matmul_constant(f, matrix).tobytes()
+                cases += 1
+    assert cases == 120
+
+
+def test_left_constant_product_keeps_complex_matrices_exact():
+    rng = np.random.default_rng(11)
+    f = FourierMap(_awkward_coeffs((5, 3), (3, 2), rng), (2, 1))
+    matrix = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    assert f.rmatmul_constant(matrix).coeffs.tobytes() == \
+        einsum_rmatmul_constant(f, matrix).tobytes()
+    with pytest.raises(FourierShapeError):
+        f.rmatmul_constant(np.eye(2))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("out_bands", [(3, 4), (2, 4), (5, 6), (1, 7)])
+def test_matmul_constant_shortcut_equals_copies_bit_for_bit(side, out_bands):
+    """Scaling the kept view and then padding gives the bytes of scaling the
+    truncated-and-padded copy."""
+    rng = np.random.default_rng(len(side) + sum(out_bands))
+    const = FourierMap.constant(_awkward_matrix((4, 4), rng), (3, 4))
+    varying = FourierMap(_awkward_coeffs((7, 9), (4, 4), rng), (3, 4))
+    a, b = (const, varying) if side == "left" else (varying, const)
+    got = matmul(a, b, out_bands=out_bands)
+    ref = reference_constant_product(const, varying, side, out_bands)
+    assert got.bands == out_bands
+    assert got.coeffs.tobytes() == ref.tobytes()

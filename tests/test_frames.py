@@ -1,14 +1,19 @@
 """Frame construction, geometric error maps, torsion, reducibility."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from kamtorus.cohomology import DiophantineParams, estimate_gamma, russmann_constant
 from kamtorus.fourier import FourierMap, _real_samples, dealias_grid, matmul
 from kamtorus.frames import (
+    RANK_TOL,
     DomainEscapeError,
+    FrameRankError,
     SingularGramError,
     TorusCandidate,
+    _clears_rank_tol,
     _pointwise_inverse,
     build_frames,
     error_maps,
@@ -101,6 +106,84 @@ def test_tangent_frame_lagrangian_case_is_dk(perturbed_candidate_a):
     L = tangent_frame(cand, grid_kitchen(cand))
     assert L.shape == (4, 2)
     assert np.max(np.abs(L.coeffs - cand.dk().coeffs)) == 0.0
+
+
+def svd_rank_check(L, grid):
+    """The rank check as it was: LAPACK's SVD at every grid point decides (reference)."""
+    smin = float(np.linalg.svd(_real_samples(L, grid), compute_uv=False)[..., -1].min())
+    if smin <= RANK_TOL:
+        raise FrameRankError(f"tangent frame rank-deficient: min singular value {smin:.3e}")
+
+
+def frames_with_singular_values(rng, m, r, smax, smin):
+    """One m x r frame per entry of ``smin``: random orthonormal factors around
+    singular values spread from smax down to smin."""
+    out = []
+    for hi, lo in zip(smax, smin):
+        u, _ = np.linalg.qr(rng.standard_normal((m, r)))
+        v, _ = np.linalg.qr(rng.standard_normal((r, r)))
+        out.append((u * np.geomspace(hi, lo, r)) @ v.T)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("m, r", [(4, 2), (6, 3), (6, 2), (8, 4), (3, 3), (4, 1)])
+def test_rank_pretest_never_accepts_what_the_svd_rejects(m, r):
+    """Frame by frame, a pass of the pre-test implies an SVD above RANK_TOL;
+    well-conditioned frames pass it, tiny or near-deficient ones go to the SVD."""
+    rng = np.random.default_rng(10 * m + r)
+    n = 400
+    smax = 10.0 ** rng.uniform(-4, 4, n)
+    smin = np.concatenate([smax[:n // 2] * 10.0 ** rng.uniform(-3, 0, n // 2),
+                           RANK_TOL * rng.uniform(0.25, 4.0, n // 2)])
+    if r == 1:  # one singular value: it is the smallest
+        smax = smin
+    frames = frames_with_singular_values(rng, m, r, smax, np.minimum(smin, smax))
+    svd_min = np.linalg.svd(frames, compute_uv=False)[:, -1]
+    passed = np.array([_clears_rank_tol(f[None]) for f in frames])
+    assert not np.any(passed & (svd_min <= RANK_TOL))
+    assert np.all(passed[svd_min > 1e-3 * smax + 3 * RANK_TOL])
+    assert _clears_rank_tol(frames[passed]) and not _clears_rank_tol(frames)
+    assert not _clears_rank_tol(frames[passed] * 1e-9)
+    bad = frames[passed].copy()
+    bad[7, 0, 0] = np.nan
+    assert not _clears_rank_tol(bad)
+
+
+def test_rank_check_takes_the_svd_only_when_the_pretest_fails(monkeypatch, perturbed_candidate_a):
+    cand = perturbed_candidate_a
+    kk = grid_kitchen(cand)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    assert tangent_frame(cand, kk) is kk.L and not calls
+    tiny = replace(kk, L=kk.L * 1e-9)  # full rank, but every singular value below RANK_TOL
+    with pytest.raises(FrameRankError) as ref:
+        svd_rank_check(tiny.L, cand.grid)
+    calls.clear()
+    with pytest.raises(FrameRankError) as got:
+        tangent_frame(cand, tiny)
+    assert str(got.value) == str(ref.value) and calls == [1]
+
+
+def test_frame_rank_deficient_at_one_grid_point_raises_svd_text(golden_omega):
+    """DK loses rank only at theta = (0, 0): the first column is
+    (1 - cos 2 pi t1, 0, cos 2 pi t1 sin 2 pi t2, 0)."""
+    cand = seed_candidate("lagrangian_rotors", 1e-3, golden_omega, bands=(4, 4))
+    t1, t2 = np.meshgrid(*(np.arange(9) / 9,) * 2, indexing="ij")
+    samples = np.zeros((9, 9, 4, 1))
+    samples[..., 0, 0] = -np.sin(2 * np.pi * t1) / (2 * np.pi)
+    samples[..., 2, 0] = np.sin(2 * np.pi * t1) * np.sin(2 * np.pi * t2) / (2 * np.pi)
+    cand = cand.with_updates(k_per=cand.k_per + FourierMap.from_samples(samples, (4, 4)))
+    kk = grid_kitchen(cand)
+    vals = _real_samples(kk.L, cand.grid)
+    svals = np.linalg.svd(vals, compute_uv=False)[..., -1]
+    assert np.sum(svals <= RANK_TOL) == 1 and svals[0, 0] <= RANK_TOL
+    assert _clears_rank_tol(vals[1:]) and not _clears_rank_tol(vals)
+    with pytest.raises(FrameRankError) as ref:
+        svd_rank_check(kk.L, cand.grid)
+    with pytest.raises(FrameRankError) as got:
+        tangent_frame(cand, kk)
+    assert str(got.value) == str(ref.value)
 
 
 def test_tangent_frame_includes_symmetry_column(exact_torus_b):
