@@ -32,8 +32,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS, make_config  # noqa: E402
 
 OUTPUTS = ("torus.json", "log.jsonl", "summary.json", "certificate.json", "ledger.csv")
-# the backends read their caps when numpy loads, which importing kamtorus does
-# before its entry point could apply KAMTORUS_THREADS, so all are set here
+# the backends read their caps when numpy loads; importing kamtorus applies
+# KAMTORUS_THREADS first, but older trees load numpy before they read it, so
+# all are set here
 THREAD_VARS = ("KAMTORUS_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 

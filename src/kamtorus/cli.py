@@ -24,7 +24,8 @@ from . import __version__
 from .cohomology import DiophantineParams, DivisorCollisionError, estimate_gamma
 from .fourier import FourierMap
 from .frames import TorusCandidate, build_frames, seed_torus
-from .hamiltonian import builtin_system, check_derivatives, verify_commutation, verify_involution
+from .hamiltonian import (builtin_dims, builtin_system, check_derivatives, verify_commutation,
+                          verify_involution)
 from .isoenergetic import FrequencyRay, IsoTarget, total_error
 from .certificate import certify, estimate_global_constants
 from .solver import NewtonSchedule, evaluate, iterate_newton
@@ -79,14 +80,14 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         try:
-            registered = builtin_system(self.system)
+            n, m = builtin_dims(self.system)  # the system itself is built later, once
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.mode not in ("ordinary", "iso"):
             raise ConfigError(f"mode must be 'ordinary' or 'iso', got {self.mode!r}")
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
-        d, m = registered.d, registered.n_integrals
+        d = n - m
         inf = math.inf
         reals = [("epsilon", -inf, inf), ("c0_offset", -inf, inf), ("rho0", 0, 1),
                  ("stop_tol", 0, inf), ("y_radius", 0, inf), ("imag_width", 0, inf),

@@ -443,10 +443,11 @@ def isotropy_errors(cand: TorusCandidate, L: FourierMap, LT_Om: FourierMap,
                     kitchen: GridKitchen):
     """(Omega_K, E_lag): pulled-back form on the torus and Lagrangianity defect.
 
-    ``LT_Om`` is the product L^T (Omega o K), shared with the reducibility error.
+    ``L`` is the tangent frame, whose first d columns are DK; ``LT_Om`` is the
+    product L^T (Omega o K), shared with the reducibility error.
     """
     bands = cand.bands
-    dk = cand.dk()
+    dk = L.block(slice(None), slice(0, cand.d))
     OmegaK = matmul(matmul(dk.T, kitchen.Omega, out_bands=bands), dk, out_bands=bands)
     Elag = matmul(LT_Om, L, out_bands=bands)
     return OmegaK, Elag

@@ -553,6 +553,14 @@ _BUILTIN_TERMS = {
 }
 
 
+def builtin_dims(name: str) -> tuple[int, int]:
+    """(n, number of first integrals) of a registered system, read off its term table."""
+    if not isinstance(name, str) or name not in _BUILTIN_TERMS:
+        raise ValueError(f"unknown system {name!r}; registered: {', '.join(_BUILTIN_TERMS)}")
+    terms, integrals = _BUILTIN_TERMS[name]
+    return len(terms[0][1]), len(integrals)
+
+
 def builtin_system(name: str, epsilon: float = 0.0, y_center=None,
                    y_radius: float = 0.5, imag_width: float = 0.2) -> HamiltonianSystem:
     """Registered example systems, generated from their term table.
@@ -561,10 +569,8 @@ def builtin_system(name: str, epsilon: float = 0.0, y_center=None,
     "symmetric_rotors":   n = 3, d = 2 rotors with translation symmetry,
                           p = y2 + y3; target quantity selectable as H or p.
     """
-    if not isinstance(name, str) or name not in _BUILTIN_TERMS:
-        raise ValueError(f"unknown system {name!r}; registered: {', '.join(_BUILTIN_TERMS)}")
+    n, _ = builtin_dims(name)
     terms, integrals = _BUILTIN_TERMS[name]
-    n = len(terms[0][1])
     domain = DomainBox(n=n, y_center=np.zeros(n) if y_center is None else y_center,
                        y_radius=y_radius, imag_width=imag_width)
     return _trig_potential_system(name, [(epsilon * coef, kv) for coef, kv in terms],

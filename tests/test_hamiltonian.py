@@ -7,6 +7,7 @@ from kamtorus.hamiltonian import (
     _BUILTIN_TERMS,
     DomainBox,
     HamiltonianSystem,
+    builtin_dims,
     builtin_system,
     canonical_structure,
     check_derivatives,
@@ -174,6 +175,7 @@ def test_registered_system_matches_closed_form(name):
     y_center = np.zeros(n)
     y_center[:2] = [1.0, GOLDEN]
     sys_obj = builtin_system(name, epsilon=eps, y_center=y_center)
+    assert builtin_dims(name) == (sys_obj.n, sys_obj.n_integrals)
     rng = np.random.default_rng(11)
     z = rng.uniform(-1, 1, (200, 2 * n)) + 1j * rng.uniform(-0.2, 0.2, (200, 2 * n))
     expected = CLOSED_FORMS[name](z[:, :n], z[:, n:], eps)
@@ -185,8 +187,9 @@ def test_registered_system_matches_closed_form(name):
 
 
 def test_builtin_unknown_name():
-    with pytest.raises(ValueError):
-        builtin_system("nonexistent_rotors")
+    for lookup in (builtin_system, builtin_dims):
+        with pytest.raises(ValueError, match="unknown system 'nonexistent_rotors'"):
+            lookup("nonexistent_rotors")
 
 
 def test_builtin_exact_invariance_at_zero_coupling():
