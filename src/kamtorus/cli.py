@@ -173,15 +173,9 @@ def _json_dump(obj, path: Path):
 
 
 def _number_items(values: list, sep: str) -> str:
-    """The items of ``json.dumps(values)`` joined by ``sep``, as the indented
-    encoder writes them.
-
-    Each number is ``float.__repr__`` (or NaN and Infinity), which the C
-    encoder writes too.  A list of finite floats is encoded one distinct
-    magnitude at a time, and a set sign bit is written as "-" before the
-    magnitude's text (so -0.0 gives "-0.0"): a real map's f_-k = conj(f_k)
-    repeats each magnitude, so this halves the encoding work.
-    """
+    """The items of ``json.dumps(values)`` joined by ``sep``.  Finite floats are
+    encoded once per distinct magnitude (f_-k = conj f_k repeats each), with "-"
+    written for a set sign bit."""
     if set(map(type, values)) != {float} or not np.isfinite(arr := np.array(values)).all():
         return json.dumps(values, separators=(sep, ": "))[1:-1]
     mags, inverse = np.unique(np.abs(arr), return_inverse=True)

@@ -282,11 +282,8 @@ class FourierMap:
     def matmul_constant(self, matrix) -> "FourierMap":
         """Right-multiply by a constant matrix (exact in coefficients).
 
-        One GEMM over the flattened modes gives numpy's per-mode ``@`` bit for
-        bit when the map has at least 2 rows and the product at least 2
-        columns, or 1 column of a map whose rows are unit-stride.  The other
-        cases (a 1-row map, where numpy takes its vector kernel, and a
-        1-column product of a transposed view) keep the per-mode ``@``.
+        One GEMM over the flattened modes equals the per-mode ``@`` bit for bit,
+        except for 1-row maps and 1-column products of transposed views.
         """
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.ndim == 1:
@@ -300,11 +297,8 @@ class FourierMap:
     def rmatmul_constant(self, matrix) -> "FourierMap":
         """Left-multiply by a constant matrix (exact in coefficients).
 
-        A real matrix (every constant factor of a real-analytic map is real)
-        multiplies the float64 view of the coefficients row by row, skipping
-        its zero entries; accumulating into zeros, in column order, gives
-        ``einsum("ij,...jk->...ik")`` of the complex matrix bit for bit on
-        finite coefficients.  A complex matrix keeps the ``einsum``.
+        A real matrix scales the float64 view row by row, in column order, which
+        equals the complex ``einsum`` bit for bit on finite coefficients.
         """
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.ndim != 2 or matrix.shape[1] != self.shape[0]:

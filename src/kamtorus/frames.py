@@ -98,10 +98,6 @@ class TorusCandidate:
         """The exact sample grid 2*bands + 1 of the rank check, plotdata and torus.json."""
         return tuple(2 * n + 1 for n in self.bands)
 
-    def dk(self) -> FourierMap:
-        """DK as a (2n x d) map; exact spectral derivative plus identity block."""
-        return self.tangent_family(FourierMap.zeros(self.bands, (2 * self.system.n, 0)))
-
     def tangent_family(self, xp: FourierMap) -> FourierMap:
         """(DK  xp), built in one buffer: the d columns of DK, then those of ``xp``."""
         d = self.d
@@ -136,14 +132,8 @@ class TorusCandidate:
         plus |Im| of the constant term (a real phase shift costs nothing).
         Momentum components must stay in the complex disc around the center.
         Overestimating the excursions underestimates the margin, which is the
-        safe direction for the certificate.  It is computed once per
-        candidate (the step, the error and the certificate all ask).
+        safe direction for the certificate.
         """
-        if "_margin" not in self.__dict__:
-            object.__setattr__(self, "_margin", self._domain_margin())
-        return self.__dict__["_margin"]
-
-    def _domain_margin(self) -> float:
         sys = self.system
         a = sys.domain.angle_count
         f0 = self.k_per.average()
@@ -208,8 +198,7 @@ class GridKitchen:
 
     One kitchen is built per candidate, where its Iterate is made; ``Dc`` and
     ``c_map`` (the target conserved quantity) are set in iso mode only.  ``L``
-    is the tangent family (DK  X_p o K), so DK is formed once per candidate;
-    ``tangent_frame`` checks its rank.
+    is the tangent family (DK  X_p o K).
     """
 
     cand: TorusCandidate
@@ -318,11 +307,8 @@ def invariance_error(cand: TorusCandidate, kitchen: GridKitchen) -> FourierMap:
 
 
 def tangent_frame(cand: TorusCandidate, kitchen: GridKitchen) -> FourierMap:
-    """L = (DK  X_p o K); raises FrameRankError if rank < n anywhere on the grid.
-
-    The SVD decides only when :func:`_clears_rank_tol` cannot show that every
-    sample of L has its smallest singular value above RANK_TOL.
-    """
+    """L = (DK  X_p o K); raises FrameRankError if rank < n anywhere on the grid
+    (the SVD decides where :func:`_clears_rank_tol` cannot)."""
     L = kitchen.L
     vals = _real_samples(L, cand.grid)
     if not _clears_rank_tol(vals):
@@ -462,21 +448,18 @@ def symplecticity_error(cand: TorusCandidate, P: FourierMap,
     return prod.add_constant(-omega0)
 
 
-def torsion(cand: TorusCandidate, N: FourierMap, kitchen: GridKitchen,
-            scale: float | None = None):
+def torsion(cand: TorusCandidate, N: FourierMap, kitchen: GridKitchen, scale: float):
     """(T, <T>) with T = N^T (Omega o K) Loper(N), Loper N = DX_H o K . N + L_omega N.
 
     The Lie derivative of N is spectral (exact on the truncation); a singular
-    averaged torsion raises TwistDegeneracyError.  ``scale`` is
-    ``_twist_scale(cand, N, kitchen)`` when the caller has it.
+    averaged torsion, judged against ``scale = _twist_scale(cand, N, kitchen)``,
+    raises TwistDegeneracyError.
     """
     bands = cand.bands
     loper_n = matmul(kitchen.DXH, N, out_bands=bands) + N.lie(cand.omega)
     NT_Om = matmul(N.T, kitchen.Omega, out_bands=bands)  # error_maps repeats this call
     T = matmul(NT_Om, loper_n, out_bands=bands)
     avgT = T.average().real
-    if scale is None:
-        scale = _twist_scale(cand, N, kitchen)
     _check_twist(avgT, "averaged torsion <T>", scale)
     return T, avgT, loper_n
 
@@ -516,7 +499,7 @@ def _check_twist(avg: np.ndarray, what: str, scale: float):
 
 
 def extended_torsion(cand: TorusCandidate, T: FourierMap, N: FourierMap,
-                     kitchen: GridKitchen, scale: float | None = None):
+                     kitchen: GridKitchen, scale: float):
     """(T_c, <T_c>, Tdown): the (n+1) x (n+1) bordered torsion for the target c
     whose differential the kitchen carries.
 
@@ -536,8 +519,6 @@ def extended_torsion(cand: TorusCandidate, T: FourierMap, N: FourierMap,
     Tc = FourierMap(coeffs, bands)
     avgTc = Tc.average().real
     # row sums of the factor bounds: the rows of T plus omega_hat, and Dc N
-    if scale is None:
-        scale = _twist_scale(cand, N, kitchen)
     _check_twist(avgTc, "averaged extended torsion <T_c>",
                  max(scale + float(np.max(np.abs(omega_hat))),
                      kitchen.Dc.norm(0.0).value * N.norm(0.0).value))

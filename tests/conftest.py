@@ -1,6 +1,6 @@
 """Shared fixtures and helpers: golden-frequency Diophantine data, seeded
-candidates, a non-canonical structure, zeroed integral constants, and the
-test-side Fourier helpers (random maps, direct summation, JSON text)."""
+candidates and their DK, a non-canonical structure, zeroed integral constants,
+and the test-side Fourier helpers (random maps, direct summation, JSON text)."""
 
 import json
 
@@ -10,7 +10,7 @@ from hypothesis import settings
 
 from kamtorus.certificate import _INTEGRAL_FIELDS, GlobalNormConstants
 from kamtorus.cohomology import DiophantineParams, estimate_gamma
-from kamtorus.fourier import TWO_PI, FourierMap, _index_box, _k1_box, _symmetrize
+from kamtorus.fourier import TWO_PI, FourierMap, _index_box, _k1_box, _symmetrize, concat_cols
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -83,6 +83,18 @@ def exact_torus_b(golden_omega):
 def perturbed_candidate_a(golden_omega):
     """System A at epsilon = 1e-3 with the integrable guess (order-epsilon error)."""
     return seed_candidate("lagrangian_rotors", 1e-3, golden_omega, bands=(16, 16), rho=0.03)
+
+
+def dk_map(cand) -> FourierMap:
+    """DK of a candidate as a (2n x d) map, built column by column: the spectral
+    derivatives of its periodic part plus, with an angle block, the identity at
+    k = 0 (reference for the first d columns of the tangent family)."""
+    dk = concat_cols(*[cand.k_per.deriv(i) for i in range(cand.d)])
+    if cand.angle_block:
+        block = np.zeros((2 * cand.system.n, cand.d))
+        block[: cand.d, : cand.d] = np.eye(cand.d)
+        dk = dk.add_constant(block)
+    return dk
 
 
 def random_map(bands, shape, rng, decay: float = 0.0, scale: float = 1.0) -> FourierMap:

@@ -37,7 +37,7 @@ from kamtorus.frames import (
 from kamtorus.isoenergetic import FrequencyRay, IsoTarget, total_error
 from kamtorus.solver import Iterate, NewtonSchedule, contraction_slope, evaluate, iterate_newton
 
-from conftest import GOLDEN, random_map, seed_candidate, with_zero_integrals
+from conftest import GOLDEN, dk_map, random_map, seed_candidate, with_zero_integrals
 
 
 def announce(num: int, ok: bool, detail: str):
@@ -347,7 +347,7 @@ def test_criterion_9_lagrangian_reduction(golden_omega):
     # the solver path is the general one with width-zero X_p columns
     L = tangent_frame(cand, kk)
     same_frame = (L.shape == (4, 2)
-                  and np.max(np.abs(L.coeffs - cand.dk().coeffs)) == 0.0
+                  and np.max(np.abs(L.coeffs - dk_map(cand).coeffs)) == 0.0
                   and cand.system.Xp(np.zeros((1, 4))).shape == (1, 4, 0))
     ok = zeros_ok and diff == {} and same_frame
     announce(9, ok, f"integral constants zero: {zeros_ok}; ledger diff: {diff}; "

@@ -15,6 +15,7 @@ from kamtorus.frames import (
     TorusCandidate,
     _clears_rank_tol,
     _pointwise_inverse,
+    _twist_scale,
     build_frames,
     error_maps,
     extended_torsion,
@@ -27,7 +28,7 @@ from kamtorus.frames import (
 )
 from kamtorus.hamiltonian import builtin_system
 
-from conftest import GOLDEN, random_map, seed_candidate
+from conftest import GOLDEN, dk_map, random_map, seed_candidate
 
 
 def perturb_candidate(cand, scale=1e-3, seed=0, decay=1.2):
@@ -66,7 +67,7 @@ def test_invariance_error_order_epsilon_and_pointwise_oracle(perturbed_candidate
     # direct grid evaluation of X_H o K - DK omega
     wg = work_grid(cand.bands)
     kv = cand.k_values(wg)
-    direct = cand.system.XH(kv) - cand.dk().eval_grid(wg).real @ cand.omega
+    direct = cand.system.XH(kv) - dk_map(cand).eval_grid(wg).real @ cand.omega
     sampled = E.eval_grid(wg)[..., 0].real
     assert np.max(np.abs(direct - sampled)) < 1e-12
 
@@ -105,7 +106,7 @@ def test_tangent_frame_lagrangian_case_is_dk(perturbed_candidate_a):
     cand = perturbed_candidate_a
     L = tangent_frame(cand, grid_kitchen(cand))
     assert L.shape == (4, 2)
-    assert np.max(np.abs(L.coeffs - cand.dk().coeffs)) == 0.0
+    assert np.max(np.abs(L.coeffs - dk_map(cand).coeffs)) == 0.0
 
 
 def svd_rank_check(L, grid):
@@ -226,7 +227,7 @@ def test_free_rotor_frame_hand_values():
     assert np.allclose(B.average().real, eye2, atol=1e-12)
     assert np.max(np.abs(A.coeffs)) == 0.0  # Case III
     assert np.allclose(N.average().real, np.vstack([0 * eye2, eye2]), atol=1e-12)
-    T, avgT, _ = torsion(cand, N, kk)
+    T, avgT, _ = torsion(cand, N, kk, _twist_scale(cand, N, kk))
     assert np.allclose(avgT, eye2, atol=1e-11)
     assert T.norm(0.02).value == pytest.approx(1.0, abs=1e-11)
 
@@ -388,8 +389,9 @@ def test_extended_torsion_free_rotor_determinant():
     kk = grid_kitchen(cand, cand.system.conserved("H"))
     L = tangent_frame(cand, kk)
     _, _, _, N, _ = normal_frame(cand, L, kk)
-    T, avgT, _ = torsion(cand, N, kk)
-    Tc, avgTc, Tdown = extended_torsion(cand, T, N, kk)
+    scale = _twist_scale(cand, N, kk)
+    T, avgT, _ = torsion(cand, N, kk, scale)
+    Tc, avgTc, Tdown = extended_torsion(cand, T, N, kk, scale)
     omega_hat = cand.omega  # d = n: omega_hat = omega
     expected = -float(omega_hat @ omega_hat)
     assert np.linalg.det(avgTc) == pytest.approx(expected, rel=1e-10)
@@ -488,7 +490,7 @@ def test_fully_periodic_parameterization_without_marker(golden_dio):
     cand = TorusCandidate(k_per, golden_dio.omega, golden_dio, rho=0.05,
                           system=sys_obj, angle_block=False)
     # DK carries no identity block in this topology
-    assert np.max(np.abs(cand.dk().average())) < 1e-14
+    assert np.max(np.abs(dk_map(cand).average())) < 1e-14
     kk = grid_kitchen(cand)
     E = invariance_error(cand, kk)
     assert E.norm(cand.rho).value <= 1e-12
@@ -499,7 +501,7 @@ def test_fully_periodic_parameterization_without_marker(golden_dio):
     from kamtorus.frames import TwistDegeneracyError
 
     with pytest.raises(TwistDegeneracyError):
-        torsion(cand, N, kk)
+        torsion(cand, N, kk, _twist_scale(cand, N, kk))
 
 
 # ------------------------------------------ ledger-style shadowing inequality
