@@ -3,9 +3,14 @@ quasi-periodic invariant tori in partially integrable Hamiltonian systems."""
 
 __version__ = "0.1.0"
 
-from ._entry import apply_thread_cap
+import os
 
-apply_thread_cap()  # before the imports below load numpy and start its thread pools
+# KAMTORUS_THREADS caps the numerical backends; it must be set before the imports
+# below load numpy and start its thread pools
+if _threads := os.environ.get("KAMTORUS_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(_var, _threads)
 
 from .certificate import (
     CertificateReport,

@@ -1,23 +1,12 @@
-"""Console entry point, and the KAMTORUS_THREADS cap.
+"""Console entry point.
 
-The package's ``__init__`` applies the cap to the numerical backends before
-it imports numpy, so it holds for the console entry point, ``python -m
-kamtorus._entry`` and any process whose first numpy import is through
-kamtorus.  Reductions inside the library use a fixed sequential order, so the
-cap affects throughput only, not results.
+Importing the package applies the KAMTORUS_THREADS cap to the numerical
+backends before numpy is imported (see ``kamtorus/__init__.py``), then
+``main`` dispatches to the CLI.  Reductions inside the library use a fixed
+sequential order, so the cap affects throughput only, not results.
 """
 
-import os
 import sys
-
-
-def apply_thread_cap():
-    """Default the backends' thread variables to KAMTORUS_THREADS, when set."""
-    threads = os.environ.get("KAMTORUS_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
 
 
 def main() -> int:

@@ -442,21 +442,28 @@ _DELTA_TERMS = ("smallness", "sym", "margins", "domain", "ray")
 
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
            ast.Div: operator.truediv, ast.Pow: operator.pow}
-_NODES = (ast.BinOp, ast.UnaryOp, ast.USub, ast.Call, ast.Name, ast.Load, ast.Constant,
-          ast.IfExp, ast.Compare, ast.Eq, *_BINARY)
 
 
 def _parse(expr: str) -> ast.expr:
-    """The tree of a ledger expression; any construct beyond the table's is refused."""
+    """The tree of a ledger expression; any construct beyond those :func:`_evaluate`
+    knows is refused."""
     tree = ast.parse(expr, mode="eval").body
-    for node in ast.walk(tree):
-        allowed = isinstance(node, _NODES)
-        if isinstance(node, ast.Call):
-            allowed = getattr(node.func, "id", None) == "max" and not node.keywords
-        elif isinstance(node, ast.Compare):
-            allowed = len(node.ops) == 1
-        if not allowed:
-            raise ValueError(f"ledger expression {expr!r}: {type(node).__name__} not allowed")
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is ast.BinOp and type(node.op) in _BINARY:
+            stack += node.left, node.right
+        elif kind is ast.UnaryOp and type(node.op) is ast.USub:
+            stack.append(node.operand)
+        elif kind is ast.Call and getattr(node.func, "id", None) == "max" and not node.keywords:
+            stack += node.args
+        elif kind is ast.IfExp:
+            stack += node.test, node.body, node.orelse
+        elif kind is ast.Compare and len(node.ops) == 1 and type(node.ops[0]) is ast.Eq:
+            stack += node.left, *node.comparators
+        elif kind is not ast.Name and kind is not ast.Constant:
+            raise ValueError(f"ledger expression {expr!r}: {kind.__name__} not allowed")
     return tree
 
 

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -195,11 +195,10 @@ def _seed_frequency(cfg: RunConfig):
 
 def _system(cfg: RunConfig, omega: np.ndarray):
     """The configured system, its momentum domain centred at (omega, 0)."""
-    system = builtin_system(cfg.system, epsilon=cfg.epsilon, y_radius=cfg.y_radius,
-                            imag_width=cfg.imag_width)
-    y_center = np.zeros(system.n)
+    y_center = np.zeros(builtin_dims(cfg.system)[0])
     y_center[: len(omega)] = omega
-    return replace(system, domain=replace(system.domain, y_center=y_center))
+    return builtin_system(cfg.system, epsilon=cfg.epsilon, y_center=y_center,
+                          y_radius=cfg.y_radius, imag_width=cfg.imag_width)
 
 
 def _schedule(cfg: RunConfig) -> NewtonSchedule:
