@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cohomology import DiophantineParams, russmann_constant
-from .frames import FrameBundle, TorusCandidate, error_maps, measure_hypothesis_data
+from .frames import FrameBundle, TorusCandidate, measure_hypothesis_data
 from .hamiltonian import ConservedQuantity, HamiltonianSystem
 from .solver import Iterate, NewtonSchedule, resolve_smallness_scale
 
@@ -69,12 +69,6 @@ class GlobalNormConstants:
 
     values: dict
     provenance: dict
-
-    def __getattr__(self, name):
-        try:
-            return self.values[name]
-        except KeyError as exc:
-            raise AttributeError(name) from exc
 
 
 def _rank1_lattice(npts: int, dim: int) -> np.ndarray:
@@ -251,19 +245,6 @@ class ConstantLedger:
             formula = row.formula.replace('"', "'")
             buf.write(f'{row.name},{row.value!r},"{formula}",{row.group},{row.provenance}\n')
         return buf.getvalue()
-
-    def diff(self, other: "ConstantLedger") -> dict:
-        """Rows whose values differ (name -> (self, other)); missing rows count."""
-        out = {}
-        keys = set(self.rows) | set(other.rows)
-        for k in sorted(keys):
-            a = self.rows.get(k)
-            b = other.rows.get(k)
-            va = a.value if a else None
-            vb = b.value if b else None
-            if va != vb:
-                out[k] = (va, vb)
-        return out
 
 
 # The chain of constants, one row per constant in dependency order, grouped.
@@ -499,8 +480,7 @@ _LEDGER_ROWS = tuple((name, expr, _parse(expr), group, variant[0] if variant els
 
 def build_ledger(mode: str, globs: GlobalNormConstants, hyp: dict,
                  dio: DiophantineParams, rho: float, delta: float,
-                 schedule: NewtonSchedule, c_R: float | None = None,
-                 case_tag: str = "III", n: int | None = None,
+                 schedule: NewtonSchedule, n: int, case_tag: str = "III",
                  d: int | None = None, omega_star_norm: float | None = None,
                  sigma_omega: float | None = None,
                  dist_ray: float | None = None) -> ConstantLedger:
@@ -520,14 +500,11 @@ def build_ledger(mode: str, globs: GlobalNormConstants, hyp: dict,
         raise ValueError("iso mode needs omega_star_norm, sigma_omega and dist_ray")
     if d is None:
         d = dio.d
-    if n is None:
-        raise ValueError("n (degrees of freedom) is required")
     tau = dio.tau
     c_small = schedule.c_n
     if c_small is None:
         raise ValueError("the smallness scale schedule.c_n must be pinned for a ledger")
-    if c_R is None:
-        c_R = russmann_constant(tau, delta)
+    c_R = russmann_constant(tau, delta)
     led = ConstantLedger(mode=mode, case_tag=case_tag)
 
     grp = "inputs"
@@ -693,66 +670,6 @@ def certify(it: Iterate, frames: FrameBundle, schedule: NewtonSchedule,
     return kam_check(it.cand, ledger, error_norm), ledger
 
 
-def soundness_report(it: Iterate, frames: FrameBundle, globs: GlobalNormConstants,
-                     delta: float, schedule: NewtonSchedule,
-                     c_level_norm: float | None = None,
-                     p_level_norm: float | None = None,
-                     sigma_factor: float = 1.1) -> list:
-    """Measured-vs-ledger pairs for every statically bounded quantity.
-
-    Returns [(name, measured, bound), ...] where each bound is the literal
-    ledger inequality at the stated strips, with ||E||_rho the iterate's
-    error (||E_c||_rho in iso mode):
-
-        ||c o K - <c o K>||_{rho-delta} <= c_R c_c1/(gamma delta^tau) ||E||_rho
-        ||Omega_K||_{rho-2delta}        <= C_OmegaK/(gamma delta^(tau+1)) ||E||_rho
-        ||E_lag||_{rho-2delta}          <= C_OmegaL/(gamma delta^(tau+1)) ||E||_rho
-        ||L||_rho <= C_L,  ||L^T||_rho <= C_LT,  ||N||_rho <= C_N,  ||N^T||_rho <= C_NT
-        ||E_sym||_{rho-2delta}          <= C_sym/(gamma delta^(tau+1)) ||E||_rho
-        ||T||_{rho-delta}               <= C_T
-        ||E_red||_{rho-2delta}          <= C_red/(gamma delta^(tau+1)) ||E||_rho
-
-    The c and p rows are reported when their measured norms are given.
-    """
-    cand = it.cand
-    rho = cand.rho
-    error_norm = it.combined_norm(rho)
-    led = _ledger(it, frames, schedule, globs, delta, sigma_factor)
-    if error_norm / delta >= led["c_small"]:
-        raise ValueError(
-            f"smallness ||E||/delta = {error_norm / delta:.3e} >= c = {led['c_small']:.3e}: "
-            "the torsion bound hypothesis fails for this candidate"
-        )
-    gamma, tau = cand.dio.gamma, cand.dio.tau
-    loss1 = 1.0 / (gamma * delta**tau)
-    loss2 = 1.0 / (gamma * delta ** (tau + 1))
-    r1 = max(rho - delta, 0.0)
-    r2 = max(rho - 2 * delta, 0.0)
-    maps = error_maps(cand, frames, it.kitchen)
-    pairs = [
-        ("L@rho", frames.L.norm(rho).value, led["C_L"]),
-        ("LT@rho", frames.L.norm(rho, transpose=True).value, led["C_LT"]),
-        ("N@rho", frames.N.norm(rho).value, led["C_N"]),
-        ("NT@rho", frames.N.norm(rho, transpose=True).value, led["C_NT"]),
-        ("OmegaK", maps.OmegaK.norm(r2).value, led["C_OmegaK"] * loss2 * error_norm),
-        ("Elag", maps.Elag.norm(r2).value, led["C_OmegaL"] * loss2 * error_norm),
-        ("Esym", maps.Esym.norm(r2).value, led["C_sym"] * loss2 * error_norm),
-        ("T", frames.T.norm(r1).value, led["C_T"]),
-        ("Ered", maps.Ered.norm(r2).value, led["C_red"] * loss2 * error_norm),
-    ]
-    if c_level_norm is not None:
-        pairs.append(
-            ("c_shadow", c_level_norm,
-             led["c_R"] * globs.c_c_1 * loss1 * error_norm)
-        )
-    if p_level_norm is not None and cand.system.n_integrals:
-        pairs.append(
-            ("p_shadow", p_level_norm,
-             led["c_R"] * globs.c_p_1 * loss1 * error_norm)
-        )
-    return pairs
-
-
 def contraction_constant_factory(globs: GlobalNormConstants, schedule: NewtonSchedule,
                                  sigma_factor: float = 1.1):
     """Per-step quadratic-contraction constant hook for the Newton loop.
@@ -767,58 +684,3 @@ def contraction_constant_factory(globs: GlobalNormConstants, schedule: NewtonSch
         return led["C_E"] if it.ray is None else led["C_Ec"]
 
     return constant
-
-
-# ---------------------------------------------------------------------------
-# matrix-inverse control (auxiliary Neumann lemma)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class InverseControlReport:
-    precondition_ok: bool
-    condition_value: float | None
-    condition_ok: bool
-    invertible: bool
-    bound: float | None
-    actual_difference: float | None
-    new_inverse_norm: float | None
-    sigma: float
-
-
-def _rowsum_norm(M: np.ndarray) -> float:
-    return float(np.abs(M).sum(axis=-1).max())
-
-
-def matrix_inverse_control(M: np.ndarray, Mbar: np.ndarray, sigma: float) -> InverseControlReport:
-    """Perturbation control of a matrix inverse in the max-row-sum norm.
-
-    If |M^{-1}| < sigma and 2 sigma^2 |Mbar - M| / (sigma - |M^{-1}|) <= 1,
-    then Mbar is invertible with |Mbar^{-1} - M^{-1}| < 2 sigma^2 |Mbar - M|
-    and |Mbar^{-1}| < sigma.  Precondition violations are reported, not thrown.
-    """
-    M = np.asarray(M, dtype=float)
-    Mbar = np.asarray(Mbar, dtype=float)
-    try:
-        Minv = np.linalg.inv(M)
-    except np.linalg.LinAlgError:
-        return InverseControlReport(False, None, False, False, None, None, None, sigma)
-    inv_norm = _rowsum_norm(Minv)
-    if inv_norm >= sigma:
-        return InverseControlReport(False, None, False, False, None, None, None, sigma)
-    diff = _rowsum_norm(Mbar - M)
-    condition = 2.0 * sigma**2 * diff / (sigma - inv_norm)
-    if condition > 1.0:
-        return InverseControlReport(True, condition, False, False, None, None, None, sigma)
-    Mbar_inv = np.linalg.inv(Mbar)
-    actual = _rowsum_norm(Mbar_inv - Minv)
-    return InverseControlReport(
-        precondition_ok=True,
-        condition_value=condition,
-        condition_ok=True,
-        invertible=True,
-        bound=2.0 * sigma**2 * diff,
-        actual_difference=actual,
-        new_inverse_norm=_rowsum_norm(Mbar_inv),
-        sigma=sigma,
-    )

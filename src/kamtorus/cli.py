@@ -125,8 +125,9 @@ class RunConfig:
 
     @staticmethod
     def _default_omega(d: int) -> list:
-        # golden-type frequency vector
-        return [1.0, GOLDEN][:d] if d <= 2 else [1.0, GOLDEN, GOLDEN**2][:d]
+        # (1, golden mean) for d <= 2; for d >= 3 the powers 2^{j/d}, which are
+        # linearly independent over Q (1, phi, phi^2 is resonant: phi^2 = phi + 1)
+        return [1.0, GOLDEN][:d] if d <= 2 else [2.0 ** (j / d) for j in range(d)]
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -327,7 +328,8 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_certify(torus_path: str, cfg_overrides: dict, out_dir: Path) -> int:
     """Certify the torus in ``torus_path`` under the config embedded in it.
 
-    ``cfg_overrides`` is not read; it stays in the signature for existing callers.
+    ``cfg_overrides`` is not read; it stays in the signature because the
+    benchmark's child process (``perfbench/child.py``) passes it positionally.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = json.loads(Path(torus_path).read_text())

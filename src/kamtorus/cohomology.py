@@ -195,15 +195,3 @@ def russmann_constant(tau: float, delta: float) -> float:
     if delta <= peak:
         return float((tau / (TWO_PI * np.e)) ** tau / TWO_PI)
     return float(delta**tau * np.exp(-TWO_PI * delta) / TWO_PI)
-
-
-def russmann_raw_ratio(tau: float, delta: float, band_limit) -> float:
-    """Exact finite maximization delta^tau max_m m^tau e^{-2 pi m delta} / (2 pi).
-
-    The band-capped value that ``russmann_constant`` envelopes; exposed for
-    diagnostics and tests (m ranges over 1 .. sum of band limits).
-    """
-    m_max = int(sum(band_limit))
-    m = np.arange(1, m_max + 1, dtype=np.float64)
-    vals = m**tau * np.exp(-TWO_PI * m * delta)
-    return float(delta**tau * np.max(vals) / TWO_PI)

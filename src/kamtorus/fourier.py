@@ -355,30 +355,6 @@ class StripNorm:
             raise ValueError("norm value must be >= 0")
 
 
-def cauchy_bound(norm: StripNorm, delta: float, kind: str, dim: int | None = None) -> StripNorm:
-    """Cauchy estimate carrying a strip norm from rho to rho - delta.
-
-    kind "D":           ||D M||_{rho-delta}     <= (d/delta) ||M||_rho   (dim = d)
-    kind "D-transpose": ||(D u)^T||_{rho-delta} <= (1/delta) ||u||_rho   (scalar u)
-    kind "vector":      ||(D w)^T||_{rho-delta} <= (n/delta) ||w||_rho   (dim = n)
-    """
-    if not 0 < delta < norm.rho:
-        raise ValueError(f"delta must lie in (0, rho={norm.rho}), got {delta}")
-    if kind == "D":
-        if dim is None:
-            raise ValueError("kind 'D' needs dim = torus dimension d")
-        factor = dim / delta
-    elif kind == "D-transpose":
-        factor = 1.0 / delta
-    elif kind == "vector":
-        if dim is None:
-            raise ValueError("kind 'vector' needs dim = vector length n")
-        factor = dim / delta
-    else:
-        raise ValueError(f"unknown Cauchy kind {kind!r}")
-    return StripNorm(rho=norm.rho - delta, value=norm.value * factor)
-
-
 @lru_cache(maxsize=256)
 def _k_dot_omega(bands: tuple, omega: tuple) -> np.ndarray:
     """k . omega over the index box."""
@@ -519,17 +495,6 @@ def matmul(a: FourierMap, b: FourierMap, out_bands=None, work_grid=None) -> Four
     return FourierMap(_real_analysis(prod, out_bands), out_bands)
 
 
-def concat_cols(*maps: FourierMap) -> FourierMap:
-    """Column juxtaposition (A B ...) of maps with equal bands and row count."""
-    first = maps[0]
-    for m in maps[1:]:
-        first._check_compatible(m)
-        if m.shape[0] != first.shape[0]:
-            raise FourierShapeError("row counts differ")
-    coeffs = np.concatenate([m.coeffs for m in maps], axis=-1)
-    return FourierMap(coeffs, first.bands)
-
-
 def assemble_blocks(blocks) -> FourierMap:
     """Build a map from a 2D nested list of equal-band FourierMap blocks."""
     rows = []
@@ -539,4 +504,3 @@ def assemble_blocks(blocks) -> FourierMap:
             ref._check_compatible(m)
         rows.append(np.concatenate([m.coeffs for m in row], axis=-1))
     return FourierMap(np.concatenate(rows, axis=-2), ref.bands)
-

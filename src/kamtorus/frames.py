@@ -8,8 +8,9 @@ tangent-family frame is L = (DK  X_p o K) and the normal complement is
 
 so that P = (L N) is approximately symplectic: P^T (Omega o K) P ~ Omega_0.
 This module evaluates the frame, the invariance error E = X_H o K - DK omega,
-the torsion matrices T and T_c, and on demand the geometric error maps (Omega_K
-pulled back, Lagrangianity E_lag, symplecticity E_sym, reducibility E_red).
+the torsion matrices T and T_c, and the pieces of the geometric error maps
+(Omega_K pulled back, Lagrangianity E_lag, symplecticity E_sym, reducibility
+E_red) that the proof's lemmas bound.
 
 Every map is represented on the candidate's common Fourier band; nonlinear
 ingredients (compositions with the system callbacks, pointwise inverses) are
@@ -18,8 +19,8 @@ sampled as real arrays on the work grid of ``work_grid`` (the smallest size
 truncated back, except that the maps of a canonical structure are built as
 exact constants.  The rank check of L and the samples of K are real
 syntheses too.  ``build_frames`` builds only what the Newton step and the
-certificate read; ``error_maps`` builds the maps the proof's lemmas bound.
-The (1,2) block of E_red repeats the torsion's products call for call, so its
+certificate read; no solve or certificate builds the error maps.  The (1,2)
+block of E_red repeats the torsion's products call for call, so its
 vanishing is exact by construction rather than a numerical accident.
 """
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .cohomology import DiophantineParams
 from .fourier import (TWO_PI, FourierMap, _k1_box, _next_smooth, _real_samples, assemble_blocks,
-                      concat_cols, matmul)
+                      matmul)
 from .hamiltonian import ConservedQuantity, HamiltonianSystem
 
 RANK_TOL = 1e-8  # L is rank-deficient if a singular value on the grid is at most this
@@ -284,16 +285,6 @@ class FrameBundle:
         return out
 
 
-@dataclass(frozen=True)
-class ErrorMaps:
-    """The geometric error maps of a candidate, which the proof's lemmas bound."""
-
-    OmegaK: FourierMap
-    Elag: FourierMap
-    Esym: FourierMap
-    Ered: FourierMap
-
-
 def invariance_error(cand: TorusCandidate, kitchen: GridKitchen) -> FourierMap:
     """E(theta) = X_H(K(theta)) - DK(theta) omega, band-truncated.
 
@@ -457,7 +448,7 @@ def torsion(cand: TorusCandidate, N: FourierMap, kitchen: GridKitchen, scale: fl
     """
     bands = cand.bands
     loper_n = matmul(kitchen.DXH, N, out_bands=bands) + N.lie(cand.omega)
-    NT_Om = matmul(N.T, kitchen.Omega, out_bands=bands)  # error_maps repeats this call
+    NT_Om = matmul(N.T, kitchen.Omega, out_bands=bands)  # E_red's factor repeats this call
     T = matmul(NT_Om, loper_n, out_bands=bands)
     avgT = T.average().real
     _check_twist(avgT, "averaged torsion <T>", scale)
@@ -547,7 +538,7 @@ def reducibility_error(cand: TorusCandidate, L: FourierMap, T: FourierMap,
 def build_frames(cand: TorusCandidate, kitchen: GridKitchen) -> FrameBundle:
     """The frames and torsion that the Newton step and the certificate read;
     the bordered torsion too when the kitchen carries a conserved quantity
-    (iso mode).  The error maps are left to ``error_maps``."""
+    (iso mode).  The error maps are not built."""
     L = tangent_frame(cand, kitchen)
     _, B, A, N, _ = normal_frame(cand, L, kitchen)
     scale = _twist_scale(cand, N, kitchen)  # shared by both twist gates
@@ -556,17 +547,6 @@ def build_frames(cand: TorusCandidate, kitchen: GridKitchen) -> FrameBundle:
     if kitchen.Dc is not None:
         bundle.Tc, bundle.avgTc, bundle.Tdown = extended_torsion(cand, T, N, kitchen, scale)
     return bundle
-
-
-def error_maps(cand: TorusCandidate, frames: FrameBundle, kitchen: GridKitchen) -> ErrorMaps:
-    """Omega_K, E_lag, E_sym and E_red of a candidate whose frames are ``frames``."""
-    LT_Om = matmul(frames.L.T, kitchen.Omega, out_bands=cand.bands)
-    # the call torsion makes, so the (1,2) block of E_red is exactly zero
-    NT_Om = matmul(frames.N.T, kitchen.Omega, out_bands=cand.bands)
-    OmegaK, Elag = isotropy_errors(cand, frames.L, LT_Om, kitchen)
-    Esym = symplecticity_error(cand, concat_cols(frames.L, frames.N), kitchen)
-    Ered = reducibility_error(cand, frames.L, frames.T, frames.LoperN, LT_Om, NT_Om, kitchen)
-    return ErrorMaps(OmegaK=OmegaK, Elag=Elag, Esym=Esym, Ered=Ered)
 
 
 # ---------------------------------------------------------------------------

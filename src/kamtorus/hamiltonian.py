@@ -203,15 +203,6 @@ class DomainBox:
         if self.y_radius <= 0 or self.imag_width <= 0:
             raise ValueError("radii must be positive")
 
-    def contains_margin(self, z: np.ndarray) -> float:
-        """min over points/coords of the distance to the boundary (<=0: outside)."""
-        z = np.asarray(z)
-        a = self.angle_count
-        x, y = z[..., :a], z[..., a:]
-        m_ang = self.imag_width - np.abs(x.imag).max() if x.size else np.inf
-        m_mom = self.y_radius - np.abs(y - self.y_center).max() if y.size else np.inf
-        return float(min(m_ang, m_mom))
-
 
 # ---------------------------------------------------------------------------
 # conserved quantity bundle
@@ -478,11 +469,6 @@ def _linear_integrals(c: np.ndarray):
     return (p, _constant(np.concatenate([np.zeros((m, n)), c], axis=1)),
             _constant(np.concatenate([c.T, np.zeros((n, m))])),
             _constant(np.zeros((2 * n, m, 2 * n))), _constant(np.zeros((2 * n, m, 2 * n, 2 * n))))
-
-
-def _empty_integrals(n: int):
-    """Integral callbacks for the d = n case: zero-width arrays, same code path."""
-    return _linear_integrals(np.zeros((0, n)))
 
 
 def _trig_potential_system(name: str, terms, c: np.ndarray, domain: DomainBox,

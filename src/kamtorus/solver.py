@@ -16,7 +16,7 @@ so the final strip never drops below rho_inf = rho_0 / a2.  In ordinary mode
 the frequency is never modified.  Iso mode (an ``IsoTarget`` from
 ``kamtorus.isoenergetic``) runs the same loop and step, and also moves the
 frequency along a ray so the torus lands on a prescribed conserved level; it
-differs only in the level error and the bordered linear solve.  Error norms
+differs only in the level error and the border of the linear solve.  Error norms
 are Fourier majorants of the truncated model.
 """
 
@@ -103,10 +103,6 @@ class NewtonSchedule:
     def delta(self, s: int) -> float:
         return self.delta0 / self.a1**s
 
-    @property
-    def rho_inf(self) -> float:
-        return self.rho0 / self.a2
-
 
 def resolve_smallness_scale(schedule: NewtonSchedule, kitchen: GridKitchen) -> float:
     """The auxiliary smallness scale: user override or max(1, ||X_H o K||_rho)."""
@@ -125,48 +121,84 @@ def tail_fraction(f, rho: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# triangular solve
+# block-triangular solve
 # ---------------------------------------------------------------------------
 
 
-def solve_triangular(eta_L: FourierMap, eta_N: FourierMap, T: FourierMap,
-                     dio: DiophantineParams, xi_L0: np.ndarray | None = None):
-    """Solve [[O,T],[O,O]] xi + L_omega xi = eta for xi = (xi^L, xi^N).
+def solve_block_triangular(eta_L: FourierMap, eta_N: FourierMap, T: FourierMap,
+                           avg: np.ndarray, dio: DiophantineParams, border=None):
+    """Solve [[O,T],[O,O]] xi + L_omega xi = eta for xi = (xi^L, xi^N), <xi^L> = 0:
 
         xi^N = xi^N_0 + R_omega(eta^N),
         xi^N_0 = <T>^{-1} <eta^L - T R_omega(eta^N)>,
-        xi^L = xi^L_0 + R_omega(eta^L - T xi^N).
+        xi^L = R_omega(eta^L - T xi^N),
 
-    Returns (xi_L, xi_N, xi_N0, diagnostics).  Requires <eta^N> ~ 0 and a
-    nonsingular averaged torsion.
+    with ``avg`` = <T>.  Iso mode borders the system: ``border = (Tdown,
+    eta_omega)`` adds the level condition <Tdown xi^N> = eta^omega and the
+    unknown xi^omega, whose column omega_hat = (omega, 0_{n-d}) enters the
+    xi^L equation as omega_hat xi^omega.  Then ``avg`` is the bordered
+    <T_c> = [[<T>, omega_hat], [<Tdown>, 0]] and
+
+        (xi^N_0, xi^omega) = <T_c>^{-1} (<eta^L - T R(eta^N)>, eta^omega - <Tdown R(eta^N)>).
+
+    Returns (xi_L, xi_N, xi_N0, xi_omega, diagnostics), with xi_omega None
+    without a border.  Requires <eta^N> ~ 0 and a nonsingular ``avg``.
     """
     bands = eta_L.bands
     n = eta_L.shape[0]
-    scale = max(1.0, eta_L.norm(0.0).value, eta_N.norm(0.0).value)
+    sizes = [1.0, eta_L.norm(0.0).value, eta_N.norm(0.0).value]
+    if border is not None:
+        Tdown, eta_omega = border
+        sizes.append(abs(eta_omega))
+    scale = max(sizes)
     compat = float(np.max(np.abs(eta_N.average())))
     if compat > COMPAT_TOL * scale:
         raise CompatibilityError(
             f"<eta^N> = {compat:.3e} exceeds {COMPAT_TOL:.1e} x scale {scale:.3e}"
         )
-    avgT = T.average().real
+    R_etaN = solve_cohomological(eta_N, dio)
+    T_RetaN = matmul(T, R_etaN, out_bands=bands)
+    rhs = (eta_L - T_RetaN).average().real
+    if border is not None:
+        Tdown_RetaN = matmul(Tdown, R_etaN, out_bands=bands)
+        rhs = np.vstack([rhs, eta_omega - Tdown_RetaN.average().real])
     try:
-        R_etaN = solve_cohomological(eta_N, dio)
-        T_RetaN = matmul(T, R_etaN, out_bands=bands)
-        rhs = (eta_L - T_RetaN).average().real
-        xi_N0 = np.linalg.solve(avgT, rhs)
+        sol = np.linalg.solve(avg, rhs)
     except np.linalg.LinAlgError as exc:
-        raise TwistDegeneracyError("averaged torsion singular in triangular solve") from exc
+        raise TwistDegeneracyError("averaged torsion singular in triangular solve"
+                                   if border is None else
+                                   "averaged extended torsion singular") from exc
+    xi_N0 = sol[:n]
     xi_N = R_etaN.add_constant(xi_N0)
     T_xiN = T_RetaN + T.matmul_constant(xi_N0)  # T.(const) is exact in coefficients
-    xi_L = solve_cohomological(eta_L - T_xiN, dio)
-    if xi_L0 is not None:
-        xi_L = xi_L.add_constant(np.asarray(xi_L0, dtype=float).reshape(n, 1))
-    # plug-back residual of the truncated system
-    res_L = xi_L.lie(dio.omega) + T_xiN - eta_L
+    # xi^L, and the plug-back residuals of the truncated system
+    if border is None:
+        xi_omega = None
+        xi_L = solve_cohomological(eta_L - T_xiN, dio)
+        res_L = xi_L.lie(dio.omega) + T_xiN - eta_L
+    else:
+        xi_omega = float(sol[n, 0])
+        omega_hat = np.concatenate([dio.omega, np.zeros(n - eta_L.d)])
+        freq = FourierMap.constant(omega_hat[:, None] * xi_omega, bands)
+        xi_L = solve_cohomological(eta_L - T_xiN - freq, dio)
+        res_L = xi_L.lie(dio.omega) + T_xiN + freq - eta_L
     res_N = xi_N.lie(dio.omega) - eta_N
     res_N = res_N.add_constant(eta_N.average())  # the solvable part excludes <eta^N>
-    residual = max(res_L.norm(0.0).value, res_N.norm(0.0).value)
-    diag = {"residual": residual, "compat": compat, "xi_N0": xi_N0}
+    residuals = [res_L.norm(0.0).value, res_N.norm(0.0).value]
+    diag = {"compat": compat, "xi_N0": xi_N0}
+    if border is not None:
+        level = (Tdown_RetaN + Tdown.matmul_constant(xi_N0)).average().real[0, 0]
+        residuals.append(abs(float(level) - eta_omega))
+        diag["xi_omega"] = xi_omega
+    diag["residual"] = max(residuals)
+    return xi_L, xi_N, xi_N0, xi_omega, diag
+
+
+def solve_triangular(eta_L: FourierMap, eta_N: FourierMap, frames: FrameBundle,
+                     dio: DiophantineParams):
+    """The ordinary solve: the block-triangular system with the frames' T and
+    <T>, without a border.  Returns (xi_L, xi_N, xi_N0, diagnostics)."""
+    xi_L, xi_N, xi_N0, _, diag = solve_block_triangular(eta_L, eta_N, frames.T, frames.avgT, dio)
     return xi_L, xi_N, xi_N0, diag
 
 
@@ -260,7 +292,7 @@ def newton_correction(it: Iterate, schedule: NewtonSchedule, delta: float,
     eta_L = -matmul(fr.N.T, Om_E, out_bands=cand.bands)
     eta_N = matmul(fr.L.T, Om_E, out_bands=cand.bands)
     if target is None:
-        xi_L, xi_N, _, sdiag = solve_triangular(eta_L, eta_N, fr.T, cand.dio)
+        xi_L, xi_N, _, sdiag = solve_triangular(eta_L, eta_N, fr, cand.dio)
         ray, moved = None, {}
     else:
         xi_L, xi_N, _, xi_omega, sdiag = target.solve(eta_L, eta_N, -it.E_omega, fr, cand.dio)

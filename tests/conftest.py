@@ -3,6 +3,7 @@ candidates and their DK, a non-canonical structure, zeroed integral constants,
 and the test-side Fourier helpers (random maps, direct summation, JSON text)."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import settings
 
 from kamtorus.certificate import _INTEGRAL_FIELDS, GlobalNormConstants
 from kamtorus.cohomology import DiophantineParams, estimate_gamma
-from kamtorus.fourier import TWO_PI, FourierMap, _index_box, _k1_box, _symmetrize, concat_cols
+from kamtorus.fourier import TWO_PI, FourierMap, _index_box, _k1_box, _symmetrize, assemble_blocks
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -89,12 +90,26 @@ def dk_map(cand) -> FourierMap:
     """DK of a candidate as a (2n x d) map, built column by column: the spectral
     derivatives of its periodic part plus, with an angle block, the identity at
     k = 0 (reference for the first d columns of the tangent family)."""
-    dk = concat_cols(*[cand.k_per.deriv(i) for i in range(cand.d)])
+    dk = assemble_blocks([[cand.k_per.deriv(i) for i in range(cand.d)]])
     if cand.angle_block:
         block = np.zeros((2 * cand.system.n, cand.d))
         block[: cand.d, : cand.d] = np.eye(cand.d)
         dk = dk.add_constant(block)
     return dk
+
+
+def torsion_frames(T: FourierMap, Tdown: FourierMap | None = None, omega=None):
+    """What the triangular solves read of a FrameBundle, for a given torsion: T
+    and <T>, and with ``Tdown`` also <T_c> = [[<T>, omega_hat], [<Tdown>, 0]],
+    omega_hat = (omega, 0_{n-d})."""
+    n = T.shape[0]
+    frames = SimpleNamespace(T=T, avgT=T.average().real, Tdown=Tdown, avgTc=None)
+    if Tdown is not None:
+        frames.avgTc = np.zeros((n + 1, n + 1))
+        frames.avgTc[:n, :n] = frames.avgT
+        frames.avgTc[:n, n] = np.concatenate([omega, np.zeros(n - len(omega))])
+        frames.avgTc[n, :n] = Tdown.average().real[0]
+    return frames
 
 
 def random_map(bands, shape, rng, decay: float = 0.0, scale: float = 1.0) -> FourierMap:

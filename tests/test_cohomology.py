@@ -13,12 +13,12 @@ from kamtorus.cohomology import (
     DivisorCollisionError,
     estimate_gamma,
     russmann_constant,
-    russmann_raw_ratio,
     solve_cohomological,
 )
 from kamtorus.fourier import FourierMap
 
 from conftest import random_map
+from oracles import russmann_raw_ratio
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 RNG = np.random.default_rng(411)

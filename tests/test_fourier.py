@@ -13,12 +13,12 @@ from kamtorus.fourier import (
     StripOverflowError,
     _real_analysis,
     _real_samples,
-    cauchy_bound,
     dealias_grid,
     matmul,
 )
 
 from conftest import eval_at, map_from_json, map_to_json, random_map
+from oracles import cauchy_bound
 
 RNG = np.random.default_rng(20240817)
 

@@ -17,7 +17,6 @@ from kamtorus.frames import (
     _pointwise_inverse,
     _twist_scale,
     build_frames,
-    error_maps,
     extended_torsion,
     grid_kitchen,
     invariance_error,
@@ -29,6 +28,7 @@ from kamtorus.frames import (
 from kamtorus.hamiltonian import builtin_system
 
 from conftest import GOLDEN, dk_map, random_map, seed_candidate
+from oracles import empty_integrals, error_maps
 
 
 def perturb_candidate(cand, scale=1e-3, seed=0, decay=1.2):
@@ -426,7 +426,6 @@ def test_torsion_symmetry_reported_not_asserted(perturbed_candidate_a):
 def harmonic_pair_system():
     """Two uncoupled oscillators on R^4 (fully periodic parameterizations)."""
     from kamtorus.hamiltonian import DomainBox, HamiltonianSystem, canonical_structure
-    from kamtorus.hamiltonian import _empty_integrals
 
     tp = 2 * np.pi
     freq = np.array([1.0, GOLDEN])
@@ -464,7 +463,7 @@ def harmonic_pair_system():
         z = np.asarray(z)
         return np.zeros(z.shape[:-1] + (4, 4, 4))
 
-    p, Dp, Xp, DXp, D2Xp = _empty_integrals(2)
+    p, Dp, Xp, DXp, D2Xp = empty_integrals(2)
     return HamiltonianSystem(
         name="harmonic_pair", n=2, n_integrals=0, geometry=canonical_structure(2),
         H=H, DH=DH, XH=XH, DXH=DXH, D2XH=D2XH,
@@ -525,7 +524,7 @@ def test_conserved_shadowing_inequality(exact_torus_b):
 
     globs = estimate_global_constants(cand.system, conserved=conserved)
     c_r = russmann_constant(cand.dio.tau, delta)
-    bound = c_r * globs.c_c_1 / (cand.dio.gamma * delta**cand.dio.tau) * E.norm(rho).value
+    bound = c_r * globs.values["c_c_1"] / (cand.dio.gamma * delta**cand.dio.tau) * E.norm(rho).value
     assert measured <= bound + 1e-9
 
 

@@ -17,6 +17,7 @@ from kamtorus.hamiltonian import (
 )
 
 from conftest import scaled_structure
+from oracles import contains_margin
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -226,9 +227,9 @@ def test_structure_invariants_sampled():
 def test_domain_box_margin():
     box = DomainBox(n=2, y_center=np.array([1.0, 1.6]), y_radius=0.5, imag_width=0.2)
     z = np.array([[0.3 + 0.05j, 0.9, 1.2, 1.5]])
-    assert box.contains_margin(z) > 0
+    assert contains_margin(box, z) > 0
     z_out = np.array([[0.3 + 0.25j, 0.9, 1.2, 1.5]])
-    assert box.contains_margin(z_out) < 0
+    assert contains_margin(box, z_out) < 0
 
 
 # --------------------------------------------------- trajectory sanity (RK4)

@@ -16,7 +16,7 @@ from kamtorus.isoenergetic import (
 )
 from kamtorus.solver import NewtonSchedule, iterate_newton
 
-from conftest import GOLDEN, random_map, seed_candidate
+from conftest import GOLDEN, random_map, seed_candidate, torsion_frames
 
 
 def iso_setup(eps=0.01, bands=(16, 16), rho=0.03, sigma_omega=2.0):
@@ -68,7 +68,7 @@ def test_solve_triangular_iso_zero_data(golden_dio):
         np.concatenate([golden_dio.omega, np.zeros(n - 2)])[None, :], bands
     )
     xi_L, xi_N, xi_N0, xi_omega, diag = solve_triangular_iso(
-        zero, zero, 0.0, T, Tdown, golden_dio
+        zero, zero, 0.0, torsion_frames(T, Tdown, golden_dio.omega), golden_dio
     )
     assert np.max(np.abs(xi_L.coeffs)) == 0.0
     assert np.max(np.abs(xi_N.coeffs)) == 0.0
@@ -85,7 +85,7 @@ def test_solve_triangular_iso_hand_block(golden_dio):
     T = FourierMap.constant(np.eye(n), bands)
     Tdown = FourierMap.constant(omega_hat[None, :], bands)
     xi_L, xi_N, xi_N0, xi_omega, diag = solve_triangular_iso(
-        zero, zero, 1.0, T, Tdown, golden_dio
+        zero, zero, 1.0, torsion_frames(T, Tdown, golden_dio.omega), golden_dio
     )
     nrm2 = float(omega_hat @ omega_hat)
     assert xi_omega == pytest.approx(-1.0 / nrm2, rel=1e-13)
@@ -106,7 +106,7 @@ def test_solve_triangular_iso_random_plugback(golden_dio):
         eta_N = eta_N.add_constant(-eta_N.average())
         eta_omega = float(rng.standard_normal())
         xi_L, xi_N, xi_N0, xi_omega, diag = solve_triangular_iso(
-            eta_L, eta_N, eta_omega, T, Tdown, golden_dio
+            eta_L, eta_N, eta_omega, torsion_frames(T, Tdown, golden_dio.omega), golden_dio
         )
         scale = max(eta_L.norm(0.0).value, eta_N.norm(0.0).value, abs(eta_omega))
         assert diag["residual"] <= 1e-11 * scale

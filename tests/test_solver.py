@@ -17,7 +17,7 @@ from kamtorus.solver import (
     solve_triangular,
 )
 
-from conftest import GOLDEN, ORDINARY_FRAME_NORMS, random_map, seed_candidate
+from conftest import GOLDEN, ORDINARY_FRAME_NORMS, random_map, seed_candidate, torsion_frames
 
 
 # ----------------------------------------------------------------- schedule
@@ -27,14 +27,15 @@ def test_schedule_derived_quantities():
     s = NewtonSchedule(a1=2.0, a2=2.0, rho0=0.12)
     assert s.a3 == pytest.approx(12.0)
     assert s.delta0 == pytest.approx(0.01)
-    assert s.rho_inf == pytest.approx(0.06)
+    rho_inf = s.rho0 / s.a2  # the final strip of the schedule
+    assert rho_inf == pytest.approx(0.06)
     assert s.delta(3) == pytest.approx(0.01 / 8)
     # rho_s -> rho_inf from above: rho_{s+1} = rho_s - 3 delta_s
     rho = s.rho0
     for k in range(60):
         rho -= 3 * s.delta(k)
-        assert rho > s.rho_inf - 1e-12
-    assert rho == pytest.approx(s.rho_inf, abs=1e-9)
+        assert rho > rho_inf - 1e-12
+    assert rho == pytest.approx(rho_inf, abs=1e-9)
 
 
 def test_schedule_validation():
@@ -56,12 +57,9 @@ def test_solve_triangular_zero_data(golden_dio):
     n = 2
     eta = FourierMap.zeros(bands, (n, 1))
     T = _identity_torsion(bands, n)
-    xi_L, xi_N, xi_N0, diag = solve_triangular(eta, eta, T, golden_dio,
-                                               xi_L0=np.array([0.4, -0.1]))
+    xi_L, xi_N, xi_N0, diag = solve_triangular(eta, eta, torsion_frames(T), golden_dio)
     assert np.max(np.abs(xi_N.coeffs)) == 0.0
-    assert np.allclose(xi_L.average()[:, 0], [0.4, -0.1])
-    off = xi_L.add_constant(-xi_L.average())
-    assert np.max(np.abs(off.coeffs)) == 0.0
+    assert np.max(np.abs(xi_L.coeffs)) == 0.0
 
 
 def test_solve_triangular_cosine_chain(golden_dio):
@@ -73,7 +71,7 @@ def test_solve_triangular_cosine_chain(golden_dio):
     eta_N.coeffs[6 + 1, 6, 0, 0] = 0.5
     eta_N.coeffs[6 - 1, 6, 0, 0] = 0.5
     T = _identity_torsion(bands, n)
-    xi_L, xi_N, xi_N0, diag = solve_triangular(eta_L, eta_N, T, golden_dio)
+    xi_L, xi_N, xi_N0, diag = solve_triangular(eta_L, eta_N, torsion_frames(T), golden_dio)
     # xi^N = R(eta^N) = -sin(2 pi theta_1)/(2 pi omega_1) e_1, zero average
     assert np.max(np.abs(xi_N0)) < 1e-15
     expected_N = solve_cohomological(eta_N, golden_dio)
@@ -96,7 +94,7 @@ def test_solve_triangular_random_plugback(golden_dio):
         eta_L = random_map(bands, (n, 1), rng, decay=0.4)
         eta_N = random_map(bands, (n, 1), rng, decay=0.4)
         eta_N = eta_N.add_constant(-eta_N.average())  # force compatibility
-        xi_L, xi_N, xi_N0, diag = solve_triangular(eta_L, eta_N, T, golden_dio)
+        xi_L, xi_N, xi_N0, diag = solve_triangular(eta_L, eta_N, torsion_frames(T), golden_dio)
         scale = max(eta_L.norm(0.0).value, eta_N.norm(0.0).value)
         assert diag["residual"] <= 1e-11 * scale
         assert np.max(np.abs(xi_L.average())) == 0.0  # phase fix
@@ -107,7 +105,8 @@ def test_solve_triangular_compatibility_gate(golden_dio):
     T = _identity_torsion(bands, 2)
     eta_N = FourierMap.constant(np.array([[0.3], [0.0]]), bands)
     with pytest.raises(CompatibilityError):
-        solve_triangular(FourierMap.zeros(bands, (2, 1)), eta_N, T, golden_dio)
+        solve_triangular(FourierMap.zeros(bands, (2, 1)), eta_N, torsion_frames(T),
+                         golden_dio)
 
 
 # -------------------------------------------------------------- newton steps
@@ -165,7 +164,7 @@ def test_iterate_converges_and_bookkeeping(golden_omega):
     rhos = [rec["rho"] for rec in res.log]
     for s, (r1, r2) in enumerate(zip(rhos, rhos[1:])):
         assert r2 == pytest.approx(r1 - 3 * sched.delta(s))
-        assert r2 > sched.rho_inf - 1e-12
+        assert r2 > sched.rho0 / sched.a2 - 1e-12
     # phase fix at every step
     assert all(st.avg_xi_L == 0.0 for st in res.steps)
     # errors decay monotonically until the stop
