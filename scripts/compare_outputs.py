@@ -3,6 +3,7 @@
 
     python scripts/compare_outputs.py SRC_A SRC_B [--workloads W ...] [--seeds N ...]
     python scripts/compare_outputs.py SRC_A SRC_B --config FILE [FILE ...]
+    python scripts/compare_outputs.py SRC_A SRC_B --files torus.json log.jsonl summary.json
 
 SRC_A and SRC_B are checkouts, or their ``src/`` directories.  Each config
 (``perfbench/workloads.make_config`` for every workload and seed, or each
@@ -15,7 +16,9 @@ trees are only read.
 One line per config and output file gives the SHA-256 written by SRC_A at one
 thread, then ``same`` when all four runs wrote those bytes, or ``differs`` and
 each run's digest; a last line per config does the same for the exit codes.
-The exit code is 1 when anything differs.
+``--files`` limits the comparison to the named outputs (all five by default),
+e.g. to show that the solve outputs are unchanged by a change that moves the
+certificate.  The exit code is 1 when anything compared differs.
 """
 
 import argparse
@@ -69,6 +72,8 @@ def main(argv=None) -> int:
                     default=["ordinary-b32", "iso-b16", "certify-b16"])
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
     ap.add_argument("--config", nargs="+", default=[], help="config files to run instead")
+    ap.add_argument("--files", nargs="+", choices=OUTPUTS, default=list(OUTPUTS),
+                    help="the outputs to compare")
     args = ap.parse_args(argv)
     trees = {"A": source_dir(args.src_a), "B": source_dir(args.src_b)}
     if args.config:
@@ -86,7 +91,7 @@ def main(argv=None) -> int:
             runs = {f"{side}{threads}": solve_and_certify(src, config, case / f"{side}{threads}",
                                                           threads)
                     for side, src in trees.items() for threads in (1, 2)}
-            for name in (*OUTPUTS, "exit codes"):
+            for name in (*args.files, "exit codes"):
                 values = {run: result[name] for run, result in runs.items()}
                 first = values["A1"]
                 if all(value == first for value in values.values()):

@@ -12,10 +12,11 @@ E1, E2, E3 entering the hypothesis ratio
 ratio < 1 certifies a true invariant torus nearby, with closeness bounds
 ||K_inf - K|| < E2 ||E|| / (gamma^2 rho^{2 tau}) and the E3 drift bound.
 
-The arithmetic is plain floating point with an upward safety margin applied
-to sampled global constants only; every report states that the evaluation is
-not a rigorously rounded enclosure, that norms refer to the truncated Fourier
-model, and that gamma is a scan-limited lower-bound certificate.
+The arithmetic is plain floating point.  The global constants of a
+term-table system are closed-form bounds; sampled ones carry an upward
+safety margin.  Every report states that the evaluation is not a rigorously
+rounded enclosure, that norms refer to the truncated Fourier model, and that
+gamma is a scan-limited lower-bound certificate.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from .solver import Iterate, NewtonSchedule, resolve_smallness_scale
 REPORT_HEADER = (
     "floating-point constant chain (no directed rounding); norms are Fourier "
     "majorants of the truncated model; gamma is a finite-scan lower bound; "
-    "sampled global constants carry a 5% upward margin"
+    "global constants are closed-form strip bounds (ledger provenance 'exact') "
+    "or lattice maxima with a 5% upward margin (provenance 'sampled')"
 )
 
 
@@ -85,7 +87,8 @@ LATTICE_SLICE = 1024  # points per callback evaluation in estimate_global_consta
 
 def _domain_points(sys: HamiltonianSystem) -> np.ndarray:
     """Complexified sample set: rank-1 lattice through the domain box plus a
-    sweep with the imaginary parts pinned at the extreme width."""
+    sweep with the imaginary parts pinned at the extreme width, cycling
+    through all 2^a sign patterns of Im x."""
     box = sys.domain
     a = box.angle_count
     m = 2 * sys.n - a  # disc-constrained coordinates
@@ -97,7 +100,7 @@ def _domain_points(sys: HamiltonianSystem) -> np.ndarray:
     interior = np.concatenate([x, y], axis=1)
 
     u2 = _rank1_lattice(LATTICE_DENSITY, a + m)
-    signs = np.where(_rank1_lattice(LATTICE_DENSITY, max(a, 1))[:, :a] > 0.5, 1.0, -1.0)
+    signs = 1.0 - 2.0 * ((np.arange(LATTICE_DENSITY)[:, None] >> np.arange(a)) & 1)
     x2 = u2[:, :a] + 1j * box.imag_width * signs
     y2 = box.y_center + box.y_radius * np.exp(2j * np.pi * u2[:, a:])
     boundary = np.concatenate([x2, y2], axis=1)
@@ -107,21 +110,65 @@ def _domain_points(sys: HamiltonianSystem) -> np.ndarray:
     return np.concatenate([interior, boundary, real_pts], axis=0)
 
 
+def _table_bounds(sys: HamiltonianSystem, conserved: ConservedQuantity | None) -> dict:
+    """The callback rows of a term-table system on the canonical structure, in
+    closed form; {} for any other system.
+
+    On |Im x| <= w, |cos| and |sin| of 2 pi k_j . x are at most
+    cosh(2 pi |k_j|_1 w), so entry (a_1 .. a_r) of d^r V is at most
+    sum_j |v_j| (2 pi)^r prod_i |k_j,a_i| cosh(2 pi |k_j|_1 w), and summing
+    over a_2 .. a_r turns the product into |k_j,a_1| |k_j|_1^(r-1).  A
+    momentum entry is at most |y_center| + y_radius.  The c rows are given
+    for c = H and c = p_j; a custom c is left to sampling.
+    """
+    tab, box, n = sys.table, sys.domain, sys.n
+    if tab is None or not sys.geometry.is_canonical or box.angle_count != n:
+        return {}
+    tp = 2.0 * np.pi
+    ak = np.abs(tab.k)
+    k1 = ak.sum(axis=1)
+    amp = np.abs(tab.v) * np.cosh(tp * k1 * box.imag_width)
+    dv1 = tp * amp @ ak  # entry bounds of dV
+    dv2 = tp**2 * (amp * k1) @ ak  # row sums of the entry bounds of d^2 V
+    dv3 = tp**3 * (amp * k1**2) @ ak  # ... and of d^3 V
+    y = np.abs(box.y_center) + box.y_radius
+    # DXH = [[0, I], [-d^2 V, 0]]; the Hessian of H is [[d^2 V, 0], [0, I]]
+    rows = {"c_H_1": dv1.sum() + y.sum(), "c_XH_0": max(dv1.max(), y.max()),
+            "c_XH_1": max(1.0, dv2.max()), "c_XHT_1": n + dv2.sum(), "c_XH_2": dv3.max()}
+    c = np.abs(tab.c)
+    if c.size:  # X_p = (c_a, 0) is constant
+        rows.update(c_p_1=c.sum(axis=1).max(), c_pT_1=c.sum(), c_Xp_0=c.sum(axis=0).max(),
+                    c_XpT_0=c.sum(axis=1).max(), c_Xp_1=0.0, c_XpT_1=0.0, c_Xp_2=0.0,
+                    c_XpT_2=0.0)
+    selector = "H" if conserved is None else conserved.selector
+    if selector == "H":
+        rows.update(c_c_1=rows["c_H_1"], c_c_2=n + dv2.sum())
+    elif selector is not None:
+        rows.update(c_c_1=c[selector[1]].sum(), c_c_2=0.0)
+    return {key: float(value) for key, value in rows.items()}
+
+
 def estimate_global_constants(sys: HamiltonianSystem, margin: float = 0.05,
                               conserved: ConservedQuantity | None = None) -> GlobalNormConstants:
-    """Sampled maxima (x 1+margin) of the callback norms over the complexified domain.
+    """Bounds of the callback norms over the complexified domain.
 
     Canonical structure entries are set exactly; with no first integrals all
-    p/X_p entries are exact zeros.  Provenance records which is which.
+    p/X_p entries are exact zeros.  A term-table system on the canonical
+    structure gets every callback row in closed form (provenance "exact",
+    see :func:`_table_bounds`); the other rows are sampled maxima (x
+    1+margin) over :func:`_domain_points`.  Provenance records which is which.
     """
     vals: dict = {}
     prov: dict = {}
-    z = _domain_points(sys)
     up = 1.0 + margin
+    z = None
 
     def sup(f):
         """Entry-wise max of |f| over z, evaluated LATTICE_SLICE points at a time
         (a max is exact in any order, so the slicing cannot change a bit)."""
+        nonlocal z
+        if z is None:
+            z = _domain_points(sys)
         out = np.abs(f(z[:LATTICE_SLICE])).max(axis=0)
         for start in range(LATTICE_SLICE, len(z), LATTICE_SLICE):
             np.maximum(out, np.abs(f(z[start:start + LATTICE_SLICE])).max(axis=0), out=out)
@@ -155,23 +202,35 @@ def estimate_global_constants(sys: HamiltonianSystem, margin: float = 0.05,
         vals["c_JT_1"] = up * float(sup1.sum(axis=(0, 2)).max())
         prov.update({k: "sampled" for k in vals})
 
+    exact = _table_bounds(sys, conserved)
+
+    def take(keys) -> bool:
+        """Copy the closed-form rows ``keys`` into vals; False when there are none."""
+        if keys[0] not in exact:
+            return False
+        for key in keys:
+            vals[key] = exact[key]
+            prov[key] = "exact"
+        return True
+
     def sampled(key, value):
         vals[key] = up * float(value)
         prov[key] = "sampled"
 
-    sampled("c_H_1", sup(sys.DH).sum())
-    sampled("c_XH_0", sup(sys.XH).max())
-    dxh = sup(sys.DXH)
-    sampled("c_XH_1", dxh.sum(axis=1).max())
-    sampled("c_XHT_1", dxh.sum())
-    sampled("c_XH_2", sup(sys.D2XH).sum(axis=(1, 2)).max())
+    if not take(("c_H_1", "c_XH_0", "c_XH_1", "c_XHT_1", "c_XH_2")):
+        sampled("c_H_1", sup(sys.DH).sum())
+        sampled("c_XH_0", sup(sys.XH).max())
+        dxh = sup(sys.DXH)
+        sampled("c_XH_1", dxh.sum(axis=1).max())
+        sampled("c_XHT_1", dxh.sum())
+        sampled("c_XH_2", sup(sys.D2XH).sum(axis=(1, 2)).max())
 
-    m = sys.n_integrals
-    if m == 0:
+    if sys.n_integrals == 0:
         for key in _INTEGRAL_FIELDS:
             vals[key] = 0.0
             prov[key] = "canonical-exact"
-    else:
+    elif not take(("c_p_1", "c_pT_1", "c_Xp_0", "c_XpT_0", "c_Xp_1", "c_XpT_1", "c_Xp_2",
+                   "c_XpT_2")):
         dp = sup(sys.Dp)  # (m, 2n)
         per_int = dp.sum(axis=1)
         sampled("c_p_1", per_int.max())
@@ -186,13 +245,14 @@ def estimate_global_constants(sys: HamiltonianSystem, margin: float = 0.05,
         sampled("c_Xp_2", d2xp.sum(axis=(1, 2, 3)).max())
         sampled("c_XpT_2", d2xp.sum(axis=(0, 2, 3)).max())
 
-    if conserved is not None:
-        sampled("c_c_1", sup(conserved.Dc).sum())
-        sampled("c_c_2", sup(conserved.D2c).sum())
-    else:  # c = H: its Hessian is Omega DXH
-        vals["c_c_1"] = vals["c_H_1"]
-        prov["c_c_1"] = "sampled"
-        sampled("c_c_2", sup(sys.conserved("H").D2c).sum())
+    if not take(("c_c_1", "c_c_2")):
+        if conserved is not None:
+            sampled("c_c_1", sup(conserved.Dc).sum())
+            sampled("c_c_2", sup(conserved.D2c).sum())
+        else:  # c = H: its Hessian is Omega DXH
+            vals["c_c_1"] = vals["c_H_1"]
+            prov["c_c_1"] = "sampled"
+            sampled("c_c_2", sup(sys.conserved("H").D2c).sum())
 
     for key in _GLOBAL_FIELDS:
         if key not in vals:

@@ -339,7 +339,7 @@ def cmd_certify(torus_path: str, cfg_overrides: dict, out_dir: Path) -> int:
         conserved = cand.system.conserved(_selector(cfg))
         with _torus_field("c0"):
             target = IsoTarget(conserved, float(doc["c0"]))
-    # the sampled bounds first: their lattice arrays then peak without the kitchen alive
+    # the global bounds first: a sampled lattice then peaks without the kitchen alive
     globs = estimate_global_constants(cand.system, conserved=conserved)
     it = evaluate(cand, target, ray)
     frames = build_frames(cand, it.kitchen)

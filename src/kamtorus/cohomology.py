@@ -17,6 +17,7 @@ holds for every band-limited v in the Fourier-majorant norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy as np
 from .fourier import TWO_PI, FourierMap, _k_dot_omega
 
 RESONANCE_EPS = 1e-14
+SCAN_SLICE = 1 << 15  # k' per slice of the divisor scan, which bounds its memory
 
 
 class DivisorCollisionError(ArithmeticError):
@@ -118,6 +120,10 @@ def estimate_gamma(omega, tau: float, scan_limit: int) -> float:
     |r| < 1, so 0 is floor r or floor r + 1.  Both hold in floats because
     r is formed from :func:`_k_dot` at k_1 = 0, the very sum the divisors
     take there, and a quotient of doubles |a| < |b| rounds below 1.
+
+    The box of k' is walked in row-major order, SCAN_SLICE rows at a time,
+    so the memory does not grow with L^(d-1), and the first collision found
+    is the first in that order.
     """
     omega = np.asarray(omega, dtype=np.float64)
     d = omega.size
@@ -131,24 +137,34 @@ def estimate_gamma(omega, tau: float, scan_limit: int) -> float:
         raise ValueError("tau must be >= 0")
     limit = int(scan_limit)
     best = float(_divisors(np.ones((1, 1)), np.zeros((1, d - 1)), omega)[0, 0])  # k = (1, 0, ...)
-    kp = np.indices((2 * limit + 1,) * (d - 2) + (limit + 1,)).reshape(d - 1, -1).T
-    kp[:, :-1] -= limit
-    last_sign = np.zeros(kp.shape[0], dtype=kp.dtype)
-    for col in kp.T:
-        last_sign = np.where(col != 0, np.sign(col), last_sign)
-    m = np.abs(kp).sum(axis=1)
-    keep = (last_sign > 0) & (m <= limit)
-    kp, m = kp[keep].astype(np.float64), m[keep]
-    floor_r = np.floor(-_k_dot(np.zeros((kp.shape[0], 1)), kp, omega) / omega[0])
-    room = (limit - m)[:, None]
-    k1 = np.clip(np.concatenate([floor_r, floor_r + 1], axis=1), -room, room)
-    dots = _divisors(k1, kp, omega)
-    norm1 = np.abs(k1) + m[:, None]
-    if tau != 1.0:
-        # |k|_1^tau looked up by integer |k|_1: limit + 1 pow calls, not one per k
-        norm1 = (np.arange(limit + 1, dtype=np.float64) ** tau)[norm1.astype(np.intp)]
-    dots *= norm1
-    return min(best, float(dots.min()))
+    # |k|_1^tau looked up by integer |k|_1: limit + 1 pow calls, not one per k
+    powers = None if tau == 1.0 else np.arange(limit + 1, dtype=np.float64) ** tau
+    # a min is exact in any order, so the slicing cannot change a bit
+    shape = (2 * limit + 1,) * (d - 2) + (limit + 1,)
+    total = math.prod(shape)
+    for start in range(0, total, SCAN_SLICE):
+        if total <= SCAN_SLICE:  # one slice: the whole box
+            kp = np.indices(shape).reshape(d - 1, -1).T
+        else:
+            flat = np.arange(start, min(start + SCAN_SLICE, total))
+            kp = np.stack(np.unravel_index(flat, shape), axis=1)
+        kp[:, :-1] -= limit
+        last_sign = np.zeros(kp.shape[0], dtype=kp.dtype)
+        for col in kp.T:
+            last_sign = np.where(col != 0, np.sign(col), last_sign)
+        m = np.abs(kp).sum(axis=1)
+        keep = (last_sign > 0) & (m <= limit)
+        kp, m = kp[keep].astype(np.float64), m[keep]
+        floor_r = np.floor(-_k_dot(np.zeros((kp.shape[0], 1)), kp, omega) / omega[0])
+        room = (limit - m)[:, None]
+        k1 = np.clip(np.concatenate([floor_r, floor_r + 1], axis=1), -room, room)
+        dots = _divisors(k1, kp, omega)
+        norm1 = np.abs(k1) + m[:, None]
+        if powers is not None:
+            norm1 = powers[norm1.astype(np.intp)]
+        dots *= norm1
+        best = float(dots.min(initial=best))  # a slice may keep no k'
+    return best
 
 
 def solve_cohomological(v: FourierMap, dio: DiophantineParams) -> FourierMap:

@@ -211,17 +211,31 @@ class DomainBox:
 
 @dataclass(frozen=True)
 class ConservedQuantity:
-    """Target conserved quantity c with first and second derivatives."""
+    """Target conserved quantity c with first and second derivatives.
+
+    ``selector`` is "H" or ("p", j) for a quantity that
+    :meth:`HamiltonianSystem.conserved` selected, None for a custom one.
+    """
 
     name: str
     c: Callable
     Dc: Callable
     D2c: Callable
+    selector: object = None
 
 
 # ---------------------------------------------------------------------------
 # the system
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TermTable:
+    """H = |y|^2/2 + sum_j v_j cos(2 pi k_j . x) with the integrals p_a = c_a . y."""
+
+    v: np.ndarray  # (terms,)
+    k: np.ndarray  # (terms, n)
+    c: np.ndarray  # (m, n)
 
 
 @dataclass(frozen=True)
@@ -242,6 +256,7 @@ class HamiltonianSystem:
     D2Xp: Callable
     domain: DomainBox
     params: dict = field(default_factory=dict)
+    table: TermTable | None = None  # the term table the callbacks were generated from
 
     @property
     def d(self) -> int:
@@ -266,7 +281,7 @@ class HamiltonianSystem:
                     )
             return custom
         if selector == "H":
-            return ConservedQuantity("H", self.H, self.DH, self._d2h())
+            return ConservedQuantity("H", self.H, self.DH, self._d2h(), "H")
         if isinstance(selector, (tuple, list)) and selector[0] == "p":
             j = int(selector[1])
             if not 0 <= j < self.n_integrals:
@@ -281,7 +296,7 @@ class HamiltonianSystem:
             def D2c(z):
                 return self._d2p_component(z, j)
 
-            return ConservedQuantity(f"p{j}", c, Dc, D2c)
+            return ConservedQuantity(f"p{j}", c, Dc, D2c, ("p", j))
         raise ValueError(f"unknown conserved-quantity selector {selector!r}")
 
     def _d2h(self) -> Callable:
@@ -525,7 +540,7 @@ def _trig_potential_system(name: str, terms, c: np.ndarray, domain: DomainBox,
         name=name, n=n, n_integrals=c.shape[0], geometry=canonical_structure(n),
         H=H, DH=DH, XH=XH, DXH=DXH, D2XH=D2XH,
         p=p, Dp=Dp, Xp=Xp, DXp=DXp, D2Xp=D2Xp,
-        domain=domain, params=params,
+        domain=domain, params=params, table=TermTable(v, k, c),
     )
 
 

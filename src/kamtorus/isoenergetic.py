@@ -116,15 +116,15 @@ class IsoTarget:
         """The bordered triangular solve of the shared Newton step."""
         return solve_triangular_iso(eta_L, eta_N, eta_omega, frames, dio)
 
+    def step(self, it: Iterate, schedule: NewtonSchedule, delta: float, step_index: int = 0,
+             contraction_ledger=None):
+        """One iso Newton step of the shared loop, through :func:`newton_step_iso`."""
+        return newton_step_iso(it, self, schedule, delta, step_index, contraction_ledger)
 
-def newton_step_iso(cand: TorusCandidate, ray: FrequencyRay, conserved: ConservedQuantity,
-                    c0: float, schedule: NewtonSchedule, delta: float, step_index: int = 0,
-                    frames: FrameBundle | None = None):
-    """One simultaneous (K, omega) correction; returns
-    (new candidate, new ray, StepDiagnostics)."""
-    if not np.allclose(ray.omega, cand.omega, rtol=0, atol=1e-300):
-        raise ValueError("candidate frequency must equal ray.omega exactly")
-    target = IsoTarget(conserved, c0)
-    nxt, diag = newton_correction(target.evaluate(cand, ray), schedule, delta, step_index,
-                                  target, frames)
-    return nxt.cand, nxt.ray, diag
+
+def newton_step_iso(it: Iterate, target: IsoTarget, schedule: NewtonSchedule, delta: float,
+                    step_index: int = 0, contraction_ledger=None):
+    """One simultaneous (K, omega) correction of ``it`` towards the level of
+    ``target``; returns (next Iterate, StepDiagnostics)."""
+    return newton_correction(it, schedule, delta, step_index, target,
+                             contraction_ledger=contraction_ledger)

@@ -265,7 +265,7 @@ class StepDiagnostics:
 
 def newton_correction(it: Iterate, schedule: NewtonSchedule, delta: float,
                       step_index: int = 0, target: IsoTarget | None = None,
-                      frames: FrameBundle | None = None, contraction_ledger=None):
+                      contraction_ledger=None):
     """One quasi-Newton correction of ``it``; returns (next Iterate, StepDiagnostics).
 
     With an iso ``target`` the frequency moves too, along ``it.ray``, through
@@ -286,7 +286,7 @@ def newton_correction(it: Iterate, schedule: NewtonSchedule, delta: float,
             f"smallness ||{e}||/delta < c",
             f"||{e}||_rho/delta = {err / delta:.3e} >= {c_small:.3e}",
         )
-    fr = frames if frames is not None else build_frames(cand, kk)
+    fr = build_frames(cand, kk)
 
     Om_E = matmul(kk.Omega, it.E, out_bands=cand.bands)
     eta_L = -matmul(fr.N.T, Om_E, out_bands=cand.bands)
@@ -340,12 +340,12 @@ def newton_correction(it: Iterate, schedule: NewtonSchedule, delta: float,
     return nxt, diag
 
 
-def newton_step(cand: TorusCandidate, schedule: NewtonSchedule, delta: float,
-                step_index: int = 0, frames: FrameBundle | None = None):
-    """One ordinary quasi-Newton correction; returns (new candidate, StepDiagnostics)."""
-    nxt, diag = newton_correction(evaluate(cand), schedule, delta, step_index,
-                                  frames=frames)
-    return nxt.cand, diag
+def newton_step(it: Iterate, schedule: NewtonSchedule, delta: float, step_index: int = 0,
+                contraction_ledger=None):
+    """One ordinary quasi-Newton correction of ``it``; returns (next Iterate,
+    StepDiagnostics).  Iso mode steps through ``IsoTarget.step``."""
+    return newton_correction(it, schedule, delta, step_index,
+                             contraction_ledger=contraction_ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +372,7 @@ class SolveResult:
 def iterate_newton(cand: TorusCandidate, schedule: NewtonSchedule,
                    target: IsoTarget | None = None, ray: FrequencyRay | None = None,
                    contraction_ledger=None) -> SolveResult:
-    """Iterate newton_correction on the shrinking-strip schedule until the
+    """Iterate the Newton step on the shrinking-strip schedule until the
     error is <= stop_tol: ||E|| in ordinary mode, max(||E||, |E^omega|) in iso
     mode (``target`` given), where the frequency moves along ``ray``.  The ray
     direction is immutable: every iterate's omega is scale * the same omega_star.
@@ -423,8 +423,8 @@ def iterate_newton(cand: TorusCandidate, schedule: NewtonSchedule,
         if s >= schedule.max_iters:
             return finish(False, f"iteration cap {schedule.max_iters} reached", err)
         try:
-            nxt, diag = newton_correction(it, schedule, schedule.delta(s), s, target,
-                                          contraction_ledger=contraction_ledger)
+            nxt, diag = (newton_step if target is None else target.step)(
+                it, schedule, schedule.delta(s), s, contraction_ledger)
         except (HypothesisError, CompatibilityError, TwistDegeneracyError, FrameRankError,
                 SingularGramError, RayExitError) as exc:
             return finish(False, f"step {s}: {exc}", err)

@@ -285,7 +285,7 @@ def test_criterion_7_certificate_end_to_end(golden_omega):
             ratios.append(rep_s.ratio)
             from kamtorus.solver import newton_step
 
-            current, _ = newton_step(current, sched, sched.delta(s), step_index=s)
+            current = newton_step(it_s, sched, sched.delta(s), step_index=s)[0].cand
         drops = [a / b for a, b in zip(ratios, ratios[1:]) if b > 0]
         fallback_ok = all(drop >= 10.0 for drop in drops) and bad_fails
         announce(7, fallback_ok,

@@ -1,6 +1,7 @@
 """Global constants, the ledger chain, the existence check, inverse control."""
 
 import dataclasses
+import itertools
 import json
 import tracemalloc
 from pathlib import Path
@@ -51,12 +52,17 @@ def test_lagrangian_case_zero_integral_constants():
         assert g.provenance[key] == "canonical-exact"
 
 
+def without_table(sys_obj):
+    """The same callbacks with no term table, so that every callback row is sampled."""
+    return dataclasses.replace(sys_obj, table=None)
+
+
 def test_sampled_hessian_constant_below_hand_bound():
-    """System B: the sampled c_XH_2 must stay below the analytic sup bound of
-    the explicit trigonometric third-derivative tensor."""
+    """System B without its table: the sampled c_XH_2 must stay below the
+    analytic sup bound of the explicit trigonometric third-derivative tensor."""
     eps, w = 0.02, 0.2
-    sys_obj = builtin_system("symmetric_rotors", epsilon=eps,
-                             y_center=[1.0, GOLDEN, 0.0], imag_width=w)
+    sys_obj = without_table(builtin_system("symmetric_rotors", epsilon=eps,
+                                           y_center=[1.0, GOLDEN, 0.0], imag_width=w))
     g = estimate_global_constants(sys_obj, margin=0.0)
     # trig factors in x1 see |Im| <= w; factors in x2 - x3 see |Im| <= 2w
     C1 = np.cosh(2 * np.pi * w)
@@ -74,8 +80,8 @@ def test_sampled_hessian_constant_below_hand_bound():
 
 def test_sampled_constants_dominate_real_samples():
     """The 1.05-margin sampled sup must dominate callback values at fresh points."""
-    sys_obj = builtin_system("symmetric_rotors", epsilon=0.03,
-                             y_center=[1.0, GOLDEN, 0.0])
+    sys_obj = without_table(builtin_system("symmetric_rotors", epsilon=0.03,
+                                           y_center=[1.0, GOLDEN, 0.0]))
     g = estimate_global_constants(sys_obj)
     rng = np.random.default_rng(99)
     z = np.concatenate([rng.uniform(0, 1, (500, 3)),
@@ -127,16 +133,84 @@ def test_global_constants_bit_identical_to_golden(monkeypatch, length):
 
 def test_global_constants_peak_memory_bounded():
     """The lattice is evaluated a slice at a time: at n = 3, D2XH on all 6144
-    points at once would take 21 MB, and its |.| copy 11 MB more."""
-    sys_b, conserved = golden_global_systems()["symmetric_rotors-0.01-H"]
+    points at once would take 21 MB, and its |.| copy 11 MB more.  The system
+    has no table, so every callback row is sampled."""
+    sys_b = without_table(golden_global_systems()["symmetric_rotors-0.01"][0])
+    conserved = sys_b.conserved("H")
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        estimate_global_constants(sys_b, conserved=conserved)
+        g = estimate_global_constants(sys_b, conserved=conserved)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert g.provenance["c_XH_2"] == g.provenance["c_c_2"] == "sampled"
     assert peak - entry < 8e6
+
+
+CALLBACK_ROWS = {"c_H_1", "c_XH_0", "c_XH_1", "c_XHT_1", "c_XH_2", "c_c_1", "c_c_2"}
+INTEGRAL_ROWS = {"c_p_1", "c_pT_1", "c_Xp_0", "c_XpT_0", "c_Xp_1", "c_XpT_1", "c_Xp_2",
+                 "c_XpT_2"}
+
+
+def corner_points(sys_obj) -> np.ndarray:
+    """Im x = +-w in each of the 2^a sign patterns, Re x on a 4-point grid per
+    angle, and every momentum at its largest modulus |y_center| + y_radius."""
+    box = sys_obj.domain
+    a = box.angle_count
+    re = np.stack(np.meshgrid(*[np.arange(4) / 4] * a, indexing="ij"), -1).reshape(-1, a)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=a)))
+    x = (re[:, None, :] + 1j * box.imag_width * signs[None]).reshape(-1, a)
+    y = box.y_center + box.y_radius * np.where(box.y_center < 0, -1.0, 1.0)
+    return np.concatenate([x, np.broadcast_to(y, (len(x), y.size))], axis=1)
+
+
+@pytest.mark.parametrize("name, selector", [("lagrangian_rotors-0.02", None),
+                                            ("symmetric_rotors-0.01", "H"),
+                                            ("symmetric_rotors-0.01", ("p", 0))],
+                         ids=["lagrangian", "symmetric-H", "symmetric-p0"])
+def test_exact_constants_dominate_lattice_and_corners(monkeypatch, name, selector):
+    """Each closed-form row is at least the entry-wise sup of its callback over
+    the sample lattice and all 2^a corners of the strip, aggregated as the row
+    aggregates it.  The bound is attained at some corners, so both sides are
+    compared up to the round-off of evaluating them (no directed rounding)."""
+    sys_obj = golden_global_systems()[name][0]
+    conserved = None if selector is None else sys_obj.conserved(selector)
+    exact = estimate_global_constants(sys_obj, conserved=conserved)
+    rows = CALLBACK_ROWS | (INTEGRAL_ROWS if sys_obj.n_integrals else set())
+    assert {k for k, v in exact.provenance.items() if v == "exact"} == rows
+    lattice = kamtorus.certificate._domain_points(sys_obj)
+    corners = corner_points(sys_obj)
+    monkeypatch.setattr(kamtorus.certificate, "_domain_points",
+                        lambda s: np.concatenate([lattice, corners]))
+    seen = estimate_global_constants(without_table(sys_obj), margin=0.0, conserved=conserved)
+    for key in rows:
+        assert seen.values[key] <= exact.values[key] * (1 + 1e-14), key
+
+
+@pytest.mark.parametrize("table", [True, False], ids=["exact", "sampled"])
+def test_mixed_corner_inside_the_global_constants(table):
+    """At Im x = (w, -w) the term cos 2 pi (x1 - x2) reaches cosh(4 pi w).  A
+    lattice whose boundary points carry one sign for both angles never gets
+    there: it sampled c_XH_1 = 4.69 here, against 10.99 at this point."""
+    sys_obj = golden_global_systems()["lagrangian_rotors-0.02"][0]
+    w = sys_obj.domain.imag_width
+    corner = np.array([[0.2 + 1j * w, -1j * w, 1.5, GOLDEN + 0.5]])
+    g = estimate_global_constants(sys_obj if table else without_table(sys_obj)).values
+    assert np.abs(sys_obj.DH(corner)).sum() <= g["c_H_1"]
+    assert np.abs(sys_obj.DXH(corner)).sum(axis=-1).max() <= g["c_XH_1"]
+    assert np.abs(sys_obj.D2XH(corner)).sum(axis=(-2, -1)).max() <= g["c_XH_2"]
+
+
+@pytest.mark.parametrize("name", ["lagrangian_rotors-0.02", "symmetric_rotors-0.01"])
+def test_lattice_boundary_takes_every_sign_pattern(name):
+    """The boundary sweep pins |Im x| at the width in all 2^a sign patterns."""
+    sys_obj = golden_global_systems()[name][0]
+    a, w = sys_obj.domain.angle_count, sys_obj.domain.imag_width
+    im = kamtorus.certificate._domain_points(sys_obj)[:, :a].imag
+    pinned = im[np.all(np.abs(im) == w, axis=1)]
+    assert {tuple(row) for row in np.sign(pinned)} == set(itertools.product((1.0, -1.0),
+                                                                            repeat=a))
 
 
 # -------------------------------------------------------------------- ledger

@@ -2,12 +2,14 @@
 
 import ast
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kamtorus.cohomology
 from kamtorus.cohomology import (
     DiophantineParams,
     DivisorCollisionError,
@@ -197,6 +199,42 @@ def test_params_scan_checked_at_construction():
 ])
 def test_generic_scan_dimension_three(omega, tau, limit):
     assert estimate_gamma(omega, tau, limit) == brute_gamma(omega, tau, limit)
+
+
+@pytest.mark.parametrize("omega, tau, limit", [
+    (np.array([1.0, GOLDEN]), 1.5, 200),
+    (np.array([1.0, 2.0 ** (1 / 3), 2.0 ** (2 / 3)]), 2.0, 60),
+    (np.array([1.0, np.sqrt(2.0), 1.0 + np.sqrt(2.0)]), 2.0, 12),  # a resonance
+    (2.0 ** (np.arange(4) / 4), 3.0, 12),
+], ids=["d2", "d3", "d3-resonant", "d4"])
+def test_sliced_scan_is_independent_of_the_slice(monkeypatch, omega, tau, limit):
+    """gamma to the last bit, or the first collision's text, whatever the slice."""
+    def outcome():
+        try:
+            return estimate_gamma(omega, tau, limit).hex()
+        except DivisorCollisionError as exc:
+            return str(exc)
+
+    results = set()
+    for length in (1, 7, 1000, 10**9):
+        monkeypatch.setattr(kamtorus.cohomology, "SCAN_SLICE", length)
+        results.add(outcome())
+    assert len(results) == 1
+
+
+def test_divisor_scan_peak_memory_bounded():
+    """d = 3 at the default scan_limit walks k' a slice at a time: the whole
+    box of candidates at once peaked at 162 MB."""
+    omega = 2.0 ** (np.arange(3) / 3)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        gamma = estimate_gamma(omega, 2.0, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gamma > 0
+    assert peak - entry < 16e6
 
 
 # -------------------------------------------------------- Russmann constants

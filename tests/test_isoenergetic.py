@@ -121,8 +121,9 @@ def test_newton_step_iso_no_error_no_change():
     conserved = cand.system.conserved("H")
     c0 = float(grid_kitchen(cand, conserved).c_map.average().real[0, 0])
     sched = NewtonSchedule(a1=2, a2=2, c_n=100.0, rho0=cand.rho)
-    new_cand, new_ray, diag = newton_step_iso(cand, ray, conserved, c0, sched,
-                                              cand.rho / 12.0)
+    target = IsoTarget(conserved, c0)
+    nxt, diag = newton_step_iso(target.evaluate(cand, ray), target, sched, cand.rho / 12.0)
+    new_cand, new_ray = nxt.cand, nxt.ray
     assert np.max(np.abs((new_cand.k_per - cand.k_per).coeffs)) < 1e-13
     assert abs(new_ray.scale - ray.scale) < 1e-14
 
@@ -139,8 +140,9 @@ def test_newton_step_iso_level_gain():
     base, base_ray = settled.candidate, settled.ray
     c0 = settled.c_final + 1e-4
     sched2 = NewtonSchedule(a1=2, a2=2, c_n=1e4, rho0=base.rho)
-    new_cand, new_ray, diag = newton_step_iso(base, base_ray, conserved, c0, sched2,
-                                              base.rho / 12.0)
+    target = IsoTarget(conserved, c0)
+    nxt, diag = newton_step_iso(target.evaluate(base, base_ray), target, sched2,
+                                base.rho / 12.0)
     assert abs(diag.err_omega_before) == pytest.approx(1e-4)
     assert abs(diag.err_omega_before) / max(abs(diag.err_omega_after), 1e-300) >= 1e2
     assert diag.ray_margin > 0

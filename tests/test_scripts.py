@@ -31,12 +31,13 @@ def test_run_convergence_reports_each_system():
     assert all(rec["converged"] and rec["contraction_exponent"] is not None for rec in finals)
 
 
-def compare_outputs(tree_b: Path, config: dict, tmp_path: Path) -> subprocess.CompletedProcess:
+def compare_outputs(tree_b: Path, config: dict, tmp_path: Path,
+                    *args: str) -> subprocess.CompletedProcess:
     """Run compare_outputs.py on this checkout and ``tree_b`` for one config."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / "compare_outputs.py"),
-                           str(ROOT), str(tree_b), "--config", str(path)],
+                           str(ROOT), str(tree_b), "--config", str(path), *args],
                           capture_output=True, text=True, timeout=600)
 
 
@@ -63,3 +64,9 @@ def test_compare_outputs_reports_a_difference(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr[-2000:]
     torus = next(line for line in proc.stdout.splitlines() if " torus.json " in line)
     assert " differs A1=" in torus
+    # the version is written to torus.json and summary.json only
+    proc = compare_outputs(other, config, tmp_path, "--files", "log.jsonl", "ledger.csv")
+    assert proc.returncode == 0, proc.stdout + proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    assert [line.split(" ", 2)[1] for line in lines] == ["log.jsonl", "ledger.csv", "exit"]
+    assert all(line.endswith(" same") for line in lines)

@@ -114,7 +114,8 @@ def test_solve_triangular_compatibility_gate(golden_dio):
 
 def test_newton_step_zero_error_is_identity(exact_torus_b):
     sched = NewtonSchedule(a1=2, a2=2, c_n=10.0, rho0=exact_torus_b.rho)
-    new_cand, diag = newton_step(exact_torus_b, sched, exact_torus_b.rho / 12.0)
+    nxt, diag = newton_step(evaluate(exact_torus_b), sched, exact_torus_b.rho / 12.0)
+    new_cand = nxt.cand
     delta_k = new_cand.k_per - exact_torus_b.k_per
     assert np.max(np.abs(delta_k.coeffs)) < 1e-14
     assert diag.err_before < 1e-13
@@ -124,7 +125,8 @@ def test_newton_step_quadratic_gain(golden_omega):
     cand = seed_candidate("lagrangian_rotors", 1e-3, golden_omega,
                           bands=(16, 16), rho=0.03)
     sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, rho0=cand.rho)
-    new_cand, diag = newton_step(cand, sched, cand.rho / 12.0)
+    nxt, diag = newton_step(evaluate(cand), sched, cand.rho / 12.0)
+    new_cand = nxt.cand
     assert diag.err_before / diag.err_after >= 1e2
     assert diag.compat <= 1e-12 * max(1.0, diag.err_before)
     assert diag.avg_xi_L == 0.0
@@ -136,7 +138,7 @@ def test_newton_step_smallness_gate(golden_omega):
                           bands=(8, 8), rho=0.03)
     sched = NewtonSchedule(a1=2, a2=2, c_n=None, rho0=cand.rho)  # natural scale
     with pytest.raises(HypothesisError) as info:
-        newton_step(cand, sched, cand.rho / 12.0)
+        newton_step(evaluate(cand), sched, cand.rho / 12.0)
     assert "smallness" in str(info.value)
 
 
@@ -203,13 +205,12 @@ def test_per_step_ledger_soundness(golden_omega):
         hyp = measure_hypothesis_data(current, frames)
         led = build_ledger("ordinary", globs, hyp, current.dio, current.rho, delta,
                            sched, n=2, d=2)
-        new_cand, diag = newton_step(current, sched, delta, step_index=s,
-                                     frames=frames)
+        nxt, diag = newton_step(it, sched, delta, step_index=s)
         dk_bound = led["C_DeltaK"] / (gamma**2 * delta ** (2 * tau)) * err
         e_bound = led["C_E"] / (gamma**4 * delta ** (4 * tau)) * err**2
         assert diag.delta_k_norm <= dk_bound
         assert diag.err_after <= e_bound
-        current = new_cand
+        current = nxt.cand
 
 
 def test_band_refinement_reported(golden_omega):

@@ -3,7 +3,8 @@
 ``perfbench/child.py --trace`` wraps kamtorus's layers from outside.  The
 benchmark relies on ``fourier.matmul`` being rebound in every module that
 holds it and on each mode entering none of the other mode's spans; these are
-the checks ``perfbench/run.py`` applies when it summarizes the layers.
+the checks ``perfbench/run.py`` applies when it summarizes the layers.  Each
+Newton step is one span of its mode's step entry point.
 """
 
 import importlib.util
@@ -58,3 +59,7 @@ def test_traced_child_sees_one_mode(tmp_path, monkeypatch, mode):
     assert [name for name in other if trace["calls"].get(name, 0)] == []
     solve = "solver.solve_triangular" if mode == "ordinary" else "isoenergetic.solve_triangular_iso"
     assert solve in own and trace["calls"].get(solve, 0) > 0
+    # the loop runs every Newton step through its mode's traced entry point
+    step = "solver.newton_step" if mode == "ordinary" else "isoenergetic.newton_step_iso"
+    steps = json.loads((tmp_path / "out" / "summary.json").read_text())["steps"]
+    assert step in own and steps > 0 and trace["calls"].get(step, 0) == steps
