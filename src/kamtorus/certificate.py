@@ -81,6 +81,12 @@ def _rank1_lattice(npts: int, dim: int) -> np.ndarray:
     return np.modf(j * gen[None, :] + 0.5 / npts)[0]
 
 
+def _sign_patterns(count: int, a: int) -> np.ndarray:
+    """Row i holds the signs (-1)^(bit b of i), b < a: rows 0 .. 2^a - 1 are
+    the 2^a sign patterns of R^a, and later rows cycle through them."""
+    return 1.0 - 2.0 * ((np.arange(count)[:, None] >> np.arange(a)) & 1)
+
+
 LATTICE_DENSITY = 2048  # points in each of the three sample sets of _domain_points
 LATTICE_SLICE = 1024  # points per callback evaluation in estimate_global_constants
 
@@ -100,8 +106,7 @@ def _domain_points(sys: HamiltonianSystem) -> np.ndarray:
     interior = np.concatenate([x, y], axis=1)
 
     u2 = _rank1_lattice(LATTICE_DENSITY, a + m)
-    signs = 1.0 - 2.0 * ((np.arange(LATTICE_DENSITY)[:, None] >> np.arange(a)) & 1)
-    x2 = u2[:, :a] + 1j * box.imag_width * signs
+    x2 = u2[:, :a] + 1j * box.imag_width * _sign_patterns(LATTICE_DENSITY, a)
     y2 = box.y_center + box.y_radius * np.exp(2j * np.pi * u2[:, a:])
     boundary = np.concatenate([x2, y2], axis=1)
     real_pts = np.concatenate(
@@ -110,42 +115,50 @@ def _domain_points(sys: HamiltonianSystem) -> np.ndarray:
     return np.concatenate([interior, boundary, real_pts], axis=0)
 
 
+# the closed forms below are rounded to nearest; this relative 64 eps lifts them
+# over the round-off of their own few sums and of the callbacks' (not a margin)
+_ROUND_UP = 1.0 + 64 * np.finfo(np.float64).eps
+
+
 def _table_bounds(sys: HamiltonianSystem, conserved: ConservedQuantity | None) -> dict:
     """The callback rows of a term-table system on the canonical structure, in
     closed form; {} for any other system.
 
-    On |Im x| <= w, |cos| and |sin| of 2 pi k_j . x are at most
-    cosh(2 pi |k_j|_1 w), so entry (a_1 .. a_r) of d^r V is at most
-    sum_j |v_j| (2 pi)^r prod_i |k_j,a_i| cosh(2 pi |k_j|_1 w), and summing
-    over a_2 .. a_r turns the product into |k_j,a_1| |k_j|_1^(r-1).  A
-    momentum entry is at most |y_center| + y_radius.  The c rows are given
-    for c = H and c = p_j; a custom c is left to sampling.
+    At Im x = eta, |cos| and |sin| of 2 pi k_j . x are at most
+    cosh(2 pi k_j . eta), so entry (a_1 .. a_r) of d^r V is at most
+    sum_j |v_j| (2 pi)^r prod_i |k_j,a_i| cosh(2 pi k_j . eta).  That is convex
+    in eta, so its max over the strip |eta_a| <= w is at one of the 2^n corners
+    eta = w s; the entry-wise max over s is aggregated into rows as the sampled
+    path aggregates its entry-wise sups.  A momentum entry is at most
+    |y_center| + y_radius.  The c rows are given for the bundles that
+    :meth:`HamiltonianSystem.conserved` builds (c = H or p_j); any other c is
+    left to sampling.
     """
     tab, box, n = sys.table, sys.domain, sys.n
     if tab is None or not sys.geometry.is_canonical or box.angle_count != n:
         return {}
     tp = 2.0 * np.pi
     ak = np.abs(tab.k)
-    k1 = ak.sum(axis=1)
-    amp = np.abs(tab.v) * np.cosh(tp * k1 * box.imag_width)
-    dv1 = tp * amp @ ak  # entry bounds of dV
-    dv2 = tp**2 * (amp * k1) @ ak  # row sums of the entry bounds of d^2 V
-    dv3 = tp**3 * (amp * k1**2) @ ak  # ... and of d^3 V
+    amp = np.abs(tab.v) * np.cosh(tp * box.imag_width * _sign_patterns(2**n, n) @ tab.k.T)
+    dv1 = tp * (amp @ ak).max(axis=0)  # entry bounds of dV
+    dv2 = tp**2 * np.einsum("sj,ja,jb->sab", amp, ak, ak).max(axis=0)  # ... of d^2 V
+    dv3 = tp**3 * np.einsum("sj,ja,jb,jc->sabc", amp, ak, ak, ak).max(axis=0)
     y = np.abs(box.y_center) + box.y_radius
     # DXH = [[0, I], [-d^2 V, 0]]; the Hessian of H is [[d^2 V, 0], [0, I]]
     rows = {"c_H_1": dv1.sum() + y.sum(), "c_XH_0": max(dv1.max(), y.max()),
-            "c_XH_1": max(1.0, dv2.max()), "c_XHT_1": n + dv2.sum(), "c_XH_2": dv3.max()}
+            "c_XH_1": max(1.0, dv2.sum(axis=1).max()), "c_XHT_1": n + dv2.sum(),
+            "c_XH_2": dv3.sum(axis=(1, 2)).max()}
     c = np.abs(tab.c)
     if c.size:  # X_p = (c_a, 0) is constant
         rows.update(c_p_1=c.sum(axis=1).max(), c_pT_1=c.sum(), c_Xp_0=c.sum(axis=0).max(),
                     c_XpT_0=c.sum(axis=1).max(), c_Xp_1=0.0, c_XpT_1=0.0, c_Xp_2=0.0,
                     c_XpT_2=0.0)
-    selector = "H" if conserved is None else conserved.selector
+    selector = "H" if conserved is None else conserved._selector
     if selector == "H":
         rows.update(c_c_1=rows["c_H_1"], c_c_2=n + dv2.sum())
     elif selector is not None:
         rows.update(c_c_1=c[selector[1]].sum(), c_c_2=0.0)
-    return {key: float(value) for key, value in rows.items()}
+    return {key: float(value) * _ROUND_UP for key, value in rows.items()}
 
 
 def estimate_global_constants(sys: HamiltonianSystem, margin: float = 0.05,

@@ -143,11 +143,8 @@ def estimate_gamma(omega, tau: float, scan_limit: int) -> float:
     shape = (2 * limit + 1,) * (d - 2) + (limit + 1,)
     total = math.prod(shape)
     for start in range(0, total, SCAN_SLICE):
-        if total <= SCAN_SLICE:  # one slice: the whole box
-            kp = np.indices(shape).reshape(d - 1, -1).T
-        else:
-            flat = np.arange(start, min(start + SCAN_SLICE, total))
-            kp = np.stack(np.unravel_index(flat, shape), axis=1)
+        flat = np.arange(start, min(start + SCAN_SLICE, total))
+        kp = np.stack(np.unravel_index(flat, shape), axis=1)
         kp[:, :-1] -= limit
         last_sign = np.zeros(kp.shape[0], dtype=kp.dtype)
         for col in kp.T:

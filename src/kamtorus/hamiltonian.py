@@ -213,15 +213,21 @@ class DomainBox:
 class ConservedQuantity:
     """Target conserved quantity c with first and second derivatives.
 
-    ``selector`` is "H" or ("p", j) for a quantity that
-    :meth:`HamiltonianSystem.conserved` selected, None for a custom one.
+    ``_selector`` is "H" or ("p", j) on a bundle that
+    :meth:`HamiltonianSystem.conserved` built from the system's own callbacks,
+    and None on any other: a caller cannot set it, and ``replace`` drops it.
     """
 
     name: str
     c: Callable
     Dc: Callable
     D2c: Callable
-    selector: object = None
+    _selector: object = field(default=None, init=False, repr=False, compare=False)
+
+
+def _selected(quantity: ConservedQuantity, selector) -> ConservedQuantity:
+    object.__setattr__(quantity, "_selector", selector)
+    return quantity
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +287,7 @@ class HamiltonianSystem:
                     )
             return custom
         if selector == "H":
-            return ConservedQuantity("H", self.H, self.DH, self._d2h(), "H")
+            return _selected(ConservedQuantity("H", self.H, self.DH, self._d2h()), "H")
         if isinstance(selector, (tuple, list)) and selector[0] == "p":
             j = int(selector[1])
             if not 0 <= j < self.n_integrals:
@@ -296,7 +302,7 @@ class HamiltonianSystem:
             def D2c(z):
                 return self._d2p_component(z, j)
 
-            return ConservedQuantity(f"p{j}", c, Dc, D2c, ("p", j))
+            return _selected(ConservedQuantity(f"p{j}", c, Dc, D2c), ("p", j))
         raise ValueError(f"unknown conserved-quantity selector {selector!r}")
 
     def _d2h(self) -> Callable:
