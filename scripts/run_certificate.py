@@ -20,7 +20,6 @@ from kamtorus import (
     certify,
     estimate_gamma,
     estimate_global_constants,
-    evaluate,
     iterate_newton,
     seed_torus,
 )
@@ -41,13 +40,13 @@ def run_one(eps, bands_n, rho0, tau, sigma_factor):
         return {"eps": eps, "bands": bands_n, "rho0": rho0, "tau": tau,
                 "converged": False, "reason": res.reason}
     globs = estimate_global_constants(sys_obj)
-    it = evaluate(res.candidate)
+    it = res.iterate
     frames = build_frames(it.cand, it.kitchen)
     report, ledger = certify(it, frames, sched, globs, sigma_factor=sigma_factor)
     return {
         "eps": eps, "bands": bands_n, "rho0": rho0, "tau": tau,
         "sigma_factor": sigma_factor, "converged": True,
-        "final_rho": res.candidate.rho, "error_norm": report.error_norm,
+        "final_rho": it.cand.rho, "error_norm": report.error_norm,
         "E1": ledger["E1"], "ratio": report.ratio, "passed": report.passed,
         "dominant": report.dominant,
     }

@@ -89,6 +89,7 @@ def _sign_patterns(count: int, a: int) -> np.ndarray:
 
 LATTICE_DENSITY = 2048  # points in each of the three sample sets of _domain_points
 LATTICE_SLICE = 1024  # points per callback evaluation in estimate_global_constants
+SAMPLED_MARGIN = 0.05  # upward safety margin of a sampled lattice maximum
 
 
 def _domain_points(sys: HamiltonianSystem) -> np.ndarray:
@@ -161,7 +162,7 @@ def _table_bounds(sys: HamiltonianSystem, conserved: ConservedQuantity | None) -
     return {key: float(value) * _ROUND_UP for key, value in rows.items()}
 
 
-def estimate_global_constants(sys: HamiltonianSystem, margin: float = 0.05,
+def estimate_global_constants(sys: HamiltonianSystem,
                               conserved: ConservedQuantity | None = None) -> GlobalNormConstants:
     """Bounds of the callback norms over the complexified domain.
 
@@ -169,11 +170,11 @@ def estimate_global_constants(sys: HamiltonianSystem, margin: float = 0.05,
     p/X_p entries are exact zeros.  A term-table system on the canonical
     structure gets every callback row in closed form (provenance "exact",
     see :func:`_table_bounds`); the other rows are sampled maxima (x
-    1+margin) over :func:`_domain_points`.  Provenance records which is which.
+    1+SAMPLED_MARGIN) over :func:`_domain_points`.  Provenance records which is which.
     """
     vals: dict = {}
     prov: dict = {}
-    up = 1.0 + margin
+    up = 1.0 + SAMPLED_MARGIN
     z = None
 
     def sup(f):
@@ -643,24 +644,6 @@ class CertificateReport:
     margins: dict
     header: str = REPORT_HEADER
 
-    def to_dict(self) -> dict:
-        return {
-            "header": self.header,
-            "mode": self.mode,
-            "passed": self.passed,
-            "ratio": self.ratio,
-            "error_norm": self.error_norm,
-            "gamma": self.gamma,
-            "tau": self.tau,
-            "rho": self.rho,
-            "delta": self.delta,
-            "scan_limit": self.scan_limit,
-            "closeness_K": self.closeness_K,
-            "closeness_second": self.closeness_second,
-            "dominant": self.dominant,
-            "margins": self.margins,
-        }
-
 
 def kam_check(cand: TorusCandidate, ledger: ConstantLedger,
               error_norm: float) -> CertificateReport:
@@ -723,14 +706,13 @@ def _ledger(it: Iterate, frames: FrameBundle, schedule: NewtonSchedule,
 
 
 def certify(it: Iterate, frames: FrameBundle, schedule: NewtonSchedule,
-            globs: GlobalNormConstants, sigma_factor: float = 1.1,
-            error_norm: float | None = None):
+            globs: GlobalNormConstants, sigma_factor: float = 1.1):
     """Measure the hypothesis data of ``it``, build the ledger at the worst-step
     bite delta_0 = rho/a3, and run kam_check.  Returns (report, ledger).
 
     The mode is the iterate's: iso when it carries a frequency ray.  The
     error is the iterate's ||E||_rho, or ||E_c||_rho = max(||E||_rho,
-    |E^omega|) in iso mode; ``error_norm`` overrides it.  The smallness scale
+    |E^omega|) in iso mode.  The smallness scale
     is the natural max(1, ||X_H o K||_rho): the solver may run with a much
     larger override, but the smallness scale is a free parameter of the
     theorem and the certificate picks its own.
@@ -738,9 +720,7 @@ def certify(it: Iterate, frames: FrameBundle, schedule: NewtonSchedule,
     rho = it.cand.rho
     ledger = _ledger(it, frames, replace(schedule, c_n=None), globs, rho / schedule.a3,
                      sigma_factor)
-    if error_norm is None:
-        error_norm = it.combined_norm(rho)
-    return kam_check(it.cand, ledger, error_norm), ledger
+    return kam_check(it.cand, ledger, it.combined_norm(rho)), ledger
 
 
 def contraction_constant_factory(globs: GlobalNormConstants, schedule: NewtonSchedule,

@@ -47,6 +47,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _checked(name: str, value, valid, what: str):
+    """``value`` if it passes ``valid``; otherwise a ValueError saying it must be ``what``."""
+    if not valid(value):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def _vector(name: str, value, d: int, valid, what: str) -> list:
     """``value`` as a list of d entries that each pass ``valid``."""
     if not (isinstance(value, (list, tuple)) and len(value) == d and all(map(valid, value))):
@@ -253,12 +260,17 @@ def _candidate_from_doc(doc: dict):
     with _torus_field("omega"):
         omega = np.asarray(_vector("omega", doc["omega"], sys_obj.d, _is_real, "finite numbers"))
     with _torus_field("dio"):
-        dio = DiophantineParams(omega, doc["dio"]["gamma"], doc["dio"]["tau"],
-                                int(doc["dio"]["scan_limit"]))
+        data = doc["dio"]
+        for key in ("gamma", "tau"):
+            _checked(key, data[key], _is_real, "a finite number")
+        _checked("scan_limit", data["scan_limit"], lambda v: _is_int(v) and v >= 1,
+                 "an integer >= 1")
+        dio = DiophantineParams(omega, data["gamma"], data["tau"], data["scan_limit"])
     with _torus_field("rho"):
-        rho = doc["rho"]
-        if not (_is_real(rho) and rho > 0):
-            raise ValueError(f"must be a positive number, got {rho!r}")
+        rho = _checked("rho", doc["rho"], lambda v: _is_real(v) and v > 0, "a positive number")
+    with _torus_field("angle_block"):
+        angle_block = _checked("angle_block", doc["angle_block"],
+                               lambda v: isinstance(v, bool), "a boolean")
     with _torus_field("map"):
         k_per = FourierMap.from_json_dict(doc["map"])
     with _torus_field("grid"):  # the rank check and plotdata sample K on 2*bands + 1
@@ -270,14 +282,14 @@ def _candidate_from_doc(doc: dict):
         raise ConfigError(f"torus map is not real: f_-k and conj(f_k) differ by {defect:.3e}")
     with _torus_field("map"):
         cand = TorusCandidate(k_per, omega, dio, rho=float(rho), system=sys_obj,
-                              angle_block=bool(doc.get("angle_block", True)))
+                              angle_block=angle_block)
     with _torus_field("rho"):
         if (margin := cand.domain_margin()) <= 0:
             raise ValueError(f"K(T^d_rho) leaves the system domain (margin {margin:.3e})")
-    if ray is not None and "ray_scale" in doc:
+    if ray is not None:
         with _torus_field("ray_scale"):
-            ray = FrequencyRay(np.asarray(cfg.omega_star), cfg.sigma_omega,
-                               float(doc["ray_scale"]))
+            scale = _checked("ray_scale", doc["ray_scale"], _is_real, "a finite number")
+            ray = FrequencyRay(np.asarray(cfg.omega_star), cfg.sigma_omega, float(scale))
     return cand, cfg, _schedule(cfg), ray
 
 
@@ -295,12 +307,12 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         c0 = total_error(cand, conserved, 0.0).E_omega + cfg.c0_offset  # seed level + offset
         target = IsoTarget(conserved, c0)
     result = iterate_newton(cand, schedule, target, ray)
-    final = result.candidate
+    last = result.iterate
+    final = last.cand
     if target is not None:
-        extra = {"omega_initial": result.omega_initial.tolist(),
-                 "omega_final": result.omega_final.tolist(),
-                 "c0": result.c0, "c_final": result.c_final,
-                 "ray_scale": result.ray.scale}
+        extra = {"omega_initial": ray.omega.tolist(), "omega_final": final.omega.tolist(),
+                 "c0": target.c0, "c_final": target.c0 + last.E_omega,
+                 "ray_scale": last.ray.scale}
 
     log_lines = "\n".join(json.dumps(rec, sort_keys=True) for rec in result.log)
     (out_dir / "log.jsonl").write_text(log_lines + "\n")
@@ -311,7 +323,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         "converged": result.converged,
         "reason": result.reason,
         "final_error": result.final_error,
-        "steps": len(result.steps),
+        "steps": len(result.log) - 1,
         "final_rho": final.rho,
         "note": "error norms are Fourier majorants of the truncated model; "
                 "tails beyond the band limit are not certified",
@@ -338,14 +350,15 @@ def cmd_certify(torus_path: str, cfg_overrides: dict, out_dir: Path) -> int:
     if cfg.mode == "iso":
         conserved = cand.system.conserved(_selector(cfg))
         with _torus_field("c0"):
-            target = IsoTarget(conserved, float(doc["c0"]))
+            target = IsoTarget(conserved, float(_checked("c0", doc["c0"], _is_real,
+                                                         "a finite number")))
     # the global bounds first: a sampled lattice then peaks without the kitchen alive
     globs = estimate_global_constants(cand.system, conserved=conserved)
     it = evaluate(cand, target, ray)
     frames = build_frames(cand, it.kitchen)
     report, ledger = certify(it, frames, schedule, globs, sigma_factor=cfg.sigma_factor)
     (out_dir / "ledger.csv").write_text(ledger.to_csv())
-    _json_dump(report.to_dict(), out_dir / "certificate.json")
+    _json_dump(asdict(report), out_dir / "certificate.json")
     status = "PASS" if report.passed else "FAIL"
     print(f"certificate {status}: ratio = {report.ratio:.6g} (error {report.error_norm:.3e}); "
           f"ledger and report in {out_dir}")

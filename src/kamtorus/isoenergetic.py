@@ -116,15 +116,14 @@ class IsoTarget:
         """The bordered triangular solve of the shared Newton step."""
         return solve_triangular_iso(eta_L, eta_N, eta_omega, frames, dio)
 
-    def step(self, it: Iterate, schedule: NewtonSchedule, delta: float, step_index: int = 0,
+    def step(self, it: Iterate, schedule: NewtonSchedule, delta: float,
              contraction_ledger=None):
         """One iso Newton step of the shared loop, through :func:`newton_step_iso`."""
-        return newton_step_iso(it, self, schedule, delta, step_index, contraction_ledger)
+        return newton_step_iso(it, self, schedule, delta, contraction_ledger)
 
 
 def newton_step_iso(it: Iterate, target: IsoTarget, schedule: NewtonSchedule, delta: float,
-                    step_index: int = 0, contraction_ledger=None):
+                    contraction_ledger=None):
     """One simultaneous (K, omega) correction of ``it`` towards the level of
-    ``target``; returns (next Iterate, StepDiagnostics)."""
-    return newton_correction(it, schedule, delta, step_index, target,
-                             contraction_ledger=contraction_ledger)
+    ``target``; returns (next Iterate, the step's log record)."""
+    return newton_correction(it, schedule, delta, target, contraction_ledger)

@@ -23,7 +23,7 @@ are Fourier majorants of the truncated model.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -222,9 +222,10 @@ class Iterate:
     ray: FrequencyRay | None = None
 
     def combined_norm(self, rho: float) -> float:
-        """The stopping norm: ||E||_rho, or max(||E||_rho, |E^omega|) in iso mode."""
+        """The stopping norm: ||E||_rho, or max(||E||_rho, |E^omega|) in iso mode
+        (NaN when either is NaN)."""
         err = self.E.norm(rho).value
-        return err if self.E_omega is None else max(err, abs(self.E_omega))
+        return err if self.E_omega is None else float(np.maximum(err, abs(self.E_omega)))
 
 
 def evaluate(cand: TorusCandidate, target: IsoTarget | None = None,
@@ -240,39 +241,20 @@ def evaluate(cand: TorusCandidate, target: IsoTarget | None = None,
     return Iterate(cand, kitchen, invariance_error(cand, kitchen))
 
 
-@dataclass
-class StepDiagnostics:
-    step: int
-    rho: float
-    delta: float
-    err_before: float
-    err_after: float
-    delta_k_norm: float
-    solve_residual: float
-    compat: float
-    avg_xi_L: float
-    frame_norms: dict = field(default_factory=dict)
-    hypothesis_margins: dict = field(default_factory=dict)
-    contraction_bound: float | None = None
-    contraction_ok: bool | None = None
-    # iso mode only
-    err_omega_before: float | None = None
-    err_omega_after: float | None = None
-    xi_omega: float | None = None
-    omega_after: np.ndarray | None = None
-    ray_margin: float | None = None
-
-
 def newton_correction(it: Iterate, schedule: NewtonSchedule, delta: float,
-                      step_index: int = 0, target: IsoTarget | None = None,
-                      contraction_ledger=None):
-    """One quasi-Newton correction of ``it``; returns (next Iterate, StepDiagnostics).
+                      target: IsoTarget | None = None, contraction_ledger=None):
+    """One quasi-Newton correction of ``it``; returns (next Iterate, record).
 
-    With an iso ``target`` the frequency moves too, along ``it.ray``, through
-    the bordered solve.  The next candidate lives on the strip rho - 3*delta.
-    ``contraction_ledger`` is as in iterate_newton.  Raises HypothesisError
-    (named), CompatibilityError, TwistDegeneracyError, FrameRankError,
-    SingularGramError, RayExitError or DomainEscapeError on failure.
+    The record holds the step's keys of the iteration log: the error after
+    the step and the correction's norm on the middle strip, the solve's
+    residual and <eta^N>, the frame norms, the hypothesis margins and the
+    contraction check; in iso mode also the level error after the step,
+    xi^omega and the ray margin.  With an iso ``target`` the frequency moves
+    too, along ``it.ray``, through the bordered solve.  The next candidate
+    lives on the strip rho - 3*delta.  ``contraction_ledger`` is as in
+    iterate_newton.  Raises HypothesisError (named), CompatibilityError,
+    TwistDegeneracyError, FrameRankError, SingularGramError, RayExitError or
+    DomainEscapeError on failure.
     """
     cand, kk = it.cand, it.kitchen
     rho = cand.rho
@@ -309,43 +291,29 @@ def newton_correction(it: Iterate, schedule: NewtonSchedule, delta: float,
 
     nxt = evaluate(new_cand, target, ray)
     mid_rho = max(rho - 2 * delta, new_cand.rho)
+    err_after = nxt.E.norm(mid_rho).value
     margins = {"domain_margin": margin, "smallness": c_small - err / delta}
-    iso = {}
+    rec = {"err_after": err_after, "delta_k": delta_K.norm(mid_rho).value,
+           "solve_residual": sdiag["residual"], "compat": sdiag["compat"],
+           "contraction_bound": None, "contraction_ok": None,
+           "frame_norms": fr.norm_table(rho, delta), "hypothesis_margins": margins}
     if ray is not None:
-        iso = {"err_omega_before": it.E_omega, "err_omega_after": nxt.E_omega,
-               "xi_omega": xi_omega, "omega_after": ray.omega,
-               "ray_margin": ray.boundary_margin()}
-        margins["ray_margin"] = iso["ray_margin"]
-    diag = StepDiagnostics(
-        step=step_index,
-        rho=rho,
-        delta=delta,
-        err_before=it.E.norm(rho).value,
-        err_after=nxt.E.norm(mid_rho).value,
-        delta_k_norm=delta_K.norm(mid_rho).value,
-        solve_residual=sdiag["residual"],
-        compat=sdiag["compat"],
-        avg_xi_L=float(np.max(np.abs(xi_L.average()))),
-        frame_norms=fr.norm_table(rho, delta),
-        hypothesis_margins=margins,
-        **iso,
-    )
+        margins["ray_margin"] = ray.boundary_margin()
+        rec.update(err_omega_after=nxt.E_omega, xi_omega=xi_omega,
+                   ray_margin=margins["ray_margin"])
     if contraction_ledger is not None:
         c_e = contraction_ledger(it, fr, delta)
         gamma, tau = cand.dio.gamma, cand.dio.tau
-        diag.contraction_bound = c_e / (gamma**4 * delta ** (4 * tau)) * err**2
-        measured = diag.err_after if target is None else max(
-            diag.err_after, abs(diag.err_omega_after))
-        diag.contraction_ok = bool(measured <= diag.contraction_bound)
-    return nxt, diag
+        bound = c_e / (gamma**4 * delta ** (4 * tau)) * err**2
+        measured = err_after if ray is None else np.maximum(err_after, abs(nxt.E_omega))
+        rec.update(contraction_bound=bound, contraction_ok=bool(measured <= bound))
+    return nxt, rec
 
 
-def newton_step(it: Iterate, schedule: NewtonSchedule, delta: float, step_index: int = 0,
-                contraction_ledger=None):
+def newton_step(it: Iterate, schedule: NewtonSchedule, delta: float, contraction_ledger=None):
     """One ordinary quasi-Newton correction of ``it``; returns (next Iterate,
-    StepDiagnostics).  Iso mode steps through ``IsoTarget.step``."""
-    return newton_correction(it, schedule, delta, step_index,
-                             contraction_ledger=contraction_ledger)
+    the step's log record).  Iso mode steps through ``IsoTarget.step``."""
+    return newton_correction(it, schedule, delta, contraction_ledger=contraction_ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +323,15 @@ def newton_step(it: Iterate, schedule: NewtonSchedule, delta: float, step_index:
 
 @dataclass
 class SolveResult:
+    """The outcome of a run: its last iterate and its log, one record per
+    iterate.  Every record but the last carries the step taken from it, so a
+    run took ``len(log) - 1`` steps."""
+
     converged: bool
     reason: str
-    candidate: TorusCandidate
+    iterate: Iterate
     final_error: float
-    steps: list
     log: list
-    # iso mode only
-    ray: FrequencyRay | None = None
-    omega_initial: np.ndarray | None = None
-    omega_final: np.ndarray | None = None
-    c0: float | None = None
-    c_final: float | None = None
 
 
 def iterate_newton(cand: TorusCandidate, schedule: NewtonSchedule,
@@ -380,7 +345,7 @@ def iterate_newton(cand: TorusCandidate, schedule: NewtonSchedule,
     ``contraction_ledger`` is an optional callable (it, frames, delta) ->
     C_E evaluating the per-step quadratic-contraction constant of the iterate
     ``it``; when given, the literal inequality ||E_{s+1}|| <= C_E/(gamma^4
-    delta_s^{4 tau}) ||E_s||^2 is recorded in the step diagnostics.
+    delta_s^{4 tau}) ||E_s||^2 is recorded in the step's log record.
 
     Failure modes: two consecutive error increases (divergence), any named
     hypothesis failure, a frame that loses rank or a singular Gram matrix,
@@ -389,16 +354,12 @@ def iterate_newton(cand: TorusCandidate, schedule: NewtonSchedule,
     if abs(cand.rho - schedule.rho0) > 1e-12 * max(1.0, schedule.rho0):
         cand = cand.with_updates(rho=schedule.rho0)
     log: list = []
-    steps: list = []
     it = evaluate(cand, target, ray)
     increases = 0
     prev_err = None
 
     def finish(converged: bool, reason: str, err: float) -> SolveResult:
-        iso = {} if target is None else {
-            "ray": it.ray, "omega_initial": ray.omega, "omega_final": it.cand.omega.copy(),
-            "c0": target.c0, "c_final": target.c0 + it.E_omega}
-        return SolveResult(converged, reason, it.cand, err, steps, log, **iso)
+        return SolveResult(converged, reason, it, err, log)
 
     for s in itertools.count():
         rho = it.cand.rho
@@ -423,25 +384,12 @@ def iterate_newton(cand: TorusCandidate, schedule: NewtonSchedule,
         if s >= schedule.max_iters:
             return finish(False, f"iteration cap {schedule.max_iters} reached", err)
         try:
-            nxt, diag = (newton_step if target is None else target.step)(
-                it, schedule, schedule.delta(s), s, contraction_ledger)
+            nxt, step_rec = (newton_step if target is None else target.step)(
+                it, schedule, schedule.delta(s), contraction_ledger)
         except (HypothesisError, CompatibilityError, TwistDegeneracyError, FrameRankError,
                 SingularGramError, RayExitError) as exc:
             return finish(False, f"step {s}: {exc}", err)
-        rec.update({
-            "err_after": diag.err_after,
-            "delta_k": diag.delta_k_norm,
-            "solve_residual": diag.solve_residual,
-            "compat": diag.compat,
-            "contraction_bound": diag.contraction_bound,
-            "contraction_ok": diag.contraction_ok,
-            "frame_norms": diag.frame_norms,
-            "hypothesis_margins": diag.hypothesis_margins,
-        })
-        if target is not None:
-            rec.update(err_omega_after=diag.err_omega_after, xi_omega=diag.xi_omega,
-                       ray_margin=diag.ray_margin)
-        steps.append(diag)
+        rec.update(step_rec)
         prev_err = err
         it = nxt
 

@@ -15,6 +15,7 @@ from kamtorus.certificate import (
     certify,
     contraction_constant_factory,
     estimate_global_constants,
+    kam_check,
 )
 from kamtorus.cohomology import (
     DiophantineParams,
@@ -140,10 +141,11 @@ def test_criterion_4_quadratic_convergence(name, eps, golden_omega):
     res = iterate_newton(cand, sched, contraction_ledger=hook)
     elapsed = time.time() - t0
     slope = contraction_slope(res.log)
-    per_step_ok = all(st.contraction_ok for st in res.steps)
-    ok = (res.converged and len(res.steps) <= 8 and elapsed < 60.0
+    steps = len(res.log) - 1
+    per_step_ok = all(rec["contraction_ok"] for rec in res.log[:-1])
+    ok = (res.converged and steps <= 8 and elapsed < 60.0
           and slope is not None and 1.7 <= slope <= 2.3 and per_step_ok)
-    announce(4, ok, f"{name}: {len(res.steps)} steps, final {res.final_error:.2e}, "
+    announce(4, ok, f"{name}: {steps} steps, final {res.final_error:.2e}, "
                     f"slope {slope}, ledger inequality {per_step_ok}, {elapsed:.1f}s")
 
 
@@ -164,12 +166,13 @@ def test_criterion_5_isoenergetic_targeting(selector):
     sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, max_iters=10, stop_tol=1e-12,
                            rho0=cand.rho)
     res = iterate_newton(cand, sched, IsoTarget(conserved, c0), ray)
-    level_err = abs(res.c_final - c0)
-    margin = res.ray.boundary_margin()
-    fr = build_frames(res.candidate, grid_kitchen(res.candidate, conserved))
-    n, d = res.candidate.system.n, res.candidate.d
+    final = res.iterate.cand
+    level_err = abs((c0 + res.iterate.E_omega) - c0)
+    margin = res.iterate.ray.boundary_margin()
+    fr = build_frames(final, grid_kitchen(final, conserved))
+    n, d = final.system.n, final.d
     if conserved.name == "H":
-        target = np.concatenate([res.omega_final, np.zeros(n - d)])
+        target = np.concatenate([final.omega, np.zeros(n - d)])
     else:
         target = np.eye(n)[d + 0]
     row_err = fr.Tdown.add_constant(-target[None, :]).norm(0.0).value
@@ -193,7 +196,7 @@ def test_criterion_6_lemma_bound_soundness(golden_omega):
         settle = iterate_newton(base, NewtonSchedule(a1=2, a2=2, c_n=1e4,
                                                      stop_tol=1e-12, rho0=0.03))
         assert settle.converged
-        anchor = settle.candidate
+        anchor = settle.iterate.cand
         for k in range(10):
             noise = random_map(anchor.bands, anchor.k_per.shape, rng,
                                decay=1.5, scale=10.0 ** rng.uniform(-7, -5))
@@ -237,14 +240,14 @@ def test_criterion_7_certificate_end_to_end(golden_omega):
     globs = estimate_global_constants(cand.system)
     res = iterate_newton(cand, sched)
     assert res.converged, res.reason
-    torus = res.candidate
+    torus = res.iterate.cand
     it = evaluate(torus)
     fr = build_frames(torus, it.kitchen)
     report, ledger = certify(it, fr, sched, globs)
     primary_pass = report.passed and report.ratio < 1.0
 
     # garbage candidate must fail loudly
-    report_bad, _ = certify(it, fr, sched, globs, error_norm=1e-2)
+    report_bad = kam_check(it.cand, ledger, 1e-2)
     bad_fails = (not report_bad.passed) and report_bad.ratio > 1.0
 
     if primary_pass:
@@ -263,7 +266,7 @@ def test_criterion_7_certificate_end_to_end(golden_omega):
         re_res = iterate_newton(perturbed, resched)
         assert re_res.converged
         rho_inf = perturbed.rho / sched.a2
-        measured = (re_res.candidate.k_per - perturbed.k_per).norm(rho_inf).value
+        measured = (re_res.iterate.cand.k_per - perturbed.k_per).norm(rho_inf).value
         gamma, tau = perturbed.dio.gamma, perturbed.dio.tau
         bound = ledger_p["E2"] * err_p / (gamma**2 * perturbed.rho ** (2 * tau))
         closeness_ok = measured <= bound
@@ -285,7 +288,7 @@ def test_criterion_7_certificate_end_to_end(golden_omega):
             ratios.append(rep_s.ratio)
             from kamtorus.solver import newton_step
 
-            current = newton_step(it_s, sched, sched.delta(s), step_index=s)[0].cand
+            current = newton_step(it_s, sched, sched.delta(s))[0].cand
         drops = [a / b for a, b in zip(ratios, ratios[1:]) if b > 0]
         fallback_ok = all(drop >= 10.0 for drop in drops) and bad_fails
         announce(7, fallback_ok,

@@ -57,13 +57,14 @@ def without_table(sys_obj):
     return dataclasses.replace(sys_obj, table=None)
 
 
-def test_sampled_hessian_constant_below_hand_bound():
+def test_sampled_hessian_constant_below_hand_bound(monkeypatch):
     """System B without its table: the sampled c_XH_2 must stay below the
     analytic sup bound of the explicit trigonometric third-derivative tensor."""
     eps, w = 0.02, 0.2
     sys_obj = without_table(builtin_system("symmetric_rotors", epsilon=eps,
                                            y_center=[1.0, GOLDEN, 0.0], imag_width=w))
-    g = estimate_global_constants(sys_obj, margin=0.0)
+    monkeypatch.setattr(kamtorus.certificate, "SAMPLED_MARGIN", 0.0)
+    g = estimate_global_constants(sys_obj)
     # trig factors in x1 see |Im| <= w; factors in x2 - x3 see |Im| <= 2w
     C1 = np.cosh(2 * np.pi * w)
     C2 = np.cosh(4 * np.pi * w)
@@ -185,7 +186,8 @@ def test_exact_constants_dominate_lattice_and_corners(monkeypatch, name, selecto
     corners = corner_points(sys_obj)
     monkeypatch.setattr(kamtorus.certificate, "_domain_points",
                         lambda s: np.concatenate([lattice, corners]))
-    seen = estimate_global_constants(without_table(sys_obj), margin=0.0, conserved=conserved)
+    monkeypatch.setattr(kamtorus.certificate, "SAMPLED_MARGIN", 0.0)
+    seen = estimate_global_constants(without_table(sys_obj), conserved=conserved)
     for key in rows:
         assert seen.values[key] <= exact.values[key] <= 1.05 * seen.values[key], key
 
@@ -417,7 +419,8 @@ def test_iso_kam_check_reports_bordered_margin(golden_omega):
     it, globs = iso_flat_torus(golden_omega, 0.0)
     fr = build_frames(it.cand, it.kitchen)
     sched = NewtonSchedule(a1=2, a2=2, rho0=it.cand.rho)
-    report, ledger = certify(it, fr, sched, globs, error_norm=0.0)
+    _, ledger = certify(it, fr, sched, globs)
+    report = kam_check(it.cand, ledger, 0.0)
     assert report.mode == "iso" and ledger.mode == "iso"
     assert report.passed and report.ratio == 0.0
     assert report.margins.get("sigma_Tc") is not None
@@ -426,7 +429,7 @@ def test_iso_kam_check_reports_bordered_margin(golden_omega):
 
 
 def test_iso_certify_default_error_is_the_combined_norm(golden_omega):
-    """Without an override, an iso certificate bounds max(||E||, |E^omega|)."""
+    """An iso certificate bounds max(||E||, |E^omega|)."""
     it, globs = iso_flat_torus(golden_omega, 1e-3)
     assert abs(it.E_omega) > it.E.norm(it.cand.rho).value
     fr = build_frames(it.cand, it.kitchen)
@@ -443,8 +446,8 @@ def test_kam_check_zero_error_passes(golden_omega):
                                  rho=0.1))
     fr = build_frames(it.cand, it.kitchen)
     sched = NewtonSchedule(a1=2, a2=2, rho0=it.cand.rho)
-    report, ledger = certify(it, fr, sched, estimate_global_constants(it.cand.system),
-                             error_norm=0.0)
+    _, ledger = certify(it, fr, sched, estimate_global_constants(it.cand.system))
+    report = kam_check(it.cand, ledger, 0.0)
     assert report.passed and report.ratio == 0.0
     assert report.closeness_K == 0.0
     assert report.header == REPORT_HEADER
@@ -455,8 +458,8 @@ def test_kam_check_garbage_candidate_fails(golden_omega):
                                  rho=0.1))
     fr = build_frames(it.cand, it.kitchen)
     sched = NewtonSchedule(a1=2, a2=2, rho0=it.cand.rho)
-    report, ledger = certify(it, fr, sched, estimate_global_constants(it.cand.system),
-                             error_norm=1.0)
+    _, ledger = certify(it, fr, sched, estimate_global_constants(it.cand.system))
+    report = kam_check(it.cand, ledger, 1.0)
     assert not report.passed
     assert report.ratio > 1.0
     assert report.dominant  # names the dominant constant branch

@@ -305,6 +305,40 @@ def test_ledger_formula_column_evaluates_to_value(tmp_path, overrides):
     assert checked >= 80
 
 
+# the exact keys of log.jsonl and summary.json: a change to them is deliberate
+LOG_KEYS = {
+    ("ordinary", "step"): {"step", "rho", "delta", "err", "tail_fraction", "bands", "err_after",
+                           "delta_k", "solve_residual", "compat", "contraction_bound",
+                           "contraction_ok", "frame_norms", "hypothesis_margins"},
+    ("ordinary", "closing"): {"step", "rho", "delta", "err", "tail_fraction", "bands"},
+    ("iso", "step"): {"step", "rho", "delta", "err", "tail_fraction", "bands", "err_inv",
+                      "err_omega", "omega", "ray_scale", "err_after", "delta_k",
+                      "solve_residual", "compat", "contraction_bound", "contraction_ok",
+                      "frame_norms", "hypothesis_margins", "err_omega_after", "xi_omega",
+                      "ray_margin"},
+    ("iso", "closing"): {"step", "rho", "delta", "err", "tail_fraction", "bands", "err_inv",
+                         "err_omega", "omega", "ray_scale"},
+}
+ISO_SUMMARY_KEYS = {"version", "config", "converged", "reason", "final_error", "steps",
+                    "final_rho", "note", "gamma_scan_limit", "gamma", "omega_initial",
+                    "omega_final", "c0", "c_final", "ray_scale"}
+
+
+def test_log_and_summary_keys_are_pinned(tmp_path):
+    for mode, overrides in (("ordinary", {"system": "lagrangian_rotors"}),
+                            ("iso", {"mode": "iso", "conserved": "H", "c0_offset": 1e-4})):
+        cfg = write_config(tmp_path, epsilon=1e-3, bands=[4, 4], rho0=0.03, **overrides)
+        out = tmp_path / mode
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        log = [json.loads(line) for line in (out / "log.jsonl").read_text().splitlines()]
+        summary = json.loads((out / "summary.json").read_text())
+        assert len(log) > 1 and summary["steps"] == len(log) - 1
+        for rec in log[:-1]:
+            assert set(rec) == LOG_KEYS[mode, "step"]
+        assert set(log[-1]) == LOG_KEYS[mode, "closing"]
+    assert set(summary) == ISO_SUMMARY_KEYS
+
+
 @pytest.fixture(scope="module")
 def solved_tori(tmp_path_factory):
     """The torus document of a small solve in each mode."""
@@ -337,8 +371,17 @@ def _short_map(doc):
     ("iso", lambda doc: doc.update(rho=0.5), "rho"),  # the strip leaves the domain
     ("iso", _drop("c0"), "c0"),
     ("iso", lambda doc: doc.update(c0="x"), "c0"),
+    ("iso", lambda doc: doc.update(c0=float("nan")), "c0"),
+    ("ordinary", lambda doc: doc["dio"].update(gamma=float("nan")), "dio"),
+    ("ordinary", lambda doc: doc["dio"].update(tau=float("inf")), "dio"),
+    ("ordinary", lambda doc: doc["dio"].update(scan_limit=1000.7), "dio"),
+    ("ordinary", lambda doc: doc.update(angle_block="false"), "angle_block"),
+    ("iso", _drop("ray_scale"), "ray_scale"),
+    ("iso", lambda doc: doc.update(ray_scale="1.3"), "ray_scale"),
 ], ids=["dio-missing", "rho-string", "rho-negative", "grid-too-small", "grid-not-2N+1",
-        "omega-short", "map-short", "rho-outside-domain", "c0-missing", "c0-string"])
+        "omega-short", "map-short", "rho-outside-domain", "c0-missing", "c0-string", "c0-nan",
+        "gamma-nan", "tau-inf", "scan-limit-fraction", "angle-block-string",
+        "ray-scale-missing", "ray-scale-string"])
 def test_certify_malformed_torus_exit_two_names_field(tmp_path, capsys, solved_tori, mode,
                                                        spoil, field):
     doc = json.loads(json.dumps(solved_tori[mode]))

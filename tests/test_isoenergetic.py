@@ -122,7 +122,7 @@ def test_newton_step_iso_no_error_no_change():
     c0 = float(grid_kitchen(cand, conserved).c_map.average().real[0, 0])
     sched = NewtonSchedule(a1=2, a2=2, c_n=100.0, rho0=cand.rho)
     target = IsoTarget(conserved, c0)
-    nxt, diag = newton_step_iso(target.evaluate(cand, ray), target, sched, cand.rho / 12.0)
+    nxt, _ = newton_step_iso(target.evaluate(cand, ray), target, sched, cand.rho / 12.0)
     new_cand, new_ray = nxt.cand, nxt.ray
     assert np.max(np.abs((new_cand.k_per - cand.k_per).coeffs)) < 1e-13
     assert abs(new_ray.scale - ray.scale) < 1e-14
@@ -137,15 +137,23 @@ def test_newton_step_iso_level_gain():
                            max_iters=10)
     settled = iterate_newton(cand, sched, IsoTarget(conserved, seed_level), ray)
     assert settled.converged
-    base, base_ray = settled.candidate, settled.ray
-    c0 = settled.c_final + 1e-4
+    base, base_ray = settled.iterate.cand, settled.iterate.ray
+    c0 = seed_level + settled.iterate.E_omega + 1e-4  # the settled level + 1e-4
     sched2 = NewtonSchedule(a1=2, a2=2, c_n=1e4, rho0=base.rho)
     target = IsoTarget(conserved, c0)
-    nxt, diag = newton_step_iso(target.evaluate(base, base_ray), target, sched2,
-                                base.rho / 12.0)
-    assert abs(diag.err_omega_before) == pytest.approx(1e-4)
-    assert abs(diag.err_omega_before) / max(abs(diag.err_omega_after), 1e-300) >= 1e2
-    assert diag.ray_margin > 0
+    it = target.evaluate(base, base_ray)
+    nxt, rec = newton_step_iso(it, target, sched2, base.rho / 12.0)
+    assert abs(it.E_omega) == pytest.approx(1e-4)
+    assert abs(it.E_omega) / max(abs(rec["err_omega_after"]), 1e-300) >= 1e2
+    assert rec["ray_margin"] > 0
+
+
+def test_nan_level_error_makes_the_combined_norm_nan():
+    """A NaN E^omega is not dropped from max(||E||, |E^omega|)."""
+    cand, ray = iso_setup(eps=0.0, bands=(4, 4), rho=0.05)
+    it = IsoTarget(cand.system.conserved("H"), float("nan")).evaluate(cand, ray)
+    assert np.isnan(it.E_omega) and np.isfinite(it.E.norm(cand.rho).value)
+    assert np.isnan(it.combined_norm(cand.rho))
 
 
 def test_rescan_certificate_scales_with_frequency():
@@ -167,7 +175,7 @@ def test_iterate_iso_exact_level_keeps_frequency():
     sched = NewtonSchedule(a1=2, a2=2, c_n=100.0, rho0=cand.rho, stop_tol=1e-12)
     res = iterate_newton(cand, sched, IsoTarget(conserved, c0), ray)
     assert res.converged and "0 steps" in res.reason
-    assert res.omega_final.tobytes() == res.omega_initial.tobytes()
+    assert res.iterate.cand.omega.tobytes() == ray.omega.tobytes()
 
 
 @pytest.mark.parametrize("selector", ["H", ("p", 0)])
@@ -180,12 +188,13 @@ def test_iterate_iso_targets_offset_level(selector):
                            max_iters=10)
     res = iterate_newton(cand, sched, IsoTarget(conserved, c0), ray)
     assert res.converged, res.reason
-    assert abs(res.c_final - c0) <= 1e-11
-    assert res.ray.boundary_margin() > 0
+    last = res.iterate
+    assert abs((c0 + last.E_omega) - c0) <= 1e-11
+    assert last.ray.boundary_margin() > 0
     # ray direction bit-stable across the run
-    assert res.ray.omega_star.tobytes() == ray.omega_star.tobytes()
+    assert last.ray.omega_star.tobytes() == ray.omega_star.tobytes()
     # the final frequency is scale * omega_star exactly
-    assert res.omega_final.tobytes() == (res.ray.scale * ray.omega_star).tobytes()
+    assert last.cand.omega.tobytes() == (last.ray.scale * ray.omega_star).tobytes()
 
 
 def test_iso_on_lagrangian_tori():
@@ -203,7 +212,7 @@ def test_iso_on_lagrangian_tori():
                            max_iters=10)
     res = iterate_newton(cand, sched, IsoTarget(conserved, c0), ray)
     assert res.converged, res.reason
-    assert abs(res.c_final - c0) <= 1e-11
+    assert abs((c0 + res.iterate.E_omega) - c0) <= 1e-11
 
 
 def test_iso_per_step_contraction_ledger():
@@ -220,7 +229,7 @@ def test_iso_per_step_contraction_ledger():
     hook = contraction_constant_factory(globs, sched)
     res = iterate_newton(cand, sched, IsoTarget(conserved, seed_level + 1e-3), ray, hook)
     assert res.converged
-    assert res.steps and all(st.contraction_ok for st in res.steps)
+    assert len(res.log) > 1 and all(rec["contraction_ok"] for rec in res.log[:-1])
 
 
 def test_custom_conserved_quantity_verification():
@@ -259,9 +268,9 @@ def test_iso_frequency_drift_within_reported_bound():
                            max_iters=10)
     settled = iterate_newton(cand, sched, IsoTarget(conserved, seed_level), ray)
     assert settled.converged
-    base, base_ray = settled.candidate, settled.ray
+    base, base_ray = settled.iterate.cand, settled.iterate.ray
 
-    c0 = settled.c_final + 1e-6
+    c0 = seed_level + settled.iterate.E_omega + 1e-6  # the settled level + 1e-6
     it = IsoTarget(conserved, c0).evaluate(base, base_ray)
     err_c = it.combined_norm(base.rho)
     globs = estimate_global_constants(base.system, conserved=conserved)
@@ -272,7 +281,7 @@ def test_iso_frequency_drift_within_reported_bound():
                              max_iters=8)
     res = iterate_newton(base, resched, IsoTarget(conserved, c0), base_ray)
     assert res.converged
-    measured = float(np.max(np.abs(res.omega_final - base.omega)))
+    measured = float(np.max(np.abs(res.iterate.cand.omega - base.omega)))
     gamma, tau = base.dio.gamma, base.dio.tau
     bound = ledger["E3"] * err_c / (gamma * base.rho**tau)
     assert measured <= bound
@@ -288,7 +297,8 @@ def test_bottom_row_limit_on_converged_torus():
                            max_iters=10)
     res = iterate_newton(cand, sched, IsoTarget(conserved, seed_level + 1e-3), ray)
     assert res.converged
-    fr = build_frames(res.candidate, grid_kitchen(res.candidate, conserved))
-    omega_hat = np.concatenate([res.omega_final, np.zeros(res.candidate.system.n - 2)])
+    final = res.iterate.cand
+    fr = build_frames(final, grid_kitchen(final, conserved))
+    omega_hat = np.concatenate([final.omega, np.zeros(final.system.n - 2)])
     row = fr.Tdown.add_constant(-omega_hat[None, :])
     assert row.norm(0.0).value <= 1e-8

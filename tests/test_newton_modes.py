@@ -44,5 +44,5 @@ def test_iso_band_refinement_from_coarse_seed():
     refined = [rec["band_refined_to"] for rec in res.log if "band_refined_to" in rec]
     assert refined
     assert res.converged, res.reason
-    assert res.candidate.bands == tuple(refined[-1]) > cand.bands
-    assert abs(res.c_final - c0) <= 1e-11
+    assert res.iterate.cand.bands == tuple(refined[-1]) > cand.bands
+    assert abs((c0 + res.iterate.E_omega) - c0) <= 1e-11
