@@ -57,7 +57,7 @@ def main():
             print(json.dumps(out, sort_keys=True))
         slope = contraction_slope(res.log)
         print(json.dumps({"system": name, "converged": res.converged,
-                          "steps": len(res.log) - 1, "final_error": res.final_error,
+                          "steps": len(res.log) - 1, "final_error": res.log[-1]["err"],
                           "contraction_exponent": slope}, sort_keys=True))
         if not res.converged:
             print(f"{name}: {res.reason}", file=sys.stderr)

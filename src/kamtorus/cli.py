@@ -308,6 +308,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         target = IsoTarget(conserved, c0)
     result = iterate_newton(cand, schedule, target, ray)
     last = result.iterate
+    final_error = result.log[-1]["err"]
     final = last.cand
     if target is not None:
         extra = {"omega_initial": ray.omega.tolist(), "omega_final": final.omega.tolist(),
@@ -322,7 +323,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         "config": asdict(cfg),
         "converged": result.converged,
         "reason": result.reason,
-        "final_error": result.final_error,
+        "final_error": final_error,
         "steps": len(result.log) - 1,
         "final_rho": final.rho,
         "note": "error norms are Fourier majorants of the truncated model; "
@@ -333,7 +334,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     summary.update(extra)
     _json_dump(summary, out_dir / "summary.json")
     print(f"{'converged' if result.converged else 'FAILED'}: {result.reason}; "
-          f"final error {result.final_error:.3e}; outputs in {out_dir}")
+          f"final error {final_error:.3e}; outputs in {out_dir}")
     return 0 if result.converged else 1
 
 

@@ -472,7 +472,8 @@ def matmul(a: FourierMap, b: FourierMap, out_bands=None, work_grid=None) -> Four
     sample arrays and analysed back with a real FFT.  A zero operand gives
     zeros, and a constant operand (every mode off k = 0 exactly zero)
     multiplies the other operand's coefficients directly; both shortcuts skip
-    the FFTs and return the bands and shape of the transform path.
+    the FFTs, use no work grid and return the exact product zero-padded to
+    ``out_bands``, in the shape of the transform path.
     """
     if a.bands != b.bands and len(a.bands) != len(b.bands):
         raise FourierShapeError("operands live on different tori")
@@ -481,9 +482,6 @@ def matmul(a: FourierMap, b: FourierMap, out_bands=None, work_grid=None) -> Four
     if out_bands is None:
         out_bands = tuple(na + nb for na, nb in zip(a.bands, b.bands))
     out_bands = tuple(int(n) for n in out_bands)
-    work = dealias_grid(a.bands, b.bands, out_bands) if work_grid is None else tuple(work_grid)
-    if any(m < 2 * n + 1 for n, m in zip(out_bands, work)):
-        raise FourierShapeError("work grid too small for requested output bands")
     if not (np.any(a.coeffs) and np.any(b.coeffs)):
         return FourierMap.zeros(out_bands, (a.shape[0], b.shape[1]))
     # a constant factor scales the other one's kept modes, zero-padded to out_bands
@@ -491,6 +489,9 @@ def matmul(a: FourierMap, b: FourierMap, out_bands=None, work_grid=None) -> Four
         return _scaled_fit(b, out_bands, lambda f: f.rmatmul_constant(a.average()))
     if _is_constant(b):
         return _scaled_fit(a, out_bands, lambda f: f.matmul_constant(b.average()))
+    work = dealias_grid(a.bands, b.bands, out_bands) if work_grid is None else tuple(work_grid)
+    if any(m < 2 * n + 1 for n, m in zip(out_bands, work)):
+        raise FourierShapeError("work grid too small for requested output bands")
     prod = _real_samples(a, work) @ _real_samples(b, work)
     return FourierMap(_real_analysis(prod, out_bands), out_bands)
 

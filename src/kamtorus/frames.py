@@ -17,7 +17,7 @@ ingredients (compositions with the system callbacks, pointwise inverses) are
 sampled as real arrays on the work grid of ``work_grid`` (the smallest size
 >= 4N+1 per axis with no prime factor above 3), analysed with real FFTs and
 truncated back, except that the maps of a canonical structure are built as
-exact constants.  The rank check of L and the samples of K are real
+exact one-mode constants.  The rank check of L and the samples of K are real
 syntheses too.  ``build_frames`` builds only what the Newton step and the
 certificate read; no solve or certificate builds the error maps.  The (1,2)
 block of E_red repeats the torsion's products call for call, so its
@@ -199,7 +199,10 @@ class GridKitchen:
 
     One kitchen is built per candidate, where its Iterate is made; ``Dc`` and
     ``c_map`` (the target conserved quantity) are set in iso mode only.  ``L``
-    is the tangent family (DK  X_p o K).
+    is the tangent family (DK  X_p o K).  For a canonical structure, Omega,
+    G, J and tOmega hold only their k = 0 mode (bands (0,) * d): ``matmul``
+    scales the other factor by a constant operand, so every product and norm
+    is the one of the full-band constant, bit for bit.
     """
 
     cand: TorusCandidate
@@ -222,9 +225,9 @@ def grid_kitchen(cand: TorusCandidate, conserved: ConservedQuantity | None = Non
     def analyze(samples):
         return FourierMap.from_samples(samples, bands)
 
-    if sys.geometry.is_canonical:  # constant structure: one point, no transform
+    if sys.geometry.is_canonical:  # constant structure: one point, one mode, no transform
         def structure(callback):
-            return FourierMap.constant(callback(kv[(0,) * cand.d][None])[0], bands)
+            return FourierMap.constant(callback(kv[(0,) * cand.d][None])[0], (0,) * cand.d)
     else:
         def structure(callback):
             return analyze(callback(kv))

@@ -252,10 +252,29 @@ def newton_correction(it: Iterate, schedule: NewtonSchedule, delta: float,
     xi^omega and the ray margin.  With an iso ``target`` the frequency moves
     too, along ``it.ray``, through the bordered solve.  The next candidate
     lives on the strip rho - 3*delta.  ``contraction_ledger`` is as in
-    iterate_newton.  Raises HypothesisError (named), CompatibilityError,
+    iterate_newton.  The frames and the step's products live only in
+    :func:`_correction`, so they are released before the next candidate's
+    kitchen is built.  Raises HypothesisError (named), CompatibilityError,
     TwistDegeneracyError, FrameRankError, SingularGramError, RayExitError or
     DomainEscapeError on failure.
     """
+    new_cand, ray, mid_rho, partial = _correction(it, schedule, delta, target,
+                                                  contraction_ledger)
+    nxt = evaluate(new_cand, target, ray)
+    err_after = nxt.E.norm(mid_rho).value
+    rec = {"err_after": err_after, **partial}
+    if ray is not None:
+        rec["err_omega_after"] = nxt.E_omega
+    if rec["contraction_bound"] is not None:
+        measured = err_after if ray is None else np.maximum(err_after, abs(nxt.E_omega))
+        rec["contraction_ok"] = bool(measured <= rec["contraction_bound"])
+    return nxt, rec
+
+
+def _correction(it: Iterate, schedule: NewtonSchedule, delta: float,
+                target: IsoTarget | None, contraction_ledger):
+    """The corrected candidate of ``it``, its ray (None in ordinary mode), the
+    middle strip, and every record field of the step that reads the frames."""
     cand, kk = it.cand, it.kitchen
     rho = cand.rho
     if not 0 < 3 * delta < rho:
@@ -289,25 +308,20 @@ def newton_correction(it: Iterate, schedule: NewtonSchedule, delta: float,
     if margin <= 0:
         raise HypothesisError("domain", f"corrected torus leaves the domain (margin {margin:.3e})")
 
-    nxt = evaluate(new_cand, target, ray)
     mid_rho = max(rho - 2 * delta, new_cand.rho)
-    err_after = nxt.E.norm(mid_rho).value
     margins = {"domain_margin": margin, "smallness": c_small - err / delta}
-    rec = {"err_after": err_after, "delta_k": delta_K.norm(mid_rho).value,
+    rec = {"delta_k": delta_K.norm(mid_rho).value,
            "solve_residual": sdiag["residual"], "compat": sdiag["compat"],
            "contraction_bound": None, "contraction_ok": None,
            "frame_norms": fr.norm_table(rho, delta), "hypothesis_margins": margins}
     if ray is not None:
         margins["ray_margin"] = ray.boundary_margin()
-        rec.update(err_omega_after=nxt.E_omega, xi_omega=xi_omega,
-                   ray_margin=margins["ray_margin"])
+        rec.update(xi_omega=xi_omega, ray_margin=margins["ray_margin"])
     if contraction_ledger is not None:
         c_e = contraction_ledger(it, fr, delta)
         gamma, tau = cand.dio.gamma, cand.dio.tau
-        bound = c_e / (gamma**4 * delta ** (4 * tau)) * err**2
-        measured = err_after if ray is None else np.maximum(err_after, abs(nxt.E_omega))
-        rec.update(contraction_bound=bound, contraction_ok=bool(measured <= bound))
-    return nxt, rec
+        rec["contraction_bound"] = c_e / (gamma**4 * delta ** (4 * tau)) * err**2
+    return new_cand, ray, mid_rho, rec
 
 
 def newton_step(it: Iterate, schedule: NewtonSchedule, delta: float, contraction_ledger=None):
@@ -330,7 +344,6 @@ class SolveResult:
     converged: bool
     reason: str
     iterate: Iterate
-    final_error: float
     log: list
 
 
@@ -358,9 +371,6 @@ def iterate_newton(cand: TorusCandidate, schedule: NewtonSchedule,
     increases = 0
     prev_err = None
 
-    def finish(converged: bool, reason: str, err: float) -> SolveResult:
-        return SolveResult(converged, reason, it, err, log)
-
     for s in itertools.count():
         rho = it.cand.rho
         err = it.combined_norm(rho)
@@ -371,7 +381,7 @@ def iterate_newton(cand: TorusCandidate, schedule: NewtonSchedule,
                        omega=it.cand.omega.tolist(), ray_scale=it.ray.scale)
         log.append(rec)
         if err <= schedule.stop_tol:
-            return finish(True, f"converged in {s} steps", err)
+            return SolveResult(True, f"converged in {s} steps", it, log)
         if schedule.band_refinement and rec["tail_fraction"] > schedule.tail_threshold:
             new_bands = tuple(2 * n for n in it.cand.bands)
             padded = it.cand.k_per.pad_bands(new_bands)
@@ -380,15 +390,15 @@ def iterate_newton(cand: TorusCandidate, schedule: NewtonSchedule,
         if prev_err is not None:
             increases = increases + 1 if err > prev_err else 0
             if increases >= 2:
-                return finish(False, "divergence: error grew twice consecutively", err)
+                return SolveResult(False, "divergence: error grew twice consecutively", it, log)
         if s >= schedule.max_iters:
-            return finish(False, f"iteration cap {schedule.max_iters} reached", err)
+            return SolveResult(False, f"iteration cap {schedule.max_iters} reached", it, log)
         try:
             nxt, step_rec = (newton_step if target is None else target.step)(
                 it, schedule, schedule.delta(s), contraction_ledger)
         except (HypothesisError, CompatibilityError, TwistDegeneracyError, FrameRankError,
                 SingularGramError, RayExitError) as exc:
-            return finish(False, f"step {s}: {exc}", err)
+            return SolveResult(False, f"step {s}: {exc}", it, log)
         rec.update(step_rec)
         prev_err = err
         it = nxt

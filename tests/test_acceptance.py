@@ -145,7 +145,7 @@ def test_criterion_4_quadratic_convergence(name, eps, golden_omega):
     per_step_ok = all(rec["contraction_ok"] for rec in res.log[:-1])
     ok = (res.converged and steps <= 8 and elapsed < 60.0
           and slope is not None and 1.7 <= slope <= 2.3 and per_step_ok)
-    announce(4, ok, f"{name}: {steps} steps, final {res.final_error:.2e}, "
+    announce(4, ok, f"{name}: {steps} steps, final {res.log[-1]['err']:.2e}, "
                     f"slope {slope}, ledger inequality {per_step_ok}, {elapsed:.1f}s")
 
 

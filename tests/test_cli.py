@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -627,3 +628,23 @@ def test_kamtorus_threads_caps_the_backends_before_numpy_starts(tmp_path):
                           cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == ["1", "1"]
+
+
+def test_solve_peak_memory_bounded(tmp_path):
+    """A canonical structure's four maps are one-mode constants, and a step's
+    frames are released before the next candidate's kitchen is built.  With
+    full-band constants still alive there, this solve peaked at about 4.6 MB
+    above entry; it peaks at about 2.7 MB."""
+    from kamtorus.cli import cmd_solve
+
+    cfg = RunConfig(system="lagrangian_rotors", epsilon=0.02, bands=[16, 16], rho0=0.03,
+                    stop_tol=1e-12).validate()
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        code = cmd_solve(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak - entry < 3.3e6

@@ -659,3 +659,42 @@ def test_matmul_constant_shortcut_equals_copies_bit_for_bit(side, out_bands):
     ref = reference_constant_product(const, varying, side, out_bands)
     assert got.bands == out_bands
     assert got.coeffs.tobytes() == ref.tobytes()
+
+
+def test_matmul_constant_and_zero_products_need_no_work_grid():
+    """The shortcuts transform nothing, so an output band past the operands'
+    dealiasing grid still gets the exact product, zero-padded; only a
+    transform product checks its work grid."""
+    rng = np.random.default_rng(12)
+    f = FourierMap(_awkward_coeffs((33, 33), (2, 3), rng), (16, 16))
+    cases = [(FourierMap.constant(np.eye(2), (0, 0)), (32, 32)),
+             (FourierMap.constant(_awkward_matrix((2, 2), rng), (16, 16)), (40, 40))]
+    for const, out_bands in cases:
+        got = matmul(const, f, out_bands=out_bands)
+        assert got.bands == out_bands
+        assert got.coeffs.tobytes() == \
+            reference_constant_product(const, f, "left", out_bands).tobytes()
+    zero = FourierMap.zeros((4, 4), (2, 2))
+    got = matmul(zero, zero, out_bands=(16, 16))
+    assert (got.bands, got.shape) == ((16, 16), (2, 2)) and not np.any(got.coeffs)
+    a = _operand("varying", (3, 4), (2, 2), rng)
+    with pytest.raises(FourierShapeError, match="work grid too small"):
+        matmul(a, a, out_bands=(3, 4), work_grid=(6, 9))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("out_bands", [(2, 3), (4, 5)])
+def test_one_mode_constant_equals_full_band_constant_bit_for_bit(side, out_bands):
+    """A constant held at bands (0, 0) gives the bytes of the same constant on
+    the other factor's full band, as either factor, and the same norms."""
+    rng = np.random.default_rng(len(side) + sum(out_bands))
+    matrix = _awkward_matrix((3, 3), rng)
+    varying = FourierMap(_awkward_coeffs((9, 11), (3, 3), rng), (4, 5))
+    one, full = FourierMap.constant(matrix, (0, 0)), FourierMap.constant(matrix, (4, 5))
+    pairs = [((c, varying) if side == "left" else (varying, c)) for c in (one, full)]
+    got, want = (matmul(a, b, out_bands=out_bands) for a, b in pairs)
+    assert got.bands == want.bands == out_bands
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    for rho in (0.0, 0.05):
+        for transpose in (False, True):
+            assert one.norm(rho, transpose).value == full.norm(rho, transpose).value

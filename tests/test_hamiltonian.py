@@ -317,10 +317,12 @@ def test_grid_kitchen_structure_maps_constant_only_when_canonical():
     kk = grid_kitchen(cand)
     for got, mat in ((kk.Omega, omega0), (kk.G, np.eye(4)), (kk.J, omega0),
                      (kk.tOmega, omega0)):
+        assert got.bands == (0, 0)  # one mode: matmul scales the other factor by it
         assert np.array_equal(got.coeffs, FourierMap.constant(mat, got.bands).coeffs)
     scaled = cand.with_updates(system=dataclasses.replace(cand.system,
                                                           geometry=scaled_structure(2)))
     kk = grid_kitchen(scaled)
     for got, mat in ((kk.G, 2.0 * np.eye(4)), (kk.J, 2.0 * omega0), (kk.tOmega, 4.0 * omega0)):
+        assert got.bands == cand.bands
         want = FourierMap.constant(mat, got.bands).coeffs
         assert np.max(np.abs(got.coeffs - want)) <= 1e-14
