@@ -1,16 +1,12 @@
 #!/usr/bin/env python3
-"""Record ``tests/outputs_golden.json``: the SHA-256 of the five outputs of
-solve + certify for each pinned config, with the numpy version and the
-platform they were made on.
+"""Record ``tests/outputs_golden.json``: the exit codes and the SHA-256 of the
+five outputs of solve + certify, run in process, for ``make_config`` seed 1 of
+three workloads and an iso ``p:0`` config, with the numpy version and platform.
 
     PYTHONPATH=src python scripts/record_outputs_golden.py
 
-The configs are ``perfbench/workloads.make_config`` at seed 1 for three
-workloads, and an iso config on the level of ``p:0`` at bands 8.  Both
-commands run in this process, as ``tests/test_outputs_golden.py`` runs them;
-the bytes are those that ``kamtorus solve`` and ``kamtorus certify`` write.
-A change that moves an output on purpose reruns this script and lists in
-CHANGES.md which digests moved and why.
+Rerun it after a change that moves an output on purpose, and say in CHANGES.md
+which digests moved and why.
 """
 
 import hashlib

@@ -10,36 +10,20 @@ sweep; the report line marks every ratio < 1.
 import argparse
 import json
 
-import numpy as np
-
-from kamtorus import (
-    DiophantineParams,
-    NewtonSchedule,
-    build_frames,
-    builtin_system,
-    certify,
-    estimate_gamma,
-    estimate_global_constants,
-    iterate_newton,
-    seed_torus,
-)
-
-GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+from kamtorus import build_frames, certify, estimate_global_constants, iterate_newton
+from kamtorus.cli import RunConfig, start_run
 
 
 def run_one(eps, bands_n, rho0, tau, sigma_factor):
-    omega = np.array([1.0, GOLDEN])
-    sys_obj = builtin_system("lagrangian_rotors", epsilon=eps, y_center=omega,
-                             y_radius=0.5, imag_width=0.2)
-    dio = DiophantineParams(omega, estimate_gamma(omega, tau, 1000), tau, 1000)
-    cand = seed_torus(sys_obj, dio, (bands_n, bands_n), rho0)
-    sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, max_iters=12, stop_tol=1e-13,
-                           rho0=rho0)
-    res = iterate_newton(cand, sched)
+    # the config's defaults: lagrangian_rotors at omega = (1, golden mean), a1 = a2 = 2
+    cfg = RunConfig(epsilon=eps, bands=[bands_n] * 2, rho0=rho0, tau=tau, stop_tol=1e-13,
+                    sigma_factor=sigma_factor).validate()
+    seed, sched, _ = start_run(cfg)
+    res = iterate_newton(seed, sched)
     if not res.converged:
         return {"eps": eps, "bands": bands_n, "rho0": rho0, "tau": tau,
                 "converged": False, "reason": res.reason}
-    globs = estimate_global_constants(sys_obj)
+    globs = estimate_global_constants(res.iterate.cand.system)
     it = res.iterate
     frames = build_frames(it.cand, it.kitchen)
     report, ledger = certify(it, frames, sched, globs, sigma_factor=sigma_factor)

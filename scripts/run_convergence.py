@@ -10,30 +10,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from kamtorus import (
-    DiophantineParams,
-    NewtonSchedule,
-    builtin_system,
-    contraction_slope,
-    estimate_gamma,
-    estimate_global_constants,
-    iterate_newton,
-    seed_torus,
-)
+from kamtorus import contraction_slope, estimate_global_constants, iterate_newton
 from kamtorus.certificate import contraction_constant_factory
-
-GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
-
-
-def seed(system_name, eps, omega, bands, rho):
-    y_center = np.zeros(builtin_system(system_name).n)
-    y_center[: len(omega)] = omega
-    sys_obj = builtin_system(system_name, epsilon=eps, y_center=y_center,
-                             y_radius=0.5, imag_width=0.2)
-    dio = DiophantineParams(omega, estimate_gamma(omega, 1.0, 1000), 1.0, 1000)
-    return seed_torus(sys_obj, dio, bands, rho)
+from kamtorus.cli import RunConfig, start_run
 
 
 def main():
@@ -42,14 +21,13 @@ def main():
     ap.add_argument("--rho0", type=float, default=0.03)
     args = ap.parse_args()
 
-    omega = np.array([1.0, GOLDEN])
     for name, eps in (("lagrangian_rotors", 0.02), ("symmetric_rotors", 0.01)):
-        cand = seed(name, eps, omega, (args.bands, args.bands), args.rho0)
-        sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, max_iters=10, stop_tol=1e-12,
-                               rho0=args.rho0)
-        globs = estimate_global_constants(cand.system)
-        hook = contraction_constant_factory(globs, sched)
-        res = iterate_newton(cand, sched, contraction_ledger=hook)
+        # the config's defaults: omega = (1, golden mean), tau = 1, a1 = a2 = 2
+        cfg = RunConfig(system=name, epsilon=eps, bands=[args.bands] * 2, rho0=args.rho0,
+                        max_iters=10, stop_tol=1e-12).validate()
+        seed, sched, _ = start_run(cfg)
+        hook = contraction_constant_factory(estimate_global_constants(seed.cand.system), sched)
+        res = iterate_newton(seed, sched, contraction_ledger=hook)
         for rec in res.log:
             out = {"system": name, "epsilon": eps}
             out.update({k: v for k, v in rec.items()

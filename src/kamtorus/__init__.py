@@ -13,24 +13,17 @@ if _threads := os.environ.get("KAMTORUS_THREADS"):
         os.environ.setdefault(_var, _threads)
 
 from .certificate import certify, estimate_global_constants
-from .cohomology import DiophantineParams, estimate_gamma
 from .fourier import matmul
-from .frames import build_frames, seed_torus
-from .hamiltonian import builtin_system
-from .solver import NewtonSchedule, contraction_slope, evaluate, iterate_newton
+from .frames import build_frames
+from .solver import contraction_slope, evaluate, iterate_newton
 
 __all__ = [
-    "DiophantineParams",
-    "NewtonSchedule",
     "__version__",
     "build_frames",
-    "builtin_system",
     "certify",
     "contraction_slope",
-    "estimate_gamma",
     "estimate_global_constants",
     "evaluate",
     "iterate_newton",
     "matmul",
-    "seed_torus",
 ]

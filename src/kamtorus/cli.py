@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from .fourier import FourierMap
 from .frames import TorusCandidate, build_frames, seed_torus
 from .hamiltonian import (builtin_dims, builtin_system, check_derivatives, verify_commutation,
                           verify_involution)
-from .isoenergetic import FrequencyRay, IsoTarget, total_error
+from .isoenergetic import FrequencyRay, IsoTarget
 from .certificate import certify, estimate_global_constants
 from .solver import NewtonSchedule, evaluate, iterate_newton
 
@@ -145,11 +145,20 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | None, overrides: dict) -> "RunConfig":
-        data = {}
-        if path:
-            with open(path) as fh:
-                data = json.load(fh)
+        data = _read_json(path, "config file") if path else {}
         return cls.from_dict({**data, **{k: v for k, v in overrides.items() if v is not None}})
+
+
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in ``path``; a ConfigError naming the file if it cannot be
+    read or parsed, or holds another JSON value."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError too
+        raise ConfigError(f"{what} {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} {path}: must be a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 _SPLICE = "\0coeffs"  # placeholder of the coefficient list while the rest is encoded
@@ -214,15 +223,29 @@ def _schedule(cfg: RunConfig) -> NewtonSchedule:
                           stop_tol=cfg.stop_tol, rho0=cfg.rho0)
 
 
-def _build_setup(cfg: RunConfig):
-    """System, seed candidate, schedule and (iso) ray from a validated config."""
+def _setup(cfg: RunConfig):
+    """System, Diophantine data and (iso) ray of a validated config's seed frequency."""
     omega, ray = _seed_frequency(cfg)
     # a ray point s*omega_* with s > 1 inherits the scan certificate of omega_*,
     # which the construction checks; in ordinary mode gamma is omega's own scan
     gamma = estimate_gamma(omega if ray is None else ray.omega_star, cfg.tau, cfg.scan_limit)
-    sys_obj = _system(cfg, omega)
     dio = DiophantineParams(omega, gamma, cfg.tau, cfg.scan_limit, check=ray is not None)
-    return sys_obj, seed_torus(sys_obj, dio, cfg.bands, cfg.rho0), _schedule(cfg), ray
+    return _system(cfg, omega), dio, ray
+
+
+def start_run(cfg: RunConfig):
+    """The evaluated seed ``Iterate`` of a validated config (the integrable-limit
+    torus at the seed frequency), its ``NewtonSchedule`` and its ``IsoTarget``:
+    in iso mode the seed's own level, read from the seed's one kitchen, plus
+    ``c0_offset``; ``None`` in ordinary mode."""
+    sys_obj, dio, ray = _setup(cfg)
+    cand = seed_torus(sys_obj, dio, cfg.bands, cfg.rho0)
+    if ray is None:
+        return evaluate(cand), _schedule(cfg), None
+    conserved = sys_obj.conserved(_selector(cfg))
+    seed = evaluate(cand, IsoTarget(conserved, 0.0), ray)  # its level error is the seed's level
+    target = IsoTarget(conserved, seed.E_omega + cfg.c0_offset)
+    return replace(seed, E_omega=seed.E_omega - target.c0), _schedule(cfg), target
 
 
 def _candidate_doc(cand: TorusCandidate, cfg: RunConfig, extra: dict | None = None) -> dict:
@@ -300,18 +323,18 @@ def _selector(cfg: RunConfig):
 
 def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    sys_obj, cand, schedule, ray = _build_setup(cfg)
-    target, extra = None, {}
-    if cfg.mode == "iso":
-        conserved = sys_obj.conserved(_selector(cfg))
-        c0 = total_error(cand, conserved, 0.0).E_omega + cfg.c0_offset  # seed level + offset
-        target = IsoTarget(conserved, c0)
-    result = iterate_newton(cand, schedule, target, ray)
+    start = list(start_run(cfg))  # seed, schedule, target
+    schedule, target = start[1:]
+    # the seed is popped rather than named, so that once the loop steps past it
+    # nothing holds its kitchen (CPython >= 3.11 moves call arguments into the
+    # callee's frame); a named seed raised the iso-b16 tracemalloc peak by 1.3 MB
+    result = iterate_newton(start.pop(0), schedule, target)
     last = result.iterate
     final_error = result.log[-1]["err"]
     final = last.cand
+    extra = {}
     if target is not None:
-        extra = {"omega_initial": ray.omega.tolist(), "omega_final": final.omega.tolist(),
+        extra = {"omega_initial": result.log[0]["omega"], "omega_final": final.omega.tolist(),
                  "c0": target.c0, "c_final": target.c0 + last.E_omega,
                  "ray_scale": last.ray.scale}
 
@@ -328,8 +351,8 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         "final_rho": final.rho,
         "note": "error norms are Fourier majorants of the truncated model; "
                 "tails beyond the band limit are not certified",
-        "gamma_scan_limit": cand.dio.scan_limit,
-        "gamma": cand.dio.gamma,
+        "gamma_scan_limit": final.dio.scan_limit,
+        "gamma": final.dio.gamma,
     }
     summary.update(extra)
     _json_dump(summary, out_dir / "summary.json")
@@ -345,7 +368,7 @@ def cmd_certify(torus_path: str, cfg_overrides: dict, out_dir: Path) -> int:
     benchmark's child process (``perfbench/child.py``) passes it positionally.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    doc = json.loads(Path(torus_path).read_text())
+    doc = _read_json(torus_path, "torus file")
     cand, cfg, schedule, ray = _candidate_from_doc(doc)
     conserved = target = None
     if cfg.mode == "iso":
@@ -367,7 +390,7 @@ def cmd_certify(torus_path: str, cfg_overrides: dict, out_dir: Path) -> int:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    sys_obj, cand, _, _ = _build_setup(cfg)
+    sys_obj, _, _ = _setup(cfg)  # the divisor scans refuse a resonant frequency
     inv = verify_involution(sys_obj)
     comm = verify_commutation(sys_obj)
     deriv = check_derivatives(sys_obj)
@@ -392,8 +415,7 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 def cmd_plotdata(torus_path: str, out_dir: Path, log_path: str | None = None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    doc = json.loads(Path(torus_path).read_text())
-    cand, _, _, _ = _candidate_from_doc(doc)
+    cand, _, _, _ = _candidate_from_doc(_read_json(torus_path, "torus file"))
     vals = cand.k_values(cand.grid)
     d = cand.d
     axes = [np.arange(m) / m for m in cand.grid]
@@ -452,7 +474,7 @@ def main(argv=None) -> int:
                      "bands": list(args.bands) if args.bands else None}
         try:
             cfg = RunConfig.load(args.config, overrides)
-        except (ConfigError, DivisorCollisionError, json.JSONDecodeError, OSError) as exc:
+        except (ConfigError, DivisorCollisionError) as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2
     try:

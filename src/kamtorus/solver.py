@@ -347,13 +347,14 @@ class SolveResult:
     log: list
 
 
-def iterate_newton(cand: TorusCandidate, schedule: NewtonSchedule,
-                   target: IsoTarget | None = None, ray: FrequencyRay | None = None,
+def iterate_newton(it: Iterate, schedule: NewtonSchedule, target: IsoTarget | None = None,
                    contraction_ledger=None) -> SolveResult:
-    """Iterate the Newton step on the shrinking-strip schedule until the
-    error is <= stop_tol: ||E|| in ordinary mode, max(||E||, |E^omega|) in iso
-    mode (``target`` given), where the frequency moves along ``ray``.  The ray
-    direction is immutable: every iterate's omega is scale * the same omega_star.
+    """Iterate the Newton step from the evaluated seed ``it`` on the
+    shrinking-strip schedule until the error is <= stop_tol: ||E|| in ordinary
+    mode, max(||E||, |E^omega|) in iso mode (``target`` given), where the
+    frequency moves along ``it.ray``.  The ray direction is immutable: every
+    iterate's omega is scale * the same omega_star.  The seed lives on the
+    strip ``schedule.rho0``; a seed on another strip raises ValueError.
 
     ``contraction_ledger`` is an optional callable (it, frames, delta) ->
     C_E evaluating the per-step quadratic-contraction constant of the iterate
@@ -364,10 +365,10 @@ def iterate_newton(cand: TorusCandidate, schedule: NewtonSchedule,
     hypothesis failure, a frame that loses rank or a singular Gram matrix,
     or the iteration cap.
     """
-    if abs(cand.rho - schedule.rho0) > 1e-12 * max(1.0, schedule.rho0):
-        cand = cand.with_updates(rho=schedule.rho0)
+    if it.cand.rho != schedule.rho0:
+        raise ValueError(f"the seed lives on the strip rho = {it.cand.rho}, "
+                         f"the schedule starts at rho0 = {schedule.rho0}")
     log: list = []
-    it = evaluate(cand, target, ray)
     increases = 0
     prev_err = None
 

@@ -1,5 +1,5 @@
-"""Shared fixtures and helpers: golden-frequency Diophantine data, seeded
-candidates and their DK, a non-canonical structure, zeroed integral constants,
+"""Shared fixtures and helpers: golden-frequency Diophantine data, seeds of a
+config and their DK, a non-canonical structure, zeroed integral constants,
 and the test-side Fourier helpers (random maps, direct summation, JSON text)."""
 
 import json
@@ -10,13 +10,13 @@ import pytest
 from hypothesis import settings
 
 from kamtorus.certificate import _INTEGRAL_FIELDS, GlobalNormConstants
+from kamtorus.cli import RunConfig, start_run
 from kamtorus.cohomology import DiophantineParams, estimate_gamma
 from kamtorus.fourier import TWO_PI, FourierMap, _index_box, _k1_box, _symmetrize, assemble_blocks
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
-from kamtorus.frames import seed_torus
-from kamtorus.hamiltonian import GeometricStructure, builtin_system, canonical_structure
+from kamtorus.hamiltonian import GeometricStructure, canonical_structure
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -62,28 +62,24 @@ def with_zero_integrals(globs: GlobalNormConstants) -> GlobalNormConstants:
     return GlobalNormConstants(vals, prov)
 
 
-def seed_candidate(system_name, epsilon, omega, bands=(16, 16), rho=0.03,
-                   tau=1.0, scan_limit=1000, dio=None):
-    """Integrable-limit candidate K = (theta, 0, omega, 0) for a builtin system."""
-    y_center = np.zeros(builtin_system(system_name).n)
-    y_center[: len(omega)] = omega
-    sys_obj = builtin_system(system_name, epsilon=epsilon, y_center=y_center,
-                             y_radius=0.5, imag_width=0.2)
-    if dio is None:
-        dio = DiophantineParams(omega, estimate_gamma(omega, tau, scan_limit), tau, scan_limit)
-    return seed_torus(sys_obj, dio, bands, rho)
+def seed_run(**fields):
+    """``start_run`` of the config with ``fields``: the evaluated seed, its
+    schedule and its iso target.  Unset fields keep the config's defaults:
+    lagrangian_rotors at omega = (1, golden mean), bands 16, rho0 = 0.03,
+    tau = 1, a1 = a2 = 2, c_n = 1e4."""
+    return start_run(RunConfig.from_dict(fields))
 
 
 @pytest.fixture(scope="session")
-def exact_torus_b(golden_omega):
+def exact_torus_b():
     """System B at epsilon = 0 with the exactly invariant flat torus."""
-    return seed_candidate("symmetric_rotors", 0.0, golden_omega, bands=(8, 8), rho=0.05)
+    return seed_run(system="symmetric_rotors", epsilon=0.0, bands=[8, 8], rho0=0.05)[0].cand
 
 
 @pytest.fixture(scope="session")
-def perturbed_candidate_a(golden_omega):
+def perturbed_candidate_a():
     """System A at epsilon = 1e-3 with the integrable guess (order-epsilon error)."""
-    return seed_candidate("lagrangian_rotors", 1e-3, golden_omega, bands=(16, 16), rho=0.03)
+    return seed_run(epsilon=1e-3, bands=[16, 16], rho0=0.03)[0].cand
 
 
 def dk_map(cand) -> FourierMap:

@@ -17,12 +17,7 @@ from kamtorus.certificate import (
     estimate_global_constants,
     kam_check,
 )
-from kamtorus.cohomology import (
-    DiophantineParams,
-    estimate_gamma,
-    russmann_constant,
-    solve_cohomological,
-)
+from kamtorus.cohomology import russmann_constant, solve_cohomological
 from kamtorus.fourier import FourierMap, matmul
 from kamtorus.frames import (
     build_frames,
@@ -32,10 +27,9 @@ from kamtorus.frames import (
     tangent_frame,
     work_grid,
 )
-from kamtorus.isoenergetic import FrequencyRay, IsoTarget, total_error
 from kamtorus.solver import Iterate, NewtonSchedule, contraction_slope, evaluate, iterate_newton
 
-from conftest import GOLDEN, dk_map, random_map, seed_candidate, with_zero_integrals
+from conftest import dk_map, random_map, seed_run, with_zero_integrals
 from oracles import error_maps, ledger_diff, matrix_inverse_control, soundness_report
 
 
@@ -76,11 +70,10 @@ def test_criterion_1_cohomology_round_trip(golden_dio):
 # ---------------------------------------------------------------- criterion 2
 
 
-def test_criterion_2_exact_torus_zeroing(golden_omega):
-    cand = seed_candidate("symmetric_rotors", 0.0, golden_omega, bands=(8, 8),
-                          rho=0.05)
-    kk = grid_kitchen(cand)
-    err = invariance_error(cand, kk).norm(cand.rho).value
+def test_criterion_2_exact_torus_zeroing():
+    it = seed_run(system="symmetric_rotors", epsilon=0.0, bands=[8, 8], rho0=0.05)[0]
+    cand, kk = it.cand, it.kitchen
+    err = it.E.norm(cand.rho).value
     maps = error_maps(cand, build_frames(cand, kk), kk)
     mid = 0.6 * cand.rho
     norms = {
@@ -96,15 +89,15 @@ def test_criterion_2_exact_torus_zeroing(golden_omega):
 # ---------------------------------------------------------------- criterion 3
 
 
-def test_criterion_3_structural_identities(golden_omega):
+def test_criterion_3_structural_identities():
     rng = np.random.default_rng(33)
     worst_avg, worst_compat, worst_block = 0.0, 0.0, 0.0
     cases = []
-    for name, eps, bands in (("lagrangian_rotors", 0.0, (12, 12)),
-                             ("lagrangian_rotors", 2e-2, (12, 12)),
-                             ("symmetric_rotors", 0.0, (10, 10)),
-                             ("symmetric_rotors", 1e-2, (10, 10))):
-        base = seed_candidate(name, eps, golden_omega, bands=bands, rho=0.03)
+    for name, eps, bands in (("lagrangian_rotors", 0.0, [12, 12]),
+                             ("lagrangian_rotors", 2e-2, [12, 12]),
+                             ("symmetric_rotors", 0.0, [10, 10]),
+                             ("symmetric_rotors", 1e-2, [10, 10])):
+        base = seed_run(system=name, epsilon=eps, bands=bands, rho0=0.03)[0].cand
         cases.append(base)
         noise = random_map(base.bands, base.k_per.shape, rng,
                            decay=1.5, scale=3e-3)
@@ -131,14 +124,13 @@ def test_criterion_3_structural_identities(golden_omega):
 
 @pytest.mark.parametrize("name,eps", [("lagrangian_rotors", 0.02),
                                       ("symmetric_rotors", 0.01)])
-def test_criterion_4_quadratic_convergence(name, eps, golden_omega):
-    cand = seed_candidate(name, eps, golden_omega, bands=(32, 32), rho=0.03)
-    sched = NewtonSchedule(a1=2.0, a2=2.0, c_n=1e4, max_iters=8, stop_tol=1e-12,
-                           rho0=0.03)
-    globs = estimate_global_constants(cand.system)
+def test_criterion_4_quadratic_convergence(name, eps):
+    seed, sched, _ = seed_run(system=name, epsilon=eps, bands=[32, 32], rho0=0.03,
+                              max_iters=8, stop_tol=1e-12)
+    globs = estimate_global_constants(seed.cand.system)
     hook = contraction_constant_factory(globs, sched)
     t0 = time.time()
-    res = iterate_newton(cand, sched, contraction_ledger=hook)
+    res = iterate_newton(seed, sched, contraction_ledger=hook)
     elapsed = time.time() - t0
     slope = contraction_slope(res.log)
     steps = len(res.log) - 1
@@ -154,22 +146,15 @@ def test_criterion_4_quadratic_convergence(name, eps, golden_omega):
 
 @pytest.mark.parametrize("selector", ["H", ("p", 0)])
 def test_criterion_5_isoenergetic_targeting(selector):
-    omega_star = np.array([1.0, GOLDEN]) / np.sqrt(2.0)
-    ray = FrequencyRay.at_midpoint(omega_star, 2.0)
-    dio = DiophantineParams(ray.omega, estimate_gamma(omega_star, 1.0, 1000),
-                            1.0, 1000)
-    cand = seed_candidate("symmetric_rotors", 0.01, ray.omega, bands=(16, 16),
-                          rho=0.03, dio=dio)
-    conserved = cand.system.conserved(selector)
-    seed_level = total_error(cand, conserved, 0.0).E_omega
-    c0 = seed_level + 1e-3
-    sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, max_iters=10, stop_tol=1e-12,
-                           rho0=cand.rho)
-    res = iterate_newton(cand, sched, IsoTarget(conserved, c0), ray)
+    seed, sched, level = seed_run(
+        system="symmetric_rotors", mode="iso", conserved="H" if selector == "H" else "p:0",
+        epsilon=0.01, bands=[16, 16], rho0=0.03, c0_offset=1e-3, max_iters=10)
+    conserved, c0 = level.conserved, level.c0
+    res = iterate_newton(seed, sched, level)
     final = res.iterate.cand
     level_err = abs((c0 + res.iterate.E_omega) - c0)
     margin = res.iterate.ray.boundary_margin()
-    fr = build_frames(final, grid_kitchen(final, conserved))
+    fr = build_frames(final, res.iterate.kitchen)
     n, d = final.system.n, final.d
     if conserved.name == "H":
         target = np.concatenate([final.omega, np.zeros(n - d)])
@@ -184,17 +169,16 @@ def test_criterion_5_isoenergetic_targeting(selector):
 # ---------------------------------------------------------------- criterion 6
 
 
-def test_criterion_6_lemma_bound_soundness(golden_omega):
+def test_criterion_6_lemma_bound_soundness():
     rng = np.random.default_rng(66)
     sched = NewtonSchedule(a1=2, a2=2, c_n=None, rho0=0.03)
     violations = []
     checked = 0
     candidates = []
-    for name, eps, bands in (("lagrangian_rotors", 1e-3, (16, 16)),
-                             ("symmetric_rotors", 1e-3, (12, 12))):
-        base = seed_candidate(name, eps, golden_omega, bands=bands, rho=0.03)
-        settle = iterate_newton(base, NewtonSchedule(a1=2, a2=2, c_n=1e4,
-                                                     stop_tol=1e-12, rho0=0.03))
+    for name, eps, bands in (("lagrangian_rotors", 1e-3, [16, 16]),
+                             ("symmetric_rotors", 1e-3, [12, 12])):
+        settle = iterate_newton(*seed_run(system=name, epsilon=eps, bands=bands, rho0=0.03,
+                                          max_iters=20))
         assert settle.converged
         anchor = settle.iterate.cand
         for k in range(10):
@@ -230,15 +214,13 @@ def test_criterion_6_lemma_bound_soundness(golden_omega):
 # ---------------------------------------------------------------- criterion 7
 
 
-def test_criterion_7_certificate_end_to_end(golden_omega):
+def test_criterion_7_certificate_end_to_end():
     # documented parameters: epsilon = 1e-3, bands 16^2, rho0 = 0.03,
     # tau = 1, a1 = a2 = 2, sigma margins at 1.1 x measured
-    cand = seed_candidate("lagrangian_rotors", 1e-3, golden_omega, bands=(16, 16),
-                          rho=0.03, tau=1.0)
-    sched = NewtonSchedule(a1=2.0, a2=2.0, c_n=1e4, max_iters=10, stop_tol=1e-13,
-                           rho0=0.03)
-    globs = estimate_global_constants(cand.system)
-    res = iterate_newton(cand, sched)
+    seed, sched, _ = seed_run(epsilon=1e-3, bands=[16, 16], rho0=0.03, tau=1.0, a1=2.0,
+                              a2=2.0, c_n=1e4, max_iters=10, stop_tol=1e-13)
+    globs = estimate_global_constants(seed.cand.system)
+    res = iterate_newton(seed, sched)
     assert res.converged, res.reason
     torus = res.iterate.cand
     it = evaluate(torus)
@@ -263,7 +245,7 @@ def test_criterion_7_certificate_end_to_end(golden_omega):
         assert report_p.error_norm == err_p
         resched = NewtonSchedule(a1=2.0, a2=2.0, c_n=1e4, max_iters=8,
                                  stop_tol=1e-13, rho0=perturbed.rho)
-        re_res = iterate_newton(perturbed, resched)
+        re_res = iterate_newton(it_p, resched)
         assert re_res.converged
         rho_inf = perturbed.rho / sched.a2
         measured = (re_res.iterate.cand.k_per - perturbed.k_per).norm(rho_inf).value
@@ -278,10 +260,8 @@ def test_criterion_7_certificate_end_to_end(golden_omega):
     else:
         # documented fallback: the hypothesis ratio must decrease >= 10x per
         # Newton step in the pre-roundoff regime
-        sweep = seed_candidate("lagrangian_rotors", 1e-3, golden_omega,
-                               bands=(16, 16), rho=0.03, tau=1.0)
         ratios = []
-        current = sweep
+        current = seed.cand
         for s in range(4):
             it_s = evaluate(current)
             rep_s, _ = certify(it_s, build_frames(current, it_s.kitchen), sched, globs)
@@ -328,15 +308,14 @@ def test_criterion_8_inverse_control_sweep():
 # ---------------------------------------------------------------- criterion 9
 
 
-def test_criterion_9_lagrangian_reduction(golden_omega):
-    cand = seed_candidate("lagrangian_rotors", 1e-3, golden_omega, bands=(12, 12),
-                          rho=0.03)
+def test_criterion_9_lagrangian_reduction():
+    it = seed_run(epsilon=1e-3, bands=[12, 12], rho0=0.03)[0]
+    cand, kk = it.cand, it.kitchen
     globs = estimate_global_constants(cand.system)
     zero_keys = ("c_p_1", "c_pT_1", "c_Xp_0", "c_Xp_1", "c_Xp_2",
                  "c_XpT_0", "c_XpT_1", "c_XpT_2")
     zeros_ok = all(globs.values[k] == 0.0 for k in zero_keys)
     # the ledger with explicitly zeroed integral constants is bit-identical
-    kk = grid_kitchen(cand)
     fr = build_frames(cand, kk)
     hyp = measure_hypothesis_data(cand, fr)
     sched = NewtonSchedule(a1=2, a2=2, c_n=2.0, rho0=cand.rho)

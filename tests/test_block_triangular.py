@@ -12,12 +12,11 @@ import pytest
 
 from kamtorus.cohomology import solve_cohomological
 from kamtorus.fourier import FourierMap, matmul
-from kamtorus.frames import build_frames, grid_kitchen
+from kamtorus.frames import build_frames
 from kamtorus.isoenergetic import solve_triangular_iso
 from kamtorus.solver import solve_triangular
 
-from conftest import random_map, torsion_frames
-from test_isoenergetic import iso_setup
+from conftest import random_map, seed_run, torsion_frames
 
 
 def reference_solve(eta_L, eta_N, T, dio):
@@ -113,9 +112,9 @@ def test_iso_solve_matches_the_bordered_reference(golden_dio, n):
 
 
 def test_frames_store_the_bordered_average_the_iso_solve_reads():
-    cand, _ = iso_setup(eps=0.01, bands=(8, 8))
-    kitchen = grid_kitchen(cand, cand.system.conserved("H"))
-    fr = build_frames(cand, kitchen)
+    seed = seed_run(system="symmetric_rotors", mode="iso", epsilon=0.01, bands=[8, 8])[0]
+    cand = seed.cand
+    fr = build_frames(cand, seed.kitchen)
     n = cand.system.n
     omega_hat = np.concatenate([cand.omega, np.zeros(n - cand.d)])
     expected = np.block([[fr.T.average().real, omega_hat[:, None]],

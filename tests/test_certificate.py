@@ -20,12 +20,12 @@ from kamtorus.certificate import (
     estimate_global_constants,
     kam_check,
 )
-from kamtorus.cohomology import DiophantineParams, estimate_gamma
+from kamtorus.cohomology import DiophantineParams
 from kamtorus.frames import build_frames, measure_hypothesis_data
 from kamtorus.hamiltonian import ConservedQuantity, builtin_system
-from kamtorus.solver import NewtonSchedule, evaluate
+from kamtorus.solver import NewtonSchedule
 
-from conftest import GOLDEN, scaled_structure, seed_candidate, with_zero_integrals
+from conftest import GOLDEN, scaled_structure, seed_run, with_zero_integrals
 from oracles import ledger_diff, matrix_inverse_control
 
 
@@ -399,26 +399,17 @@ def test_iso_ledger_rows():
     assert led["dist_ray"] == kw["dist_ray"]
 
 
-def iso_flat_torus(golden_omega, level_offset):
-    """The flat torus of the uncoupled symmetric rotors, as an iso iterate whose
-    target level is ``level_offset`` above its own; with its globals."""
-    from kamtorus.isoenergetic import FrequencyRay, IsoTarget, total_error
-
-    omega_star = golden_omega / np.sqrt(2.0)
-    ray = FrequencyRay.at_midpoint(omega_star, 2.0)
-    dio = DiophantineParams(ray.omega, estimate_gamma(omega_star, 1.0, 500), 1.0, 500)
-    cand = seed_candidate("symmetric_rotors", 0.0, ray.omega, bands=(8, 8), rho=0.05,
-                          dio=dio)
-    conserved = cand.system.conserved("H")
-    level = total_error(cand, conserved, 0.0).E_omega
-    it = IsoTarget(conserved, level + level_offset).evaluate(cand, ray)
-    return it, estimate_global_constants(cand.system, conserved=conserved)
+def iso_flat_torus(level_offset):
+    """The flat torus of the uncoupled symmetric rotors, as an iso seed whose
+    target level is ``level_offset`` above its own; with its schedule and globals."""
+    it, sched, target = seed_run(system="symmetric_rotors", mode="iso", epsilon=0.0,
+                                 bands=[8, 8], rho0=0.05, scan_limit=500, c0_offset=level_offset)
+    return it, sched, estimate_global_constants(it.cand.system, conserved=target.conserved)
 
 
-def test_iso_kam_check_reports_bordered_margin(golden_omega):
-    it, globs = iso_flat_torus(golden_omega, 0.0)
+def test_iso_kam_check_reports_bordered_margin():
+    it, sched, globs = iso_flat_torus(0.0)
     fr = build_frames(it.cand, it.kitchen)
-    sched = NewtonSchedule(a1=2, a2=2, rho0=it.cand.rho)
     _, ledger = certify(it, fr, sched, globs)
     report = kam_check(it.cand, ledger, 0.0)
     assert report.mode == "iso" and ledger.mode == "iso"
@@ -428,12 +419,11 @@ def test_iso_kam_check_reports_bordered_margin(golden_omega):
     assert ledger["dist_ray"] == it.ray.boundary_margin()
 
 
-def test_iso_certify_default_error_is_the_combined_norm(golden_omega):
+def test_iso_certify_default_error_is_the_combined_norm():
     """An iso certificate bounds max(||E||, |E^omega|)."""
-    it, globs = iso_flat_torus(golden_omega, 1e-3)
+    it, sched, globs = iso_flat_torus(1e-3)
     assert abs(it.E_omega) > it.E.norm(it.cand.rho).value
     fr = build_frames(it.cand, it.kitchen)
-    sched = NewtonSchedule(a1=2, a2=2, rho0=it.cand.rho)
     report, _ = certify(it, fr, sched, globs)
     assert report.error_norm == abs(it.E_omega)
 
@@ -441,11 +431,9 @@ def test_iso_certify_default_error_is_the_combined_norm(golden_omega):
 # ----------------------------------------------------------------- kam_check
 
 
-def test_kam_check_zero_error_passes(golden_omega):
-    it = evaluate(seed_candidate("lagrangian_rotors", 0.0, golden_omega, bands=(8, 8),
-                                 rho=0.1))
+def test_kam_check_zero_error_passes():
+    it, sched, _ = seed_run(epsilon=0.0, bands=[8, 8], rho0=0.1)
     fr = build_frames(it.cand, it.kitchen)
-    sched = NewtonSchedule(a1=2, a2=2, rho0=it.cand.rho)
     _, ledger = certify(it, fr, sched, estimate_global_constants(it.cand.system))
     report = kam_check(it.cand, ledger, 0.0)
     assert report.passed and report.ratio == 0.0
@@ -453,11 +441,9 @@ def test_kam_check_zero_error_passes(golden_omega):
     assert report.header == REPORT_HEADER
 
 
-def test_kam_check_garbage_candidate_fails(golden_omega):
-    it = evaluate(seed_candidate("lagrangian_rotors", 0.0, golden_omega, bands=(8, 8),
-                                 rho=0.1))
+def test_kam_check_garbage_candidate_fails():
+    it, sched, _ = seed_run(epsilon=0.0, bands=[8, 8], rho0=0.1)
     fr = build_frames(it.cand, it.kitchen)
-    sched = NewtonSchedule(a1=2, a2=2, rho0=it.cand.rho)
     _, ledger = certify(it, fr, sched, estimate_global_constants(it.cand.system))
     report = kam_check(it.cand, ledger, 1.0)
     assert not report.passed
@@ -466,10 +452,10 @@ def test_kam_check_garbage_candidate_fails(golden_omega):
     assert report.closeness_K is None
 
 
-def test_kam_check_requires_positive_margins(golden_omega):
-    cand = seed_candidate("lagrangian_rotors", 0.0, golden_omega, bands=(8, 8),
-                          rho=0.1)
-    fr = build_frames(cand, evaluate(cand).kitchen)
+def test_kam_check_requires_positive_margins():
+    it = seed_run(epsilon=0.0, bands=[8, 8], rho0=0.1)[0]
+    cand = it.cand
+    fr = build_frames(cand, it.kitchen)
     hyp = measure_hypothesis_data(cand, fr)
     hyp["sigma_K"] = hyp["norm_DK"]  # kill the margin
     globs = estimate_global_constants(cand.system)

@@ -406,6 +406,25 @@ def test_plotdata_refuses_grid_not_2n_plus_1(tmp_path, capsys, solved_tori):
     assert not (tmp_path / "torus_grid.csv").exists()
 
 
+@pytest.mark.parametrize("command, content", [
+    ("solve", "[1, 2]"), ("validate", "[1, 2]"),
+    ("certify", None), ("certify", "{not json"),
+    ("plotdata", None), ("plotdata", "{not json"),
+], ids=["solve-config-list", "validate-config-list", "certify-missing", "certify-unparseable",
+        "plotdata-missing", "plotdata-unparseable"])
+def test_unreadable_input_exit_two_names_the_file(tmp_path, capsys, command, content):
+    """A config that is not a JSON object, or a torus file that is missing or is
+    not JSON, is a usage error naming the file, not a traceback or a solver failure."""
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    args = [str(path)] if command in ("certify", "plotdata") else ["--config", str(path)]
+    out = [] if command == "validate" else ["--out", str(tmp_path / "x")]
+    assert main([command, *args, *out]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "solver failure" not in err
+
+
 def test_validate_refuses_out(tmp_path, capsys):
     """validate writes nothing, so --out is an error rather than silently ignored."""
     with pytest.raises(SystemExit) as exc:
@@ -415,51 +434,86 @@ def test_validate_refuses_out(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("overrides", [
+def count_calls(monkeypatch, module, name: str, calls: list) -> set:
+    """Wrap ``module.<name>`` in every kamtorus module that binds it, so that each
+    call appends ``name`` to ``calls``; the names of those modules."""
+    import sys
+
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    holders = {key for key, held in sys.modules.items()
+               if key.startswith("kamtorus") and getattr(held, name, None) is original}
+    for key in holders:
+        monkeypatch.setattr(sys.modules[key], name, counted)
+    return holders
+
+
+def count_grid_kitchens(monkeypatch) -> list:
+    """The calls of ``frames.grid_kitchen`` from now on, from every module that binds it."""
+    calls = []
+    holders = count_calls(monkeypatch, frames, "grid_kitchen", calls)
+    assert {"kamtorus.frames", "kamtorus.solver", "kamtorus.isoenergetic"} <= holders
+    return calls
+
+
+ONE_PER_MODE = pytest.mark.parametrize("overrides", [
     {"system": "lagrangian_rotors", "epsilon": 1e-3, "bands": [8, 8], "rho0": 0.05},
     {"mode": "iso", "epsilon": 2e-3, "bands": [8, 8], "rho0": 0.03, "conserved": "H",
      "c0_offset": 1e-4, "max_iters": 8},
 ], ids=["ordinary", "iso"])
+
+
+@ONE_PER_MODE
 def test_certify_builds_one_grid_kitchen(tmp_path, monkeypatch, overrides):
     """certify composes K with the system callbacks once: the frames, the error
     and the smallness scale all read the iterate's kitchen."""
-    import sys
-
-    from kamtorus import frames
     from kamtorus.cli import cmd_certify
 
     cfg = write_config(tmp_path, **overrides)
     out = tmp_path / "run"
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) in (0, 1)
-    original, calls = frames.grid_kitchen, []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    holders = [module for name, module in sys.modules.items() if name.startswith("kamtorus")
-               and getattr(module, "grid_kitchen", None) is original]
-    assert {"kamtorus.frames", "kamtorus.solver", "kamtorus.isoenergetic"} <= {
-        module.__name__ for module in holders}
-    for module in holders:
-        monkeypatch.setattr(module, "grid_kitchen", counted)
+    calls = count_grid_kitchens(monkeypatch)
     assert cmd_certify(str(out / "torus.json"), {}, out) in (0, 1)
     assert len(calls) == 1
     report = json.loads((out / "certificate.json").read_text())
     assert report["mode"] == overrides.get("mode", "ordinary")
 
 
-@pytest.mark.parametrize("overrides", [
-    {"system": "lagrangian_rotors", "epsilon": 1e-3, "bands": [8, 8], "rho0": 0.05},
-    {"mode": "iso", "epsilon": 2e-3, "bands": [8, 8], "rho0": 0.03, "conserved": "H",
-     "c0_offset": 1e-4, "max_iters": 8},
-], ids=["ordinary", "iso"])
+@ONE_PER_MODE
+def test_solve_builds_one_grid_kitchen_per_iterate(tmp_path, monkeypatch, overrides):
+    """A solve of s steps builds s + 1 kitchens: iso mode reads the target level
+    from the seed's kitchen instead of building the seed's kitchen twice."""
+    from kamtorus.cli import cmd_solve
+
+    calls = count_grid_kitchens(monkeypatch)
+    cmd_solve(RunConfig.from_dict(json.loads(write_config(tmp_path, **overrides).read_text())),
+              tmp_path / "run")
+    steps = json.loads((tmp_path / "run" / "summary.json").read_text())["steps"]
+    assert steps > 0 and len(calls) == steps + 1
+
+
+def test_validate_builds_no_seed(tmp_path, monkeypatch, capsys):
+    """validate checks the system and the divisors of the seed frequency; it
+    builds no seed torus and no kitchen, and still refuses a resonant omega."""
+    from kamtorus import cli
+
+    calls = count_grid_kitchens(monkeypatch)
+    monkeypatch.setattr(cli, "seed_torus", lambda *args: calls.append("seed_torus"))
+    assert main(["validate", "--config", str(write_config(tmp_path))]) == 0
+    resonant = write_config(tmp_path, omega=[1.0, 2.0])
+    assert main(["validate", "--config", str(resonant)]) == 2
+    assert "resonance" in capsys.readouterr().err
+    assert calls == []
+
+
+@ONE_PER_MODE
 def test_solve_and_certify_build_no_error_map(tmp_path, monkeypatch, overrides):
     """Neither the Newton step nor the certificate reads the error maps, so
     neither builds one; soundness_report still builds and bounds all four."""
-    import sys
-
-    from kamtorus import frames
     from kamtorus.certificate import estimate_global_constants
     from kamtorus.cli import _candidate_from_doc, _selector, cmd_certify, cmd_solve
     from kamtorus.isoenergetic import IsoTarget
@@ -467,20 +521,8 @@ def test_solve_and_certify_build_no_error_map(tmp_path, monkeypatch, overrides):
     from oracles import soundness_report
 
     calls = []
-
-    def counted(original):
-        def wrapper(*args, **kwargs):
-            calls.append(original.__name__)
-            return original(*args, **kwargs)
-        return wrapper
-
     for name in ("isotropy_errors", "symplecticity_error", "reducibility_error"):
-        original = getattr(frames, name)
-        holders = [module for key, module in sys.modules.items() if key.startswith("kamtorus")
-                   and getattr(module, name, None) is original]
-        assert "kamtorus.frames" in {module.__name__ for module in holders}
-        for module in holders:
-            monkeypatch.setattr(module, name, counted(original))
+        assert "kamtorus.frames" in count_calls(monkeypatch, frames, name, calls)
     out = tmp_path / "run"
     cfg = RunConfig.from_dict(json.loads(write_config(tmp_path, **overrides).read_text()))
     assert cmd_solve(cfg, out) == 0
@@ -511,22 +553,12 @@ def test_setup_scans_divisors_once_per_frequency(tmp_path, monkeypatch, override
                                                  command):
     """Ordinary mode measures gamma on omega itself, so the params skip the repeat
     scan; iso mode checks the ray midpoint against omega_*'s gamma (a second scan)."""
-    import sys
-
     from kamtorus import cohomology
     from kamtorus.cli import cmd_solve, cmd_validate
 
-    original, calls = cohomology.estimate_gamma, []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    holders = [module for name, module in sys.modules.items() if name.startswith("kamtorus")
-               and getattr(module, "estimate_gamma", None) is original]
-    assert {"kamtorus.cli", "kamtorus.cohomology"} <= {module.__name__ for module in holders}
-    for module in holders:
-        monkeypatch.setattr(module, "estimate_gamma", counted)
+    calls = []
+    holders = count_calls(monkeypatch, cohomology, "estimate_gamma", calls)
+    assert {"kamtorus.cli", "kamtorus.cohomology"} <= holders
     cfg = RunConfig.from_dict(json.loads(write_config(tmp_path, **overrides).read_text()))
     if command == "solve":
         assert cmd_solve(cfg, tmp_path / "run") == 0

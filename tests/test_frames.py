@@ -27,7 +27,7 @@ from kamtorus.frames import (
 )
 from kamtorus.hamiltonian import builtin_system
 
-from conftest import GOLDEN, dk_map, random_map, seed_candidate
+from conftest import GOLDEN, dk_map, random_map, seed_run
 from oracles import empty_integrals, error_maps
 
 
@@ -166,10 +166,10 @@ def test_rank_check_takes_the_svd_only_when_the_pretest_fails(monkeypatch, pertu
     assert str(got.value) == str(ref.value) and calls == [1]
 
 
-def test_frame_rank_deficient_at_one_grid_point_raises_svd_text(golden_omega):
+def test_frame_rank_deficient_at_one_grid_point_raises_svd_text():
     """DK loses rank only at theta = (0, 0): the first column is
     (1 - cos 2 pi t1, 0, cos 2 pi t1 sin 2 pi t2, 0)."""
-    cand = seed_candidate("lagrangian_rotors", 1e-3, golden_omega, bands=(4, 4))
+    cand = seed_run(epsilon=1e-3, bands=[4, 4])[0].cand
     t1, t2 = np.meshgrid(*(np.arange(9) / 9,) * 2, indexing="ij")
     samples = np.zeros((9, 9, 4, 1))
     samples[..., 0, 0] = -np.sin(2 * np.pi * t1) / (2 * np.pi)
@@ -212,8 +212,7 @@ def test_compatibility_average_identity(perturbed_candidate_a):
 
 
 def free_rotor_candidate(n=2, bands=(6, 6)):
-    omega = np.array([1.0, GOLDEN])
-    return seed_candidate("lagrangian_rotors", 0.0, omega, bands=bands, rho=0.05)
+    return seed_run(epsilon=0.0, bands=list(bands), rho0=0.05)[0].cand
 
 
 def test_free_rotor_frame_hand_values():

@@ -16,7 +16,7 @@ from kamtorus.hamiltonian import (
     verify_involution,
 )
 
-from conftest import scaled_structure
+from conftest import scaled_structure, seed_run
 from oracles import contains_margin
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -307,14 +307,11 @@ def test_grid_kitchen_structure_maps_constant_only_when_canonical():
     import dataclasses
 
     from kamtorus.fourier import FourierMap
-    from kamtorus.frames import grid_kitchen, seed_torus
-    from kamtorus.cohomology import DiophantineParams
+    from kamtorus.frames import grid_kitchen
 
-    omega = np.array([1.0, GOLDEN])
-    dio = DiophantineParams(omega, 0.5, 1.0, 100)
-    cand = seed_torus(system_a(), dio, (4, 4), 0.03)
+    seed = seed_run(epsilon=0.02, bands=[4, 4], rho0=0.03)[0]
+    cand, kk = seed.cand, seed.kitchen
     omega0 = canonical_structure(2).omega_mat(np.zeros((1, 4)))[0]
-    kk = grid_kitchen(cand)
     for got, mat in ((kk.Omega, omega0), (kk.G, np.eye(4)), (kk.J, omega0),
                      (kk.tOmega, omega0)):
         assert got.bands == (0, 0)  # one mode: matmul scales the other factor by it

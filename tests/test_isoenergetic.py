@@ -1,33 +1,25 @@
 """Frequency-ray bookkeeping and the level-targeting Newton iteration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from kamtorus.cohomology import DiophantineParams, estimate_gamma
+from kamtorus.cohomology import estimate_gamma
 from kamtorus.fourier import FourierMap
-from kamtorus.frames import TorusCandidate, build_frames, grid_kitchen
+from kamtorus.frames import build_frames
 from kamtorus.isoenergetic import (
     FrequencyRay,
     IsoTarget,
     RayExitError,
     newton_step_iso,
     solve_triangular_iso,
-    total_error,
 )
 from kamtorus.solver import NewtonSchedule, iterate_newton
 
-from conftest import GOLDEN, random_map, seed_candidate, torsion_frames
+from conftest import GOLDEN, random_map, seed_run, torsion_frames
 
-
-def iso_setup(eps=0.01, bands=(16, 16), rho=0.03, sigma_omega=2.0):
-    omega_target = np.array([1.0, GOLDEN])
-    omega_star = omega_target / np.sqrt(sigma_omega)
-    ray = FrequencyRay.at_midpoint(omega_star, sigma_omega)
-    gamma = estimate_gamma(omega_star, 1.0, 1000)
-    dio = DiophantineParams(ray.omega, gamma, 1.0, 1000)
-    cand = seed_candidate("symmetric_rotors", eps, ray.omega, bands=bands, rho=rho,
-                          dio=dio)
-    return cand, ray
+ISO = {"system": "symmetric_rotors", "mode": "iso"}  # the energy level, omega_* = (1, phi)/sqrt 2
 
 
 # ----------------------------------------------------------------------- ray
@@ -117,32 +109,24 @@ def test_solve_triangular_iso_random_plugback(golden_dio):
 
 
 def test_newton_step_iso_no_error_no_change():
-    cand, ray = iso_setup(eps=0.0, bands=(8, 8), rho=0.05)
-    conserved = cand.system.conserved("H")
-    c0 = float(grid_kitchen(cand, conserved).c_map.average().real[0, 0])
-    sched = NewtonSchedule(a1=2, a2=2, c_n=100.0, rho0=cand.rho)
-    target = IsoTarget(conserved, c0)
-    nxt, _ = newton_step_iso(target.evaluate(cand, ray), target, sched, cand.rho / 12.0)
-    new_cand, new_ray = nxt.cand, nxt.ray
-    assert np.max(np.abs((new_cand.k_per - cand.k_per).coeffs)) < 1e-13
-    assert abs(new_ray.scale - ray.scale) < 1e-14
+    it, sched, target = seed_run(**ISO, epsilon=0.0, bands=[8, 8], rho0=0.05, c_n=100.0)
+    assert it.E_omega == 0.0  # the target is the seed's own level
+    nxt, _ = newton_step_iso(it, target, sched, it.cand.rho / 12.0)
+    assert np.max(np.abs((nxt.cand.k_per - it.cand.k_per).coeffs)) < 1e-13
+    assert abs(nxt.ray.scale - it.ray.scale) < 1e-14
 
 
 def test_newton_step_iso_level_gain():
     """From an invariant torus on the wrong level, one step gains >= 1e2 on |E^omega|."""
-    cand, ray = iso_setup(eps=1e-3, bands=(12, 12), rho=0.03)
-    conserved = cand.system.conserved("H")
-    seed_level = total_error(cand, conserved, 0.0).E_omega
-    sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, rho0=cand.rho, stop_tol=1e-12,
-                           max_iters=10)
-    settled = iterate_newton(cand, sched, IsoTarget(conserved, seed_level), ray)
+    seed, sched, level = seed_run(**ISO, epsilon=1e-3, bands=[12, 12], rho0=0.03,
+                                  max_iters=10)
+    settled = iterate_newton(seed, sched, level)
     assert settled.converged
     base, base_ray = settled.iterate.cand, settled.iterate.ray
-    c0 = seed_level + settled.iterate.E_omega + 1e-4  # the settled level + 1e-4
-    sched2 = NewtonSchedule(a1=2, a2=2, c_n=1e4, rho0=base.rho)
-    target = IsoTarget(conserved, c0)
+    c0 = level.c0 + settled.iterate.E_omega + 1e-4  # the settled level + 1e-4
+    target = IsoTarget(level.conserved, c0)
     it = target.evaluate(base, base_ray)
-    nxt, rec = newton_step_iso(it, target, sched2, base.rho / 12.0)
+    nxt, rec = newton_step_iso(it, target, sched, base.rho / 12.0)
     assert abs(it.E_omega) == pytest.approx(1e-4)
     assert abs(it.E_omega) / max(abs(rec["err_omega_after"]), 1e-300) >= 1e2
     assert rec["ray_margin"] > 0
@@ -150,15 +134,15 @@ def test_newton_step_iso_level_gain():
 
 def test_nan_level_error_makes_the_combined_norm_nan():
     """A NaN E^omega is not dropped from max(||E||, |E^omega|)."""
-    cand, ray = iso_setup(eps=0.0, bands=(4, 4), rho=0.05)
-    it = IsoTarget(cand.system.conserved("H"), float("nan")).evaluate(cand, ray)
-    assert np.isnan(it.E_omega) and np.isfinite(it.E.norm(cand.rho).value)
-    assert np.isnan(it.combined_norm(cand.rho))
+    seed, _, target = seed_run(**ISO, epsilon=0.0, bands=[4, 4], rho0=0.05)
+    it = replace(target, c0=float("nan")).evaluate(seed.cand, seed.ray)
+    assert np.isnan(it.E_omega) and np.isfinite(it.E.norm(it.cand.rho).value)
+    assert np.isnan(it.combined_norm(it.cand.rho))
 
 
 def test_rescan_certificate_scales_with_frequency():
     """|k . omega_bar| = (1 - xi^omega) |k . omega| along the ray."""
-    cand, ray = iso_setup(eps=1e-3, bands=(10, 10))
+    cand = seed_run(**ISO, epsilon=1e-3, bands=[10, 10])[0].cand
     factor = 0.99
     fresh = estimate_gamma(factor * cand.dio.omega, cand.dio.tau, 300)
     base = estimate_gamma(cand.dio.omega, cand.dio.tau, 300)
@@ -169,50 +153,29 @@ def test_rescan_certificate_scales_with_frequency():
 
 
 def test_iterate_iso_exact_level_keeps_frequency():
-    cand, ray = iso_setup(eps=0.0, bands=(8, 8), rho=0.05)
-    conserved = cand.system.conserved("H")
-    c0 = float(grid_kitchen(cand, conserved).c_map.average().real[0, 0])
-    sched = NewtonSchedule(a1=2, a2=2, c_n=100.0, rho0=cand.rho, stop_tol=1e-12)
-    res = iterate_newton(cand, sched, IsoTarget(conserved, c0), ray)
+    seed, sched, target = seed_run(**ISO, epsilon=0.0, bands=[8, 8], rho0=0.05, c_n=100.0)
+    res = iterate_newton(seed, sched, target)
     assert res.converged and "0 steps" in res.reason
-    assert res.iterate.cand.omega.tobytes() == ray.omega.tobytes()
+    assert res.iterate.cand.omega.tobytes() == seed.ray.omega.tobytes()
 
 
-@pytest.mark.parametrize("selector", ["H", ("p", 0)])
-def test_iterate_iso_targets_offset_level(selector):
-    cand, ray = iso_setup(eps=0.01, bands=(16, 16), rho=0.03)
-    conserved = cand.system.conserved(selector)
-    seed_level = total_error(cand, conserved, 0.0).E_omega
-    c0 = seed_level + 1e-3
-    sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, rho0=cand.rho, stop_tol=1e-12,
-                           max_iters=10)
-    res = iterate_newton(cand, sched, IsoTarget(conserved, c0), ray)
+@pytest.mark.parametrize("fields", [
+    {"conserved": "H"},
+    {"conserved": "p:0"},
+    {"system": "lagrangian_rotors", "epsilon": 5e-3},  # d = n: the classical iso-energetic case
+], ids=["H", "p:0", "lagrangian_rotors"])
+def test_iterate_iso_targets_offset_level(fields):
+    seed, sched, target = seed_run(**{**ISO, "epsilon": 0.01, "bands": [16, 16], "rho0": 0.03,
+                                      "c0_offset": 1e-3, "max_iters": 10, **fields})
+    res = iterate_newton(seed, sched, target)
     assert res.converged, res.reason
-    last = res.iterate
+    last, c0 = res.iterate, target.c0
     assert abs((c0 + last.E_omega) - c0) <= 1e-11
     assert last.ray.boundary_margin() > 0
     # ray direction bit-stable across the run
-    assert last.ray.omega_star.tobytes() == ray.omega_star.tobytes()
+    assert last.ray.omega_star.tobytes() == seed.ray.omega_star.tobytes()
     # the final frequency is scale * omega_star exactly
-    assert last.cand.omega.tobytes() == (last.ray.scale * ray.omega_star).tobytes()
-
-
-def test_iso_on_lagrangian_tori():
-    """d = n energy targeting (classical iso-energetic reduction)."""
-    omega_target = np.array([1.0, GOLDEN])
-    ray = FrequencyRay.at_midpoint(omega_target / np.sqrt(2.0), 2.0)
-    gamma = estimate_gamma(ray.omega_star, 1.0, 1000)
-    dio = DiophantineParams(ray.omega, gamma, 1.0, 1000)
-    cand = seed_candidate("lagrangian_rotors", 5e-3, ray.omega, bands=(16, 16),
-                          rho=0.03, dio=dio)
-    conserved = cand.system.conserved("H")
-    seed_level = total_error(cand, conserved, 0.0).E_omega
-    c0 = seed_level + 1e-3
-    sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, rho0=cand.rho, stop_tol=1e-12,
-                           max_iters=10)
-    res = iterate_newton(cand, sched, IsoTarget(conserved, c0), ray)
-    assert res.converged, res.reason
-    assert abs((c0 + res.iterate.E_omega) - c0) <= 1e-11
+    assert last.cand.omega.tobytes() == (last.ray.scale * seed.ray.omega_star).tobytes()
 
 
 def test_iso_per_step_contraction_ledger():
@@ -220,21 +183,17 @@ def test_iso_per_step_contraction_ledger():
     constant at every executed step."""
     from kamtorus.certificate import contraction_constant_factory, estimate_global_constants
 
-    cand, ray = iso_setup(eps=0.005, bands=(12, 12), rho=0.03)
-    conserved = cand.system.conserved("H")
-    seed_level = total_error(cand, conserved, 0.0).E_omega
-    sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, rho0=cand.rho, stop_tol=1e-12,
-                           max_iters=10)
-    globs = estimate_global_constants(cand.system, conserved=conserved)
+    seed, sched, target = seed_run(**ISO, epsilon=0.005, bands=[12, 12], rho0=0.03,
+                                   c0_offset=1e-3, max_iters=10)
+    globs = estimate_global_constants(seed.cand.system, conserved=target.conserved)
     hook = contraction_constant_factory(globs, sched)
-    res = iterate_newton(cand, sched, IsoTarget(conserved, seed_level + 1e-3), ray, hook)
+    res = iterate_newton(seed, sched, target, hook)
     assert res.converged
     assert len(res.log) > 1 and all(rec["contraction_ok"] for rec in res.log[:-1])
 
 
 def test_custom_conserved_quantity_verification():
-    cand, ray = iso_setup(eps=0.01, bands=(8, 8))
-    sys_obj = cand.system
+    sys_obj = seed_run(**ISO, epsilon=0.01, bands=[8, 8])[0].cand.system
     from kamtorus.hamiltonian import ConservedQuantity
 
     # H + p is a legitimate first integral in involution with (H, p)
@@ -261,17 +220,15 @@ def test_iso_frequency_drift_within_reported_bound():
     """|omega_inf - omega| stays below the reported drift bound E3 ||E_c||/(gamma rho^tau)."""
     from kamtorus.certificate import certify, estimate_global_constants
 
-    cand, ray = iso_setup(eps=0.005, bands=(12, 12), rho=0.03)
-    conserved = cand.system.conserved("H")
-    seed_level = total_error(cand, conserved, 0.0).E_omega
-    sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, rho0=cand.rho, stop_tol=1e-12,
-                           max_iters=10)
-    settled = iterate_newton(cand, sched, IsoTarget(conserved, seed_level), ray)
+    seed, sched, level = seed_run(**ISO, epsilon=0.005, bands=[12, 12], rho0=0.03,
+                                  max_iters=10)
+    settled = iterate_newton(seed, sched, level)
     assert settled.converged
     base, base_ray = settled.iterate.cand, settled.iterate.ray
 
-    c0 = seed_level + settled.iterate.E_omega + 1e-6  # the settled level + 1e-6
-    it = IsoTarget(conserved, c0).evaluate(base, base_ray)
+    conserved = level.conserved
+    target = IsoTarget(conserved, level.c0 + settled.iterate.E_omega + 1e-6)  # settled + 1e-6
+    it = target.evaluate(base, base_ray)
     err_c = it.combined_norm(base.rho)
     globs = estimate_global_constants(base.system, conserved=conserved)
     fr = build_frames(base, it.kitchen)
@@ -279,7 +236,7 @@ def test_iso_frequency_drift_within_reported_bound():
     assert report.mode == "iso" and report.error_norm == err_c
     resched = NewtonSchedule(a1=2, a2=2, c_n=1e4, rho0=base.rho, stop_tol=1e-12,
                              max_iters=8)
-    res = iterate_newton(base, resched, IsoTarget(conserved, c0), base_ray)
+    res = iterate_newton(it, resched, target)
     assert res.converged
     measured = float(np.max(np.abs(res.iterate.cand.omega - base.omega)))
     gamma, tau = base.dio.gamma, base.dio.tau
@@ -290,15 +247,12 @@ def test_iso_frequency_drift_within_reported_bound():
 
 
 def test_bottom_row_limit_on_converged_torus():
-    cand, ray = iso_setup(eps=0.01, bands=(16, 16), rho=0.03)
-    conserved = cand.system.conserved("H")
-    seed_level = total_error(cand, conserved, 0.0).E_omega
-    sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, rho0=cand.rho, stop_tol=1e-12,
-                           max_iters=10)
-    res = iterate_newton(cand, sched, IsoTarget(conserved, seed_level + 1e-3), ray)
+    seed, sched, target = seed_run(**ISO, epsilon=0.01, bands=[16, 16], rho0=0.03,
+                                   c0_offset=1e-3, max_iters=10)
+    res = iterate_newton(seed, sched, target)
     assert res.converged
     final = res.iterate.cand
-    fr = build_frames(final, grid_kitchen(final, conserved))
+    fr = build_frames(final, res.iterate.kitchen)
     omega_hat = np.concatenate([final.omega, np.zeros(final.system.n - 2)])
     row = fr.Tdown.add_constant(-omega_hat[None, :])
     assert row.norm(0.0).value <= 1e-8

@@ -1,11 +1,15 @@
-"""The study scripts in ``scripts/`` run end to end on small inputs."""
+"""The study scripts in ``scripts/`` run end to end on small inputs, and the
+outputs of solve + certify keep the bytes pinned in ``outputs_golden.json``."""
 
+import importlib.util
 import json
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -70,3 +74,23 @@ def test_compare_outputs_reports_a_difference(tmp_path):
     lines = proc.stdout.splitlines()
     assert [line.split(" ", 2)[1] for line in lines] == ["log.jsonl", "ledger.csv", "exit"]
     assert all(line.endswith(" same") for line in lines)
+
+
+def test_outputs_match_the_golden_digests(tmp_path):
+    """Every pinned config writes the recorded bytes and exits with the recorded codes.
+
+    The digests hold for the numpy version and the platform recorded with them:
+    elsewhere pocketfft and the BLAS may round differently, so there the test
+    is skipped, naming both.  Regenerate with scripts/record_outputs_golden.py.
+    """
+    spec = importlib.util.spec_from_file_location(
+        "record_outputs_golden", ROOT / "scripts" / "record_outputs_golden.py")
+    recorder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recorder)
+    golden = json.loads(recorder.GOLDEN.read_text())
+    here = recorder.made_on()
+    recorded = {key: golden[key] for key in here}
+    if recorded != here:
+        pytest.skip(f"digests recorded on {recorded}, this is {here}")
+    for label, case in golden["cases"].items():
+        assert recorder.outputs(case["config"], tmp_path / label) == case["outputs"], label

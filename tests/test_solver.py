@@ -1,5 +1,7 @@
 """Triangular cohomological solve and the fixed-frequency Newton iteration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from kamtorus.solver import (
     solve_triangular,
 )
 
-from conftest import GOLDEN, ORDINARY_FRAME_NORMS, random_map, seed_candidate, torsion_frames
+from conftest import ORDINARY_FRAME_NORMS, random_map, seed_run, torsion_frames
 
 
 # ----------------------------------------------------------------- schedule
@@ -128,21 +130,18 @@ def phase_fix(monkeypatch):
     return seen
 
 
-def test_newton_step_zero_error_is_identity(exact_torus_b):
-    sched = NewtonSchedule(a1=2, a2=2, c_n=10.0, rho0=exact_torus_b.rho)
-    it = evaluate(exact_torus_b)
-    nxt, _ = newton_step(it, sched, exact_torus_b.rho / 12.0)
-    new_cand = nxt.cand
-    delta_k = new_cand.k_per - exact_torus_b.k_per
+def test_newton_step_zero_error_is_identity():
+    it, sched, _ = seed_run(system="symmetric_rotors", epsilon=0.0, bands=[8, 8], rho0=0.05,
+                            c_n=10.0)
+    nxt, _ = newton_step(it, sched, it.cand.rho / 12.0)
+    delta_k = nxt.cand.k_per - it.cand.k_per
     assert np.max(np.abs(delta_k.coeffs)) < 1e-14
-    assert it.E.norm(exact_torus_b.rho).value < 1e-13
+    assert it.E.norm(it.cand.rho).value < 1e-13
 
 
-def test_newton_step_quadratic_gain(golden_omega, phase_fix):
-    cand = seed_candidate("lagrangian_rotors", 1e-3, golden_omega,
-                          bands=(16, 16), rho=0.03)
-    sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, rho0=cand.rho)
-    it = evaluate(cand)
+def test_newton_step_quadratic_gain(phase_fix):
+    it, sched, _ = seed_run(epsilon=1e-3, bands=[16, 16], rho0=0.03)
+    cand = it.cand
     nxt, rec = newton_step(it, sched, cand.rho / 12.0)
     new_cand = nxt.cand
     err_before = it.E.norm(cand.rho).value
@@ -152,35 +151,30 @@ def test_newton_step_quadratic_gain(golden_omega, phase_fix):
     assert new_cand.rho == pytest.approx(cand.rho - 3 * cand.rho / 12.0)
 
 
-def test_newton_step_smallness_gate(golden_omega):
-    cand = seed_candidate("lagrangian_rotors", 0.05, golden_omega,
-                          bands=(8, 8), rho=0.03)
-    sched = NewtonSchedule(a1=2, a2=2, c_n=None, rho0=cand.rho)  # natural scale
+def test_newton_step_smallness_gate():
+    it, sched, _ = seed_run(epsilon=0.05, bands=[8, 8], rho0=0.03, c_n=None)  # natural scale
     with pytest.raises(HypothesisError) as info:
-        newton_step(evaluate(cand), sched, cand.rho / 12.0)
+        newton_step(it, sched, it.cand.rho / 12.0)
     assert "smallness" in str(info.value)
 
 
 # ---------------------------------------------------------------- iteration
 
 
-def test_iterate_zero_coupling_converges_immediately(exact_torus_b):
-    sched = NewtonSchedule(a1=2, a2=2, c_n=10.0, rho0=exact_torus_b.rho,
-                           stop_tol=1e-12)
-    res = iterate_newton(exact_torus_b, sched)
+def test_iterate_zero_coupling_converges_immediately():
+    res = iterate_newton(*seed_run(system="symmetric_rotors", epsilon=0.0, bands=[8, 8],
+                                   rho0=0.05, c_n=10.0, stop_tol=1e-12))
     assert res.converged and "0 steps" in res.reason
     assert len(res.log) - 1 == 0
 
 
-def test_iterate_converges_and_bookkeeping(golden_omega, phase_fix):
-    cand = seed_candidate("lagrangian_rotors", 0.02, golden_omega,
-                          bands=(16, 16), rho=0.03)
-    sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, max_iters=10, stop_tol=1e-11,
-                           rho0=0.03)
-    res = iterate_newton(cand, sched)
+def test_iterate_converges_and_bookkeeping(phase_fix):
+    seed, sched, _ = seed_run(epsilon=0.02, bands=[16, 16], rho0=0.03, max_iters=10,
+                              stop_tol=1e-11)
+    res = iterate_newton(seed, sched)
     assert res.converged, res.reason
     # frequency bit-identical across the run
-    assert res.iterate.cand.omega.tobytes() == cand.omega.tobytes()
+    assert res.iterate.cand.omega.tobytes() == seed.cand.omega.tobytes()
     # strips follow rho_{s+1} = rho_s - 3 delta_s and stay above rho_inf
     rhos = [rec["rho"] for rec in res.log]
     for s, (r1, r2) in enumerate(zip(rhos, rhos[1:])):
@@ -193,24 +187,28 @@ def test_iterate_converges_and_bookkeeping(golden_omega, phase_fix):
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
-def test_iterate_divergence_reported(golden_omega):
+def test_iterate_divergence_reported():
     # absurd coupling: the integrable guess is far outside the Newton basin
-    cand = seed_candidate("lagrangian_rotors", 0.6, golden_omega,
-                          bands=(8, 8), rho=0.03)
-    sched = NewtonSchedule(a1=2, a2=2, c_n=1e6, max_iters=6, stop_tol=1e-12,
-                           rho0=0.03)
-    res = iterate_newton(cand, sched)
+    res = iterate_newton(*seed_run(epsilon=0.6, bands=[8, 8], rho0=0.03, c_n=1e6,
+                                   max_iters=6, stop_tol=1e-12))
     assert not res.converged
 
 
-def test_per_step_ledger_soundness(golden_omega):
+def test_iterate_refuses_a_seed_off_the_schedule_strip():
+    """The seed's errors are measured on its own strip, so a schedule starting
+    on another strip is refused rather than re-stripping the seed unevaluated."""
+    seed, sched, _ = seed_run(epsilon=5e-3, bands=[4, 4], rho0=0.03)
+    with pytest.raises(ValueError, match=r"rho = 0\.03\b.*rho0 = 0\.05\b"):
+        iterate_newton(seed, replace(sched, rho0=0.05))
+
+
+def test_per_step_ledger_soundness():
     """||Delta K|| and ||new E|| stay below their ledger bounds at every step."""
     from kamtorus.certificate import build_ledger, estimate_global_constants
     from kamtorus.frames import measure_hypothesis_data
 
-    cand = seed_candidate("lagrangian_rotors", 2e-3, golden_omega, bands=(16, 16),
-                          rho=0.03)
-    sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, rho0=cand.rho)
+    seed, sched, _ = seed_run(epsilon=2e-3, bands=[16, 16], rho0=0.03)
+    cand = seed.cand
     globs = estimate_global_constants(cand.system)
     gamma, tau = cand.dio.gamma, cand.dio.tau
     current = cand
@@ -232,26 +230,21 @@ def test_per_step_ledger_soundness(golden_omega):
         current = nxt.cand
 
 
-def test_band_refinement_reported(golden_omega):
+def test_band_refinement_reported():
     """With refinement enabled, a coarse seed whose error has a heavy tail
     doubles its bands and the event lands in the log."""
-    cand = seed_candidate("lagrangian_rotors", 0.02, golden_omega, bands=(2, 2),
-                          rho=0.03)
-    sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, max_iters=6, stop_tol=1e-10,
-                           rho0=0.03, band_refinement=True, tail_threshold=0.1)
-    res = iterate_newton(cand, sched)
+    seed, sched, _ = seed_run(epsilon=0.02, bands=[2, 2], rho0=0.03, max_iters=6,
+                              stop_tol=1e-10)
+    res = iterate_newton(seed, replace(sched, band_refinement=True, tail_threshold=0.1))
     refined = [rec for rec in res.log if "band_refined_to" in rec]
     assert all("tail_fraction" in rec for rec in res.log)
     if refined:  # the tail rule decides; bands never shrink
-        assert res.iterate.cand.bands > cand.bands
+        assert res.iterate.cand.bands > seed.cand.bands
 
 
-def test_log_carries_norm_tables(golden_omega):
-    cand = seed_candidate("lagrangian_rotors", 5e-3, golden_omega, bands=(8, 8),
-                          rho=0.03)
-    sched = NewtonSchedule(a1=2, a2=2, c_n=1e4, max_iters=4, stop_tol=1e-10,
-                           rho0=0.03)
-    res = iterate_newton(cand, sched)
+def test_log_carries_norm_tables():
+    res = iterate_newton(*seed_run(epsilon=5e-3, bands=[8, 8], rho0=0.03, max_iters=4,
+                                   stop_tol=1e-10))
     stepped = [rec for rec in res.log if "frame_norms" in rec]
     assert stepped
     assert set(stepped[0]["frame_norms"]) == ORDINARY_FRAME_NORMS
