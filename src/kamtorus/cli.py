@@ -337,6 +337,8 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         extra = {"omega_initial": result.log[0]["omega"], "omega_final": final.omega.tolist(),
                  "c0": target.c0, "c_final": target.c0 + last.E_omega,
                  "ray_scale": last.ray.scale}
+    del last  # the last kitchen is dead once its level and ray are read: the writes
+    result.iterate = None  # below peak without it
 
     log_lines = "\n".join(json.dumps(rec, sort_keys=True) for rec in result.log)
     (out_dir / "log.jsonl").write_text(log_lines + "\n")
@@ -376,6 +378,7 @@ def cmd_certify(torus_path: str, cfg_overrides: dict, out_dir: Path) -> int:
         with _torus_field("c0"):
             target = IsoTarget(conserved, float(_checked("c0", doc["c0"], _is_real,
                                                          "a finite number")))
+    del doc  # the parsed document is dead once the candidate, c0 and the ray are built
     # the global bounds first: a sampled lattice then peaks without the kitchen alive
     globs = estimate_global_constants(cand.system, conserved=conserved)
     it = evaluate(cand, target, ray)

@@ -19,7 +19,11 @@ real-analytic operands with real FFTs, and real grid samples are analysed with
 real FFTs.  These real transforms are pruned to the kept box: they run
 numpy's 1-D transforms in the axis order of ``rfftn``/``irfftn`` but only on
 the lines that hold kept modes, so each kept value is bit for bit what
-``rfftn``/``irfftn`` give.
+``rfftn``/``irfftn`` give.  Every transform but axis 0's acts on lines inside
+one axis-0 slab of the grid, so :func:`slab_analysis` samples a pointwise
+function of a map one slab of about SLAB_POINTS points at a time and holds
+only the kept bins of the whole grid: the memory of a grid-sampled stage grows
+like M^(d-1) instead of M^d, with the same bits.
 
 Norms: the sup of |f| on the complex strip |Im theta| < rho is bounded
 entry-wise by the Fourier majorant
@@ -39,6 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+SLAB_POINTS = 4096  # grid points per slab of slab_analysis, which bounds its memory
 
 
 class FourierShapeError(ValueError):
@@ -154,7 +159,7 @@ class FourierMap:
         if any(m < 2 * n + 1 for n, m in zip(bands, grid)):
             raise FourierShapeError(f"grid {grid} too small for bands {bands}")
         if real:
-            return cls(_real_analysis(samples, bands), bands)
+            return cls(slab_analysis(lambda rows, _: [samples[rows]], grid, bands)[0], bands)
         hat = np.fft.fftn(samples, axes=tuple(range(d))) / float(np.prod(grid))
         coeffs = hat[_embed_slices(bands, grid)]
         return cls(_symmetrize(coeffs), bands)
@@ -411,42 +416,117 @@ def _is_constant(f: FourierMap) -> bool:
     return not (np.any(flat[:center]) or np.any(flat[center + 1:]))
 
 
+def _ifft_kept(data: np.ndarray, axis: int, n: int, m: int) -> np.ndarray:
+    """``ifft`` along ``axis`` of the kept rows -n .. n embedded in m bins."""
+    full = np.zeros(data.shape[:axis] + (m,) + data.shape[axis + 1:], dtype=np.complex128)
+    full[(slice(None),) * axis + (_kept_rows(n, m),)] = data
+    return np.fft.ifft(full, axis=axis, norm="forward")
+
+
+def _fft_kept(data: np.ndarray, axis: int, n: int) -> np.ndarray:
+    """``fft`` along ``axis``, cut to the kept rows -n .. n."""
+    hat = np.fft.fft(data, axis=axis, norm="forward")
+    return hat.take(_kept_rows(n, data.shape[axis]), axis=axis)
+
+
+def _synthesis_head(f: FourierMap, grid: tuple) -> np.ndarray:
+    """The k_d >= 0 half of ``f``, inverse-transformed along axis 0 when d > 1."""
+    if any(m < 2 * n + 1 for n, m in zip(f.bands, grid)):
+        raise FourierShapeError(f"evaluation grid {grid} too small for bands {f.bands}")
+    data = f.coeffs[..., f.bands[-1]:, :, :]
+    return _ifft_kept(data, 0, f.bands[0], grid[0]) if f.d > 1 else data
+
+
+def _synthesis_tail(head: np.ndarray, bands: tuple, grid: tuple) -> np.ndarray:
+    """Real samples on the axis-0 rows that ``head`` holds: ``ifft`` on axes
+    1 .. d-2, then ``irfft`` zero-pads the N_d + 1 kept bins to M_d."""
+    for axis in range(1, len(bands) - 1):
+        head = _ifft_kept(head, axis, bands[axis], grid[axis])
+    return np.fft.irfft(head, n=grid[-1], axis=len(bands) - 1, norm="forward")
+
+
+def _analysis_head(samples: np.ndarray, bands: tuple) -> np.ndarray:
+    """``rfft`` on the last torus axis cut to its N_d + 1 kept bins, then ``fft``
+    on axes d-2 .. 1 cut to the kept rows: every transform but axis 0's."""
+    d = len(bands)
+    upper = np.fft.rfft(samples, axis=d - 1, norm="forward")[..., :bands[-1] + 1, :, :]
+    for axis in range(d - 2, 0, -1):
+        upper = _fft_kept(upper, axis, bands[axis])
+    return upper
+
+
+def _analysis_tail(upper: np.ndarray, bands: tuple) -> np.ndarray:
+    """``fft`` on axis 0 cut to its kept rows (d > 1), the k_d < 0 modes filled
+    from the k_d > 0 ones by conjugate symmetry, then symmetrized."""
+    d = len(bands)
+    if d > 1:
+        upper = _fft_kept(upper, 0, bands[0])
+    lower = np.conj(upper[tuple(slice(None, None, -1) for _ in range(d - 1))])
+    box = np.concatenate([lower[..., :0:-1, :, :], upper], axis=d - 1)
+    del lower, upper  # the halves are released before the symmetrized box is built
+    return _symmetrize(box)
+
+
 def _real_samples(f: FourierMap, grid: tuple) -> np.ndarray:
     """Real samples of a real-analytic map on ``grid``, equal bit for bit to
-    ``irfftn`` of its k_d >= 0 half spectrum (``norm="forward"``).
+    ``irfftn`` of its k_d >= 0 half spectrum (``norm="forward"``): the
+    one-slab case of :func:`slab_analysis`'s synthesis.
 
     Only the modes with k_d >= 0 are read; the others are implied by
     f_{-k} = conj(f_k).  The 1-D transforms run in ``irfftn``'s order, but only
     on lines that hold kept modes: axes 0 .. d-2 embed the kept rows and
     ``ifft`` them, then ``irfft`` zero-pads the N_d + 1 kept bins to M_d.
     """
-    if any(m < 2 * n + 1 for n, m in zip(f.bands, grid)):
-        raise FourierShapeError(f"evaluation grid {grid} too small for bands {f.bands}")
-    data = f.coeffs[..., f.bands[-1]:, :, :]
-    for axis in range(f.d - 1):
-        full = np.zeros(data.shape[:axis] + (grid[axis],) + data.shape[axis + 1:],
-                        dtype=np.complex128)
-        full[(slice(None),) * axis + (_kept_rows(f.bands[axis], grid[axis]),)] = data
-        data = np.fft.ifft(full, axis=axis, norm="forward")
-    return np.fft.irfft(data, n=grid[-1], axis=f.d - 1, norm="forward")
+    return _synthesis_tail(_synthesis_head(f, grid), f.bands, grid)
 
 
 def _real_analysis(samples: np.ndarray, bands: tuple) -> np.ndarray:
     """Symmetrized coefficients on the box ``bands`` of real grid samples, from
-    a spectrum equal bit for bit to ``rfftn`` (``norm="forward"``) on that box.
+    a spectrum equal bit for bit to ``rfftn`` (``norm="forward"``) on that box:
+    the one-slab case of :func:`slab_analysis`.
 
     The 1-D transforms run in ``rfftn``'s order, but each keeps only the kept
     modes: ``rfft`` on the last axis is cut to its N_d + 1 kept bins, then
     ``fft`` on axes d-2 .. 0 is cut to the 2N_i + 1 kept rows.  The k_d < 0
     modes are filled from the k_d > 0 ones by conjugate symmetry.
     """
+    return _analysis_tail(_analysis_head(samples, bands), bands)
+
+
+def slab_analysis(pointwise, grid: tuple, bands: tuple, f: FourierMap | None = None) -> list:
+    """Symmetrized coefficients on ``bands`` of the real sample arrays (a list)
+    that ``pointwise(rows, vals)`` returns for each slab of axis-0 ``rows`` (a
+    slice) of ``grid``, ``vals`` being the real samples of ``f`` on those rows
+    (``None`` without ``f``).
+
+    The grid is walked in slabs of about SLAB_POINTS points, so no sample
+    array of the whole grid is ever held: ``f``'s axis-0 ``ifft`` runs once on
+    its kept data, each slab runs the rest of the synthesis, ``pointwise`` and
+    every analysis transform but axis 0's, whose kept bins go into one
+    accumulator per output; the axis-0 ``fft`` and the symmetrization run last.
+    Every 1-D transform acts on lines inside one slab or on the kept data, so
+    the result is bit for bit that of :func:`_real_samples` and
+    :func:`_real_analysis` on the whole grid.  At d = 1 the slab is the grid.
+    """
     d = len(bands)
-    upper = np.fft.rfft(samples, axis=d - 1, norm="forward")[..., :bands[-1] + 1, :, :]
-    for axis in range(d - 2, -1, -1):
-        upper = np.fft.fft(upper, axis=axis, norm="forward")
-        upper = upper.take(_kept_rows(bands[axis], samples.shape[axis]), axis=axis)
-    lower = np.conj(upper[tuple(slice(None, None, -1) for _ in range(d - 1))])
-    return _symmetrize(np.concatenate([lower[..., :0:-1, :, :], upper], axis=d - 1))
+    head = None if f is None else _synthesis_head(f, grid)
+    step = grid[0] if d == 1 else max(1, SLAB_POINTS // int(np.prod(grid[1:])))
+    accs = []
+    for start in range(0, grid[0], step):
+        rows = slice(start, min(start + step, grid[0]))
+        vals = None if head is None else _synthesis_tail(head[rows], f.bands, grid)
+        outs = pointwise(rows, vals)
+        del vals
+        for i in range(len(outs)):
+            upper = _analysis_head(np.asarray(outs[i], dtype=np.float64), bands)
+            outs[i] = None  # each sample array is released once it is analysed
+            if start == 0:  # at d = 1 axis 0 is already cut to its kept bins
+                rows0 = grid[0] if d > 1 else upper.shape[0]
+                accs.append(np.empty((rows0,) + upper.shape[1:], dtype=np.complex128))
+            accs[i][rows] = upper
+            del upper  # before the next output's transforms
+    del head
+    return [_analysis_tail(accs.pop(0), bands) for _ in range(len(accs))]
 
 
 def _scaled_fit(f: FourierMap, out_bands: tuple, scale) -> FourierMap:

@@ -15,10 +15,12 @@ E_red) that the proof's lemmas bound.
 Every map is represented on the candidate's common Fourier band; nonlinear
 ingredients (compositions with the system callbacks, pointwise inverses) are
 sampled as real arrays on the work grid of ``work_grid`` (the smallest size
->= 4N+1 per axis with no prime factor above 3), analysed with real FFTs and
+>= 4N+1 per axis with no prime factor above 3), one axis-0 slab at a time
+(:func:`~kamtorus.fourier.slab_analysis`), analysed with real FFTs and
 truncated back, except that the maps of a canonical structure are built as
-exact one-mode constants.  The rank check of L and the samples of K are real
-syntheses too.  ``build_frames`` builds only what the Newton step and the
+exact one-mode constants.  No sample array of the whole work grid is held.
+The rank check of L and the samples of K on the exact grid are whole-grid
+real syntheses.  ``build_frames`` builds only what the Newton step and the
 certificate read; no solve or certificate builds the error maps.  The (1,2)
 block of E_red repeats the torsion's products call for call, so its
 vanishing is exact by construction rather than a numerical accident.
@@ -32,7 +34,7 @@ import numpy as np
 
 from .cohomology import DiophantineParams
 from .fourier import (TWO_PI, FourierMap, _k1_box, _next_smooth, _real_samples, assemble_blocks,
-                      matmul)
+                      matmul, slab_analysis)
 from .hamiltonian import ConservedQuantity, HamiltonianSystem
 
 RANK_TOL = 1e-8  # L is rank-deficient if a singular value on the grid is at most this
@@ -114,9 +116,15 @@ class TorusCandidate:
 
     def k_values(self, grid) -> np.ndarray:
         """Real samples of K on a uniform grid (theta added to angle components)."""
-        vals = _real_samples(self.k_per, tuple(grid))[..., 0]
+        return self._add_angles(_real_samples(self.k_per, tuple(grid))[..., 0], grid,
+                                slice(None))
+
+    def _add_angles(self, vals: np.ndarray, grid, rows: slice) -> np.ndarray:
+        """``vals``, the periodic part of K on the axis-0 ``rows`` of ``grid``, with
+        theta added to its angle components in place."""
         if self.angle_block:
             axes = [np.arange(m) / m for m in grid]
+            axes[0] = axes[0][rows]
             mesh = np.meshgrid(*axes, indexing="ij")
             for i in range(self.d):
                 vals[..., i] += mesh[i]
@@ -218,36 +226,38 @@ class GridKitchen:
 
 
 def grid_kitchen(cand: TorusCandidate, conserved: ConservedQuantity | None = None) -> GridKitchen:
+    """Every composition of K with the system callbacks, sampled and analysed one
+    axis-0 slab of the work grid at a time (:func:`~kamtorus.fourier.slab_analysis`)."""
     sys = cand.system
     bands = cand.bands
-    kv = cand.k_values(work_grid(bands))
+    grid = work_grid(bands)
+    geo = sys.geometry
+    structures = (geo.omega_mat, geo.metric_G, geo.iso_J, geo.tilde_omega)
+    origin = []  # K at theta = 0, where a canonical structure is read
 
-    def analyze(samples):
-        return FourierMap.from_samples(samples, bands)
+    def sample(rows, k):
+        kv = cand._add_angles(k[..., 0], grid, rows)
+        if rows.start == 0:
+            origin.append(kv[(0,) * cand.d][None].copy())
+        out = [sys.XH(kv)[..., :, None], sys.DXH(kv)]
+        if not geo.is_canonical:
+            out += [callback(kv) for callback in structures]
+        if sys.n_integrals:
+            out.append(sys.Xp(kv))
+        if conserved is not None:
+            out += [np.asarray(conserved.Dc(kv))[..., None, :],
+                    np.asarray(conserved.c(kv))[..., None, None]]
+        return out
 
-    if sys.geometry.is_canonical:  # constant structure: one point, one mode, no transform
-        def structure(callback):
-            return FourierMap.constant(callback(kv[(0,) * cand.d][None])[0], (0,) * cand.d)
+    maps = [FourierMap(c, bands) for c in slab_analysis(sample, grid, bands, cand.k_per)]
+    xh, dxh = maps.pop(0), maps.pop(0)
+    if geo.is_canonical:  # constant structure: one point, one mode, no transform
+        om, g, jj, tom = (FourierMap.constant(callback(origin[0])[0], (0,) * cand.d)
+                          for callback in structures)
     else:
-        def structure(callback):
-            return analyze(callback(kv))
-
-    n2 = 2 * sys.n
-    xh = analyze(sys.XH(kv)[..., :, None])
-    dxh = analyze(sys.DXH(kv))
-    om = structure(sys.geometry.omega_mat)
-    g = structure(sys.geometry.metric_G)
-    jj = structure(sys.geometry.iso_J)
-    tom = structure(sys.geometry.tilde_omega)
-    if sys.n_integrals:
-        xp = analyze(sys.Xp(kv))
-    else:
-        xp = FourierMap.zeros(bands, (n2, 0))
-    dc = c_map = None
-    if conserved is not None:
-        dc = analyze(np.asarray(conserved.Dc(kv))[..., None, :])
-        c_map = analyze(np.asarray(conserved.c(kv))[..., None, None])
-    del kv  # L is built last, when the samples are gone
+        om, g, jj, tom = (maps.pop(0) for _ in structures)
+    xp = maps.pop(0) if sys.n_integrals else FourierMap.zeros(bands, (2 * sys.n, 0))
+    dc, c_map = maps if conserved is not None else (None, None)
     return GridKitchen(cand=cand, XH=xh, DXH=dxh, Omega=om, G=g, J=jj, tOmega=tom,
                        L=cand.tangent_family(xp), Dc=dc, c_map=c_map)
 
@@ -352,39 +362,53 @@ def _pointwise_inverse(f: FourierMap):
     The Gram matrix L^T (G o K) L is SPD wherever G is positive definite
     (``GeometricStructure.check_invariants`` samples it) and L has full rank
     (``tangent_frame`` checks it), so Gauss-Jordan elimination needs no
-    pivoting.  It runs with the matrix axes in front, each operation over the
-    whole grid, followed by one refinement step X <- X + X (I - A X).  A pivot that is not finite and positive raises
-    SingularGramError, and so does a condition estimate above COND_LIMIT or
-    NaN.  Returns (inverse, cond).
+    pivoting.  It runs one axis-0 slab of the grid at a time
+    (:func:`~kamtorus.fourier.slab_analysis`), with the matrix axes in front and
+    each operation over the whole slab, followed by one refinement step
+    X <- X + X (I - A X).  A pivot that is not finite and positive raises
+    SingularGramError, naming the first such pivot, its first value in C order
+    and its point count over the whole grid; so does a condition estimate above
+    COND_LIMIT or NaN.  Returns (inverse, cond).
     """
-    vals = _real_samples(f, work_grid(f.bands))
-    a = np.ascontiguousarray(np.moveaxis(vals, (-2, -1), (0, 1)))
-    n = a.shape[0]
-    diag = (np.arange(n),) * 2
-    w = a.copy()
-    x = np.zeros_like(a)
-    x[diag] = 1.0
-    for p in range(n):
-        piv = w[p, p].copy()
-        bad = ~(np.isfinite(piv) & (piv > 0))
-        if bad.any():
-            raise SingularGramError(
-                f"Gram matrix pivot {p} is {piv[bad][0]:.3e} at {int(bad.sum())} grid "
-                "point(s): not finite and positive")
-        w[p] /= piv
-        x[p] /= piv
-        for r in range(n):
-            if r != p:
-                fac = w[r, p].copy()
-                w[r] -= fac * w[p]
-                x[r] -= fac * x[p]
-    resid = -_front_matmul(a, x)
-    resid[diag] += 1.0
-    x += _front_matmul(x, resid)
-    cond = float(np.max(np.abs(a).sum(axis=1).max(axis=0) * np.abs(x).sum(axis=1).max(axis=0)))
+    conds, bad_pivots = [], []  # per slab: its condition estimate; (pivot, value, count)
+
+    def invert(rows, vals):
+        a = np.ascontiguousarray(np.moveaxis(vals, (-2, -1), (0, 1)))
+        n = a.shape[0]
+        diag = (np.arange(n),) * 2
+        w = a.copy()
+        x = np.zeros_like(a)
+        x[diag] = 1.0
+        for p in range(n):
+            piv = w[p, p].copy()
+            bad = ~(np.isfinite(piv) & (piv > 0))
+            if bad.any():
+                bad_pivots.append((p, piv[bad][0], int(bad.sum())))
+                return [vals]  # the slab is not inverted; the whole inverse is refused
+            w[p] /= piv
+            x[p] /= piv
+            for r in range(n):
+                if r != p:
+                    fac = w[r, p].copy()
+                    w[r] -= fac * w[p]
+                    x[r] -= fac * x[p]
+        resid = -_front_matmul(a, x)
+        resid[diag] += 1.0
+        x += _front_matmul(x, resid)
+        conds.append(np.max(np.abs(a).sum(axis=1).max(axis=0) * np.abs(x).sum(axis=1).max(axis=0)))
+        return [np.moveaxis(x, (0, 1), (-2, -1))]
+
+    coeffs = slab_analysis(invert, work_grid(f.bands), f.bands, f)[0]
+    if bad_pivots:  # the whole-grid elimination stops at the least bad pivot
+        p = min(bad[0] for bad in bad_pivots)
+        first = next(value for q, value, _ in bad_pivots if q == p)
+        count = sum(c for q, _, c in bad_pivots if q == p)
+        raise SingularGramError(f"Gram matrix pivot {p} is {first:.3e} at {count} grid "
+                                "point(s): not finite and positive")
+    cond = float(np.max(conds))
     if not cond <= COND_LIMIT:
         raise SingularGramError(f"pointwise condition estimate {cond:.3e} exceeds {COND_LIMIT:.1e}")
-    return FourierMap.from_samples(np.moveaxis(x, (0, 1), (-2, -1)), f.bands), cond
+    return FourierMap(coeffs, f.bands), cond
 
 
 def _front_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

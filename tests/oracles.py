@@ -9,6 +9,10 @@
 - ``cauchy_bound`` carries a strip norm to a thinner strip; ``russmann_raw_ratio``
   is the band-capped small-divisor maximum that ``russmann_constant``
   envelopes.
+- ``irfftn_samples`` and ``rfftn_coefficients`` synthesize and analyse on the
+  whole grid at once with numpy's n-dimensional real transforms, which the
+  pruned, slab-wise transforms of ``kamtorus.fourier`` equal bit for bit, as
+  ``assert_same_bits`` checks.
 - ``ledger_diff``, ``contains_margin`` and ``empty_integrals`` compare two
   ledgers, measure a point set against a domain box, and build the integral
   callbacks of a system without first integrals.
@@ -205,6 +209,37 @@ def russmann_raw_ratio(tau: float, delta: float, band_limit) -> float:
     m = np.arange(1, m_max + 1, dtype=np.float64)
     vals = m**tau * np.exp(-TWO_PI * m * delta)
     return float(delta**tau * np.max(vals) / TWO_PI)
+
+
+# ---------------------------------------------------------------------------
+# whole-grid transforms
+# ---------------------------------------------------------------------------
+
+
+def irfftn_samples(f, grid):
+    """Reference synthesis: irfftn of the whole k_d >= 0 half spectrum on ``grid``."""
+    half = np.zeros(grid[:-1] + (grid[-1] // 2 + 1,) + f.shape, dtype=np.complex128)
+    rows = [np.arange(-n, n + 1) % m for n, m in zip(f.bands[:-1], grid[:-1])]
+    half[np.ix_(*rows, np.arange(f.bands[-1] + 1))] = f.coeffs[..., f.bands[-1]:, :, :]
+    return np.fft.irfftn(half, s=grid, axes=tuple(range(f.d)), norm="forward")
+
+
+def rfftn_coefficients(samples, bands):
+    """Reference analysis: the box ``bands`` cut from the whole rfftn spectrum,
+    its k_d < 0 half filled by conjugate symmetry, then symmetrized."""
+    d = len(bands)
+    hat = np.fft.rfftn(samples, axes=tuple(range(d)), norm="forward")
+    rows = [np.arange(-n, n + 1) % m for n, m in zip(bands[:-1], samples.shape[:d - 1])]
+    upper = hat[np.ix_(*rows, np.arange(bands[-1] + 1))]
+    lower = np.conj(upper[tuple(slice(None, None, -1) for _ in range(d - 1))])
+    box = np.concatenate([lower[..., :0:-1, :, :], upper], axis=d - 1)
+    return 0.5 * (box + np.conj(box[tuple(slice(None, None, -1) for _ in range(d))]))
+
+
+def assert_same_bits(got, ref):
+    assert np.array_equal(got, ref)
+    assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ Each criterion prints one line `ACCEPTANCE <n>: PASS|FAIL - <detail>`;
 run `pytest tests/test_acceptance.py -v -s` to see them inline.
 """
 
-import sys
 import time
 
 import numpy as np
@@ -222,8 +221,8 @@ def test_criterion_7_certificate_end_to_end():
     globs = estimate_global_constants(seed.cand.system)
     res = iterate_newton(seed, sched)
     assert res.converged, res.reason
-    torus = res.iterate.cand
-    it = evaluate(torus)
+    it = res.iterate
+    torus = it.cand
     fr = build_frames(torus, it.kitchen)
     report, ledger = certify(it, fr, sched, globs)
     primary_pass = report.passed and report.ratio < 1.0

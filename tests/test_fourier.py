@@ -18,7 +18,7 @@ from kamtorus.fourier import (
 )
 
 from conftest import eval_at, map_from_json, map_to_json, random_map
-from oracles import cauchy_bound
+from oracles import assert_same_bits, cauchy_bound, irfftn_samples, rfftn_coefficients
 
 RNG = np.random.default_rng(20240817)
 
@@ -320,31 +320,6 @@ def test_json_round_trip():
 
 
 # ------------------------------------------------------ pruned real transforms
-
-
-def irfftn_samples(f, grid):
-    """Reference synthesis: irfftn of the whole k_d >= 0 half spectrum on ``grid``."""
-    half = np.zeros(grid[:-1] + (grid[-1] // 2 + 1,) + f.shape, dtype=np.complex128)
-    rows = [np.arange(-n, n + 1) % m for n, m in zip(f.bands[:-1], grid[:-1])]
-    half[np.ix_(*rows, np.arange(f.bands[-1] + 1))] = f.coeffs[..., f.bands[-1]:, :, :]
-    return np.fft.irfftn(half, s=grid, axes=tuple(range(f.d)), norm="forward")
-
-
-def rfftn_coefficients(samples, bands):
-    """Reference analysis: the box ``bands`` cut from the whole rfftn spectrum,
-    its k_d < 0 half filled by conjugate symmetry, then symmetrized."""
-    d = len(bands)
-    hat = np.fft.rfftn(samples, axes=tuple(range(d)), norm="forward")
-    rows = [np.arange(-n, n + 1) % m for n, m in zip(bands[:-1], samples.shape[:d - 1])]
-    upper = hat[np.ix_(*rows, np.arange(bands[-1] + 1))]
-    lower = np.conj(upper[tuple(slice(None, None, -1) for _ in range(d - 1))])
-    box = np.concatenate([lower[..., :0:-1, :, :], upper], axis=d - 1)
-    return 0.5 * (box + np.conj(box[tuple(slice(None, None, -1) for _ in range(d))]))
-
-
-def assert_same_bits(got, ref):
-    assert np.array_equal(got, ref)
-    assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
 
 
 @pytest.mark.parametrize("bands, grid", [

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kamtorus.cohomology import DiophantineParams, estimate_gamma, russmann_constant
+from kamtorus.cohomology import russmann_constant
 from kamtorus.fourier import FourierMap, _real_samples, dealias_grid, matmul
 from kamtorus.frames import (
     RANK_TOL,

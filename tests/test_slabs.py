@@ -1,0 +1,238 @@
+"""Slab-wise sampling: the grid kitchen and the pointwise inverse walk the work
+grid one axis-0 slab at a time.  At every slab size they equal, bit for bit,
+their whole-grid forms written out here with numpy's n-dimensional real
+transforms; they fail as the whole-grid forms fail; and they peak lower."""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from kamtorus import fourier, frames
+from kamtorus.cohomology import DiophantineParams
+from kamtorus.fourier import FourierMap, matmul
+from kamtorus.frames import (COND_LIMIT, SingularGramError, _front_matmul, _pointwise_inverse,
+                             grid_kitchen, seed_torus, work_grid)
+from kamtorus.hamiltonian import DomainBox, _trig_potential_system
+
+from conftest import random_map, scaled_structure, seed_run
+from oracles import assert_same_bits, irfftn_samples, rfftn_coefficients
+
+SLABS = ["one-row", "ragged", "whole"]
+
+
+def slab_points(kind: str, grid: tuple) -> int:
+    """SLAB_POINTS for one axis-0 row per slab, a row count that does not divide
+    M_0, or the whole grid in one slab."""
+    row = int(np.prod(grid[1:]))
+    if kind == "one-row":
+        return 1
+    if kind == "ragged":
+        return row * next(r for r in range(5, grid[0]) if grid[0] % r)
+    return row * grid[0]
+
+
+def d3_candidate(bands, seed=0) -> frames.TorusCandidate:
+    """A perturbed seed of the d = 3, n = 4 term table: cos 2 pi x1, cos 2 pi x2 and
+    cos 2 pi x1 cos 2 pi (x3 - x4), times 1e-3, with the first integral y3 + y4."""
+    terms = [(1e-3, (1, 0, 0, 0)), (1e-3, (0, 1, 0, 0)), (0.5e-3, (1, 0, 1, -1)),
+             (0.5e-3, (1, 0, -1, 1))]
+    system = _trig_potential_system(
+        "d3_rotors", terms, np.array([[0.0, 0.0, 1.0, 1.0]]),
+        DomainBox(n=4, y_center=np.zeros(4), y_radius=0.5, imag_width=0.2), {"epsilon": 1e-3})
+    dio = DiophantineParams(2.0 ** (np.arange(3) / 3), 1e-3, 2.0, 10, check=False)
+    cand = seed_torus(system, dio, bands, 0.03)
+    noise = random_map(bands, (8, 1), np.random.default_rng(seed), decay=0.5, scale=1e-2)
+    return cand.with_updates(k_per=cand.k_per + noise)
+
+
+def planar_candidate(bands=(8, 8), **fields):
+    """A perturbed seed of a registered d = 2 system, and its conserved target."""
+    seed, _, target = seed_run(bands=list(bands), **fields)
+    noise = random_map(bands, seed.cand.k_per.shape, np.random.default_rng(5), decay=0.5,
+                       scale=1e-2)
+    cand = seed.cand.with_updates(k_per=seed.cand.k_per + noise)
+    return cand, None if target is None else target.conserved
+
+
+def whole_grid_kitchen(cand, conserved=None) -> dict:
+    """Coefficients of every kitchen map, each callback sampled on the whole work
+    grid at once: the kitchen before it was sampled in slabs."""
+    bands, grid = cand.bands, work_grid(cand.bands)
+    kv = irfftn_samples(cand.k_per, grid)[..., 0]
+    if cand.angle_block:
+        mesh = np.meshgrid(*(np.arange(m) / m for m in grid), indexing="ij")
+        for i in range(cand.d):
+            kv[..., i] += mesh[i]
+    system, geo = cand.system, cand.system.geometry
+    samples = {"XH": system.XH(kv)[..., :, None], "DXH": system.DXH(kv)}
+    out = {}
+    for name, callback in (("Omega", geo.omega_mat), ("G", geo.metric_G), ("J", geo.iso_J),
+                           ("tOmega", geo.tilde_omega)):
+        if geo.is_canonical:
+            point = kv[(0,) * cand.d][None]
+            out[name] = FourierMap.constant(callback(point)[0], (0,) * cand.d).coeffs
+        else:
+            samples[name] = callback(kv)
+    if conserved is not None:
+        samples["Dc"] = np.asarray(conserved.Dc(kv))[..., None, :]
+        samples["c_map"] = np.asarray(conserved.c(kv))[..., None, None]
+    out.update({name: rfftn_coefficients(s, bands) for name, s in samples.items()})
+    xp = (FourierMap(rfftn_coefficients(system.Xp(kv), bands), bands) if system.n_integrals
+          else FourierMap.zeros(bands, (2 * system.n, 0)))
+    out["L"] = cand.tangent_family(xp).coeffs
+    return out
+
+
+def whole_grid_inverse(f: FourierMap):
+    """The pointwise inverse by Gauss-Jordan elimination over the whole work grid
+    at once: the inverse before it was computed in slabs."""
+    vals = irfftn_samples(f, work_grid(f.bands))
+    a = np.ascontiguousarray(np.moveaxis(vals, (-2, -1), (0, 1)))
+    n = a.shape[0]
+    diag = (np.arange(n),) * 2
+    w = a.copy()
+    x = np.zeros_like(a)
+    x[diag] = 1.0
+    for p in range(n):
+        piv = w[p, p].copy()
+        bad = ~(np.isfinite(piv) & (piv > 0))
+        if bad.any():
+            raise SingularGramError(
+                f"Gram matrix pivot {p} is {piv[bad][0]:.3e} at {int(bad.sum())} grid "
+                "point(s): not finite and positive")
+        w[p] /= piv
+        x[p] /= piv
+        for r in range(n):
+            if r != p:
+                fac = w[r, p].copy()
+                w[r] -= fac * w[p]
+                x[r] -= fac * x[p]
+    resid = -_front_matmul(a, x)
+    resid[diag] += 1.0
+    x += _front_matmul(x, resid)
+    cond = float(np.max(np.abs(a).sum(axis=1).max(axis=0) * np.abs(x).sum(axis=1).max(axis=0)))
+    if not cond <= COND_LIMIT:
+        raise SingularGramError(f"pointwise condition estimate {cond:.3e} exceeds {COND_LIMIT:.1e}")
+    return rfftn_coefficients(np.moveaxis(x, (0, 1), (-2, -1)), f.bands), cond
+
+
+def scaled_candidate():
+    """The canonical case's candidate under a non-canonical structure."""
+    cand = planar_candidate(system="lagrangian_rotors", epsilon=0.02)[0]
+    geometry = scaled_structure(2)
+    return cand.with_updates(system=dataclasses.replace(cand.system, geometry=geometry)), None
+
+
+KITCHENS = {
+    "canonical": lambda: planar_candidate(system="lagrangian_rotors", epsilon=0.02),
+    "scaled-structure": scaled_candidate,
+    "iso": lambda: planar_candidate(system="symmetric_rotors", epsilon=0.01, mode="iso",
+                                    conserved="H", c0_offset=1e-3),
+    "d3": lambda: (d3_candidate((3, 3, 3)), None),
+}
+
+
+@pytest.mark.parametrize("slab", SLABS)
+@pytest.mark.parametrize("case", sorted(KITCHENS))
+def test_kitchen_equals_the_whole_grid_kitchen_bit_for_bit(monkeypatch, case, slab):
+    cand, conserved = KITCHENS[case]()
+    ref = whole_grid_kitchen(cand, conserved)
+    assert ("Dc" in ref) == (case == "iso")
+    monkeypatch.setattr(fourier, "SLAB_POINTS", slab_points(slab, work_grid(cand.bands)))
+    kitchen = grid_kitchen(cand, conserved)
+    for name, coeffs in ref.items():
+        assert_same_bits(getattr(kitchen, name).coeffs, coeffs)
+
+
+@pytest.mark.parametrize("slab", SLABS)
+@pytest.mark.parametrize("bands, grid", [((6,), (20,)), ((2, 3, 4), (7, 8, 10))],
+                         ids=["d1", "d3"])
+def test_from_samples_equals_rfftn_bit_for_bit(monkeypatch, bands, grid, slab):
+    samples = np.random.default_rng(len(grid)).standard_normal(grid + (2, 3))
+    samples[..., 0, 1] = 0.25  # a constant entry keeps the signs of its zeros
+    monkeypatch.setattr(fourier, "SLAB_POINTS", slab_points(slab, grid))
+    assert_same_bits(FourierMap.from_samples(samples, bands).coeffs,
+                     rfftn_coefficients(samples, bands))
+
+
+def spd_map(bands, n, seed):
+    m = random_map(bands, (n, n), np.random.default_rng(seed), decay=1.0, scale=3.0)
+    return matmul(m.T, m).add_constant(np.eye(n))  # eigenvalues >= 1 pointwise
+
+
+@pytest.mark.parametrize("slab", SLABS)
+@pytest.mark.parametrize("bands, n", [((3, 2), 2), ((3, 2), 3), ((2, 1, 2), 2)])
+def test_pointwise_inverse_equals_the_whole_grid_inverse_bit_for_bit(monkeypatch, bands, n,
+                                                                     slab):
+    f = spd_map(bands, n, 40 + n)
+    ref, ref_cond = whole_grid_inverse(f)
+    monkeypatch.setattr(fourier, "SLAB_POINTS", slab_points(slab, work_grid(f.bands)))
+    inv, cond = _pointwise_inverse(f)
+    assert_same_bits(inv.coeffs, ref)
+    assert cond == ref_cond
+
+
+def bad_pivot_map():
+    """diag(0.3 + sin 2 pi theta_1, 0.3 - sin 2 pi theta_1) on bands (3, 2): on the
+    16 x 9 work grid pivot 1 is negative on rows 1-7 and pivot 0 on rows 9-15."""
+    f = FourierMap.zeros((3, 2), (2, 2))
+    for entry, sign in ((0, 1.0), (1, -1.0)):
+        f.coeffs[3, 2, entry, entry] = 0.3
+        f.coeffs[4, 2, entry, entry] = -0.5j * sign
+        f.coeffs[2, 2, entry, entry] = 0.5j * sign
+    return f
+
+
+@pytest.mark.parametrize("slab", SLABS)
+def test_singular_gram_names_the_whole_grid_pivot(monkeypatch, slab):
+    """Rows 1-7 fail at pivot 1 and rows 9-15 at pivot 0, so an early slab fails
+    at pivot 1 and later ones at pivot 0: the error names pivot 0, its first bad
+    value in C order and its count over the whole grid."""
+    f = bad_pivot_map()
+    with pytest.raises(SingularGramError) as whole:
+        whole_grid_inverse(f)
+    assert str(whole.value).startswith("Gram matrix pivot 0 is ")
+    assert " at 63 grid point(s)" in str(whole.value)  # rows 9-15, 9 columns each
+    monkeypatch.setattr(fourier, "SLAB_POINTS", slab_points(slab, work_grid(f.bands)))
+    with pytest.raises(SingularGramError) as sliced:
+        _pointwise_inverse(f)
+    assert str(sliced.value) == str(whole.value)
+
+
+def test_nan_condition_in_a_later_slab_is_refused(monkeypatch):
+    """A NaN condition estimate in one slab that is not the first one refuses the
+    inverse: the slabs' estimates are combined by np.max, which keeps NaN."""
+    f = spd_map((3, 2), 2, 42)
+    assert _pointwise_inverse(f)[1] <= COND_LIMIT  # finite and accepted without the NaN
+    calls = []
+
+    def nan_in_second_slab(a, b):
+        out = _front_matmul(a, b)
+        calls.append(None)
+        if len(calls) == 4:  # the refinement product of slab 1 (two products a slab)
+            out[0, 0, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(fourier, "SLAB_POINTS", slab_points("ragged", work_grid(f.bands)))
+    monkeypatch.setattr(frames, "_front_matmul", nan_in_second_slab)
+    with pytest.raises(SingularGramError, match="condition estimate nan"):
+        _pointwise_inverse(f)
+    assert len(calls) == 12  # all six slabs of the 27 x 18 grid ran
+
+
+def test_d3_kitchen_peak_memory_bounded():
+    """d = 3, n = 4 at bands 6 (work grid 27^3): the whole-grid kitchen peaked
+    at about 27 MB above entry, most of it DX_H o K's samples and their
+    transforms; sampled in slabs it peaks at about 9 MB."""
+    cand = d3_candidate((6, 6, 6))
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        kitchen = grid_kitchen(cand)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kitchen.DXH.bands == (6, 6, 6)
+    assert peak - entry < 12e6

@@ -7,7 +7,7 @@ import pytest
 
 from kamtorus import solver
 from kamtorus.cohomology import solve_cohomological
-from kamtorus.fourier import FourierMap, matmul
+from kamtorus.fourier import FourierMap
 from kamtorus.frames import build_frames
 from kamtorus.solver import (
     CompatibilityError,
