@@ -161,6 +161,18 @@ def _read_json(path: str, what: str) -> dict:
     return doc
 
 
+def _read_log(path: str) -> list:
+    """The records of the convergence log ``path``, one JSON object a line; a
+    ConfigError naming the file if it cannot be read or a line is not one."""
+    try:
+        recs = [json.loads(line) for line in Path(path).read_text().splitlines() if line]
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"convergence log {path}: {exc}") from None
+    if not all(isinstance(rec, dict) for rec in recs):
+        raise ConfigError(f"convergence log {path}: every line must be a JSON object")
+    return recs
+
+
 _SPLICE = "\0coeffs"  # placeholder of the coefficient list while the rest is encoded
 
 
@@ -417,8 +429,9 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_plotdata(torus_path: str, out_dir: Path, log_path: str | None = None) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
     cand, _, _, _ = _candidate_from_doc(_read_json(torus_path, "torus file"))
+    recs = _read_log(log_path) if log_path else None
+    out_dir.mkdir(parents=True, exist_ok=True)
     vals = cand.k_values(cand.grid)
     d = cand.d
     axes = [np.arange(m) / m for m in cand.grid]
@@ -431,8 +444,7 @@ def cmd_plotdata(torus_path: str, out_dir: Path, log_path: str | None = None) ->
     for row in zip(*cols):
         lines.append(",".join(repr(float(v)) for v in row))
     (out_dir / "torus_grid.csv").write_text("\n".join(lines) + "\n")
-    if log_path:
-        recs = [json.loads(line) for line in Path(log_path).read_text().splitlines() if line]
+    if recs is not None:
         keys = ["step", "rho", "delta", "err"]
         lines = [",".join(keys)]
         for rec in recs:

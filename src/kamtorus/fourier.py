@@ -20,10 +20,11 @@ real FFTs.  These real transforms are pruned to the kept box: they run
 numpy's 1-D transforms in the axis order of ``rfftn``/``irfftn`` but only on
 the lines that hold kept modes, so each kept value is bit for bit what
 ``rfftn``/``irfftn`` give.  Every transform but axis 0's acts on lines inside
-one axis-0 slab of the grid, so :func:`slab_analysis` samples a pointwise
-function of a map one slab of about SLAB_POINTS points at a time and holds
-only the kept bins of the whole grid: the memory of a grid-sampled stage grows
-like M^(d-1) instead of M^d, with the same bits.
+one axis-0 slab of the grid, so every real synthesis walks the grid one slab
+of about SLAB_POINTS points at a time (:func:`slab_samples`), and every real
+analysis samples a pointwise function of maps that way and holds only the
+kept bins of the whole grid (:func:`slab_analysis`): the memory of a
+grid-sampled stage grows like M^(d-1) instead of M^d, with the same bits.
 
 Norms: the sup of |f| on the complex strip |Im theta| < rho is bounded
 entry-wise by the Fourier majorant
@@ -43,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-SLAB_POINTS = 4096  # grid points per slab of slab_analysis, which bounds its memory
+SLAB_POINTS = 4096  # grid points per slab of slab_samples, which bounds its memory
 
 
 class FourierShapeError(ValueError):
@@ -467,65 +468,48 @@ def _analysis_tail(upper: np.ndarray, bands: tuple) -> np.ndarray:
     return _symmetrize(box)
 
 
-def _real_samples(f: FourierMap, grid: tuple) -> np.ndarray:
-    """Real samples of a real-analytic map on ``grid``, equal bit for bit to
-    ``irfftn`` of its k_d >= 0 half spectrum (``norm="forward"``): the
-    one-slab case of :func:`slab_analysis`'s synthesis.
-
-    Only the modes with k_d >= 0 are read; the others are implied by
-    f_{-k} = conj(f_k).  The 1-D transforms run in ``irfftn``'s order, but only
-    on lines that hold kept modes: axes 0 .. d-2 embed the kept rows and
-    ``ifft`` them, then ``irfft`` zero-pads the N_d + 1 kept bins to M_d.
-    """
-    return _synthesis_tail(_synthesis_head(f, grid), f.bands, grid)
-
-
-def _real_analysis(samples: np.ndarray, bands: tuple) -> np.ndarray:
-    """Symmetrized coefficients on the box ``bands`` of real grid samples, from
-    a spectrum equal bit for bit to ``rfftn`` (``norm="forward"``) on that box:
-    the one-slab case of :func:`slab_analysis`.
-
-    The 1-D transforms run in ``rfftn``'s order, but each keeps only the kept
-    modes: ``rfft`` on the last axis is cut to its N_d + 1 kept bins, then
-    ``fft`` on axes d-2 .. 0 is cut to the 2N_i + 1 kept rows.  The k_d < 0
-    modes are filled from the k_d > 0 ones by conjugate symmetry.
-    """
-    return _analysis_tail(_analysis_head(samples, bands), bands)
-
-
-def slab_analysis(pointwise, grid: tuple, bands: tuple, f: FourierMap | None = None) -> list:
-    """Symmetrized coefficients on ``bands`` of the real sample arrays (a list)
-    that ``pointwise(rows, vals)`` returns for each slab of axis-0 ``rows`` (a
-    slice) of ``grid``, ``vals`` being the real samples of ``f`` on those rows
-    (``None`` without ``f``).
-
-    The grid is walked in slabs of about SLAB_POINTS points, so no sample
-    array of the whole grid is ever held: ``f``'s axis-0 ``ifft`` runs once on
-    its kept data, each slab runs the rest of the synthesis, ``pointwise`` and
-    every analysis transform but axis 0's, whose kept bins go into one
-    accumulator per output; the axis-0 ``fft`` and the symmetrization run last.
-    Every 1-D transform acts on lines inside one slab or on the kept data, so
-    the result is bit for bit that of :func:`_real_samples` and
-    :func:`_real_analysis` on the whole grid.  At d = 1 the slab is the grid.
-    """
-    d = len(bands)
-    head = None if f is None else _synthesis_head(f, grid)
-    step = grid[0] if d == 1 else max(1, SLAB_POINTS // int(np.prod(grid[1:])))
-    accs = []
+def slab_samples(grid: tuple, *maps: FourierMap):
+    """Yield ``(rows, samples)`` per axis-0 slab of about SLAB_POINTS points of
+    ``grid``: ``rows`` a slice and ``samples`` the real samples of each of
+    ``maps`` on those rows, bit for bit ``irfftn`` of its k_d >= 0 half spectrum
+    (``norm="forward"``) on the whole grid.  Each map's axis-0 ``ifft`` runs
+    once, on its kept data (:func:`_synthesis_head`), and each slab runs the
+    rest (:func:`_synthesis_tail`); at d = 1 the slab is the grid."""
+    grid = tuple(grid)
+    step = grid[0] if len(grid) == 1 else max(1, SLAB_POINTS // int(np.prod(grid[1:])))
+    if step >= grid[0]:  # one slab: each head is released once it is synthesized
+        yield slice(0, grid[0]), [_synthesis_tail(_synthesis_head(f, grid), f.bands, grid)
+                                  for f in maps]
+        return
+    heads = [_synthesis_head(f, grid) for f in maps]
     for start in range(0, grid[0], step):
         rows = slice(start, min(start + step, grid[0]))
-        vals = None if head is None else _synthesis_tail(head[rows], f.bands, grid)
+        yield rows, [_synthesis_tail(h[rows], f.bands, grid) for h, f in zip(heads, maps)]
+
+
+def slab_analysis(pointwise, grid: tuple, bands: tuple, *maps: FourierMap) -> list:
+    """Symmetrized coefficients on ``bands`` of the real sample arrays (a list)
+    that ``pointwise(rows, samples)`` returns for each slab of
+    :func:`slab_samples` of ``maps``, bit for bit those of ``rfftn``
+    (``norm="forward"``) of the whole grid's samples.
+
+    At most one slab of samples is held at a time: each slab runs ``pointwise``
+    and every analysis transform but axis 0's (:func:`_analysis_head`) into one
+    accumulator of kept bins per output; the axis-0 ``fft`` and the
+    symmetrization (:func:`_analysis_tail`) run last.
+    """
+    accs = []
+    for rows, vals in slab_samples(grid, *maps):
         outs = pointwise(rows, vals)
         del vals
         for i in range(len(outs)):
             upper = _analysis_head(np.asarray(outs[i], dtype=np.float64), bands)
             outs[i] = None  # each sample array is released once it is analysed
-            if start == 0:  # at d = 1 axis 0 is already cut to its kept bins
-                rows0 = grid[0] if d > 1 else upper.shape[0]
+            if rows.start == 0:  # at d = 1 axis 0 is already cut to its kept bins
+                rows0 = grid[0] if len(bands) > 1 else upper.shape[0]
                 accs.append(np.empty((rows0,) + upper.shape[1:], dtype=np.complex128))
             accs[i][rows] = upper
             del upper  # before the next output's transforms
-    del head
     return [_analysis_tail(accs.pop(0), bands) for _ in range(len(accs))]
 
 
@@ -539,17 +523,18 @@ def _scaled_fit(f: FourierMap, out_bands: tuple, scale) -> FourierMap:
     return out if keep == out_bands else out.pad_bands(out_bands)
 
 
-def matmul(a: FourierMap, b: FourierMap, out_bands=None, work_grid=None) -> FourierMap:
+def matmul(a: FourierMap, b: FourierMap, out_bands=None) -> FourierMap:
     """Pointwise matrix product of two real-analytic maps, dealiased then truncated.
 
     ``out_bands`` defaults to the exact product band N_a + N_b.  The product
-    is synthesized on ``work_grid``, by default :func:`dealias_grid`: per axis
-    the smallest size with no prime factor above 5 that is at least
+    is synthesized on the work grid of :func:`dealias_grid`: per axis the
+    smallest size with no prime factor above 5 that is at least
     N_a + N_b + N_out + 1, on which the retained modes are alias-free (100
     points for bands 32 kept at 32, against 135 for the full product band).
     Both operands must be real-analytic (f_{-k} = conj f_k): they are
     synthesized from their k_d >= 0 modes with real FFTs, multiplied as real
-    sample arrays and analysed back with a real FFT.  A zero operand gives
+    sample arrays and analysed back with a real FFT, one axis-0 slab of the
+    work grid at a time (:func:`slab_analysis`).  A zero operand gives
     zeros, and a constant operand (every mode off k = 0 exactly zero)
     multiplies the other operand's coefficients directly; both shortcuts skip
     the FFTs, use no work grid and return the exact product zero-padded to
@@ -569,11 +554,11 @@ def matmul(a: FourierMap, b: FourierMap, out_bands=None, work_grid=None) -> Four
         return _scaled_fit(b, out_bands, lambda f: f.rmatmul_constant(a.average()))
     if _is_constant(b):
         return _scaled_fit(a, out_bands, lambda f: f.matmul_constant(b.average()))
-    work = dealias_grid(a.bands, b.bands, out_bands) if work_grid is None else tuple(work_grid)
+    work = dealias_grid(a.bands, b.bands, out_bands)
     if any(m < 2 * n + 1 for n, m in zip(out_bands, work)):
         raise FourierShapeError("work grid too small for requested output bands")
-    prod = _real_samples(a, work) @ _real_samples(b, work)
-    return FourierMap(_real_analysis(prod, out_bands), out_bands)
+    return FourierMap(slab_analysis(lambda rows, v: [v[0] @ v[1]], work, out_bands, a, b)[0],
+                      out_bands)
 
 
 def assemble_blocks(blocks) -> FourierMap:

@@ -18,12 +18,13 @@ sampled as real arrays on the work grid of ``work_grid`` (the smallest size
 >= 4N+1 per axis with no prime factor above 3), one axis-0 slab at a time
 (:func:`~kamtorus.fourier.slab_analysis`), analysed with real FFTs and
 truncated back, except that the maps of a canonical structure are built as
-exact one-mode constants.  No sample array of the whole work grid is held.
-The rank check of L and the samples of K on the exact grid are whole-grid
-real syntheses.  ``build_frames`` builds only what the Newton step and the
-certificate read; no solve or certificate builds the error maps.  The (1,2)
-block of E_red repeats the torsion's products call for call, so its
-vanishing is exact by construction rather than a numerical accident.
+exact one-mode constants.  The products and the rank check of L on the exact
+grid walk their grids in slabs too (:func:`~kamtorus.fourier.slab_samples`),
+so no frame stage holds more than one slab of samples.  ``build_frames``
+builds only what the Newton step and the certificate read; no solve or
+certificate builds the error maps.  The (1,2) block of E_red repeats the
+torsion's products call for call, so its vanishing is exact by construction
+rather than a numerical accident.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cohomology import DiophantineParams
-from .fourier import (TWO_PI, FourierMap, _k1_box, _next_smooth, _real_samples, assemble_blocks,
-                      matmul, slab_analysis)
+from .fourier import (TWO_PI, FourierMap, _k1_box, _next_smooth, assemble_blocks, matmul,
+                      slab_analysis, slab_samples)
 from .hamiltonian import ConservedQuantity, HamiltonianSystem
 
 RANK_TOL = 1e-8  # L is rank-deficient if a singular value on the grid is at most this
@@ -116,8 +117,8 @@ class TorusCandidate:
 
     def k_values(self, grid) -> np.ndarray:
         """Real samples of K on a uniform grid (theta added to angle components)."""
-        return self._add_angles(_real_samples(self.k_per, tuple(grid))[..., 0], grid,
-                                slice(None))
+        return np.concatenate([self._add_angles(vals[..., 0], grid, rows)
+                               for rows, (vals,) in slab_samples(grid, self.k_per)])
 
     def _add_angles(self, vals: np.ndarray, grid, rows: slice) -> np.ndarray:
         """``vals``, the periodic part of K on the axis-0 ``rows`` of ``grid``, with
@@ -235,8 +236,8 @@ def grid_kitchen(cand: TorusCandidate, conserved: ConservedQuantity | None = Non
     structures = (geo.omega_mat, geo.metric_G, geo.iso_J, geo.tilde_omega)
     origin = []  # K at theta = 0, where a canonical structure is read
 
-    def sample(rows, k):
-        kv = cand._add_angles(k[..., 0], grid, rows)
+    def sample(rows, vals):
+        kv = cand._add_angles(vals[0][..., 0], grid, rows)
         if rows.start == 0:
             origin.append(kv[(0,) * cand.d][None].copy())
         out = [sys.XH(kv)[..., :, None], sys.DXH(kv)]
@@ -311,15 +312,15 @@ def invariance_error(cand: TorusCandidate, kitchen: GridKitchen) -> FourierMap:
 
 
 def tangent_frame(cand: TorusCandidate, kitchen: GridKitchen) -> FourierMap:
-    """L = (DK  X_p o K); raises FrameRankError if rank < n anywhere on the grid
-    (the SVD decides where :func:`_clears_rank_tol` cannot)."""
-    L = kitchen.L
-    vals = _real_samples(L, cand.grid)
-    if not _clears_rank_tol(vals):
-        smin = float(np.linalg.svd(vals, compute_uv=False)[..., -1].min())
-        if smin <= RANK_TOL:
-            raise FrameRankError(f"tangent frame rank-deficient: min singular value {smin:.3e}")
-    return L
+    """L = (DK  X_p o K); raises FrameRankError if rank < n anywhere on the grid.
+    Slab by slab, the SVD decides only where :func:`_clears_rank_tol` cannot;
+    ``np.min`` of the slabs' minima keeps NaN, as the whole grid's does."""
+    smins = [np.linalg.svd(vals, compute_uv=False)[..., -1].min()
+             for _, (vals,) in slab_samples(cand.grid, kitchen.L) if not _clears_rank_tol(vals)]
+    smin = float(np.min(smins, initial=np.inf))
+    if smin <= RANK_TOL:
+        raise FrameRankError(f"tangent frame rank-deficient: min singular value {smin:.3e}")
+    return kitchen.L
 
 
 def _clears_rank_tol(vals: np.ndarray) -> bool:
@@ -373,7 +374,7 @@ def _pointwise_inverse(f: FourierMap):
     conds, bad_pivots = [], []  # per slab: its condition estimate; (pivot, value, count)
 
     def invert(rows, vals):
-        a = np.ascontiguousarray(np.moveaxis(vals, (-2, -1), (0, 1)))
+        a = np.ascontiguousarray(np.moveaxis(vals[0], (-2, -1), (0, 1)))
         n = a.shape[0]
         diag = (np.arange(n),) * 2
         w = a.copy()
@@ -384,7 +385,7 @@ def _pointwise_inverse(f: FourierMap):
             bad = ~(np.isfinite(piv) & (piv > 0))
             if bad.any():
                 bad_pivots.append((p, piv[bad][0], int(bad.sum())))
-                return [vals]  # the slab is not inverted; the whole inverse is refused
+                return vals  # the slab is not inverted; the whole inverse is refused
             w[p] /= piv
             x[p] /= piv
             for r in range(n):

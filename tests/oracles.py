@@ -12,7 +12,8 @@
 - ``irfftn_samples`` and ``rfftn_coefficients`` synthesize and analyse on the
   whole grid at once with numpy's n-dimensional real transforms, which the
   pruned, slab-wise transforms of ``kamtorus.fourier`` equal bit for bit, as
-  ``assert_same_bits`` checks.
+  ``assert_same_bits`` checks; ``svd_rank_check`` is the rank check of a frame
+  by LAPACK's SVD at every point of the whole grid.
 - ``ledger_diff``, ``contains_margin`` and ``empty_integrals`` compare two
   ledgers, measure a point set against a domain box, and build the integral
   callbacks of a system without first integrals.
@@ -239,6 +240,13 @@ def rfftn_coefficients(samples, bands):
 def assert_same_bits(got, ref):
     assert np.array_equal(got, ref)
     assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+
+
+def svd_rank_check(L, grid):
+    """The rank check as it was: LAPACK's SVD at every grid point decides."""
+    smin = float(np.linalg.svd(irfftn_samples(L, grid), compute_uv=False)[..., -1].min())
+    if smin <= fr.RANK_TOL:
+        raise fr.FrameRankError(f"tangent frame rank-deficient: min singular value {smin:.3e}")
 
 
 

@@ -431,6 +431,52 @@ def test_unreadable_input_exit_two_names_the_file(tmp_path, capsys, command, con
     assert str(path) in err and "solver failure" not in err
 
 
+@pytest.mark.parametrize("content", [None, '{"step": 0}\n{not json', '{"step": 0}\n[1, 2]\n'],
+                         ids=["missing", "unparseable", "line-not-an-object"])
+def test_plotdata_unreadable_log_exit_two_names_the_file(tmp_path, capsys, solved_tori,
+                                                         content):
+    """A convergence log that is missing, is not JSON lines, or holds a line that
+    is not a JSON object is a usage error naming the file; nothing is written."""
+    torus = tmp_path / "torus.json"
+    torus.write_text(json.dumps(solved_tori["ordinary"]))
+    log = tmp_path / "log.jsonl"
+    if content is not None:
+        log.write_text(content)
+    out = tmp_path / "plots"
+    assert main(["plotdata", str(torus), "--out", str(out), "--log", str(log)]) == 2
+    err = capsys.readouterr().err
+    assert f"convergence log {log}" in err and "solver failure" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows", [1, 4, 9])
+def test_plotdata_grid_equals_the_whole_grid_synthesis(tmp_path, monkeypatch, solved_tori, rows):
+    """torus_grid.csv holds, byte for byte, K from irfftn of its whole half
+    spectrum on the 9 x 9 grid, with theta added to its angles, whether K is
+    sampled one row, four rows (ragged) or the whole grid at a time."""
+    from kamtorus import fourier
+    from kamtorus.cli import _candidate_from_doc
+    from oracles import irfftn_samples
+
+    doc = solved_tori["ordinary"]
+    torus = tmp_path / "torus.json"
+    torus.write_text(json.dumps(doc))
+    cand = _candidate_from_doc(doc)[0]
+    grid = cand.grid
+    mesh = np.meshgrid(*(np.arange(m) / m for m in grid), indexing="ij")
+    vals = irfftn_samples(cand.k_per, grid)[..., 0]
+    for i in range(cand.d):
+        vals[..., i] += mesh[i]
+    cols = [m.reshape(-1) for m in mesh] + [vals[..., j].reshape(-1)
+                                            for j in range(vals.shape[-1])]
+    header = "theta1,theta2," + ",".join(f"K{j + 1}" for j in range(vals.shape[-1]))
+    want = "\n".join([header] + [",".join(repr(float(v)) for v in row) for row in zip(*cols)])
+    monkeypatch.setattr(fourier, "SLAB_POINTS", rows * grid[1])
+    assert grid == (9, 9) and cand.angle_block
+    assert main(["plotdata", str(torus), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "torus_grid.csv").read_text() == want + "\n"
+
+
 def test_validate_refuses_out(tmp_path, capsys):
     """validate writes nothing, so --out is an error rather than silently ignored."""
     with pytest.raises(SystemExit) as exc:

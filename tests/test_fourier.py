@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kamtorus import fourier
 from kamtorus.fourier import (
     FourierMap,
     FourierShapeError,
     StripOverflowError,
-    _real_analysis,
-    _real_samples,
     dealias_grid,
     matmul,
+    slab_analysis,
+    slab_samples,
 )
 
 from conftest import eval_at, map_from_json, map_to_json, random_map
@@ -338,6 +339,8 @@ def test_json_round_trip():
     ((1, 4, 2), (9, 15, 5)),
 ])
 def test_pruned_real_transforms_equal_rfftn_irfftn_bit_for_bit(monkeypatch, bands, grid):
+    """At one axis-0 row per slab, two rows (ragged on odd grids) and the whole
+    grid in one slab (d = 1 is always one slab)."""
     for name in ("fft", "ifft", "rfft", "irfft"):  # numpy < 2.0 signatures: no ``out``
         def numpy1(a, n=None, axis=-1, norm=None, _f=getattr(np.fft, name)):
             return _f(a, n=n, axis=axis, norm=norm)
@@ -345,12 +348,16 @@ def test_pruned_real_transforms_equal_rfftn_irfftn_bit_for_bit(monkeypatch, band
     rng = np.random.default_rng(sum(grid))
     f = random_map(bands, (3, 2), rng, decay=0.1)
     f.coeffs[..., 1, 0] = 0.0  # an identically zero entry keeps its zeros' signs
-    assert_same_bits(_real_samples(f, grid), irfftn_samples(f, grid))
     samples = rng.standard_normal(grid + (2, 3))
     samples[..., 0, 1] = 0.25  # a constant entry
-    assert_same_bits(_real_analysis(samples, bands), rfftn_coefficients(samples, bands))
     synthesized = irfftn_samples(f, grid)
-    assert_same_bits(_real_analysis(synthesized, bands), rfftn_coefficients(synthesized, bands))
+    for rows in (1, 2, grid[0]):
+        monkeypatch.setattr(fourier, "SLAB_POINTS", rows * int(np.prod(grid[1:])))
+        slabs = [vals for _, (vals,) in slab_samples(grid, f)]
+        assert_same_bits(np.concatenate(slabs), synthesized)
+        for s in (samples, synthesized):
+            got = slab_analysis(lambda rows, _, s=s: [s[rows]], grid, bands)[0]
+            assert_same_bits(got, rfftn_coefficients(s, bands))
 
 
 # ---------------------------------------------------------- property sampling
@@ -410,7 +417,7 @@ def test_dealias_grid_sized_to_the_kept_modes():
 
 
 @pytest.mark.parametrize("bands, out_bands", [((6,), (6,)), ((5, 4), (5, 3))])
-def test_dealias_grid_is_tight(bands, out_bands):
+def test_dealias_grid_is_tight(monkeypatch, bands, out_bands):
     """One point short of N_a+N_b+N_out+1 folds product mode N_a+N_b onto the top
     kept mode; the rule's own size matches the full-band reference."""
     rng = np.random.default_rng(11)
@@ -418,9 +425,11 @@ def test_dealias_grid_is_tight(bands, out_bands):
     b = random_map(bands, (2, 2), rng)
     ref = complex_fft_product(a, b, out_bands)
     need = tuple(2 * n + no + 1 for n, no in zip(bands, out_bands))
-    good = matmul(a, b, out_bands, work_grid=need)
+    monkeypatch.setattr(fourier, "dealias_grid", lambda *_: need)
+    good = matmul(a, b, out_bands)
     assert np.max(np.abs(good.coeffs - ref.coeffs)) <= 1e-13 * _scale(a, b)
-    short = matmul(a, b, out_bands, work_grid=tuple(m - 1 for m in need))
+    monkeypatch.setattr(fourier, "dealias_grid", lambda *_: tuple(m - 1 for m in need))
+    short = matmul(a, b, out_bands)
     top = tuple(slice(None) if i else -1 for i in range(len(bands)))  # k_1 = +N_out
     assert np.max(np.abs(short.coeffs[top] - ref.coeffs[top])) > 1e6 * 1e-13 * _scale(a, b)
 
@@ -437,14 +446,13 @@ def test_default_grid_refuses_out_bands_above_product(bands_a, bands_b, out_band
         matmul(a, b, out_bands=out_bands)
 
 
-def complex_fft_product(a, b, out_bands=None, work_grid=None):
+def complex_fft_product(a, b, out_bands=None):
     """Reference product: complex synthesis, complex @, complex analysis.
 
     The engine ``matmul`` uses real transforms and shortcuts constant and zero
     operands; it must agree with this on real-analytic operands.
     """
-    work = tuple(work_grid) if work_grid is not None else tuple(
-        2 * (na + nb) + 1 for na, nb in zip(a.bands, b.bands))
+    work = tuple(2 * (na + nb) + 1 for na, nb in zip(a.bands, b.bands))
     full = tuple(na + nb for na, nb in zip(a.bands, b.bands))
     out_bands = full if out_bands is None else tuple(out_bands)
     d = len(out_bands)
@@ -463,9 +471,9 @@ def _operand(kind, bands, shape, rng):
     return random_map(bands, shape, rng, decay=0.2)
 
 
-def assert_matches_reference(a, b, out_bands=None, work_grid=None):
-    got = matmul(a, b, out_bands=out_bands, work_grid=work_grid)
-    ref = complex_fft_product(a, b, out_bands=out_bands, work_grid=work_grid)
+def assert_matches_reference(a, b, out_bands=None):
+    got = matmul(a, b, out_bands=out_bands)
+    ref = complex_fft_product(a, b, out_bands=out_bands)
     assert (got.bands, got.shape) == (ref.bands, ref.shape)
     assert np.max(np.abs(got.coeffs - ref.coeffs), initial=0.0) <= 1e-13 * _scale(a, b)
     return got
@@ -476,28 +484,24 @@ def _scale(a, b):
     return float(np.abs(a.coeffs).sum() * np.abs(b.coeffs).sum())
 
 
-@pytest.mark.parametrize("bands_a, bands_b, shape_a, shape_b, out_bands, work_grid", [
-    ((5,), (3,), (2, 3), (3, 4), None, None),
-    ((5,), (3,), (1, 1), (1, 2), (4,), None),
-    ((4, 3), (2, 5), (3, 2), (2, 1), (3, 3), None),
-    ((4, 3), (2, 5), (3, 2), (2, 1), (6, 8), None),
-    ((2, 1, 3), (1, 2, 2), (1, 3), (3, 2), None, None),
-    ((2, 1, 3), (1, 2, 2), (2, 3), (3, 1), (2, 2, 2), None),
-    ((3, 4), (3, 4), (2, 2), (2, 3), (3, 4), (15, 17)),
-    ((3, 4), (3, 4), (2, 2), (2, 3), (3, 4), (16, 18)),
-    ((3, 4), (3, 4), (2, 2), (2, 2), (3, 4), (9, 10)),
-    ((6,), (6,), (2, 2), (2, 2), (6,), None),
-    ((8,), (2,), (1, 2), (2, 1), (1,), None),
-    ((6, 2), (3, 5), (2, 2), (2, 1), (4, 3), None),
-    ((8, 8), (8, 8), (3, 2), (2, 3), (8, 8), None),
-    ((32, 32), (32, 32), (2, 2), (2, 2), (32, 32), None),
+@pytest.mark.parametrize("bands_a, bands_b, shape_a, shape_b, out_bands", [
+    ((5,), (3,), (2, 3), (3, 4), None),
+    ((5,), (3,), (1, 1), (1, 2), (4,)),
+    ((4, 3), (2, 5), (3, 2), (2, 1), (3, 3)),
+    ((4, 3), (2, 5), (3, 2), (2, 1), (6, 8)),
+    ((2, 1, 3), (1, 2, 2), (1, 3), (3, 2), None),
+    ((2, 1, 3), (1, 2, 2), (2, 3), (3, 1), (2, 2, 2)),
+    ((6,), (6,), (2, 2), (2, 2), (6,)),
+    ((8,), (2,), (1, 2), (2, 1), (1,)),
+    ((6, 2), (3, 5), (2, 2), (2, 1), (4, 3)),
+    ((8, 8), (8, 8), (3, 2), (2, 3), (8, 8)),
+    ((32, 32), (32, 32), (2, 2), (2, 2), (32, 32)),
 ])
-def test_matmul_matches_complex_fft_product(bands_a, bands_b, shape_a, shape_b, out_bands,
-                                            work_grid):
+def test_matmul_matches_complex_fft_product(bands_a, bands_b, shape_a, shape_b, out_bands):
     rng = np.random.default_rng(sum(bands_a) + 10 * len(bands_b))
     a = _operand("varying", bands_a, shape_a, rng)
     b = _operand("varying", bands_b, shape_b, rng)
-    assert_matches_reference(a, b, out_bands, work_grid)
+    assert_matches_reference(a, b, out_bands)
 
 
 @pytest.mark.parametrize("kinds", [("const", "varying"), ("varying", "const"),
@@ -654,7 +658,7 @@ def test_matmul_constant_and_zero_products_need_no_work_grid():
     assert (got.bands, got.shape) == ((16, 16), (2, 2)) and not np.any(got.coeffs)
     a = _operand("varying", (3, 4), (2, 2), rng)
     with pytest.raises(FourierShapeError, match="work grid too small"):
-        matmul(a, a, out_bands=(3, 4), work_grid=(6, 9))
+        matmul(a, a, out_bands=(6, 9))  # above the product band (6, 8)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

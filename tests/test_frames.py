@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kamtorus.cohomology import russmann_constant
-from kamtorus.fourier import FourierMap, _real_samples, dealias_grid, matmul
+from kamtorus.fourier import FourierMap, dealias_grid, matmul
 from kamtorus.frames import (
     RANK_TOL,
     DomainEscapeError,
@@ -28,7 +28,7 @@ from kamtorus.frames import (
 from kamtorus.hamiltonian import builtin_system
 
 from conftest import GOLDEN, dk_map, random_map, seed_run
-from oracles import empty_integrals, error_maps
+from oracles import empty_integrals, error_maps, irfftn_samples, svd_rank_check
 
 
 def perturb_candidate(cand, scale=1e-3, seed=0, decay=1.2):
@@ -109,13 +109,6 @@ def test_tangent_frame_lagrangian_case_is_dk(perturbed_candidate_a):
     assert np.max(np.abs(L.coeffs - dk_map(cand).coeffs)) == 0.0
 
 
-def svd_rank_check(L, grid):
-    """The rank check as it was: LAPACK's SVD at every grid point decides (reference)."""
-    smin = float(np.linalg.svd(_real_samples(L, grid), compute_uv=False)[..., -1].min())
-    if smin <= RANK_TOL:
-        raise FrameRankError(f"tangent frame rank-deficient: min singular value {smin:.3e}")
-
-
 def frames_with_singular_values(rng, m, r, smax, smin):
     """One m x r frame per entry of ``smin``: random orthonormal factors around
     singular values spread from smax down to smin."""
@@ -176,7 +169,7 @@ def test_frame_rank_deficient_at_one_grid_point_raises_svd_text():
     samples[..., 2, 0] = np.sin(2 * np.pi * t1) * np.sin(2 * np.pi * t2) / (2 * np.pi)
     cand = cand.with_updates(k_per=cand.k_per + FourierMap.from_samples(samples, (4, 4)))
     kk = grid_kitchen(cand)
-    vals = _real_samples(kk.L, cand.grid)
+    vals = irfftn_samples(kk.L, cand.grid)
     svals = np.linalg.svd(vals, compute_uv=False)[..., -1]
     assert np.sum(svals <= RANK_TOL) == 1 and svals[0, 0] <= RANK_TOL
     assert _clears_rank_tol(vals[1:]) and not _clears_rank_tol(vals)
@@ -256,7 +249,7 @@ def test_pointwise_inverse_matches_per_point_inv(n):
     spd = matmul(m.T, m).add_constant(np.eye(n))  # exact product: eigenvalues >= 1 pointwise
     bands = spd.bands
     inv, cond = _pointwise_inverse(spd)
-    samples = _real_samples(spd, work_grid(bands))
+    samples = irfftn_samples(spd, work_grid(bands))
     ref = FourierMap.from_samples(np.linalg.inv(samples), bands)
     assert np.max(np.abs(inv.coeffs - ref.coeffs)) <= 1e-13 * np.max(np.abs(ref.coeffs))
     assert 10.0 < cond < 1e3  # conditioned well away from the identity

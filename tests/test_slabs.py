@@ -17,7 +17,7 @@ from kamtorus.frames import (COND_LIMIT, SingularGramError, _front_matmul, _poin
 from kamtorus.hamiltonian import DomainBox, _trig_potential_system
 
 from conftest import random_map, scaled_structure, seed_run
-from oracles import assert_same_bits, irfftn_samples, rfftn_coefficients
+from oracles import assert_same_bits, irfftn_samples, rfftn_coefficients, svd_rank_check
 
 SLABS = ["one-row", "ragged", "whole"]
 
@@ -236,3 +236,115 @@ def test_d3_kitchen_peak_memory_bounded():
         tracemalloc.stop()
     assert kitchen.DXH.bands == (6, 6, 6)
     assert peak - entry < 12e6
+
+
+def product_operands(bands_a, bands_b, shape_a, shape_b, transpose_a=False):
+    rng = np.random.default_rng(sum(bands_a) + 7 * len(bands_a))
+    a = random_map(bands_a, shape_a[::-1] if transpose_a else shape_a, rng, decay=0.3)
+    return a.T if transpose_a else a, random_map(bands_b, shape_b, rng, decay=0.3)
+
+
+PRODUCTS = {  # bands_a, bands_b, shape_a, shape_b, out_bands, transpose_a
+    "d1": ((7,), (5,), (2, 3), (3, 2), None, False),
+    "d2": ((6, 5), (4, 5), (3, 2), (2, 3), (6, 5), False),
+    "d3": ((3, 2, 3), (2, 3, 2), (2, 2), (2, 3), None, False),
+    "one-row": ((6, 5), (6, 5), (1, 3), (3, 2), (6, 5), False),
+    "one-column": ((6, 5), (6, 5), (2, 3), (3, 1), None, False),
+    "transposed": ((6, 5), (4, 5), (3, 2), (2, 3), (6, 5), True),
+}
+
+
+@pytest.mark.parametrize("slab", SLABS)
+@pytest.mark.parametrize("case", sorted(PRODUCTS))
+def test_matmul_equals_the_whole_grid_product_bit_for_bit(monkeypatch, case, slab):
+    """The slab-wise product equals rfftn of the whole-grid irfftn samples'
+    product, including 1-row, 1-column and transposed (non-contiguous) operands."""
+    bands_a, bands_b, shape_a, shape_b, out_bands, transpose_a = PRODUCTS[case]
+    a, b = product_operands(bands_a, bands_b, shape_a, shape_b, transpose_a)
+    assert a.coeffs.flags.c_contiguous != transpose_a
+    out = out_bands or tuple(na + nb for na, nb in zip(bands_a, bands_b))
+    work = fourier.dealias_grid(bands_a, bands_b, out)
+    ref = rfftn_coefficients(irfftn_samples(a, work) @ irfftn_samples(b, work), out)
+    monkeypatch.setattr(fourier, "SLAB_POINTS", slab_points(slab, work))
+    got = matmul(a, b, out_bands=out_bands)
+    assert got.bands == out
+    assert_same_bits(got.coeffs, ref)
+
+
+def deficient_frame_candidate(row):
+    """A d = 2 seed whose DK loses rank at the one grid point (row, 0) of its
+    9 x 9 grid: DK's first column is (1 - cos 2 pi s, 0, cos 2 pi s sin 2 pi t2,
+    0), s = t1 - row / 9."""
+    cand = seed_run(epsilon=1e-3, bands=[4, 4])[0].cand
+    t1, t2 = np.meshgrid(*(np.arange(9) / 9,) * 2, indexing="ij")
+    s = 2 * np.pi * (t1 - row / 9)
+    samples = np.zeros((9, 9, 4, 1))
+    samples[..., 0, 0] = -np.sin(s) / (2 * np.pi)
+    samples[..., 2, 0] = np.sin(s) * np.sin(2 * np.pi * t2) / (2 * np.pi)
+    return cand.with_updates(k_per=cand.k_per + FourierMap.from_samples(samples, (4, 4)))
+
+
+def rotors_candidate():
+    return planar_candidate(system="lagrangian_rotors", epsilon=0.02)[0]
+
+
+FRAMES = {  # candidate, factor on L
+    "full-rank": (rotors_candidate, 1.0),
+    "near-tolerance": (rotors_candidate, 3e-8),  # below the pre-test, above RANK_TOL
+    "tiny": (rotors_candidate, 1e-9),
+    "deficient-first-row": (lambda: deficient_frame_candidate(0), 1.0),
+    "deficient-later-row": (lambda: deficient_frame_candidate(7), 1.0),
+}
+
+
+@pytest.mark.parametrize("slab", SLABS)
+@pytest.mark.parametrize("case", sorted(FRAMES))
+def test_tangent_frame_decides_as_the_whole_grid_svd(monkeypatch, case, slab):
+    """Checked slab by slab, the rank check accepts and rejects the frames the
+    SVD at every point of the whole grid does, with its message, and takes the
+    SVD only of the slabs that fail the pre-test."""
+    make, factor = FRAMES[case]
+    cand = make()
+    kitchen = grid_kitchen(cand)
+    kitchen = dataclasses.replace(kitchen, L=kitchen.L * factor)
+    try:
+        svd_rank_check(kitchen.L, cand.grid)
+        ref = None
+    except frames.FrameRankError as exc:
+        ref = str(exc)
+    assert (ref is None) == (case in ("full-rank", "near-tolerance"))
+    monkeypatch.setattr(fourier, "SLAB_POINTS", slab_points(slab, cand.grid))
+    failing = sum(not frames._clears_rank_tol(vals)
+                  for _, (vals,) in fourier.slab_samples(cand.grid, kitchen.L))
+    assert (failing > 0) == (case != "full-rank")
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    if ref is None:
+        assert frames.tangent_frame(cand, kitchen) is kitchen.L
+    else:
+        with pytest.raises(frames.FrameRankError) as got:
+            frames.tangent_frame(cand, kitchen)
+        assert str(got.value) == ref
+    assert len(calls) == failing
+    if case.startswith("deficient"):
+        assert failing == 1  # only the slab that holds the deficient point goes to the SVD
+
+
+def test_d3_matmul_peak_memory_bounded():
+    """d = 3, bands 8, (8 x 4) times (4 x 4) kept at bands 8 (work grid 25^3):
+    the whole-grid product held about 10 MB of samples and peaked at about
+    13 MB above entry; walked in slabs it peaks at about 8 MB, most of it the
+    kept-bin accumulator, the symmetrization and the result."""
+    rng = np.random.default_rng(0)
+    a = random_map((8, 8, 8), (8, 4), rng, decay=0.5)
+    b = random_map((8, 8, 8), (4, 4), rng, decay=0.5)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        prod = matmul(a, b, out_bands=(8, 8, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prod.shape == (8, 4)
+    assert peak - entry < 10.5e6
