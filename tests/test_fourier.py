@@ -446,13 +446,14 @@ def test_default_grid_refuses_out_bands_above_product(bands_a, bands_b, out_band
         matmul(a, b, out_bands=out_bands)
 
 
-def complex_fft_product(a, b, out_bands=None):
+def complex_fft_product(a, b, out_bands=None, work_grid=None):
     """Reference product: complex synthesis, complex @, complex analysis.
 
     The engine ``matmul`` uses real transforms and shortcuts constant and zero
     operands; it must agree with this on real-analytic operands.
     """
-    work = tuple(2 * (na + nb) + 1 for na, nb in zip(a.bands, b.bands))
+    work = tuple(work_grid) if work_grid is not None else tuple(
+        2 * (na + nb) + 1 for na, nb in zip(a.bands, b.bands))
     full = tuple(na + nb for na, nb in zip(a.bands, b.bands))
     out_bands = full if out_bands is None else tuple(out_bands)
     d = len(out_bands)
@@ -471,9 +472,9 @@ def _operand(kind, bands, shape, rng):
     return random_map(bands, shape, rng, decay=0.2)
 
 
-def assert_matches_reference(a, b, out_bands=None):
+def assert_matches_reference(a, b, out_bands=None, work_grid=None):
     got = matmul(a, b, out_bands=out_bands)
-    ref = complex_fft_product(a, b, out_bands=out_bands)
+    ref = complex_fft_product(a, b, out_bands=out_bands, work_grid=work_grid)
     assert (got.bands, got.shape) == (ref.bands, ref.shape)
     assert np.max(np.abs(got.coeffs - ref.coeffs), initial=0.0) <= 1e-13 * _scale(a, b)
     return got
@@ -484,24 +485,32 @@ def _scale(a, b):
     return float(np.abs(a.coeffs).sum() * np.abs(b.coeffs).sum())
 
 
-@pytest.mark.parametrize("bands_a, bands_b, shape_a, shape_b, out_bands", [
-    ((5,), (3,), (2, 3), (3, 4), None),
-    ((5,), (3,), (1, 1), (1, 2), (4,)),
-    ((4, 3), (2, 5), (3, 2), (2, 1), (3, 3)),
-    ((4, 3), (2, 5), (3, 2), (2, 1), (6, 8)),
-    ((2, 1, 3), (1, 2, 2), (1, 3), (3, 2), None),
-    ((2, 1, 3), (1, 2, 2), (2, 3), (3, 1), (2, 2, 2)),
-    ((6,), (6,), (2, 2), (2, 2), (6,)),
-    ((8,), (2,), (1, 2), (2, 1), (1,)),
-    ((6, 2), (3, 5), (2, 2), (2, 1), (4, 3)),
-    ((8, 8), (8, 8), (3, 2), (2, 3), (8, 8)),
-    ((32, 32), (32, 32), (2, 2), (2, 2), (32, 32)),
+@pytest.mark.parametrize("bands_a, bands_b, shape_a, shape_b, out_bands, work_grid", [
+    ((5,), (3,), (2, 3), (3, 4), None, None),
+    ((5,), (3,), (1, 1), (1, 2), (4,), None),
+    ((4, 3), (2, 5), (3, 2), (2, 1), (3, 3), None),
+    ((4, 3), (2, 5), (3, 2), (2, 1), (6, 8), None),
+    ((2, 1, 3), (1, 2, 2), (1, 3), (3, 2), None, None),
+    ((2, 1, 3), (1, 2, 2), (2, 3), (3, 1), (2, 2, 2), None),
+    ((3, 4), (3, 4), (2, 2), (2, 3), (3, 4), (15, 17)),
+    ((3, 4), (3, 4), (2, 2), (2, 3), (3, 4), (16, 18)),
+    ((3, 4), (3, 4), (2, 2), (2, 2), (3, 4), (9, 10)),
+    ((6,), (6,), (2, 2), (2, 2), (6,), None),
+    ((8,), (2,), (1, 2), (2, 1), (1,), None),
+    ((6, 2), (3, 5), (2, 2), (2, 1), (4, 3), None),
+    ((8, 8), (8, 8), (3, 2), (2, 3), (8, 8), None),
+    ((32, 32), (32, 32), (2, 2), (2, 2), (32, 32), None),
 ])
-def test_matmul_matches_complex_fft_product(bands_a, bands_b, shape_a, shape_b, out_bands):
+def test_matmul_matches_complex_fft_product(monkeypatch, bands_a, bands_b, shape_a, shape_b,
+                                            out_bands, work_grid):
+    """A given ``work_grid`` (odd, even, and short of alias-free on axis 0)
+    replaces the dealiasing rule's grid in both the engine and the reference."""
     rng = np.random.default_rng(sum(bands_a) + 10 * len(bands_b))
     a = _operand("varying", bands_a, shape_a, rng)
     b = _operand("varying", bands_b, shape_b, rng)
-    assert_matches_reference(a, b, out_bands)
+    if work_grid is not None:
+        monkeypatch.setattr(fourier, "dealias_grid", lambda *_: work_grid)
+    assert_matches_reference(a, b, out_bands, work_grid)
 
 
 @pytest.mark.parametrize("kinds", [("const", "varying"), ("varying", "const"),
