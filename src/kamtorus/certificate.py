@@ -61,8 +61,40 @@ _CANONICAL_EXACT = {
 _INTEGRAL_FIELDS = ("c_p_1", "c_pT_1", "c_Xp_0", "c_Xp_1", "c_Xp_2",
                     "c_XpT_0", "c_XpT_1", "c_XpT_2")
 
-_GLOBAL_FIELDS = [*_CANONICAL_EXACT, "c_H_1", "c_XH_0", "c_XH_1", "c_XH_2", "c_XHT_1",
-                  *_INTEGRAL_FIELDS, "c_c_1", "c_c_2"]
+# Every global row in ledger order, with the callback whose entry-wise sup over
+# the lattice bounds it (a system field, a structure field geometry.*, or the
+# target quantity's Dc / D2c) and the reduction of that sup to the row.  A
+# derivative d M_ij / dz_l is indexed [i, j, l]; Dp is (m, 2n) and Xp (2n, m).
+_SAMPLED_ROWS = {
+    "c_Omega_0": ("geometry.omega_mat", lambda s: s.sum(axis=1).max()),
+    "c_Omega_1": ("geometry.d_omega", lambda s: s.sum(axis=(1, 2)).max()),
+    "c_tOmega_0": ("geometry.tilde_omega", lambda s: s.sum(axis=1).max()),
+    "c_tOmega_1": ("geometry.d_tilde_omega", lambda s: s.sum(axis=(1, 2)).max()),
+    "c_tOmega_2": ("geometry.d2_tilde_omega", lambda s: s.sum(axis=(1, 2, 3)).max()),
+    "c_G_0": ("geometry.metric_G", lambda s: s.sum(axis=1).max()),
+    "c_G_1": ("geometry.d_G", lambda s: s.sum(axis=(1, 2)).max()),
+    "c_G_2": ("geometry.d2_G", lambda s: s.sum(axis=(1, 2, 3)).max()),
+    "c_J_0": ("geometry.iso_J", lambda s: s.sum(axis=1).max()),
+    "c_J_1": ("geometry.d_J", lambda s: s.sum(axis=(1, 2)).max()),
+    "c_J_2": ("geometry.d2_J", lambda s: s.sum(axis=(1, 2, 3)).max()),
+    "c_JT_0": ("geometry.iso_J", lambda s: s.sum(axis=0).max()),
+    "c_JT_1": ("geometry.d_J", lambda s: s.sum(axis=(0, 2)).max()),
+    "c_H_1": ("DH", lambda s: s.sum()),
+    "c_XH_0": ("XH", lambda s: s.max()),
+    "c_XH_1": ("DXH", lambda s: s.sum(axis=1).max()),
+    "c_XHT_1": ("DXH", lambda s: s.sum()),
+    "c_XH_2": ("D2XH", lambda s: s.sum(axis=(1, 2)).max()),
+    "c_p_1": ("Dp", lambda s: s.sum(axis=1).max()),
+    "c_pT_1": ("Dp", lambda s: s.sum(axis=1).sum()),
+    "c_Xp_0": ("Xp", lambda s: s.sum(axis=1).max()),
+    "c_XpT_0": ("Xp", lambda s: s.sum(axis=0).max()),
+    "c_Xp_1": ("DXp", lambda s: s.sum(axis=(1, 2)).max()),
+    "c_XpT_1": ("DXp", lambda s: s.sum(axis=(0, 2)).max()),
+    "c_Xp_2": ("D2Xp", lambda s: s.sum(axis=(1, 2, 3)).max()),
+    "c_XpT_2": ("D2Xp", lambda s: s.sum(axis=(0, 2, 3)).max()),
+    "c_c_1": ("quantity.Dc", lambda s: s.sum()),
+    "c_c_2": ("quantity.D2c", lambda s: s.sum()),
+}
 
 
 @dataclass
@@ -121,7 +153,7 @@ def _domain_points(sys: HamiltonianSystem) -> np.ndarray:
 _ROUND_UP = 1.0 + 64 * np.finfo(np.float64).eps
 
 
-def _table_bounds(sys: HamiltonianSystem, conserved: ConservedQuantity | None) -> dict:
+def _table_bounds(sys: HamiltonianSystem, conserved: ConservedQuantity) -> dict:
     """The callback rows of a term-table system on the canonical structure, in
     closed form; {} for any other system.
 
@@ -154,7 +186,7 @@ def _table_bounds(sys: HamiltonianSystem, conserved: ConservedQuantity | None) -
         rows.update(c_p_1=c.sum(axis=1).max(), c_pT_1=c.sum(), c_Xp_0=c.sum(axis=0).max(),
                     c_XpT_0=c.sum(axis=1).max(), c_Xp_1=0.0, c_XpT_1=0.0, c_Xp_2=0.0,
                     c_XpT_2=0.0)
-    selector = "H" if conserved is None else conserved._selector
+    selector = conserved._selector
     if selector == "H":
         rows.update(c_c_1=rows["c_H_1"], c_c_2=n + dv2.sum())
     elif selector is not None:
@@ -162,118 +194,59 @@ def _table_bounds(sys: HamiltonianSystem, conserved: ConservedQuantity | None) -
     return {key: float(value) * _ROUND_UP for key, value in rows.items()}
 
 
+def _lattice_sup(f, z: np.ndarray) -> np.ndarray:
+    """Entry-wise max of |f| over the points z, evaluated LATTICE_SLICE points at
+    a time (a max is exact in any order, so the slicing cannot change a bit)."""
+    out = np.abs(f(z[:LATTICE_SLICE])).max(axis=0)
+    for start in range(LATTICE_SLICE, len(z), LATTICE_SLICE):
+        np.maximum(out, np.abs(f(z[start:start + LATTICE_SLICE])).max(axis=0), out=out)
+    return out
+
+
 def estimate_global_constants(sys: HamiltonianSystem,
                               conserved: ConservedQuantity | None = None) -> GlobalNormConstants:
-    """Bounds of the callback norms over the complexified domain.
+    """Bounds of the callback norms over the complexified domain; ``conserved``
+    defaults to H.
 
-    Canonical structure entries are set exactly; with no first integrals all
-    p/X_p entries are exact zeros.  A term-table system on the canonical
-    structure gets every callback row in closed form (provenance "exact",
-    see :func:`_table_bounds`); the other rows are sampled maxima (x
-    1+SAMPLED_MARGIN) over :func:`_domain_points`.  Provenance records which is which.
+    Each row of _SAMPLED_ROWS is a sampled maximum (x 1+SAMPLED_MARGIN) over
+    :func:`_domain_points` unless an exact source gives it: the canonical
+    structure entries, exact zeros for the p / X_p rows when there are no first
+    integrals, and the closed forms of a term-table system on the canonical
+    structure (see :func:`_table_bounds`).  Each callback is swept over the
+    lattice once, however many rows reduce its sup.  Provenance records which
+    source gave each row.
     """
-    vals: dict = {}
-    prov: dict = {}
+    conserved = sys.conserved("H") if conserved is None else conserved
+    sources = ((_CANONICAL_EXACT if sys.geometry.is_canonical else {}, "canonical-exact"),
+               (dict.fromkeys(_INTEGRAL_FIELDS, 0.0) if sys.n_integrals == 0 else {},
+                "canonical-exact"),
+               (_table_bounds(sys, conserved), "exact"))
+    exact = {name: (value, prov) for rows, prov in sources for name, value in rows.items()}
+    names = list(_SAMPLED_ROWS)
+    if sys.n_integrals == 0:  # the zero rows are listed in _INTEGRAL_FIELDS order
+        names[names.index("c_p_1"):names.index("c_c_1")] = _INTEGRAL_FIELDS
+    owners = {"": sys, "geometry": sys.geometry, "quantity": conserved}
+    z = _domain_points(sys) if set(names) - exact.keys() else None
     up = 1.0 + SAMPLED_MARGIN
-    z = None
-
-    def sup(f):
-        """Entry-wise max of |f| over z, evaluated LATTICE_SLICE points at a time
-        (a max is exact in any order, so the slicing cannot change a bit)."""
-        nonlocal z
-        if z is None:
-            z = _domain_points(sys)
-        out = np.abs(f(z[:LATTICE_SLICE])).max(axis=0)
-        for start in range(LATTICE_SLICE, len(z), LATTICE_SLICE):
-            np.maximum(out, np.abs(f(z[start:start + LATTICE_SLICE])).max(axis=0), out=out)
-        return out
-
-    if sys.geometry.is_canonical:
-        vals.update(_CANONICAL_EXACT)
-        prov.update({k: "canonical-exact" for k in _CANONICAL_EXACT})
-    else:
-        geo = sys.geometry
-        mats = {
-            "c_Omega": (geo.omega_mat, geo.d_omega, None),
-            "c_tOmega": (geo.tilde_omega, geo.d_tilde_omega, geo.d2_tilde_omega),
-            "c_G": (geo.metric_G, geo.d_G, geo.d2_G),
-            "c_J": (geo.iso_J, geo.d_J, geo.d2_J),
-        }
-        for key, (f0, f1, f2) in mats.items():
-            sup0 = sup(f0)
-            vals[f"{key}_0"] = up * float(sup0.sum(axis=1).max())
-            if f1 is None:
-                raise ValueError(f"non-canonical structure needs derivative callback for {key}")
-            sup1 = sup(f1)  # (2n, 2n, 2n): d M_ij / dz_l
-            vals[f"{key}_1"] = up * float(sup1.sum(axis=(1, 2)).max())
-            if key != "c_Omega":
-                if f2 is None:
-                    raise ValueError(f"missing second-derivative callback for {key}")
-                sup2 = sup(f2)
-                vals[f"{key}_2"] = up * float(sup2.sum(axis=(1, 2, 3)).max())
-        # the loop ends on c_J, so sup0 and sup1 are the sups of J and DJ
-        vals["c_JT_0"] = up * float(sup0.sum(axis=0).max())
-        vals["c_JT_1"] = up * float(sup1.sum(axis=(0, 2)).max())
-        prov.update({k: "sampled" for k in vals})
-
-    exact = _table_bounds(sys, conserved)
-
-    def take(keys) -> bool:
-        """Copy the closed-form rows ``keys`` into vals; False when there are none."""
-        if keys[0] not in exact:
-            return False
-        for key in keys:
-            vals[key] = exact[key]
-            prov[key] = "exact"
-        return True
-
-    def sampled(key, value):
-        vals[key] = up * float(value)
-        prov[key] = "sampled"
-
-    if not take(("c_H_1", "c_XH_0", "c_XH_1", "c_XHT_1", "c_XH_2")):
-        sampled("c_H_1", sup(sys.DH).sum())
-        sampled("c_XH_0", sup(sys.XH).max())
-        dxh = sup(sys.DXH)
-        sampled("c_XH_1", dxh.sum(axis=1).max())
-        sampled("c_XHT_1", dxh.sum())
-        sampled("c_XH_2", sup(sys.D2XH).sum(axis=(1, 2)).max())
-
-    if sys.n_integrals == 0:
-        for key in _INTEGRAL_FIELDS:
-            vals[key] = 0.0
-            prov[key] = "canonical-exact"
-    elif not take(("c_p_1", "c_pT_1", "c_Xp_0", "c_XpT_0", "c_Xp_1", "c_XpT_1", "c_Xp_2",
-                   "c_XpT_2")):
-        dp = sup(sys.Dp)  # (m, 2n)
-        per_int = dp.sum(axis=1)
-        sampled("c_p_1", per_int.max())
-        sampled("c_pT_1", per_int.sum())
-        xp = sup(sys.Xp)  # (2n, m)
-        sampled("c_Xp_0", xp.sum(axis=1).max())
-        sampled("c_XpT_0", xp.sum(axis=0).max())
-        dxp = sup(sys.DXp)  # (2n, m, 2n)
-        sampled("c_Xp_1", dxp.sum(axis=(1, 2)).max())
-        sampled("c_XpT_1", dxp.sum(axis=(0, 2)).max())
-        d2xp = sup(sys.D2Xp)
-        sampled("c_Xp_2", d2xp.sum(axis=(1, 2, 3)).max())
-        sampled("c_XpT_2", d2xp.sum(axis=(0, 2, 3)).max())
-
-    if not take(("c_c_1", "c_c_2")):
-        if conserved is not None:
-            sampled("c_c_1", sup(conserved.Dc).sum())
-            sampled("c_c_2", sup(conserved.D2c).sum())
-        else:  # c = H: its Hessian is Omega DXH
-            vals["c_c_1"] = vals["c_H_1"]
-            prov["c_c_1"] = "sampled"
-            sampled("c_c_2", sup(sys.conserved("H").D2c).sum())
-
-    for key in _GLOBAL_FIELDS:
-        if key not in vals:
-            raise LedgerError(f"global constant {key} was not produced")
-        if not np.isfinite(vals[key]):
-            raise LedgerError(f"global constant {key} is not finite")
-    return GlobalNormConstants(vals, prov)
+    sups: dict = {}  # callback -> its entry-wise lattice sup
+    values: dict = {}
+    provenance: dict = {}
+    for name in names:
+        if name in exact:
+            values[name], provenance[name] = exact[name]
+        else:
+            path, reduce = _SAMPLED_ROWS[name]
+            owner, _, attr = path.rpartition(".")
+            f = getattr(owners[owner], attr)
+            if f is None:
+                raise ValueError(f"global constant {name} samples the callback {path}, "
+                                 "which is missing")
+            if f not in sups:
+                sups[f] = _lattice_sup(f, z)
+            values[name], provenance[name] = up * float(reduce(sups[f])), "sampled"
+        if not np.isfinite(values[name]):
+            raise LedgerError(f"global constant {name} is not finite")
+    return GlobalNormConstants(values, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +468,18 @@ _LEDGER_TABLE = {
 # the terms of C_Delta's max(), in table order, as named by E1_dominant
 _DELTA_TERMS = ("smallness", "sym", "margins", "domain", "ray")
 
+
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent, inf where Python's float power overflows (it raises
+    where a product overflows to inf); every ledger base is positive."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return float("inf")
+
+
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-           ast.Div: operator.truediv, ast.Pow: operator.pow}
+           ast.Div: operator.truediv, ast.Pow: _power}
 
 
 def _parse(expr: str) -> ast.expr:
@@ -657,7 +640,8 @@ def kam_check(cand: TorusCandidate, ledger: ConstantLedger,
     """
     gamma, tau, rho = ledger["gamma"], ledger["tau"], ledger["rho"]
     denom = gamma**4 * rho ** (4 * tau)
-    ratio = ledger["E1"] * error_norm / denom
+    # a denominator that underflows to 0 leaves the hypothesis unchecked: fail it
+    ratio = ledger["E1"] * error_norm / denom if denom > 0 else float("inf")
     passed = bool(ratio < 1.0)
     closeness_K = None
     closeness_second = None

@@ -325,6 +325,9 @@ def _candidate_from_doc(doc: dict):
         with _torus_field("ray_scale"):
             scale = _checked("ray_scale", doc["ray_scale"], _is_real, "a finite number")
             ray = FrequencyRay(np.asarray(cfg.omega_star), cfg.sigma_omega, float(scale))
+            if not np.array_equal(omega, ray.omega):  # the ledger reads dist_ray at this scale
+                raise ValueError(f"omega {omega.tolist()} is not the ray's omega "
+                                 f"{ray.omega.tolist()} at this scale")
     return cand, cfg, _schedule(cfg), ray
 
 

@@ -149,6 +149,48 @@ def test_global_constants_peak_memory_bounded():
     assert peak - entry < 8e6
 
 
+def test_each_callback_is_swept_once():
+    """Rows that reduce the sup of one callback share one lattice sweep: with c
+    = H, c_H_1 and c_c_1 both reduce the sup of DH, which runs on the 6 slices
+    of the 6144 points once."""
+    sys_b = without_table(golden_global_systems()["symmetric_rotors-0.01"][0])
+    calls = []
+
+    def dh(z):
+        calls.append(len(z))
+        return sys_b.DH(z)
+
+    counted = dataclasses.replace(sys_b, DH=dh)
+    g = estimate_global_constants(counted, conserved=counted.conserved("H"))
+    assert calls == [kamtorus.certificate.LATTICE_SLICE] * 6
+    assert g.values["c_c_1"] == g.values["c_H_1"]
+
+
+@pytest.mark.parametrize("callback, row", [("d_G", "c_G_1"), ("d2_G", "c_G_2")])
+def test_structure_without_a_derivative_callback_is_refused(callback, row):
+    """A caller-built structure that lacks a derivative callback cannot be
+    sampled: the error names the callback and the row that needs it."""
+    sys_a = golden_global_systems()["lagrangian_rotors-0.02"][0]
+    geometry = dataclasses.replace(scaled_structure(2), **{callback: None})
+    with pytest.raises(ValueError, match=f"{row} samples the callback geometry.{callback},"):
+        estimate_global_constants(dataclasses.replace(sys_a, geometry=geometry))
+
+
+def test_nan_at_one_lattice_point_names_the_row():
+    """A sampled row that is not finite is refused by name: DH is NaN at one
+    lattice point of a table-less system, and c_H_1 is the first row it reaches."""
+    sys_b = without_table(golden_global_systems()["symmetric_rotors-0.01"][0])
+    bad = kamtorus.certificate._domain_points(sys_b)[4321]
+
+    def dh(z):
+        out = sys_b.DH(z)
+        out[np.all(z == bad, axis=1)] = np.nan
+        return out
+
+    with pytest.raises(LedgerError, match="global constant c_H_1 is not finite"):
+        estimate_global_constants(dataclasses.replace(sys_b, DH=dh))
+
+
 CALLBACK_ROWS = {"c_H_1", "c_XH_0", "c_XH_1", "c_XHT_1", "c_XH_2", "c_c_1", "c_c_2"}
 INTEGRAL_ROWS = {"c_p_1", "c_pT_1", "c_Xp_0", "c_XpT_0", "c_Xp_1", "c_XpT_1", "c_Xp_2",
                  "c_XpT_2"}

@@ -385,10 +385,11 @@ def _short_map(doc):
     ("ordinary", lambda doc: doc.update(angle_block="false"), "angle_block"),
     ("iso", _drop("ray_scale"), "ray_scale"),
     ("iso", lambda doc: doc.update(ray_scale="1.3"), "ray_scale"),
+    ("iso", lambda doc: doc.update(ray_scale=1.9), "ray_scale"),  # omega is not on it
 ], ids=["dio-missing", "rho-string", "rho-negative", "grid-too-small", "grid-not-2N+1",
         "omega-short", "map-short", "rho-outside-domain", "c0-missing", "c0-string", "c0-nan",
         "gamma-nan", "tau-inf", "scan-limit-fraction", "angle-block-string",
-        "ray-scale-missing", "ray-scale-string"])
+        "ray-scale-missing", "ray-scale-string", "ray-scale-off-omega"])
 def test_certify_malformed_torus_exit_two_names_field(tmp_path, capsys, solved_tori, mode,
                                                        spoil, field):
     doc = json.loads(json.dumps(solved_tori[mode]))
@@ -398,6 +399,35 @@ def test_certify_malformed_torus_exit_two_names_field(tmp_path, capsys, solved_t
     assert main(["certify", str(torus), "--out", str(tmp_path)]) == 2
     assert f"torus file field '{field}'" in capsys.readouterr().err
     assert not (tmp_path / "certificate.json").exists()
+
+
+def solve_and_certify(tmp_path, **overrides) -> int:
+    """Solve a config with ``overrides`` to a torus in ``tmp_path`` and certify it."""
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    return main(["certify", str(tmp_path / "torus.json"), "--out", str(tmp_path)])
+
+
+def test_certify_power_overflow_names_the_ledger_row(tmp_path, capsys):
+    """At tau 58 (a1 a3)**(4 tau) overflows in E1: the float power raises
+    OverflowError where a product gives inf, so the row must come out inf and
+    be named instead of an unnamed errno message."""
+    code = solve_and_certify(tmp_path, system="lagrangian_rotors", epsilon=0.0, bands=[8, 8],
+                             rho0=0.03, tau=58.0)
+    assert code == 1
+    assert "ledger row E1 = inf" in capsys.readouterr().err
+
+
+def test_certify_underflowing_denominator_fails_with_infinite_ratio(tmp_path, capsys):
+    """At tau 30, rho0 0.001 gamma**4 * rho**(4 tau) underflows to 0: the
+    hypothesis is reported unchecked (ratio inf, FAIL), as an overflowing
+    quotient is, instead of a division by zero."""
+    code = solve_and_certify(tmp_path, system="lagrangian_rotors", epsilon=0.0, bands=[8, 8],
+                             rho0=0.001, tau=30.0)
+    assert code == 1
+    assert "certificate FAIL: ratio = inf" in capsys.readouterr().out
+    report = json.loads((tmp_path / "certificate.json").read_text())
+    assert report["ratio"] == float("inf") and report["passed"] is False
 
 
 def test_plotdata_refuses_grid_not_2n_plus_1(tmp_path, capsys, solved_tori):

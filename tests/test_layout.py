@@ -5,6 +5,9 @@ be named somewhere other than its own definition: as an identifier or a string
 in ``src/`` outside that definition, or anywhere in ``scripts/`` or
 ``perfbench/``.  Docstrings do not count.  A name that only the tests use
 belongs with the tests (``tests/oracles.py``).
+
+Every import in ``src/``, ``scripts/`` and ``tests/`` must be named by its
+module, but one on a line marked ``# noqa: F401``.
 """
 
 import ast
@@ -83,3 +86,40 @@ def test_every_library_definition_is_used_outside_the_tests():
             if not any(in_src[k, name] - own[k, name] + outside[k, name] for k in kinds):
                 unused.append(f"{path.name}: {qualname}")
     assert unused == [], "defined in src/ but named only by the tests: " + ", ".join(unused)
+
+
+def _bound_names(node: ast.AST) -> set:
+    """The names a module uses: identifiers (attribute bases among them), the
+    strings of ``__all__`` and function parameters (pytest fixtures)."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.arg):
+            used.add(sub.arg)
+        elif isinstance(sub, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                 for t in sub.targets):
+            used.update(getattr(elt, "value", None) for elt in getattr(sub.value, "elts", ()))
+    return used
+
+
+def test_no_unused_import():
+    """Every name imported in src/, scripts/ and tests/ is named by its module,
+    but one on a line marked ``# noqa: F401``."""
+    unused = []
+    for folder in ("src", "scripts", "tests"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            text = path.read_text()
+            lines = text.splitlines()
+            tree = ast.parse(text, filename=str(path))
+            used = _bound_names(tree)
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                        getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name != "*" and name not in used and \
+                            "# noqa: F401" not in lines[alias.lineno - 1]:
+                        unused.append(f"{path.relative_to(ROOT)}:{alias.lineno} {alias.name}")
+    assert unused == [], "imported but never named: " + ", ".join(unused)
