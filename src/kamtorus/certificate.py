@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cohomology import DiophantineParams, russmann_constant
-from .frames import FrameBundle, TorusCandidate, measure_hypothesis_data
+from .frames import FrameBundle, HypothesisError, TorusCandidate, measure_hypothesis_data
 from .hamiltonian import ConservedQuantity, HamiltonianSystem
 from .solver import Iterate, NewtonSchedule, resolve_smallness_scale
 
@@ -39,10 +39,6 @@ REPORT_HEADER = (
     "global constants are closed-form strip bounds (ledger provenance 'exact') "
     "or lattice maxima with a 5% upward margin (provenance 'sampled')"
 )
-
-
-class LedgerError(ArithmeticError):
-    """A ledger row evaluated to NaN/inf; the offending row is named."""
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +241,7 @@ def estimate_global_constants(sys: HamiltonianSystem,
                 sups[f] = _lattice_sup(f, z)
             values[name], provenance[name] = up * float(reduce(sups[f])), "sampled"
         if not np.isfinite(values[name]):
-            raise LedgerError(f"global constant {name} is not finite")
+            raise HypothesisError("ledger", f"global constant {name} is not finite")
     return GlobalNormConstants(values, provenance)
 
 
@@ -275,7 +271,7 @@ class ConstantLedger:
             provenance: str = "derived"):
         value = float(value)
         if not np.isfinite(value):
-            raise LedgerError(f"ledger row {name} = {value} ({formula})")
+            raise HypothesisError("ledger", f"ledger row {name} = {value} ({formula})")
         self.rows[name] = LedgerRow(name, value, formula, group, provenance)
         return value
 
@@ -587,8 +583,8 @@ def build_ledger(mode: str, globs: GlobalNormConstants, hyp: dict,
         ("sigma_K", "norm_DK"), ("sigma_KT", "norm_DKT"), ("sigma_B", "norm_B"), twist)}
     bad = {k: v for k, v in led.margins.items() if v <= 0}
     if bad:
-        raise LedgerError(f"non-positive sigma margins {bad}: the strict norm "
-                          "hypotheses fail on this candidate")
+        raise HypothesisError("sigma margins", f"{bad} not positive: the strict norm "
+                              "hypotheses fail on this candidate")
 
     variants = (None, mode, "III" if case_tag == "III" else "II")
     trees = {}

@@ -4,8 +4,10 @@ Configuration is a JSON document; every run embeds the resolved config and
 the library version into its outputs so results are reproducible byte for
 byte from the config alone (fixed reduction order, no timestamps).
 
-Exit codes: 0 success or certificate pass, 1 certificate fail or solver
-divergence, 2 usage/validation errors.
+Exit codes: 0 success or certificate pass, 1 certificate fail, a solve that
+does not converge or a failed hypothesis (``HypothesisError``), 2 usage and
+validation errors (``ConfigError``) and resonant frequencies.  Any other
+exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ import numpy as np
 
 from . import __version__
 from .cohomology import DiophantineParams, DivisorCollisionError, estimate_gamma
-from .fourier import FourierMap
-from .frames import TorusCandidate, build_frames, seed_torus
-from .hamiltonian import (builtin_dims, builtin_system, check_derivatives, verify_commutation,
-                          verify_involution)
+from .fourier import FourierMap, strip_fits
+from .frames import HypothesisError, TorusCandidate, build_frames, seed_torus
+from .hamiltonian import (StructureError, builtin_dims, builtin_system, check_derivatives,
+                          verify_commutation, verify_involution)
 from .isoenergetic import FrequencyRay, IsoTarget
 from .certificate import certify, estimate_global_constants
 from .solver import NewtonSchedule, evaluate, iterate_newton
@@ -128,6 +130,9 @@ class RunConfig:
                                   f"got {self.conserved!r}")
         self.bands = _vector("bands", self.bands, d, lambda b: _is_int(b) and b >= 1,
                              "integers >= 1")
+        if not strip_fits(self.rho0, self.bands):
+            raise ConfigError(f"rho0 = {self.rho0} and bands = {self.bands} overflow the strip "
+                              "weights e^(2 pi |k|_1 rho0)")
         return self
 
     @staticmethod
@@ -319,6 +324,9 @@ def _candidate_from_doc(doc: dict):
         cand = TorusCandidate(k_per, omega, dio, rho=float(rho), system=sys_obj,
                               angle_block=angle_block)
     with _torus_field("rho"):
+        if not strip_fits(rho, k_per.bands):
+            raise ValueError(f"{rho} overflows the strip weights e^(2 pi |k|_1 rho) of bands "
+                             f"{k_per.bands}")
         if (margin := cand.domain_margin()) <= 0:
             raise ValueError(f"K(T^d_rho) leaves the system domain (margin {margin:.3e})")
     if ray is not None:
@@ -420,7 +428,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     try:
         sys_obj.geometry.check_invariants(pts)
         structure_ok = True
-    except Exception as exc:  # reported, not raised
+    except StructureError as exc:  # reported, not raised
         structure_ok = False
         print(f"structure invariants FAILED: {exc}")
     ok = inv.passed and comm.passed and deriv["passed"] and structure_ok
@@ -486,32 +494,22 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    cfg = None
-    if args.command in ("solve", "validate"):
-        overrides = {"mode": args.mode, "epsilon": args.epsilon,
-                     "bands": list(args.bands) if args.bands else None}
-        try:
-            cfg = RunConfig.load(args.config, overrides)
-        except (ConfigError, DivisorCollisionError) as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 2
     try:
+        if args.command == "certify":
+            return cmd_certify(args.torus, {}, Path(args.out or RunConfig.out_dir))
+        if args.command == "plotdata":
+            return cmd_plotdata(args.torus, Path(args.out or RunConfig.out_dir), args.log)
+        cfg = RunConfig.load(args.config, {"mode": args.mode, "epsilon": args.epsilon,
+                                           "bands": list(args.bands) if args.bands else None})
         if args.command == "validate":
             return cmd_validate(cfg)
-        out_dir = Path(args.out or (cfg.out_dir if cfg else RunConfig.out_dir))
-        if args.command == "solve":
-            return cmd_solve(cfg, out_dir)
-        if args.command == "certify":
-            return cmd_certify(args.torus, {}, out_dir)
-        if args.command == "plotdata":
-            return cmd_plotdata(args.torus, out_dir, args.log)
+        return cmd_solve(cfg, Path(args.out or cfg.out_dir))
     except (ConfigError, DivisorCollisionError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
+        print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
+    except HypothesisError as exc:  # every other exception is a bug: it keeps its traceback
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

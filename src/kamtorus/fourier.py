@@ -55,6 +55,12 @@ class StripOverflowError(OverflowError):
     """Majorant weights overflow double precision: rho too large for this band."""
 
 
+def strip_fits(rho: float, bands) -> bool:
+    """Whether the majorant weights e^(2 pi |k|_1 rho) stay finite over the box
+    |k_i| <= N_i, where |k|_1 reaches sum(bands) (e^x overflows above x ~ 709)."""
+    return TWO_PI * rho * sum(bands) <= 700.0
+
+
 @lru_cache(maxsize=128)
 def _index_box(bands: tuple) -> tuple:
     """Per-axis integer mode vectors -N_i .. N_i."""
@@ -222,13 +228,11 @@ class FourierMap:
         """
         if rho < 0:
             raise ValueError("rho must be >= 0")
-        k1 = _k1_box(self.bands)
-        arg = TWO_PI * rho * k1
-        if arg.size and float(np.max(arg)) > 700.0:
+        if not strip_fits(rho, self.bands):
             raise StripOverflowError(
                 f"e^(2 pi |k|_1 rho) overflows at rho={rho} for bands {self.bands}"
             )
-        weights = np.exp(arg)
+        weights = np.exp(TWO_PI * rho * _k1_box(self.bands))
         entry = np.tensordot(weights, np.abs(self.coeffs), axes=(tuple(range(self.d)),) * 2)
         value = float(np.max(entry.sum(axis=0 if transpose else 1), initial=0.0))
         return StripNorm(rho=float(rho), value=value)
@@ -345,6 +349,8 @@ class FourierMap:
             raise FourierShapeError("dims and bands disagree on d")
         box = tuple(2 * n + 1 for n in bands)
         pairs = np.asarray(doc["coeffs"], dtype=np.float64)
+        if not np.isfinite(pairs).all():
+            raise ValueError("coefficients must be finite")
         flat = pairs[0::2] + 1j * pairs[1::2]
         return cls(flat.reshape(box + (n1, n2)), bands)
 

@@ -42,20 +42,14 @@ RANK_TOL = 1e-8  # L is rank-deficient if a singular value on the grid is at mos
 COND_LIMIT = 1e12  # largest condition accepted for a pointwise inverse or an averaged twist
 
 
-class FrameRankError(ArithmeticError):
-    """The tangent-family frame loses rank on the grid."""
+class HypothesisError(RuntimeError):
+    """A named hypothesis of the step or the certificate fails: the smallness,
+    domain, strip, frame rank, Gram, twist, compatibility, ray, sigma margins
+    or ledger one.  ``hypothesis`` is the name."""
 
-
-class SingularGramError(ArithmeticError):
-    """The metric Gram matrix L^T (G o K) L is numerically singular."""
-
-
-class TwistDegeneracyError(ArithmeticError):
-    """The averaged torsion matrix is singular: the twist hypothesis fails."""
-
-
-class DomainEscapeError(ValueError):
-    """K(T^d_rho) is not safely inside the system domain."""
+    def __init__(self, name: str, detail: str):
+        self.hypothesis = name
+        super().__init__(f"hypothesis {name} failed: {detail}")
 
 
 # ---------------------------------------------------------------------------
@@ -302,24 +296,27 @@ class FrameBundle:
 def invariance_error(cand: TorusCandidate, kitchen: GridKitchen) -> FourierMap:
     """E(theta) = X_H(K(theta)) - DK(theta) omega, band-truncated.
 
-    Raises DomainEscapeError if the strip image of K is not inside the domain.
+    Raises HypothesisError("domain") if the strip image of K is not inside the domain.
     """
     margin = cand.domain_margin()
     if margin <= 0:
-        raise DomainEscapeError(f"K(T^d_rho) leaves the system domain (margin {margin:.3e})")
+        raise HypothesisError("domain",
+                              f"K(T^d_rho) leaves the system domain (margin {margin:.3e})")
     dk = kitchen.L.block(slice(None), slice(0, cand.d))
     return kitchen.XH - dk.matmul_constant(cand.omega)
 
 
 def tangent_frame(cand: TorusCandidate, kitchen: GridKitchen) -> FourierMap:
-    """L = (DK  X_p o K); raises FrameRankError if rank < n anywhere on the grid.
+    """L = (DK  X_p o K); raises HypothesisError("frame rank") if rank < n anywhere
+    on the grid.
     Slab by slab, the SVD decides only where :func:`_clears_rank_tol` cannot;
     ``np.min`` of the slabs' minima keeps NaN, as the whole grid's does."""
     smins = [np.linalg.svd(vals, compute_uv=False)[..., -1].min()
              for _, (vals,) in slab_samples(cand.grid, kitchen.L) if not _clears_rank_tol(vals)]
     smin = float(np.min(smins, initial=np.inf))
     if smin <= RANK_TOL:
-        raise FrameRankError(f"tangent frame rank-deficient: min singular value {smin:.3e}")
+        raise HypothesisError("frame rank",
+                              f"tangent frame rank-deficient: min singular value {smin:.3e}")
     return kitchen.L
 
 
@@ -367,7 +364,7 @@ def _pointwise_inverse(f: FourierMap):
     (:func:`~kamtorus.fourier.slab_analysis`), with the matrix axes in front and
     each operation over the whole slab, followed by one refinement step
     X <- X + X (I - A X).  A pivot that is not finite and positive raises
-    SingularGramError, naming the first such pivot, its first value in C order
+    HypothesisError("Gram"), naming the first such pivot, its first value in C order
     and its point count over the whole grid; so does a condition estimate above
     COND_LIMIT or NaN.  Returns (inverse, cond).
     """
@@ -404,11 +401,12 @@ def _pointwise_inverse(f: FourierMap):
         p = min(bad[0] for bad in bad_pivots)
         first = next(value for q, value, _ in bad_pivots if q == p)
         count = sum(c for q, _, c in bad_pivots if q == p)
-        raise SingularGramError(f"Gram matrix pivot {p} is {first:.3e} at {count} grid "
-                                "point(s): not finite and positive")
+        raise HypothesisError("Gram", f"Gram matrix pivot {p} is {first:.3e} at {count} grid "
+                                      "point(s): not finite and positive")
     cond = float(np.max(conds))
     if not cond <= COND_LIMIT:
-        raise SingularGramError(f"pointwise condition estimate {cond:.3e} exceeds {COND_LIMIT:.1e}")
+        raise HypothesisError("Gram", f"pointwise condition estimate {cond:.3e} exceeds "
+                                      f"{COND_LIMIT:.1e}")
     return FourierMap(coeffs, f.bands), cond
 
 
@@ -472,7 +470,7 @@ def torsion(cand: TorusCandidate, N: FourierMap, kitchen: GridKitchen, scale: fl
 
     The Lie derivative of N is spectral (exact on the truncation); a singular
     averaged torsion, judged against ``scale = _twist_scale(cand, N, kitchen)``,
-    raises TwistDegeneracyError.
+    raises HypothesisError("twist").
     """
     bands = cand.bands
     loper_n = matmul(kitchen.DXH, N, out_bands=bands) + N.lie(cand.omega)
@@ -506,15 +504,15 @@ def _check_twist(avg: np.ndarray, what: str, scale: float):
         smin = float(np.linalg.svd(avg, compute_uv=False)[-1])
         inv = np.linalg.inv(avg)
     except np.linalg.LinAlgError as exc:
-        raise TwistDegeneracyError(f"{what} is singular") from exc
+        raise HypothesisError("twist", f"{what} is singular") from exc
     if not smin > scale / COND_LIMIT:
-        raise TwistDegeneracyError(
-            f"{what} smallest singular value {smin:.3e} is at most {1 / COND_LIMIT:.1e} "
+        raise HypothesisError(
+            "twist", f"{what} smallest singular value {smin:.3e} is at most {1 / COND_LIMIT:.1e} "
             f"times its factors' scale {scale:.3e}"
         )
     cond = float(np.abs(avg).sum(axis=1).max() * np.abs(inv).sum(axis=1).max())
     if cond > COND_LIMIT:
-        raise TwistDegeneracyError(f"{what} condition {cond:.3e} exceeds {COND_LIMIT:.1e}")
+        raise HypothesisError("twist", f"{what} condition {cond:.3e} exceeds {COND_LIMIT:.1e}")
 
 
 def extended_torsion(cand: TorusCandidate, T: FourierMap, N: FourierMap,

@@ -29,11 +29,8 @@ import numpy as np
 
 
 class StructureError(ValueError):
-    """A geometric-structure invariant fails at a sampled point."""
-
-
-class SingularStructureError(ArithmeticError):
-    """Omega(z) is singular: the 2-form degenerates at the point."""
+    """A geometric-structure invariant fails at a sampled point (Omega(z)
+    singular among them)."""
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +332,7 @@ def poisson_bracket(Df: Callable, Dg: Callable, omega_mat: Callable, z) -> np.nd
     dg = np.asarray(Dg(z))
     df = np.asarray(Df(z))
     if abs(np.linalg.det(Om.reshape(-1, *Om.shape[-2:])[0])) < 1e-300:
-        raise SingularStructureError("Omega(z) is singular")
+        raise StructureError("Omega(z) is singular")
     sol = np.linalg.solve(Om, dg[..., :, None])[..., 0]
     return np.einsum("...i,...i->...", df, sol)
 

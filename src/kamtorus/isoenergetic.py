@@ -26,12 +26,12 @@ from .cohomology import DiophantineParams
 from .fourier import FourierMap
 # not called here; the benchmark tracer counts the modules that hold matmul
 from .fourier import matmul  # noqa: F401
-from .frames import FrameBundle, TorusCandidate, grid_kitchen, invariance_error
+from .frames import (FrameBundle, HypothesisError, TorusCandidate, grid_kitchen,
+                     invariance_error)
 from .hamiltonian import ConservedQuantity
 from .solver import (
     Iterate,
     NewtonSchedule,
-    RayExitError,
     newton_correction,
     solve_block_triangular,
 )
@@ -70,9 +70,8 @@ class FrequencyRay:
     def rescaled(self, factor: float) -> "FrequencyRay":
         new_scale = self.scale * factor
         if not 1.0 < new_scale < self.sigma_omega:
-            raise RayExitError(
-                f"scale {new_scale:.6f} leaves (1, {self.sigma_omega}) after factor {factor:.6f}"
-            )
+            raise HypothesisError("ray", f"scale {new_scale:.6f} leaves (1, {self.sigma_omega}) "
+                                         f"after factor {factor:.6f}")
         return FrequencyRay(self.omega_star, self.sigma_omega, new_scale)
 
 

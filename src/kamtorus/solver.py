@@ -32,11 +32,9 @@ from .cohomology import DiophantineParams, solve_cohomological
 from .fourier import FourierMap, matmul
 from .frames import (
     FrameBundle,
-    FrameRankError,
     GridKitchen,
-    SingularGramError,
+    HypothesisError,
     TorusCandidate,
-    TwistDegeneracyError,
     build_frames,
     grid_kitchen,
     invariance_error,
@@ -48,22 +46,6 @@ if TYPE_CHECKING:
 COMPAT_TOL = 1e-10  # largest <eta^N> accepted, relative to the size of eta
 SLOPE_FLOOR_FACTOR = 30.0  # contraction pairs stay above this multiple of the final error
 SLOPE_CAP = 1e-1  # contraction pairs start below this error (the asymptotic regime)
-
-
-class CompatibilityError(ArithmeticError):
-    """The solvability condition <eta^N> = 0 fails beyond tolerance."""
-
-
-class HypothesisError(RuntimeError):
-    """A named smallness/non-degeneracy hypothesis fails at this step."""
-
-    def __init__(self, name: str, detail: str):
-        self.hypothesis = name
-        super().__init__(f"hypothesis {name} failed: {detail}")
-
-
-class RayExitError(RuntimeError):
-    """The corrected frequency leaves the admissible ray (iso mode)."""
 
 
 @dataclass(frozen=True)
@@ -101,7 +83,10 @@ class NewtonSchedule:
         return self.rho0 / self.a3
 
     def delta(self, s: int) -> float:
-        return self.delta0 / self.a1**s
+        try:
+            return self.delta0 / self.a1**s
+        except OverflowError:  # a1**s is past the double range, so delta_s is below it
+            return 0.0
 
 
 def resolve_smallness_scale(schedule: NewtonSchedule, kitchen: GridKitchen) -> float:
@@ -153,8 +138,8 @@ def solve_block_triangular(eta_L: FourierMap, eta_N: FourierMap, T: FourierMap,
     scale = max(sizes)
     compat = float(np.max(np.abs(eta_N.average())))
     if compat > COMPAT_TOL * scale:
-        raise CompatibilityError(
-            f"<eta^N> = {compat:.3e} exceeds {COMPAT_TOL:.1e} x scale {scale:.3e}"
+        raise HypothesisError(
+            "compatibility", f"<eta^N> = {compat:.3e} exceeds {COMPAT_TOL:.1e} x scale {scale:.3e}"
         )
     R_etaN = solve_cohomological(eta_N, dio)
     T_RetaN = matmul(T, R_etaN, out_bands=bands)
@@ -165,9 +150,9 @@ def solve_block_triangular(eta_L: FourierMap, eta_N: FourierMap, T: FourierMap,
     try:
         sol = np.linalg.solve(avg, rhs)
     except np.linalg.LinAlgError as exc:
-        raise TwistDegeneracyError("averaged torsion singular in triangular solve"
-                                   if border is None else
-                                   "averaged extended torsion singular") from exc
+        raise HypothesisError("twist", "averaged torsion singular in triangular solve"
+                              if border is None else
+                              "averaged extended torsion singular") from exc
     xi_N0 = sol[:n]
     xi_N = R_etaN.add_constant(xi_N0)
     T_xiN = T_RetaN + T.matmul_constant(xi_N0)  # T.(const) is exact in coefficients
@@ -254,9 +239,8 @@ def newton_correction(it: Iterate, schedule: NewtonSchedule, delta: float,
     lives on the strip rho - 3*delta.  ``contraction_ledger`` is as in
     iterate_newton.  The frames and the step's products live only in
     :func:`_correction`, so they are released before the next candidate's
-    kitchen is built.  Raises HypothesisError (named), CompatibilityError,
-    TwistDegeneracyError, FrameRankError, SingularGramError, RayExitError or
-    DomainEscapeError on failure.
+    kitchen is built.  A failure raises HypothesisError, named after the
+    hypothesis that fails.
     """
     new_cand, ray, mid_rho, partial = _correction(it, schedule, delta, target,
                                                   contraction_ledger)
@@ -278,7 +262,7 @@ def _correction(it: Iterate, schedule: NewtonSchedule, delta: float,
     cand, kk = it.cand, it.kitchen
     rho = cand.rho
     if not 0 < 3 * delta < rho:
-        raise ValueError(f"need 0 < 3*delta < rho, got delta={delta}, rho={rho}")
+        raise HypothesisError("strip", f"need 0 < 3*delta < rho, got delta={delta}, rho={rho}")
     err = it.combined_norm(rho)
     c_small = resolve_smallness_scale(schedule, kk)
     if err / delta >= c_small:
@@ -297,7 +281,7 @@ def _correction(it: Iterate, schedule: NewtonSchedule, delta: float,
         ray, moved = None, {}
     else:
         xi_L, xi_N, _, xi_omega, sdiag = target.solve(eta_L, eta_N, -it.E_omega, fr, cand.dio)
-        ray = it.ray.rescaled(1.0 - xi_omega)  # raises RayExitError at the boundary
+        ray = it.ray.rescaled(1.0 - xi_omega)  # fails the ray hypothesis at its ends
         # every ray point s*omega_* with s > 1 inherits the base scan certificate
         moved = {"omega": ray.omega, "dio": DiophantineParams(
             ray.omega, cand.dio.gamma, cand.dio.tau, cand.dio.scan_limit, check=False)}
@@ -362,8 +346,8 @@ def iterate_newton(it: Iterate, schedule: NewtonSchedule, target: IsoTarget | No
     delta_s^{4 tau}) ||E_s||^2 is recorded in the step's log record.
 
     Failure modes: two consecutive error increases (divergence), any named
-    hypothesis failure, a frame that loses rank or a singular Gram matrix,
-    or the iteration cap.
+    hypothesis failure (a ``HypothesisError`` of the step), or the iteration
+    cap.
     """
     if it.cand.rho != schedule.rho0:
         raise ValueError(f"the seed lives on the strip rho = {it.cand.rho}, "
@@ -397,8 +381,7 @@ def iterate_newton(it: Iterate, schedule: NewtonSchedule, target: IsoTarget | No
         try:
             nxt, step_rec = (newton_step if target is None else target.step)(
                 it, schedule, schedule.delta(s), contraction_ledger)
-        except (HypothesisError, CompatibilityError, TwistDegeneracyError, FrameRankError,
-                SingularGramError, RayExitError) as exc:
+        except HypothesisError as exc:
             return SolveResult(False, f"step {s}: {exc}", it, log)
         rec.update(step_rec)
         prev_err = err

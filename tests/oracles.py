@@ -246,7 +246,8 @@ def svd_rank_check(L, grid):
     """The rank check as it was: LAPACK's SVD at every grid point decides."""
     smin = float(np.linalg.svd(irfftn_samples(L, grid), compute_uv=False)[..., -1].min())
     if smin <= fr.RANK_TOL:
-        raise fr.FrameRankError(f"tangent frame rank-deficient: min singular value {smin:.3e}")
+        raise fr.HypothesisError("frame rank",
+                                 f"tangent frame rank-deficient: min singular value {smin:.3e}")
 
 
 

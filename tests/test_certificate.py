@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import kamtorus.certificate
 from kamtorus.certificate import (
-    LedgerError,
     REPORT_HEADER,
     build_ledger,
     certify,
@@ -21,7 +20,7 @@ from kamtorus.certificate import (
     kam_check,
 )
 from kamtorus.cohomology import DiophantineParams
-from kamtorus.frames import build_frames, measure_hypothesis_data
+from kamtorus.frames import HypothesisError, build_frames, measure_hypothesis_data
 from kamtorus.hamiltonian import ConservedQuantity, builtin_system
 from kamtorus.solver import NewtonSchedule
 
@@ -187,8 +186,9 @@ def test_nan_at_one_lattice_point_names_the_row():
         out[np.all(z == bad, axis=1)] = np.nan
         return out
 
-    with pytest.raises(LedgerError, match="global constant c_H_1 is not finite"):
+    with pytest.raises(HypothesisError, match="global constant c_H_1 is not finite") as info:
         estimate_global_constants(dataclasses.replace(sys_b, DH=dh))
+    assert info.value.hypothesis == "ledger"
 
 
 CALLBACK_ROWS = {"c_H_1", "c_XH_0", "c_XH_1", "c_XHT_1", "c_XH_2", "c_c_1", "c_c_2"}
@@ -367,9 +367,10 @@ def test_ledger_nan_guard():
     globs, hyp, dio, sched, _ = base_ledger_inputs()
     bad = dict(hyp)
     bad["sigma_B"] = np.inf
-    with pytest.raises(LedgerError):
+    with pytest.raises(HypothesisError, match="sigma_B = inf") as info:
         build_ledger("ordinary", globs, bad, dio, rho=0.1, delta=0.1 / 12,
                      schedule=sched, n=2, d=2)
+    assert info.value.hypothesis == "ledger"
 
 
 def test_ledger_monotone_in_global_inputs():
@@ -502,9 +503,10 @@ def test_kam_check_requires_positive_margins():
     hyp["sigma_K"] = hyp["norm_DK"]  # kill the margin
     globs = estimate_global_constants(cand.system)
     sched = NewtonSchedule(a1=2, a2=2, c_n=2.0, rho0=cand.rho)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(HypothesisError, match="sigma_K") as info:
         build_ledger("ordinary", globs, hyp, cand.dio, cand.rho, cand.rho / 12,
                      sched, n=2, d=2)
+    assert info.value.hypothesis == "sigma margins"
 
 
 # -------------------------------------------------------- inverse control

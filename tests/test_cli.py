@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kamtorus import frames
+from kamtorus import frames, hamiltonian
 from kamtorus.cli import ConfigError, RunConfig, main
 
 
@@ -131,11 +131,12 @@ def test_certify_rejects_torus_map_that_is_not_real(tmp_path, capsys):
     assert not (out / "certificate.json").exists()
 
 
-@pytest.mark.parametrize("name, error", [("_pointwise_inverse", frames.SingularGramError),
-                                         ("tangent_frame", frames.FrameRankError)])
-def test_frame_failure_is_a_named_step_failure(tmp_path, monkeypatch, name, error):
+@pytest.mark.parametrize("name, hypothesis", [("_pointwise_inverse", "Gram"),
+                                              ("tangent_frame", "frame rank")],
+                         ids=["_pointwise_inverse", "tangent_frame"])
+def test_frame_failure_is_a_named_step_failure(tmp_path, monkeypatch, name, hypothesis):
     def fail(*args, **kwargs):
-        raise error("injected")
+        raise frames.HypothesisError(hypothesis, "injected")
 
     monkeypatch.setattr(frames, name, fail)
     out = tmp_path / "run"
@@ -143,8 +144,42 @@ def test_frame_failure_is_a_named_step_failure(tmp_path, monkeypatch, name, erro
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
     summary = json.loads((out / "summary.json").read_text())
     assert not summary["converged"]
-    assert summary["reason"].startswith("step 0:") and "injected" in summary["reason"]
+    assert summary["reason"] == f"step 0: hypothesis {hypothesis} failed: injected"
     assert (out / "log.jsonl").read_text().strip()
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_a_bug_propagates_with_its_traceback(tmp_path, monkeypatch, command):
+    """An exception that is not a named failure is a bug in the program: main
+    lets it through instead of reporting it as a failed run."""
+    def bug(*args, **kwargs):
+        raise ZeroDivisionError("injected")
+
+    cfg = write_config(tmp_path, system="lagrangian_rotors", epsilon=1e-3)
+    out = tmp_path / "run"
+    if command == "certify":
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    monkeypatch.setattr(frames, "torsion", bug)
+    args = (["solve", "--config", str(cfg)] if command == "solve"
+            else ["certify", str(out / "torus.json")])
+    with pytest.raises(ZeroDivisionError, match="injected"):
+        main([*args, "--out", str(out)])
+
+
+@pytest.mark.parametrize("error, code", [(hamiltonian.StructureError, 1),
+                                         (ZeroDivisionError, None)])
+def test_validate_reports_only_a_structure_failure(tmp_path, monkeypatch, capsys, error, code):
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(hamiltonian.GeometricStructure, "check_invariants", fail)
+    cfg = write_config(tmp_path)
+    if code is None:
+        with pytest.raises(error, match="injected"):
+            main(["validate", "--config", str(cfg)])
+    else:
+        assert main(["validate", "--config", str(cfg)]) == code
+        assert "structure invariants FAILED: injected" in capsys.readouterr().out
 
 
 def test_config_validation_direct():
@@ -230,11 +265,27 @@ def test_iso_solve_via_cli(tmp_path):
     ({"epsilon": "0.01"}, "epsilon"),
     ({"rho0": "0.03"}, "rho0"),
     ({"rho0": 0.2}, "rho0"),  # the seed's strip reaches the edge of the default domain
+    # 2 pi rho0 sum(bands) > 700: the majorant weights e^(2 pi |k|_1 rho0) overflow
+    ({"bands": [64, 64], "rho0": 0.95, "imag_width": 2.0, "y_radius": 5.0},
+     "rho0 = 0.95 and bands = [64, 64]"),
 ])
 def test_malformed_config_exit_two_names_field(tmp_path, capsys, override, field):
     cfg = write_config(tmp_path, **override)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, step", [
+    ({"a1": 1e16, "a2": 1e16}, 0),  # a3 rounds to 3, so 3 delta_0 = rho0
+    ({"a1": 1e200, "c_n": 1e300}, 2),  # a1**2 overflows: delta_2 is below the double range
+], ids=["a3-rounds-to-3", "a1-power-overflows"])
+def test_schedule_out_of_range_is_a_strip_failure(tmp_path, capsys, overrides, step):
+    cfg = write_config(tmp_path, system="lagrangian_rotors", epsilon=1e-3, rho0=0.03,
+                       **overrides)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["reason"].startswith(f"step {step}: hypothesis strip failed: need 0 < 3*delta")
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", ["solve", "validate"])
@@ -376,6 +427,7 @@ def _short_map(doc):
     ("ordinary", lambda doc: doc.update(omega=[1.0]), "omega"),
     ("ordinary", _short_map, "map"),
     ("iso", lambda doc: doc.update(rho=0.5), "rho"),  # the strip leaves the domain
+    ("ordinary", lambda doc: doc.update(rho=20.0), "rho"),  # 2 pi rho sum(bands) > 700
     ("iso", _drop("c0"), "c0"),
     ("iso", lambda doc: doc.update(c0="x"), "c0"),
     ("iso", lambda doc: doc.update(c0=float("nan")), "c0"),
@@ -387,8 +439,8 @@ def _short_map(doc):
     ("iso", lambda doc: doc.update(ray_scale="1.3"), "ray_scale"),
     ("iso", lambda doc: doc.update(ray_scale=1.9), "ray_scale"),  # omega is not on it
 ], ids=["dio-missing", "rho-string", "rho-negative", "grid-too-small", "grid-not-2N+1",
-        "omega-short", "map-short", "rho-outside-domain", "c0-missing", "c0-string", "c0-nan",
-        "gamma-nan", "tau-inf", "scan-limit-fraction", "angle-block-string",
+        "omega-short", "map-short", "rho-outside-domain", "rho-overflows-weights", "c0-missing",
+        "c0-string", "c0-nan", "gamma-nan", "tau-inf", "scan-limit-fraction", "angle-block-string",
         "ray-scale-missing", "ray-scale-string", "ray-scale-off-omega"])
 def test_certify_malformed_torus_exit_two_names_field(tmp_path, capsys, solved_tori, mode,
                                                        spoil, field):
@@ -415,7 +467,9 @@ def test_certify_power_overflow_names_the_ledger_row(tmp_path, capsys):
     code = solve_and_certify(tmp_path, system="lagrangian_rotors", epsilon=0.0, bands=[8, 8],
                              rho0=0.03, tau=58.0)
     assert code == 1
-    assert "ledger row E1 = inf" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("certify: hypothesis ledger failed: ledger row E1 = inf")
+    assert "solver failure" not in err
 
 
 def test_certify_underflowing_denominator_fails_with_infinite_ratio(tmp_path, capsys):
@@ -657,6 +711,23 @@ def bands8_torus(tmp_path_factory):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp)]) == 0
     text = (tmp / "torus.json").read_text()
     return json.loads(text), text
+
+
+@pytest.mark.parametrize("command", ["certify", "plotdata"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_torus_coefficient_exit_two(tmp_path, capsys, bands8_torus, command, value):
+    """A non-finite coefficient of K is refused by the reader: its real-symmetry
+    defect is NaN, which no tolerance refuses, so certify named a ledger row
+    sigma_K = nan and plotdata wrote NaN rows."""
+    doc = json.loads(bands8_torus[1])
+    doc["map"]["coeffs"][5] = value
+    torus = tmp_path / "torus.json"
+    torus.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, str(torus), "--out", str(out)]) == 2
+    assert "torus file field 'map': ValueError: coefficients must be finite" in \
+        capsys.readouterr().err
+    assert not any(out.glob("*"))
 
 
 def _empty_map(doc):

@@ -9,9 +9,7 @@ from kamtorus.cohomology import russmann_constant
 from kamtorus.fourier import FourierMap, dealias_grid, matmul
 from kamtorus.frames import (
     RANK_TOL,
-    DomainEscapeError,
-    FrameRankError,
-    SingularGramError,
+    HypothesisError,
     TorusCandidate,
     _clears_rank_tol,
     _pointwise_inverse,
@@ -95,8 +93,9 @@ def test_invariance_error_phase_shift_invariant(perturbed_candidate_a):
 def test_domain_escape_detected(perturbed_candidate_a):
     cand = perturbed_candidate_a
     bad = cand.with_updates(rho=cand.system.domain.imag_width + 0.05)
-    with pytest.raises(DomainEscapeError):
+    with pytest.raises(HypothesisError) as info:
         invariance_error(bad, grid_kitchen(bad))
+    assert info.value.hypothesis == "domain"
 
 
 # ------------------------------------------------------------ tangent frame
@@ -151,11 +150,12 @@ def test_rank_check_takes_the_svd_only_when_the_pretest_fails(monkeypatch, pertu
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     assert tangent_frame(cand, kk) is kk.L and not calls
     tiny = replace(kk, L=kk.L * 1e-9)  # full rank, but every singular value below RANK_TOL
-    with pytest.raises(FrameRankError) as ref:
+    with pytest.raises(HypothesisError) as ref:
         svd_rank_check(tiny.L, cand.grid)
     calls.clear()
-    with pytest.raises(FrameRankError) as got:
+    with pytest.raises(HypothesisError) as got:
         tangent_frame(cand, tiny)
+    assert got.value.hypothesis == "frame rank"
     assert str(got.value) == str(ref.value) and calls == [1]
 
 
@@ -173,11 +173,11 @@ def test_frame_rank_deficient_at_one_grid_point_raises_svd_text():
     svals = np.linalg.svd(vals, compute_uv=False)[..., -1]
     assert np.sum(svals <= RANK_TOL) == 1 and svals[0, 0] <= RANK_TOL
     assert _clears_rank_tol(vals[1:]) and not _clears_rank_tol(vals)
-    with pytest.raises(FrameRankError) as ref:
+    with pytest.raises(HypothesisError) as ref:
         svd_rank_check(kk.L, cand.grid)
-    with pytest.raises(FrameRankError) as got:
+    with pytest.raises(HypothesisError) as got:
         tangent_frame(cand, kk)
-    assert str(got.value) == str(ref.value)
+    assert got.value.hypothesis == "frame rank" and str(got.value) == str(ref.value)
 
 
 def test_tangent_frame_includes_symmetry_column(exact_torus_b):
@@ -265,8 +265,9 @@ def _nan_sample_map():
                                   lambda: FourierMap.constant([[1.0, 1.0], [1.0, 1.0]], (3, 3)),
                                   _nan_sample_map], ids=["swap", "rank-one", "nan-sample"])
 def test_pointwise_inverse_rejects_non_spd(make):
-    with pytest.raises(SingularGramError, match="pivot"):
+    with pytest.raises(HypothesisError, match="pivot") as info:
         _pointwise_inverse(make())
+    assert info.value.hypothesis == "Gram"
 
 
 @pytest.mark.parametrize("band, size", [(16, 72), (32, 144), (64, 288)])
@@ -489,10 +490,9 @@ def test_fully_periodic_parameterization_without_marker(golden_dio):
     _, _, _, N, _ = normal_frame(cand, L, kk)
     # the oscillator pair is isochronous: zero twist, and the degeneracy gate
     # must fire rather than regularize
-    from kamtorus.frames import TwistDegeneracyError
-
-    with pytest.raises(TwistDegeneracyError):
+    with pytest.raises(HypothesisError) as info:
         torsion(cand, N, kk, _twist_scale(cand, N, kk))
+    assert info.value.hypothesis == "twist"
 
 
 # ------------------------------------------ ledger-style shadowing inequality
@@ -523,8 +523,9 @@ def test_conserved_shadowing_inequality(exact_torus_b):
 @pytest.mark.parametrize("avg", [np.diag([1.5e-16, 7.5e-32]), np.diag([5.9e-17, -3.5e-16])])
 def test_twist_gate_rejects_round_off_average(avg):
     """A zero twist made of round-off fails however well conditioned it is."""
-    from kamtorus.frames import TwistDegeneracyError, _check_twist
+    from kamtorus.frames import _check_twist
 
-    with pytest.raises(TwistDegeneracyError, match="smallest singular value"):
+    with pytest.raises(HypothesisError, match="smallest singular value") as info:
         _check_twist(avg, "averaged torsion <T>", scale=1.0)  # factors of unit size
+    assert info.value.hypothesis == "twist"
     _check_twist(np.diag([1.5, -0.7]), "averaged torsion <T>", scale=1.0)

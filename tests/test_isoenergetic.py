@@ -7,11 +7,10 @@ import pytest
 
 from kamtorus.cohomology import estimate_gamma
 from kamtorus.fourier import FourierMap
-from kamtorus.frames import build_frames
+from kamtorus.frames import HypothesisError, build_frames
 from kamtorus.isoenergetic import (
     FrequencyRay,
     IsoTarget,
-    RayExitError,
     newton_step_iso,
     solve_triangular_iso,
 )
@@ -34,8 +33,9 @@ def test_ray_midpoint_and_margin():
 
 def test_ray_rescale_and_exit():
     ray = FrequencyRay(np.array([1.0, GOLDEN]), 2.0, 1.9)
-    with pytest.raises(RayExitError):
+    with pytest.raises(HypothesisError) as info:
         ray.rescaled(1.2)
+    assert info.value.hypothesis == "ray"
     ok = ray.rescaled(0.9)
     assert ok.scale == pytest.approx(1.71)
     with pytest.raises(ValueError):

@@ -8,6 +8,9 @@ belongs with the tests (``tests/oracles.py``).
 
 Every import in ``src/``, ``scripts/`` and ``tests/`` must be named by its
 module, but one on a line marked ``# noqa: F401``.
+
+No handler in ``src/`` catches every exception: a failure is caught by its
+class, so a bug keeps its traceback.
 """
 
 import ast
@@ -123,3 +126,19 @@ def test_no_unused_import():
                             "# noqa: F401" not in lines[alias.lineno - 1]:
                         unused.append(f"{path.relative_to(ROOT)}:{alias.lineno} {alias.name}")
     assert unused == [], "imported but never named: " + ", ".join(unused)
+
+
+def test_no_catch_all_handler_in_src():
+    """No ``except:``, ``except Exception`` or ``except BaseException`` in src/,
+    alone or in a tuple."""
+    broad = {"Exception", "BaseException"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if node.type is None or any(getattr(t, "id", getattr(t, "attr", None)) in broad
+                                        for t in types):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found == [], "catch-all exception handlers: " + ", ".join(found)

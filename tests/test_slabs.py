@@ -12,7 +12,7 @@ import pytest
 from kamtorus import fourier, frames
 from kamtorus.cohomology import DiophantineParams
 from kamtorus.fourier import FourierMap, matmul
-from kamtorus.frames import (COND_LIMIT, SingularGramError, _front_matmul, _pointwise_inverse,
+from kamtorus.frames import (COND_LIMIT, HypothesisError, _front_matmul, _pointwise_inverse,
                              grid_kitchen, seed_torus, work_grid)
 from kamtorus.hamiltonian import DomainBox, _trig_potential_system
 
@@ -99,8 +99,8 @@ def whole_grid_inverse(f: FourierMap):
         piv = w[p, p].copy()
         bad = ~(np.isfinite(piv) & (piv > 0))
         if bad.any():
-            raise SingularGramError(
-                f"Gram matrix pivot {p} is {piv[bad][0]:.3e} at {int(bad.sum())} grid "
+            raise HypothesisError(
+                "Gram", f"Gram matrix pivot {p} is {piv[bad][0]:.3e} at {int(bad.sum())} grid "
                 "point(s): not finite and positive")
         w[p] /= piv
         x[p] /= piv
@@ -114,7 +114,8 @@ def whole_grid_inverse(f: FourierMap):
     x += _front_matmul(x, resid)
     cond = float(np.max(np.abs(a).sum(axis=1).max(axis=0) * np.abs(x).sum(axis=1).max(axis=0)))
     if not cond <= COND_LIMIT:
-        raise SingularGramError(f"pointwise condition estimate {cond:.3e} exceeds {COND_LIMIT:.1e}")
+        raise HypothesisError("Gram", f"pointwise condition estimate {cond:.3e} exceeds "
+                                      f"{COND_LIMIT:.1e}")
     return rfftn_coefficients(np.moveaxis(x, (0, 1), (-2, -1)), f.bands), cond
 
 
@@ -191,14 +192,14 @@ def test_singular_gram_names_the_whole_grid_pivot(monkeypatch, slab):
     at pivot 1 and later ones at pivot 0: the error names pivot 0, its first bad
     value in C order and its count over the whole grid."""
     f = bad_pivot_map()
-    with pytest.raises(SingularGramError) as whole:
+    with pytest.raises(HypothesisError) as whole:
         whole_grid_inverse(f)
-    assert str(whole.value).startswith("Gram matrix pivot 0 is ")
+    assert str(whole.value).startswith("hypothesis Gram failed: Gram matrix pivot 0 is ")
     assert " at 63 grid point(s)" in str(whole.value)  # rows 9-15, 9 columns each
     monkeypatch.setattr(fourier, "SLAB_POINTS", slab_points(slab, work_grid(f.bands)))
-    with pytest.raises(SingularGramError) as sliced:
+    with pytest.raises(HypothesisError) as sliced:
         _pointwise_inverse(f)
-    assert str(sliced.value) == str(whole.value)
+    assert sliced.value.hypothesis == "Gram" and str(sliced.value) == str(whole.value)
 
 
 def test_nan_condition_in_a_later_slab_is_refused(monkeypatch):
@@ -217,8 +218,9 @@ def test_nan_condition_in_a_later_slab_is_refused(monkeypatch):
 
     monkeypatch.setattr(fourier, "SLAB_POINTS", slab_points("ragged", work_grid(f.bands)))
     monkeypatch.setattr(frames, "_front_matmul", nan_in_second_slab)
-    with pytest.raises(SingularGramError, match="condition estimate nan"):
+    with pytest.raises(HypothesisError, match="condition estimate nan") as info:
         _pointwise_inverse(f)
+    assert info.value.hypothesis == "Gram"
     assert len(calls) == 12  # all six slabs of the 27 x 18 grid ran
 
 
@@ -310,7 +312,7 @@ def test_tangent_frame_decides_as_the_whole_grid_svd(monkeypatch, case, slab):
     try:
         svd_rank_check(kitchen.L, cand.grid)
         ref = None
-    except frames.FrameRankError as exc:
+    except HypothesisError as exc:
         ref = str(exc)
     assert (ref is None) == (case in ("full-rank", "near-tolerance"))
     monkeypatch.setattr(fourier, "SLAB_POINTS", slab_points(slab, cand.grid))
@@ -323,9 +325,9 @@ def test_tangent_frame_decides_as_the_whole_grid_svd(monkeypatch, case, slab):
     if ref is None:
         assert frames.tangent_frame(cand, kitchen) is kitchen.L
     else:
-        with pytest.raises(frames.FrameRankError) as got:
+        with pytest.raises(HypothesisError) as got:
             frames.tangent_frame(cand, kitchen)
-        assert str(got.value) == ref
+        assert got.value.hypothesis == "frame rank" and str(got.value) == ref
     assert len(calls) == failing
     if case.startswith("deficient"):
         assert failing == 1  # only the slab that holds the deficient point goes to the SVD
