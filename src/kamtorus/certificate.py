@@ -12,11 +12,13 @@ E1, E2, E3 entering the hypothesis ratio
 ratio < 1 certifies a true invariant torus nearby, with closeness bounds
 ||K_inf - K|| < E2 ||E|| / (gamma^2 rho^{2 tau}) and the E3 drift bound.
 
-The arithmetic is plain floating point.  The global constants of a
-term-table system are closed-form bounds; sampled ones carry an upward
-safety margin.  Every report states that the evaluation is not a rigorously
-rounded enclosure, that norms refer to the truncated Fourier model, and that
-gamma is a scan-limited lower-bound certificate.
+The arithmetic is plain floating point.  Every global constant is an exact
+bound: the row sums of a constant structure's matrices, the zero rows of a
+system without first integrals, or the closed forms of a term table; a row
+with none of these refuses the certificate.  Every report states that the
+evaluation is not a rigorously rounded enclosure, that norms refer to the
+truncated Fourier model, and that gamma is a scan-limited lower-bound
+certificate.
 """
 
 from __future__ import annotations
@@ -30,14 +32,14 @@ import numpy as np
 
 from .cohomology import DiophantineParams, russmann_constant
 from .frames import FrameBundle, HypothesisError, TorusCandidate, measure_hypothesis_data
-from .hamiltonian import ConservedQuantity, HamiltonianSystem
+from .hamiltonian import (ConservedQuantity, GeometricStructure, HamiltonianSystem, TermTable,
+                          _omega0)
 from .solver import Iterate, NewtonSchedule, resolve_smallness_scale
 
 REPORT_HEADER = (
     "floating-point constant chain (no directed rounding); norms are Fourier "
     "majorants of the truncated model; gamma is a finite-scan lower bound; "
-    "global constants are closed-form strip bounds (ledger provenance 'exact') "
-    "or lattice maxima with a 5% upward margin (provenance 'sampled')"
+    "global constants are closed-form strip bounds (ledger provenance 'exact')"
 )
 
 
@@ -45,103 +47,45 @@ REPORT_HEADER = (
 # global norm constants (analytic bounds of the system callbacks)
 # ---------------------------------------------------------------------------
 
-_CANONICAL_EXACT = {
-    "c_Omega_0": 1.0, "c_Omega_1": 0.0,
-    "c_tOmega_0": 1.0, "c_tOmega_1": 0.0, "c_tOmega_2": 0.0,
-    "c_G_0": 1.0, "c_G_1": 0.0, "c_G_2": 0.0,
-    "c_J_0": 1.0, "c_J_1": 0.0, "c_J_2": 0.0,
-    "c_JT_0": 1.0, "c_JT_1": 0.0,
-}
-
 # the bounds of the first integrals p and their fields X_p: exact zeros when m = 0
 _INTEGRAL_FIELDS = ("c_p_1", "c_pT_1", "c_Xp_0", "c_Xp_1", "c_Xp_2",
                     "c_XpT_0", "c_XpT_1", "c_XpT_2")
 
-# Every global row in ledger order, with the callback whose entry-wise sup over
-# the lattice bounds it (a system field, a structure field geometry.*, or the
-# target quantity's Dc / D2c) and the reduction of that sup to the row.  A
-# derivative d M_ij / dz_l is indexed [i, j, l]; Dp is (m, 2n) and Xp (2n, m).
-_SAMPLED_ROWS = {
-    "c_Omega_0": ("geometry.omega_mat", lambda s: s.sum(axis=1).max()),
-    "c_Omega_1": ("geometry.d_omega", lambda s: s.sum(axis=(1, 2)).max()),
-    "c_tOmega_0": ("geometry.tilde_omega", lambda s: s.sum(axis=1).max()),
-    "c_tOmega_1": ("geometry.d_tilde_omega", lambda s: s.sum(axis=(1, 2)).max()),
-    "c_tOmega_2": ("geometry.d2_tilde_omega", lambda s: s.sum(axis=(1, 2, 3)).max()),
-    "c_G_0": ("geometry.metric_G", lambda s: s.sum(axis=1).max()),
-    "c_G_1": ("geometry.d_G", lambda s: s.sum(axis=(1, 2)).max()),
-    "c_G_2": ("geometry.d2_G", lambda s: s.sum(axis=(1, 2, 3)).max()),
-    "c_J_0": ("geometry.iso_J", lambda s: s.sum(axis=1).max()),
-    "c_J_1": ("geometry.d_J", lambda s: s.sum(axis=(1, 2)).max()),
-    "c_J_2": ("geometry.d2_J", lambda s: s.sum(axis=(1, 2, 3)).max()),
-    "c_JT_0": ("geometry.iso_J", lambda s: s.sum(axis=0).max()),
-    "c_JT_1": ("geometry.d_J", lambda s: s.sum(axis=(0, 2)).max()),
-    "c_H_1": ("DH", lambda s: s.sum()),
-    "c_XH_0": ("XH", lambda s: s.max()),
-    "c_XH_1": ("DXH", lambda s: s.sum(axis=1).max()),
-    "c_XHT_1": ("DXH", lambda s: s.sum()),
-    "c_XH_2": ("D2XH", lambda s: s.sum(axis=(1, 2)).max()),
-    "c_p_1": ("Dp", lambda s: s.sum(axis=1).max()),
-    "c_pT_1": ("Dp", lambda s: s.sum(axis=1).sum()),
-    "c_Xp_0": ("Xp", lambda s: s.sum(axis=1).max()),
-    "c_XpT_0": ("Xp", lambda s: s.sum(axis=0).max()),
-    "c_Xp_1": ("DXp", lambda s: s.sum(axis=(1, 2)).max()),
-    "c_XpT_1": ("DXp", lambda s: s.sum(axis=(0, 2)).max()),
-    "c_Xp_2": ("D2Xp", lambda s: s.sum(axis=(1, 2, 3)).max()),
-    "c_XpT_2": ("D2Xp", lambda s: s.sum(axis=(0, 2, 3)).max()),
-    "c_c_1": ("quantity.Dc", lambda s: s.sum()),
-    "c_c_2": ("quantity.D2c", lambda s: s.sum()),
-}
+# every global row in ledger order (a system without first integrals lists its
+# zero rows in _INTEGRAL_FIELDS order)
+_GLOBAL_ROWS = ("c_Omega_0", "c_Omega_1", "c_tOmega_0", "c_tOmega_1", "c_tOmega_2",
+                "c_G_0", "c_G_1", "c_G_2", "c_J_0", "c_J_1", "c_J_2", "c_JT_0", "c_JT_1",
+                "c_H_1", "c_XH_0", "c_XH_1", "c_XHT_1", "c_XH_2",
+                "c_p_1", "c_pT_1", "c_Xp_0", "c_XpT_0", "c_Xp_1", "c_XpT_1", "c_Xp_2",
+                "c_XpT_2", "c_c_1", "c_c_2")
 
 
 @dataclass
 class GlobalNormConstants:
-    """Sampled/exact bounds on the analytic norms of the system callbacks."""
+    """Exact bounds on the analytic norms of the system callbacks."""
 
     values: dict
     provenance: dict
 
 
-def _rank1_lattice(npts: int, dim: int) -> np.ndarray:
-    """Deterministic rank-1 lattice in [0,1)^dim (Korobov-style generator)."""
-    phi = (1.0 + np.sqrt(5.0)) / 2.0
-    gen = np.array([np.modf(phi ** (i + 1))[0] for i in range(dim)])
-    j = np.arange(npts)[:, None]
-    return np.modf(j * gen[None, :] + 0.5 / npts)[0]
+def _sign_patterns(a: int) -> np.ndarray:
+    """The 2^a sign patterns of R^a: row i holds the signs (-1)^(bit b of i), b < a."""
+    return 1.0 - 2.0 * ((np.arange(2**a)[:, None] >> np.arange(a)) & 1)
 
 
-def _sign_patterns(count: int, a: int) -> np.ndarray:
-    """Row i holds the signs (-1)^(bit b of i), b < a: rows 0 .. 2^a - 1 are
-    the 2^a sign patterns of R^a, and later rows cycle through them."""
-    return 1.0 - 2.0 * ((np.arange(count)[:, None] >> np.arange(a)) & 1)
-
-
-LATTICE_DENSITY = 2048  # points in each of the three sample sets of _domain_points
-LATTICE_SLICE = 1024  # points per callback evaluation in estimate_global_constants
-SAMPLED_MARGIN = 0.05  # upward safety margin of a sampled lattice maximum
-
-
-def _domain_points(sys: HamiltonianSystem) -> np.ndarray:
-    """Complexified sample set: rank-1 lattice through the domain box plus a
-    sweep with the imaginary parts pinned at the extreme width, cycling
-    through all 2^a sign patterns of Im x."""
-    box = sys.domain
-    a = box.angle_count
-    m = 2 * sys.n - a  # disc-constrained coordinates
-    u = _rank1_lattice(LATTICE_DENSITY, 2 * a + 2 * m)
-    x = u[:, :a] + 1j * box.imag_width * (2.0 * u[:, a : 2 * a] - 1.0)
-    ang = 2.0 * np.pi * u[:, 2 * a : 2 * a + m]
-    rad = box.y_radius * u[:, 2 * a + m :]
-    y = box.y_center + rad * np.exp(1j * ang)
-    interior = np.concatenate([x, y], axis=1)
-
-    u2 = _rank1_lattice(LATTICE_DENSITY, a + m)
-    x2 = u2[:, :a] + 1j * box.imag_width * _sign_patterns(LATTICE_DENSITY, a)
-    y2 = box.y_center + box.y_radius * np.exp(2j * np.pi * u2[:, a:])
-    boundary = np.concatenate([x2, y2], axis=1)
-    real_pts = np.concatenate(
-        [u2[:, :a], box.y_center + 0.9 * box.y_radius * (2 * u2[:, a:] - 1)], axis=1
-    ).astype(np.complex128)
-    return np.concatenate([interior, boundary, real_pts], axis=0)
+def _structure_rows(geometry: GeometricStructure) -> dict:
+    """The structure rows of a constant structure, {} for any other: the row
+    sums of |Omega|, |tilde-Omega|, |G| and |J|, the column sums of |J| (J^T),
+    and 0 for every derivative."""
+    if geometry.constants is None:
+        return {}
+    om, g, j, tom = (np.abs(mat) for mat in geometry.constants)
+    derivatives = ("c_Omega_1", "c_tOmega_1", "c_tOmega_2", "c_G_1", "c_G_2", "c_J_1", "c_J_2",
+                   "c_JT_1")
+    rows = {"c_Omega_0": om.sum(axis=1).max(), "c_tOmega_0": tom.sum(axis=1).max(),
+            "c_G_0": g.sum(axis=1).max(), "c_J_0": j.sum(axis=1).max(),
+            "c_JT_0": j.sum(axis=0).max(), **dict.fromkeys(derivatives, 0.0)}
+    return {key: float(value) for key, value in rows.items()}
 
 
 # the closed forms below are rounded to nearest; this relative 64 eps lifts them
@@ -150,25 +94,26 @@ _ROUND_UP = 1.0 + 64 * np.finfo(np.float64).eps
 
 
 def _table_bounds(sys: HamiltonianSystem, conserved: ConservedQuantity) -> dict:
-    """The callback rows of a term-table system on the canonical structure, in
-    closed form; {} for any other system.
+    """The callback rows of a term-table system on a constant structure whose
+    Omega is Omega_0 (the table's X_H is built against it), in closed form; {}
+    for any other system.
 
     At Im x = eta, |cos| and |sin| of 2 pi k_j . x are at most
     cosh(2 pi k_j . eta), so entry (a_1 .. a_r) of d^r V is at most
     sum_j |v_j| (2 pi)^r prod_i |k_j,a_i| cosh(2 pi k_j . eta).  That is convex
     in eta, so its max over the strip |eta_a| <= w is at one of the 2^n corners
-    eta = w s; the entry-wise max over s is aggregated into rows as the sampled
-    path aggregates its entry-wise sups.  A momentum entry is at most
+    eta = w s; the entry-wise max over s is aggregated into each row as the row
+    aggregates the entries of its callback.  A momentum entry is at most
     |y_center| + y_radius.  The c rows are given for the bundles that
-    :meth:`HamiltonianSystem.conserved` builds (c = H or p_j); any other c is
-    left to sampling.
+    :meth:`HamiltonianSystem.conserved` builds (c = H or p_j) and for no other c.
     """
-    tab, box, n = sys.table, sys.domain, sys.n
-    if tab is None or not sys.geometry.is_canonical or box.angle_count != n:
+    tab, box, n, geo = sys.table, sys.domain, sys.n, sys.geometry
+    if tab is None or geo.constants is None or box.angle_count != n \
+            or not np.array_equal(geo.constants[0], _omega0(n)):
         return {}
     tp = 2.0 * np.pi
     ak = np.abs(tab.k)
-    amp = np.abs(tab.v) * np.cosh(tp * box.imag_width * _sign_patterns(2**n, n) @ tab.k.T)
+    amp = np.abs(tab.v) * np.cosh(tp * box.imag_width * _sign_patterns(n) @ tab.k.T)
     dv1 = tp * (amp @ ak).max(axis=0)  # entry bounds of dV
     dv2 = tp**2 * np.einsum("sj,ja,jb->sab", amp, ak, ak).max(axis=0)  # ... of d^2 V
     dv3 = tp**3 * np.einsum("sj,ja,jb,jc->sabc", amp, ak, ak, ak).max(axis=0)
@@ -190,56 +135,45 @@ def _table_bounds(sys: HamiltonianSystem, conserved: ConservedQuantity) -> dict:
     return {key: float(value) * _ROUND_UP for key, value in rows.items()}
 
 
-def _lattice_sup(f, z: np.ndarray) -> np.ndarray:
-    """Entry-wise max of |f| over the points z, evaluated LATTICE_SLICE points at
-    a time (a max is exact in any order, so the slicing cannot change a bit)."""
-    out = np.abs(f(z[:LATTICE_SLICE])).max(axis=0)
-    for start in range(LATTICE_SLICE, len(z), LATTICE_SLICE):
-        np.maximum(out, np.abs(f(z[start:start + LATTICE_SLICE])).max(axis=0), out=out)
-    return out
+def table_width_limit(table: TermTable) -> float:
+    """The widest strip |Im x| <= w on which the closed forms of
+    :func:`_table_bounds` stay finite for amplitudes |v_j| of order one: their
+    largest factor, (2 pi)^3 cosh(2 pi w |k_j|_1) < (2 pi)^3 e^(2 pi w |k_j|_1),
+    is then below the double range."""
+    k1 = np.abs(table.k).sum(axis=1).max()
+    return float(np.log(np.finfo(np.float64).max / (2.0 * np.pi) ** 3) / (2.0 * np.pi * k1))
 
 
 def estimate_global_constants(sys: HamiltonianSystem,
                               conserved: ConservedQuantity | None = None) -> GlobalNormConstants:
-    """Bounds of the callback norms over the complexified domain; ``conserved``
-    defaults to H.
+    """Exact bounds of the callback norms over the complexified domain;
+    ``conserved`` defaults to H.
 
-    Each row of _SAMPLED_ROWS is a sampled maximum (x 1+SAMPLED_MARGIN) over
-    :func:`_domain_points` unless an exact source gives it: the canonical
-    structure entries, exact zeros for the p / X_p rows when there are no first
-    integrals, and the closed forms of a term-table system on the canonical
-    structure (see :func:`_table_bounds`).  Each callback is swept over the
-    lattice once, however many rows reduce its sup.  Provenance records which
-    source gave each row.
+    Each row of _GLOBAL_ROWS comes from one exact source: the matrices of a
+    constant structure (:func:`_structure_rows`; provenance "canonical-exact"
+    for the canonical structure), exact zeros for the p / X_p rows when there
+    are no first integrals, or the closed forms of a term-table system
+    (:func:`_table_bounds`).  A row with no source, or whose bound is not
+    finite, raises a ``ledger`` HypothesisError naming it.
     """
     conserved = sys.conserved("H") if conserved is None else conserved
-    sources = ((_CANONICAL_EXACT if sys.geometry.is_canonical else {}, "canonical-exact"),
+    geo = sys.geometry
+    sources = ((_structure_rows(geo), "canonical-exact" if geo.is_canonical else "exact"),
                (dict.fromkeys(_INTEGRAL_FIELDS, 0.0) if sys.n_integrals == 0 else {},
                 "canonical-exact"),
                (_table_bounds(sys, conserved), "exact"))
     exact = {name: (value, prov) for rows, prov in sources for name, value in rows.items()}
-    names = list(_SAMPLED_ROWS)
-    if sys.n_integrals == 0:  # the zero rows are listed in _INTEGRAL_FIELDS order
+    names = list(_GLOBAL_ROWS)
+    if sys.n_integrals == 0:
         names[names.index("c_p_1"):names.index("c_c_1")] = _INTEGRAL_FIELDS
-    owners = {"": sys, "geometry": sys.geometry, "quantity": conserved}
-    z = _domain_points(sys) if set(names) - exact.keys() else None
-    up = 1.0 + SAMPLED_MARGIN
-    sups: dict = {}  # callback -> its entry-wise lattice sup
     values: dict = {}
     provenance: dict = {}
     for name in names:
-        if name in exact:
-            values[name], provenance[name] = exact[name]
-        else:
-            path, reduce = _SAMPLED_ROWS[name]
-            owner, _, attr = path.rpartition(".")
-            f = getattr(owners[owner], attr)
-            if f is None:
-                raise ValueError(f"global constant {name} samples the callback {path}, "
-                                 "which is missing")
-            if f not in sups:
-                sups[f] = _lattice_sup(f, z)
-            values[name], provenance[name] = up * float(reduce(sups[f])), "sampled"
+        if name not in exact:
+            raise HypothesisError("ledger", f"global constant {name} has no exact bound: it "
+                                  "needs a constant structure, and a term table on Omega_0 "
+                                  "with c = H or p_j from HamiltonianSystem.conserved")
+        values[name], provenance[name] = exact[name]
         if not np.isfinite(values[name]):
             raise HypothesisError("ledger", f"global constant {name} is not finite")
     return GlobalNormConstants(values, provenance)

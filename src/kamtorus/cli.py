@@ -26,10 +26,10 @@ from . import __version__
 from .cohomology import DiophantineParams, DivisorCollisionError, estimate_gamma
 from .fourier import FourierMap, strip_fits
 from .frames import HypothesisError, TorusCandidate, build_frames, seed_torus
-from .hamiltonian import (StructureError, builtin_dims, builtin_system, check_derivatives,
-                          verify_commutation, verify_involution)
+from .hamiltonian import (StructureError, builtin_dims, builtin_system, builtin_table,
+                          check_derivatives, verify_commutation, verify_involution)
 from .isoenergetic import FrequencyRay, IsoTarget
-from .certificate import certify, estimate_global_constants
+from .certificate import certify, estimate_global_constants, table_width_limit
 from .solver import NewtonSchedule, evaluate, iterate_newton
 
 
@@ -109,6 +109,14 @@ class RunConfig:
                                   f"got {value!r}")
         if self.rho0 >= self.imag_width:  # the seed's domain margin is imag_width - rho0
             raise ConfigError(f"rho0 must be below imag_width = {self.imag_width}, got {self.rho0}")
+        if self.imag_width > (width := table_width_limit(builtin_table(self.system))):
+            raise ConfigError(f"imag_width must be at most {width!r}, where the certificate's "
+                              f"closed-form bounds stay finite, got {self.imag_width!r}")
+        schedule = NewtonSchedule(a1=self.a1, a2=self.a2, rho0=self.rho0)
+        if not 0 < schedule.delta0 < self.rho0 / 3:  # a3 is NaN, infinite or rounds to 3
+            raise ConfigError(f"a1 = {self.a1!r} and a2 = {self.a2!r} give the strip schedule "
+                              f"a3 = {schedule.a3!r} and delta0 = {schedule.delta0!r}, which "
+                              "must lie in (0, rho0/3)")
         if not (_is_real(self.tau) and self.tau >= d - 1):
             raise ConfigError(f"tau must be a finite number >= d-1 = {d - 1}, got {self.tau!r}")
         for name, low in (("max_iters", 0), ("scan_limit", 1)):
@@ -295,8 +303,8 @@ def _torus_field(name: str):
 def _candidate_from_doc(doc: dict):
     with _torus_field("config"):
         cfg = RunConfig.from_dict(doc["config"])
-    seed_omega, ray = _seed_frequency(cfg)
-    sys_obj = _system(cfg, seed_omega)
+    omega_seed, ray = _seed_frequency(cfg)
+    sys_obj = _system(cfg, omega_seed)
     with _torus_field("omega"):
         omega = np.asarray(_vector("omega", doc["omega"], sys_obj.d, _is_real, "finite numbers"))
     with _torus_field("dio"):
@@ -402,7 +410,6 @@ def cmd_certify(torus_path: str, cfg_overrides: dict, out_dir: Path) -> int:
             target = IsoTarget(conserved, float(_checked("c0", doc["c0"], _is_real,
                                                          "a finite number")))
     del doc  # the parsed document is dead once the candidate, c0 and the ray are built
-    # the global bounds first: a sampled lattice then peaks without the kitchen alive
     globs = estimate_global_constants(cand.system, conserved=conserved)
     it = evaluate(cand, target, ray)
     frames = build_frames(cand, it.kitchen)

@@ -17,7 +17,7 @@ ingredients (compositions with the system callbacks, pointwise inverses) are
 sampled as real arrays on the work grid of ``work_grid`` (the smallest size
 >= 4N+1 per axis with no prime factor above 3), one axis-0 slab at a time
 (:func:`~kamtorus.fourier.slab_analysis`), analysed with real FFTs and
-truncated back, except that the maps of a canonical structure are built as
+truncated back, except that the maps of a constant structure are built as
 exact one-mode constants.  The products and the rank check of L on the exact
 grid walk their grids in slabs too (:func:`~kamtorus.fourier.slab_samples`),
 so no frame stage holds more than one slab of samples.  ``build_frames``
@@ -202,7 +202,7 @@ class GridKitchen:
 
     One kitchen is built per candidate, where its Iterate is made; ``Dc`` and
     ``c_map`` (the target conserved quantity) are set in iso mode only.  ``L``
-    is the tangent family (DK  X_p o K).  For a canonical structure, Omega,
+    is the tangent family (DK  X_p o K).  For a constant structure, Omega,
     G, J and tOmega hold only their k = 0 mode (bands (0,) * d): ``matmul``
     scales the other factor by a constant operand, so every product and norm
     is the one of the full-band constant, bit for bit.
@@ -227,16 +227,13 @@ def grid_kitchen(cand: TorusCandidate, conserved: ConservedQuantity | None = Non
     bands = cand.bands
     grid = work_grid(bands)
     geo = sys.geometry
-    structures = (geo.omega_mat, geo.metric_G, geo.iso_J, geo.tilde_omega)
-    origin = []  # K at theta = 0, where a canonical structure is read
 
     def sample(rows, vals):
         kv = cand._add_angles(vals[0][..., 0], grid, rows)
-        if rows.start == 0:
-            origin.append(kv[(0,) * cand.d][None].copy())
         out = [sys.XH(kv)[..., :, None], sys.DXH(kv)]
-        if not geo.is_canonical:
-            out += [callback(kv) for callback in structures]
+        if geo.constants is None:
+            out += [callback(kv) for callback in
+                    (geo.omega_mat, geo.metric_G, geo.iso_J, geo.tilde_omega)]
         if sys.n_integrals:
             out.append(sys.Xp(kv))
         if conserved is not None:
@@ -246,11 +243,10 @@ def grid_kitchen(cand: TorusCandidate, conserved: ConservedQuantity | None = Non
 
     maps = [FourierMap(c, bands) for c in slab_analysis(sample, grid, bands, cand.k_per)]
     xh, dxh = maps.pop(0), maps.pop(0)
-    if geo.is_canonical:  # constant structure: one point, one mode, no transform
-        om, g, jj, tom = (FourierMap.constant(callback(origin[0])[0], (0,) * cand.d)
-                          for callback in structures)
+    if geo.constants is not None:  # one mode, no transform
+        om, g, jj, tom = (FourierMap.constant(mat, (0,) * cand.d) for mat in geo.constants)
     else:
-        om, g, jj, tom = (maps.pop(0) for _ in structures)
+        om, g, jj, tom = (maps.pop(0) for _ in range(4))
     xp = maps.pop(0) if sys.n_integrals else FourierMap.zeros(bands, (2 * sys.n, 0))
     dc, c_map = maps if conserved is not None else (None, None)
     return GridKitchen(cand=cand, XH=xh, DXH=dxh, Omega=om, G=g, J=jj, tOmega=tom,

@@ -5,8 +5,7 @@ X_H = Omega^{-1} (DH)^T, a stack of n-d first integrals p (possibly empty),
 an optional target conserved quantity c, and the geometric structure
 (action a, symplectic matrix Omega, metric G, isomorphism J, and
 tilde-Omega = J^T Omega J).  All callbacks are vectorized over a leading
-batch of phase-space points and must accept complex input, since the
-certification layer samples them on a complexified domain.
+batch of phase-space points.
 
 Derivative conventions (batch axes elided):
     H() -> scalar            DH() -> (2n,)           [row gradient]
@@ -14,7 +13,7 @@ Derivative conventions (batch axes elided):
     D2XH() -> (2n, 2n, 2n)   [i,j,k] = d^2 X_i / dz_j dz_k
     p() -> (m,)              Dp() -> (m, 2n)
     Xp() -> (2n, m)          DXp() -> (2n, m, 2n)    D2Xp() -> (2n, m, 2n, 2n)
-    c() -> scalar            Dc() -> (2n,)           D2c() -> (2n, 2n)
+    c() -> scalar            Dc() -> (2n,)
 
 Analytic derivatives are mandatory; a finite-difference validator
 cross-checks them but is never used by the solver.
@@ -44,11 +43,11 @@ class GeometricStructure:
 
     case_tag "III" asserts the compatible (anti-involutive J) case, in which
     the frame coefficient A vanishes identically; "II" is the generic
-    metric-compatible case.  ``is_canonical`` marks the standard structure
-    (Omega = Omega_0, G = I, J = Omega_0), for which all global structure
-    constants are known exactly and the frames treat Omega, G, J and
-    tilde-Omega as constants.  Only :func:`canonical_structure` sets it; a
-    structure that claims it is checked at a few points on construction.
+    metric-compatible case.  ``constants`` holds the matrices (Omega, G, J,
+    tilde-Omega) of a constant structure: the frames read them as one-mode
+    constants and the certificate bounds them exactly.  Only
+    :func:`constant_structure` sets them; a structure that carries them is
+    checked against its callbacks at a few points on construction.
     """
 
     dim_n: int
@@ -58,28 +57,27 @@ class GeometricStructure:
     iso_J: Callable
     tilde_omega: Callable
     case_tag: str = "III"
-    is_canonical: bool = False
-    d_omega: Callable | None = None
-    d_G: Callable | None = None
-    d_J: Callable | None = None
-    d_tilde_omega: Callable | None = None
-    d2_G: Callable | None = None
-    d2_J: Callable | None = None
-    d2_tilde_omega: Callable | None = None
+    constants: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not self.is_canonical:
+        if self.constants is None:
             return
         n2 = 2 * self.dim_n
-        omega0 = _omega0(self.dim_n)
         z = np.linspace(-1.0, 1.0, 3 * n2).reshape(3, n2) + np.arange(3)[:, None]
-        expect = {"omega_mat": omega0, "metric_G": np.eye(n2), "iso_J": omega0,
-                  "tilde_omega": omega0}
-        wrong = [name for name, mat in expect.items()
+        names = ("omega_mat", "metric_G", "iso_J", "tilde_omega")
+        wrong = [name for name, mat in zip(names, self.constants)
                  if not np.array_equal(getattr(self, name)(z), np.broadcast_to(mat, (3, n2, n2)))]
         if wrong:
-            raise StructureError(f"structure claims is_canonical but {wrong} differ from "
-                                 "Omega_0, I, Omega_0, Omega_0")
+            raise StructureError(f"structure claims constant matrices but {wrong} differ "
+                                 "from them")
+
+    @property
+    def is_canonical(self) -> bool:
+        """The standard structure: Omega = Omega_0, G = I, J = Omega_0."""
+        omega0 = _omega0(self.dim_n)
+        return self.constants is not None and all(
+            np.array_equal(got, want) for got, want in
+            zip(self.constants, (omega0, np.eye(2 * self.dim_n), omega0, omega0)))
 
     def check_invariants(self, points: np.ndarray, tol: float = 1e-10, fd_step: float = 1e-6):
         """Verify Omega^T = -Omega, G^T = G > 0, J^T Omega = G at sample points,
@@ -129,10 +127,13 @@ def _omega0(n: int) -> np.ndarray:
     return np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
 
 
-def canonical_structure(n: int) -> GeometricStructure:
-    """Standard structure on R^{2n}: Omega = Omega_0, G = I, J = Omega_0 (Case III)."""
-    omega0 = _omega0(n)
-    eye = np.eye(2 * n)
+def constant_structure(n: int, omega: np.ndarray, G: np.ndarray, J: np.ndarray,
+                       case_tag: str) -> GeometricStructure:
+    """The structure with the constant matrices Omega, G, J and
+    tilde-Omega = J^T Omega J on R^{2n}, and the action a(z) = -Omega z / 2
+    (so that (Da)^T - Da = Omega)."""
+    mats = tuple(np.array(m, dtype=np.float64) for m in (omega, G, J))
+    mats += (mats[2].T @ mats[0] @ mats[2],)
 
     def _bcast(mat):
         def cb(z):
@@ -142,29 +143,15 @@ def canonical_structure(n: int) -> GeometricStructure:
         return cb
 
     def action(z):
-        z = np.asarray(z)
-        a = np.zeros_like(z)
-        a[..., :n] = z[..., n:]
-        return a
+        return -0.5 * np.asarray(z) @ mats[0].T
 
-    zero3 = _bcast(np.zeros((2 * n,) * 3))
-    return GeometricStructure(
-        dim_n=n,
-        action_a=action,
-        omega_mat=_bcast(omega0),
-        metric_G=_bcast(eye),
-        iso_J=_bcast(omega0),
-        tilde_omega=_bcast(omega0),
-        case_tag="III",
-        is_canonical=True,
-        d_omega=zero3,
-        d_G=zero3,
-        d_J=zero3,
-        d_tilde_omega=zero3,
-        d2_G=_bcast(np.zeros((2 * n,) * 4)),
-        d2_J=_bcast(np.zeros((2 * n,) * 4)),
-        d2_tilde_omega=_bcast(np.zeros((2 * n,) * 4)),
-    )
+    return GeometricStructure(n, action, *map(_bcast, mats), case_tag=case_tag, constants=mats)
+
+
+def canonical_structure(n: int) -> GeometricStructure:
+    """Standard structure on R^{2n}: Omega = Omega_0, G = I, J = Omega_0 (Case III)."""
+    omega0 = _omega0(n)
+    return constant_structure(n, omega0, np.eye(2 * n), omega0, "III")
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +195,7 @@ class DomainBox:
 
 @dataclass(frozen=True)
 class ConservedQuantity:
-    """Target conserved quantity c with first and second derivatives.
+    """Target conserved quantity c with its derivative.
 
     ``_selector`` is "H" or ("p", j) on a bundle that
     :meth:`HamiltonianSystem.conserved` built from the system's own callbacks,
@@ -218,7 +205,6 @@ class ConservedQuantity:
     name: str
     c: Callable
     Dc: Callable
-    D2c: Callable
     _selector: object = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -258,7 +244,6 @@ class HamiltonianSystem:
     DXp: Callable
     D2Xp: Callable
     domain: DomainBox
-    params: dict = field(default_factory=dict)
     table: TermTable | None = None  # the term table the callbacks were generated from
 
     @property
@@ -266,25 +251,10 @@ class HamiltonianSystem:
         """Torus dimension n - (number of first integrals)."""
         return self.n - self.n_integrals
 
-    def conserved(self, selector="H", custom: ConservedQuantity | None = None,
-                  verify: bool = True) -> ConservedQuantity:
-        """Select the target conserved quantity: "H", ("p", j), or a custom bundle.
-
-        A custom c is verified in involution with (H, p) at load time (standing
-        hypothesis of the frequency-adjusting theorem); pass verify=False only
-        for diagnostics.
-        """
-        if custom is not None:
-            if verify:
-                worst = verify_involution_of(self, custom)
-                if worst > 1e-10:
-                    raise ValueError(
-                        f"custom conserved quantity fails involution with (H, p): "
-                        f"max bracket {worst:.3e}"
-                    )
-            return custom
+    def conserved(self, selector="H") -> ConservedQuantity:
+        """Select the target conserved quantity: "H" or ("p", j)."""
         if selector == "H":
-            return _selected(ConservedQuantity("H", self.H, self.DH, self._d2h()), "H")
+            return _selected(ConservedQuantity("H", self.H, self.DH), "H")
         if isinstance(selector, (tuple, list)) and selector[0] == "p":
             j = int(selector[1])
             if not 0 <= j < self.n_integrals:
@@ -296,28 +266,8 @@ class HamiltonianSystem:
             def Dc(z):
                 return self.Dp(z)[..., j, :]
 
-            def D2c(z):
-                return self._d2p_component(z, j)
-
-            return _selected(ConservedQuantity(f"p{j}", c, Dc, D2c), ("p", j))
+            return _selected(ConservedQuantity(f"p{j}", c, Dc), ("p", j))
         raise ValueError(f"unknown conserved-quantity selector {selector!r}")
-
-    def _d2h(self) -> Callable:
-        """Hessian of H from Omega DXH (exact in the canonical case)."""
-
-        def D2H(z):
-            z = np.asarray(z)
-            Om = self.geometry.omega_mat(z)
-            dX = self.DXH(z)
-            return Om @ dX
-
-        return D2H
-
-    def _d2p_component(self, z, j: int):
-        z = np.asarray(z)
-        Om = self.geometry.omega_mat(z)
-        dXp = self.DXp(z)[..., :, j, :]
-        return Om @ dXp
 
 
 # ---------------------------------------------------------------------------
@@ -410,20 +360,6 @@ def verify_commutation(sys: HamiltonianSystem, sample_count: int = 200, seed: in
     return InvolutionReport(worst, worst <= tol, details)
 
 
-def verify_involution_of(sys: HamiltonianSystem, quantity: ConservedQuantity,
-                         sample_count: int = 100, seed: int = 4) -> float:
-    """Max of |{c, H}| and |{c, p_j}| over random domain points."""
-    z = _sample_points(sys, sample_count, seed)
-    worst = float(np.max(np.abs(
-        poisson_bracket(quantity.Dc, sys.DH, sys.geometry.omega_mat, z)
-    )))
-    for j in range(sys.n_integrals):
-        bracket = poisson_bracket(quantity.Dc, lambda w, j=j: sys.Dp(w)[..., j, :],
-                                  sys.geometry.omega_mat, z)
-        worst = max(worst, float(np.max(np.abs(bracket))))
-    return worst
-
-
 def check_derivatives(sys: HamiltonianSystem, sample_count: int = 20, seed: int = 1,
                       h: float = 1e-6, rtol: float = 1e-6) -> dict:
     """Finite-difference cross-check of every analytic derivative callback.
@@ -489,17 +425,16 @@ def _linear_integrals(c: np.ndarray):
             _constant(np.zeros((2 * n, m, 2 * n))), _constant(np.zeros((2 * n, m, 2 * n, 2 * n))))
 
 
-def _trig_potential_system(name: str, terms, c: np.ndarray, domain: DomainBox,
-                           params: dict) -> HamiltonianSystem:
-    """H = |y|^2/2 + V(x), V = sum_j v_j cos(2 pi k_j . x), canonical structure,
-    with the linear first integrals p_a = c_a . y.
+def _trig_potential_system(name: str, table: TermTable, domain: DomainBox) -> HamiltonianSystem:
+    """The system of a term table: H = |y|^2/2 + V(x), V = sum_j v_j cos(2 pi
+    k_j . x), on the canonical structure, with the linear first integrals
+    p_a = c_a . y.
 
     Every derivative of V comes from one formula,
         d^r V = sum_j v_j (2 pi)^r cos(2 pi k_j . x + r pi/2) k_j^{(x) r},
     at order r = 0 (H), 1 (DH, XH), 2 (DXH) and 3 (D2XH).
     """
-    v = np.array([coef for coef, _ in terms], dtype=float)
-    k = np.array([kv for _, kv in terms], dtype=float)
+    v, k, c = table.v, table.k, table.c
     n = k.shape[1]
     tp = 2 * np.pi
     k_powers = [np.ones((len(v), 1))]  # k_j^{(x) r}, flattened to shape (terms, n**r)
@@ -543,7 +478,7 @@ def _trig_potential_system(name: str, terms, c: np.ndarray, domain: DomainBox,
         name=name, n=n, n_integrals=c.shape[0], geometry=canonical_structure(n),
         H=H, DH=DH, XH=XH, DXH=DXH, D2XH=D2XH,
         p=p, Dp=Dp, Xp=Xp, DXp=DXp, D2Xp=D2Xp,
-        domain=domain, params=params, table=TermTable(v, k, c),
+        domain=domain, table=table,
     )
 
 
@@ -557,12 +492,20 @@ _BUILTIN_TERMS = {
 }
 
 
-def builtin_dims(name: str) -> tuple[int, int]:
-    """(n, number of first integrals) of a registered system, read off its term table."""
+def builtin_table(name: str, epsilon: float = 1.0) -> TermTable:
+    """The term table of a registered system, its amplitudes times epsilon."""
     if not isinstance(name, str) or name not in _BUILTIN_TERMS:
         raise ValueError(f"unknown system {name!r}; registered: {', '.join(_BUILTIN_TERMS)}")
     terms, integrals = _BUILTIN_TERMS[name]
-    return len(terms[0][1]), len(integrals)
+    k = np.array([kv for _, kv in terms], dtype=float)
+    return TermTable(np.array([epsilon * coef for coef, _ in terms]), k,
+                     np.array(integrals, dtype=float).reshape(-1, k.shape[1]))
+
+
+def builtin_dims(name: str) -> tuple[int, int]:
+    """(n, number of first integrals) of a registered system, read off its term table."""
+    table = builtin_table(name)
+    return table.k.shape[1], table.c.shape[0]
 
 
 def builtin_system(name: str, epsilon: float = 0.0, y_center=None,
@@ -573,10 +516,8 @@ def builtin_system(name: str, epsilon: float = 0.0, y_center=None,
     "symmetric_rotors":   n = 3, d = 2 rotors with translation symmetry,
                           p = y2 + y3; target quantity selectable as H or p.
     """
-    n, _ = builtin_dims(name)
-    terms, integrals = _BUILTIN_TERMS[name]
+    table = builtin_table(name, epsilon)
+    n = table.k.shape[1]
     domain = DomainBox(n=n, y_center=np.zeros(n) if y_center is None else y_center,
                        y_radius=y_radius, imag_width=imag_width)
-    return _trig_potential_system(name, [(epsilon * coef, kv) for coef, kv in terms],
-                                  np.array(integrals, dtype=float).reshape(-1, n), domain,
-                                  {"epsilon": epsilon})
+    return _trig_potential_system(name, table, domain)

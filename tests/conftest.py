@@ -1,7 +1,9 @@
 """Shared fixtures and helpers: golden-frequency Diophantine data, seeds of a
-config and their DK, a non-canonical structure, zeroed integral constants,
-and the test-side Fourier helpers (random maps, direct summation, JSON text)."""
+config and their DK, a constant non-canonical structure and its unflagged
+copy, zeroed integral constants, and the test-side Fourier helpers (random
+maps, direct summation, JSON text)."""
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -16,7 +18,7 @@ from kamtorus.fourier import TWO_PI, FourierMap, _index_box, _k1_box, _symmetriz
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
-from kamtorus.hamiltonian import GeometricStructure, canonical_structure
+from kamtorus.hamiltonian import canonical_structure, constant_structure
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -36,20 +38,17 @@ def golden_dio(golden_omega):
     return DiophantineParams(golden_omega, gamma, 1.0, 1000)
 
 
-def scaled_structure(n, **kw):
-    """Omega = Omega_0, G = 2I, J = 2 Omega_0, tilde-Omega = 4 Omega_0: not canonical."""
-    canon = canonical_structure(n)
-    omega0 = canon.omega_mat(np.zeros((1, 2 * n)))[0]
+def scaled_structure(n):
+    """Omega = Omega_0, G = 2I, J = 2 Omega_0, tilde-Omega = 4 Omega_0: constant,
+    case II, not canonical."""
+    omega0 = canonical_structure(n).constants[0]
+    return constant_structure(n, omega0, 2.0 * np.eye(2 * n), 2.0 * omega0, "II")
 
-    def const(mat):
-        return lambda z: np.broadcast_to(mat, np.shape(z)[:-1] + mat.shape).copy()
 
-    zero3, zero4 = const(np.zeros((2 * n,) * 3)), const(np.zeros((2 * n,) * 4))
-    return GeometricStructure(
-        dim_n=n, action_a=canon.action_a, omega_mat=const(omega0),
-        metric_G=const(2.0 * np.eye(2 * n)), iso_J=const(2.0 * omega0),
-        tilde_omega=const(4.0 * omega0), case_tag="II", d_omega=zero3, d_G=zero3,
-        d_J=zero3, d_tilde_omega=zero3, d2_G=zero4, d2_J=zero4, d2_tilde_omega=zero4, **kw)
+def unflagged(geometry):
+    """The same callbacks with no constant matrices: a structure the frames sample
+    and the certificate cannot bound."""
+    return dataclasses.replace(geometry, constants=None)
 
 
 def with_zero_integrals(globs: GlobalNormConstants) -> GlobalNormConstants:

@@ -17,17 +17,21 @@
 - ``ledger_diff``, ``contains_margin`` and ``empty_integrals`` compare two
   ledgers, measure a point set against a domain box, and build the integral
   callbacks of a system without first integrals.
+- ``lattice_rows`` samples every callback behind the global constants on a
+  deterministic complexified point set (``domain_points``) and reduces its
+  entry-wise maxima as each row does, with no margin: a lower bound of every
+  row, which the exact global constants must dominate.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from kamtorus.certificate import ConstantLedger, GlobalNormConstants, _ledger
+from kamtorus.certificate import _INTEGRAL_FIELDS, ConstantLedger, GlobalNormConstants, _ledger
 from kamtorus.fourier import TWO_PI, FourierMap, StripNorm, assemble_blocks, matmul
 from kamtorus import frames as fr
 from kamtorus.frames import FrameBundle, GridKitchen, TorusCandidate
-from kamtorus.hamiltonian import DomainBox, _linear_integrals
+from kamtorus.hamiltonian import DomainBox, HamiltonianSystem, _linear_integrals
 from kamtorus.solver import Iterate, NewtonSchedule
 
 # ---------------------------------------------------------------------------
@@ -280,3 +284,130 @@ def contains_margin(box: DomainBox, z: np.ndarray) -> float:
 def empty_integrals(n: int):
     """Integral callbacks for the d = n case: zero-width arrays, same code path."""
     return _linear_integrals(np.zeros((0, n)))
+
+
+# ---------------------------------------------------------------------------
+# the sample lattice of the global constants
+# ---------------------------------------------------------------------------
+
+LATTICE_DENSITY = 2048  # points in each of the three sample sets of domain_points
+LATTICE_SLICE = 1024  # points per callback evaluation in lattice_rows
+
+
+def rank1_lattice(npts: int, dim: int) -> np.ndarray:
+    """Deterministic rank-1 lattice in [0,1)^dim (Korobov-style generator)."""
+    phi = (1.0 + np.sqrt(5.0)) / 2.0
+    gen = np.array([np.modf(phi ** (i + 1))[0] for i in range(dim)])
+    j = np.arange(npts)[:, None]
+    return np.modf(j * gen[None, :] + 0.5 / npts)[0]
+
+
+def domain_points(sys: HamiltonianSystem) -> np.ndarray:
+    """Complexified sample set: a rank-1 lattice through the domain box, plus a
+    sweep with the imaginary parts pinned at the extreme width, cycling through
+    all 2^a sign patterns of Im x, plus real points."""
+    box = sys.domain
+    a = box.angle_count
+    m = 2 * sys.n - a  # disc-constrained coordinates
+    u = rank1_lattice(LATTICE_DENSITY, 2 * a + 2 * m)
+    x = u[:, :a] + 1j * box.imag_width * (2.0 * u[:, a : 2 * a] - 1.0)
+    ang = 2.0 * np.pi * u[:, 2 * a : 2 * a + m]
+    rad = box.y_radius * u[:, 2 * a + m :]
+    y = box.y_center + rad * np.exp(1j * ang)
+    interior = np.concatenate([x, y], axis=1)
+
+    u2 = rank1_lattice(LATTICE_DENSITY, a + m)
+    signs = 1.0 - 2.0 * ((np.arange(LATTICE_DENSITY)[:, None] >> np.arange(a)) & 1)
+    x2 = u2[:, :a] + 1j * box.imag_width * signs
+    y2 = box.y_center + box.y_radius * np.exp(2j * np.pi * u2[:, a:])
+    boundary = np.concatenate([x2, y2], axis=1)
+    real_pts = np.concatenate(
+        [u2[:, :a], box.y_center + 0.9 * box.y_radius * (2 * u2[:, a:] - 1)], axis=1
+    ).astype(np.complex128)
+    return np.concatenate([interior, boundary, real_pts], axis=0)
+
+
+def lattice_sup(f, z: np.ndarray, slice_len: int = LATTICE_SLICE) -> np.ndarray:
+    """Entry-wise max of |f| over the points z, evaluated ``slice_len`` points at
+    a time (a max is exact in any order, so the slicing cannot change a bit).
+    A tuple of callbacks (the partial derivatives of one, see :func:`_partials`)
+    gives the stack of their maxima along a last axis."""
+    if isinstance(f, tuple):
+        return np.stack([lattice_sup(g, z, slice_len) for g in f], axis=-1)
+    out = np.abs(f(z[:slice_len])).max(axis=0)
+    for start in range(slice_len, len(z), slice_len):
+        np.maximum(out, np.abs(f(z[start:start + slice_len])).max(axis=0), out=out)
+    return out
+
+
+def _partials(f, dim: int, h: float = 1e-5) -> tuple:
+    """The central differences of a callback (or of a tuple of them) along each
+    of the ``dim`` coordinates: d M_ij / dz_l is entry [i, j] of item l (exactly
+    0 for a constant callback).  They are kept apart so that no sample holds a
+    derivative tensor whole."""
+    if isinstance(f, tuple):
+        return tuple(_partials(g, dim, h) for g in f)
+    return tuple((lambda z, e=e: (f(z + e) - f(z - e)) / (2 * h)) for e in h * np.eye(dim))
+
+
+def _max_sum(axes):
+    """The reduction of an entry-wise sup to a row: the largest sum over ``axes``."""
+    return lambda s: s.sum(axis=axes).max()
+
+
+def lattice_rows(sys: HamiltonianSystem, selector="H", z: np.ndarray | None = None,
+                 slice_len: int = LATTICE_SLICE) -> dict:
+    """Every global row as the margin-free maximum over the points ``z``
+    (default :func:`domain_points`) of its callback's entry-wise |.|, reduced
+    as the row reduces it; c is H or ("p", j), whose Hessian is Omega DX_H or
+    Omega DX_{p_j}.  Each callback is swept once, however many rows reduce its
+    sup.  The p / X_p rows of a system without first integrals are 0.  A row
+    that is not finite raises a ValueError naming it."""
+    z = domain_points(sys) if z is None else z
+    geo = sys.geometry
+    om = geo.omega_mat
+    if selector == "H":
+        dc, d2c = sys.DH, lambda w: om(w) @ sys.DXH(w)
+    else:
+        j = selector[1]
+        dc, d2c = (lambda w: sys.Dp(w)[..., j, :]), (lambda w: om(w) @ sys.DXp(w)[..., :, j, :])
+    n2 = 2 * sys.n
+
+    def d(f):
+        return _partials(f, n2)
+
+    d_tom, d_g, d_j = (d(f) for f in (geo.tilde_omega, geo.metric_G, geo.iso_J))
+
+    def total(s):
+        return s.sum()
+
+    rows = {  # Dp is (m, 2n) and Xp (2n, m)
+        "c_Omega_0": (om, _max_sum(1)), "c_Omega_1": (d(om), _max_sum((1, 2))),
+        "c_tOmega_0": (geo.tilde_omega, _max_sum(1)), "c_tOmega_1": (d_tom, _max_sum((1, 2))),
+        "c_tOmega_2": (d(d_tom), _max_sum((1, 2, 3))),
+        "c_G_0": (geo.metric_G, _max_sum(1)), "c_G_1": (d_g, _max_sum((1, 2))),
+        "c_G_2": (d(d_g), _max_sum((1, 2, 3))),
+        "c_J_0": (geo.iso_J, _max_sum(1)), "c_J_1": (d_j, _max_sum((1, 2))),
+        "c_J_2": (d(d_j), _max_sum((1, 2, 3))),
+        "c_JT_0": (geo.iso_J, _max_sum(0)), "c_JT_1": (d_j, _max_sum((0, 2))),
+        "c_H_1": (sys.DH, total), "c_XH_0": (sys.XH, lambda s: s.max()),
+        "c_XH_1": (sys.DXH, _max_sum(1)), "c_XHT_1": (sys.DXH, total),
+        "c_XH_2": (sys.D2XH, _max_sum((1, 2))),
+        "c_p_1": (sys.Dp, _max_sum(1)), "c_pT_1": (sys.Dp, total),
+        "c_Xp_0": (sys.Xp, _max_sum(1)), "c_XpT_0": (sys.Xp, _max_sum(0)),
+        "c_Xp_1": (sys.DXp, _max_sum((1, 2))), "c_XpT_1": (sys.DXp, _max_sum((0, 2))),
+        "c_Xp_2": (sys.D2Xp, _max_sum((1, 2, 3))), "c_XpT_2": (sys.D2Xp, _max_sum((0, 2, 3))),
+        "c_c_1": (dc, total), "c_c_2": (d2c, total),
+    }
+    sups: dict = {}  # callback -> its entry-wise sup over z
+    out = {}
+    for name, (f, reduce) in rows.items():
+        if sys.n_integrals == 0 and name in _INTEGRAL_FIELDS:
+            out[name] = 0.0
+            continue
+        if f not in sups:
+            sups[f] = lattice_sup(f, z, slice_len)
+        out[name] = float(reduce(sups[f]))
+        if not np.isfinite(out[name]):
+            raise ValueError(f"lattice row {name} is not finite")
+    return out

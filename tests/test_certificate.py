@@ -1,6 +1,7 @@
 """Global constants, the ledger chain, the existence check, inverse control."""
 
 import dataclasses
+import functools
 import itertools
 import json
 import tracemalloc
@@ -11,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import kamtorus.certificate
 from kamtorus.certificate import (
     REPORT_HEADER,
     build_ledger,
@@ -22,10 +22,11 @@ from kamtorus.certificate import (
 from kamtorus.cohomology import DiophantineParams
 from kamtorus.frames import HypothesisError, build_frames, measure_hypothesis_data
 from kamtorus.hamiltonian import ConservedQuantity, builtin_system
-from kamtorus.solver import NewtonSchedule
+from kamtorus.solver import NewtonSchedule, evaluate, iterate_newton
 
 from conftest import GOLDEN, scaled_structure, seed_run, with_zero_integrals
-from oracles import ledger_diff, matrix_inverse_control
+from oracles import (LATTICE_SLICE, domain_points, lattice_rows, ledger_diff,
+                     matrix_inverse_control)
 
 
 # ----------------------------------------------------------- global constants
@@ -52,18 +53,17 @@ def test_lagrangian_case_zero_integral_constants():
 
 
 def without_table(sys_obj):
-    """The same callbacks with no term table, so that every callback row is sampled."""
+    """The same callbacks with no term table, so that no closed form bounds them."""
     return dataclasses.replace(sys_obj, table=None)
 
 
-def test_sampled_hessian_constant_below_hand_bound(monkeypatch):
-    """System B without its table: the sampled c_XH_2 must stay below the
+def test_sampled_hessian_constant_below_hand_bound():
+    """System B: the lattice maximum of the row sums of D2XH must stay below the
     analytic sup bound of the explicit trigonometric third-derivative tensor."""
     eps, w = 0.02, 0.2
-    sys_obj = without_table(builtin_system("symmetric_rotors", epsilon=eps,
-                                           y_center=[1.0, GOLDEN, 0.0], imag_width=w))
-    monkeypatch.setattr(kamtorus.certificate, "SAMPLED_MARGIN", 0.0)
-    g = estimate_global_constants(sys_obj)
+    sys_obj = builtin_system("symmetric_rotors", epsilon=eps, y_center=[1.0, GOLDEN, 0.0],
+                             imag_width=w)
+    seen = lattice_rows(sys_obj)
     # trig factors in x1 see |Im| <= w; factors in x2 - x3 see |Im| <= 2w
     C1 = np.cosh(2 * np.pi * w)
     C2 = np.cosh(4 * np.pi * w)
@@ -74,29 +74,31 @@ def test_sampled_hessian_constant_below_hand_bound(monkeypatch):
     # momentum rows 2, 3 collect nine c1*sd / s1*cd-type entries
     row2 = t3 * 9 * C1 * C2
     hand = max(row1, row2)
-    assert g.values["c_XH_2"] <= hand
-    assert g.provenance["c_XH_2"] == "sampled"
+    assert seen["c_XH_2"] <= hand
 
 
 def test_sampled_constants_dominate_real_samples():
-    """The 1.05-margin sampled sup must dominate callback values at fresh points."""
-    sys_obj = without_table(builtin_system("symmetric_rotors", epsilon=0.03,
-                                           y_center=[1.0, GOLDEN, 0.0]))
-    g = estimate_global_constants(sys_obj)
+    """The margin-free lattice maxima dominate the callbacks at fresh real points,
+    and the exact rows dominate both."""
+    sys_obj = builtin_system("symmetric_rotors", epsilon=0.03, y_center=[1.0, GOLDEN, 0.0])
+    seen = lattice_rows(sys_obj)
+    exact = estimate_global_constants(sys_obj).values
     rng = np.random.default_rng(99)
     z = np.concatenate([rng.uniform(0, 1, (500, 3)),
                         sys_obj.domain.y_center + rng.uniform(-0.45, 0.45, (500, 3))],
                        axis=1)
-    assert np.max(np.abs(sys_obj.XH(z))) <= g.values["c_XH_0"]
-    assert np.max(np.abs(sys_obj.DXH(z)).sum(axis=-1)) <= g.values["c_XH_1"]
-    assert np.max(np.abs(sys_obj.DH(z)).sum(axis=-1)) <= g.values["c_H_1"]
+    for g in (seen, exact):
+        assert np.max(np.abs(sys_obj.XH(z))) <= g["c_XH_0"]
+        assert np.max(np.abs(sys_obj.DXH(z)).sum(axis=-1)) <= g["c_XH_1"]
+        assert np.max(np.abs(sys_obj.DH(z)).sum(axis=-1)) <= g["c_H_1"]
 
 
 GLOBALS_GOLDEN = Path(__file__).with_name("globals_golden.json")
 
 
 def golden_global_systems() -> dict:
-    """Name -> (system, conserved) for every fixture entry of globals_golden.json."""
+    """Name -> (system, selector of c or None) for every fixture entry of
+    globals_golden.json."""
     def rotors(name, eps, y_center):
         return builtin_system(name, epsilon=eps, y_center=y_center, y_radius=0.5,
                               imag_width=0.2)
@@ -106,8 +108,8 @@ def golden_global_systems() -> dict:
     return {
         "lagrangian_rotors-0.02": (sys_a, None),
         "symmetric_rotors-0.01": (sys_b, None),
-        "symmetric_rotors-0.01-H": (sys_b, sys_b.conserved("H")),
-        "symmetric_rotors-0.01-p0": (sys_b, sys_b.conserved(("p", 0))),
+        "symmetric_rotors-0.01-H": (sys_b, "H"),
+        "symmetric_rotors-0.01-p0": (sys_b, ("p", 0)),
         "scaled_structure": (dataclasses.replace(sys_a, geometry=scaled_structure(2)), None),
     }
 
@@ -115,36 +117,48 @@ def golden_global_systems() -> dict:
 def golden_globals() -> dict:
     """Every global constant (as float.hex) and its provenance, per fixture system."""
     out = {}
-    for name, (sys_obj, conserved) in golden_global_systems().items():
+    for name, (sys_obj, selector) in golden_global_systems().items():
+        conserved = None if selector is None else sys_obj.conserved(selector)
         g = estimate_global_constants(sys_obj, conserved=conserved)
         out[name] = {"values": {k: float(v).hex() for k, v in g.values.items()},
                      "provenance": g.provenance}
     return out
 
 
-@pytest.mark.parametrize("length", [kamtorus.certificate.LATTICE_SLICE, 1000, 7000])
-def test_global_constants_bit_identical_to_golden(monkeypatch, length):
+@functools.cache
+def unsliced_lattice_rows(name: str) -> dict:
+    """The lattice maxima of a fixture system, its 6144 points swept at once."""
+    sys_obj, selector = golden_global_systems()[name]
+    z = domain_points(sys_obj)
+    return lattice_rows(sys_obj, selector or "H", z, len(z))
+
+
+@pytest.mark.parametrize("length", [LATTICE_SLICE, 1000, 7000])
+def test_global_constants_bit_identical_to_golden(length):
     """Every constant to the last bit, and its provenance, against a committed
-    fixture: at the module's slice length, at one that does not divide the
-    6144 sample points, and at one longer than all of them."""
-    monkeypatch.setattr(kamtorus.certificate, "LATTICE_SLICE", length)
+    fixture.  The lattice maxima that check them are the same bits when the
+    6144 sample points are swept at the oracle's slice length, at one that does
+    not divide them, and at one longer than all of them, as in one sweep (on
+    the fixture system with the most callbacks: n = 3, c = p_0)."""
     assert golden_globals() == json.loads(GLOBALS_GOLDEN.read_text())
+    name = "symmetric_rotors-0.01-p0"
+    sys_obj, selector = golden_global_systems()[name]
+    assert lattice_rows(sys_obj, selector, domain_points(sys_obj), length) == \
+        unsliced_lattice_rows(name)
 
 
 def test_global_constants_peak_memory_bounded():
     """The lattice is evaluated a slice at a time: at n = 3, D2XH on all 6144
-    points at once would take 21 MB, and its |.| copy 11 MB more.  The system
-    has no table, so every callback row is sampled."""
-    sys_b = without_table(golden_global_systems()["symmetric_rotors-0.01"][0])
-    conserved = sys_b.conserved("H")
+    points at once would take 21 MB, and its |.| copy 11 MB more."""
+    sys_b = golden_global_systems()["symmetric_rotors-0.01"][0]
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        g = estimate_global_constants(sys_b, conserved=conserved)
+        seen = lattice_rows(sys_b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert g.provenance["c_XH_2"] == g.provenance["c_c_2"] == "sampled"
+    assert np.isfinite(seen["c_XH_2"]) and np.isfinite(seen["c_c_2"])
     assert peak - entry < 8e6
 
 
@@ -152,45 +166,55 @@ def test_each_callback_is_swept_once():
     """Rows that reduce the sup of one callback share one lattice sweep: with c
     = H, c_H_1 and c_c_1 both reduce the sup of DH, which runs on the 6 slices
     of the 6144 points once."""
-    sys_b = without_table(golden_global_systems()["symmetric_rotors-0.01"][0])
+    sys_b = golden_global_systems()["symmetric_rotors-0.01"][0]
     calls = []
 
     def dh(z):
         calls.append(len(z))
         return sys_b.DH(z)
 
-    counted = dataclasses.replace(sys_b, DH=dh)
-    g = estimate_global_constants(counted, conserved=counted.conserved("H"))
-    assert calls == [kamtorus.certificate.LATTICE_SLICE] * 6
-    assert g.values["c_c_1"] == g.values["c_H_1"]
+    seen = lattice_rows(dataclasses.replace(sys_b, DH=dh))
+    assert calls == [LATTICE_SLICE] * 6
+    assert seen["c_c_1"] == seen["c_H_1"]
 
 
-@pytest.mark.parametrize("callback, row", [("d_G", "c_G_1"), ("d2_G", "c_G_2")])
-def test_structure_without_a_derivative_callback_is_refused(callback, row):
-    """A caller-built structure that lacks a derivative callback cannot be
-    sampled: the error names the callback and the row that needs it."""
-    sys_a = golden_global_systems()["lagrangian_rotors-0.02"][0]
-    geometry = dataclasses.replace(scaled_structure(2), **{callback: None})
-    with pytest.raises(ValueError, match=f"{row} samples the callback geometry.{callback},"):
-        estimate_global_constants(dataclasses.replace(sys_a, geometry=geometry))
+def test_table_less_system_is_refused():
+    """Without a term table no closed form bounds the callbacks: the first
+    callback row is refused by name."""
+    sys_b = golden_global_systems()["symmetric_rotors-0.01"][0]
+    with pytest.raises(HypothesisError, match="global constant c_H_1 has no exact bound") \
+            as info:
+        estimate_global_constants(without_table(sys_b))
+    assert info.value.hypothesis == "ledger"
 
 
 def test_nan_at_one_lattice_point_names_the_row():
-    """A sampled row that is not finite is refused by name: DH is NaN at one
-    lattice point of a table-less system, and c_H_1 is the first row it reaches."""
-    sys_b = without_table(golden_global_systems()["symmetric_rotors-0.01"][0])
-    bad = kamtorus.certificate._domain_points(sys_b)[4321]
+    """A lattice maximum that is not finite is refused by name: DH is NaN at one
+    lattice point, and c_H_1 is the first row it reaches."""
+    sys_b = golden_global_systems()["symmetric_rotors-0.01"][0]
+    bad = domain_points(sys_b)[4321]
 
     def dh(z):
         out = sys_b.DH(z)
         out[np.all(z == bad, axis=1)] = np.nan
         return out
 
+    with pytest.raises(ValueError, match="lattice row c_H_1 is not finite"):
+        lattice_rows(dataclasses.replace(sys_b, DH=dh))
+
+
+def test_non_finite_global_constant_names_the_row():
+    """An exact row that is not finite is refused by name: one amplitude of the
+    term table is NaN, and c_H_1 is the first row it reaches."""
+    sys_b = golden_global_systems()["symmetric_rotors-0.01"][0]
+    table = dataclasses.replace(sys_b.table, v=np.array([np.nan, 0.005, 0.005]))
     with pytest.raises(HypothesisError, match="global constant c_H_1 is not finite") as info:
-        estimate_global_constants(dataclasses.replace(sys_b, DH=dh))
+        estimate_global_constants(dataclasses.replace(sys_b, table=table))
     assert info.value.hypothesis == "ledger"
 
 
+STRUCTURE_ROWS = {"c_Omega_0", "c_Omega_1", "c_tOmega_0", "c_tOmega_1", "c_tOmega_2", "c_G_0",
+                  "c_G_1", "c_G_2", "c_J_0", "c_J_1", "c_J_2", "c_JT_0", "c_JT_1"}
 CALLBACK_ROWS = {"c_H_1", "c_XH_0", "c_XH_1", "c_XHT_1", "c_XH_2", "c_c_1", "c_c_2"}
 INTEGRAL_ROWS = {"c_p_1", "c_pT_1", "c_Xp_0", "c_XpT_0", "c_Xp_1", "c_XpT_1", "c_Xp_2",
                  "c_XpT_2"}
@@ -210,51 +234,57 @@ def corner_points(sys_obj) -> np.ndarray:
 
 @pytest.mark.parametrize("name, selector", [("lagrangian_rotors-0.02", None),
                                             ("symmetric_rotors-0.01", "H"),
-                                            ("symmetric_rotors-0.01", ("p", 0))],
-                         ids=["lagrangian", "symmetric-H", "symmetric-p0"])
-def test_exact_constants_dominate_lattice_and_corners(monkeypatch, name, selector):
-    """Each closed-form row is at least the entry-wise sup of its callback over
-    the sample lattice and all 2^a corners of the strip, aggregated as the row
+                                            ("symmetric_rotors-0.01", ("p", 0)),
+                                            ("scaled_structure", None)],
+                         ids=["lagrangian", "symmetric-H", "symmetric-p0", "scaled"])
+def test_exact_constants_dominate_lattice_and_corners(name, selector):
+    """Each global row is at least the entry-wise sup of its callback over the
+    sample lattice and all 2^a corners of the strip, aggregated as the row
     aggregates it, with no tolerance: some corners attain the bound, and the
     closed forms are rounded up over the round-off of both sides.  It is also
     within 5% of that sup, so the bound of each entry is joint over the terms
-    of the table (a sum of per-term suprema reads 1.8x for symmetric_rotors)."""
+    of the table (a sum of per-term suprema reads 1.8x for symmetric_rotors),
+    and the structure rows and the zero rows are the sup itself."""
     sys_obj = golden_global_systems()[name][0]
     conserved = None if selector is None else sys_obj.conserved(selector)
     exact = estimate_global_constants(sys_obj, conserved=conserved)
     rows = CALLBACK_ROWS | (INTEGRAL_ROWS if sys_obj.n_integrals else set())
+    rows |= set() if sys_obj.geometry.is_canonical else STRUCTURE_ROWS
     assert {k for k, v in exact.provenance.items() if v == "exact"} == rows
-    lattice = kamtorus.certificate._domain_points(sys_obj)
-    corners = corner_points(sys_obj)
-    monkeypatch.setattr(kamtorus.certificate, "_domain_points",
-                        lambda s: np.concatenate([lattice, corners]))
-    monkeypatch.setattr(kamtorus.certificate, "SAMPLED_MARGIN", 0.0)
-    seen = estimate_global_constants(without_table(sys_obj), conserved=conserved)
-    for key in rows:
-        assert seen.values[key] <= exact.values[key] <= 1.05 * seen.values[key], key
+    assert set(exact.provenance.values()) <= {"exact", "canonical-exact"}
+    z = np.concatenate([domain_points(sys_obj), corner_points(sys_obj)])
+    seen = lattice_rows(sys_obj, selector or "H", z)
+    assert seen.keys() == exact.values.keys()
+    for key, value in exact.values.items():
+        assert seen[key] <= value <= 1.05 * seen[key], key
+        if key not in CALLBACK_ROWS | INTEGRAL_ROWS:
+            assert value == seen[key], key
 
 
-def test_caller_built_quantity_is_sampled():
+def test_caller_built_quantity_is_refused():
     """Only the bundles that conserved() builds get the closed-form c rows: one
-    a caller builds, or copies with replace, is sampled from its own callbacks."""
+    a caller builds, or copies with replace, has no exact c_c_1."""
     sys_obj = golden_global_systems()["symmetric_rotors-0.01"][0]
     built = sys_obj.conserved("H")
-    for quantity in (ConservedQuantity("H", built.c, built.Dc, built.D2c),
-                     dataclasses.replace(built)):
-        g = estimate_global_constants(sys_obj, conserved=quantity)
-        assert g.provenance["c_c_1"] == g.provenance["c_c_2"] == "sampled"
-        assert g.provenance["c_H_1"] == "exact"
+    for quantity in (ConservedQuantity("H", built.c, built.Dc), dataclasses.replace(built)):
+        with pytest.raises(HypothesisError, match="global constant c_c_1 has no exact bound") \
+                as info:
+            estimate_global_constants(sys_obj, conserved=quantity)
+        assert info.value.hypothesis == "ledger"
 
 
 @pytest.mark.parametrize("table", [True, False], ids=["exact", "sampled"])
 def test_mixed_corner_inside_the_global_constants(table):
     """At Im x = (w, -w) the term cos 2 pi (x1 - x2) reaches cosh(4 pi w).  A
     lattice whose boundary points carry one sign for both angles never gets
-    there: it sampled c_XH_1 = 4.69 here, against 10.99 at this point."""
+    there: it sampled c_XH_1 = 4.69 here, against 10.99 at this point.  The
+    exact rows bound it, and so do the lattice maxima with a 5% margin (the
+    point is off the lattice, so they miss c_H_1 by 1%)."""
     sys_obj = golden_global_systems()["lagrangian_rotors-0.02"][0]
     w = sys_obj.domain.imag_width
     corner = np.array([[0.2 + 1j * w, -1j * w, 1.5, GOLDEN + 0.5]])
-    g = estimate_global_constants(sys_obj if table else without_table(sys_obj)).values
+    g = estimate_global_constants(sys_obj).values if table else \
+        {key: 1.05 * value for key, value in lattice_rows(sys_obj).items()}
     assert np.abs(sys_obj.DH(corner)).sum() <= g["c_H_1"]
     assert np.abs(sys_obj.DXH(corner)).sum(axis=-1).max() <= g["c_XH_1"]
     assert np.abs(sys_obj.D2XH(corner)).sum(axis=(-2, -1)).max() <= g["c_XH_2"]
@@ -265,7 +295,7 @@ def test_lattice_boundary_takes_every_sign_pattern(name):
     """The boundary sweep pins |Im x| at the width in all 2^a sign patterns."""
     sys_obj = golden_global_systems()[name][0]
     a, w = sys_obj.domain.angle_count, sys_obj.domain.imag_width
-    im = kamtorus.certificate._domain_points(sys_obj)[:, :a].imag
+    im = domain_points(sys_obj)[:, :a].imag
     pinned = im[np.all(np.abs(im) == w, axis=1)]
     assert {tuple(row) for row in np.sign(pinned)} == set(itertools.product((1.0, -1.0),
                                                                             repeat=a))
@@ -469,6 +499,40 @@ def test_iso_certify_default_error_is_the_combined_norm():
     fr = build_frames(it.cand, it.kitchen)
     report, _ = certify(it, fr, sched, globs)
     assert report.error_norm == abs(it.E_omega)
+
+
+# ------------------------------------------------------- covariance, case II
+
+
+def test_case_ii_structure_solves_the_same_torus_and_certifies_from_exact_rows():
+    """The method is covariant: the certify-b16 config at bands 8, solved under
+    the canonical structure and under the constant scaled one (G = 2I,
+    J = 2 Omega_0, tilde-Omega = 4 Omega_0, case II), takes the same steps to the
+    same torus, since J DK B is the same product for both.  The first two
+    errors are the same bits; the final tori differ by 2.2e-16 per coefficient
+    (measured), bounded here by 4 eps.  The case II ledger evaluates from exact
+    global rows, every row finite; its ratio reads 2.45 (FAIL) against 0.0180."""
+    config = dict(system="lagrangian_rotors", epsilon=1e-3, bands=[8, 8], rho0=0.03, tau=1.0)
+    runs = {}
+    for geometry in (None, scaled_structure(2)):
+        seed, sched, _ = seed_run(**config)
+        if geometry is not None:
+            seed = evaluate(seed.cand.with_updates(
+                system=dataclasses.replace(seed.cand.system, geometry=geometry)))
+        runs[geometry is None] = iterate_newton(seed, sched, None)
+    canonical, scaled = runs[True], runs[False]
+    assert canonical.converged and scaled.converged
+    assert len(canonical.log) == len(scaled.log)
+    assert [rec["err"] for rec in canonical.log[:2]] == [rec["err"] for rec in scaled.log[:2]]
+    gap = np.abs(canonical.iterate.cand.k_per.coeffs - scaled.iterate.cand.k_per.coeffs)
+    assert gap.max() <= 4 * np.finfo(float).eps
+    it = scaled.iterate
+    globs = estimate_global_constants(it.cand.system)
+    assert set(globs.provenance.values()) <= {"exact", "canonical-exact"}
+    report, ledger = certify(it, build_frames(it.cand, it.kitchen), sched, globs)
+    assert ledger.case_tag == "II" and ledger["C_A"] > 0.0
+    assert all(np.isfinite(row.value) for row in ledger.rows.values())
+    assert np.isfinite(report.ratio)
 
 
 # ----------------------------------------------------------------- kam_check

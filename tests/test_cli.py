@@ -2,13 +2,16 @@
 
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kamtorus import frames, hamiltonian
+from kamtorus import cli, frames, hamiltonian
+from kamtorus.certificate import estimate_global_constants, table_width_limit
 from kamtorus.cli import ConfigError, RunConfig, main
+from kamtorus.hamiltonian import builtin_table
 
 
 def write_config(tmp_path, **kw):
@@ -268,6 +271,8 @@ def test_iso_solve_via_cli(tmp_path):
     # 2 pi rho0 sum(bands) > 700: the majorant weights e^(2 pi |k|_1 rho0) overflow
     ({"bands": [64, 64], "rho0": 0.95, "imag_width": 2.0, "y_radius": 5.0},
      "rho0 = 0.95 and bands = [64, 64]"),
+    # cosh(2 pi w |k_j|_1) in the closed-form global constants overflows
+    ({"imag_width": 300, "rho0": 0.5}, "imag_width must be at most"),
 ])
 def test_malformed_config_exit_two_names_field(tmp_path, capsys, override, field):
     cfg = write_config(tmp_path, **override)
@@ -275,10 +280,48 @@ def test_malformed_config_exit_two_names_field(tmp_path, capsys, override, field
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("a1, a3", [(1e300, "nan"), (1e16, "3.0")],
+                         ids=["a3-nan", "a3-rounds-to-3"])
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_schedule_outside_the_strip_exit_two(tmp_path, capsys, a1, a3, command):
+    """a1 = a2 whose a3 = 3 a1 a2 / ((a1 - 1)(a2 - 1)) is NaN (inf / inf), or
+    rounds to 3 so that 3 delta_0 = rho0, is refused naming a1 and a2, also in
+    the config of a torus file."""
+    if command == "solve":
+        cfg = write_config(tmp_path, a1=a1, a2=a1)
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    else:
+        main(["solve", "--config", str(write_config(tmp_path)), "--out", str(tmp_path)])
+        torus = json.loads((tmp_path / "torus.json").read_text())
+        torus["config"].update(a1=a1, a2=a1)
+        (tmp_path / "torus.json").write_text(json.dumps(torus))
+        code = main(["certify", str(tmp_path / "torus.json"), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"a1 = {a1!r} and a2 = {a1!r} give the strip schedule a3 = {a3}" in err
+
+
+@pytest.mark.parametrize("name", ["lagrangian_rotors", "symmetric_rotors"])
+def test_widest_accepted_strip_keeps_the_global_constants_finite(name):
+    """imag_width is accepted up to the width where the closed-form global
+    constants stay finite, and at that width they are finite with no floating
+    point warning; one ulp wider is refused naming imag_width."""
+    width = table_width_limit(builtin_table(name))
+    with pytest.raises(ConfigError, match="imag_width must be at most"):
+        RunConfig.from_dict({"system": name, "imag_width": float(np.nextafter(width, 1e3))})
+    cfg = RunConfig.from_dict({"system": name, "imag_width": width})
+    system = cli._system(cfg, np.asarray(cfg.omega))
+    selectors = ["H"] + [("p", j) for j in range(system.n_integrals)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for selector in selectors:
+            g = estimate_global_constants(system, conserved=system.conserved(selector))
+            assert all(np.isfinite(v) for v in g.values.values())
+
+
 @pytest.mark.parametrize("overrides, step", [
-    ({"a1": 1e16, "a2": 1e16}, 0),  # a3 rounds to 3, so 3 delta_0 = rho0
     ({"a1": 1e200, "c_n": 1e300}, 2),  # a1**2 overflows: delta_2 is below the double range
-], ids=["a3-rounds-to-3", "a1-power-overflows"])
+], ids=["a1-power-overflows"])
 def test_schedule_out_of_range_is_a_strip_failure(tmp_path, capsys, overrides, step):
     cfg = write_config(tmp_path, system="lagrangian_rotors", epsilon=1e-3, rho0=0.03,
                        **overrides)

@@ -1,12 +1,18 @@
 """Systems, brackets, involution/commutation checks, callback validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from kamtorus.certificate import estimate_global_constants
+from kamtorus.fourier import FourierMap
+from kamtorus.frames import HypothesisError, grid_kitchen
 from kamtorus.hamiltonian import (
     _BUILTIN_TERMS,
     DomainBox,
     HamiltonianSystem,
+    StructureError,
     builtin_dims,
     builtin_system,
     canonical_structure,
@@ -16,7 +22,7 @@ from kamtorus.hamiltonian import (
     verify_involution,
 )
 
-from conftest import scaled_structure, seed_run
+from conftest import scaled_structure, seed_run, unflagged
 from oracles import contains_margin
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -283,42 +289,53 @@ def test_canonical_structure_case_tag():
 
 
 def test_unflagged_structure_is_not_canonical():
-    import dataclasses
-
-    from kamtorus.certificate import estimate_global_constants
-
+    """The scaled structure holds its matrices, so its structure rows are exact
+    row and column sums; the same callbacks without them cannot be bounded."""
     geo = scaled_structure(2)
-    assert not geo.is_canonical
+    assert not geo.is_canonical and geo.case_tag == "II"
     geo.check_invariants(np.random.default_rng(3).uniform(-1, 1, size=(5, 4)))
     g = estimate_global_constants(dataclasses.replace(system_a(), geometry=geo))
-    for key in ("c_Omega_0", "c_tOmega_0", "c_G_0", "c_J_0", "c_JT_0"):
-        assert g.provenance[key] == "sampled"
-    assert g.values["c_G_0"] >= 2.0 and g.values["c_tOmega_0"] >= 4.0
+    assert [g.values[key] for key in ("c_Omega_0", "c_G_0", "c_J_0", "c_JT_0",
+                                      "c_tOmega_0")] == [1.0, 2.0, 2.0, 2.0, 4.0]
+    for key in ("c_Omega_1", "c_tOmega_1", "c_tOmega_2", "c_G_1", "c_G_2", "c_J_1",
+                "c_J_2", "c_JT_1"):
+        assert g.values[key] == 0.0
+    assert set(g.provenance.values()) == {"exact", "canonical-exact"}
+    assert g.provenance["c_G_0"] == g.provenance["c_G_1"] == "exact"
+    bare = unflagged(geo)
+    assert not bare.is_canonical
+    with pytest.raises(HypothesisError, match="global constant c_Omega_0 has no exact bound") \
+            as info:
+        estimate_global_constants(dataclasses.replace(system_a(), geometry=bare))
+    assert info.value.hypothesis == "ledger"
 
 
 def test_false_canonical_claim_raises():
-    from kamtorus.hamiltonian import StructureError
+    """A structure whose callbacks differ from the matrices it carries is refused
+    on construction, naming each callback that differs."""
+    canon, scaled = canonical_structure(2), scaled_structure(2)
+    with pytest.raises(StructureError, match=r"\['metric_G'\]"):
+        dataclasses.replace(canon, metric_G=scaled.metric_G)
+    with pytest.raises(StructureError, match=r"\['iso_J', 'tilde_omega'\]"):
+        dataclasses.replace(scaled, iso_J=canon.iso_J, tilde_omega=canon.tilde_omega)
 
-    with pytest.raises(StructureError, match="metric_G"):
-        scaled_structure(2, is_canonical=True)
 
-
-def test_grid_kitchen_structure_maps_constant_only_when_canonical():
-    import dataclasses
-
-    from kamtorus.fourier import FourierMap
-    from kamtorus.frames import grid_kitchen
-
+def test_grid_kitchen_structure_maps_constant_only_when_flagged():
+    """A constant structure's matrices are one-mode kitchen maps; the same
+    callbacks without the matrices are sampled over the full bands."""
     seed = seed_run(epsilon=0.02, bands=[4, 4], rho0=0.03)[0]
     cand, kk = seed.cand, seed.kitchen
     omega0 = canonical_structure(2).omega_mat(np.zeros((1, 4)))[0]
-    for got, mat in ((kk.Omega, omega0), (kk.G, np.eye(4)), (kk.J, omega0),
-                     (kk.tOmega, omega0)):
-        assert got.bands == (0, 0)  # one mode: matmul scales the other factor by it
-        assert np.array_equal(got.coeffs, FourierMap.constant(mat, got.bands).coeffs)
-    scaled = cand.with_updates(system=dataclasses.replace(cand.system,
-                                                          geometry=scaled_structure(2)))
-    kk = grid_kitchen(scaled)
+    for geometry, scale in ((None, 1.0), (scaled_structure(2), 2.0)):
+        if geometry is not None:
+            kk = grid_kitchen(cand.with_updates(
+                system=dataclasses.replace(cand.system, geometry=geometry)))
+        for got, mat in ((kk.Omega, omega0), (kk.G, scale * np.eye(4)), (kk.J, scale * omega0),
+                         (kk.tOmega, scale**2 * omega0)):
+            assert got.bands == (0, 0)  # one mode: matmul scales the other factor by it
+            assert np.array_equal(got.coeffs, FourierMap.constant(mat, got.bands).coeffs)
+    unflagged_system = dataclasses.replace(cand.system, geometry=unflagged(scaled_structure(2)))
+    kk = grid_kitchen(cand.with_updates(system=unflagged_system))
     for got, mat in ((kk.G, 2.0 * np.eye(4)), (kk.J, 2.0 * omega0), (kk.tOmega, 4.0 * omega0)):
         assert got.bands == cand.bands
         want = FourierMap.constant(mat, got.bands).coeffs

@@ -192,30 +192,6 @@ def test_iso_per_step_contraction_ledger():
     assert len(res.log) > 1 and all(rec["contraction_ok"] for rec in res.log[:-1])
 
 
-def test_custom_conserved_quantity_verification():
-    sys_obj = seed_run(**ISO, epsilon=0.01, bands=[8, 8])[0].cand.system
-    from kamtorus.hamiltonian import ConservedQuantity
-
-    # H + p is a legitimate first integral in involution with (H, p)
-    good = ConservedQuantity(
-        "H+p",
-        c=lambda z: sys_obj.H(z) + sys_obj.p(z)[..., 0],
-        Dc=lambda z: sys_obj.DH(z) + sys_obj.Dp(z)[..., 0, :],
-        D2c=lambda z: sys_obj.conserved("H", verify=False).D2c(z),
-    )
-    out = sys_obj.conserved(custom=good)
-    assert out.name == "H+p"
-    # x1 is not conserved: {x1, H} = y1 != 0
-    bad = ConservedQuantity(
-        "x1",
-        c=lambda z: z[..., 0],
-        Dc=lambda z: np.eye(6)[0] * np.ones(z.shape[:-1] + (1,)),
-        D2c=lambda z: np.zeros(z.shape[:-1] + (6, 6)),
-    )
-    with pytest.raises(ValueError):
-        sys_obj.conserved(custom=bad)
-
-
 def test_iso_frequency_drift_within_reported_bound():
     """|omega_inf - omega| stays below the reported drift bound E3 ||E_c||/(gamma rho^tau)."""
     from kamtorus.certificate import certify, estimate_global_constants

@@ -14,9 +14,9 @@ from kamtorus.cohomology import DiophantineParams
 from kamtorus.fourier import FourierMap, matmul
 from kamtorus.frames import (COND_LIMIT, HypothesisError, _front_matmul, _pointwise_inverse,
                              grid_kitchen, seed_torus, work_grid)
-from kamtorus.hamiltonian import DomainBox, _trig_potential_system
+from kamtorus.hamiltonian import DomainBox, TermTable, _trig_potential_system
 
-from conftest import random_map, scaled_structure, seed_run
+from conftest import random_map, scaled_structure, seed_run, unflagged
 from oracles import assert_same_bits, irfftn_samples, rfftn_coefficients, svd_rank_check
 
 SLABS = ["one-row", "ragged", "whole"]
@@ -36,11 +36,10 @@ def slab_points(kind: str, grid: tuple) -> int:
 def d3_candidate(bands, seed=0) -> frames.TorusCandidate:
     """A perturbed seed of the d = 3, n = 4 term table: cos 2 pi x1, cos 2 pi x2 and
     cos 2 pi x1 cos 2 pi (x3 - x4), times 1e-3, with the first integral y3 + y4."""
-    terms = [(1e-3, (1, 0, 0, 0)), (1e-3, (0, 1, 0, 0)), (0.5e-3, (1, 0, 1, -1)),
-             (0.5e-3, (1, 0, -1, 1))]
+    k = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, -1], [1, 0, -1, 1]], dtype=float)
+    table = TermTable(np.array([1e-3, 1e-3, 0.5e-3, 0.5e-3]), k, np.array([[0.0, 0.0, 1.0, 1.0]]))
     system = _trig_potential_system(
-        "d3_rotors", terms, np.array([[0.0, 0.0, 1.0, 1.0]]),
-        DomainBox(n=4, y_center=np.zeros(4), y_radius=0.5, imag_width=0.2), {"epsilon": 1e-3})
+        "d3_rotors", table, DomainBox(n=4, y_center=np.zeros(4), y_radius=0.5, imag_width=0.2))
     dio = DiophantineParams(2.0 ** (np.arange(3) / 3), 1e-3, 2.0, 10, check=False)
     cand = seed_torus(system, dio, bands, 0.03)
     noise = random_map(bands, (8, 1), np.random.default_rng(seed), decay=0.5, scale=1e-2)
@@ -68,13 +67,12 @@ def whole_grid_kitchen(cand, conserved=None) -> dict:
     system, geo = cand.system, cand.system.geometry
     samples = {"XH": system.XH(kv)[..., :, None], "DXH": system.DXH(kv)}
     out = {}
-    for name, callback in (("Omega", geo.omega_mat), ("G", geo.metric_G), ("J", geo.iso_J),
-                           ("tOmega", geo.tilde_omega)):
-        if geo.is_canonical:
-            point = kv[(0,) * cand.d][None]
-            out[name] = FourierMap.constant(callback(point)[0], (0,) * cand.d).coeffs
+    callbacks = (geo.omega_mat, geo.metric_G, geo.iso_J, geo.tilde_omega)
+    for i, name in enumerate(("Omega", "G", "J", "tOmega")):
+        if geo.constants is not None:
+            out[name] = FourierMap.constant(geo.constants[i], (0,) * cand.d).coeffs
         else:
-            samples[name] = callback(kv)
+            samples[name] = callbacks[i](kv)
     if conserved is not None:
         samples["Dc"] = np.asarray(conserved.Dc(kv))[..., None, :]
         samples["c_map"] = np.asarray(conserved.c(kv))[..., None, None]
@@ -120,9 +118,10 @@ def whole_grid_inverse(f: FourierMap):
 
 
 def scaled_candidate():
-    """The canonical case's candidate under a non-canonical structure."""
+    """The canonical case's candidate under a non-canonical structure that is not
+    flagged constant, so that its matrices are sampled."""
     cand = planar_candidate(system="lagrangian_rotors", epsilon=0.02)[0]
-    geometry = scaled_structure(2)
+    geometry = unflagged(scaled_structure(2))
     return cand.with_updates(system=dataclasses.replace(cand.system, geometry=geometry)), None
 
 
