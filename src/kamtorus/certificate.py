@@ -13,7 +13,7 @@ ratio < 1 certifies a true invariant torus nearby, with closeness bounds
 ||K_inf - K|| < E2 ||E|| / (gamma^2 rho^{2 tau}) and the E3 drift bound.
 
 The arithmetic is plain floating point.  Every global constant is an exact
-bound: the row sums of a constant structure's matrices, the zero rows of a
+bound: the row sums of the structure's constant matrices, the zero rows of a
 system without first integrals, or the closed forms of a term table; a row
 with none of these refuses the certificate.  Every report states that the
 evaluation is not a rigorously rounded enclosure, that norms refer to the
@@ -32,8 +32,7 @@ import numpy as np
 
 from .cohomology import DiophantineParams, russmann_constant
 from .frames import FrameBundle, HypothesisError, TorusCandidate, measure_hypothesis_data
-from .hamiltonian import (ConservedQuantity, GeometricStructure, HamiltonianSystem, TermTable,
-                          _omega0)
+from .hamiltonian import GeometricStructure, HamiltonianSystem, TermTable, _omega0
 from .solver import Iterate, NewtonSchedule, resolve_smallness_scale
 
 REPORT_HEADER = (
@@ -74,12 +73,11 @@ def _sign_patterns(a: int) -> np.ndarray:
 
 
 def _structure_rows(geometry: GeometricStructure) -> dict:
-    """The structure rows of a constant structure, {} for any other: the row
-    sums of |Omega|, |tilde-Omega|, |G| and |J|, the column sums of |J| (J^T),
-    and 0 for every derivative."""
-    if geometry.constants is None:
-        return {}
-    om, g, j, tom = (np.abs(mat) for mat in geometry.constants)
+    """The structure rows: the row sums of |Omega|, |tilde-Omega|, |G| and |J|,
+    the column sums of |J| (J^T), and 0 for every derivative of the constant
+    matrices."""
+    om, g, j, tom = (np.abs(mat) for mat in (geometry.Omega, geometry.G, geometry.J,
+                                              geometry.tOmega))
     derivatives = ("c_Omega_1", "c_tOmega_1", "c_tOmega_2", "c_G_1", "c_G_2", "c_J_1", "c_J_2",
                    "c_JT_1")
     rows = {"c_Omega_0": om.sum(axis=1).max(), "c_tOmega_0": tom.sum(axis=1).max(),
@@ -93,10 +91,10 @@ def _structure_rows(geometry: GeometricStructure) -> dict:
 _ROUND_UP = 1.0 + 64 * np.finfo(np.float64).eps
 
 
-def _table_bounds(sys: HamiltonianSystem, conserved: ConservedQuantity) -> dict:
-    """The callback rows of a term-table system on a constant structure whose
-    Omega is Omega_0 (the table's X_H is built against it), in closed form; {}
-    for any other system.
+def _table_bounds(sys: HamiltonianSystem, conserved) -> dict:
+    """The callback rows of a term-table system whose Omega is Omega_0 (the
+    table's X_H is built against it), in closed form, with the c rows of the
+    selector ``conserved``; {} for any other system.
 
     At Im x = eta, |cos| and |sin| of 2 pi k_j . x are at most
     cosh(2 pi k_j . eta), so entry (a_1 .. a_r) of d^r V is at most
@@ -104,12 +102,12 @@ def _table_bounds(sys: HamiltonianSystem, conserved: ConservedQuantity) -> dict:
     in eta, so its max over the strip |eta_a| <= w is at one of the 2^n corners
     eta = w s; the entry-wise max over s is aggregated into each row as the row
     aggregates the entries of its callback.  A momentum entry is at most
-    |y_center| + y_radius.  The c rows are given for the bundles that
-    :meth:`HamiltonianSystem.conserved` builds (c = H or p_j) and for no other c.
+    |y_center| + y_radius.  c = H has the rows of DH and of the Hessian of H,
+    c = p_j those of the constant row c_j.
     """
-    tab, box, n, geo = sys.table, sys.domain, sys.n, sys.geometry
-    if tab is None or geo.constants is None or box.angle_count != n \
-            or not np.array_equal(geo.constants[0], _omega0(n)):
+    tab, box, n = sys.table, sys.domain, sys.n
+    j = sys.integral_index(conserved)
+    if tab is None or box.angle_count != n or not np.array_equal(sys.geometry.Omega, _omega0(n)):
         return {}
     tp = 2.0 * np.pi
     ak = np.abs(tab.k)
@@ -127,36 +125,41 @@ def _table_bounds(sys: HamiltonianSystem, conserved: ConservedQuantity) -> dict:
         rows.update(c_p_1=c.sum(axis=1).max(), c_pT_1=c.sum(), c_Xp_0=c.sum(axis=0).max(),
                     c_XpT_0=c.sum(axis=1).max(), c_Xp_1=0.0, c_XpT_1=0.0, c_Xp_2=0.0,
                     c_XpT_2=0.0)
-    selector = conserved._selector
-    if selector == "H":
+    if j is None:
         rows.update(c_c_1=rows["c_H_1"], c_c_2=n + dv2.sum())
-    elif selector is not None:
-        rows.update(c_c_1=c[selector[1]].sum(), c_c_2=0.0)
+    else:
+        rows.update(c_c_1=c[j].sum(), c_c_2=0.0)
     return {key: float(value) * _ROUND_UP for key, value in rows.items()}
 
 
 def table_width_limit(table: TermTable) -> float:
     """The widest strip |Im x| <= w on which the closed forms of
-    :func:`_table_bounds` stay finite for amplitudes |v_j| of order one: their
-    largest factor, (2 pi)^3 cosh(2 pi w |k_j|_1) < (2 pi)^3 e^(2 pi w |k_j|_1),
-    is then below the double range."""
+    :func:`_table_bounds` stay finite.
+
+    The largest of them, c_XH_2, is at most
+        (2 pi)^3 sum_j |v_j| |k_j|_1^3 cosh(2 pi w |k_j|_1) <= (2 pi)^3 T v K^3 e^(2 pi w K)
+    with T terms, v = max(1, max_j |v_j|) and K = max_j |k_j|_1 >= 1; the other
+    rows carry lower powers of 2 pi |k_j|_1 >= 2 pi.  The limit is the w at
+    which this bound is half the largest double, which leaves room for the
+    momentum and dimension terms that some rows add and for the round-up.
+    Amplitudes below one count as one, so that cosh itself stays finite at
+    epsilon = 0."""
     k1 = np.abs(table.k).sum(axis=1).max()
-    return float(np.log(np.finfo(np.float64).max / (2.0 * np.pi) ** 3) / (2.0 * np.pi * k1))
+    scale = 2.0 * (2.0 * np.pi) ** 3 * len(table.v) * max(1.0, np.abs(table.v).max()) * k1**3
+    return float(np.log(np.finfo(np.float64).max / scale) / (2.0 * np.pi * k1))
 
 
-def estimate_global_constants(sys: HamiltonianSystem,
-                              conserved: ConservedQuantity | None = None) -> GlobalNormConstants:
-    """Exact bounds of the callback norms over the complexified domain;
-    ``conserved`` defaults to H.
+def estimate_global_constants(sys: HamiltonianSystem, conserved="H") -> GlobalNormConstants:
+    """Exact bounds of the callback norms over the complexified domain, for the
+    target conserved quantity of the selector ``conserved`` ("H" or ("p", j)).
 
-    Each row of _GLOBAL_ROWS comes from one exact source: the matrices of a
-    constant structure (:func:`_structure_rows`; provenance "canonical-exact"
-    for the canonical structure), exact zeros for the p / X_p rows when there
+    Each row of _GLOBAL_ROWS comes from one exact source: the structure
+    matrices (:func:`_structure_rows`; provenance "canonical-exact" for the
+    canonical structure), exact zeros for the p / X_p rows when there
     are no first integrals, or the closed forms of a term-table system
     (:func:`_table_bounds`).  A row with no source, or whose bound is not
     finite, raises a ``ledger`` HypothesisError naming it.
     """
-    conserved = sys.conserved("H") if conserved is None else conserved
     geo = sys.geometry
     sources = ((_structure_rows(geo), "canonical-exact" if geo.is_canonical else "exact"),
                (dict.fromkeys(_INTEGRAL_FIELDS, 0.0) if sys.n_integrals == 0 else {},
@@ -171,8 +174,7 @@ def estimate_global_constants(sys: HamiltonianSystem,
     for name in names:
         if name not in exact:
             raise HypothesisError("ledger", f"global constant {name} has no exact bound: it "
-                                  "needs a constant structure, and a term table on Omega_0 "
-                                  "with c = H or p_j from HamiltonianSystem.conserved")
+                                  "needs a term table on Omega_0")
         values[name], provenance[name] = exact[name]
         if not np.isfinite(values[name]):
             raise HypothesisError("ledger", f"global constant {name} is not finite")

@@ -109,9 +109,11 @@ class RunConfig:
                                   f"got {value!r}")
         if self.rho0 >= self.imag_width:  # the seed's domain margin is imag_width - rho0
             raise ConfigError(f"rho0 must be below imag_width = {self.imag_width}, got {self.rho0}")
-        if self.imag_width > (width := table_width_limit(builtin_table(self.system))):
-            raise ConfigError(f"imag_width must be at most {width!r}, where the certificate's "
-                              f"closed-form bounds stay finite, got {self.imag_width!r}")
+        if self.imag_width > (width := table_width_limit(builtin_table(self.system,
+                                                                      self.epsilon))):
+            raise ConfigError(f"imag_width must be at most {width!r} at epsilon = "
+                              f"{self.epsilon!r}, where the certificate's closed-form bounds "
+                              f"stay finite, got {self.imag_width!r}")
         schedule = NewtonSchedule(a1=self.a1, a2=self.a2, rho0=self.rho0)
         if not 0 < schedule.delta0 < self.rho0 / 3:  # a3 is NaN, infinite or rounds to 3
             raise ConfigError(f"a1 = {self.a1!r} and a2 = {self.a2!r} give the strip schedule "
@@ -267,9 +269,9 @@ def start_run(cfg: RunConfig):
     cand = seed_torus(sys_obj, dio, cfg.bands, cfg.rho0)
     if ray is None:
         return evaluate(cand), _schedule(cfg), None
-    conserved = sys_obj.conserved(_selector(cfg))
-    seed = evaluate(cand, IsoTarget(conserved, 0.0), ray)  # its level error is the seed's level
-    target = IsoTarget(conserved, seed.E_omega + cfg.c0_offset)
+    selector = _selector(cfg)
+    seed = evaluate(cand, IsoTarget(selector, 0.0), ray)  # its level error is the seed's level
+    target = IsoTarget(selector, seed.E_omega + cfg.c0_offset)
     return replace(seed, E_omega=seed.E_omega - target.c0), _schedule(cfg), target
 
 
@@ -400,17 +402,16 @@ def cmd_certify(torus_path: str, cfg_overrides: dict, out_dir: Path) -> int:
     ``cfg_overrides`` is not read; it stays in the signature because the
     benchmark's child process (``perfbench/child.py``) passes it positionally.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     doc = _read_json(torus_path, "torus file")
     cand, cfg, schedule, ray = _candidate_from_doc(doc)
-    conserved = target = None
+    target = None
     if cfg.mode == "iso":
-        conserved = cand.system.conserved(_selector(cfg))
         with _torus_field("c0"):
-            target = IsoTarget(conserved, float(_checked("c0", doc["c0"], _is_real,
-                                                         "a finite number")))
+            target = IsoTarget(_selector(cfg), float(_checked("c0", doc["c0"], _is_real,
+                                                              "a finite number")))
     del doc  # the parsed document is dead once the candidate, c0 and the ray are built
-    globs = estimate_global_constants(cand.system, conserved=conserved)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    globs = estimate_global_constants(cand.system, "H" if target is None else target.conserved)
     it = evaluate(cand, target, ray)
     frames = build_frames(cand, it.kitchen)
     report, ledger = certify(it, frames, schedule, globs, sigma_factor=cfg.sigma_factor)
@@ -427,13 +428,8 @@ def cmd_validate(cfg: RunConfig) -> int:
     inv = verify_involution(sys_obj)
     comm = verify_commutation(sys_obj)
     deriv = check_derivatives(sys_obj)
-    rng_pts = np.random.default_rng(3)
-    pts = np.concatenate(
-        [rng_pts.uniform(0, 1, (30, sys_obj.n)),
-         sys_obj.domain.y_center + 0.5 * rng_pts.uniform(-1, 1, (30, sys_obj.n))], axis=1
-    )
     try:
-        sys_obj.geometry.check_invariants(pts)
+        sys_obj.geometry.check_invariants()
         structure_ok = True
     except StructureError as exc:  # reported, not raised
         structure_ok = False

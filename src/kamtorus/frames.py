@@ -17,7 +17,7 @@ ingredients (compositions with the system callbacks, pointwise inverses) are
 sampled as real arrays on the work grid of ``work_grid`` (the smallest size
 >= 4N+1 per axis with no prime factor above 3), one axis-0 slab at a time
 (:func:`~kamtorus.fourier.slab_analysis`), analysed with real FFTs and
-truncated back, except that the maps of a constant structure are built as
+truncated back, except that the constant structure matrices are built as
 exact one-mode constants.  The products and the rank check of L on the exact
 grid walk their grids in slabs too (:func:`~kamtorus.fourier.slab_samples`),
 so no frame stage holds more than one slab of samples.  ``build_frames``
@@ -36,7 +36,7 @@ import numpy as np
 from .cohomology import DiophantineParams
 from .fourier import (TWO_PI, FourierMap, _k1_box, _next_smooth, assemble_blocks, matmul,
                       slab_analysis, slab_samples)
-from .hamiltonian import ConservedQuantity, HamiltonianSystem
+from .hamiltonian import HamiltonianSystem
 
 RANK_TOL = 1e-8  # L is rank-deficient if a singular value on the grid is at most this
 COND_LIMIT = 1e12  # largest condition accepted for a pointwise inverse or an averaged twist
@@ -202,10 +202,10 @@ class GridKitchen:
 
     One kitchen is built per candidate, where its Iterate is made; ``Dc`` and
     ``c_map`` (the target conserved quantity) are set in iso mode only.  ``L``
-    is the tangent family (DK  X_p o K).  For a constant structure, Omega,
-    G, J and tOmega hold only their k = 0 mode (bands (0,) * d): ``matmul``
-    scales the other factor by a constant operand, so every product and norm
-    is the one of the full-band constant, bit for bit.
+    is the tangent family (DK  X_p o K).  The structure matrices Omega, G, J
+    and tOmega are constant, so they hold only their k = 0 mode (bands (0,) *
+    d): ``matmul`` scales the other factor by a constant operand, so every
+    product and norm is the one of the full-band constant, bit for bit.
     """
 
     cand: TorusCandidate
@@ -220,9 +220,10 @@ class GridKitchen:
     c_map: FourierMap | None = None
 
 
-def grid_kitchen(cand: TorusCandidate, conserved: ConservedQuantity | None = None) -> GridKitchen:
+def grid_kitchen(cand: TorusCandidate, conserved=None) -> GridKitchen:
     """Every composition of K with the system callbacks, sampled and analysed one
-    axis-0 slab of the work grid at a time (:func:`~kamtorus.fourier.slab_analysis`)."""
+    axis-0 slab of the work grid at a time (:func:`~kamtorus.fourier.slab_analysis`);
+    with the selector ``conserved`` ("H" or ("p", j)) also c o K and Dc o K."""
     sys = cand.system
     bands = cand.bands
     grid = work_grid(bands)
@@ -231,22 +232,17 @@ def grid_kitchen(cand: TorusCandidate, conserved: ConservedQuantity | None = Non
     def sample(rows, vals):
         kv = cand._add_angles(vals[0][..., 0], grid, rows)
         out = [sys.XH(kv)[..., :, None], sys.DXH(kv)]
-        if geo.constants is None:
-            out += [callback(kv) for callback in
-                    (geo.omega_mat, geo.metric_G, geo.iso_J, geo.tilde_omega)]
         if sys.n_integrals:
             out.append(sys.Xp(kv))
         if conserved is not None:
-            out += [np.asarray(conserved.Dc(kv))[..., None, :],
-                    np.asarray(conserved.c(kv))[..., None, None]]
+            c, dc = sys.conserved(conserved, kv)
+            out += [np.asarray(dc)[..., None, :], np.asarray(c)[..., None, None]]
         return out
 
     maps = [FourierMap(c, bands) for c in slab_analysis(sample, grid, bands, cand.k_per)]
     xh, dxh = maps.pop(0), maps.pop(0)
-    if geo.constants is not None:  # one mode, no transform
-        om, g, jj, tom = (FourierMap.constant(mat, (0,) * cand.d) for mat in geo.constants)
-    else:
-        om, g, jj, tom = (maps.pop(0) for _ in range(4))
+    om, g, jj, tom = (FourierMap.constant(mat, (0,) * cand.d)  # one mode, no transform
+                      for mat in (geo.Omega, geo.G, geo.J, geo.tOmega))
     xp = maps.pop(0) if sys.n_integrals else FourierMap.zeros(bands, (2 * sys.n, 0))
     dc, c_map = maps if conserved is not None else (None, None)
     return GridKitchen(cand=cand, XH=xh, DXH=dxh, Omega=om, G=g, J=jj, tOmega=tom,
@@ -354,7 +350,7 @@ def _pointwise_inverse(f: FourierMap):
     """Pointwise inverse of a symmetric positive definite map on its work grid.
 
     The Gram matrix L^T (G o K) L is SPD wherever G is positive definite
-    (``GeometricStructure.check_invariants`` samples it) and L has full rank
+    (``GeometricStructure.check_invariants`` checks it) and L has full rank
     (``tangent_frame`` checks it), so Gauss-Jordan elimination needs no
     pivoting.  It runs one axis-0 slab of the grid at a time
     (:func:`~kamtorus.fourier.slab_analysis`), with the matrix axes in front and

@@ -1,11 +1,11 @@
 """Hamiltonian systems with first integrals in involution.
 
 A system bundles analytic callbacks for the Hamiltonian H, its vector field
-X_H = Omega^{-1} (DH)^T, a stack of n-d first integrals p (possibly empty),
-an optional target conserved quantity c, and the geometric structure
-(action a, symplectic matrix Omega, metric G, isomorphism J, and
-tilde-Omega = J^T Omega J).  All callbacks are vectorized over a leading
-batch of phase-space points.
+X_H = Omega^{-1} (DH)^T and a stack of n-d first integrals p (possibly
+empty), with the constant geometric structure (symplectic matrix Omega,
+metric G, isomorphism J, and tilde-Omega = J^T Omega J).  All callbacks are
+vectorized over a leading batch of phase-space points.  A target conserved
+quantity c is named by its selector: "H", or ("p", j) for p_j.
 
 Derivative conventions (batch axes elided):
     H() -> scalar            DH() -> (2n,)           [row gradient]
@@ -13,7 +13,6 @@ Derivative conventions (batch axes elided):
     D2XH() -> (2n, 2n, 2n)   [i,j,k] = d^2 X_i / dz_j dz_k
     p() -> (m,)              Dp() -> (m, 2n)
     Xp() -> (2n, m)          DXp() -> (2n, m, 2n)    D2Xp() -> (2n, m, 2n, 2n)
-    c() -> scalar            Dc() -> (2n,)
 
 Analytic derivatives are mandatory; a finite-difference validator
 cross-checks them but is never used by the solver.
@@ -21,15 +20,14 @@ cross-checks them but is never used by the solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 
 class StructureError(ValueError):
-    """A geometric-structure invariant fails at a sampled point (Omega(z)
-    singular among them)."""
+    """A geometric-structure invariant fails (a singular Omega among them)."""
 
 
 # ---------------------------------------------------------------------------
@@ -39,84 +37,50 @@ class StructureError(ValueError):
 
 @dataclass(frozen=True)
 class GeometricStructure:
-    """Matrix representations of the exact symplectic structure and metric.
+    """The constant matrices of the exact symplectic structure and metric on
+    R^{2n}: Omega, the metric G, the isomorphism J and tilde-Omega = J^T
+    Omega J.  Omega is exact with the action a(z) = -Omega z / 2.
 
     case_tag "III" asserts the compatible (anti-involutive J) case, in which
     the frame coefficient A vanishes identically; "II" is the generic
-    metric-compatible case.  ``constants`` holds the matrices (Omega, G, J,
-    tilde-Omega) of a constant structure: the frames read them as one-mode
+    metric-compatible case.  The frames read the matrices as one-mode
     constants and the certificate bounds them exactly.  Only
-    :func:`constant_structure` sets them; a structure that carries them is
-    checked against its callbacks at a few points on construction.
+    :func:`constant_structure` builds one.
     """
 
-    dim_n: int
-    action_a: Callable
-    omega_mat: Callable
-    metric_G: Callable
-    iso_J: Callable
-    tilde_omega: Callable
+    Omega: np.ndarray
+    G: np.ndarray
+    J: np.ndarray
+    tOmega: np.ndarray
     case_tag: str = "III"
-    constants: tuple | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.constants is None:
-            return
-        n2 = 2 * self.dim_n
-        z = np.linspace(-1.0, 1.0, 3 * n2).reshape(3, n2) + np.arange(3)[:, None]
-        names = ("omega_mat", "metric_G", "iso_J", "tilde_omega")
-        wrong = [name for name, mat in zip(names, self.constants)
-                 if not np.array_equal(getattr(self, name)(z), np.broadcast_to(mat, (3, n2, n2)))]
-        if wrong:
-            raise StructureError(f"structure claims constant matrices but {wrong} differ "
-                                 "from them")
 
     @property
     def is_canonical(self) -> bool:
         """The standard structure: Omega = Omega_0, G = I, J = Omega_0."""
-        omega0 = _omega0(self.dim_n)
-        return self.constants is not None and all(
-            np.array_equal(got, want) for got, want in
-            zip(self.constants, (omega0, np.eye(2 * self.dim_n), omega0, omega0)))
+        omega0 = _omega0(len(self.Omega) // 2)
+        return all(np.array_equal(got, want) for got, want in
+                   zip((self.Omega, self.G, self.J, self.tOmega),
+                       (omega0, np.eye(len(omega0)), omega0, omega0)))
 
-    def check_invariants(self, points: np.ndarray, tol: float = 1e-10, fd_step: float = 1e-6):
-        """Verify Omega^T = -Omega, G^T = G > 0, J^T Omega = G at sample points,
-        exactness Omega = (Da)^T - Da by finite differences, and the Case III
-        compatibility identities when tagged."""
-        z = np.asarray(points, dtype=np.float64)
-        Om = self.omega_mat(z)
-        G = self.metric_G(z)
-        J = self.iso_J(z)
-        tOm = self.tilde_omega(z)
+    def check_invariants(self, tol: float = 1e-10):
+        """Verify Omega^T = -Omega (so Omega is exact), G^T = G > 0, J^T Omega = G,
+        tilde-Omega = J^T Omega J, and the Case III compatibility identities
+        when tagged."""
+        Om, G, J = self.Omega, self.G, self.J
         errs = {
-            "antisymmetry": float(np.max(np.abs(Om + np.swapaxes(Om, -1, -2)))),
-            "metric_symmetry": float(np.max(np.abs(G - np.swapaxes(G, -1, -2)))),
-            "compatibility_JTO_G": float(np.max(np.abs(np.swapaxes(J, -1, -2) @ Om - G))),
-            "tilde_consistency": float(
-                np.max(np.abs(tOm - np.swapaxes(J, -1, -2) @ Om @ J))
-            ),
+            "antisymmetry": float(np.max(np.abs(Om + Om.T))),
+            "metric_symmetry": float(np.max(np.abs(G - G.T))),
+            "compatibility_JTO_G": float(np.max(np.abs(J.T @ Om - G))),
+            "tilde_consistency": float(np.max(np.abs(self.tOmega - J.T @ Om @ J))),
         }
-        eigmin = float(np.min(np.linalg.eigvalsh(G.real)))
+        eigmin = float(np.min(np.linalg.eigvalsh(G)))
         if eigmin <= 0:
             raise StructureError(f"metric not positive definite: min eigenvalue {eigmin}")
-        # exactness by central differences of the action form
-        n2 = 2 * self.dim_n
-        Da = np.empty(z.shape[:-1] + (n2, n2))
-        for j in range(n2):
-            h = np.zeros(n2)
-            h[j] = fd_step
-            Da[..., :, j] = (self.action_a(z + h) - self.action_a(z - h)).real / (2 * fd_step)
-        errs["exactness"] = float(np.max(np.abs(np.swapaxes(Da, -1, -2) - Da - Om)))
         if self.case_tag == "III":
-            eye = np.eye(n2)
-            errs["J_anti_involutive"] = float(np.max(np.abs(J @ J + eye)))
-            errs["omega_J_invariant"] = float(
-                np.max(np.abs(np.swapaxes(J, -1, -2) @ Om @ J - Om))
-            )
-            errs["metric_J_invariant"] = float(
-                np.max(np.abs(np.swapaxes(J, -1, -2) @ G @ J - G))
-            )
-        bad = {k: v for k, v in errs.items() if v > (1e-8 if k == "exactness" else tol)}
+            errs["J_anti_involutive"] = float(np.max(np.abs(J @ J + np.eye(len(J)))))
+            errs["omega_J_invariant"] = float(np.max(np.abs(J.T @ Om @ J - Om)))
+            errs["metric_J_invariant"] = float(np.max(np.abs(J.T @ G @ J - G)))
+        bad = {k: v for k, v in errs.items() if v > tol}
         if bad:
             raise StructureError(f"structure invariants violated: {bad}")
         return errs
@@ -127,31 +91,18 @@ def _omega0(n: int) -> np.ndarray:
     return np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
 
 
-def constant_structure(n: int, omega: np.ndarray, G: np.ndarray, J: np.ndarray,
+def constant_structure(omega: np.ndarray, G: np.ndarray, J: np.ndarray,
                        case_tag: str) -> GeometricStructure:
     """The structure with the constant matrices Omega, G, J and
-    tilde-Omega = J^T Omega J on R^{2n}, and the action a(z) = -Omega z / 2
-    (so that (Da)^T - Da = Omega)."""
-    mats = tuple(np.array(m, dtype=np.float64) for m in (omega, G, J))
-    mats += (mats[2].T @ mats[0] @ mats[2],)
-
-    def _bcast(mat):
-        def cb(z):
-            z = np.asarray(z)
-            return np.broadcast_to(mat, z.shape[:-1] + mat.shape).copy()
-
-        return cb
-
-    def action(z):
-        return -0.5 * np.asarray(z) @ mats[0].T
-
-    return GeometricStructure(n, action, *map(_bcast, mats), case_tag=case_tag, constants=mats)
+    tilde-Omega = J^T Omega J."""
+    om, g, j = (np.array(m, dtype=np.float64) for m in (omega, G, J))
+    return GeometricStructure(om, g, j, j.T @ om @ j, case_tag)
 
 
 def canonical_structure(n: int) -> GeometricStructure:
     """Standard structure on R^{2n}: Omega = Omega_0, G = I, J = Omega_0 (Case III)."""
     omega0 = _omega0(n)
-    return constant_structure(n, omega0, np.eye(2 * n), omega0, "III")
+    return constant_structure(omega0, np.eye(2 * n), omega0, "III")
 
 
 # ---------------------------------------------------------------------------
@@ -186,31 +137,6 @@ class DomainBox:
             raise ValueError("y_center must cover the non-periodic coordinates")
         if self.y_radius <= 0 or self.imag_width <= 0:
             raise ValueError("radii must be positive")
-
-
-# ---------------------------------------------------------------------------
-# conserved quantity bundle
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConservedQuantity:
-    """Target conserved quantity c with its derivative.
-
-    ``_selector`` is "H" or ("p", j) on a bundle that
-    :meth:`HamiltonianSystem.conserved` built from the system's own callbacks,
-    and None on any other: a caller cannot set it, and ``replace`` drops it.
-    """
-
-    name: str
-    c: Callable
-    Dc: Callable
-    _selector: object = field(default=None, init=False, repr=False, compare=False)
-
-
-def _selected(quantity: ConservedQuantity, selector) -> ConservedQuantity:
-    object.__setattr__(quantity, "_selector", selector)
-    return quantity
 
 
 # ---------------------------------------------------------------------------
@@ -251,23 +177,25 @@ class HamiltonianSystem:
         """Torus dimension n - (number of first integrals)."""
         return self.n - self.n_integrals
 
-    def conserved(self, selector="H") -> ConservedQuantity:
-        """Select the target conserved quantity: "H" or ("p", j)."""
+    def integral_index(self, selector) -> int | None:
+        """None for the target conserved quantity c = H (selector "H"), j for
+        c = p_j (selector ("p", j)); ValueError for any other selector."""
         if selector == "H":
-            return _selected(ConservedQuantity("H", self.H, self.DH), "H")
+            return None
         if isinstance(selector, (tuple, list)) and selector[0] == "p":
             j = int(selector[1])
             if not 0 <= j < self.n_integrals:
                 raise ValueError(f"no first integral with index {j}")
-
-            def c(z):
-                return self.p(z)[..., j]
-
-            def Dc(z):
-                return self.Dp(z)[..., j, :]
-
-            return _selected(ConservedQuantity(f"p{j}", c, Dc), ("p", j))
+            return j
         raise ValueError(f"unknown conserved-quantity selector {selector!r}")
+
+    def conserved(self, selector, z):
+        """(c(z), Dc(z)) of the target conserved quantity of ``selector``: H and
+        DH, or p_j and Dp_j, column j of p and Dp."""
+        j = self.integral_index(selector)
+        if j is None:
+            return self.H(z), self.DH(z)
+        return self.p(z)[..., j], self.Dp(z)[..., j, :]
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +203,14 @@ class HamiltonianSystem:
 # ---------------------------------------------------------------------------
 
 
-def poisson_bracket(Df: Callable, Dg: Callable, omega_mat: Callable, z) -> np.ndarray:
-    """{f, g}(z) = Df(z) Omega(z)^{-1} (Dg(z))^T."""
+def poisson_bracket(Df: Callable, Dg: Callable, omega: np.ndarray, z) -> np.ndarray:
+    """{f, g}(z) = Df(z) Omega^{-1} (Dg(z))^T for the constant matrix Omega."""
     z = np.asarray(z)
-    Om = omega_mat(z)
     dg = np.asarray(Dg(z))
     df = np.asarray(Df(z))
-    if abs(np.linalg.det(Om.reshape(-1, *Om.shape[-2:])[0])) < 1e-300:
-        raise StructureError("Omega(z) is singular")
-    sol = np.linalg.solve(Om, dg[..., :, None])[..., 0]
+    if abs(np.linalg.det(omega)) < 1e-300:
+        raise StructureError("Omega is singular")
+    sol = np.linalg.solve(omega, dg[..., :, None])[..., 0]
     return np.einsum("...i,...i->...", df, sol)
 
 
@@ -319,7 +246,7 @@ def verify_involution(sys: HamiltonianSystem, sample_count: int = 200, seed: int
     worst = 0.0
     details = {}
     for j in range(m):
-        br = poisson_bracket(sys.DH, lambda w, j=j: sys.Dp(w)[..., j, :], sys.geometry.omega_mat, z)
+        br = poisson_bracket(sys.DH, lambda w, j=j: sys.Dp(w)[..., j, :], sys.geometry.Omega, z)
         details[f"{{H,p{j}}}"] = float(np.max(np.abs(br)))
         worst = max(worst, details[f"{{H,p{j}}}"])
     for i in range(m):
@@ -327,7 +254,7 @@ def verify_involution(sys: HamiltonianSystem, sample_count: int = 200, seed: int
             br = poisson_bracket(
                 lambda w, i=i: sys.Dp(w)[..., i, :],
                 lambda w, j=j: sys.Dp(w)[..., j, :],
-                sys.geometry.omega_mat,
+                sys.geometry.Omega,
                 z,
             )
             details[f"{{p{i},p{j}}}"] = float(np.max(np.abs(br)))

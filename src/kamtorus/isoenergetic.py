@@ -28,7 +28,6 @@ from .fourier import FourierMap
 from .fourier import matmul  # noqa: F401
 from .frames import (FrameBundle, HypothesisError, TorusCandidate, grid_kitchen,
                      invariance_error)
-from .hamiltonian import ConservedQuantity
 from .solver import (
     Iterate,
     NewtonSchedule,
@@ -75,8 +74,9 @@ class FrequencyRay:
         return FrequencyRay(self.omega_star, self.sigma_omega, new_scale)
 
 
-def total_error(cand: TorusCandidate, conserved: ConservedQuantity, c0: float) -> Iterate:
-    """The invariance error E paired with the level error E^omega = <c o K> - c0."""
+def total_error(cand: TorusCandidate, conserved, c0: float) -> Iterate:
+    """The invariance error E paired with the level error E^omega = <c o K> - c0
+    of the conserved quantity with the selector ``conserved`` ("H" or ("p", j))."""
     kitchen = grid_kitchen(cand, conserved)
     return Iterate(cand, kitchen, invariance_error(cand, kitchen),
                    float(kitchen.c_map.average().real[0, 0]) - c0)
@@ -101,9 +101,10 @@ def solve_triangular_iso(eta_L: FourierMap, eta_N: FourierMap, eta_omega: float,
 
 @dataclass(frozen=True)
 class IsoTarget:
-    """The level <c o K> = c0 that iso mode steers the torus onto."""
+    """The level <c o K> = c0 that iso mode steers the torus onto; ``conserved``
+    is the selector of c: "H", or ("p", j) for p_j."""
 
-    conserved: ConservedQuantity
+    conserved: str | tuple
     c0: float
 
     def evaluate(self, cand: TorusCandidate, ray: FrequencyRay) -> Iterate:

@@ -50,12 +50,7 @@ SLOPE_CAP = 1e-1  # contraction pairs start below this error (the asymptotic reg
 
 @dataclass(frozen=True)
 class NewtonSchedule:
-    """Strip-shrinking schedule and stopping policy of the iteration.
-
-    ``band_refinement`` enables the optional tail policy: when the outer-half
-    modes carry more than ``tail_threshold`` of ||E||, the bands double before
-    the next step (the event is reported in the log).
-    """
+    """Strip-shrinking schedule and stopping policy of the iteration."""
 
     a1: float = 2.0
     a2: float = 2.0
@@ -63,8 +58,6 @@ class NewtonSchedule:
     max_iters: int = 20
     stop_tol: float = 1e-12
     rho0: float = 0.1
-    band_refinement: bool = False
-    tail_threshold: float = 0.1
 
     def __post_init__(self):
         if self.a1 <= 1 or self.a2 <= 1:
@@ -367,11 +360,6 @@ def iterate_newton(it: Iterate, schedule: NewtonSchedule, target: IsoTarget | No
         log.append(rec)
         if err <= schedule.stop_tol:
             return SolveResult(True, f"converged in {s} steps", it, log)
-        if schedule.band_refinement and rec["tail_fraction"] > schedule.tail_threshold:
-            new_bands = tuple(2 * n for n in it.cand.bands)
-            padded = it.cand.k_per.pad_bands(new_bands)
-            it = evaluate(it.cand.with_updates(k_per=padded), target, it.ray)
-            rec["band_refined_to"] = list(new_bands)
         if prev_err is not None:
             increases = increases + 1 if err > prev_err else 0
             if increases >= 2:

@@ -1,9 +1,7 @@
 """Shared fixtures and helpers: golden-frequency Diophantine data, seeds of a
-config and their DK, a constant non-canonical structure and its unflagged
-copy, zeroed integral constants, and the test-side Fourier helpers (random
-maps, direct summation, JSON text)."""
+config and their DK, a non-canonical structure, zeroed integral constants, and
+the test-side Fourier helpers (random maps, direct summation, JSON text)."""
 
-import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -39,16 +37,10 @@ def golden_dio(golden_omega):
 
 
 def scaled_structure(n):
-    """Omega = Omega_0, G = 2I, J = 2 Omega_0, tilde-Omega = 4 Omega_0: constant,
-    case II, not canonical."""
-    omega0 = canonical_structure(n).constants[0]
-    return constant_structure(n, omega0, 2.0 * np.eye(2 * n), 2.0 * omega0, "II")
-
-
-def unflagged(geometry):
-    """The same callbacks with no constant matrices: a structure the frames sample
-    and the certificate cannot bound."""
-    return dataclasses.replace(geometry, constants=None)
+    """Omega = Omega_0, G = 2I, J = 2 Omega_0, tilde-Omega = 4 Omega_0: case II,
+    not canonical."""
+    omega0 = canonical_structure(n).Omega
+    return constant_structure(omega0, 2.0 * np.eye(2 * n), 2.0 * omega0, "II")
 
 
 def with_zero_integrals(globs: GlobalNormConstants) -> GlobalNormConstants:

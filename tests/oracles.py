@@ -350,6 +350,11 @@ def _partials(f, dim: int, h: float = 1e-5) -> tuple:
     return tuple((lambda z, e=e: (f(z + e) - f(z - e)) / (2 * h)) for e in h * np.eye(dim))
 
 
+def _constant_callback(mat: np.ndarray):
+    """The callback that returns the constant matrix ``mat`` at every point."""
+    return lambda z: np.broadcast_to(mat, z.shape[:-1] + mat.shape)
+
+
 def _max_sum(axes):
     """The reduction of an entry-wise sup to a row: the largest sum over ``axes``."""
     return lambda s: s.sum(axis=axes).max()
@@ -360,12 +365,13 @@ def lattice_rows(sys: HamiltonianSystem, selector="H", z: np.ndarray | None = No
     """Every global row as the margin-free maximum over the points ``z``
     (default :func:`domain_points`) of its callback's entry-wise |.|, reduced
     as the row reduces it; c is H or ("p", j), whose Hessian is Omega DX_H or
-    Omega DX_{p_j}.  Each callback is swept once, however many rows reduce its
-    sup.  The p / X_p rows of a system without first integrals are 0.  A row
-    that is not finite raises a ValueError naming it."""
+    Omega DX_{p_j}.  The structure matrices are swept as callbacks that return
+    them at every point.  Each callback is swept once, however many rows
+    reduce its sup.  The p / X_p rows of a system without first integrals are
+    0.  A row that is not finite raises a ValueError naming it."""
     z = domain_points(sys) if z is None else z
     geo = sys.geometry
-    om = geo.omega_mat
+    om, tom, g, jj = (_constant_callback(mat) for mat in (geo.Omega, geo.tOmega, geo.G, geo.J))
     if selector == "H":
         dc, d2c = sys.DH, lambda w: om(w) @ sys.DXH(w)
     else:
@@ -376,20 +382,20 @@ def lattice_rows(sys: HamiltonianSystem, selector="H", z: np.ndarray | None = No
     def d(f):
         return _partials(f, n2)
 
-    d_tom, d_g, d_j = (d(f) for f in (geo.tilde_omega, geo.metric_G, geo.iso_J))
+    d_tom, d_g, d_j = (d(f) for f in (tom, g, jj))
 
     def total(s):
         return s.sum()
 
     rows = {  # Dp is (m, 2n) and Xp (2n, m)
         "c_Omega_0": (om, _max_sum(1)), "c_Omega_1": (d(om), _max_sum((1, 2))),
-        "c_tOmega_0": (geo.tilde_omega, _max_sum(1)), "c_tOmega_1": (d_tom, _max_sum((1, 2))),
+        "c_tOmega_0": (tom, _max_sum(1)), "c_tOmega_1": (d_tom, _max_sum((1, 2))),
         "c_tOmega_2": (d(d_tom), _max_sum((1, 2, 3))),
-        "c_G_0": (geo.metric_G, _max_sum(1)), "c_G_1": (d_g, _max_sum((1, 2))),
+        "c_G_0": (g, _max_sum(1)), "c_G_1": (d_g, _max_sum((1, 2))),
         "c_G_2": (d(d_g), _max_sum((1, 2, 3))),
-        "c_J_0": (geo.iso_J, _max_sum(1)), "c_J_1": (d_j, _max_sum((1, 2))),
+        "c_J_0": (jj, _max_sum(1)), "c_J_1": (d_j, _max_sum((1, 2))),
         "c_J_2": (d(d_j), _max_sum((1, 2, 3))),
-        "c_JT_0": (geo.iso_J, _max_sum(0)), "c_JT_1": (d_j, _max_sum((0, 2))),
+        "c_JT_0": (jj, _max_sum(0)), "c_JT_1": (d_j, _max_sum((0, 2))),
         "c_H_1": (sys.DH, total), "c_XH_0": (sys.XH, lambda s: s.max()),
         "c_XH_1": (sys.DXH, _max_sum(1)), "c_XHT_1": (sys.DXH, total),
         "c_XH_2": (sys.D2XH, _max_sum((1, 2))),

@@ -148,20 +148,20 @@ def test_criterion_5_isoenergetic_targeting(selector):
     seed, sched, level = seed_run(
         system="symmetric_rotors", mode="iso", conserved="H" if selector == "H" else "p:0",
         epsilon=0.01, bands=[16, 16], rho0=0.03, c0_offset=1e-3, max_iters=10)
-    conserved, c0 = level.conserved, level.c0
+    c0 = level.c0
     res = iterate_newton(seed, sched, level)
     final = res.iterate.cand
     level_err = abs((c0 + res.iterate.E_omega) - c0)
     margin = res.iterate.ray.boundary_margin()
     fr = build_frames(final, res.iterate.kitchen)
     n, d = final.system.n, final.d
-    if conserved.name == "H":
+    if selector == "H":
         target = np.concatenate([final.omega, np.zeros(n - d)])
     else:
         target = np.eye(n)[d + 0]
     row_err = fr.Tdown.add_constant(-target[None, :]).norm(0.0).value
     ok = (res.converged and level_err <= 1e-11 and margin > 0 and row_err <= 1e-8)
-    announce(5, ok, f"c={conserved.name}: |<c o K>-c0| = {level_err:.2e}, "
+    announce(5, ok, f"c={selector}: |<c o K>-c0| = {level_err:.2e}, "
                     f"ray margin {margin:.3f}, bottom row {row_err:.2e}")
 
 
@@ -185,9 +185,8 @@ def test_criterion_6_lemma_bound_soundness():
                                decay=1.5, scale=10.0 ** rng.uniform(-7, -5))
             candidates.append(anchor.with_updates(k_per=anchor.k_per + noise))
     for cand in candidates:
-        conserved = cand.system.conserved("H")
-        globs = estimate_global_constants(cand.system, conserved=conserved)
-        kk = grid_kitchen(cand, conserved)
+        globs = estimate_global_constants(cand.system, "H")
+        kk = grid_kitchen(cand, "H")
         it = Iterate(cand, kk, invariance_error(cand, kk))
         fr = build_frames(cand, kk)
         delta = cand.rho / 4.0

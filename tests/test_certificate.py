@@ -21,7 +21,7 @@ from kamtorus.certificate import (
 )
 from kamtorus.cohomology import DiophantineParams
 from kamtorus.frames import HypothesisError, build_frames, measure_hypothesis_data
-from kamtorus.hamiltonian import ConservedQuantity, builtin_system
+from kamtorus.hamiltonian import builtin_system
 from kamtorus.solver import NewtonSchedule, evaluate, iterate_newton
 
 from conftest import GOLDEN, scaled_structure, seed_run, with_zero_integrals
@@ -118,8 +118,7 @@ def golden_globals() -> dict:
     """Every global constant (as float.hex) and its provenance, per fixture system."""
     out = {}
     for name, (sys_obj, selector) in golden_global_systems().items():
-        conserved = None if selector is None else sys_obj.conserved(selector)
-        g = estimate_global_constants(sys_obj, conserved=conserved)
+        g = estimate_global_constants(sys_obj, selector or "H")
         out[name] = {"values": {k: float(v).hex() for k, v in g.values.items()},
                      "provenance": g.provenance}
     return out
@@ -246,8 +245,7 @@ def test_exact_constants_dominate_lattice_and_corners(name, selector):
     of the table (a sum of per-term suprema reads 1.8x for symmetric_rotors),
     and the structure rows and the zero rows are the sup itself."""
     sys_obj = golden_global_systems()[name][0]
-    conserved = None if selector is None else sys_obj.conserved(selector)
-    exact = estimate_global_constants(sys_obj, conserved=conserved)
+    exact = estimate_global_constants(sys_obj, selector or "H")
     rows = CALLBACK_ROWS | (INTEGRAL_ROWS if sys_obj.n_integrals else set())
     rows |= set() if sys_obj.geometry.is_canonical else STRUCTURE_ROWS
     assert {k for k, v in exact.provenance.items() if v == "exact"} == rows
@@ -261,16 +259,14 @@ def test_exact_constants_dominate_lattice_and_corners(name, selector):
             assert value == seen[key], key
 
 
-def test_caller_built_quantity_is_refused():
-    """Only the bundles that conserved() builds get the closed-form c rows: one
-    a caller builds, or copies with replace, has no exact c_c_1."""
+@pytest.mark.parametrize("selector", ["p", ("p", 1), ("q", 0), None],
+                         ids=["bare-p", "p-out-of-range", "unknown-name", "none"])
+def test_unknown_selector_is_refused(selector):
+    """The certificate bounds c = H and c = p_j only: any other selector, or a
+    first integral the system does not have, is refused."""
     sys_obj = golden_global_systems()["symmetric_rotors-0.01"][0]
-    built = sys_obj.conserved("H")
-    for quantity in (ConservedQuantity("H", built.c, built.Dc), dataclasses.replace(built)):
-        with pytest.raises(HypothesisError, match="global constant c_c_1 has no exact bound") \
-                as info:
-            estimate_global_constants(sys_obj, conserved=quantity)
-        assert info.value.hypothesis == "ledger"
+    with pytest.raises(ValueError, match="selector|no first integral"):
+        estimate_global_constants(sys_obj, selector)
 
 
 @pytest.mark.parametrize("table", [True, False], ids=["exact", "sampled"])

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
 import json
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -90,6 +91,30 @@ def test_plotdata_shapes(tmp_path):
 def test_validate_exit_zero(tmp_path):
     cfg = write_config(tmp_path, epsilon=0.02)
     assert main(["validate", "--config", str(cfg)]) == 0
+
+
+VALIDATE_STDOUT = {
+    "lagrangian_rotors": (
+        "involution: pass (max bracket 0.000e+00)\n"
+        "commutation: pass (max residual 0.000e+00)\n"
+        "derivative cross-check: pass ({'DH': 1.5130381215668314e-10, "
+        "'DXH': 5.221912508130715e-11, 'D2XH': 2.824675379418411e-11})\n"),
+    "symmetric_rotors": (
+        "involution: pass (max bracket 0.000e+00)\n"
+        "commutation: pass (max residual 0.000e+00)\n"
+        "derivative cross-check: pass ({'DH': 1.3093269909742807e-10, "
+        "'DXH': 5.637738573668227e-11, 'D2XH': 7.547364702689556e-11, "
+        "'Dp': 3.043112428287997e-10, 'DXp': 0.0, 'D2Xp': 0.0})\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_STDOUT))
+def test_validate_stdout_is_pinned(tmp_path, capsys, name):
+    """validate prints these bytes for both registered systems at epsilon 0.02."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"system": name, "epsilon": 0.02}))
+    assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == VALIDATE_STDOUT[name]
 
 
 def test_solve_deterministic_outputs(tmp_path):
@@ -273,6 +298,10 @@ def test_iso_solve_via_cli(tmp_path):
      "rho0 = 0.95 and bands = [64, 64]"),
     # cosh(2 pi w |k_j|_1) in the closed-form global constants overflows
     ({"imag_width": 300, "rho0": 0.5}, "imag_width must be at most"),
+    # at epsilon = 1 the amplitudes narrow the strip: this width passed at unit
+    # amplitudes, solved, and then overflowed c_XH_2 in certify
+    ({"system": "lagrangian_rotors", "epsilon": 1.0, "imag_width": 56.04},
+     "imag_width must be at most 55.76815830901658 at epsilon = 1.0"),
 ])
 def test_malformed_config_exit_two_names_field(tmp_path, capsys, override, field):
     cfg = write_config(tmp_path, **override)
@@ -296,7 +325,7 @@ def test_schedule_outside_the_strip_exit_two(tmp_path, capsys, a1, a3, command):
         torus["config"].update(a1=a1, a2=a1)
         (tmp_path / "torus.json").write_text(json.dumps(torus))
         code = main(["certify", str(tmp_path / "torus.json"), "--out", str(tmp_path / "x")])
-    assert code == 2
+    assert code == 2 and not (tmp_path / "x").exists()
     err = capsys.readouterr().err
     assert f"a1 = {a1!r} and a2 = {a1!r} give the strip schedule a3 = {a3}" in err
 
@@ -304,19 +333,22 @@ def test_schedule_outside_the_strip_exit_two(tmp_path, capsys, a1, a3, command):
 @pytest.mark.parametrize("name", ["lagrangian_rotors", "symmetric_rotors"])
 def test_widest_accepted_strip_keeps_the_global_constants_finite(name):
     """imag_width is accepted up to the width where the closed-form global
-    constants stay finite, and at that width they are finite with no floating
-    point warning; one ulp wider is refused naming imag_width."""
-    width = table_width_limit(builtin_table(name))
-    with pytest.raises(ConfigError, match="imag_width must be at most"):
-        RunConfig.from_dict({"system": name, "imag_width": float(np.nextafter(width, 1e3))})
-    cfg = RunConfig.from_dict({"system": name, "imag_width": width})
-    system = cli._system(cfg, np.asarray(cfg.omega))
-    selectors = ["H"] + [("p", j) for j in range(system.n_integrals)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for selector in selectors:
-            g = estimate_global_constants(system, conserved=system.conserved(selector))
-            assert all(np.isfinite(v) for v in g.values.values())
+    constants stay finite at the config's epsilon, and at that width they are
+    finite with no floating point warning, at epsilon 1 and 10 as at the
+    default; one ulp wider is refused naming imag_width and epsilon."""
+    for epsilon in (RunConfig.epsilon, 1.0, 10.0):
+        width = table_width_limit(builtin_table(name, epsilon))
+        with pytest.raises(ConfigError, match=re.escape(f"at most {width!r} at epsilon = "
+                                                        f"{epsilon!r}")):
+            RunConfig.from_dict({"system": name, "epsilon": epsilon,
+                                 "imag_width": float(np.nextafter(width, 1e3))})
+        cfg = RunConfig.from_dict({"system": name, "epsilon": epsilon, "imag_width": width})
+        system = cli._system(cfg, np.asarray(cfg.omega))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for selector in ["H"] + [("p", j) for j in range(system.n_integrals)]:
+                g = estimate_global_constants(system, selector)
+                assert all(np.isfinite(v) for v in g.values.values())
 
 
 @pytest.mark.parametrize("overrides, step", [
@@ -491,9 +523,9 @@ def test_certify_malformed_torus_exit_two_names_field(tmp_path, capsys, solved_t
     spoil(doc)
     torus = tmp_path / "torus.json"
     torus.write_text(json.dumps(doc))
-    assert main(["certify", str(torus), "--out", str(tmp_path)]) == 2
+    assert main(["certify", str(torus), "--out", str(tmp_path / "out")]) == 2
     assert f"torus file field '{field}'" in capsys.readouterr().err
-    assert not (tmp_path / "certificate.json").exists()
+    assert not (tmp_path / "out").exists()  # refused before --out is created
 
 
 def solve_and_certify(tmp_path, **overrides) -> int:
@@ -710,13 +742,10 @@ def test_solve_and_certify_build_no_error_map(tmp_path, monkeypatch, overrides):
 
     doc = json.loads((out / "torus.json").read_text())
     cand, cfg, schedule, ray = _candidate_from_doc(doc)
-    conserved = target = None
-    if cfg.mode == "iso":
-        conserved = cand.system.conserved(_selector(cfg))
-        target = IsoTarget(conserved, doc["c0"])
+    target = None if cfg.mode == "ordinary" else IsoTarget(_selector(cfg), doc["c0"])
     it = evaluate(cand, target, ray)
     pairs = soundness_report(it, frames.build_frames(cand, it.kitchen),
-                             estimate_global_constants(cand.system, conserved=conserved),
+                             estimate_global_constants(cand.system, _selector(cfg)),
                              cand.rho / 4, schedule)
     assert {"OmegaK", "Elag", "Esym", "Ered"} <= {name for name, _, _ in pairs}
     assert sorted(calls) == ["isotropy_errors", "reducibility_error", "symplecticity_error"]

@@ -365,11 +365,10 @@ def test_geometric_identity_at_random_points(perturbed_candidate_a):
     """D Omega[X_H] + (D X_H)^T Omega + Omega D X_H = 0 via the callbacks; the
     structure is constant, so D Omega = 0."""
     sys_obj = perturbed_candidate_a.system
-    assert sys_obj.geometry.constants is not None
     rng = np.random.default_rng(23)
     z = rng.uniform(-1, 1, size=(100, 4))
     dxh = sys_obj.DXH(z)
-    om = sys_obj.geometry.omega_mat(z)
+    om = sys_obj.geometry.Omega
     total = np.swapaxes(dxh, -1, -2) @ om + om @ dxh
     assert np.max(np.abs(total)) <= 1e-8
 
@@ -379,7 +378,7 @@ def test_geometric_identity_at_random_points(perturbed_candidate_a):
 
 def test_extended_torsion_free_rotor_determinant():
     cand = free_rotor_candidate()
-    kk = grid_kitchen(cand, cand.system.conserved("H"))
+    kk = grid_kitchen(cand, "H")
     L = tangent_frame(cand, kk)
     _, _, _, N, _ = normal_frame(cand, L, kk)
     scale = _twist_scale(cand, N, kk)
@@ -394,8 +393,7 @@ def test_extended_torsion_bottom_row_limits(exact_torus_b):
     cand = exact_torus_b
     for sel, expected in (("H", np.array([1.0, GOLDEN, 0.0])),
                           (("p", 0), np.array([0.0, 0.0, 1.0]))):
-        conserved = cand.system.conserved(sel)
-        kk = grid_kitchen(cand, conserved)
+        kk = grid_kitchen(cand, sel)
         fr = build_frames(cand, kk)
         bottom = fr.avgTc[-1, :-1]
         assert np.allclose(bottom, expected, atol=1e-10)
@@ -505,8 +503,7 @@ def test_conserved_shadowing_inequality(exact_torus_b):
         system=builtin_system("symmetric_rotors", epsilon=0.01,
                               y_center=[1.0, GOLDEN, 0.0], y_radius=0.5, imag_width=0.2)
     )
-    conserved = cand.system.conserved("H")
-    kk = grid_kitchen(cand, conserved)
+    kk = grid_kitchen(cand, "H")
     E = invariance_error(cand, kk)
     rho = cand.rho
     delta = rho / 4
@@ -514,7 +511,7 @@ def test_conserved_shadowing_inequality(exact_torus_b):
     measured = c_map.norm(rho - delta).value
     from kamtorus.certificate import estimate_global_constants
 
-    globs = estimate_global_constants(cand.system, conserved=conserved)
+    globs = estimate_global_constants(cand.system, "H")
     c_r = russmann_constant(cand.dio.tau, delta)
     bound = c_r * globs.values["c_c_1"] / (cand.dio.gamma * delta**cand.dio.tau) * E.norm(rho).value
     assert measured <= bound + 1e-9

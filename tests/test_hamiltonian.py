@@ -7,7 +7,7 @@ import pytest
 
 from kamtorus.certificate import estimate_global_constants
 from kamtorus.fourier import FourierMap
-from kamtorus.frames import HypothesisError, grid_kitchen
+from kamtorus.frames import grid_kitchen
 from kamtorus.hamiltonian import (
     _BUILTIN_TERMS,
     DomainBox,
@@ -17,12 +17,13 @@ from kamtorus.hamiltonian import (
     builtin_system,
     canonical_structure,
     check_derivatives,
+    constant_structure,
     poisson_bracket,
     verify_commutation,
     verify_involution,
 )
 
-from conftest import scaled_structure, seed_run, unflagged
+from conftest import scaled_structure, seed_run
 from oracles import contains_margin
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -55,7 +56,7 @@ def test_poisson_canonical_pair():
         out[..., 2] = 1.0
         return out
 
-    val = poisson_bracket(Dg, Df, sys_obj.geometry.omega_mat, z)
+    val = poisson_bracket(Dg, Df, sys_obj.geometry.Omega, z)
     assert abs(val[0] - 1.0) < 1e-14
 
 
@@ -63,7 +64,7 @@ def test_poisson_antisymmetry_self():
     sys_obj = system_a(0.05)
     rng = np.random.default_rng(5)
     z = rng.uniform(-1, 1, size=(20, 4))
-    val = poisson_bracket(sys_obj.DH, sys_obj.DH, sys_obj.geometry.omega_mat, z)
+    val = poisson_bracket(sys_obj.DH, sys_obj.DH, sys_obj.geometry.Omega, z)
     assert np.max(np.abs(val)) < 1e-14
 
 
@@ -72,7 +73,7 @@ def test_poisson_H_p_vanishes_on_system_b():
     rng = np.random.default_rng(6)
     z = rng.uniform(-1.5, 1.5, size=(50, 6))
     val = poisson_bracket(sys_obj.DH, lambda w: sys_obj.Dp(w)[..., 0, :],
-                          sys_obj.geometry.omega_mat, z)
+                          sys_obj.geometry.Omega, z)
     assert np.max(np.abs(val)) < 1e-12
 
 
@@ -222,12 +223,19 @@ def test_derivative_cross_checks():
 
 
 def test_structure_invariants_sampled():
-    rng = np.random.default_rng(2)
     for sys_obj in (system_a(0.01), system_b(0.01)):
-        pts = rng.uniform(-1, 1, size=(200, 2 * sys_obj.n))
-        errs = sys_obj.geometry.check_invariants(pts)
-        assert max(v for k, v in errs.items() if k != "exactness") <= 1e-10
-        assert errs["exactness"] <= 1e-8
+        errs = sys_obj.geometry.check_invariants()
+        assert max(errs.values()) <= 1e-10
+
+
+def test_structure_invariants_refuse_a_false_claim():
+    """A Case III tag on a J that is not anti-involutive, and a metric that is
+    not positive definite, are refused by name."""
+    geo = scaled_structure(2)
+    with pytest.raises(StructureError, match="J_anti_involutive"):
+        dataclasses.replace(geo, case_tag="III").check_invariants()
+    with pytest.raises(StructureError, match="not positive definite"):
+        constant_structure(geo.Omega, -geo.G, -geo.J, "II").check_invariants()
 
 
 def test_domain_box_margin():
@@ -266,34 +274,32 @@ def test_energy_drift_small_along_rk4(make):
 def test_conserved_selector():
     sys_obj = system_b(0.04)
     z = np.random.default_rng(8).uniform(-1, 1, size=(10, 6))
-    cH = sys_obj.conserved("H")
-    assert np.max(np.abs(cH.c(z) - sys_obj.H(z))) == 0.0
-    cp = sys_obj.conserved(("p", 0))
-    assert np.max(np.abs(cp.c(z) - (z[..., 4] + z[..., 5]))) == 0.0
-    assert np.max(np.abs(cp.Dc(z) - sys_obj.Dp(z)[..., 0, :])) == 0.0
+    c, dc = sys_obj.conserved("H", z)
+    assert np.array_equal(c, sys_obj.H(z)) and np.array_equal(dc, sys_obj.DH(z))
+    c, dc = sys_obj.conserved(("p", 0), z)
+    assert np.max(np.abs(c - (z[..., 4] + z[..., 5]))) == 0.0
+    assert np.max(np.abs(dc - sys_obj.Dp(z)[..., 0, :])) == 0.0
     with pytest.raises(ValueError):
-        sys_obj.conserved(("p", 5))
+        sys_obj.conserved(("p", 5), z)
     with pytest.raises(ValueError):
-        system_a().conserved(("p", 0))
+        system_a().conserved(("p", 0), z)
 
 
 def test_canonical_structure_case_tag():
     geo = canonical_structure(3)
     assert geo.case_tag == "III" and geo.is_canonical
-    z = np.zeros((1, 6))
-    J = geo.iso_J(z)[0]
-    assert np.max(np.abs(J @ J + np.eye(6))) == 0.0
+    assert np.max(np.abs(geo.J @ geo.J + np.eye(6))) == 0.0
 
 
 # ------------------------------------------------ canonical flag and structure
 
 
 def test_unflagged_structure_is_not_canonical():
-    """The scaled structure holds its matrices, so its structure rows are exact
-    row and column sums; the same callbacks without them cannot be bounded."""
+    """The scaled structure is not the canonical one, and its structure rows are
+    the exact row and column sums of its matrices."""
     geo = scaled_structure(2)
     assert not geo.is_canonical and geo.case_tag == "II"
-    geo.check_invariants(np.random.default_rng(3).uniform(-1, 1, size=(5, 4)))
+    geo.check_invariants()
     g = estimate_global_constants(dataclasses.replace(system_a(), geometry=geo))
     assert [g.values[key] for key in ("c_Omega_0", "c_G_0", "c_J_0", "c_JT_0",
                                       "c_tOmega_0")] == [1.0, 2.0, 2.0, 2.0, 4.0]
@@ -302,30 +308,14 @@ def test_unflagged_structure_is_not_canonical():
         assert g.values[key] == 0.0
     assert set(g.provenance.values()) == {"exact", "canonical-exact"}
     assert g.provenance["c_G_0"] == g.provenance["c_G_1"] == "exact"
-    bare = unflagged(geo)
-    assert not bare.is_canonical
-    with pytest.raises(HypothesisError, match="global constant c_Omega_0 has no exact bound") \
-            as info:
-        estimate_global_constants(dataclasses.replace(system_a(), geometry=bare))
-    assert info.value.hypothesis == "ledger"
 
 
-def test_false_canonical_claim_raises():
-    """A structure whose callbacks differ from the matrices it carries is refused
-    on construction, naming each callback that differs."""
-    canon, scaled = canonical_structure(2), scaled_structure(2)
-    with pytest.raises(StructureError, match=r"\['metric_G'\]"):
-        dataclasses.replace(canon, metric_G=scaled.metric_G)
-    with pytest.raises(StructureError, match=r"\['iso_J', 'tilde_omega'\]"):
-        dataclasses.replace(scaled, iso_J=canon.iso_J, tilde_omega=canon.tilde_omega)
-
-
-def test_grid_kitchen_structure_maps_constant_only_when_flagged():
-    """A constant structure's matrices are one-mode kitchen maps; the same
-    callbacks without the matrices are sampled over the full bands."""
+def test_grid_kitchen_structure_maps_are_one_mode_constants():
+    """The structure matrices are one-mode kitchen maps, for the canonical and
+    for the scaled structure."""
     seed = seed_run(epsilon=0.02, bands=[4, 4], rho0=0.03)[0]
     cand, kk = seed.cand, seed.kitchen
-    omega0 = canonical_structure(2).omega_mat(np.zeros((1, 4)))[0]
+    omega0 = canonical_structure(2).Omega
     for geometry, scale in ((None, 1.0), (scaled_structure(2), 2.0)):
         if geometry is not None:
             kk = grid_kitchen(cand.with_updates(
@@ -334,9 +324,3 @@ def test_grid_kitchen_structure_maps_constant_only_when_flagged():
                          (kk.tOmega, scale**2 * omega0)):
             assert got.bands == (0, 0)  # one mode: matmul scales the other factor by it
             assert np.array_equal(got.coeffs, FourierMap.constant(mat, got.bands).coeffs)
-    unflagged_system = dataclasses.replace(cand.system, geometry=unflagged(scaled_structure(2)))
-    kk = grid_kitchen(cand.with_updates(system=unflagged_system))
-    for got, mat in ((kk.G, 2.0 * np.eye(4)), (kk.J, 2.0 * omega0), (kk.tOmega, 4.0 * omega0)):
-        assert got.bands == cand.bands
-        want = FourierMap.constant(mat, got.bands).coeffs
-        assert np.max(np.abs(got.coeffs - want)) <= 1e-14

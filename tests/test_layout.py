@@ -11,6 +11,10 @@ module, but one on a line marked ``# noqa: F401``.
 
 No handler in ``src/`` catches every exception: a failure is caught by its
 class, so a bug keeps its traceback.
+
+No code in ``src/`` writes a frozen dataclass's field behind its constructor:
+``object.__setattr__`` appears only in a ``__post_init__``, where it
+normalizes a field the constructor was given.
 """
 
 import ast
@@ -142,3 +146,18 @@ def test_no_catch_all_handler_in_src():
                                         for t in types):
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert found == [], "catch-all exception handlers: " + ", ".join(found)
+
+
+def test_no_frozen_field_written_outside_post_init():
+    """``object.__setattr__`` in src/ appears only inside a ``__post_init__``."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {id(sub) for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+                   for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__" and \
+                    getattr(node.value, "id", None) == "object" and id(node) not in allowed:
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found == [], "object.__setattr__ outside a __post_init__: " + ", ".join(found)

@@ -1,6 +1,4 @@
-"""Ordinary and iso mode share one Newton loop: one log schema, one refinement rule."""
-
-from dataclasses import replace
+"""Ordinary and iso mode share one Newton loop and one log schema."""
 
 from kamtorus.solver import iterate_newton
 
@@ -23,13 +21,3 @@ def test_iso_log_carries_every_ordinary_key():
     assert {"domain_margin", "ray_margin", "smallness"} <= set(stepped["hypothesis_margins"])
     assert {"err_inv", "err_omega", "omega", "ray_scale", "err_omega_after", "xi_omega",
             "ray_margin"} <= set(stepped)
-
-
-def test_iso_band_refinement_from_coarse_seed():
-    seed, sched, target = seed_run(**ISO, bands=[2, 2], max_iters=10)
-    res = iterate_newton(seed, replace(sched, band_refinement=True, tail_threshold=0.1), target)
-    refined = [rec["band_refined_to"] for rec in res.log if "band_refined_to" in rec]
-    assert refined
-    assert res.converged, res.reason
-    assert res.iterate.cand.bands == tuple(refined[-1]) > seed.cand.bands
-    assert abs((target.c0 + res.iterate.E_omega) - target.c0) <= 1e-11

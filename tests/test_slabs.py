@@ -16,7 +16,7 @@ from kamtorus.frames import (COND_LIMIT, HypothesisError, _front_matmul, _pointw
                              grid_kitchen, seed_torus, work_grid)
 from kamtorus.hamiltonian import DomainBox, TermTable, _trig_potential_system
 
-from conftest import random_map, scaled_structure, seed_run, unflagged
+from conftest import random_map, scaled_structure, seed_run
 from oracles import assert_same_bits, irfftn_samples, rfftn_coefficients, svd_rank_check
 
 SLABS = ["one-row", "ragged", "whole"]
@@ -64,18 +64,14 @@ def whole_grid_kitchen(cand, conserved=None) -> dict:
         mesh = np.meshgrid(*(np.arange(m) / m for m in grid), indexing="ij")
         for i in range(cand.d):
             kv[..., i] += mesh[i]
-    system, geo = cand.system, cand.system.geometry
+    system = cand.system
     samples = {"XH": system.XH(kv)[..., :, None], "DXH": system.DXH(kv)}
-    out = {}
-    callbacks = (geo.omega_mat, geo.metric_G, geo.iso_J, geo.tilde_omega)
-    for i, name in enumerate(("Omega", "G", "J", "tOmega")):
-        if geo.constants is not None:
-            out[name] = FourierMap.constant(geo.constants[i], (0,) * cand.d).coeffs
-        else:
-            samples[name] = callbacks[i](kv)
+    out = {name: FourierMap.constant(getattr(system.geometry, name), (0,) * cand.d).coeffs
+           for name in ("Omega", "G", "J", "tOmega")}
     if conserved is not None:
-        samples["Dc"] = np.asarray(conserved.Dc(kv))[..., None, :]
-        samples["c_map"] = np.asarray(conserved.c(kv))[..., None, None]
+        c, dc = system.conserved(conserved, kv)
+        samples["Dc"] = np.asarray(dc)[..., None, :]
+        samples["c_map"] = np.asarray(c)[..., None, None]
     out.update({name: rfftn_coefficients(s, bands) for name, s in samples.items()})
     xp = (FourierMap(rfftn_coefficients(system.Xp(kv), bands), bands) if system.n_integrals
           else FourierMap.zeros(bands, (2 * system.n, 0)))
@@ -118,10 +114,9 @@ def whole_grid_inverse(f: FourierMap):
 
 
 def scaled_candidate():
-    """The canonical case's candidate under a non-canonical structure that is not
-    flagged constant, so that its matrices are sampled."""
+    """The canonical case's candidate under the non-canonical scaled structure."""
     cand = planar_candidate(system="lagrangian_rotors", epsilon=0.02)[0]
-    geometry = unflagged(scaled_structure(2))
+    geometry = scaled_structure(2)
     return cand.with_updates(system=dataclasses.replace(cand.system, geometry=geometry)), None
 
 

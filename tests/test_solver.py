@@ -230,18 +230,6 @@ def test_per_step_ledger_soundness():
         current = nxt.cand
 
 
-def test_band_refinement_reported():
-    """With refinement enabled, a coarse seed whose error has a heavy tail
-    doubles its bands and the event lands in the log."""
-    seed, sched, _ = seed_run(epsilon=0.02, bands=[2, 2], rho0=0.03, max_iters=6,
-                              stop_tol=1e-10)
-    res = iterate_newton(seed, replace(sched, band_refinement=True, tail_threshold=0.1))
-    refined = [rec for rec in res.log if "band_refined_to" in rec]
-    assert all("tail_fraction" in rec for rec in res.log)
-    if refined:  # the tail rule decides; bands never shrink
-        assert res.iterate.cand.bands > seed.cand.bands
-
-
 def test_log_carries_norm_tables():
     res = iterate_newton(*seed_run(epsilon=5e-3, bands=[8, 8], rho0=0.03, max_iters=4,
                                    stop_tol=1e-10))
