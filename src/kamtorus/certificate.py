@@ -143,10 +143,29 @@ def table_width_limit(table: TermTable) -> float:
     which this bound is half the largest double, which leaves room for the
     momentum and dimension terms that some rows add and for the round-up.
     Amplitudes below one count as one, so that cosh itself stays finite at
-    epsilon = 0."""
+    epsilon = 0.  Amplitudes so large that the bound overflows at w = 0 give
+    -inf: no strip fits."""
     k1 = np.abs(table.k).sum(axis=1).max()
-    scale = 2.0 * (2.0 * np.pi) ** 3 * len(table.v) * max(1.0, np.abs(table.v).max()) * k1**3
-    return float(np.log(np.finfo(np.float64).max / scale) / (2.0 * np.pi * k1))
+    with np.errstate(over="ignore", divide="ignore"):
+        scale = 2.0 * (2.0 * np.pi) ** 3 * len(table.v) * max(1.0, np.abs(table.v).max()) * k1**3
+        return float(np.log(np.finfo(np.float64).max / scale) / (2.0 * np.pi * k1))
+
+
+def momentum_radius_limit(y_center) -> float:
+    """The largest y_radius at which the momentum terms of :func:`_table_bounds`
+    stay finite around the domain centre ``y_center`` (n entries).
+
+    Those terms are |y_center_a| + y_radius: c_XH_0 takes their maximum, and
+    c_H_1 (so also c_c_1 for c = H) adds their sum over the n momenta to the
+    sum of the entry bounds of dV, which is at most
+        2 pi T v K e^(2 pi w K) = (2 pi)^3 T v K^3 e^(2 pi w K) / (2 pi K)^2 < F / 78
+    (F the largest double, T, v and K as in :func:`table_width_limit`, whose
+    width limit makes the numerator at most F / 2, and K >= 1).  Keeping
+    n (max_a |y_center_a| + y_radius) <= F / 4 holds c_H_1 below F / 4 + F / 78
+    with room for the rounding of the sum and the round-up.  A centre beyond
+    F / (4 n) leaves a negative limit: no radius fits."""
+    y = np.abs(np.asarray(y_center, dtype=np.float64))
+    return float(np.finfo(np.float64).max / (4 * y.size) - y.max())
 
 
 def estimate_global_constants(sys: HamiltonianSystem, conserved="H") -> GlobalNormConstants:

@@ -29,7 +29,8 @@ from .frames import HypothesisError, TorusCandidate, build_frames, seed_torus
 from .hamiltonian import (StructureError, builtin_dims, builtin_system, builtin_table,
                           check_derivatives, verify_commutation, verify_involution)
 from .isoenergetic import FrequencyRay, IsoTarget
-from .certificate import certify, estimate_global_constants, table_width_limit
+from .certificate import (certify, estimate_global_constants, momentum_radius_limit,
+                          table_width_limit)
 from .solver import NewtonSchedule, evaluate, iterate_newton
 
 
@@ -41,8 +42,13 @@ GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 
 def _is_real(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """A finite int or float, not a bool: an int beyond the doubles is not finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _is_int(value) -> bool:
@@ -138,8 +144,19 @@ class RunConfig:
             if self.conserved not in allowed:
                 raise ConfigError(f"conserved must be one of {allowed} for {self.system}, "
                                   f"got {self.conserved!r}")
-        self.bands = _vector("bands", self.bands, d, lambda b: _is_int(b) and b >= 1,
-                             "integers >= 1")
+        try:
+            y_center = _y_center(self.system, _seed_frequency(self)[0])
+        except ValueError as exc:  # sqrt(sigma_omega) rounds onto an end of the ray
+            raise ConfigError(f"sigma_omega = {self.sigma_omega!r} gives no ray midpoint: "
+                              f"{exc}") from None
+        if not self.y_radius <= (radius := momentum_radius_limit(y_center)):
+            raise ConfigError(f"y_radius must be at most {radius!r} around the seed momentum "
+                              f"of largest entry {float(np.max(np.abs(y_center)))!r}, where "
+                              "the certificate's closed-form bounds stay finite, got "
+                              f"{self.y_radius!r}")
+        self.bands = _vector("bands", self.bands, d,
+                             lambda b: _is_int(b) and _is_real(b) and b >= 1,
+                             "finite integers >= 1")
         if not strip_fits(self.rho0, self.bands):
             raise ConfigError(f"rho0 = {self.rho0} and bands = {self.bands} overflow the strip "
                               "weights e^(2 pi |k|_1 rho0)")
@@ -237,11 +254,16 @@ def _seed_frequency(cfg: RunConfig):
     return np.asarray(cfg.omega), None
 
 
+def _y_center(system: str, omega: np.ndarray) -> np.ndarray:
+    """The momentum centre (omega, 0) of the built-in ``system``'s domain."""
+    y_center = np.zeros(builtin_dims(system)[0])
+    y_center[: len(omega)] = omega
+    return y_center
+
+
 def _system(cfg: RunConfig, omega: np.ndarray):
     """The configured system, its momentum domain centred at (omega, 0)."""
-    y_center = np.zeros(builtin_dims(cfg.system)[0])
-    y_center[: len(omega)] = omega
-    return builtin_system(cfg.system, epsilon=cfg.epsilon, y_center=y_center,
+    return builtin_system(cfg.system, epsilon=cfg.epsilon, y_center=_y_center(cfg.system, omega),
                           y_radius=cfg.y_radius, imag_width=cfg.imag_width)
 
 

@@ -8,18 +8,16 @@ through the coefficients f_k of
 stored on a dense rectangular index box: a map is its coefficients and its
 bands, and a sample grid (M_i >= 2*N_i + 1 points per axis) is chosen only
 where sampling happens.  Differentiation and averaging act coefficient-wise
-and are exact on the truncation; products are computed on a dealiased grid
-and truncated back to the requested output band N_out, so the library always
+and are exact on the truncation; a product of two maps on one band N is
+computed on a dealiased grid and truncated back to N, so the library always
 manipulates the *truncated model* of each object.  Per axis a product's grid
-is the smallest size with no prime factor above 5 that is at least
-N_a + N_b + N_out + 1: only the kept modes need to be alias-free (the 3/2
-rule), so the full product band N_out = N_a + N_b needs 2(N_a + N_b) + 1
-points and N_out = N_a = N_b needs 3N + 1.  Products synthesize their
-real-analytic operands with real FFTs, and real grid samples are analysed with
-real FFTs.  These real transforms are pruned to the kept box: they run
-numpy's 1-D transforms in the axis order of ``rfftn``/``irfftn`` but only on
-the lines that hold kept modes, so each kept value is bit for bit what
-``rfftn``/``irfftn`` give.  Every transform but axis 0's acts on lines inside
+is the smallest size with no prime factor above 5 that is at least 3N + 1:
+only the kept modes need to be alias-free (the 3/2 rule).  Products
+synthesize their real-analytic operands with real FFTs, and real grid samples
+are analysed with real FFTs.  These real transforms are pruned to the kept
+box: they run numpy's 1-D transforms in the axis order of
+``rfftn``/``irfftn`` but only on the lines that hold kept modes, so each kept
+value is bit for bit what ``rfftn``/``irfftn`` give.  Every transform but axis 0's acts on lines inside
 one axis-0 slab of the grid, so every real synthesis walks the grid one slab
 of about SLAB_POINTS points at a time (:func:`slab_samples`), and every real
 analysis samples a pointwise function of maps that way and holds only the
@@ -251,16 +249,6 @@ class FourierMap:
             raise FourierShapeError(f"cannot truncate {self.bands} to larger bands {bands}")
         sl = tuple(slice(n - nb, n + nb + 1) for n, nb in zip(self.bands, bands))
         return FourierMap(self.coeffs[sl].copy(), bands)
-
-    def pad_bands(self, bands) -> "FourierMap":
-        """Embed into a larger index box (new modes are zero)."""
-        bands = tuple(int(n) for n in bands)
-        if any(nb < n for nb, n in zip(bands, self.bands)):
-            raise FourierShapeError(f"cannot pad {self.bands} into smaller bands {bands}")
-        out = FourierMap.zeros(bands, self.shape)
-        sl = tuple(slice(nb - n, nb + n + 1) for n, nb in zip(self.bands, bands))
-        out.coeffs[sl] = self.coeffs
-        return out
 
     # -- algebra ----------------------------------------------------------------
 
@@ -519,52 +507,34 @@ def slab_analysis(pointwise, grid: tuple, bands: tuple, *maps: FourierMap) -> li
     return [_analysis_tail(accs.pop(0), bands) for _ in range(len(accs))]
 
 
-def _scaled_fit(f: FourierMap, out_bands: tuple, scale) -> FourierMap:
-    """``scale`` applied to the modes of ``f`` inside ``out_bands`` (a view, no
-    copy), then zero-padded to ``out_bands``: a mode-wise product commutes
-    with truncation and padding."""
-    keep = tuple(map(min, f.bands, out_bands))
-    box = tuple(slice(n - k, n + k + 1) for n, k in zip(f.bands, keep))
-    out = scale(FourierMap(f.coeffs[box], keep))
-    return out if keep == out_bands else out.pad_bands(out_bands)
+def matmul(a: FourierMap, b: FourierMap) -> FourierMap:
+    """Pointwise matrix product of two real-analytic maps on one band N,
+    dealiased, then truncated back to N.
 
-
-def matmul(a: FourierMap, b: FourierMap, out_bands=None) -> FourierMap:
-    """Pointwise matrix product of two real-analytic maps, dealiased then truncated.
-
-    ``out_bands`` defaults to the exact product band N_a + N_b.  The product
-    is synthesized on the work grid of :func:`dealias_grid`: per axis the
-    smallest size with no prime factor above 5 that is at least
-    N_a + N_b + N_out + 1, on which the retained modes are alias-free (100
-    points for bands 32 kept at 32, against 135 for the full product band).
+    The product is synthesized on the work grid of :func:`dealias_grid`: per
+    axis the smallest size with no prime factor above 5 that is at least
+    3N + 1, on which the kept modes are alias-free (100 points at bands 32).
     Both operands must be real-analytic (f_{-k} = conj f_k): they are
     synthesized from their k_d >= 0 modes with real FFTs, multiplied as real
     sample arrays and analysed back with a real FFT, one axis-0 slab of the
     work grid at a time (:func:`slab_analysis`).  A zero operand gives
     zeros, and a constant operand (every mode off k = 0 exactly zero)
     multiplies the other operand's coefficients directly; both shortcuts skip
-    the FFTs, use no work grid and return the exact product zero-padded to
-    ``out_bands``, in the shape of the transform path.
+    the FFTs and use no work grid.  Operands on different bands raise
+    FourierShapeError.
     """
-    if a.bands != b.bands and len(a.bands) != len(b.bands):
-        raise FourierShapeError("operands live on different tori")
+    a._check_compatible(b)
     if a.shape[1] != b.shape[0]:
         raise FourierShapeError(f"matrix shapes {a.shape} x {b.shape} do not chain")
-    if out_bands is None:
-        out_bands = tuple(na + nb for na, nb in zip(a.bands, b.bands))
-    out_bands = tuple(int(n) for n in out_bands)
     if not (np.any(a.coeffs) and np.any(b.coeffs)):
-        return FourierMap.zeros(out_bands, (a.shape[0], b.shape[1]))
-    # a constant factor scales the other one's kept modes, zero-padded to out_bands
+        return FourierMap.zeros(a.bands, (a.shape[0], b.shape[1]))
     if _is_constant(a):
-        return _scaled_fit(b, out_bands, lambda f: f.rmatmul_constant(a.average()))
+        return b.rmatmul_constant(a.average())
     if _is_constant(b):
-        return _scaled_fit(a, out_bands, lambda f: f.matmul_constant(b.average()))
-    work = dealias_grid(a.bands, b.bands, out_bands)
-    if any(m < 2 * n + 1 for n, m in zip(out_bands, work)):
-        raise FourierShapeError("work grid too small for requested output bands")
-    return FourierMap(slab_analysis(lambda rows, v: [v[0] @ v[1]], work, out_bands, a, b)[0],
-                      out_bands)
+        return a.matmul_constant(b.average())
+    work = dealias_grid(a.bands, b.bands, a.bands)
+    return FourierMap(slab_analysis(lambda rows, v: [v[0] @ v[1]], work, a.bands, a, b)[0],
+                      a.bands)
 
 
 def assemble_blocks(blocks) -> FourierMap:

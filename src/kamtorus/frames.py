@@ -17,14 +17,14 @@ ingredients (compositions with the system callbacks, pointwise inverses) are
 sampled as real arrays on the work grid of ``work_grid`` (the smallest size
 >= 4N+1 per axis with no prime factor above 3), one axis-0 slab at a time
 (:func:`~kamtorus.fourier.slab_analysis`), analysed with real FFTs and
-truncated back, except that the constant structure matrices are built as
-exact one-mode constants.  The products and the rank check of L on the exact
-grid walk their grids in slabs too (:func:`~kamtorus.fourier.slab_samples`),
-so no frame stage holds more than one slab of samples.  ``build_frames``
-builds only what the Newton step and the certificate read; no solve or
-certificate builds the error maps.  The (1,2) block of E_red repeats the
-torsion's products call for call, so its vanishing is exact by construction
-rather than a numerical accident.
+truncated back.  The structure matrices Omega, G, J and tilde-Omega are
+constant, so they multiply the coefficients of the maps directly.  The
+products and the rank check of L on the exact grid walk their grids in slabs
+too (:func:`~kamtorus.fourier.slab_samples`), so no frame stage holds more
+than one slab of samples.  ``build_frames`` builds only what the Newton step
+and the certificate read; no solve or certificate builds the error maps.  The
+(1,2) block of E_red repeats the torsion's products call for call, so its
+vanishing is exact by construction rather than a numerical accident.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from .cohomology import DiophantineParams
 from .fourier import (TWO_PI, FourierMap, _k1_box, _next_smooth, assemble_blocks, matmul,
                       slab_analysis, slab_samples)
-from .hamiltonian import HamiltonianSystem
+from .hamiltonian import HamiltonianSystem, _omega0
 
 RANK_TOL = 1e-8  # L is rank-deficient if a singular value on the grid is at most this
 COND_LIMIT = 1e12  # largest condition accepted for a pointwise inverse or an averaged twist
@@ -202,19 +202,12 @@ class GridKitchen:
 
     One kitchen is built per candidate, where its Iterate is made; ``Dc`` and
     ``c_map`` (the target conserved quantity) are set in iso mode only.  ``L``
-    is the tangent family (DK  X_p o K).  The structure matrices Omega, G, J
-    and tOmega are constant, so they hold only their k = 0 mode (bands (0,) *
-    d): ``matmul`` scales the other factor by a constant operand, so every
-    product and norm is the one of the full-band constant, bit for bit.
+    is the tangent family (DK  X_p o K).
     """
 
     cand: TorusCandidate
     XH: FourierMap
     DXH: FourierMap
-    Omega: FourierMap
-    G: FourierMap
-    J: FourierMap
-    tOmega: FourierMap
     L: FourierMap
     Dc: FourierMap | None = None
     c_map: FourierMap | None = None
@@ -227,7 +220,6 @@ def grid_kitchen(cand: TorusCandidate, conserved=None) -> GridKitchen:
     sys = cand.system
     bands = cand.bands
     grid = work_grid(bands)
-    geo = sys.geometry
 
     def sample(rows, vals):
         kv = cand._add_angles(vals[0][..., 0], grid, rows)
@@ -241,12 +233,10 @@ def grid_kitchen(cand: TorusCandidate, conserved=None) -> GridKitchen:
 
     maps = [FourierMap(c, bands) for c in slab_analysis(sample, grid, bands, cand.k_per)]
     xh, dxh = maps.pop(0), maps.pop(0)
-    om, g, jj, tom = (FourierMap.constant(mat, (0,) * cand.d)  # one mode, no transform
-                      for mat in (geo.Omega, geo.G, geo.J, geo.tOmega))
     xp = maps.pop(0) if sys.n_integrals else FourierMap.zeros(bands, (2 * sys.n, 0))
     dc, c_map = maps if conserved is not None else (None, None)
-    return GridKitchen(cand=cand, XH=xh, DXH=dxh, Omega=om, G=g, J=jj, tOmega=tom,
-                       L=cand.tangent_family(xp), Dc=dc, c_map=c_map)
+    return GridKitchen(cand=cand, XH=xh, DXH=dxh, L=cand.tangent_family(xp), Dc=dc,
+                       c_map=c_map)
 
 
 # ---------------------------------------------------------------------------
@@ -407,54 +397,49 @@ def _front_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([sum(a[i, j] * b[j] for j in range(a.shape[1])) for i in range(a.shape[0])])
 
 
-def normal_frame(cand: TorusCandidate, L: FourierMap, kitchen: GridKitchen):
+def normal_frame(cand: TorusCandidate, L: FourierMap):
     """(N0, B, A, N) per the metric construction; A = 0 under the Case III tag.
 
     B is symmetrized after inversion and the asymmetry residual is returned in
     the accompanying diagnostics dict.
     """
-    bands = cand.bands
+    geo = cand.system.geometry
     diag = {}
 
-    N0 = matmul(kitchen.J, L, out_bands=bands)
-    GL = matmul(matmul(L.T, kitchen.G, out_bands=bands), L, out_bands=bands)
+    N0 = L.rmatmul_constant(geo.J)
+    GL = matmul(L.T.matmul_constant(geo.G), L)
     B_raw, cond = _pointwise_inverse(GL)
     diag["gram_condition"] = cond
     B = 0.5 * (B_raw + B_raw.T)
     diag["B_asymmetry"] = (B_raw - B_raw.T).norm(0.0).value * 0.5
 
-    if cand.system.geometry.case_tag == "III":
-        A = FourierMap.zeros(bands, (cand.system.n, cand.system.n))
+    if geo.case_tag == "III":
+        A = FourierMap.zeros(cand.bands, (cand.system.n, cand.system.n))
     else:
-        tOmL = matmul(matmul(L.T, kitchen.tOmega, out_bands=bands), L, out_bands=bands)
-        A_raw = -0.5 * matmul(matmul(B.T, tOmL, out_bands=bands), B, out_bands=bands)
+        tOmL = matmul(L.T.matmul_constant(geo.tOmega), L)
+        A_raw = -0.5 * matmul(matmul(B.T, tOmL), B)
         A = 0.5 * (A_raw - A_raw.T)
         diag["A_symmetric_part"] = (A_raw + A_raw.T).norm(0.0).value * 0.5
-    N = matmul(L, A, out_bands=bands) + matmul(N0, B, out_bands=bands)
+    N = matmul(L, A) + matmul(N0, B)
     return N0, B, A, N, diag
 
 
-def isotropy_errors(cand: TorusCandidate, L: FourierMap, LT_Om: FourierMap,
-                    kitchen: GridKitchen):
+def isotropy_errors(cand: TorusCandidate, L: FourierMap, LT_Om: FourierMap):
     """(Omega_K, E_lag): pulled-back form on the torus and Lagrangianity defect.
 
     ``L`` is the tangent frame, whose first d columns are DK; ``LT_Om`` is the
     product L^T (Omega o K), shared with the reducibility error.
     """
-    bands = cand.bands
     dk = L.block(slice(None), slice(0, cand.d))
-    OmegaK = matmul(matmul(dk.T, kitchen.Omega, out_bands=bands), dk, out_bands=bands)
-    Elag = matmul(LT_Om, L, out_bands=bands)
+    OmegaK = matmul(dk.T.matmul_constant(cand.system.geometry.Omega), dk)
+    Elag = matmul(LT_Om, L)
     return OmegaK, Elag
 
 
-def symplecticity_error(cand: TorusCandidate, P: FourierMap,
-                        kitchen: GridKitchen) -> FourierMap:
+def symplecticity_error(cand: TorusCandidate, P: FourierMap) -> FourierMap:
     """E_sym = P^T (Omega o K) P - Omega_0."""
-    n = cand.system.n
-    omega0 = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
-    prod = matmul(matmul(P.T, kitchen.Omega, out_bands=cand.bands), P, out_bands=cand.bands)
-    return prod.add_constant(-omega0)
+    prod = matmul(P.T.matmul_constant(cand.system.geometry.Omega), P)
+    return prod.add_constant(-_omega0(cand.system.n))
 
 
 def torsion(cand: TorusCandidate, N: FourierMap, kitchen: GridKitchen, scale: float):
@@ -464,10 +449,9 @@ def torsion(cand: TorusCandidate, N: FourierMap, kitchen: GridKitchen, scale: fl
     averaged torsion, judged against ``scale = _twist_scale(cand, N, kitchen)``,
     raises HypothesisError("twist").
     """
-    bands = cand.bands
-    loper_n = matmul(kitchen.DXH, N, out_bands=bands) + N.lie(cand.omega)
-    NT_Om = matmul(N.T, kitchen.Omega, out_bands=bands)  # E_red's factor repeats this call
-    T = matmul(NT_Om, loper_n, out_bands=bands)
+    loper_n = matmul(kitchen.DXH, N) + N.lie(cand.omega)
+    NT_Om = N.T.matmul_constant(cand.system.geometry.Omega)  # E_red's factor repeats this
+    T = matmul(NT_Om, loper_n)
     avgT = T.average().real
     _check_twist(avgT, "averaged torsion <T>", scale)
     return T, avgT, loper_n
@@ -481,7 +465,8 @@ def _twist_scale(cand: TorusCandidate, N: FourierMap, kitchen: GridKitchen) -> f
     the average was computed at.
     """
     norm_n = N.norm(0.0).value
-    return (N.norm(0.0, transpose=True).value * kitchen.Omega.norm(0.0).value
+    norm_om = np.abs(cand.system.geometry.Omega).sum(axis=1).max()
+    return (N.norm(0.0, transpose=True).value * norm_om
             * (kitchen.DXH.norm(0.0).value * norm_n + N.lie(cand.omega).norm(0.0).value))
 
 
@@ -517,14 +502,13 @@ def extended_torsion(cand: TorusCandidate, T: FourierMap, N: FourierMap,
     """
     bands = cand.bands
     n = cand.system.n
-    Tdown = matmul(kitchen.Dc, N, out_bands=bands)
+    Tdown = matmul(kitchen.Dc, N)
     omega_hat = np.concatenate([cand.omega, np.zeros(n - cand.d)])
     box = T.coeffs.shape[: T.d]
     coeffs = np.zeros(box + (n + 1, n + 1), dtype=np.complex128)
     coeffs[..., :n, :n] = T.coeffs
     coeffs[..., n, :n] = Tdown.coeffs[..., 0, :]
-    center = tuple(b for b in bands)
-    coeffs[center + (slice(None, n), n)] += omega_hat
+    coeffs[bands + (slice(None, n), n)] += omega_hat
     Tc = FourierMap(coeffs, bands)
     avgTc = Tc.average().real
     # row sums of the factor bounds: the rows of T plus omega_hat, and Dc N
@@ -544,12 +528,11 @@ def reducibility_error(cand: TorusCandidate, L: FourierMap, T: FourierMap,
     (1,2) block repeats the torsion's arithmetic, so it vanishes identically
     (Lambda = [[0, T], [0, 0]] by construction).
     """
-    bands = cand.bands
-    loper_l = matmul(kitchen.DXH, L, out_bands=bands) + L.lie(cand.omega)
-    m11 = matmul(LT_Om, loper_l, out_bands=bands)
-    m12 = matmul(LT_Om, LoperN, out_bands=bands)
-    m21 = matmul(NT_Om, loper_l, out_bands=bands)
-    m22 = matmul(NT_Om, LoperN, out_bands=bands)  # identical arithmetic to T
+    loper_l = matmul(kitchen.DXH, L) + L.lie(cand.omega)
+    m11 = matmul(LT_Om, loper_l)
+    m12 = matmul(LT_Om, LoperN)
+    m21 = matmul(NT_Om, loper_l)
+    m22 = matmul(NT_Om, LoperN)  # identical arithmetic to T
     return assemble_blocks([[m21, m22 - T], [-m11, -m12]])
 
 
@@ -558,7 +541,7 @@ def build_frames(cand: TorusCandidate, kitchen: GridKitchen) -> FrameBundle:
     the bordered torsion too when the kitchen carries a conserved quantity
     (iso mode).  The error maps are not built."""
     L = tangent_frame(cand, kitchen)
-    _, B, A, N, _ = normal_frame(cand, L, kitchen)
+    _, B, A, N, _ = normal_frame(cand, L)
     scale = _twist_scale(cand, N, kitchen)  # shared by both twist gates
     T, avgT, loper_n = torsion(cand, N, kitchen, scale)
     bundle = FrameBundle(L=L, A=A, B=B, N=N, T=T, avgT=avgT, LoperN=loper_n)

@@ -43,8 +43,8 @@ class GeometricStructure:
 
     case_tag "III" asserts the compatible (anti-involutive J) case, in which
     the frame coefficient A vanishes identically; "II" is the generic
-    metric-compatible case.  The frames read the matrices as one-mode
-    constants and the certificate bounds them exactly.  Only
+    metric-compatible case.  The frames multiply map coefficients by the
+    matrices directly and the certificate bounds them exactly.  Only
     :func:`constant_structure` builds one.
     """
 

@@ -122,7 +122,6 @@ def solve_block_triangular(eta_L: FourierMap, eta_N: FourierMap, T: FourierMap,
     Returns (xi_L, xi_N, xi_N0, xi_omega, diagnostics), with xi_omega None
     without a border.  Requires <eta^N> ~ 0 and a nonsingular ``avg``.
     """
-    bands = eta_L.bands
     n = eta_L.shape[0]
     sizes = [1.0, eta_L.norm(0.0).value, eta_N.norm(0.0).value]
     if border is not None:
@@ -135,10 +134,10 @@ def solve_block_triangular(eta_L: FourierMap, eta_N: FourierMap, T: FourierMap,
             "compatibility", f"<eta^N> = {compat:.3e} exceeds {COMPAT_TOL:.1e} x scale {scale:.3e}"
         )
     R_etaN = solve_cohomological(eta_N, dio)
-    T_RetaN = matmul(T, R_etaN, out_bands=bands)
+    T_RetaN = matmul(T, R_etaN)
     rhs = (eta_L - T_RetaN).average().real
     if border is not None:
-        Tdown_RetaN = matmul(Tdown, R_etaN, out_bands=bands)
+        Tdown_RetaN = matmul(Tdown, R_etaN)
         rhs = np.vstack([rhs, eta_omega - Tdown_RetaN.average().real])
     try:
         sol = np.linalg.solve(avg, rhs)
@@ -157,7 +156,7 @@ def solve_block_triangular(eta_L: FourierMap, eta_N: FourierMap, T: FourierMap,
     else:
         xi_omega = float(sol[n, 0])
         omega_hat = np.concatenate([dio.omega, np.zeros(n - eta_L.d)])
-        freq = FourierMap.constant(omega_hat[:, None] * xi_omega, bands)
+        freq = FourierMap.constant(omega_hat[:, None] * xi_omega, eta_L.bands)
         xi_L = solve_cohomological(eta_L - T_xiN - freq, dio)
         res_L = xi_L.lie(dio.omega) + T_xiN + freq - eta_L
     res_N = xi_N.lie(dio.omega) - eta_N
@@ -266,9 +265,9 @@ def _correction(it: Iterate, schedule: NewtonSchedule, delta: float,
         )
     fr = build_frames(cand, kk)
 
-    Om_E = matmul(kk.Omega, it.E, out_bands=cand.bands)
-    eta_L = -matmul(fr.N.T, Om_E, out_bands=cand.bands)
-    eta_N = matmul(fr.L.T, Om_E, out_bands=cand.bands)
+    Om_E = it.E.rmatmul_constant(cand.system.geometry.Omega)
+    eta_L = -matmul(fr.N.T, Om_E)
+    eta_N = matmul(fr.L.T, Om_E)
     if target is None:
         xi_L, xi_N, _, sdiag = solve_triangular(eta_L, eta_N, fr, cand.dio)
         ray, moved = None, {}
@@ -279,7 +278,7 @@ def _correction(it: Iterate, schedule: NewtonSchedule, delta: float,
         moved = {"omega": ray.omega, "dio": DiophantineParams(
             ray.omega, cand.dio.gamma, cand.dio.tau, cand.dio.scan_limit, check=False)}
 
-    delta_K = matmul(fr.L, xi_L, out_bands=cand.bands) + matmul(fr.N, xi_N, out_bands=cand.bands)
+    delta_K = matmul(fr.L, xi_L) + matmul(fr.N, xi_N)
     new_cand = cand.with_updates(k_per=cand.k_per + delta_K, rho=rho - 3 * delta, **moved)
     margin = new_cand.domain_margin()
     if margin <= 0:

@@ -109,6 +109,16 @@ def random_map(bands, shape, rng, decay: float = 0.0, scale: float = 1.0) -> Fou
     return FourierMap(_symmetrize(scale * raw), tuple(bands))
 
 
+def on_band(f: FourierMap, bands) -> FourierMap:
+    """A copy of ``f`` held on ``bands``: modes outside it dropped, new modes zero."""
+    bands = tuple(bands)
+    out = FourierMap.zeros(bands, f.shape)
+    keep = tuple(map(min, f.bands, bands))
+    out.coeffs[tuple(slice(n - k, n + k + 1) for n, k in zip(bands, keep))] = \
+        f.coeffs[tuple(slice(n - k, n + k + 1) for n, k in zip(f.bands, keep))]
+    return out
+
+
 def eval_at(f: FourierMap, theta) -> np.ndarray:
     """f at arbitrary angles ``theta`` of shape (..., d) by direct summation.
 

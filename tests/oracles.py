@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kamtorus.certificate import _INTEGRAL_FIELDS, ConstantLedger, GlobalNormConstants, _ledger
-from kamtorus.fourier import TWO_PI, FourierMap, StripNorm, assemble_blocks, matmul
+from kamtorus.fourier import TWO_PI, FourierMap, StripNorm, assemble_blocks
 from kamtorus import frames as fr
 from kamtorus.frames import FrameBundle, GridKitchen, TorusCandidate
 from kamtorus.hamiltonian import DomainBox, HamiltonianSystem, _linear_integrals
@@ -51,11 +51,12 @@ class ErrorMaps:
 
 def error_maps(cand: TorusCandidate, frames: FrameBundle, kitchen: GridKitchen) -> ErrorMaps:
     """Omega_K, E_lag, E_sym and E_red of a candidate whose frames are ``frames``."""
-    LT_Om = matmul(frames.L.T, kitchen.Omega, out_bands=cand.bands)
-    # the call torsion makes, so the (1,2) block of E_red is exactly zero
-    NT_Om = matmul(frames.N.T, kitchen.Omega, out_bands=cand.bands)
-    OmegaK, Elag = fr.isotropy_errors(cand, frames.L, LT_Om, kitchen)
-    Esym = fr.symplecticity_error(cand, assemble_blocks([[frames.L, frames.N]]), kitchen)
+    omega = cand.system.geometry.Omega
+    LT_Om = frames.L.T.matmul_constant(omega)
+    # the product torsion forms, so the (1,2) block of E_red is exactly zero
+    NT_Om = frames.N.T.matmul_constant(omega)
+    OmegaK, Elag = fr.isotropy_errors(cand, frames.L, LT_Om)
+    Esym = fr.symplecticity_error(cand, assemble_blocks([[frames.L, frames.N]]))
     Ered = fr.reducibility_error(cand, frames.L, frames.T, frames.LoperN, LT_Om, NT_Om, kitchen)
     return ErrorMaps(OmegaK=OmegaK, Elag=Elag, Esym=Esym, Ered=Ered)
 

@@ -107,8 +107,7 @@ def test_criterion_3_structural_identities():
         fr = build_frames(cand, kk)
         maps = error_maps(cand, fr, kk)
         worst_avg = max(worst_avg, float(np.max(np.abs(maps.OmegaK.average()))))
-        eta_N = matmul(fr.L.T, matmul(kk.Omega, E, out_bands=cand.bands),
-                       out_bands=cand.bands)
+        eta_N = matmul(fr.L.T, E.rmatmul_constant(cand.system.geometry.Omega))
         worst_compat = max(worst_compat, float(np.max(np.abs(eta_N.average()))))
         n = cand.system.n
         worst_block = max(worst_block,

@@ -23,7 +23,7 @@ def reference_solve(eta_L, eta_N, T, dio):
     n = eta_L.shape[0]
     avgT = T.average().real
     R_etaN = solve_cohomological(eta_N, dio)
-    T_RetaN = matmul(T, R_etaN, out_bands=eta_L.bands)
+    T_RetaN = matmul(T, R_etaN)
     rhs = (eta_L - T_RetaN).average().real
     xi_N0 = np.linalg.solve(avgT, rhs)
     xi_N = R_etaN.add_constant(xi_N0)
@@ -45,8 +45,8 @@ def reference_solve_iso(eta_L, eta_N, eta_omega, T, Tdown, dio):
     Tc[:n, n] = omega_hat
     Tc[n, :n] = Tdown.average().real.reshape(n)
     R_etaN = solve_cohomological(eta_N, dio)
-    T_RetaN = matmul(T, R_etaN, out_bands=bands)
-    Tdown_RetaN = matmul(Tdown, R_etaN, out_bands=bands)
+    T_RetaN = matmul(T, R_etaN)
+    Tdown_RetaN = matmul(Tdown, R_etaN)
     rhs = np.zeros(n + 1)
     rhs[:n] = (eta_L - T_RetaN).average().real[:, 0]
     rhs[n] = eta_omega - float(Tdown_RetaN.average().real[0, 0])

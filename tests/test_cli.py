@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kamtorus import cli, frames, hamiltonian
 from kamtorus.certificate import estimate_global_constants, table_width_limit
@@ -302,6 +304,11 @@ def test_iso_solve_via_cli(tmp_path):
     # amplitudes, solved, and then overflowed c_XH_2 in certify
     ({"system": "lagrangian_rotors", "epsilon": 1.0, "imag_width": 56.04},
      "imag_width must be at most 55.76815830901658 at epsilon = 1.0"),
+    # |y_center| + y_radius overflows the momentum terms of the global constants
+    ({"system": "lagrangian_rotors", "y_radius": 1e308, "bands": [8, 8], "max_iters": 2},
+     "y_radius must be at most"),
+    # sqrt(sigma_omega) rounds to 1, an end of the ray
+    ({"mode": "iso", "sigma_omega": 1.0000000000000002}, "sigma_omega"),
 ])
 def test_malformed_config_exit_two_names_field(tmp_path, capsys, override, field):
     cfg = write_config(tmp_path, **override)
@@ -349,6 +356,37 @@ def test_widest_accepted_strip_keeps_the_global_constants_finite(name):
             for selector in ["H"] + [("p", j) for j in range(system.n_integrals)]:
                 g = estimate_global_constants(system, selector)
                 assert all(np.isfinite(v) for v in g.values.values())
+
+
+EXTREME_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0, -0.0, 5e-324, 1e-300, 1e300, 1e308, -1e308, 2**63, 10**400, True]),
+    st.integers(min_value=-3, max_value=80),
+    st.sampled_from([None, "", "0.1", "inf", {}]),
+    st.lists(st.one_of(st.integers(min_value=-2, max_value=80), st.floats(),
+                       st.sampled_from([2**63, 10**400])), max_size=3),
+)
+
+
+@settings(max_examples=200)
+@given(system=st.sampled_from(["lagrangian_rotors", "symmetric_rotors"]),
+       fields=st.dictionaries(st.sampled_from(["epsilon", "y_radius", "imag_width", "rho0",
+                                               "a1", "a2", "bands"]), EXTREME_VALUES))
+@example(system="lagrangian_rotors", fields={"y_radius": 1e308})
+def test_config_fuzz_validates_or_refuses(system, fields):
+    """Extreme and ill-typed values of the numeric fields either validate or are
+    refused with ConfigError, with no floating point warning, and every accepted
+    config's system has finite global constants."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cfg = RunConfig.from_dict({"system": system, **fields})
+        except ConfigError:
+            return
+        built = cli._system(cfg, cli._seed_frequency(cfg)[0])
+        for selector in ["H"] + [("p", j) for j in range(built.n_integrals)]:
+            g = estimate_global_constants(built, selector)
+            assert all(np.isfinite(v) for v in g.values.values())
 
 
 @pytest.mark.parametrize("overrides, step", [

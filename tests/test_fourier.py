@@ -18,7 +18,7 @@ from kamtorus.fourier import (
     slab_samples,
 )
 
-from conftest import eval_at, map_from_json, map_to_json, random_map
+from conftest import eval_at, map_from_json, map_to_json, on_band, random_map
 from oracles import assert_same_bits, cauchy_bound, irfftn_samples, rfftn_coefficients
 
 RNG = np.random.default_rng(20240817)
@@ -259,7 +259,7 @@ def test_strip_norm_overflow_flagged():
 def test_strip_norm_submultiplicative():
     a = random_map((5, 5), (2, 3), RNG, decay=0.2)
     b = random_map((5, 5), (3, 2), RNG, decay=0.2)
-    prod = matmul(a, b)  # full product band: no truncation slack
+    prod = matmul(a, b)  # the truncation to the operands' band only drops modes
     rho = 0.07
     lhs = prod.norm(rho).value
     rhs = a.norm(rho).value * b.norm(rho).value
@@ -416,8 +416,13 @@ def test_dealias_grid_sized_to_the_kept_modes():
     assert dealias_grid((5, 7), (3, 2)) == dealias_grid((5, 7), (3, 2), (8, 9))
 
 
+def slab_product(a, b, grid, bands):
+    """The transform path of ``matmul`` on ``grid``, kept at ``bands``."""
+    return FourierMap(slab_analysis(lambda rows, v: [v[0] @ v[1]], grid, bands, a, b)[0], bands)
+
+
 @pytest.mark.parametrize("bands, out_bands", [((6,), (6,)), ((5, 4), (5, 3))])
-def test_dealias_grid_is_tight(monkeypatch, bands, out_bands):
+def test_dealias_grid_is_tight(bands, out_bands):
     """One point short of N_a+N_b+N_out+1 folds product mode N_a+N_b onto the top
     kept mode; the rule's own size matches the full-band reference."""
     rng = np.random.default_rng(11)
@@ -425,43 +430,45 @@ def test_dealias_grid_is_tight(monkeypatch, bands, out_bands):
     b = random_map(bands, (2, 2), rng)
     ref = complex_fft_product(a, b, out_bands)
     need = tuple(2 * n + no + 1 for n, no in zip(bands, out_bands))
-    monkeypatch.setattr(fourier, "dealias_grid", lambda *_: need)
-    good = matmul(a, b, out_bands)
+    good = slab_product(a, b, need, out_bands)
     assert np.max(np.abs(good.coeffs - ref.coeffs)) <= 1e-13 * _scale(a, b)
-    monkeypatch.setattr(fourier, "dealias_grid", lambda *_: tuple(m - 1 for m in need))
-    short = matmul(a, b, out_bands)
+    short = slab_product(a, b, tuple(m - 1 for m in need), out_bands)
     top = tuple(slice(None) if i else -1 for i in range(len(bands)))  # k_1 = +N_out
     assert np.max(np.abs(short.coeffs[top] - ref.coeffs[top])) > 1e6 * 1e-13 * _scale(a, b)
 
 
-@pytest.mark.parametrize("bands_a, bands_b, out_bands", [
-    ((3,), (2,), (8,)),
-    ((4, 3), (2, 5), (12, 8)),
-])
-def test_default_grid_refuses_out_bands_above_product(bands_a, bands_b, out_bands):
+@pytest.mark.parametrize("bands_a, bands_b", [((3,), (4,)), ((4, 3), (4, 5)), ((2, 2), (2,))])
+def test_matmul_refuses_operands_on_different_bands(bands_a, bands_b):
     rng = np.random.default_rng(12)
     a = _operand("varying", bands_a, (2, 2), rng)
     b = _operand("varying", bands_b, (2, 2), rng)
-    with pytest.raises(FourierShapeError):
-        matmul(a, b, out_bands=out_bands)
+    with pytest.raises(FourierShapeError) as info:
+        matmul(a, b)
+    assert str(bands_a) in str(info.value) and str(bands_b) in str(info.value)
 
 
 def complex_fft_product(a, b, out_bands=None, work_grid=None):
-    """Reference product: complex synthesis, complex @, complex analysis.
+    """Reference product: complex synthesis, complex @, complex analysis, kept
+    at ``out_bands`` (default: the operands' band ``matmul`` keeps).
 
     The engine ``matmul`` uses real transforms and shortcuts constant and zero
     operands; it must agree with this on real-analytic operands.
     """
     work = tuple(work_grid) if work_grid is not None else tuple(
         2 * (na + nb) + 1 for na, nb in zip(a.bands, b.bands))
-    full = tuple(na + nb for na, nb in zip(a.bands, b.bands))
-    out_bands = full if out_bands is None else tuple(out_bands)
+    out_bands = a.bands if out_bands is None else tuple(out_bands)
     d = len(out_bands)
     prod = a.eval_grid(work) @ b.eval_grid(work)
     hat = np.fft.fftn(prod, axes=tuple(range(d))) / float(np.prod(work))
     coeffs = hat[np.ix_(*(np.arange(-n, n + 1) % m for n, m in zip(out_bands, work)))]
     flipped = np.conj(coeffs[tuple(slice(None, None, -1) for _ in range(d))])
     return FourierMap(0.5 * (coeffs + flipped), out_bands)
+
+
+def common_band(bands_a, bands_b, out_bands):
+    """``out_bands``, or by default the full product band N_a + N_b, on which a
+    product of maps drawn on bands_a and bands_b loses no mode."""
+    return tuple(out_bands) if out_bands else tuple(na + nb for na, nb in zip(bands_a, bands_b))
 
 
 def _operand(kind, bands, shape, rng):
@@ -472,9 +479,9 @@ def _operand(kind, bands, shape, rng):
     return random_map(bands, shape, rng, decay=0.2)
 
 
-def assert_matches_reference(a, b, out_bands=None, work_grid=None):
-    got = matmul(a, b, out_bands=out_bands)
-    ref = complex_fft_product(a, b, out_bands=out_bands, work_grid=work_grid)
+def assert_matches_reference(a, b, work_grid=None):
+    got = matmul(a, b)
+    ref = complex_fft_product(a, b, work_grid=work_grid)
     assert (got.bands, got.shape) == (ref.bands, ref.shape)
     assert np.max(np.abs(got.coeffs - ref.coeffs), initial=0.0) <= 1e-13 * _scale(a, b)
     return got
@@ -503,14 +510,17 @@ def _scale(a, b):
 ])
 def test_matmul_matches_complex_fft_product(monkeypatch, bands_a, bands_b, shape_a, shape_b,
                                             out_bands, work_grid):
-    """A given ``work_grid`` (odd, even, and short of alias-free on axis 0)
-    replaces the dealiasing rule's grid in both the engine and the reference."""
+    """Operands drawn on bands_a and bands_b and held on the common band
+    ``out_bands`` (:func:`common_band`); a given ``work_grid`` (odd, even, and
+    short of alias-free on axis 0) replaces the dealiasing rule's grid in both
+    the engine and the reference."""
     rng = np.random.default_rng(sum(bands_a) + 10 * len(bands_b))
-    a = _operand("varying", bands_a, shape_a, rng)
-    b = _operand("varying", bands_b, shape_b, rng)
+    common = common_band(bands_a, bands_b, out_bands)
+    a = on_band(_operand("varying", bands_a, shape_a, rng), common)
+    b = on_band(_operand("varying", bands_b, shape_b, rng), common)
     if work_grid is not None:
         monkeypatch.setattr(fourier, "dealias_grid", lambda *_: work_grid)
-    assert_matches_reference(a, b, out_bands, work_grid)
+    assert_matches_reference(a, b, work_grid)
 
 
 @pytest.mark.parametrize("kinds", [("const", "varying"), ("varying", "const"),
@@ -518,26 +528,28 @@ def test_matmul_matches_complex_fft_product(monkeypatch, bands_a, bands_b, shape
                                    ("varying", "zero")])
 @pytest.mark.parametrize("out_bands", [None, (2, 5)])
 def test_matmul_constant_and_zero_operands_skip_transforms(monkeypatch, kinds, out_bands):
+    """Operands drawn on (3, 4) and (4, 2), held on the common band ``out_bands``."""
     rng = np.random.default_rng(5)
-    a = _operand(kinds[0], (3, 4), (3, 2), rng)
-    b = _operand(kinds[1], (4, 2), (2, 4), rng)
-    ref = complex_fft_product(a, b, out_bands=out_bands)
+    common = common_band((3, 4), (4, 2), out_bands)
+    a = on_band(_operand(kinds[0], (3, 4), (3, 2), rng), common)
+    b = on_band(_operand(kinds[1], (4, 2), (2, 4), rng), common)
+    ref = complex_fft_product(a, b)
 
     def no_transform(*args, **kwargs):
         raise AssertionError("a constant or zero operand must not be transformed")
 
     for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, no_transform)
-    got = matmul(a, b, out_bands=out_bands)
+    got = matmul(a, b)
     assert (got.bands, got.shape) == (ref.bands, ref.shape)
     assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-13 * _scale(a, b)
 
 
 def test_matmul_constant_result_keeps_exact_zeros():
     rng = np.random.default_rng(6)
-    c1 = FourierMap.constant(rng.standard_normal((2, 3)), (2, 3))
-    c2 = FourierMap.constant(rng.standard_normal((3, 2)), (4, 1))
-    prod = matmul(c1, c2, out_bands=(3, 3))
+    c1 = FourierMap.constant(rng.standard_normal((2, 3)), (3, 3))
+    c2 = FourierMap.constant(rng.standard_normal((3, 2)), (3, 3))
+    prod = matmul(c1, c2)
     off = prod.coeffs.copy()
     off[3, 3] = 0.0
     assert not np.any(off)
@@ -550,7 +562,7 @@ def test_matmul_empty_operand_gives_zeros(shape_a, shape_b):
     rng = np.random.default_rng(7)
     a = _operand("varying", (3, 2), shape_a, rng)
     b = _operand("varying", (3, 2), shape_b, rng)
-    got = assert_matches_reference(a, b, out_bands=(3, 2))
+    got = assert_matches_reference(a, b)
     assert not np.any(got.coeffs)
 
 
@@ -568,13 +580,12 @@ def per_mode_matmul_constant(f, matrix):
     return f.coeffs @ (matrix[:, None] if matrix.ndim == 1 else matrix)
 
 
-def reference_constant_product(const, varying, side, out_bands):
-    """matmul's constant shortcut as it was: the reference product of a
-    truncated-and-padded copy of the varying operand."""
-    fitted = varying.truncate(tuple(map(min, varying.bands, out_bands))).pad_bands(out_bands)
+def reference_constant_product(const, varying, side):
+    """matmul's constant shortcut by its references: the complex einsum on the
+    left, numpy's per-mode @ on the right."""
     if side == "left":
-        return einsum_rmatmul_constant(fitted, const.average())
-    return per_mode_matmul_constant(fitted, const.average())
+        return einsum_rmatmul_constant(varying, const.average())
+    return per_mode_matmul_constant(varying, const.average())
 
 
 def _awkward_coeffs(box, shape, rng):
@@ -637,52 +648,31 @@ def test_left_constant_product_keeps_complex_matrices_exact():
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("out_bands", [(3, 4), (2, 4), (5, 6), (1, 7)])
 def test_matmul_constant_shortcut_equals_copies_bit_for_bit(side, out_bands):
-    """Scaling the kept view and then padding gives the bytes of scaling the
-    truncated-and-padded copy."""
+    """With both factors held on ``out_bands`` (the varying one a truncated or
+    padded copy), the shortcut gives the bytes of the reference product."""
     rng = np.random.default_rng(len(side) + sum(out_bands))
-    const = FourierMap.constant(_awkward_matrix((4, 4), rng), (3, 4))
-    varying = FourierMap(_awkward_coeffs((7, 9), (4, 4), rng), (3, 4))
+    const = FourierMap.constant(_awkward_matrix((4, 4), rng), out_bands)
+    varying = on_band(FourierMap(_awkward_coeffs((7, 9), (4, 4), rng), (3, 4)), out_bands)
     a, b = (const, varying) if side == "left" else (varying, const)
-    got = matmul(a, b, out_bands=out_bands)
-    ref = reference_constant_product(const, varying, side, out_bands)
+    got = matmul(a, b)
     assert got.bands == out_bands
-    assert got.coeffs.tobytes() == ref.tobytes()
+    assert got.coeffs.tobytes() == reference_constant_product(const, varying, side).tobytes()
 
 
-def test_matmul_constant_and_zero_products_need_no_work_grid():
-    """The shortcuts transform nothing, so an output band past the operands'
-    dealiasing grid still gets the exact product, zero-padded; only a
-    transform product checks its work grid."""
+def test_matmul_constant_and_zero_products_need_no_work_grid(monkeypatch):
+    """The shortcuts transform nothing, so they never ask for a work grid."""
     rng = np.random.default_rng(12)
     f = FourierMap(_awkward_coeffs((33, 33), (2, 3), rng), (16, 16))
-    cases = [(FourierMap.constant(np.eye(2), (0, 0)), (32, 32)),
-             (FourierMap.constant(_awkward_matrix((2, 2), rng), (16, 16)), (40, 40))]
-    for const, out_bands in cases:
-        got = matmul(const, f, out_bands=out_bands)
-        assert got.bands == out_bands
-        assert got.coeffs.tobytes() == \
-            reference_constant_product(const, f, "left", out_bands).tobytes()
-    zero = FourierMap.zeros((4, 4), (2, 2))
-    got = matmul(zero, zero, out_bands=(16, 16))
-    assert (got.bands, got.shape) == ((16, 16), (2, 2)) and not np.any(got.coeffs)
-    a = _operand("varying", (3, 4), (2, 2), rng)
-    with pytest.raises(FourierShapeError, match="work grid too small"):
-        matmul(a, a, out_bands=(6, 9))  # above the product band (6, 8)
+    const = FourierMap.constant(_awkward_matrix((2, 2), rng), (16, 16))
+    zero = FourierMap.zeros((16, 16), (2, 2))
 
+    def no_grid(*args):
+        raise AssertionError("a constant or zero operand needs no work grid")
 
-@pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("out_bands", [(2, 3), (4, 5)])
-def test_one_mode_constant_equals_full_band_constant_bit_for_bit(side, out_bands):
-    """A constant held at bands (0, 0) gives the bytes of the same constant on
-    the other factor's full band, as either factor, and the same norms."""
-    rng = np.random.default_rng(len(side) + sum(out_bands))
-    matrix = _awkward_matrix((3, 3), rng)
-    varying = FourierMap(_awkward_coeffs((9, 11), (3, 3), rng), (4, 5))
-    one, full = FourierMap.constant(matrix, (0, 0)), FourierMap.constant(matrix, (4, 5))
-    pairs = [((c, varying) if side == "left" else (varying, c)) for c in (one, full)]
-    got, want = (matmul(a, b, out_bands=out_bands) for a, b in pairs)
-    assert got.bands == want.bands == out_bands
-    assert got.coeffs.tobytes() == want.coeffs.tobytes()
-    for rho in (0.0, 0.05):
-        for transpose in (False, True):
-            assert one.norm(rho, transpose).value == full.norm(rho, transpose).value
+    monkeypatch.setattr(fourier, "dealias_grid", no_grid)
+    got = matmul(const, f)
+    assert got.coeffs.tobytes() == reference_constant_product(const, f, "left").tobytes()
+    for a, b in ((zero, zero), (zero, f)):
+        got = matmul(a, b)
+        assert (got.bands, got.shape) == ((16, 16), (2, 3 if b is f else 2))
+        assert not np.any(got.coeffs)

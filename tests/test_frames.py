@@ -1,12 +1,14 @@
 """Frame construction, geometric error maps, torsion, reducibility."""
 
+import functools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from kamtorus import fourier
 from kamtorus.cohomology import russmann_constant
-from kamtorus.fourier import FourierMap, dealias_grid, matmul
+from kamtorus.fourier import FourierMap, assemble_blocks, dealias_grid, matmul
 from kamtorus.frames import (
     RANK_TOL,
     HypothesisError,
@@ -24,8 +26,9 @@ from kamtorus.frames import (
     work_grid,
 )
 from kamtorus.hamiltonian import builtin_system
+from kamtorus.solver import iterate_newton
 
-from conftest import GOLDEN, dk_map, random_map, seed_run
+from conftest import GOLDEN, dk_map, on_band, random_map, scaled_structure, seed_run
 from oracles import empty_integrals, error_maps, irfftn_samples, svd_rank_check
 
 
@@ -194,8 +197,7 @@ def test_compatibility_average_identity(perturbed_candidate_a):
         kk = grid_kitchen(cand)
         E = invariance_error(cand, kk)
         L = tangent_frame(cand, kk)
-        eta_N = matmul(L.T, matmul(kk.Omega, E, out_bands=cand.bands),
-                       out_bands=cand.bands)
+        eta_N = matmul(L.T, E.rmatmul_constant(cand.system.geometry.Omega))
         assert np.max(np.abs(eta_N.average())) <= 1e-12 * max(
             1.0, E.norm(cand.rho).value
         )
@@ -212,7 +214,7 @@ def test_free_rotor_frame_hand_values():
     cand = free_rotor_candidate()
     kk = grid_kitchen(cand)
     L = tangent_frame(cand, kk)
-    N0, B, A, N, diag = normal_frame(cand, L, kk)
+    N0, B, A, N, diag = normal_frame(cand, L)
     eye2 = np.eye(2)
     assert np.allclose(L.average().real, np.vstack([eye2, 0 * eye2]), atol=1e-13)
     assert np.allclose(N0.average().real, np.vstack([0 * eye2, eye2]), atol=1e-13)
@@ -228,8 +230,8 @@ def test_pointwise_inverse_matches_neumann_oracle(perturbed_candidate_a):
     cand = perturb_candidate(perturbed_candidate_a, scale=2e-2, seed=3)
     kk = grid_kitchen(cand)
     L = tangent_frame(cand, kk)
-    GL = matmul(matmul(L.T, kk.G, out_bands=cand.bands), L, out_bands=cand.bands)
-    N0, B, A, N, diag = normal_frame(cand, L, kk)
+    GL = matmul(L.T.matmul_constant(cand.system.geometry.G), L)
+    N0, B, A, N, diag = normal_frame(cand, L)
     wg = work_grid(cand.bands)
     vals = GL.eval_grid(wg)
     # Neumann-series refinement oracle, independent of the elimination in _pointwise_inverse
@@ -245,7 +247,7 @@ def test_pointwise_inverse_matches_neumann_oracle(perturbed_candidate_a):
 @pytest.mark.parametrize("n", [2, 3])
 def test_pointwise_inverse_matches_per_point_inv(n):
     rng = np.random.default_rng(40 + n)
-    m = random_map((3, 2), (n, n), rng, decay=1.0, scale=3.0)
+    m = on_band(random_map((3, 2), (n, n), rng, decay=1.0, scale=3.0), (6, 4))
     spd = matmul(m.T, m).add_constant(np.eye(n))  # exact product: eigenvalues >= 1 pointwise
     bands = spd.bands
     inv, cond = _pointwise_inverse(spd)
@@ -288,6 +290,47 @@ def test_case_iii_forces_zero_A(exact_torus_b):
     assert np.max(np.abs(fr.A.coeffs)) == 0.0
 
 
+@functools.lru_cache(maxsize=1)
+def converged_iterate():
+    result = iterate_newton(*seed_run(epsilon=5e-3, bands=[8, 8], max_iters=6, stop_tol=1e-10))
+    assert result.converged
+    return result.iterate
+
+
+@pytest.mark.parametrize("structure", ["canonical", "scaled"])
+@pytest.mark.parametrize("torus", ["seed", "converged"])
+def test_structure_products_equal_full_band_constant_products_bit_for_bit(torus, structure):
+    """Each product of a map by a structure matrix that the frames, the error
+    maps and the Newton step form directly has the bytes of ``matmul`` by the
+    matrix held as a full-band constant map, on the constant seed frame and on
+    a converged torus; the twist scale's row sum of |Omega| is that map's norm."""
+    it = seed_run(epsilon=5e-3, bands=[8, 8])[0] if torus == "seed" else converged_iterate()
+    cand = it.cand
+    if structure == "scaled":
+        cand = cand.with_updates(system=replace(cand.system, geometry=scaled_structure(2)))
+    kk = grid_kitchen(cand)
+    L = tangent_frame(cand, kk)
+    assert fourier._is_constant(L) == (torus == "seed")
+    N = normal_frame(cand, L)[3]
+    E = invariance_error(cand, kk)
+    dk = L.block(slice(None), slice(0, cand.d))
+    P = assemble_blocks([[L, N]])
+    geo = cand.system.geometry
+    om, g, j, tom = (FourierMap.constant(m, cand.bands)
+                     for m in (geo.Omega, geo.G, geo.J, geo.tOmega))
+    pairs = [(L.rmatmul_constant(geo.J), matmul(j, L)),
+             (L.T.matmul_constant(geo.G), matmul(L.T, g)),
+             (L.T.matmul_constant(geo.tOmega), matmul(L.T, tom)),
+             (N.T.matmul_constant(geo.Omega), matmul(N.T, om)),
+             (E.rmatmul_constant(geo.Omega), matmul(om, E)),
+             (dk.T.matmul_constant(geo.Omega), matmul(dk.T, om)),
+             (P.T.matmul_constant(geo.Omega), matmul(P.T, om))]
+    for got, want in pairs:
+        assert got.bands == want.bands == cand.bands
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    assert np.abs(geo.Omega).sum(axis=1).max() == om.norm(0.0).value
+
+
 # ------------------------------------------------------- error-map structure
 
 
@@ -320,7 +363,7 @@ def test_esym_block_structure_case_iii(perturbed_candidate_a):
     top_left = FourierMap(maps.Esym.coeffs[..., :n, :n], bands)
     diff1 = (top_left - maps.Elag).norm(0.0).value
     bottom_right = FourierMap(maps.Esym.coeffs[..., n:, n:], bands)
-    BT_Elag_B = matmul(matmul(fr.B.T, maps.Elag, out_bands=bands), fr.B, out_bands=bands)
+    BT_Elag_B = matmul(matmul(fr.B.T, maps.Elag), fr.B)
     diff2 = (bottom_right - BT_Elag_B).norm(0.0).value
     off = max(np.max(np.abs(maps.Esym.coeffs[..., :n, n:])),
               np.max(np.abs(maps.Esym.coeffs[..., n:, :n])))
@@ -337,12 +380,12 @@ def test_frame_identity_tangent_normal_pairing(perturbed_candidate_a):
     kk = grid_kitchen(cand)
     fr = build_frames(cand, kk)
     maps = error_maps(cand, fr, kk)
-    lhs = matmul(matmul(fr.L.T, kk.Omega, out_bands=cand.bands), fr.N,
-                 out_bands=cand.bands)
+    geo = cand.system.geometry
+    lhs = matmul(fr.L.T.matmul_constant(geo.Omega), fr.N)
     lhs = lhs.add_constant(np.eye(cand.system.n))
     resid = lhs.norm(0.0).value
-    GL = matmul(matmul(fr.L.T, kk.G, out_bands=cand.bands), fr.L, out_bands=cand.bands)
-    trunc = matmul(GL, fr.B, out_bands=cand.bands).add_constant(
+    GL = matmul(fr.L.T.matmul_constant(geo.G), fr.L)
+    trunc = matmul(GL, fr.B).add_constant(
         -np.eye(cand.system.n)
     ).norm(0.0).value
     assert resid <= 1e-10 + 2 * trunc + 10 * maps.Elag.norm(0.0).value * fr.A.norm(0.0).value
@@ -354,10 +397,8 @@ def test_normal_isotropy_identity_case_iii(perturbed_candidate_a):
     kk = grid_kitchen(cand)
     fr = build_frames(cand, kk)
     maps = error_maps(cand, fr, kk)
-    lhs = matmul(matmul(fr.N.T, kk.Omega, out_bands=cand.bands), fr.N,
-                 out_bands=cand.bands)
-    rhs = matmul(matmul(fr.B.T, maps.Elag, out_bands=cand.bands), fr.B,
-                 out_bands=cand.bands)
+    lhs = matmul(fr.N.T.matmul_constant(cand.system.geometry.Omega), fr.N)
+    rhs = matmul(matmul(fr.B.T, maps.Elag), fr.B)
     assert (lhs - rhs).norm(0.0).value <= 1e-8 * max(1.0, rhs.norm(0.0).value)
 
 
@@ -380,7 +421,7 @@ def test_extended_torsion_free_rotor_determinant():
     cand = free_rotor_candidate()
     kk = grid_kitchen(cand, "H")
     L = tangent_frame(cand, kk)
-    _, _, _, N, _ = normal_frame(cand, L, kk)
+    _, _, _, N, _ = normal_frame(cand, L)
     scale = _twist_scale(cand, N, kk)
     T, avgT, _ = torsion(cand, N, kk, scale)
     Tc, avgTc, Tdown = extended_torsion(cand, T, N, kk, scale)
@@ -485,7 +526,7 @@ def test_fully_periodic_parameterization_without_marker(golden_dio):
     E = invariance_error(cand, kk)
     assert E.norm(cand.rho).value <= 1e-12
     L = tangent_frame(cand, kk)
-    _, _, _, N, _ = normal_frame(cand, L, kk)
+    _, _, _, N, _ = normal_frame(cand, L)
     # the oscillator pair is isochronous: zero twist, and the degeneracy gate
     # must fire rather than regularize
     with pytest.raises(HypothesisError) as info:

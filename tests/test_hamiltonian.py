@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from kamtorus.certificate import estimate_global_constants
-from kamtorus.fourier import FourierMap
-from kamtorus.frames import grid_kitchen
 from kamtorus.hamiltonian import (
     _BUILTIN_TERMS,
     DomainBox,
@@ -23,7 +21,7 @@ from kamtorus.hamiltonian import (
     verify_involution,
 )
 
-from conftest import scaled_structure, seed_run
+from conftest import scaled_structure
 from oracles import contains_margin
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -308,19 +306,3 @@ def test_unflagged_structure_is_not_canonical():
         assert g.values[key] == 0.0
     assert set(g.provenance.values()) == {"exact", "canonical-exact"}
     assert g.provenance["c_G_0"] == g.provenance["c_G_1"] == "exact"
-
-
-def test_grid_kitchen_structure_maps_are_one_mode_constants():
-    """The structure matrices are one-mode kitchen maps, for the canonical and
-    for the scaled structure."""
-    seed = seed_run(epsilon=0.02, bands=[4, 4], rho0=0.03)[0]
-    cand, kk = seed.cand, seed.kitchen
-    omega0 = canonical_structure(2).Omega
-    for geometry, scale in ((None, 1.0), (scaled_structure(2), 2.0)):
-        if geometry is not None:
-            kk = grid_kitchen(cand.with_updates(
-                system=dataclasses.replace(cand.system, geometry=geometry)))
-        for got, mat in ((kk.Omega, omega0), (kk.G, scale * np.eye(4)), (kk.J, scale * omega0),
-                         (kk.tOmega, scale**2 * omega0)):
-            assert got.bands == (0, 0)  # one mode: matmul scales the other factor by it
-            assert np.array_equal(got.coeffs, FourierMap.constant(mat, got.bands).coeffs)
