@@ -107,7 +107,7 @@ def _table_bounds(sys: HamiltonianSystem, conserved) -> dict:
     """
     tab, box, n = sys.table, sys.domain, sys.n
     j = sys.integral_index(conserved)
-    if tab is None or box.angle_count != n or not np.array_equal(sys.geometry.Omega, _omega0(n)):
+    if tab is None or not np.array_equal(sys.geometry.Omega, _omega0(n)):
         return {}
     tp = 2.0 * np.pi
     ak = np.abs(tab.k)

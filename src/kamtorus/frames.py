@@ -139,22 +139,22 @@ class TorusCandidate:
         safe direction for the certificate.
         """
         sys = self.system
-        a = sys.domain.angle_count
+        n = sys.n
         f0 = self.k_per.average()
         weights = np.exp(TWO_PI * self.rho * _k1_box(self.bands))
         mags = np.abs(self.k_per.coeffs)  # |f_k|, then f_0 shifted as add_constant shifts it:
         mags[self.bands] = np.abs(f0 + -f0)  # the oscillating part K - <K>
         osc_norms = _rowwise_majorant(mags, weights)
         margin = np.inf
-        for i in range(a):  # periodic rows: imaginary excursion only
+        for i in range(n):  # periodic rows: imaginary excursion only
             excur = osc_norms[i] + abs(f0[i, 0].imag)
             if self.angle_block and i < self.d:
                 excur += self.rho
             margin = min(margin, sys.domain.imag_width - excur)
-        shift = np.concatenate([np.zeros(a), -sys.domain.y_center])[:, None]
+        shift = np.concatenate([np.zeros(n), -sys.domain.y_center])[:, None]
         mags[self.bands] = np.abs(f0 + shift.astype(np.complex128))  # K - (0, y_center)
         mom_norms = _rowwise_majorant(mags, weights)
-        for j in range(a, 2 * sys.n):
+        for j in range(n, 2 * n):
             margin = min(margin, sys.domain.y_radius - mom_norms[j])
         return float(margin)
 
@@ -168,7 +168,7 @@ def seed_torus(system: HamiltonianSystem, dio: DiophantineParams, bands,
     """
     bands = tuple(int(b) for b in bands)
     k_per = FourierMap.zeros(bands, (2 * system.n, 1))
-    k_per.coeffs[bands + (slice(system.domain.angle_count, None), 0)] = system.domain.y_center
+    k_per.coeffs[bands + (slice(system.n, None), 0)] = system.domain.y_center
     return TorusCandidate(k_per, dio.omega, dio, rho=rho, system=system)
 
 
@@ -254,7 +254,6 @@ class FrameBundle:
     N: FourierMap
     T: FourierMap
     avgT: np.ndarray
-    LoperN: FourierMap
     Tc: FourierMap | None = None
     avgTc: np.ndarray | None = None
     Tdown: FourierMap | None = None
@@ -340,7 +339,7 @@ def _pointwise_inverse(f: FourierMap):
     """Pointwise inverse of a symmetric positive definite map on its work grid.
 
     The Gram matrix L^T (G o K) L is SPD wherever G is positive definite
-    (``GeometricStructure.check_invariants`` checks it) and L has full rank
+    (a ``GeometricStructure`` checks it when built) and L has full rank
     (``tangent_frame`` checks it), so Gauss-Jordan elimination needs no
     pivoting.  It runs one axis-0 slab of the grid at a time
     (:func:`~kamtorus.fourier.slab_analysis`), with the matrix axes in front and
@@ -398,30 +397,19 @@ def _front_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def normal_frame(cand: TorusCandidate, L: FourierMap):
-    """(N0, B, A, N) per the metric construction; A = 0 under the Case III tag.
-
-    B is symmetrized after inversion and the asymmetry residual is returned in
-    the accompanying diagnostics dict.
-    """
+    """(B, A, N) per the metric construction; A = 0 in Case III.  B and A are
+    made symmetric and antisymmetric after they are formed."""
     geo = cand.system.geometry
-    diag = {}
-
-    N0 = L.rmatmul_constant(geo.J)
-    GL = matmul(L.T.matmul_constant(geo.G), L)
-    B_raw, cond = _pointwise_inverse(GL)
-    diag["gram_condition"] = cond
+    B_raw, _ = _pointwise_inverse(matmul(L.T.matmul_constant(geo.G), L))
     B = 0.5 * (B_raw + B_raw.T)
-    diag["B_asymmetry"] = (B_raw - B_raw.T).norm(0.0).value * 0.5
-
     if geo.case_tag == "III":
         A = FourierMap.zeros(cand.bands, (cand.system.n, cand.system.n))
     else:
         tOmL = matmul(L.T.matmul_constant(geo.tOmega), L)
         A_raw = -0.5 * matmul(matmul(B.T, tOmL), B)
         A = 0.5 * (A_raw - A_raw.T)
-        diag["A_symmetric_part"] = (A_raw + A_raw.T).norm(0.0).value * 0.5
-    N = matmul(L, A) + matmul(N0, B)
-    return N0, B, A, N, diag
+    N = matmul(L, A) + matmul(L.rmatmul_constant(geo.J), B)
+    return B, A, N
 
 
 def isotropy_errors(cand: TorusCandidate, L: FourierMap, LT_Om: FourierMap):
@@ -454,7 +442,7 @@ def torsion(cand: TorusCandidate, N: FourierMap, kitchen: GridKitchen, scale: fl
     T = matmul(NT_Om, loper_n)
     avgT = T.average().real
     _check_twist(avgT, "averaged torsion <T>", scale)
-    return T, avgT, loper_n
+    return T, avgT
 
 
 def _twist_scale(cand: TorusCandidate, N: FourierMap, kitchen: GridKitchen) -> float:
@@ -524,8 +512,8 @@ def reducibility_error(cand: TorusCandidate, L: FourierMap, T: FourierMap,
     """E_red = -Omega_0 P^T (Omega o K)(DX_H o K . P + L_omega P) - Lambda.
 
     Assembled block-wise from the products LT_Om = L^T (Omega o K) and
-    NT_Om = N^T (Omega o K); when NT_Om and LoperN are the torsion's, the
-    (1,2) block repeats the torsion's arithmetic, so it vanishes identically
+    NT_Om = N^T (Omega o K); when NT_Om and LoperN are formed by the torsion's
+    own calls, the (1,2) block repeats its arithmetic, so it vanishes identically
     (Lambda = [[0, T], [0, 0]] by construction).
     """
     loper_l = matmul(kitchen.DXH, L) + L.lie(cand.omega)
@@ -541,10 +529,10 @@ def build_frames(cand: TorusCandidate, kitchen: GridKitchen) -> FrameBundle:
     the bordered torsion too when the kitchen carries a conserved quantity
     (iso mode).  The error maps are not built."""
     L = tangent_frame(cand, kitchen)
-    _, B, A, N, _ = normal_frame(cand, L)
+    B, A, N = normal_frame(cand, L)
     scale = _twist_scale(cand, N, kitchen)  # shared by both twist gates
-    T, avgT, loper_n = torsion(cand, N, kitchen, scale)
-    bundle = FrameBundle(L=L, A=A, B=B, N=N, T=T, avgT=avgT, LoperN=loper_n)
+    T, avgT = torsion(cand, N, kitchen, scale)
+    bundle = FrameBundle(L=L, A=A, B=B, N=N, T=T, avgT=avgT)
     if kitchen.Dc is not None:
         bundle.Tc, bundle.avgTc, bundle.Tdown = extended_torsion(cand, T, N, kitchen, scale)
     return bundle

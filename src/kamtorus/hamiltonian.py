@@ -3,9 +3,10 @@
 A system bundles analytic callbacks for the Hamiltonian H, its vector field
 X_H = Omega^{-1} (DH)^T and a stack of n-d first integrals p (possibly
 empty), with the constant geometric structure (symplectic matrix Omega,
-metric G, isomorphism J, and tilde-Omega = J^T Omega J).  All callbacks are
-vectorized over a leading batch of phase-space points.  A target conserved
-quantity c is named by its selector: "H", or ("p", j) for p_j.
+metric G and isomorphism J, whose identities are checked when it is built).
+All callbacks are vectorized over a leading batch of phase-space points.  A
+target conserved quantity c is named by its selector: "H", or ("p", j) for
+p_j.
 
 Derivative conventions (batch axes elided):
     H() -> scalar            DH() -> (2n,)           [row gradient]
@@ -15,7 +16,9 @@ Derivative conventions (batch axes elided):
     Xp() -> (2n, m)          DXp() -> (2n, m, 2n)    D2Xp() -> (2n, m, 2n, 2n)
 
 Analytic derivatives are mandatory; a finite-difference validator
-cross-checks them but is never used by the solver.
+cross-checks them but is never used by the solver.  A system generated from a
+term table states the involution of its integrals exactly
+(``TermTable.involution_bounds``).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 
 class StructureError(ValueError):
-    """A geometric-structure invariant fails (a singular Omega among them)."""
+    """An identity of a geometric structure fails as it is built."""
 
 
 # ---------------------------------------------------------------------------
@@ -38,52 +41,64 @@ class StructureError(ValueError):
 @dataclass(frozen=True)
 class GeometricStructure:
     """The constant matrices of the exact symplectic structure and metric on
-    R^{2n}: Omega, the metric G, the isomorphism J and tilde-Omega = J^T
-    Omega J.  Omega is exact with the action a(z) = -Omega z / 2.
+    R^{2n}: Omega, the metric G and the isomorphism J.  Omega is exact with the
+    action a(z) = -Omega z / 2.
 
-    case_tag "III" asserts the compatible (anti-involutive J) case, in which
-    the frame coefficient A vanishes identically; "II" is the generic
-    metric-compatible case.  The frames multiply map coefficients by the
-    matrices directly and the certificate bounds them exactly.  Only
-    :func:`constant_structure` builds one.
+    Building one casts the matrices to read-only float64 copies and checks, to
+    STRUCTURE_TOL, the identities Omega^T = -Omega, G^T = G > 0 and
+    J^T Omega = G (so Omega is invertible); a ``StructureError`` names each
+    one that fails.  tilde-Omega = J^T Omega J and the case are read off the
+    matrices: Case III, in which the frame coefficient A vanishes identically,
+    when J is anti-involutive and preserves Omega and G, Case II otherwise.
+    The frames multiply map coefficients by the matrices directly and the
+    certificate bounds them exactly.
     """
 
     Omega: np.ndarray
     G: np.ndarray
     J: np.ndarray
-    tOmega: np.ndarray
-    case_tag: str = "III"
+
+    def __post_init__(self):
+        for name in ("Omega", "G", "J"):
+            mat = np.array(getattr(self, name), dtype=np.float64)
+            mat.flags.writeable = False
+            object.__setattr__(self, name, mat)
+        om, g, j = self.Omega, self.G, self.J
+        bad = [name for name, err in (("antisymmetry Omega^T = -Omega", om + om.T),
+                                      ("metric symmetry G^T = G", g - g.T),
+                                      ("compatibility J^T Omega = G", j.T @ om - g))
+               if not _vanishes(err)]
+        if not (np.isfinite(g).all() and np.linalg.eigvalsh(g)[0] > 0):
+            bad.append("metric positive definite G > 0")
+        if bad:
+            raise StructureError(f"structure invariants violated: {'; '.join(bad)}")
+
+    @property
+    def tOmega(self) -> np.ndarray:
+        """tilde-Omega = J^T Omega J."""
+        return self.J.T @ self.Omega @ self.J
+
+    @property
+    def case_tag(self) -> str:
+        """"III" when J^2 = -I, J^T Omega J = Omega and J^T G J = G, else "II"."""
+        om, g, j = self.Omega, self.G, self.J
+        compatible = (j @ j + np.eye(len(j)), self.tOmega - om, j.T @ g @ j - g)
+        return "III" if all(map(_vanishes, compatible)) else "II"
 
     @property
     def is_canonical(self) -> bool:
         """The standard structure: Omega = Omega_0, G = I, J = Omega_0."""
         omega0 = _omega0(len(self.Omega) // 2)
         return all(np.array_equal(got, want) for got, want in
-                   zip((self.Omega, self.G, self.J, self.tOmega),
-                       (omega0, np.eye(len(omega0)), omega0, omega0)))
+                   zip((self.Omega, self.G, self.J), (omega0, np.eye(len(omega0)), omega0)))
 
-    def check_invariants(self, tol: float = 1e-10):
-        """Verify Omega^T = -Omega (so Omega is exact), G^T = G > 0, J^T Omega = G,
-        tilde-Omega = J^T Omega J, and the Case III compatibility identities
-        when tagged."""
-        Om, G, J = self.Omega, self.G, self.J
-        errs = {
-            "antisymmetry": float(np.max(np.abs(Om + Om.T))),
-            "metric_symmetry": float(np.max(np.abs(G - G.T))),
-            "compatibility_JTO_G": float(np.max(np.abs(J.T @ Om - G))),
-            "tilde_consistency": float(np.max(np.abs(self.tOmega - J.T @ Om @ J))),
-        }
-        eigmin = float(np.min(np.linalg.eigvalsh(G)))
-        if eigmin <= 0:
-            raise StructureError(f"metric not positive definite: min eigenvalue {eigmin}")
-        if self.case_tag == "III":
-            errs["J_anti_involutive"] = float(np.max(np.abs(J @ J + np.eye(len(J)))))
-            errs["omega_J_invariant"] = float(np.max(np.abs(J.T @ Om @ J - Om)))
-            errs["metric_J_invariant"] = float(np.max(np.abs(J.T @ G @ J - G)))
-        bad = {k: v for k, v in errs.items() if v > tol}
-        if bad:
-            raise StructureError(f"structure invariants violated: {bad}")
-        return errs
+
+STRUCTURE_TOL = 1e-10  # the largest entry of a structure identity's residual that counts as 0
+
+
+def _vanishes(residual: np.ndarray) -> bool:
+    """Every entry of ``residual`` is at most STRUCTURE_TOL in modulus (NaN is not)."""
+    return bool(np.max(np.abs(residual)) <= STRUCTURE_TOL)
 
 
 def _omega0(n: int) -> np.ndarray:
@@ -91,18 +106,10 @@ def _omega0(n: int) -> np.ndarray:
     return np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
 
 
-def constant_structure(omega: np.ndarray, G: np.ndarray, J: np.ndarray,
-                       case_tag: str) -> GeometricStructure:
-    """The structure with the constant matrices Omega, G, J and
-    tilde-Omega = J^T Omega J."""
-    om, g, j = (np.array(m, dtype=np.float64) for m in (omega, G, J))
-    return GeometricStructure(om, g, j, j.T @ om @ j, case_tag)
-
-
 def canonical_structure(n: int) -> GeometricStructure:
     """Standard structure on R^{2n}: Omega = Omega_0, G = I, J = Omega_0 (Case III)."""
     omega0 = _omega0(n)
-    return constant_structure(omega0, np.eye(2 * n), omega0, "III")
+    return GeometricStructure(omega0, np.eye(2 * n), omega0)
 
 
 # ---------------------------------------------------------------------------
@@ -112,29 +119,22 @@ def canonical_structure(n: int) -> GeometricStructure:
 
 @dataclass(frozen=True)
 class DomainBox:
-    """Complexified evaluation domain.
+    """Complexified evaluation domain T^n x B^n.
 
-    The leading ``angle_count`` coordinates are periodic: only their imaginary
-    part is constrained (|Im| < imag_width).  The remaining 2n - angle_count
-    coordinates live in complex discs |z_j - center_j| < radius.  The default
-    angle_count = n models T^n x R^n; angle_count = 0 models a bounded region
-    of R^{2n}.
+    The n angles are periodic: only their imaginary part is constrained
+    (|Im| < imag_width).  The n momenta live in complex discs
+    |y_j - y_center_j| < y_radius.
     """
 
     n: int
     y_center: np.ndarray
     y_radius: float
     imag_width: float
-    angle_count: int | None = None
 
     def __post_init__(self):
-        if self.angle_count is None:
-            object.__setattr__(self, "angle_count", self.n)
         object.__setattr__(self, "y_center", np.asarray(self.y_center, dtype=np.float64))
-        if not 0 <= self.angle_count <= 2 * self.n:
-            raise ValueError("angle_count must lie in [0, 2n]")
-        if self.y_center.shape != (2 * self.n - self.angle_count,):
-            raise ValueError("y_center must cover the non-periodic coordinates")
+        if self.y_center.shape != (self.n,):
+            raise ValueError("y_center must have one entry per momentum")
         if self.y_radius <= 0 or self.imag_width <= 0:
             raise ValueError("radii must be positive")
 
@@ -151,6 +151,24 @@ class TermTable:
     v: np.ndarray  # (terms,)
     k: np.ndarray  # (terms, n)
     c: np.ndarray  # (m, n)
+
+    def involution_bounds(self) -> tuple[float, float]:
+        """Bounds over the real domain of the involution and commutation defects,
+        read off the table: 0 exactly when every k_j is orthogonal to every c_a.
+
+        On the canonical structure {H, p_a} = -2 pi sum_j v_j (k_j . c_a)
+        sin(2 pi k_j . x), and X_{p_a} = (c_a, 0) is constant, so
+        DX_H X_{p_a} - DX_{p_a} X_H = (0, (2 pi)^2 sum_j v_j (k_j . c_a)
+        cos(2 pi k_j . x) k_j).  Hence, maximized over a,
+            |{H, p_a}| <= 2 pi sum_j |v_j| |k_j . c_a|,
+            |DX_H X_p - DX_p X_H| <= (2 pi)^2 sum_j |v_j| max_i |k_j,i| |k_j . c_a|.
+        The brackets {p_a, p_b} and the commutators of the X_p vanish
+        identically.  Returns (bracket bound, residual bound).
+        """
+        weight = np.abs(self.v)[:, None] * np.abs(self.k @ self.c.T)  # |v_j| |k_j . c_a|
+        bracket = 2 * np.pi * weight.sum(axis=0)
+        residual = (2 * np.pi) ** 2 * (np.abs(self.k).max(axis=1) @ weight)
+        return float(bracket.max(initial=0.0)), float(residual.max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -199,92 +217,17 @@ class HamiltonianSystem:
 
 
 # ---------------------------------------------------------------------------
-# brackets and verification
+# verification
 # ---------------------------------------------------------------------------
 
 
-def poisson_bracket(Df: Callable, Dg: Callable, omega: np.ndarray, z) -> np.ndarray:
-    """{f, g}(z) = Df(z) Omega^{-1} (Dg(z))^T for the constant matrix Omega."""
-    z = np.asarray(z)
-    dg = np.asarray(Dg(z))
-    df = np.asarray(Df(z))
-    if abs(np.linalg.det(omega)) < 1e-300:
-        raise StructureError("Omega is singular")
-    sol = np.linalg.solve(omega, dg[..., :, None])[..., 0]
-    return np.einsum("...i,...i->...", df, sol)
-
-
-@dataclass
-class InvolutionReport:
-    max_bracket: float
-    passed: bool
-    details: dict
-
-
 def _sample_points(sys: HamiltonianSystem, count: int, seed: int) -> np.ndarray:
+    """``count`` real points of the domain: angles in [0, 1), momenta within
+    0.7 y_radius of the centre in each coordinate."""
     rng = np.random.default_rng(seed)
-    a = sys.domain.angle_count
-    x = rng.uniform(0.0, 1.0, size=(count, a))
-    y = sys.domain.y_center + rng.uniform(
-        -0.7, 0.7, size=(count, 2 * sys.n - a)
-    ) * sys.domain.y_radius
+    x = rng.uniform(0.0, 1.0, size=(count, sys.n))
+    y = sys.domain.y_center + rng.uniform(-0.7, 0.7, size=(count, sys.n)) * sys.domain.y_radius
     return np.concatenate([x, y], axis=1)
-
-
-def verify_involution(sys: HamiltonianSystem, sample_count: int = 200, seed: int = 0,
-                      tol: float = 1e-10) -> InvolutionReport:
-    """Check {H, p_j} = 0 and {p_i, p_j} = 0 at random domain points.
-
-    Vacuous pass when the system has no extra integrals (d = n).
-    """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    m = sys.n_integrals
-    if m == 0:
-        return InvolutionReport(0.0, True, {"note": "no first integrals: vacuous pass"})
-    z = _sample_points(sys, sample_count, seed)
-    worst = 0.0
-    details = {}
-    for j in range(m):
-        br = poisson_bracket(sys.DH, lambda w, j=j: sys.Dp(w)[..., j, :], sys.geometry.Omega, z)
-        details[f"{{H,p{j}}}"] = float(np.max(np.abs(br)))
-        worst = max(worst, details[f"{{H,p{j}}}"])
-    for i in range(m):
-        for j in range(i + 1, m):
-            br = poisson_bracket(
-                lambda w, i=i: sys.Dp(w)[..., i, :],
-                lambda w, j=j: sys.Dp(w)[..., j, :],
-                sys.geometry.Omega,
-                z,
-            )
-            details[f"{{p{i},p{j}}}"] = float(np.max(np.abs(br)))
-            worst = max(worst, details[f"{{p{i},p{j}}}"])
-    return InvolutionReport(worst, worst <= tol, details)
-
-
-def verify_commutation(sys: HamiltonianSystem, sample_count: int = 200, seed: int = 0,
-                       tol: float = 1e-10) -> InvolutionReport:
-    """Check DX_H X_p = DX_p[X_H] and the pairwise X_p commutation identities."""
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    m = sys.n_integrals
-    if m == 0:
-        return InvolutionReport(0.0, True, {"note": "no first integrals: vacuous pass"})
-    z = _sample_points(sys, sample_count, seed)
-    XH = sys.XH(z)
-    Xp = sys.Xp(z)
-    dXH = sys.DXH(z)
-    dXp = sys.DXp(z)
-    lhs = np.einsum("...ij,...ja->...ia", dXH, Xp)
-    rhs = np.einsum("...iaj,...j->...ia", dXp, XH)
-    details = {"DXH.Xp - DXp[XH]": float(np.max(np.abs(lhs - rhs)))}
-    worst = details["DXH.Xp - DXp[XH]"]
-    # (D X_{p_a}) X_{p_b} is symmetric in (a, b) when the fields commute
-    pair = np.einsum("...iaj,...jb->...iab", dXp, Xp)
-    err = float(np.max(np.abs(pair - np.swapaxes(pair, -1, -2))))
-    details["pairwise Xp commutation"] = err
-    worst = max(worst, err)
-    return InvolutionReport(worst, worst <= tol, details)
 
 
 def check_derivatives(sys: HamiltonianSystem, sample_count: int = 20, seed: int = 1,

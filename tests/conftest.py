@@ -16,7 +16,7 @@ from kamtorus.fourier import TWO_PI, FourierMap, _index_box, _k1_box, _symmetriz
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
-from kamtorus.hamiltonian import canonical_structure, constant_structure
+from kamtorus.hamiltonian import GeometricStructure, canonical_structure
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -37,10 +37,10 @@ def golden_dio(golden_omega):
 
 
 def scaled_structure(n):
-    """Omega = Omega_0, G = 2I, J = 2 Omega_0, tilde-Omega = 4 Omega_0: case II,
-    not canonical."""
+    """Omega = Omega_0, G = 2I, J = 2 Omega_0, tilde-Omega = 4 Omega_0: case II
+    (J^2 = -4I), not canonical."""
     omega0 = canonical_structure(n).Omega
-    return constant_structure(omega0, 2.0 * np.eye(2 * n), 2.0 * omega0, "II")
+    return GeometricStructure(omega0, 2.0 * np.eye(2 * n), 2.0 * omega0)
 
 
 def with_zero_integrals(globs: GlobalNormConstants) -> GlobalNormConstants:

@@ -17,6 +17,9 @@
 - ``ledger_diff``, ``contains_margin`` and ``empty_integrals`` compare two
   ledgers, measure a point set against a domain box, and build the integral
   callbacks of a system without first integrals.
+- ``poisson_bracket``, ``verify_involution`` and ``verify_commutation``
+  sample the involution and commutation defects of a system at random domain
+  points: a lower bound of what ``TermTable.involution_bounds`` bounds.
 - ``lattice_rows`` samples every callback behind the global constants on a
   deterministic complexified point set (``domain_points``) and reduces its
   entry-wise maxima as each row does, with no margin: a lower bound of every
@@ -28,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from kamtorus.certificate import _INTEGRAL_FIELDS, ConstantLedger, GlobalNormConstants, _ledger
-from kamtorus.fourier import TWO_PI, FourierMap, StripNorm, assemble_blocks
+from kamtorus.fourier import TWO_PI, FourierMap, StripNorm, assemble_blocks, matmul
 from kamtorus import frames as fr
 from kamtorus.frames import FrameBundle, GridKitchen, TorusCandidate
-from kamtorus.hamiltonian import DomainBox, HamiltonianSystem, _linear_integrals
+from kamtorus.hamiltonian import DomainBox, HamiltonianSystem, _linear_integrals, _sample_points
 from kamtorus.solver import Iterate, NewtonSchedule
 
 # ---------------------------------------------------------------------------
@@ -53,11 +56,13 @@ def error_maps(cand: TorusCandidate, frames: FrameBundle, kitchen: GridKitchen) 
     """Omega_K, E_lag, E_sym and E_red of a candidate whose frames are ``frames``."""
     omega = cand.system.geometry.Omega
     LT_Om = frames.L.T.matmul_constant(omega)
-    # the product torsion forms, so the (1,2) block of E_red is exactly zero
+    # the products torsion forms, by its own calls, so the (1,2) block of E_red
+    # is exactly zero
     NT_Om = frames.N.T.matmul_constant(omega)
+    loper_n = matmul(kitchen.DXH, frames.N) + frames.N.lie(cand.omega)
     OmegaK, Elag = fr.isotropy_errors(cand, frames.L, LT_Om)
     Esym = fr.symplecticity_error(cand, assemble_blocks([[frames.L, frames.N]]))
-    Ered = fr.reducibility_error(cand, frames.L, frames.T, frames.LoperN, LT_Om, NT_Om, kitchen)
+    Ered = fr.reducibility_error(cand, frames.L, frames.T, loper_n, LT_Om, NT_Om, kitchen)
     return ErrorMaps(OmegaK=OmegaK, Elag=Elag, Esym=Esym, Ered=Ered)
 
 
@@ -275,16 +280,72 @@ def ledger_diff(a: ConstantLedger, b: ConstantLedger) -> dict:
 def contains_margin(box: DomainBox, z: np.ndarray) -> float:
     """min over points/coords of the distance to the boundary of ``box`` (<=0: outside)."""
     z = np.asarray(z)
-    a = box.angle_count
-    x, y = z[..., :a], z[..., a:]
-    m_ang = box.imag_width - np.abs(x.imag).max() if x.size else np.inf
-    m_mom = box.y_radius - np.abs(y - box.y_center).max() if y.size else np.inf
-    return float(min(m_ang, m_mom))
+    x, y = z[..., :box.n], z[..., box.n:]
+    return float(min(box.imag_width - np.abs(x.imag).max(),
+                     box.y_radius - np.abs(y - box.y_center).max()))
 
 
 def empty_integrals(n: int):
     """Integral callbacks for the d = n case: zero-width arrays, same code path."""
     return _linear_integrals(np.zeros((0, n)))
+
+
+# ---------------------------------------------------------------------------
+# sampled involution and commutation
+# ---------------------------------------------------------------------------
+
+
+def poisson_bracket(Df, Dg, omega: np.ndarray, z) -> np.ndarray:
+    """{f, g}(z) = Df(z) Omega^{-1} (Dg(z))^T for the constant matrix Omega."""
+    z = np.asarray(z)
+    sol = np.linalg.solve(omega, np.asarray(Dg(z))[..., :, None])[..., 0]
+    return np.einsum("...i,...i->...", np.asarray(Df(z)), sol)
+
+
+@dataclass
+class InvolutionReport:
+    max_bracket: float
+    passed: bool
+    details: dict
+
+
+def verify_involution(sys: HamiltonianSystem, sample_count: int = 200, seed: int = 0,
+                      tol: float = 1e-10) -> InvolutionReport:
+    """The largest |{H, p_j}| and |{p_i, p_j}| at ``sample_count`` random domain
+    points; a vacuous pass when the system has no first integrals."""
+    m = sys.n_integrals
+    if m == 0:
+        return InvolutionReport(0.0, True, {"note": "no first integrals: vacuous pass"})
+    z = _sample_points(sys, sample_count, seed)
+    om = sys.geometry.Omega
+
+    def dp(j):
+        return lambda w: sys.Dp(w)[..., j, :]
+
+    pairs = {f"{{H,p{j}}}": (sys.DH, dp(j)) for j in range(m)}
+    pairs.update({f"{{p{i},p{j}}}": (dp(i), dp(j)) for i in range(m) for j in range(i + 1, m)})
+    details = {name: float(np.max(np.abs(poisson_bracket(f, g, om, z))))
+               for name, (f, g) in pairs.items()}
+    worst = max(details.values())
+    return InvolutionReport(worst, worst <= tol, details)
+
+
+def verify_commutation(sys: HamiltonianSystem, sample_count: int = 200, seed: int = 0,
+                       tol: float = 1e-10) -> InvolutionReport:
+    """The largest |DX_H X_p - DX_p X_H| and pairwise X_p commutation defect at
+    ``sample_count`` random domain points; a vacuous pass without first integrals."""
+    if sys.n_integrals == 0:
+        return InvolutionReport(0.0, True, {"note": "no first integrals: vacuous pass"})
+    z = _sample_points(sys, sample_count, seed)
+    dXp, Xp = sys.DXp(z), sys.Xp(z)
+    lhs = np.einsum("...ij,...ja->...ia", sys.DXH(z), Xp)
+    rhs = np.einsum("...iaj,...j->...ia", dXp, sys.XH(z))
+    # (D X_{p_a}) X_{p_b} is symmetric in (a, b) when the fields commute
+    pair = np.einsum("...iaj,...jb->...iab", dXp, Xp)
+    details = {"DXH.Xp - DXp[XH]": float(np.max(np.abs(lhs - rhs))),
+               "pairwise Xp commutation": float(np.max(np.abs(pair - np.swapaxes(pair, -1, -2))))}
+    worst = max(details.values())
+    return InvolutionReport(worst, worst <= tol, details)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +367,9 @@ def rank1_lattice(npts: int, dim: int) -> np.ndarray:
 def domain_points(sys: HamiltonianSystem) -> np.ndarray:
     """Complexified sample set: a rank-1 lattice through the domain box, plus a
     sweep with the imaginary parts pinned at the extreme width, cycling through
-    all 2^a sign patterns of Im x, plus real points."""
+    all 2^n sign patterns of Im x, plus real points."""
     box = sys.domain
-    a = box.angle_count
-    m = 2 * sys.n - a  # disc-constrained coordinates
+    a = m = sys.n  # the angles and the disc-constrained momenta
     u = rank1_lattice(LATTICE_DENSITY, 2 * a + 2 * m)
     x = u[:, :a] + 1j * box.imag_width * (2.0 * u[:, a : 2 * a] - 1.0)
     ang = 2.0 * np.pi * u[:, 2 * a : 2 * a + m]

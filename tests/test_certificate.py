@@ -220,13 +220,12 @@ INTEGRAL_ROWS = {"c_p_1", "c_pT_1", "c_Xp_0", "c_XpT_0", "c_Xp_1", "c_XpT_1", "c
 
 
 def corner_points(sys_obj) -> np.ndarray:
-    """Im x = +-w in each of the 2^a sign patterns, Re x on a 4-point grid per
+    """Im x = +-w in each of the 2^n sign patterns, Re x on a 4-point grid per
     angle, and every momentum at its largest modulus |y_center| + y_radius."""
-    box = sys_obj.domain
-    a = box.angle_count
-    re = np.stack(np.meshgrid(*[np.arange(4) / 4] * a, indexing="ij"), -1).reshape(-1, a)
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=a)))
-    x = (re[:, None, :] + 1j * box.imag_width * signs[None]).reshape(-1, a)
+    box, n = sys_obj.domain, sys_obj.n
+    re = np.stack(np.meshgrid(*[np.arange(4) / 4] * n, indexing="ij"), -1).reshape(-1, n)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    x = (re[:, None, :] + 1j * box.imag_width * signs[None]).reshape(-1, n)
     y = box.y_center + box.y_radius * np.where(box.y_center < 0, -1.0, 1.0)
     return np.concatenate([x, np.broadcast_to(y, (len(x), y.size))], axis=1)
 
@@ -238,7 +237,7 @@ def corner_points(sys_obj) -> np.ndarray:
                          ids=["lagrangian", "symmetric-H", "symmetric-p0", "scaled"])
 def test_exact_constants_dominate_lattice_and_corners(name, selector):
     """Each global row is at least the entry-wise sup of its callback over the
-    sample lattice and all 2^a corners of the strip, aggregated as the row
+    sample lattice and all 2^n corners of the strip, aggregated as the row
     aggregates it, with no tolerance: some corners attain the bound, and the
     closed forms are rounded up over the round-off of both sides.  It is also
     within 5% of that sup, so the bound of each entry is joint over the terms
@@ -288,13 +287,13 @@ def test_mixed_corner_inside_the_global_constants(table):
 
 @pytest.mark.parametrize("name", ["lagrangian_rotors-0.02", "symmetric_rotors-0.01"])
 def test_lattice_boundary_takes_every_sign_pattern(name):
-    """The boundary sweep pins |Im x| at the width in all 2^a sign patterns."""
+    """The boundary sweep pins |Im x| at the width in all 2^n sign patterns."""
     sys_obj = golden_global_systems()[name][0]
-    a, w = sys_obj.domain.angle_count, sys_obj.domain.imag_width
-    im = domain_points(sys_obj)[:, :a].imag
+    n, w = sys_obj.n, sys_obj.domain.imag_width
+    im = domain_points(sys_obj)[:, :n].imag
     pinned = im[np.all(np.abs(im) == w, axis=1)]
     assert {tuple(row) for row in np.sign(pinned)} == set(itertools.product((1.0, -1.0),
-                                                                            repeat=a))
+                                                                            repeat=n))
 
 
 # -------------------------------------------------------------------- ledger

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kamtorus import cli, frames, hamiltonian
+from kamtorus import cli, frames
 from kamtorus.certificate import estimate_global_constants, table_width_limit
 from kamtorus.cli import ConfigError, RunConfig, main
 from kamtorus.hamiltonian import builtin_table
@@ -178,7 +178,7 @@ def test_frame_failure_is_a_named_step_failure(tmp_path, monkeypatch, name, hypo
     assert (out / "log.jsonl").read_text().strip()
 
 
-@pytest.mark.parametrize("command", ["solve", "certify"])
+@pytest.mark.parametrize("command", ["solve", "certify", "validate"])
 def test_a_bug_propagates_with_its_traceback(tmp_path, monkeypatch, command):
     """An exception that is not a named failure is a bug in the program: main
     lets it through instead of reporting it as a failed run."""
@@ -190,26 +190,12 @@ def test_a_bug_propagates_with_its_traceback(tmp_path, monkeypatch, command):
     if command == "certify":
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
     monkeypatch.setattr(frames, "torsion", bug)
-    args = (["solve", "--config", str(cfg)] if command == "solve"
-            else ["certify", str(out / "torus.json")])
+    monkeypatch.setattr(cli, "check_derivatives", bug)
+    args = {"solve": ["solve", "--config", str(cfg), "--out", str(out)],
+            "certify": ["certify", str(out / "torus.json"), "--out", str(out)],
+            "validate": ["validate", "--config", str(cfg)]}[command]
     with pytest.raises(ZeroDivisionError, match="injected"):
-        main([*args, "--out", str(out)])
-
-
-@pytest.mark.parametrize("error, code", [(hamiltonian.StructureError, 1),
-                                         (ZeroDivisionError, None)])
-def test_validate_reports_only_a_structure_failure(tmp_path, monkeypatch, capsys, error, code):
-    def fail(*args, **kwargs):
-        raise error("injected")
-
-    monkeypatch.setattr(hamiltonian.GeometricStructure, "check_invariants", fail)
-    cfg = write_config(tmp_path)
-    if code is None:
-        with pytest.raises(error, match="injected"):
-            main(["validate", "--config", str(cfg)])
-    else:
-        assert main(["validate", "--config", str(cfg)]) == code
-        assert "structure invariants FAILED: injected" in capsys.readouterr().out
+        main(args)
 
 
 def test_config_validation_direct():
@@ -309,6 +295,10 @@ def test_iso_solve_via_cli(tmp_path):
      "y_radius must be at most"),
     # sqrt(sigma_omega) rounds to 1, an end of the ray
     ({"mode": "iso", "sigma_omega": 1.0000000000000002}, "sigma_omega"),
+    # the frequency, ray base and conserved quantity of the other mode are checked too
+    ({"system": "symmetric_rotors", "mode": "iso", "omega": "garbage"}, "omega must be"),
+    ({"system": "lagrangian_rotors", "omega_star": ["a"]}, "omega_star must be"),
+    ({"system": "lagrangian_rotors", "conserved": "nonsense"}, "conserved must be"),
 ])
 def test_malformed_config_exit_two_names_field(tmp_path, capsys, override, field):
     cfg = write_config(tmp_path, **override)

@@ -1,4 +1,5 @@
-"""Systems, brackets, involution/commutation checks, callback validation."""
+"""Systems, structures, the involution/commutation bounds of a term table
+against the sampled oracles, callback validation."""
 
 import dataclasses
 
@@ -9,20 +10,20 @@ from kamtorus.certificate import estimate_global_constants
 from kamtorus.hamiltonian import (
     _BUILTIN_TERMS,
     DomainBox,
+    GeometricStructure,
     HamiltonianSystem,
     StructureError,
+    TermTable,
+    _omega0,
+    _trig_potential_system,
     builtin_dims,
     builtin_system,
     canonical_structure,
     check_derivatives,
-    constant_structure,
-    poisson_bracket,
-    verify_commutation,
-    verify_involution,
 )
 
 from conftest import scaled_structure
-from oracles import contains_margin
+from oracles import contains_margin, poisson_bracket, verify_commutation, verify_involution
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -150,6 +151,37 @@ def test_commutation_linear_system_identically():
     assert rep.max_bracket == 0.0
 
 
+# ------------------------------------------------------ term-table bounds
+
+
+def non_involutive_system():
+    """H = |y|^2/2 + V with p = y2 + y3, whose terms k_j = (1,1,0) and (0,1,1)
+    are not orthogonal to c = (0,1,1): {H, p} does not vanish."""
+    table = TermTable(np.array([0.01, 0.008, 0.004]),
+                      np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]),
+                      np.array([[0.0, 1.0, 1.0]]))
+    return _trig_potential_system("non_involutive", table, system_b().domain)
+
+
+@pytest.mark.parametrize("make", [system_a, system_b, non_involutive_system],
+                         ids=["lagrangian", "symmetric", "non-involutive"])
+def test_table_bounds_dominate_the_sampled_defects(make):
+    """The bounds of a term table are 0 exactly when every k_j is orthogonal to
+    every c_a, and never below the brackets and residuals sampled by the oracles."""
+    sys_obj = make()
+    bracket, residual = sys_obj.table.involution_bounds()
+    inv, comm = verify_involution(sys_obj), verify_commutation(sys_obj)
+    assert inv.max_bracket <= bracket and comm.max_bracket <= residual
+    if make is non_involutive_system:
+        # 2 pi (0.008 + 2 * 0.004) and (2 pi)^2 (0.008 * 1 + 0.004 * 1 * 2)
+        assert (bracket, residual) == pytest.approx((2 * np.pi * 0.016,
+                                                     (2 * np.pi) ** 2 * 0.016), rel=1e-15)
+        assert not inv.passed and not comm.passed
+        assert inv.max_bracket > 0.9 * bracket
+    else:
+        assert bracket == residual == 0.0 and inv.passed and comm.passed
+
+
 # -------------------------------------------------------------------- builtin
 
 
@@ -188,6 +220,7 @@ def test_registered_system_matches_closed_form(name):
     assert np.max(np.abs(sys_obj.H(z) - expected)) <= 1e-14 * np.max(np.abs(expected))
     assert check_derivatives(sys_obj)["passed"]
     assert verify_involution(sys_obj).passed and verify_commutation(sys_obj).passed
+    assert sys_obj.table.involution_bounds() == (0.0, 0.0)
     d2xh = sys_obj.D2XH(z)
     assert np.array_equal(d2xh, np.swapaxes(d2xh, -1, -2))
 
@@ -220,20 +253,36 @@ def test_derivative_cross_checks():
         assert rep["passed"], rep
 
 
-def test_structure_invariants_sampled():
-    for sys_obj in (system_a(0.01), system_b(0.01)):
-        errs = sys_obj.geometry.check_invariants()
-        assert max(errs.values()) <= 1e-10
+@pytest.mark.parametrize("n", [2, 3])
+def test_case_tag_is_read_off_the_matrices(n):
+    """Case III needs J^2 = -I and a J that preserves Omega and G; J = 2 Omega_0
+    with G = 2I is only Case II, and replacing a field derives the case again."""
+    canonical = canonical_structure(n)
+    assert canonical.case_tag == "III"
+    assert scaled_structure(n).case_tag == "II"
+    omega0 = _omega0(n)
+    replaced = dataclasses.replace(canonical, G=2.0 * np.eye(2 * n), J=2.0 * omega0)
+    assert replaced.case_tag == "II" and not replaced.is_canonical
+    assert np.array_equal(replaced.tOmega, 4.0 * omega0)
 
 
 def test_structure_invariants_refuse_a_false_claim():
-    """A Case III tag on a J that is not anti-involutive, and a metric that is
-    not positive definite, are refused by name."""
-    geo = scaled_structure(2)
-    with pytest.raises(StructureError, match="J_anti_involutive"):
-        dataclasses.replace(geo, case_tag="III").check_invariants()
-    with pytest.raises(StructureError, match="not positive definite"):
-        constant_structure(geo.Omega, -geo.G, -geo.J, "II").check_invariants()
+    """Matrices that break an identity of the structure build no structure: a
+    non-antisymmetric Omega, an indefinite G and J^T Omega != G are refused by
+    name, also through ``dataclasses.replace``, and the matrices are read-only."""
+    omega0, eye = _omega0(2), np.eye(4)
+    bent = omega0.copy()
+    bent[0, 1] = 1.0
+    cases = [((bent, eye, omega0), "antisymmetry"),
+             ((-omega0, -eye, omega0), "metric positive definite"),
+             ((omega0, eye, 2.0 * omega0), r"compatibility J\^T Omega = G")]
+    for mats, name in cases:
+        with pytest.raises(StructureError, match=name):
+            GeometricStructure(*mats)
+    with pytest.raises(StructureError, match="compatibility"):
+        dataclasses.replace(canonical_structure(2), J=2.0 * omega0)
+    with pytest.raises(ValueError, match="read-only"):
+        canonical_structure(2).G[0, 0] = 2.0
 
 
 def test_domain_box_margin():
@@ -297,7 +346,6 @@ def test_unflagged_structure_is_not_canonical():
     the exact row and column sums of its matrices."""
     geo = scaled_structure(2)
     assert not geo.is_canonical and geo.case_tag == "II"
-    geo.check_invariants()
     g = estimate_global_constants(dataclasses.replace(system_a(), geometry=geo))
     assert [g.values[key] for key in ("c_Omega_0", "c_G_0", "c_J_0", "c_JT_0",
                                       "c_tOmega_0")] == [1.0, 2.0, 2.0, 2.0, 4.0]
