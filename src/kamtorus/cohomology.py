@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import TWO_PI, FourierMap, _k_dot_omega
+from .fourier import TWO_PI, FourierMap, _k_dot_omega, _origin
 
 RESONANCE_EPS = 1e-14
 SCAN_SLICE = 1 << 15  # k' per slice of the divisor scan, which bounds its memory
@@ -169,18 +169,18 @@ def solve_cohomological(v: FourierMap, dio: DiophantineParams) -> FourierMap:
     if dio.d != v.d:
         raise ValueError(f"frequency dimension {dio.d} != torus dimension {v.d}")
     kdot = _k_dot_omega(v.bands, tuple(dio.omega))
-    center = tuple(n for n in v.bands)
+    center = _origin(v.bands)
     small = np.abs(kdot) < RESONANCE_EPS
     small[center] = False
-    if np.any(small):
-        where = np.argwhere(small)[0]
-        k = tuple(int(where[i]) - v.bands[i] for i in range(v.d))
+    if np.any(small):  # name the first k of the full box in row-major order: k or -k
+        ks = np.argwhere(small) - np.array(center)
+        k = min(tuple(int(x) for x in sign * row) for row in ks for sign in (1, -1))
         raise DivisorCollisionError(f"divisor collision at k={k} inside the band")
     denom = TWO_PI * 1j * kdot
     denom[center] = 1.0  # placeholder, the k=0 mode is zeroed below
-    coeffs = -v.coeffs / denom.reshape(denom.shape + (1, 1))
-    coeffs[center] = 0.0
-    return FourierMap(coeffs, v.bands)
+    half = -v.half / denom.reshape(denom.shape + (1, 1))
+    half[center] = 0.0
+    return FourierMap(half, v.bands)
 
 
 def russmann_constant(tau: float, delta: float) -> float:

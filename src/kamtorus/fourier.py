@@ -5,19 +5,23 @@ through the coefficients f_k of
 
     f(theta) = sum_k  f_k  exp(2*pi*i k.theta),       k in Z^d, |k_i| <= N_i,
 
-stored on a dense rectangular index box: a map is its coefficients and its
-bands, and a sample grid (M_i >= 2*N_i + 1 points per axis) is chosen only
-where sampling happens.  Differentiation and averaging act coefficient-wise
-and are exact on the truncation; a product of two maps on one band N is
-computed on a dealiased grid and truncated back to N, so the library always
-manipulates the *truncated model* of each object.  Per axis a product's grid
-is the smallest size with no prime factor above 5 that is at least 3N + 1:
-only the kept modes need to be alias-free (the 3/2 rule).  Products
-synthesize their real-analytic operands with real FFTs, and real grid samples
-are analysed with real FFTs.  These real transforms are pruned to the kept
-box: they run numpy's 1-D transforms in the axis order of
-``rfftn``/``irfftn`` but only on the lines that hold kept modes, so each kept
-value is bit for bit what ``rfftn``/``irfftn`` give.  Every transform but axis 0's acts on lines inside
+with f_{-k} = conj(f_k).  A map stores only the k_d >= 0 half of the index box,
+k_i in [-N_i, N_i] on every axis but the last and k_d in [0, N_d] (the k_d = 0
+plane keeps both signs of the other axes), and its bands; each k_d < 0 mode is
+the conjugate of the mode it mirrors.  The full box (``coeffs``) is built only
+where it is read whole: by the JSON writer and, as moduli, by the norms.  A
+sample grid (M_i >= 2*N_i + 1 points per axis) is chosen only where sampling
+happens.  Differentiation and averaging act coefficient-wise on the half and
+are exact on the truncation; a product of two maps on one band N is computed
+on a dealiased grid and truncated back to N, so the library always manipulates
+the *truncated model* of each object.  Per axis a product's grid is the
+smallest size with no prime factor above 5 that is at least 3N + 1: only the
+kept modes need to be alias-free (the 3/2 rule).  Products synthesize their
+real-analytic operands with real FFTs, and real grid samples are analysed with
+real FFTs.  These real transforms are pruned to the kept box: they run numpy's
+1-D transforms in the axis order of ``rfftn``/``irfftn`` but only on the lines
+that hold kept modes, so each kept value is bit for bit what
+``rfftn``/``irfftn`` give.  Every transform but axis 0's acts on lines inside
 one axis-0 slab of the grid, so every real synthesis walks the grid one slab
 of about SLAB_POINTS points at a time (:func:`slab_samples`), and every real
 analysis samples a pointwise function of maps that way and holds only the
@@ -43,6 +47,7 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 SLAB_POINTS = 4096  # grid points per slab of slab_samples, which bounds its memory
+SYMMETRY_RTOL = 1e-12  # largest relative |f_-k - conj f_k| that from_coeffs accepts
 
 
 class FourierShapeError(ValueError):
@@ -61,19 +66,29 @@ def strip_fits(rho: float, bands) -> bool:
 
 @lru_cache(maxsize=128)
 def _index_box(bands: tuple) -> tuple:
-    """Per-axis integer mode vectors -N_i .. N_i."""
-    return tuple(np.arange(-n, n + 1) for n in bands)
+    """Per-axis integer mode vectors of the stored half box: -N_i .. N_i on
+    every axis but the last, 0 .. N_d on it."""
+    return tuple(np.arange(-n, n + 1) for n in bands[:-1]) + (np.arange(bands[-1] + 1),)
+
+
+def _half_box(bands: tuple) -> tuple:
+    """Shape (2N_1+1, ..., 2N_{d-1}+1, N_d+1) of the stored half box."""
+    return tuple(2 * n + 1 for n in bands[:-1]) + (bands[-1] + 1,)
+
+
+def _origin(bands: tuple) -> tuple:
+    """Position of k = 0 in the half box."""
+    return tuple(bands[:-1]) + (0,)
 
 
 @lru_cache(maxsize=128)
 def _k1_box(bands: tuple) -> np.ndarray:
-    """|k|_1 over the index box, shape (2N_1+1, ..., 2N_d+1)."""
-    axes = _index_box(bands)
+    """|k|_1 over the full index box, shape (2N_1+1, ..., 2N_d+1)."""
     total = np.zeros(tuple(2 * n + 1 for n in bands))
-    for i, ax in enumerate(axes):
+    for i, n in enumerate(bands):
         shape = [1] * len(bands)
-        shape[i] = ax.size
-        total = total + np.abs(ax).reshape(shape)
+        shape[i] = 2 * n + 1
+        total = total + np.abs(np.arange(-n, n + 1)).reshape(shape)
     return total
 
 
@@ -87,32 +102,66 @@ def _embed_slices(bands: tuple, grid: tuple):
     return np.ix_(*(_kept_rows(n, m) for n, m in zip(bands, grid)))
 
 
+def _mirrored(half: np.ndarray, d: int) -> np.ndarray:
+    """The full index box of a half box: each k_d < 0 mode is the conjugate of
+    the mode -k it mirrors, its imaginary part 0.0 - Im f_-k, so that a zero part
+    stays +0.0 as in a box built from zeros.  A real half (moduli) is mirrored as
+    it is."""
+    n = half.shape[d - 1] - 1
+    full = np.empty(half.shape[:d - 1] + (2 * n + 1,) + half.shape[d:], dtype=half.dtype)
+    full[..., n:, :, :] = half
+    lower = full[..., :n, :, :]
+    lower[...] = half[tuple(slice(None, None, -1) for _ in range(d - 1)) + (slice(n, 0, -1),)]
+    if np.iscomplexobj(lower):
+        np.subtract(0.0, lower.imag, out=lower.imag)
+    return full
+
+
+def _symmetrize_half(half: np.ndarray, d: int) -> np.ndarray:
+    """``half`` projected in place onto real-analytic symmetry: (f_k + conj f_-k)/2.
+
+    This is the arithmetic of the projection of the full box, kept on its
+    k_d >= 0 half, where conj f_-k is f_k itself off the k_d = 0 plane: the sum
+    f_k + f_k, then the product by 0.5, keep every bit of the full box's half,
+    signs of zeros included.
+    """
+    plane = half[..., 0, :, :]
+    sym = np.conj(plane[tuple(slice(None, None, -1) for _ in range(d - 1))])
+    sym += plane
+    plane[...] = sym
+    rest = half[..., 1:, :, :]
+    rest += rest
+    half *= 0.5
+    return half
+
+
 @dataclass(frozen=True)
 class FourierMap:
-    """Matrix-valued truncated Fourier series on T^d.
+    """Matrix-valued truncated Fourier series on T^d, real-analytic.
 
-    coeffs: complex array of shape (2N_1+1, ..., 2N_d+1, n1, n2); the
-    coefficient of mode k sits at position (k_1+N_1, ..., k_d+N_d).
+    half: complex array of shape (2N_1+1, ..., 2N_{d-1}+1, N_d+1, n1, n2); the
+    coefficient of mode k, k_d >= 0, sits at position (k_1+N_1, ...,
+    k_{d-1}+N_{d-1}, k_d).  The k_d < 0 modes are f_{-k} = conj(f_k), and the
+    k_d = 0 plane is its own mirror.  ``coeffs`` builds the full box.
     """
 
-    coeffs: np.ndarray
+    half: np.ndarray
     bands: tuple
 
     def __post_init__(self):
         bands = tuple(int(n) for n in self.bands)
         object.__setattr__(self, "bands", bands)
-        expect = tuple(2 * n + 1 for n in bands)
-        if self.coeffs.ndim != len(bands) + 2:
+        if self.half.ndim != len(bands) + 2:
             raise FourierShapeError(
-                f"coeffs must have {len(bands)} torus axes plus 2 matrix axes, "
-                f"got shape {self.coeffs.shape}"
+                f"coefficients must have {len(bands)} torus axes plus 2 matrix axes, "
+                f"got shape {self.half.shape}"
             )
-        if self.coeffs.shape[: len(bands)] != expect:
+        if self.half.shape[: len(bands)] != _half_box(bands):
             raise FourierShapeError(
-                f"coefficient box {self.coeffs.shape[:len(bands)]} does not match bands {bands}"
+                f"half box {self.half.shape[:len(bands)]} does not match bands {bands}"
             )
-        if self.coeffs.dtype != np.complex128:
-            object.__setattr__(self, "coeffs", self.coeffs.astype(np.complex128))
+        if self.half.dtype != np.complex128:
+            object.__setattr__(self, "half", self.half.astype(np.complex128))
 
     # -- basic properties ---------------------------------------------------
 
@@ -122,29 +171,60 @@ class FourierMap:
 
     @property
     def shape(self) -> tuple:
-        return self.coeffs.shape[-2:]
+        return self.half.shape[-2:]
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The full index box (2N_1+1, ..., 2N_d+1, n1, n2), k = 0 at
+        ``tuple(bands)``: a new read-only array per call."""
+        full = _mirrored(self.half, self.d)
+        full.flags.writeable = False
+        return full
+
+    def magnitudes(self) -> np.ndarray:
+        """|f_k| over the full index box (|f_-k| = |f_k|), k = 0 at ``tuple(bands)``."""
+        return _mirrored(np.abs(self.half), self.d)
 
     @property
     def T(self) -> "FourierMap":
-        return FourierMap(np.swapaxes(self.coeffs, -1, -2), self.bands)
+        return FourierMap(np.swapaxes(self.half, -1, -2), self.bands)
 
     def block(self, rows: slice, cols: slice) -> "FourierMap":
-        return FourierMap(self.coeffs[..., rows, cols], self.bands)
+        return FourierMap(self.half[..., rows, cols], self.bands)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zeros(cls, bands, shape) -> "FourierMap":
         bands = tuple(bands)
-        box = tuple(2 * n + 1 for n in bands)
-        return cls(np.zeros(box + tuple(shape), dtype=np.complex128), bands)
+        return cls(np.zeros(_half_box(bands) + tuple(shape), dtype=np.complex128), bands)
 
     @classmethod
     def constant(cls, matrix, bands) -> "FourierMap":
         matrix = np.atleast_2d(np.asarray(matrix, dtype=np.complex128))
         out = cls.zeros(bands, matrix.shape)
-        out.coeffs[tuple(n for n in out.bands)] = matrix
+        out.half[_origin(out.bands)] = matrix
         return out
+
+    @classmethod
+    def from_coeffs(cls, coeffs, bands) -> "FourierMap":
+        """The map of a full index box (2N_1+1, ..., 2N_d+1, n1, n2), k = 0 at
+        ``tuple(bands)``.
+
+        The box must be real-analytic: f_-k and conj(f_k) may differ by at most
+        SYMMETRY_RTOL times max(1, max |f_k|), else ValueError.  The map keeps
+        a copy of the k_d >= 0 half as it is; the k_d < 0 modes are dropped.
+        """
+        coeffs = np.asarray(coeffs, dtype=np.complex128)
+        bands = tuple(int(n) for n in bands)
+        if coeffs.ndim != len(bands) + 2 or \
+                coeffs.shape[:len(bands)] != tuple(2 * n + 1 for n in bands):
+            raise FourierShapeError(f"coefficient box {coeffs.shape} does not match bands {bands}")
+        flipped = np.conj(coeffs[tuple(slice(None, None, -1) for _ in bands)])
+        defect = float(np.max(np.abs(coeffs - flipped), initial=0.0))
+        if not defect <= SYMMETRY_RTOL * max(1.0, float(np.max(np.abs(coeffs), initial=0.0))):
+            raise ValueError(f"not real: f_-k and conj(f_k) differ by {defect:.3e}")
+        return cls(np.array(coeffs[..., bands[-1]:, :, :]), bands)
 
     @classmethod
     def from_samples(cls, samples: np.ndarray, bands) -> "FourierMap":
@@ -153,7 +233,8 @@ class FourierMap:
         ``samples`` has shape (M_1, ..., M_d, n1, n2): the grid is the sample
         array's own shape, and M_i >= 2*N_i + 1 is required.  Inverse of
         :meth:`eval_grid` on band-limited input.  Real samples are analysed
-        with a real FFT, complex ones with a complex FFT.
+        with a real FFT, complex ones with a complex FFT and projected onto
+        f_-k = conj(f_k).
         """
         samples = np.asarray(samples)
         real = np.isrealobj(samples)
@@ -166,8 +247,11 @@ class FourierMap:
         if real:
             return cls(slab_analysis(lambda rows, _: [samples[rows]], grid, bands)[0], bands)
         hat = np.fft.fftn(samples, axes=tuple(range(d))) / float(np.prod(grid))
-        coeffs = hat[_embed_slices(bands, grid)]
-        return cls(_symmetrize(coeffs), bands)
+        box = hat[_embed_slices(bands, grid)]
+        half = np.conj(box[tuple(slice(None, None, -1) for _ in bands)][..., bands[-1]:, :, :])
+        half += box[..., bands[-1]:, :, :]
+        half *= 0.5
+        return cls(half, bands)
 
     # -- synthesis / analysis ------------------------------------------------
 
@@ -191,9 +275,9 @@ class FourierMap:
         if not 0 <= axis < self.d:
             raise FourierShapeError(f"axis {axis} out of range for d={self.d}")
         k = _index_box(self.bands)[axis]
-        shape = [1] * self.coeffs.ndim
+        shape = [1] * self.half.ndim
         shape[axis] = k.size
-        return FourierMap(self.coeffs * (TWO_PI * 1j * k.reshape(shape)), self.bands)
+        return FourierMap(self.half * (TWO_PI * 1j * k.reshape(shape)), self.bands)
 
     def lie(self, omega: np.ndarray) -> "FourierMap":
         """Left operator -sum_i omega_i d/dtheta_i: f_k -> -2*pi*i*(k.omega)*f_k.
@@ -213,16 +297,15 @@ class FourierMap:
     def average(self) -> np.ndarray:
         """The k = 0 coefficient (complex (n1, n2) matrix; real up to noise
         for real-analytic maps)."""
-        avg = self.coeffs[tuple(n for n in self.bands)]
-        return np.array(avg)
+        return np.array(self.half[_origin(self.bands)])
 
     # -- norms ----------------------------------------------------------------
 
     def norm(self, rho: float, transpose: bool = False) -> "StripNorm":
         """Fourier-majorant bound for the strip sup-norm at half-width rho.
 
-        Entry-wise sum_k |f_k| e^{2 pi |k|_1 rho}; entries combined by max row
-        sum (max column sum when ``transpose``).
+        Entry-wise sum_k |f_k| e^{2 pi |k|_1 rho} over the full box, in its
+        order; entries combined by max row sum (max column sum when ``transpose``).
         """
         if rho < 0:
             raise ValueError("rho must be >= 0")
@@ -231,14 +314,9 @@ class FourierMap:
                 f"e^(2 pi |k|_1 rho) overflows at rho={rho} for bands {self.bands}"
             )
         weights = np.exp(TWO_PI * rho * _k1_box(self.bands))
-        entry = np.tensordot(weights, np.abs(self.coeffs), axes=(tuple(range(self.d)),) * 2)
+        entry = np.tensordot(weights, self.magnitudes(), axes=(tuple(range(self.d)),) * 2)
         value = float(np.max(entry.sum(axis=0 if transpose else 1), initial=0.0))
         return StripNorm(rho=float(rho), value=value)
-
-    def real_symmetry_defect(self) -> float:
-        """Max deviation from f_{-k} = conj(f_k)."""
-        flipped = np.conj(self.coeffs[tuple(slice(None, None, -1) for _ in self.bands)])
-        return float(np.max(np.abs(self.coeffs - flipped))) if self.coeffs.size else 0.0
 
     # -- band management -------------------------------------------------------
 
@@ -247,8 +325,8 @@ class FourierMap:
         bands = tuple(int(n) for n in bands)
         if any(nb > n for nb, n in zip(bands, self.bands)):
             raise FourierShapeError(f"cannot truncate {self.bands} to larger bands {bands}")
-        sl = tuple(slice(n - nb, n + nb + 1) for n, nb in zip(self.bands, bands))
-        return FourierMap(self.coeffs[sl].copy(), bands)
+        sl = tuple(slice(n - nb, n + nb + 1) for n, nb in zip(self.bands[:-1], bands[:-1]))
+        return FourierMap(self.half[sl + (slice(0, bands[-1] + 1),)].copy(), bands)
 
     # -- algebra ----------------------------------------------------------------
 
@@ -258,23 +336,23 @@ class FourierMap:
 
     def __add__(self, other: "FourierMap") -> "FourierMap":
         self._check_compatible(other)
-        return FourierMap(self.coeffs + other.coeffs, self.bands)
+        return FourierMap(self.half + other.half, self.bands)
 
     def __sub__(self, other: "FourierMap") -> "FourierMap":
         self._check_compatible(other)
-        return FourierMap(self.coeffs - other.coeffs, self.bands)
+        return FourierMap(self.half - other.half, self.bands)
 
     def __neg__(self) -> "FourierMap":
-        return FourierMap(-self.coeffs, self.bands)
+        return FourierMap(-self.half, self.bands)
 
     def __mul__(self, scalar) -> "FourierMap":
-        return FourierMap(self.coeffs * scalar, self.bands)
+        return FourierMap(self.half * scalar, self.bands)
 
     __rmul__ = __mul__
 
     def add_constant(self, matrix) -> "FourierMap":
-        out = FourierMap(self.coeffs.copy(), self.bands)
-        out.coeffs[tuple(n for n in self.bands)] += np.asarray(matrix, dtype=np.complex128)
+        out = FourierMap(self.half.copy(), self.bands)
+        out.half[_origin(self.bands)] += np.asarray(matrix, dtype=np.complex128)
         return out
 
     def matmul_constant(self, matrix) -> "FourierMap":
@@ -286,7 +364,7 @@ class FourierMap:
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.ndim == 1:
             matrix = matrix[:, None]
-        c = self.coeffs
+        c = self.half
         if c.shape[-2] < 2 or (matrix.shape[-1] < 2 and c.strides[-1] != c.itemsize):
             return FourierMap(c @ matrix, self.bands)
         flat = c.reshape(-1, c.shape[-1]) @ matrix
@@ -302,8 +380,8 @@ class FourierMap:
         if matrix.ndim != 2 or matrix.shape[1] != self.shape[0]:
             raise FourierShapeError(f"matrix {matrix.shape} does not chain with {self.shape}")
         if np.any(matrix.imag):
-            return FourierMap(np.einsum("ij,...jk->...ik", matrix, self.coeffs), self.bands)
-        x = np.ascontiguousarray(self.coeffs).view(np.float64)
+            return FourierMap(np.einsum("ij,...jk->...ik", matrix, self.half), self.bands)
+        x = np.ascontiguousarray(self.half).view(np.float64)
         out = np.zeros(x.shape[:-2] + (matrix.shape[0], x.shape[-1]))
         term = np.empty(x.shape[:-2] + x.shape[-1:])
         for i, row in enumerate(matrix.real):
@@ -316,13 +394,14 @@ class FourierMap:
     def to_json_dict(self) -> dict:
         """{"dims": [d, n1, n2], "bands": [...], "coeffs": [re, im, ...]}.
 
-        Coefficients are flattened in row-major order over (k_1+N_1, ...,
-        k_d+N_d, row, col), each complex number as a (re, im) pair.
+        Coefficients of the full box are flattened in row-major order over
+        (k_1+N_1, ..., k_d+N_d, row, col), each complex number as a (re, im) pair.
         """
         flat = self.coeffs.reshape(-1)
         pairs = np.empty(2 * flat.size, dtype=np.float64)
         pairs[0::2] = flat.real
         pairs[1::2] = flat.imag
+        del flat  # the full box is released before the list is built
         return {
             "dims": [self.d, self.shape[0], self.shape[1]],
             "bands": list(self.bands),
@@ -331,6 +410,8 @@ class FourierMap:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FourierMap":
+        """The map of a :meth:`to_json_dict` document; its coefficients must be
+        finite and real-analytic (:meth:`from_coeffs`)."""
         d, n1, n2 = (int(v) for v in doc["dims"])
         bands = tuple(int(n) for n in doc["bands"])
         if len(bands) != d:
@@ -340,7 +421,7 @@ class FourierMap:
         if not np.isfinite(pairs).all():
             raise ValueError("coefficients must be finite")
         flat = pairs[0::2] + 1j * pairs[1::2]
-        return cls(flat.reshape(box + (n1, n2)), bands)
+        return cls.from_coeffs(flat.reshape(box + (n1, n2)), bands)
 
 
 @dataclass(frozen=True)
@@ -357,23 +438,14 @@ class StripNorm:
 
 @lru_cache(maxsize=256)
 def _k_dot_omega(bands: tuple, omega: tuple) -> np.ndarray:
-    """k . omega over the index box."""
+    """k . omega over the half box."""
     axes = _index_box(bands)
-    total = np.zeros(tuple(2 * n + 1 for n in bands))
+    total = np.zeros(_half_box(bands))
     for i, ax in enumerate(axes):
         shape = [1] * len(bands)
         shape[i] = ax.size
         total = total + omega[i] * ax.reshape(shape)
     return total
-
-
-def _symmetrize(coeffs: np.ndarray) -> np.ndarray:
-    """Project onto real-analytic symmetry f_{-k} = conj(f_k)."""
-    d = coeffs.ndim - 2
-    out = np.conj(coeffs[tuple(slice(None, None, -1) for _ in range(d))])
-    out += coeffs
-    out *= 0.5
-    return out
 
 
 def _next_smooth(n: int, primes: tuple = (2, 3, 5)) -> int:
@@ -406,9 +478,10 @@ def dealias_grid(bands_a: tuple, bands_b: tuple, out_bands=None) -> tuple:
 
 def _is_constant(f: FourierMap) -> bool:
     """True when every coefficient off k = 0 is exactly zero."""
-    flat = f.coeffs.reshape(-1, *f.shape)
-    center = flat.shape[0] // 2  # k = 0 is the middle of the odd-sized index box
-    return not (np.any(flat[:center]) or np.any(flat[center + 1:]))
+    plane = f.half[..., 0, :, :].reshape(-1, *f.shape)
+    center = plane.shape[0] // 2  # k = 0 is the middle of the odd-sized k_d = 0 plane
+    return not (np.any(f.half[..., 1:, :, :]) or np.any(plane[:center])
+                or np.any(plane[center + 1:]))
 
 
 def _ifft_kept(data: np.ndarray, axis: int, n: int, m: int) -> np.ndarray:
@@ -425,11 +498,10 @@ def _fft_kept(data: np.ndarray, axis: int, n: int) -> np.ndarray:
 
 
 def _synthesis_head(f: FourierMap, grid: tuple) -> np.ndarray:
-    """The k_d >= 0 half of ``f``, inverse-transformed along axis 0 when d > 1."""
+    """The half box of ``f``, inverse-transformed along axis 0 when d > 1."""
     if any(m < 2 * n + 1 for n, m in zip(f.bands, grid)):
         raise FourierShapeError(f"evaluation grid {grid} too small for bands {f.bands}")
-    data = f.coeffs[..., f.bands[-1]:, :, :]
-    return _ifft_kept(data, 0, f.bands[0], grid[0]) if f.d > 1 else data
+    return _ifft_kept(f.half, 0, f.bands[0], grid[0]) if f.d > 1 else f.half
 
 
 def _synthesis_tail(head: np.ndarray, bands: tuple, grid: tuple) -> np.ndarray:
@@ -450,16 +522,23 @@ def _analysis_head(samples: np.ndarray, bands: tuple) -> np.ndarray:
     return upper
 
 
-def _analysis_tail(upper: np.ndarray, bands: tuple) -> np.ndarray:
-    """``fft`` on axis 0 cut to its kept rows (d > 1), the k_d < 0 modes filled
-    from the k_d > 0 ones by conjugate symmetry, then symmetrized."""
+def _analysis_tail(acc: np.ndarray, bands: tuple) -> np.ndarray:
+    """The half box of an accumulator of kept bins: ``fft`` on axis 0 cut to its
+    kept rows (d > 1), then symmetrized (:func:`_symmetrize_half`).
+
+    The axis-0 ``fft`` runs over blocks of axis 1 of about SLAB_POINTS values,
+    so the transform of the whole grid is never held; each block's values are
+    bit for bit those of one call on the whole accumulator.
+    """
     d = len(bands)
-    if d > 1:
-        upper = _fft_kept(upper, 0, bands[0])
-    lower = np.conj(upper[tuple(slice(None, None, -1) for _ in range(d - 1))])
-    box = np.concatenate([lower[..., :0:-1, :, :], upper], axis=d - 1)
-    del lower, upper  # the halves are released before the symmetrized box is built
-    return _symmetrize(box)
+    if d == 1:
+        return _symmetrize_half(acc, d)
+    half = np.empty((2 * bands[0] + 1,) + acc.shape[1:], dtype=np.complex128)
+    step = max(1, SLAB_POINTS // max(1, acc[:, :1].size))
+    for start in range(0, acc.shape[1], step):
+        cols = slice(start, start + step)
+        half[:, cols] = _fft_kept(acc[:, cols], 0, bands[0])
+    return _symmetrize_half(half, d)
 
 
 def slab_samples(grid: tuple, *maps: FourierMap):
@@ -482,10 +561,10 @@ def slab_samples(grid: tuple, *maps: FourierMap):
 
 
 def slab_analysis(pointwise, grid: tuple, bands: tuple, *maps: FourierMap) -> list:
-    """Symmetrized coefficients on ``bands`` of the real sample arrays (a list)
-    that ``pointwise(rows, samples)`` returns for each slab of
-    :func:`slab_samples` of ``maps``, bit for bit those of ``rfftn``
-    (``norm="forward"``) of the whole grid's samples.
+    """Half boxes on ``bands`` of the real sample arrays (a list) that
+    ``pointwise(rows, samples)`` returns for each slab of :func:`slab_samples`
+    of ``maps``, bit for bit the k_d >= 0 half of the symmetrized box of
+    ``rfftn`` (``norm="forward"``) of the whole grid's samples.
 
     At most one slab of samples is held at a time: each slab runs ``pointwise``
     and every analysis transform but axis 0's (:func:`_analysis_head`) into one
@@ -526,7 +605,7 @@ def matmul(a: FourierMap, b: FourierMap) -> FourierMap:
     a._check_compatible(b)
     if a.shape[1] != b.shape[0]:
         raise FourierShapeError(f"matrix shapes {a.shape} x {b.shape} do not chain")
-    if not (np.any(a.coeffs) and np.any(b.coeffs)):
+    if not (np.any(a.half) and np.any(b.half)):
         return FourierMap.zeros(a.bands, (a.shape[0], b.shape[1]))
     if _is_constant(a):
         return b.rmatmul_constant(a.average())
@@ -544,5 +623,5 @@ def assemble_blocks(blocks) -> FourierMap:
     for row in blocks:
         for m in row:
             ref._check_compatible(m)
-        rows.append(np.concatenate([m.coeffs for m in row], axis=-1))
+        rows.append(np.concatenate([m.half for m in row], axis=-1))
     return FourierMap(np.concatenate(rows, axis=-2), ref.bands)

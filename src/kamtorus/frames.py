@@ -34,8 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cohomology import DiophantineParams
-from .fourier import (TWO_PI, FourierMap, _k1_box, _next_smooth, assemble_blocks, matmul,
-                      slab_analysis, slab_samples)
+from .fourier import (TWO_PI, FourierMap, _k1_box, _next_smooth, _origin, assemble_blocks,
+                      matmul, slab_analysis, slab_samples)
 from .hamiltonian import HamiltonianSystem, _omega0
 
 RANK_TOL = 1e-8  # L is rank-deficient if a singular value on the grid is at most this
@@ -99,15 +99,15 @@ class TorusCandidate:
     def tangent_family(self, xp: FourierMap) -> FourierMap:
         """(DK  xp), built in one buffer: the d columns of DK, then those of ``xp``."""
         d = self.d
-        coeffs = np.empty(self.k_per.coeffs.shape[:-1] + (d + xp.shape[1],), dtype=np.complex128)
+        half = np.empty(self.k_per.half.shape[:-1] + (d + xp.shape[1],), dtype=np.complex128)
         for i in range(d):
-            coeffs[..., i:i + 1] = self.k_per.deriv(i).coeffs
-        coeffs[..., d:] = xp.coeffs
+            half[..., i:i + 1] = self.k_per.deriv(i).half
+        half[..., d:] = xp.half
         if self.angle_block:  # DK gains the identity block at k = 0
             block = np.zeros((2 * self.system.n, d))
             block[:d, :d] = np.eye(d)
-            coeffs[self.bands + (slice(None), slice(0, d))] += block
-        return FourierMap(coeffs, self.bands)
+            half[_origin(self.bands) + (slice(None), slice(0, d))] += block
+        return FourierMap(half, self.bands)
 
     def k_values(self, grid) -> np.ndarray:
         """Real samples of K on a uniform grid (theta added to angle components)."""
@@ -142,7 +142,7 @@ class TorusCandidate:
         n = sys.n
         f0 = self.k_per.average()
         weights = np.exp(TWO_PI * self.rho * _k1_box(self.bands))
-        mags = np.abs(self.k_per.coeffs)  # |f_k|, then f_0 shifted as add_constant shifts it:
+        mags = self.k_per.magnitudes()  # |f_k|, then f_0 shifted as add_constant shifts it:
         mags[self.bands] = np.abs(f0 + -f0)  # the oscillating part K - <K>
         osc_norms = _rowwise_majorant(mags, weights)
         margin = np.inf
@@ -168,7 +168,7 @@ def seed_torus(system: HamiltonianSystem, dio: DiophantineParams, bands,
     """
     bands = tuple(int(b) for b in bands)
     k_per = FourierMap.zeros(bands, (2 * system.n, 1))
-    k_per.coeffs[bands + (slice(system.n, None), 0)] = system.domain.y_center
+    k_per.half[_origin(bands) + (slice(system.n, None), 0)] = system.domain.y_center
     return TorusCandidate(k_per, dio.omega, dio, rho=rho, system=system)
 
 
@@ -492,12 +492,11 @@ def extended_torsion(cand: TorusCandidate, T: FourierMap, N: FourierMap,
     n = cand.system.n
     Tdown = matmul(kitchen.Dc, N)
     omega_hat = np.concatenate([cand.omega, np.zeros(n - cand.d)])
-    box = T.coeffs.shape[: T.d]
-    coeffs = np.zeros(box + (n + 1, n + 1), dtype=np.complex128)
-    coeffs[..., :n, :n] = T.coeffs
-    coeffs[..., n, :n] = Tdown.coeffs[..., 0, :]
-    coeffs[bands + (slice(None, n), n)] += omega_hat
-    Tc = FourierMap(coeffs, bands)
+    half = np.zeros(T.half.shape[:T.d] + (n + 1, n + 1), dtype=np.complex128)
+    half[..., :n, :n] = T.half
+    half[..., n, :n] = Tdown.half[..., 0, :]
+    half[_origin(bands) + (slice(None, n), n)] += omega_hat
+    Tc = FourierMap(half, bands)
     avgTc = Tc.average().real
     # row sums of the factor bounds: the rows of T plus omega_hat, and Dc N
     _check_twist(avgTc, "averaged extended torsion <T_c>",

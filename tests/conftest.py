@@ -12,11 +12,12 @@ from hypothesis import settings
 from kamtorus.certificate import _INTEGRAL_FIELDS, GlobalNormConstants
 from kamtorus.cli import RunConfig, start_run
 from kamtorus.cohomology import DiophantineParams, estimate_gamma
-from kamtorus.fourier import TWO_PI, FourierMap, _index_box, _k1_box, _symmetrize, assemble_blocks
+from kamtorus.fourier import TWO_PI, FourierMap, _k1_box, assemble_blocks
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
 from kamtorus.hamiltonian import GeometricStructure, canonical_structure
+from oracles import symmetrize
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -106,16 +107,20 @@ def random_map(bands, shape, rng, decay: float = 0.0, scale: float = 1.0) -> Fou
     if decay > 0:
         k1 = _k1_box(tuple(bands))
         raw = raw * np.exp(-decay * k1).reshape(k1.shape + (1, 1))
-    return FourierMap(_symmetrize(scale * raw), tuple(bands))
+    return FourierMap.from_coeffs(symmetrize(scale * raw), tuple(bands))
 
 
 def on_band(f: FourierMap, bands) -> FourierMap:
     """A copy of ``f`` held on ``bands``: modes outside it dropped, new modes zero."""
     bands = tuple(bands)
-    out = FourierMap.zeros(bands, f.shape)
     keep = tuple(map(min, f.bands, bands))
-    out.coeffs[tuple(slice(n - k, n + k + 1) for n, k in zip(bands, keep))] = \
-        f.coeffs[tuple(slice(n - k, n + k + 1) for n, k in zip(f.bands, keep))]
+
+    def kept(of):  # the half box of ``of`` bands held on ``keep``
+        return tuple(slice(n - k, n + k + 1) for n, k in zip(of[:-1], keep[:-1])) + \
+            (slice(0, keep[-1] + 1),)
+
+    out = FourierMap.zeros(bands, f.shape)
+    out.half[kept(bands)] = f.half[kept(f.bands)]
     return out
 
 
@@ -129,7 +134,7 @@ def eval_at(f: FourierMap, theta) -> np.ndarray:
     flat = theta.reshape(-1, f.d)
     # phase factors per axis, then an outer product walk across axes
     work = np.ones((flat.shape[0], 1), dtype=np.complex128)
-    for i, ax in enumerate(_index_box(f.bands)):
+    for i, ax in enumerate(np.arange(-n, n + 1) for n in f.bands):
         phase = np.exp(TWO_PI * 1j * np.outer(flat[:, i], ax))
         work = (work[:, :, None] * phase[:, None, :]).reshape(flat.shape[0], -1)
     out = np.tensordot(work, f.coeffs.reshape(-1, *f.shape), axes=(1, 0))

@@ -9,6 +9,11 @@
 - ``cauchy_bound`` carries a strip norm to a thinner strip; ``russmann_raw_ratio``
   is the band-capped small-divisor maximum that ``russmann_constant``
   envelopes.
+- ``BoxMap`` holds a map as its whole index box and does the coefficient
+  arithmetic on it, and ``box_matmul`` and ``box_solve_cohomological`` the
+  product and the cohomological solve: the full-box forms that the half box of
+  ``FourierMap`` must equal bit for bit on its k_d >= 0 half.  ``symmetrize``
+  projects a full box onto f_-k = conj(f_k).
 - ``irfftn_samples`` and ``rfftn_coefficients`` synthesize and analyse on the
   whole grid at once with numpy's n-dimensional real transforms, which the
   pruned, slab-wise transforms of ``kamtorus.fourier`` equal bit for bit, as
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kamtorus.certificate import _INTEGRAL_FIELDS, ConstantLedger, GlobalNormConstants, _ledger
-from kamtorus.fourier import TWO_PI, FourierMap, StripNorm, assemble_blocks, matmul
+from kamtorus.fourier import TWO_PI, FourierMap, StripNorm, assemble_blocks, dealias_grid, matmul
 from kamtorus import frames as fr
 from kamtorus.frames import FrameBundle, GridKitchen, TorusCandidate
 from kamtorus.hamiltonian import DomainBox, HamiltonianSystem, _linear_integrals, _sample_points
@@ -223,6 +228,166 @@ def russmann_raw_ratio(tau: float, delta: float, band_limit) -> float:
 
 
 # ---------------------------------------------------------------------------
+# full-box arithmetic
+# ---------------------------------------------------------------------------
+
+
+def symmetrize(coeffs: np.ndarray) -> np.ndarray:
+    """Project a full box onto real-analytic symmetry f_{-k} = conj(f_k)."""
+    d = coeffs.ndim - 2
+    out = np.conj(coeffs[tuple(slice(None, None, -1) for _ in range(d))])
+    out += coeffs
+    out *= 0.5
+    return out
+
+
+def _box_axes(bands) -> list:
+    """Broadcastable mode vectors -N_i .. N_i of the full box, one per axis."""
+    out = []
+    for i, n in enumerate(bands):
+        shape = [1] * len(bands)
+        shape[i] = 2 * n + 1
+        out.append(np.arange(-n, n + 1).reshape(shape))
+    return out
+
+
+@dataclass(frozen=True)
+class BoxMap:
+    """A map held as its whole index box (2N_1+1, ..., 2N_d+1, n1, n2), k = 0 at
+    ``tuple(bands)``, with the coefficient arithmetic done on the whole box."""
+
+    coeffs: np.ndarray
+    bands: tuple
+
+    @property
+    def d(self) -> int:
+        return len(self.bands)
+
+    @property
+    def shape(self) -> tuple:
+        return self.coeffs.shape[-2:]
+
+    @property
+    def half(self) -> np.ndarray:
+        """The k_d >= 0 half of the box."""
+        return half_of(self.coeffs, self.bands)
+
+    @property
+    def T(self) -> "BoxMap":
+        return BoxMap(np.swapaxes(self.coeffs, -1, -2), self.bands)
+
+    def block(self, rows, cols) -> "BoxMap":
+        return BoxMap(self.coeffs[..., rows, cols], self.bands)
+
+    def deriv(self, axis: int) -> "BoxMap":
+        k = np.arange(-self.bands[axis], self.bands[axis] + 1)
+        shape = [1] * self.coeffs.ndim
+        shape[axis] = k.size
+        return BoxMap(self.coeffs * (TWO_PI * 1j * k.reshape(shape)), self.bands)
+
+    def lie(self, omega) -> "BoxMap":
+        out = self.deriv(0) * (-omega[0])
+        for i in range(1, self.d):
+            out = out + self.deriv(i) * (-omega[i])
+        return out
+
+    def average(self) -> np.ndarray:
+        return np.array(self.coeffs[tuple(self.bands)])
+
+    def norm(self, rho: float, transpose: bool = False) -> float:
+        k1 = np.zeros(tuple(2 * n + 1 for n in self.bands))
+        for ax in _box_axes(self.bands):
+            k1 = k1 + np.abs(ax)
+        weights = np.exp(TWO_PI * rho * k1)
+        entry = np.tensordot(weights, np.abs(self.coeffs), axes=(tuple(range(self.d)),) * 2)
+        return float(np.max(entry.sum(axis=0 if transpose else 1), initial=0.0))
+
+    def truncate(self, bands) -> "BoxMap":
+        sl = tuple(slice(n - nb, n + nb + 1) for n, nb in zip(self.bands, bands))
+        return BoxMap(self.coeffs[sl].copy(), tuple(bands))
+
+    def __add__(self, other: "BoxMap") -> "BoxMap":
+        return BoxMap(self.coeffs + other.coeffs, self.bands)
+
+    def __sub__(self, other: "BoxMap") -> "BoxMap":
+        return BoxMap(self.coeffs - other.coeffs, self.bands)
+
+    def __neg__(self) -> "BoxMap":
+        return BoxMap(-self.coeffs, self.bands)
+
+    def __mul__(self, scalar) -> "BoxMap":
+        return BoxMap(self.coeffs * scalar, self.bands)
+
+    def add_constant(self, matrix) -> "BoxMap":
+        out = self.coeffs.copy()
+        out[tuple(self.bands)] += np.asarray(matrix, dtype=np.complex128)
+        return BoxMap(out, self.bands)
+
+    def matmul_constant(self, matrix) -> "BoxMap":
+        matrix = np.asarray(matrix, dtype=np.complex128)
+        if matrix.ndim == 1:
+            matrix = matrix[:, None]
+        c = self.coeffs
+        if c.shape[-2] < 2 or (matrix.shape[-1] < 2 and c.strides[-1] != c.itemsize):
+            return BoxMap(c @ matrix, self.bands)
+        flat = c.reshape(-1, c.shape[-1]) @ matrix
+        return BoxMap(flat.reshape(c.shape[:-1] + matrix.shape[1:]), self.bands)
+
+    def rmatmul_constant(self, matrix) -> "BoxMap":
+        matrix = np.asarray(matrix, dtype=np.complex128)
+        if np.any(matrix.imag):
+            return BoxMap(np.einsum("ij,...jk->...ik", matrix, self.coeffs), self.bands)
+        x = np.ascontiguousarray(self.coeffs).view(np.float64)
+        out = np.zeros(x.shape[:-2] + (matrix.shape[0], x.shape[-1]))
+        term = np.empty(x.shape[:-2] + x.shape[-1:])
+        for i, row in enumerate(matrix.real):
+            for j in np.flatnonzero(row):
+                out[..., i, :] += np.multiply(x[..., j, :], row[j], out=term)
+        return BoxMap(out.view(np.complex128), self.bands)
+
+    def is_constant(self) -> bool:
+        flat = self.coeffs.reshape(-1, *self.shape)
+        center = flat.shape[0] // 2
+        return not (np.any(flat[:center]) or np.any(flat[center + 1:]))
+
+    def to_json_dict(self) -> dict:
+        flat = self.coeffs.reshape(-1)
+        pairs = np.empty(2 * flat.size, dtype=np.float64)
+        pairs[0::2] = flat.real
+        pairs[1::2] = flat.imag
+        return {"dims": [self.d, self.shape[0], self.shape[1]], "bands": list(self.bands),
+                "coeffs": pairs.tolist()}
+
+
+def box_matmul(a: BoxMap, b: BoxMap) -> BoxMap:
+    """The product of two maps on one band: zero and constant operands by the
+    shortcuts, others by rfftn of the whole grid's irfftn samples' product
+    (each of which the slab-wise transforms equal bit for bit)."""
+    if not (np.any(a.coeffs) and np.any(b.coeffs)):
+        return BoxMap(np.zeros(a.coeffs.shape[:-1] + b.shape[1:], dtype=np.complex128), a.bands)
+    if a.is_constant():
+        return b.rmatmul_constant(a.average())
+    if b.is_constant():
+        return a.matmul_constant(b.average())
+    work = dealias_grid(a.bands, b.bands, a.bands)
+    samples = irfftn_samples(a, work) @ irfftn_samples(b, work)
+    return BoxMap(rfftn_coefficients(samples, a.bands), a.bands)
+
+
+def box_solve_cohomological(v: BoxMap, omega) -> BoxMap:
+    """u_k = -v_k / (2 pi i k.omega) off k = 0, u_0 = 0, over the whole box."""
+    kdot = np.zeros(tuple(2 * n + 1 for n in v.bands))
+    for w, ax in zip(omega, _box_axes(v.bands)):
+        kdot = kdot + w * ax
+    center = tuple(v.bands)
+    denom = TWO_PI * 1j * kdot
+    denom[center] = 1.0
+    coeffs = -v.coeffs / denom.reshape(denom.shape + (1, 1))
+    coeffs[center] = 0.0
+    return BoxMap(coeffs, v.bands)
+
+
+# ---------------------------------------------------------------------------
 # whole-grid transforms
 # ---------------------------------------------------------------------------
 
@@ -245,6 +410,12 @@ def rfftn_coefficients(samples, bands):
     lower = np.conj(upper[tuple(slice(None, None, -1) for _ in range(d - 1))])
     box = np.concatenate([lower[..., :0:-1, :, :], upper], axis=d - 1)
     return 0.5 * (box + np.conj(box[tuple(slice(None, None, -1) for _ in range(d))]))
+
+
+def half_of(box: np.ndarray, bands) -> np.ndarray:
+    """The k_d >= 0 half of a full box (2N_1+1, ..., 2N_d+1, n1, n2): what a
+    ``FourierMap`` stores."""
+    return np.ascontiguousarray(box[..., bands[-1]:, :, :])
 
 
 def assert_same_bits(got, ref):

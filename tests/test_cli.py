@@ -11,9 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kamtorus import cli, frames
+from kamtorus import cli, frames, hamiltonian
 from kamtorus.certificate import estimate_global_constants, table_width_limit
 from kamtorus.cli import ConfigError, RunConfig, main
+from kamtorus.fourier import FourierMap
 from kamtorus.hamiltonian import builtin_table
 
 
@@ -830,6 +831,66 @@ def test_non_finite_torus_coefficient_exit_two(tmp_path, capsys, bands8_torus, c
     assert not any(out.glob("*"))
 
 
+@pytest.mark.parametrize("defect", [0.0, 1e-13, 1e-3], ids=["exact", "within-1e-12", "not-real"])
+def test_torus_file_symmetry_is_checked_by_the_loader(tmp_path, capsys, bands8_torus, defect):
+    """The loader keeps the k_d >= 0 half of K.  A file whose f_-k and conj(f_k)
+    differ by at most 1e-12 relative loads, and certifies to the bytes of the
+    exact file: its k_d < 0 modes are not read.  A larger defect exits 2 naming
+    the field."""
+    exact = tmp_path / "exact.json"
+    exact.write_text(bands8_torus[1])
+    assert main(["certify", str(exact), "--out", str(tmp_path / "ref")]) in (0, 1)
+    doc = json.loads(bands8_torus[1])
+    doc["map"]["coeffs"][1] += defect  # Im of row 0 at k = (-8, -8)
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main(["certify", str(edited), "--out", str(out)])
+    if defect > 1e-12:
+        assert code == 2
+        assert "torus file field 'map': ValueError: not real: f_-k and conj(f_k) differ by " \
+            "1.000e-03" in capsys.readouterr().err
+        assert not out.exists()
+        return
+    assert code in (0, 1)
+    for name in ("certificate.json", "ledger.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
+# the d = 3, n = 4 table of the ROADMAP: cos 2 pi x1 + cos 2 pi x2 + cos 2 pi x1
+# cos 2 pi (x3 - x4), times epsilon, with the first integral p = y3 + y4
+D3_ROTORS = ([(1.0, (1, 0, 0, 0)), (1.0, (0, 1, 0, 0)), (0.5, (1, 0, 1, -1)),
+              (0.5, (1, 0, -1, 1))], [(0, 0, 1, 1)])
+
+
+@pytest.mark.parametrize("mode", ["ordinary", "iso"])
+def test_d3_rotors_solve_and_round_trip_the_torus(tmp_path, monkeypatch, mode):
+    """At bands 4 the d = 3 table solves in process in both modes (the table is
+    handed to the CLI for this test only, and its system built by
+    ``_trig_potential_system``); its torus file reads back to the bits of the
+    solved map and is written back to its own bytes, and it certifies."""
+    monkeypatch.setitem(hamiltonian._BUILTIN_TERMS, "d3_rotors", D3_ROTORS)
+    fields = {"system": "d3_rotors", "epsilon": 1e-3, "tau": 2.0, "scan_limit": 300,
+              "bands": [4, 4, 4]}
+    if mode == "iso":
+        fields.update(mode="iso", conserved="H", c0_offset=1e-4)
+    solved = []
+    candidate_doc = cli._candidate_doc
+    monkeypatch.setattr(cli, "_candidate_doc",
+                        lambda cand, *rest: solved.append(cand.k_per) or candidate_doc(cand, *rest))
+    out = tmp_path / "run"
+    assert cli.cmd_solve(RunConfig.from_dict(fields), out) == 0
+    text = (out / "torus.json").read_text()
+    doc = json.loads(text)
+    k_per = FourierMap.from_json_dict(doc["map"])
+    assert k_per.bands == (4, 4, 4) and k_per.shape == (8, 1)
+    assert k_per.half.tobytes() == solved[0].half.tobytes()
+    cli._json_dump(doc, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_text() == text
+    assert main(["certify", str(out / "torus.json"), "--out", str(out)]) in (0, 1)
+    assert json.loads((out / "certificate.json").read_text())["ratio"] > 0
+
+
 def _empty_map(doc):
     doc["map"]["coeffs"] = []
 
@@ -867,17 +928,21 @@ def _int_coefficient(doc):
                                   _signed_magnitudes, _infinite_coefficient, _int_coefficient],
                          ids=["solved", "empty-coeffs", "nan-coeff", "placeholder-in-config",
                               "signed-magnitudes", "inf-coeff", "int-coeff"])
-def test_json_dump_writes_the_bytes_of_json_dumps(tmp_path, bands8_torus, edit):
-    """The spliced coefficient list leaves the torus file as json.dumps writes it."""
+def test_json_dump_writes_the_bytes_of_json_dumps(tmp_path, monkeypatch, bands8_torus, edit):
+    """The coefficient list, written in chunks (of 1, 7 and 4096 items) from both
+    ends between the two parts of the rest, leaves the torus file as json.dumps
+    writes it."""
     from kamtorus.cli import _json_dump
 
     doc, solved_text = bands8_torus
     doc = json.loads(json.dumps(doc))
     if edit is not None:
         edit(doc)
-    _json_dump(doc, tmp_path / "torus.json")
     expect = json.dumps(doc, sort_keys=True, indent=1) + "\n"
-    assert (tmp_path / "torus.json").read_text() == expect
+    for chunk in (1, 7, 4096):
+        monkeypatch.setattr(cli, "ITEMS_CHUNK", chunk)
+        _json_dump(doc, tmp_path / "torus.json")
+        assert (tmp_path / "torus.json").read_text() == expect, chunk
     if edit is None:  # the solve wrote the same bytes
         assert solved_text == expect and len(doc["map"]["coeffs"]) == 2 * 17 * 17 * 4
 
@@ -891,7 +956,8 @@ def test_number_items_are_the_items_of_json_dumps(values):
     from kamtorus.cli import _number_items
 
     sep = ",\n   "
-    assert _number_items(values, sep) == json.dumps(values, separators=(sep, ": "))[1:-1]
+    assert sep.join(_number_items(values, sep)) == \
+        json.dumps(values, separators=(sep, ": "))[1:-1]
 
 
 def test_kamtorus_threads_caps_the_backends_before_numpy_starts(tmp_path):

@@ -130,14 +130,15 @@ def test_solve_constant_gives_zero(golden_dio):
 
 def test_solve_cosine_closed_form(golden_dio):
     bands = (4, 4)
-    v = FourierMap.zeros(bands, (1, 1))
-    v.coeffs[4 + 1, 4, 0, 0] = 0.5
-    v.coeffs[4 - 1, 4, 0, 0] = 0.5
+    box = np.zeros((9, 9, 1, 1), dtype=complex)
+    box[4 + 1, 4, 0, 0] = 0.5
+    box[4 - 1, 4, 0, 0] = 0.5
+    v = FourierMap.from_coeffs(box, bands)
     u = solve_cohomological(v, golden_dio)
-    expected = FourierMap.zeros(bands, (1, 1))
     w1 = golden_dio.omega[0]
-    expected.coeffs[4 + 1, 4, 0, 0] = -(-0.5j) / (2 * np.pi * w1)
-    expected.coeffs[4 - 1, 4, 0, 0] = -(0.5j) / (2 * np.pi * w1)
+    box[4 + 1, 4, 0, 0] = -(-0.5j) / (2 * np.pi * w1)
+    box[4 - 1, 4, 0, 0] = -(0.5j) / (2 * np.pi * w1)
+    expected = FourierMap.from_coeffs(box, bands)
     # u = -sin(2 pi theta_1) / (2 pi omega_1)
     assert np.max(np.abs(u.coeffs - expected.coeffs)) < 1e-15
     back = u.lie(golden_dio.omega)
@@ -176,8 +177,10 @@ def test_left_then_right_is_projection(golden_dio):
 def test_solve_resonant_frequency_raises():
     dio_like = DiophantineParams(np.array([1.0, 0.5]), 1e-3, 1.0, 5, check=False)
     v = random_map((4, 4), (1, 1), RNG)
-    with pytest.raises(DivisorCollisionError):
-        solve_cohomological(v, dio_like)  # k = (1, -2) kills it
+    # k = (1, -2) kills it; the message names the first such k of the full box in
+    # row-major order, though only the k_2 >= 0 half is stored
+    with pytest.raises(DivisorCollisionError, match=r"collision at k=\(-2, 4\) inside"):
+        solve_cohomological(v, dio_like)
 
 
 def test_params_scan_checked_at_construction():
@@ -246,9 +249,10 @@ def test_russmann_single_mode_oracle(golden_dio):
     bands = (6, 6)
     tau, delta = golden_dio.tau, 0.05
     for k in [(1, 0), (2, -1), (5, 3), (-6, 6)]:
-        v = FourierMap.zeros(bands, (1, 1))
-        v.coeffs[6 + k[0], 6 + k[1], 0, 0] = 1.0
-        v.coeffs[6 - k[0], 6 - k[1], 0, 0] = 1.0
+        box = np.zeros((13, 13, 1, 1), dtype=complex)
+        box[6 + k[0], 6 + k[1], 0, 0] = 1.0
+        box[6 - k[0], 6 - k[1], 0, 0] = 1.0
+        v = FourierMap.from_coeffs(box, bands)
         u = solve_cohomological(v, golden_dio)
         rho = 0.2
         realized = u.norm(rho - delta).value / v.norm(rho).value

@@ -1,6 +1,7 @@
 """Spectral core: synthesis/analysis, calculus, strip majorants, Cauchy rules."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kamtorus import fourier
+from kamtorus.cohomology import solve_cohomological
 from kamtorus.fourier import (
     FourierMap,
     FourierShapeError,
     StripOverflowError,
+    _is_constant,
     dealias_grid,
     matmul,
     slab_analysis,
@@ -19,25 +22,26 @@ from kamtorus.fourier import (
 )
 
 from conftest import eval_at, map_from_json, map_to_json, on_band, random_map
-from oracles import assert_same_bits, cauchy_bound, irfftn_samples, rfftn_coefficients
+from oracles import (BoxMap, assert_same_bits, box_matmul, box_solve_cohomological,
+                     cauchy_bound, half_of, irfftn_samples, rfftn_coefficients, symmetrize)
 
 RNG = np.random.default_rng(20240817)
 
 
 def cos_map(bands=(4,), axis_k=1):
-    f = FourierMap.zeros(bands, (1, 1))
+    box = np.zeros((2 * bands[0] + 1, 1, 1), dtype=complex)
     c = bands[0]
-    f.coeffs[c + axis_k, 0, 0] = 0.5
-    f.coeffs[c - axis_k, 0, 0] = 0.5
-    return f
+    box[c + axis_k, 0, 0] = 0.5
+    box[c - axis_k, 0, 0] = 0.5
+    return FourierMap.from_coeffs(box, bands)
 
 
 def sin_map(bands=(4,)):
-    f = FourierMap.zeros(bands, (1, 1))
+    box = np.zeros((2 * bands[0] + 1, 1, 1), dtype=complex)
     c = bands[0]
-    f.coeffs[c + 1, 0, 0] = -0.5j
-    f.coeffs[c - 1, 0, 0] = 0.5j
-    return f
+    box[c + 1, 0, 0] = -0.5j
+    box[c - 1, 0, 0] = 0.5j
+    return FourierMap.from_coeffs(box, bands)
 
 
 # ---------------------------------------------------------------- eval_grid
@@ -124,9 +128,11 @@ def test_from_samples_real_samples_match_complex_path(monkeypatch, bands, grid, 
 
 
 def test_real_symmetry_enforced():
+    """Complex samples are projected onto f_-k = conj(f_k), which the full box
+    then holds exactly (up to the signs of zeros)."""
     samples = RNG.standard_normal((9, 9, 1, 1)) + 1j * RNG.standard_normal((9, 9, 1, 1))
-    f = FourierMap.from_samples(samples, (4, 4))
-    assert f.real_symmetry_defect() < 1e-12
+    box = FourierMap.from_samples(samples, (4, 4)).coeffs
+    assert np.array_equal(box, np.conj(box[::-1, ::-1]))
 
 
 # ------------------------------------------------------------------ calculus
@@ -347,7 +353,7 @@ def test_pruned_real_transforms_equal_rfftn_irfftn_bit_for_bit(monkeypatch, band
         monkeypatch.setattr(np.fft, name, numpy1)
     rng = np.random.default_rng(sum(grid))
     f = random_map(bands, (3, 2), rng, decay=0.1)
-    f.coeffs[..., 1, 0] = 0.0  # an identically zero entry keeps its zeros' signs
+    f.half[..., 1, 0] = 0.0  # an identically zero entry keeps its zeros' signs
     samples = rng.standard_normal(grid + (2, 3))
     samples[..., 0, 1] = 0.25  # a constant entry
     synthesized = irfftn_samples(f, grid)
@@ -357,7 +363,7 @@ def test_pruned_real_transforms_equal_rfftn_irfftn_bit_for_bit(monkeypatch, band
         assert_same_bits(np.concatenate(slabs), synthesized)
         for s in (samples, synthesized):
             got = slab_analysis(lambda rows, _, s=s: [s[rows]], grid, bands)[0]
-            assert_same_bits(got, rfftn_coefficients(s, bands))
+            assert_same_bits(got, half_of(rfftn_coefficients(s, bands), bands))
 
 
 # ---------------------------------------------------------- property sampling
@@ -462,7 +468,7 @@ def complex_fft_product(a, b, out_bands=None, work_grid=None):
     hat = np.fft.fftn(prod, axes=tuple(range(d))) / float(np.prod(work))
     coeffs = hat[np.ix_(*(np.arange(-n, n + 1) % m for n, m in zip(out_bands, work)))]
     flipped = np.conj(coeffs[tuple(slice(None, None, -1) for _ in range(d))])
-    return FourierMap(0.5 * (coeffs + flipped), out_bands)
+    return FourierMap.from_coeffs(0.5 * (coeffs + flipped), out_bands)
 
 
 def common_band(bands_a, bands_b, out_bands):
@@ -571,13 +577,13 @@ def test_matmul_empty_operand_gives_zeros(shape_a, shape_b):
 
 def einsum_rmatmul_constant(f, matrix):
     """The left constant product as the einsum of the complex matrix (reference)."""
-    return np.einsum("ij,...jk->...ik", np.asarray(matrix, dtype=np.complex128), f.coeffs)
+    return np.einsum("ij,...jk->...ik", np.asarray(matrix, dtype=np.complex128), f.half)
 
 
 def per_mode_matmul_constant(f, matrix):
     """The right constant product as numpy's per-mode ``@`` (reference)."""
     matrix = np.asarray(matrix, dtype=np.complex128)
-    return f.coeffs @ (matrix[:, None] if matrix.ndim == 1 else matrix)
+    return f.half @ (matrix[:, None] if matrix.ndim == 1 else matrix)
 
 
 def reference_constant_product(const, varying, side):
@@ -589,7 +595,8 @@ def reference_constant_product(const, varying, side):
 
 
 def _awkward_coeffs(box, shape, rng):
-    """Random coefficients with exact zeros and negative zeros in both parts."""
+    """Random half-box coefficients with exact zeros and negative zeros in both
+    parts (``box`` is the half box of the bands)."""
     c = rng.standard_normal(box + shape) + 1j * rng.standard_normal(box + shape)
     c.real[rng.random(c.shape) < 0.2] = 0.0
     c.imag[rng.random(c.shape) < 0.2] = -0.0
@@ -613,7 +620,7 @@ def test_constant_products_equal_reference_bit_for_bit(seed):
     rng = np.random.default_rng(100 + seed)
     cases = 0
     for bands in [(3,), (4, 5), (2, 1, 3)]:
-        box = tuple(2 * n + 1 for n in bands)
+        box = tuple(2 * n + 1 for n in bands[:-1]) + (bands[-1] + 1,)
         for n1, n2, n3 in [(1, 1, 1), (1, 3, 2), (2, 1, 3), (3, 2, 1), (4, 4, 4), (4, 2, 2),
                            (6, 3, 1), (1, 4, 1), (2, 2, 6), (5, 5, 2)]:
             coeffs = _awkward_coeffs(box, (n2, n3), rng)
@@ -626,20 +633,20 @@ def test_constant_products_equal_reference_bit_for_bit(seed):
             for f in views:
                 left = _awkward_matrix((n1, f.shape[0]), rng)
                 got = f.rmatmul_constant(left)
-                assert got.coeffs.tobytes() == einsum_rmatmul_constant(f, left).tobytes()
+                assert got.half.tobytes() == einsum_rmatmul_constant(f, left).tobytes()
                 right = _awkward_matrix((f.shape[1], n1), rng)
                 for matrix in (right, right[:, 0]):
                     got = f.matmul_constant(matrix)
-                    assert got.coeffs.tobytes() == per_mode_matmul_constant(f, matrix).tobytes()
+                    assert got.half.tobytes() == per_mode_matmul_constant(f, matrix).tobytes()
                 cases += 1
     assert cases == 120
 
 
 def test_left_constant_product_keeps_complex_matrices_exact():
     rng = np.random.default_rng(11)
-    f = FourierMap(_awkward_coeffs((5, 3), (3, 2), rng), (2, 1))
+    f = FourierMap(_awkward_coeffs((5, 2), (3, 2), rng), (2, 1))
     matrix = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    assert f.rmatmul_constant(matrix).coeffs.tobytes() == \
+    assert f.rmatmul_constant(matrix).half.tobytes() == \
         einsum_rmatmul_constant(f, matrix).tobytes()
     with pytest.raises(FourierShapeError):
         f.rmatmul_constant(np.eye(2))
@@ -652,17 +659,17 @@ def test_matmul_constant_shortcut_equals_copies_bit_for_bit(side, out_bands):
     padded copy), the shortcut gives the bytes of the reference product."""
     rng = np.random.default_rng(len(side) + sum(out_bands))
     const = FourierMap.constant(_awkward_matrix((4, 4), rng), out_bands)
-    varying = on_band(FourierMap(_awkward_coeffs((7, 9), (4, 4), rng), (3, 4)), out_bands)
+    varying = on_band(FourierMap(_awkward_coeffs((7, 5), (4, 4), rng), (3, 4)), out_bands)
     a, b = (const, varying) if side == "left" else (varying, const)
     got = matmul(a, b)
     assert got.bands == out_bands
-    assert got.coeffs.tobytes() == reference_constant_product(const, varying, side).tobytes()
+    assert got.half.tobytes() == reference_constant_product(const, varying, side).tobytes()
 
 
 def test_matmul_constant_and_zero_products_need_no_work_grid(monkeypatch):
     """The shortcuts transform nothing, so they never ask for a work grid."""
     rng = np.random.default_rng(12)
-    f = FourierMap(_awkward_coeffs((33, 33), (2, 3), rng), (16, 16))
+    f = FourierMap(_awkward_coeffs((33, 17), (2, 3), rng), (16, 16))
     const = FourierMap.constant(_awkward_matrix((2, 2), rng), (16, 16))
     zero = FourierMap.zeros((16, 16), (2, 2))
 
@@ -671,8 +678,96 @@ def test_matmul_constant_and_zero_products_need_no_work_grid(monkeypatch):
 
     monkeypatch.setattr(fourier, "dealias_grid", no_grid)
     got = matmul(const, f)
-    assert got.coeffs.tobytes() == reference_constant_product(const, f, "left").tobytes()
+    assert got.half.tobytes() == reference_constant_product(const, f, "left").tobytes()
     for a, b in ((zero, zero), (zero, f)):
         got = matmul(a, b)
         assert (got.bands, got.shape) == ((16, 16), (2, 3 if b is f else 2))
         assert not np.any(got.coeffs)
+
+
+# ------------------------------------------------ the half box and the full box
+
+
+def oracle_box(bands, shape, rng, kind):
+    """A real-analytic full box: symmetrized normals ("varying"), a random
+    k = 0 mode ("const") or zeros."""
+    box = np.zeros(tuple(2 * n + 1 for n in bands) + tuple(shape), dtype=complex)
+    if kind == "varying":
+        box = symmetrize(rng.standard_normal(box.shape) + 1j * rng.standard_normal(box.shape))
+    elif kind == "const":
+        box[tuple(bands)] = rng.standard_normal(shape)
+    return box
+
+
+def oracle_pair(bands, shape, rng, kind):
+    """The same map as a half-box FourierMap and as a full-box BoxMap."""
+    box = oracle_box(bands, shape, rng, kind)
+    return FourierMap.from_coeffs(box, bands), BoxMap(box, bands)
+
+
+KINDS = st.sampled_from(["varying", "const", "zero"])
+
+
+@settings(max_examples=80)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.tuples(*[st.integers(1, 3)] * 3),
+       KINDS, KINDS, st.integers(0, 2**32 - 1))
+def test_half_box_equals_the_full_box_oracle(bands, dims, kind_a, kind_b, seed):
+    """Each operation on the stored k_d >= 0 half gives the bits of the full-box
+    arithmetic (``oracles.BoxMap``) on that half, signed zeros included; the
+    full box, the product, the norms and the JSON document are equal whole."""
+    bands = tuple(bands)
+    n1, n2, n3 = dims
+    rng = np.random.default_rng(seed)
+    a, A = oracle_pair(bands, (n1, n2), rng, kind_a)
+    b, B = oracle_pair(bands, (n2, n3), rng, kind_b)
+    c, C = oracle_pair(bands, (n1, n2), rng, "varying")
+    assert_same_bits(a.coeffs, A.coeffs)
+    omega = 1.0 + rng.random(len(bands))
+    dio = SimpleNamespace(d=len(bands), omega=omega)  # all that the solve reads, at any d
+    right = rng.standard_normal((n2, n3))
+    left = rng.standard_normal((n3, n1))
+    shift = rng.standard_normal((n1, n2))
+    pairs = [(a.deriv(i), A.deriv(i)) for i in range(len(bands))] + [
+        (a.lie(omega), A.lie(omega)), (a + c, A + C), (a - c, A - C), (-a, -A),
+        (a * 0.3, A * 0.3), (a.T, A.T), (a.block(slice(0, 1), slice(1, None)),
+                                        A.block(slice(0, 1), slice(1, None))),
+        (a.truncate([n - 1 for n in bands]), A.truncate([n - 1 for n in bands])),
+        (a.add_constant(shift), A.add_constant(shift)),
+        (a.matmul_constant(right), A.matmul_constant(right)),
+        (a.matmul_constant(right[:, 0]), A.matmul_constant(right[:, 0])),
+        (a.rmatmul_constant(left), A.rmatmul_constant(left)),
+        (a.rmatmul_constant(left + 1j * left[::-1]), A.rmatmul_constant(left + 1j * left[::-1])),
+        (solve_cohomological(a, dio), box_solve_cohomological(A, omega)),
+    ]
+    for got, ref in pairs:
+        assert got.bands == ref.bands
+        assert_same_bits(got.half, ref.half)
+    assert_same_bits(a.average(), A.average())
+    assert _is_constant(a) == A.is_constant() == (kind_a != "varying")
+    for rho in (0.0, 0.07):
+        for transpose in (False, True):
+            assert a.norm(rho, transpose).value == A.norm(rho, transpose)
+    prod, ref = matmul(a, b), box_matmul(A, B)
+    assert_same_bits(prod.coeffs, ref.coeffs)
+    for f, F in ((a, A), (prod, ref)):
+        assert json.dumps(f.to_json_dict()) == json.dumps(F.to_json_dict())
+        assert_same_bits(map_from_json(map_to_json(f)).half, f.half)
+
+
+@pytest.mark.parametrize("defect, accepted", [(0.0, True), (0.5e-12, True), (2e-12, False)])
+def test_from_coeffs_checks_the_symmetry_and_keeps_the_half(defect, accepted):
+    """A box whose f_-k and conj f_k differ by at most 1e-12 relative is taken as
+    its k_d >= 0 half, its k_d < 0 modes replaced by their mirror; a larger
+    defect is refused as not real."""
+    bands = (2, 3)
+    box = oracle_box(bands, (2, 1), np.random.default_rng(3), "varying")
+    box /= np.max(np.abs(box))
+    box[0, 0, 1, 0] += defect  # k = (-2, -3), a k_d < 0 mode
+    if not accepted:
+        with pytest.raises(ValueError, match="not real: f_-k and conj"):
+            FourierMap.from_coeffs(box, bands)
+        return
+    f = FourierMap.from_coeffs(box, bands)
+    assert_same_bits(f.half, half_of(box, bands))
+    box[0, 0, 1, 0] -= defect
+    assert_same_bits(f.coeffs, box)

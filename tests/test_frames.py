@@ -76,13 +76,10 @@ def test_invariance_error_order_epsilon_and_pointwise_oracle(perturbed_candidate
 def test_invariance_error_phase_shift_invariant(perturbed_candidate_a):
     cand = perturbed_candidate_a
     alpha = np.array([0.37, 0.11])
-    from kamtorus.fourier import _index_box
-
-    shifted = cand.k_per.coeffs.copy()
-    ks = _index_box(cand.bands)
+    ks = [np.arange(-n, n + 1) for n in cand.bands]
     phase = np.exp(2j * np.pi * (np.add.outer(ks[0] * alpha[0], ks[1] * alpha[1])))
-    shifted = shifted * phase[..., None, None]
-    k_shift = FourierMap(shifted, cand.bands)
+    shifted = cand.k_per.coeffs * phase[..., None, None]
+    k_shift = FourierMap.from_coeffs(shifted, cand.bands)
     # the identity part contributes K(theta + alpha) = theta + alpha + per(theta+alpha)
     const = np.zeros((2 * cand.system.n, 1))
     const[: cand.d, 0] = alpha
@@ -361,10 +358,9 @@ def test_esym_block_structure_case_iii(perturbed_candidate_a):
     fr = build_frames(cand, kk)
     maps = error_maps(cand, fr, kk)
     n = cand.system.n
-    bands = cand.bands
-    top_left = FourierMap(maps.Esym.coeffs[..., :n, :n], bands)
+    top_left = maps.Esym.block(slice(None, n), slice(None, n))
     diff1 = (top_left - maps.Elag).norm(0.0).value
-    bottom_right = FourierMap(maps.Esym.coeffs[..., n:, n:], bands)
+    bottom_right = maps.Esym.block(slice(n, None), slice(n, None))
     BT_Elag_B = matmul(matmul(fr.B.T, maps.Elag), fr.B)
     diff2 = (bottom_right - BT_Elag_B).norm(0.0).value
     off = max(np.max(np.abs(maps.Esym.coeffs[..., :n, n:])),
@@ -513,15 +509,16 @@ def test_fully_periodic_parameterization_without_marker(golden_dio):
     """K purely periodic (no zero-section block): the circle pair is invariant."""
     sys_obj = harmonic_pair_system()
     bands = (3, 3)
-    k_per = FourierMap.zeros(bands, (4, 1))
+    box = np.zeros((7, 7, 4, 1), dtype=complex)
     # x_j = r_j cos(2 pi theta_j), y_j = -r_j sin(2 pi theta_j)
     for j, r in ((0, 0.6), (1, 0.4)):
         plus, minus = [3, 3], [3, 3]
         plus[j], minus[j] = 3 + 1, 3 - 1
-        k_per.coeffs[tuple(plus) + (j, 0)] = r / 2
-        k_per.coeffs[tuple(minus) + (j, 0)] = r / 2
-        k_per.coeffs[tuple(plus) + (2 + j, 0)] = 0.5j * r
-        k_per.coeffs[tuple(minus) + (2 + j, 0)] = -0.5j * r
+        box[tuple(plus) + (j, 0)] = r / 2
+        box[tuple(minus) + (j, 0)] = r / 2
+        box[tuple(plus) + (2 + j, 0)] = 0.5j * r
+        box[tuple(minus) + (2 + j, 0)] = -0.5j * r
+    k_per = FourierMap.from_coeffs(box, bands)
     cand = TorusCandidate(k_per, golden_dio.omega, golden_dio, rho=0.05,
                           system=sys_obj, angle_block=False)
     # DK carries no identity block in this topology

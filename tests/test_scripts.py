@@ -35,6 +35,18 @@ def test_run_convergence_reports_each_system():
     assert all(rec["converged"] and rec["contraction_exponent"] is not None for rec in finals)
 
 
+def test_peak_memory_reports_each_command(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"system": "lagrangian_rotors", "epsilon": 1e-3,
+                                  "bands": [4, 4], "rho0": 0.05}))
+    (record,) = run_script("peak_memory.py", str(config), "--out", str(tmp_path / "out"))
+    assert record["config"] == str(config)
+    for name in ("solve", "certify"):
+        assert record[name]["rc"] in (0, 1) and record[name]["s"] > 0
+        assert 0 < record[name]["peak_mb"] <= record["peak_mb"]
+    assert (tmp_path / "out" / "certificate.json").exists()
+
+
 def compare_outputs(tree_b: Path, config: dict, tmp_path: Path,
                     *args: str) -> subprocess.CompletedProcess:
     """Run compare_outputs.py on this checkout and ``tree_b`` for one config."""

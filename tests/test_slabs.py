@@ -17,7 +17,7 @@ from kamtorus.frames import (COND_LIMIT, HypothesisError, _front_matmul, _pointw
 from kamtorus.hamiltonian import DomainBox, TermTable, _trig_potential_system
 
 from conftest import on_band, random_map, scaled_structure, seed_run
-from oracles import assert_same_bits, irfftn_samples, rfftn_coefficients, svd_rank_check
+from oracles import assert_same_bits, half_of, irfftn_samples, rfftn_coefficients, svd_rank_check
 
 SLABS = ["one-row", "ragged", "whole"]
 
@@ -56,7 +56,7 @@ def planar_candidate(bands=(8, 8), **fields):
 
 
 def whole_grid_kitchen(cand, conserved=None) -> dict:
-    """Coefficients of every kitchen map, each callback sampled on the whole work
+    """Half boxes of every kitchen map, each callback sampled on the whole work
     grid at once: the kitchen before it was sampled in slabs."""
     bands, grid = cand.bands, work_grid(cand.bands)
     kv = irfftn_samples(cand.k_per, grid)[..., 0]
@@ -70,10 +70,10 @@ def whole_grid_kitchen(cand, conserved=None) -> dict:
         c, dc = system.conserved(conserved, kv)
         samples["Dc"] = np.asarray(dc)[..., None, :]
         samples["c_map"] = np.asarray(c)[..., None, None]
-    out = {name: rfftn_coefficients(s, bands) for name, s in samples.items()}
-    xp = (FourierMap(rfftn_coefficients(system.Xp(kv), bands), bands) if system.n_integrals
-          else FourierMap.zeros(bands, (2 * system.n, 0)))
-    out["L"] = cand.tangent_family(xp).coeffs
+    out = {name: half_of(rfftn_coefficients(s, bands), bands) for name, s in samples.items()}
+    xp = (FourierMap(half_of(rfftn_coefficients(system.Xp(kv), bands), bands), bands)
+          if system.n_integrals else FourierMap.zeros(bands, (2 * system.n, 0)))
+    out["L"] = cand.tangent_family(xp).half
     return out
 
 
@@ -135,8 +135,8 @@ def test_kitchen_equals_the_whole_grid_kitchen_bit_for_bit(monkeypatch, case, sl
     assert ("Dc" in ref) == (case == "iso")
     monkeypatch.setattr(fourier, "SLAB_POINTS", slab_points(slab, work_grid(cand.bands)))
     kitchen = grid_kitchen(cand, conserved)
-    for name, coeffs in ref.items():
-        assert_same_bits(getattr(kitchen, name).coeffs, coeffs)
+    for name, half in ref.items():
+        assert_same_bits(getattr(kitchen, name).half, half)
 
 
 @pytest.mark.parametrize("slab", SLABS)
@@ -146,8 +146,8 @@ def test_from_samples_equals_rfftn_bit_for_bit(monkeypatch, bands, grid, slab):
     samples = np.random.default_rng(len(grid)).standard_normal(grid + (2, 3))
     samples[..., 0, 1] = 0.25  # a constant entry keeps the signs of its zeros
     monkeypatch.setattr(fourier, "SLAB_POINTS", slab_points(slab, grid))
-    assert_same_bits(FourierMap.from_samples(samples, bands).coeffs,
-                     rfftn_coefficients(samples, bands))
+    assert_same_bits(FourierMap.from_samples(samples, bands).half,
+                     half_of(rfftn_coefficients(samples, bands), bands))
 
 
 def spd_map(bands, n, seed):
@@ -166,19 +166,19 @@ def test_pointwise_inverse_equals_the_whole_grid_inverse_bit_for_bit(monkeypatch
     ref, ref_cond = whole_grid_inverse(f)
     monkeypatch.setattr(fourier, "SLAB_POINTS", slab_points(slab, work_grid(f.bands)))
     inv, cond = _pointwise_inverse(f)
-    assert_same_bits(inv.coeffs, ref)
+    assert_same_bits(inv.half, half_of(ref, f.bands))
     assert cond == ref_cond
 
 
 def bad_pivot_map():
     """diag(0.3 + sin 2 pi theta_1, 0.3 - sin 2 pi theta_1) on bands (3, 2): on the
     16 x 9 work grid pivot 1 is negative on rows 1-7 and pivot 0 on rows 9-15."""
-    f = FourierMap.zeros((3, 2), (2, 2))
+    box = np.zeros((7, 5, 2, 2), dtype=complex)
     for entry, sign in ((0, 1.0), (1, -1.0)):
-        f.coeffs[3, 2, entry, entry] = 0.3
-        f.coeffs[4, 2, entry, entry] = -0.5j * sign
-        f.coeffs[2, 2, entry, entry] = 0.5j * sign
-    return f
+        box[3, 2, entry, entry] = 0.3
+        box[4, 2, entry, entry] = -0.5j * sign
+        box[2, 2, entry, entry] = 0.5j * sign
+    return FourierMap.from_coeffs(box, (3, 2))
 
 
 @pytest.mark.parametrize("slab", SLABS)
@@ -258,13 +258,13 @@ def test_matmul_equals_the_whole_grid_product_bit_for_bit(monkeypatch, case, sla
     product, including 1-row, 1-column and transposed (non-contiguous) operands."""
     bands, shape_a, shape_b, transpose_a = PRODUCTS[case]
     a, b = product_operands(bands, shape_a, shape_b, transpose_a)
-    assert a.coeffs.flags.c_contiguous != transpose_a
+    assert a.half.flags.c_contiguous != transpose_a
     work = fourier.dealias_grid(bands, bands, bands)
     ref = rfftn_coefficients(irfftn_samples(a, work) @ irfftn_samples(b, work), bands)
     monkeypatch.setattr(fourier, "SLAB_POINTS", slab_points(slab, work))
     got = matmul(a, b)
     assert got.bands == bands
-    assert_same_bits(got.coeffs, ref)
+    assert_same_bits(got.half, half_of(ref, bands))
 
 
 def deficient_frame_candidate(row):
@@ -331,7 +331,7 @@ def test_d3_matmul_peak_memory_bounded():
     """d = 3, bands 8, (8 x 4) times (4 x 4) kept at bands 8 (work grid 25^3):
     the whole-grid product held about 10 MB of samples and peaked at about
     13 MB above entry; walked in slabs it peaks at about 8 MB, most of it the
-    kept-bin accumulator, the symmetrization and the result."""
+    operands' axis-0 transforms, the kept-bin accumulator and one slab's samples."""
     rng = np.random.default_rng(0)
     a = random_map((8, 8, 8), (8, 4), rng, decay=0.5)
     b = random_map((8, 8, 8), (4, 4), rng, decay=0.5)

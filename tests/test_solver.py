@@ -69,9 +69,10 @@ def test_solve_triangular_cosine_chain(golden_dio):
     bands = (6, 6)
     n = 2
     eta_L = FourierMap.zeros(bands, (n, 1))
-    eta_N = FourierMap.zeros(bands, (n, 1))
-    eta_N.coeffs[6 + 1, 6, 0, 0] = 0.5
-    eta_N.coeffs[6 - 1, 6, 0, 0] = 0.5
+    box = np.zeros((13, 13, n, 1), dtype=complex)
+    box[6 + 1, 6, 0, 0] = 0.5
+    box[6 - 1, 6, 0, 0] = 0.5
+    eta_N = FourierMap.from_coeffs(box, bands)
     T = _identity_torsion(bands, n)
     xi_L, xi_N, xi_N0, diag = solve_triangular(eta_L, eta_N, torsion_frames(T), golden_dio)
     # xi^N = R(eta^N) = -sin(2 pi theta_1)/(2 pi omega_1) e_1, zero average
