@@ -26,7 +26,8 @@ def main():
         cfg = RunConfig(system=name, epsilon=eps, bands=[args.bands] * 2, rho0=args.rho0,
                         max_iters=10, stop_tol=1e-12).validate()
         seed, sched, _ = start_run(cfg)
-        hook = contraction_constant_factory(estimate_global_constants(seed.cand.system), sched)
+        hook = contraction_constant_factory(estimate_global_constants(seed.cand.system), sched,
+                                            cfg.sigma_factor)
         res = iterate_newton(seed, sched, contraction_ledger=hook)
         for rec in res.log:
             out = {"system": name, "epsilon": eps}

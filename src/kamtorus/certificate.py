@@ -218,7 +218,6 @@ class LedgerRow:
 class ConstantLedger:
     mode: str
     rows: dict = field(default_factory=dict)
-    case_tag: str = "III"
     # sigma bound -> sigma minus its measured norm; build_ledger checks each > 0
     margins: dict = field(default_factory=dict)
 
@@ -489,7 +488,7 @@ _LEDGER_ROWS = tuple((name, expr, _parse(expr), group, variant[0] if variant els
 def build_ledger(mode: str, globs: GlobalNormConstants, hyp: dict,
                  dio: DiophantineParams, rho: float, delta: float,
                  schedule: NewtonSchedule, n: int, case_tag: str = "III",
-                 d: int | None = None, omega_star_norm: float | None = None,
+                 omega_star_norm: float | None = None,
                  sigma_omega: float | None = None,
                  dist_ray: float | None = None) -> ConstantLedger:
     """Evaluate every constant of the chain in dependency order.
@@ -506,14 +505,12 @@ def build_ledger(mode: str, globs: GlobalNormConstants, hyp: dict,
         raise ValueError("mode must be 'ordinary' or 'iso'")
     if mode == "iso" and None in (omega_star_norm, sigma_omega, dist_ray):
         raise ValueError("iso mode needs omega_star_norm, sigma_omega and dist_ray")
-    if d is None:
-        d = dio.d
-    tau = dio.tau
+    d, tau = dio.d, dio.tau
     c_small = schedule.c_n
     if c_small is None:
         raise ValueError("the smallness scale schedule.c_n must be pinned for a ledger")
     c_R = russmann_constant(tau, delta)
-    led = ConstantLedger(mode=mode, case_tag=case_tag)
+    led = ConstantLedger(mode=mode)
 
     grp = "inputs"
     for key, val in (("gamma", dio.gamma), ("tau", tau), ("rho", rho), ("delta", delta),
@@ -630,18 +627,18 @@ def _ledger(it: Iterate, frames: FrameBundle, schedule: NewtonSchedule,
     max(1, ||X_H o K||_rho) of the iterate's kitchen.
     """
     cand, ray = it.cand, it.ray
-    sched = replace(schedule, c_n=resolve_smallness_scale(schedule, it.kitchen))
+    sched = replace(schedule, c_n=resolve_smallness_scale(schedule, it))
     hyp = measure_hypothesis_data(cand, frames, sigma_factor=sigma_factor)
     kw = {} if ray is None else {"omega_star_norm": float(np.max(np.abs(ray.omega_star))),
                                  "sigma_omega": ray.sigma_omega,
                                  "dist_ray": ray.boundary_margin()}
     return build_ledger("ordinary" if ray is None else "iso", globs, hyp, cand.dio, cand.rho,
                         delta, sched, case_tag=cand.system.geometry.case_tag, n=cand.system.n,
-                        d=cand.d, **kw)
+                        **kw)
 
 
 def certify(it: Iterate, frames: FrameBundle, schedule: NewtonSchedule,
-            globs: GlobalNormConstants, sigma_factor: float = 1.1):
+            globs: GlobalNormConstants, sigma_factor: float):
     """Measure the hypothesis data of ``it``, build the ledger at the worst-step
     bite delta_0 = rho/a3, and run kam_check.  Returns (report, ledger).
 
@@ -659,7 +656,7 @@ def certify(it: Iterate, frames: FrameBundle, schedule: NewtonSchedule,
 
 
 def contraction_constant_factory(globs: GlobalNormConstants, schedule: NewtonSchedule,
-                                 sigma_factor: float = 1.1):
+                                 sigma_factor: float):
     """Per-step quadratic-contraction constant hook for the Newton loop.
 
     Returns a callable (it, frames, delta) -> C_E (or C_Ec in iso mode) that

@@ -329,7 +329,7 @@ def _candidate_doc(cand: TorusCandidate, cfg: RunConfig, extra: dict | None = No
         "config": asdict(cfg),
         "map": cand.k_per.to_json_dict(),
         "grid": list(cand.grid),
-        "omega": cand.omega.tolist(),
+        "omega": cand.dio.omega.tolist(),
         "rho": cand.rho,
         "dio": {"gamma": cand.dio.gamma, "tau": cand.dio.tau,
                 "scan_limit": cand.dio.scan_limit},
@@ -375,7 +375,7 @@ def _candidate_from_doc(doc: dict):
         if doc["grid"] != (exact := [2 * n + 1 for n in k_per.bands]):
             raise ValueError(f"must be 2*bands + 1 = {exact}, got {doc['grid']!r}")
     with _torus_field("map"):
-        cand = TorusCandidate(k_per, omega, dio, rho=float(rho), system=sys_obj,
+        cand = TorusCandidate(k_per, dio, rho=float(rho), system=sys_obj,
                               angle_block=angle_block)
     with _torus_field("rho"):
         if not strip_fits(rho, k_per.bands):
@@ -411,7 +411,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     final = last.cand
     extra = {}
     if target is not None:
-        extra = {"omega_initial": result.log[0]["omega"], "omega_final": final.omega.tolist(),
+        extra = {"omega_initial": result.log[0]["omega"], "omega_final": final.dio.omega.tolist(),
                  "c0": target.c0, "c_final": target.c0 + last.E_omega,
                  "ray_scale": last.ray.scale}
     del last  # the last kitchen is dead once its level and ray are read: the writes

@@ -138,7 +138,7 @@ def estimate_gamma(omega, tau: float, scan_limit: int) -> float:
     limit = int(scan_limit)
     best = float(_divisors(np.ones((1, 1)), np.zeros((1, d - 1)), omega)[0, 0])  # k = (1, 0, ...)
     # |k|_1^tau looked up by integer |k|_1: limit + 1 pow calls, not one per k
-    powers = None if tau == 1.0 else np.arange(limit + 1, dtype=np.float64) ** tau
+    powers = np.arange(limit + 1, dtype=np.float64) ** tau
     # a min is exact in any order, so the slicing cannot change a bit
     shape = (2 * limit + 1,) * (d - 2) + (limit + 1,)
     total = math.prod(shape)
@@ -156,10 +156,7 @@ def estimate_gamma(omega, tau: float, scan_limit: int) -> float:
         room = (limit - m)[:, None]
         k1 = np.clip(np.concatenate([floor_r, floor_r + 1], axis=1), -room, room)
         dots = _divisors(k1, kp, omega)
-        norm1 = np.abs(k1) + m[:, None]
-        if powers is not None:
-            norm1 = powers[norm1.astype(np.intp)]
-        dots *= norm1
+        dots *= powers[(np.abs(k1) + m[:, None]).astype(np.intp)]
         best = float(dots.min(initial=best))  # a slice may keep no k'
     return best
 
@@ -180,7 +177,7 @@ def solve_cohomological(v: FourierMap, dio: DiophantineParams) -> FourierMap:
     denom[center] = 1.0  # placeholder, the k=0 mode is zeroed below
     half = -v.half / denom.reshape(denom.shape + (1, 1))
     half[center] = 0.0
-    return FourierMap(half, v.bands)
+    return FourierMap(half)
 
 
 def russmann_constant(tau: float, delta: float) -> float:

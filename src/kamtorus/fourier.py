@@ -7,9 +7,10 @@ through the coefficients f_k of
 
 with f_{-k} = conj(f_k).  A map stores only the k_d >= 0 half of the index box,
 k_i in [-N_i, N_i] on every axis but the last and k_d in [0, N_d] (the k_d = 0
-plane keeps both signs of the other axes), and its bands; each k_d < 0 mode is
-the conjugate of the mode it mirrors.  The full box (``coeffs``) is built only
-where it is read whole: by the JSON writer and, as moduli, by the norms.  A
+plane keeps both signs of the other axes); each k_d < 0 mode is the conjugate
+of the mode it mirrors, and the bands are read off the half's shape.  The full
+box (``coeffs``) is built only where it is read whole: by the JSON writer and
+``eval_grid`` and, as moduli, by the norms and the torus's domain margin.  A
 sample grid (M_i >= 2*N_i + 1 points per axis) is chosen only where sampling
 happens.  Differentiation and averaging act coefficient-wise on the half and
 are exact on the truncation; a product of two maps on one band N is computed
@@ -40,7 +41,7 @@ truncated series, which is the direction the certification layer needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -142,24 +143,21 @@ class FourierMap:
     half: complex array of shape (2N_1+1, ..., 2N_{d-1}+1, N_d+1, n1, n2); the
     coefficient of mode k, k_d >= 0, sits at position (k_1+N_1, ...,
     k_{d-1}+N_{d-1}, k_d).  The k_d < 0 modes are f_{-k} = conj(f_k), and the
-    k_d = 0 plane is its own mirror.  ``coeffs`` builds the full box.
+    k_d = 0 plane is its own mirror.  The bands (N_1, ..., N_d) are read off
+    the shape.  ``coeffs`` builds the full box.
     """
 
     half: np.ndarray
-    bands: tuple
+    bands: tuple = field(init=False)
 
     def __post_init__(self):
-        bands = tuple(int(n) for n in self.bands)
-        object.__setattr__(self, "bands", bands)
-        if self.half.ndim != len(bands) + 2:
+        box = self.half.shape[:-2]
+        if self.half.ndim < 3 or any(m % 2 == 0 for m in box[:-1]) or box[-1] < 1:
             raise FourierShapeError(
-                f"coefficients must have {len(bands)} torus axes plus 2 matrix axes, "
-                f"got shape {self.half.shape}"
+                "a half box needs torus axes of odd length 2N+1 but the last, of length "
+                f"N_d+1 >= 1, plus 2 matrix axes, got shape {self.half.shape}"
             )
-        if self.half.shape[: len(bands)] != _half_box(bands):
-            raise FourierShapeError(
-                f"half box {self.half.shape[:len(bands)]} does not match bands {bands}"
-            )
+        object.__setattr__(self, "bands", tuple(m // 2 for m in box[:-1]) + (box[-1] - 1,))
         if self.half.dtype != np.complex128:
             object.__setattr__(self, "half", self.half.astype(np.complex128))
 
@@ -187,17 +185,16 @@ class FourierMap:
 
     @property
     def T(self) -> "FourierMap":
-        return FourierMap(np.swapaxes(self.half, -1, -2), self.bands)
+        return FourierMap(np.swapaxes(self.half, -1, -2))
 
     def block(self, rows: slice, cols: slice) -> "FourierMap":
-        return FourierMap(self.half[..., rows, cols], self.bands)
+        return FourierMap(self.half[..., rows, cols])
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zeros(cls, bands, shape) -> "FourierMap":
-        bands = tuple(bands)
-        return cls(np.zeros(_half_box(bands) + tuple(shape), dtype=np.complex128), bands)
+        return cls(np.zeros(_half_box(tuple(bands)) + tuple(shape), dtype=np.complex128))
 
     @classmethod
     def constant(cls, matrix, bands) -> "FourierMap":
@@ -207,24 +204,24 @@ class FourierMap:
         return out
 
     @classmethod
-    def from_coeffs(cls, coeffs, bands) -> "FourierMap":
+    def from_coeffs(cls, coeffs) -> "FourierMap":
         """The map of a full index box (2N_1+1, ..., 2N_d+1, n1, n2), k = 0 at
-        ``tuple(bands)``.
+        its centre; the bands are read off its shape.
 
         The box must be real-analytic: f_-k and conj(f_k) may differ by at most
         SYMMETRY_RTOL times max(1, max |f_k|), else ValueError.  The map keeps
         a copy of the k_d >= 0 half as it is; the k_d < 0 modes are dropped.
         """
         coeffs = np.asarray(coeffs, dtype=np.complex128)
-        bands = tuple(int(n) for n in bands)
-        if coeffs.ndim != len(bands) + 2 or \
-                coeffs.shape[:len(bands)] != tuple(2 * n + 1 for n in bands):
-            raise FourierShapeError(f"coefficient box {coeffs.shape} does not match bands {bands}")
-        flipped = np.conj(coeffs[tuple(slice(None, None, -1) for _ in bands)])
+        box = coeffs.shape[:-2]
+        if coeffs.ndim < 3 or any(m % 2 == 0 for m in box):
+            raise FourierShapeError("a full box needs torus axes of odd length 2N+1 plus 2 "
+                                    f"matrix axes, got shape {coeffs.shape}")
+        flipped = np.conj(coeffs[tuple(slice(None, None, -1) for _ in box)])
         defect = float(np.max(np.abs(coeffs - flipped), initial=0.0))
         if not defect <= SYMMETRY_RTOL * max(1.0, float(np.max(np.abs(coeffs), initial=0.0))):
             raise ValueError(f"not real: f_-k and conj(f_k) differ by {defect:.3e}")
-        return cls(np.array(coeffs[..., bands[-1]:, :, :]), bands)
+        return cls(np.array(coeffs[..., box[-1] // 2:, :, :]))
 
     @classmethod
     def from_samples(cls, samples: np.ndarray, bands) -> "FourierMap":
@@ -245,13 +242,13 @@ class FourierMap:
         if any(m < 2 * n + 1 for n, m in zip(bands, grid)):
             raise FourierShapeError(f"grid {grid} too small for bands {bands}")
         if real:
-            return cls(slab_analysis(lambda rows, _: [samples[rows]], grid, bands)[0], bands)
+            return cls(slab_analysis(lambda rows, _: [samples[rows]], grid, bands)[0])
         hat = np.fft.fftn(samples, axes=tuple(range(d))) / float(np.prod(grid))
         box = hat[_embed_slices(bands, grid)]
         half = np.conj(box[tuple(slice(None, None, -1) for _ in bands)][..., bands[-1]:, :, :])
         half += box[..., bands[-1]:, :, :]
         half *= 0.5
-        return cls(half, bands)
+        return cls(half)
 
     # -- synthesis / analysis ------------------------------------------------
 
@@ -277,7 +274,7 @@ class FourierMap:
         k = _index_box(self.bands)[axis]
         shape = [1] * self.half.ndim
         shape[axis] = k.size
-        return FourierMap(self.half * (TWO_PI * 1j * k.reshape(shape)), self.bands)
+        return FourierMap(self.half * (TWO_PI * 1j * k.reshape(shape)))
 
     def lie(self, omega: np.ndarray) -> "FourierMap":
         """Left operator -sum_i omega_i d/dtheta_i: f_k -> -2*pi*i*(k.omega)*f_k.
@@ -301,7 +298,7 @@ class FourierMap:
 
     # -- norms ----------------------------------------------------------------
 
-    def norm(self, rho: float, transpose: bool = False) -> "StripNorm":
+    def norm(self, rho: float, transpose: bool = False) -> float:
         """Fourier-majorant bound for the strip sup-norm at half-width rho.
 
         Entry-wise sum_k |f_k| e^{2 pi |k|_1 rho} over the full box, in its
@@ -315,8 +312,7 @@ class FourierMap:
             )
         weights = np.exp(TWO_PI * rho * _k1_box(self.bands))
         entry = np.tensordot(weights, self.magnitudes(), axes=(tuple(range(self.d)),) * 2)
-        value = float(np.max(entry.sum(axis=0 if transpose else 1), initial=0.0))
-        return StripNorm(rho=float(rho), value=value)
+        return float(np.max(entry.sum(axis=0 if transpose else 1), initial=0.0))
 
     # -- band management -------------------------------------------------------
 
@@ -326,7 +322,7 @@ class FourierMap:
         if any(nb > n for nb, n in zip(bands, self.bands)):
             raise FourierShapeError(f"cannot truncate {self.bands} to larger bands {bands}")
         sl = tuple(slice(n - nb, n + nb + 1) for n, nb in zip(self.bands[:-1], bands[:-1]))
-        return FourierMap(self.half[sl + (slice(0, bands[-1] + 1),)].copy(), bands)
+        return FourierMap(self.half[sl + (slice(0, bands[-1] + 1),)].copy())
 
     # -- algebra ----------------------------------------------------------------
 
@@ -336,22 +332,22 @@ class FourierMap:
 
     def __add__(self, other: "FourierMap") -> "FourierMap":
         self._check_compatible(other)
-        return FourierMap(self.half + other.half, self.bands)
+        return FourierMap(self.half + other.half)
 
     def __sub__(self, other: "FourierMap") -> "FourierMap":
         self._check_compatible(other)
-        return FourierMap(self.half - other.half, self.bands)
+        return FourierMap(self.half - other.half)
 
     def __neg__(self) -> "FourierMap":
-        return FourierMap(-self.half, self.bands)
+        return FourierMap(-self.half)
 
     def __mul__(self, scalar) -> "FourierMap":
-        return FourierMap(self.half * scalar, self.bands)
+        return FourierMap(self.half * scalar)
 
     __rmul__ = __mul__
 
     def add_constant(self, matrix) -> "FourierMap":
-        out = FourierMap(self.half.copy(), self.bands)
+        out = FourierMap(self.half.copy())
         out.half[_origin(self.bands)] += np.asarray(matrix, dtype=np.complex128)
         return out
 
@@ -366,9 +362,9 @@ class FourierMap:
             matrix = matrix[:, None]
         c = self.half
         if c.shape[-2] < 2 or (matrix.shape[-1] < 2 and c.strides[-1] != c.itemsize):
-            return FourierMap(c @ matrix, self.bands)
+            return FourierMap(c @ matrix)
         flat = c.reshape(-1, c.shape[-1]) @ matrix
-        return FourierMap(flat.reshape(c.shape[:-1] + matrix.shape[1:]), self.bands)
+        return FourierMap(flat.reshape(c.shape[:-1] + matrix.shape[1:]))
 
     def rmatmul_constant(self, matrix) -> "FourierMap":
         """Left-multiply by a constant matrix (exact in coefficients).
@@ -380,14 +376,14 @@ class FourierMap:
         if matrix.ndim != 2 or matrix.shape[1] != self.shape[0]:
             raise FourierShapeError(f"matrix {matrix.shape} does not chain with {self.shape}")
         if np.any(matrix.imag):
-            return FourierMap(np.einsum("ij,...jk->...ik", matrix, self.half), self.bands)
+            return FourierMap(np.einsum("ij,...jk->...ik", matrix, self.half))
         x = np.ascontiguousarray(self.half).view(np.float64)
         out = np.zeros(x.shape[:-2] + (matrix.shape[0], x.shape[-1]))
         term = np.empty(x.shape[:-2] + x.shape[-1:])
         for i, row in enumerate(matrix.real):
             for j in np.flatnonzero(row):
                 out[..., i, :] += np.multiply(x[..., j, :], row[j], out=term)
-        return FourierMap(out.view(np.complex128), self.bands)
+        return FourierMap(out.view(np.complex128))
 
     # -- serialization -------------------------------------------------------------
 
@@ -411,9 +407,12 @@ class FourierMap:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FourierMap":
         """The map of a :meth:`to_json_dict` document; its coefficients must be
-        finite and real-analytic (:meth:`from_coeffs`)."""
-        d, n1, n2 = (int(v) for v in doc["dims"])
-        bands = tuple(int(n) for n in doc["bands"])
+        finite and real-analytic (:meth:`from_coeffs`), and its dims and bands
+        integers (not booleans)."""
+        dims, bands = doc["dims"], doc["bands"]
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in [*dims, *bands]):
+            raise ValueError(f"dims and bands must be integers, got {dims!r} and {bands!r}")
+        d, n1, n2 = dims
         if len(bands) != d:
             raise FourierShapeError("dims and bands disagree on d")
         box = tuple(2 * n + 1 for n in bands)
@@ -421,19 +420,7 @@ class FourierMap:
         if not np.isfinite(pairs).all():
             raise ValueError("coefficients must be finite")
         flat = pairs[0::2] + 1j * pairs[1::2]
-        return cls.from_coeffs(flat.reshape(box + (n1, n2)), bands)
-
-
-@dataclass(frozen=True)
-class StripNorm:
-    """A nonnegative bound valid on the strip of half-width rho."""
-
-    rho: float
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("norm value must be >= 0")
+        return cls.from_coeffs(flat.reshape(box + (n1, n2)))
 
 
 @lru_cache(maxsize=256)
@@ -612,8 +599,7 @@ def matmul(a: FourierMap, b: FourierMap) -> FourierMap:
     if _is_constant(b):
         return a.matmul_constant(b.average())
     work = dealias_grid(a.bands, b.bands, a.bands)
-    return FourierMap(slab_analysis(lambda rows, v: [v[0] @ v[1]], work, a.bands, a, b)[0],
-                      a.bands)
+    return FourierMap(slab_analysis(lambda rows, v: [v[0] @ v[1]], work, a.bands, a, b)[0])
 
 
 def assemble_blocks(blocks) -> FourierMap:
@@ -624,4 +610,4 @@ def assemble_blocks(blocks) -> FourierMap:
         for m in row:
             ref._check_compatible(m)
         rows.append(np.concatenate([m.half for m in row], axis=-1))
-    return FourierMap(np.concatenate(rows, axis=-2), ref.bands)
+    return FourierMap(np.concatenate(rows, axis=-2))

@@ -29,7 +29,7 @@ vanishing is exact by construction rather than a numerical accident.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,8 @@ class HypothesisError(RuntimeError):
 
 @dataclass(frozen=True)
 class TorusCandidate:
-    """Parameterization K (periodic part), frequency, Diophantine data, strip.
+    """Parameterization K (periodic part), Diophantine data (whose omega is the
+    frequency), strip.
 
     The torus is homotopic to the zero section: the stored map is the
     1-periodic part of K and, when ``angle_block`` is set, evaluation adds
@@ -67,18 +68,16 @@ class TorusCandidate:
     """
 
     k_per: FourierMap
-    omega: np.ndarray
     dio: DiophantineParams
     rho: float
     system: HamiltonianSystem
     angle_block: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=np.float64))
         n2 = 2 * self.system.n
         if self.k_per.shape != (n2, 1):
             raise ValueError(f"K must be a ({n2} x 1) map, got {self.k_per.shape}")
-        if self.k_per.d != self.system.d or self.omega.shape != (self.system.d,):
+        if self.k_per.d != self.system.d or self.dio.d != self.system.d:
             raise ValueError("torus dimension, frequency and system must agree on d")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
@@ -107,7 +106,7 @@ class TorusCandidate:
             block = np.zeros((2 * self.system.n, d))
             block[:d, :d] = np.eye(d)
             half[_origin(self.bands) + (slice(None), slice(0, d))] += block
-        return FourierMap(half, self.bands)
+        return FourierMap(half)
 
     def k_values(self, grid) -> np.ndarray:
         """Real samples of K on a uniform grid (theta added to angle components)."""
@@ -124,9 +123,6 @@ class TorusCandidate:
             for i in range(self.d):
                 vals[..., i] += mesh[i]
         return vals
-
-    def with_updates(self, **kw) -> "TorusCandidate":
-        return replace(self, **kw)
 
     def domain_margin(self) -> float:
         """Distance bound from K(T^d_rho) to the domain boundary via majorants.
@@ -169,7 +165,7 @@ def seed_torus(system: HamiltonianSystem, dio: DiophantineParams, bands,
     bands = tuple(int(b) for b in bands)
     k_per = FourierMap.zeros(bands, (2 * system.n, 1))
     k_per.half[_origin(bands) + (slice(system.n, None), 0)] = system.domain.y_center
-    return TorusCandidate(k_per, dio.omega, dio, rho=rho, system=system)
+    return TorusCandidate(k_per, dio, rho=rho, system=system)
 
 
 def _rowwise_majorant(mags: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -205,7 +201,6 @@ class GridKitchen:
     is the tangent family (DK  X_p o K).
     """
 
-    cand: TorusCandidate
     XH: FourierMap
     DXH: FourierMap
     L: FourierMap
@@ -231,12 +226,11 @@ def grid_kitchen(cand: TorusCandidate, conserved=None) -> GridKitchen:
             out += [np.asarray(dc)[..., None, :], np.asarray(c)[..., None, None]]
         return out
 
-    maps = [FourierMap(c, bands) for c in slab_analysis(sample, grid, bands, cand.k_per)]
+    maps = [FourierMap(c) for c in slab_analysis(sample, grid, bands, cand.k_per)]
     xh, dxh = maps.pop(0), maps.pop(0)
     xp = maps.pop(0) if sys.n_integrals else FourierMap.zeros(bands, (2 * sys.n, 0))
     dc, c_map = maps if conserved is not None else (None, None)
-    return GridKitchen(cand=cand, XH=xh, DXH=dxh, L=cand.tangent_family(xp), Dc=dc,
-                       c_map=c_map)
+    return GridKitchen(XH=xh, DXH=dxh, L=cand.tangent_family(xp), Dc=dc, c_map=c_map)
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +255,16 @@ class FrameBundle:
     def norm_table(self, rho: float, delta: float) -> dict:
         """Measured majorant norms on the strips where each object is controlled."""
         out = {
-            "L@rho": self.L.norm(rho).value,
-            "LT@rho": self.L.norm(rho, transpose=True).value,
-            "N@rho": self.N.norm(rho).value,
-            "NT@rho": self.N.norm(rho, transpose=True).value,
-            "B@rho": self.B.norm(rho).value,
-            "A@rho": self.A.norm(rho).value,
-            "T@rho-delta": self.T.norm(max(rho - delta, 0.0)).value,
+            "L@rho": self.L.norm(rho),
+            "LT@rho": self.L.norm(rho, transpose=True),
+            "N@rho": self.N.norm(rho),
+            "NT@rho": self.N.norm(rho, transpose=True),
+            "B@rho": self.B.norm(rho),
+            "A@rho": self.A.norm(rho),
+            "T@rho-delta": self.T.norm(max(rho - delta, 0.0)),
         }
         if self.Tc is not None:
-            out["Tc@rho-delta"] = self.Tc.norm(max(rho - delta, 0.0)).value
+            out["Tc@rho-delta"] = self.Tc.norm(max(rho - delta, 0.0))
         return out
 
 
@@ -284,7 +278,7 @@ def invariance_error(cand: TorusCandidate, kitchen: GridKitchen) -> FourierMap:
         raise HypothesisError("domain",
                               f"K(T^d_rho) leaves the system domain (margin {margin:.3e})")
     dk = kitchen.L.block(slice(None), slice(0, cand.d))
-    return kitchen.XH - dk.matmul_constant(cand.omega)
+    return kitchen.XH - dk.matmul_constant(cand.dio.omega)
 
 
 def tangent_frame(cand: TorusCandidate, kitchen: GridKitchen) -> FourierMap:
@@ -388,7 +382,7 @@ def _pointwise_inverse(f: FourierMap):
     if not cond <= COND_LIMIT:
         raise HypothesisError("Gram", f"pointwise condition estimate {cond:.3e} exceeds "
                                       f"{COND_LIMIT:.1e}")
-    return FourierMap(coeffs, f.bands), cond
+    return FourierMap(coeffs), cond
 
 
 def _front_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -437,7 +431,7 @@ def torsion(cand: TorusCandidate, N: FourierMap, kitchen: GridKitchen, scale: fl
     averaged torsion, judged against ``scale = _twist_scale(cand, N, kitchen)``,
     raises HypothesisError("twist").
     """
-    loper_n = matmul(kitchen.DXH, N) + N.lie(cand.omega)
+    loper_n = matmul(kitchen.DXH, N) + N.lie(cand.dio.omega)
     NT_Om = N.T.matmul_constant(cand.system.geometry.Omega)  # E_red's factor repeats this
     T = matmul(NT_Om, loper_n)
     avgT = T.average().real
@@ -452,10 +446,10 @@ def _twist_scale(cand: TorusCandidate, N: FourierMap, kitchen: GridKitchen) -> f
     sum cancels to round-off, so ||L_op N|| alone would not measure the size
     the average was computed at.
     """
-    norm_n = N.norm(0.0).value
+    norm_n = N.norm(0.0)
     norm_om = np.abs(cand.system.geometry.Omega).sum(axis=1).max()
-    return (N.norm(0.0, transpose=True).value * norm_om
-            * (kitchen.DXH.norm(0.0).value * norm_n + N.lie(cand.omega).norm(0.0).value))
+    return (N.norm(0.0, transpose=True) * norm_om
+            * (kitchen.DXH.norm(0.0) * norm_n + N.lie(cand.dio.omega).norm(0.0)))
 
 
 def _check_twist(avg: np.ndarray, what: str, scale: float):
@@ -488,20 +482,19 @@ def extended_torsion(cand: TorusCandidate, T: FourierMap, N: FourierMap,
     T_c = [[T, omega_hat], [Dc(K) N, 0]] with omega_hat = (omega, 0_{n-d});
     ``scale`` is as in :func:`torsion`.
     """
-    bands = cand.bands
     n = cand.system.n
     Tdown = matmul(kitchen.Dc, N)
-    omega_hat = np.concatenate([cand.omega, np.zeros(n - cand.d)])
+    omega_hat = np.concatenate([cand.dio.omega, np.zeros(n - cand.d)])
     half = np.zeros(T.half.shape[:T.d] + (n + 1, n + 1), dtype=np.complex128)
     half[..., :n, :n] = T.half
     half[..., n, :n] = Tdown.half[..., 0, :]
-    half[_origin(bands) + (slice(None, n), n)] += omega_hat
-    Tc = FourierMap(half, bands)
+    half[_origin(cand.bands) + (slice(None, n), n)] += omega_hat
+    Tc = FourierMap(half)
     avgTc = Tc.average().real
     # row sums of the factor bounds: the rows of T plus omega_hat, and Dc N
     _check_twist(avgTc, "averaged extended torsion <T_c>",
                  max(scale + float(np.max(np.abs(omega_hat))),
-                     kitchen.Dc.norm(0.0).value * N.norm(0.0).value))
+                     kitchen.Dc.norm(0.0) * N.norm(0.0)))
     return Tc, avgTc, Tdown
 
 
@@ -515,7 +508,7 @@ def reducibility_error(cand: TorusCandidate, L: FourierMap, T: FourierMap,
     own calls, the (1,2) block repeats its arithmetic, so it vanishes identically
     (Lambda = [[0, T], [0, 0]] by construction).
     """
-    loper_l = matmul(kitchen.DXH, L) + L.lie(cand.omega)
+    loper_l = matmul(kitchen.DXH, L) + L.lie(cand.dio.omega)
     m11 = matmul(LT_Om, loper_l)
     m12 = matmul(LT_Om, LoperN)
     m21 = matmul(NT_Om, loper_l)
@@ -543,16 +536,16 @@ def build_frames(cand: TorusCandidate, kitchen: GridKitchen) -> FrameBundle:
 
 
 def measure_hypothesis_data(cand: TorusCandidate, frames: FrameBundle,
-                            sigma_factor: float = 1.1) -> dict:
-    """Measured frame/twist norms plus default sigma bounds (factor x measured).
+                            sigma_factor: float) -> dict:
+    """Measured frame/twist norms plus sigma bounds (factor x measured).
 
-    The strict inequalities of the hypotheses need headroom; the default
-    supplies sigma = sigma_factor * measured value.
+    The strict inequalities of the hypotheses need headroom: each sigma is
+    sigma_factor * its measured value.
     """
     dk = frames.L.block(slice(None), slice(0, cand.d))
-    norm_dk = dk.norm(cand.rho).value
-    norm_dkt = dk.norm(cand.rho, transpose=True).value
-    norm_b = frames.B.norm(cand.rho).value
+    norm_dk = dk.norm(cand.rho)
+    norm_dkt = dk.norm(cand.rho, transpose=True)
+    norm_b = frames.B.norm(cand.rho)
     tinv = np.linalg.inv(frames.avgT)
     norm_tinv = float(np.abs(tinv).sum(axis=1).max())
     data = {

@@ -119,22 +119,19 @@ def canonical_structure(n: int) -> GeometricStructure:
 
 @dataclass(frozen=True)
 class DomainBox:
-    """Complexified evaluation domain T^n x B^n.
+    """Complexified evaluation domain T^n x B^n, n the length of ``y_center``.
 
     The n angles are periodic: only their imaginary part is constrained
     (|Im| < imag_width).  The n momenta live in complex discs
     |y_j - y_center_j| < y_radius.
     """
 
-    n: int
     y_center: np.ndarray
     y_radius: float
     imag_width: float
 
     def __post_init__(self):
         object.__setattr__(self, "y_center", np.asarray(self.y_center, dtype=np.float64))
-        if self.y_center.shape != (self.n,):
-            raise ValueError("y_center must have one entry per momentum")
         if self.y_radius <= 0 or self.imag_width <= 0:
             raise ValueError("radii must be positive")
 
@@ -173,8 +170,9 @@ class TermTable:
 
 @dataclass(frozen=True)
 class HamiltonianSystem:
-    name: str
-    n: int
+    """The callbacks of a system on R^{2n}, n read off its structure, with its
+    domain (whose centre has n entries) and, when generated, its term table."""
+
     n_integrals: int
     geometry: GeometricStructure
     H: Callable
@@ -189,6 +187,16 @@ class HamiltonianSystem:
     D2Xp: Callable
     domain: DomainBox
     table: TermTable | None = None  # the term table the callbacks were generated from
+
+    def __post_init__(self):
+        if self.domain.y_center.shape != (self.n,):
+            raise ValueError(f"the domain centre must have n = {self.n} entries, "
+                             f"got shape {self.domain.y_center.shape}")
+
+    @property
+    def n(self) -> int:
+        """Half the phase-space dimension, read off the structure's Omega (2n x 2n)."""
+        return len(self.geometry.Omega) // 2
 
     @property
     def d(self) -> int:
@@ -295,7 +303,7 @@ def _linear_integrals(c: np.ndarray):
             _constant(np.zeros((2 * n, m, 2 * n))), _constant(np.zeros((2 * n, m, 2 * n, 2 * n))))
 
 
-def _trig_potential_system(name: str, table: TermTable, domain: DomainBox) -> HamiltonianSystem:
+def _trig_potential_system(table: TermTable, domain: DomainBox) -> HamiltonianSystem:
     """The system of a term table: H = |y|^2/2 + V(x), V = sum_j v_j cos(2 pi
     k_j . x), on the canonical structure, with the linear first integrals
     p_a = c_a . y.
@@ -345,7 +353,7 @@ def _trig_potential_system(name: str, table: TermTable, domain: DomainBox) -> Ha
 
     p, Dp, Xp, DXp, D2Xp = _linear_integrals(c)
     return HamiltonianSystem(
-        name=name, n=n, n_integrals=c.shape[0], geometry=canonical_structure(n),
+        n_integrals=c.shape[0], geometry=canonical_structure(n),
         H=H, DH=DH, XH=XH, DXH=DXH, D2XH=D2XH,
         p=p, Dp=Dp, Xp=Xp, DXp=DXp, D2Xp=D2Xp,
         domain=domain, table=table,
@@ -387,7 +395,6 @@ def builtin_system(name: str, epsilon: float = 0.0, y_center=None,
                           p = y2 + y3; target quantity selectable as H or p.
     """
     table = builtin_table(name, epsilon)
-    n = table.k.shape[1]
-    domain = DomainBox(n=n, y_center=np.zeros(n) if y_center is None else y_center,
+    domain = DomainBox(np.zeros(table.k.shape[1]) if y_center is None else y_center,
                        y_radius=y_radius, imag_width=imag_width)
-    return _trig_potential_system(name, table, domain)
+    return _trig_potential_system(table, domain)

@@ -52,7 +52,7 @@ class FrequencyRay:
             raise ValueError(f"scale {self.scale} outside (1, {self.sigma_omega})")
 
     @classmethod
-    def at_midpoint(cls, omega_star, sigma_omega: float = 2.0) -> "FrequencyRay":
+    def at_midpoint(cls, omega_star, sigma_omega: float) -> "FrequencyRay":
         """Start at scale sqrt(sigma_omega), maximizing the initial boundary margin."""
         return cls(omega_star, sigma_omega, float(np.sqrt(sigma_omega)))
 

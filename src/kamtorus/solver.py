@@ -23,7 +23,7 @@ are Fourier majorants of the truncated model.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -82,20 +82,21 @@ class NewtonSchedule:
             return 0.0
 
 
-def resolve_smallness_scale(schedule: NewtonSchedule, kitchen: GridKitchen) -> float:
-    """The auxiliary smallness scale: user override or max(1, ||X_H o K||_rho)."""
+def resolve_smallness_scale(schedule: NewtonSchedule, it: Iterate) -> float:
+    """The auxiliary smallness scale: user override or max(1, ||X_H o K||_rho)
+    of the iterate ``it``."""
     if schedule.c_n is not None:
         return float(schedule.c_n)
-    return max(1.0, kitchen.XH.norm(kitchen.cand.rho).value)
+    return max(1.0, it.kitchen.XH.norm(it.cand.rho))
 
 
 def tail_fraction(f, rho: float) -> float:
     """Share of the majorant norm carried by the outer half of the index box."""
-    total = f.norm(rho).value
+    total = f.norm(rho)
     if total == 0.0:
         return 0.0
     inner = f.truncate(tuple(n // 2 for n in f.bands))
-    return max(0.0, 1.0 - inner.norm(rho).value / total)
+    return max(0.0, 1.0 - inner.norm(rho) / total)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +124,7 @@ def solve_block_triangular(eta_L: FourierMap, eta_N: FourierMap, T: FourierMap,
     without a border.  Requires <eta^N> ~ 0 and a nonsingular ``avg``.
     """
     n = eta_L.shape[0]
-    sizes = [1.0, eta_L.norm(0.0).value, eta_N.norm(0.0).value]
+    sizes = [1.0, eta_L.norm(0.0), eta_N.norm(0.0)]
     if border is not None:
         Tdown, eta_omega = border
         sizes.append(abs(eta_omega))
@@ -161,14 +162,11 @@ def solve_block_triangular(eta_L: FourierMap, eta_N: FourierMap, T: FourierMap,
         res_L = xi_L.lie(dio.omega) + T_xiN + freq - eta_L
     res_N = xi_N.lie(dio.omega) - eta_N
     res_N = res_N.add_constant(eta_N.average())  # the solvable part excludes <eta^N>
-    residuals = [res_L.norm(0.0).value, res_N.norm(0.0).value]
-    diag = {"compat": compat, "xi_N0": xi_N0}
+    residuals = [res_L.norm(0.0), res_N.norm(0.0)]
     if border is not None:
         level = (Tdown_RetaN + Tdown.matmul_constant(xi_N0)).average().real[0, 0]
         residuals.append(abs(float(level) - eta_omega))
-        diag["xi_omega"] = xi_omega
-    diag["residual"] = max(residuals)
-    return xi_L, xi_N, xi_N0, xi_omega, diag
+    return xi_L, xi_N, xi_N0, xi_omega, {"compat": compat, "residual": max(residuals)}
 
 
 def solve_triangular(eta_L: FourierMap, eta_N: FourierMap, frames: FrameBundle,
@@ -201,7 +199,7 @@ class Iterate:
     def combined_norm(self, rho: float) -> float:
         """The stopping norm: ||E||_rho, or max(||E||_rho, |E^omega|) in iso mode
         (NaN when either is NaN)."""
-        err = self.E.norm(rho).value
+        err = self.E.norm(rho)
         return err if self.E_omega is None else float(np.maximum(err, abs(self.E_omega)))
 
 
@@ -237,7 +235,7 @@ def newton_correction(it: Iterate, schedule: NewtonSchedule, delta: float,
     new_cand, ray, mid_rho, partial = _correction(it, schedule, delta, target,
                                                   contraction_ledger)
     nxt = evaluate(new_cand, target, ray)
-    err_after = nxt.E.norm(mid_rho).value
+    err_after = nxt.E.norm(mid_rho)
     rec = {"err_after": err_after, **partial}
     if ray is not None:
         rec["err_omega_after"] = nxt.E_omega
@@ -251,42 +249,42 @@ def _correction(it: Iterate, schedule: NewtonSchedule, delta: float,
                 target: IsoTarget | None, contraction_ledger):
     """The corrected candidate of ``it``, its ray (None in ordinary mode), the
     middle strip, and every record field of the step that reads the frames."""
-    cand, kk = it.cand, it.kitchen
+    cand = it.cand
     rho = cand.rho
     if not 0 < 3 * delta < rho:
         raise HypothesisError("strip", f"need 0 < 3*delta < rho, got delta={delta}, rho={rho}")
     err = it.combined_norm(rho)
-    c_small = resolve_smallness_scale(schedule, kk)
+    c_small = resolve_smallness_scale(schedule, it)
     if err / delta >= c_small:
         e = "E" if target is None else "E_c"
         raise HypothesisError(
             f"smallness ||{e}||/delta < c",
             f"||{e}||_rho/delta = {err / delta:.3e} >= {c_small:.3e}",
         )
-    fr = build_frames(cand, kk)
+    fr = build_frames(cand, it.kitchen)
 
     Om_E = it.E.rmatmul_constant(cand.system.geometry.Omega)
     eta_L = -matmul(fr.N.T, Om_E)
     eta_N = matmul(fr.L.T, Om_E)
     if target is None:
         xi_L, xi_N, _, sdiag = solve_triangular(eta_L, eta_N, fr, cand.dio)
-        ray, moved = None, {}
+        ray, dio = None, cand.dio
     else:
         xi_L, xi_N, _, xi_omega, sdiag = target.solve(eta_L, eta_N, -it.E_omega, fr, cand.dio)
         ray = it.ray.rescaled(1.0 - xi_omega)  # fails the ray hypothesis at its ends
         # every ray point s*omega_* with s > 1 inherits the base scan certificate
-        moved = {"omega": ray.omega, "dio": DiophantineParams(
-            ray.omega, cand.dio.gamma, cand.dio.tau, cand.dio.scan_limit, check=False)}
+        dio = DiophantineParams(ray.omega, cand.dio.gamma, cand.dio.tau, cand.dio.scan_limit,
+                                check=False)
 
     delta_K = matmul(fr.L, xi_L) + matmul(fr.N, xi_N)
-    new_cand = cand.with_updates(k_per=cand.k_per + delta_K, rho=rho - 3 * delta, **moved)
+    new_cand = replace(cand, k_per=cand.k_per + delta_K, rho=rho - 3 * delta, dio=dio)
     margin = new_cand.domain_margin()
     if margin <= 0:
         raise HypothesisError("domain", f"corrected torus leaves the domain (margin {margin:.3e})")
 
     mid_rho = max(rho - 2 * delta, new_cand.rho)
     margins = {"domain_margin": margin, "smallness": c_small - err / delta}
-    rec = {"delta_k": delta_K.norm(mid_rho).value,
+    rec = {"delta_k": delta_K.norm(mid_rho),
            "solve_residual": sdiag["residual"], "compat": sdiag["compat"],
            "contraction_bound": None, "contraction_ok": None,
            "frame_norms": fr.norm_table(rho, delta), "hypothesis_margins": margins}
@@ -354,8 +352,8 @@ def iterate_newton(it: Iterate, schedule: NewtonSchedule, target: IsoTarget | No
         rec = {"step": s, "rho": rho, "delta": schedule.delta(s), "err": err,
                "tail_fraction": tail_fraction(it.E, rho), "bands": list(it.cand.bands)}
         if target is not None:
-            rec.update(err_inv=it.E.norm(rho).value, err_omega=it.E_omega,
-                       omega=it.cand.omega.tolist(), ray_scale=it.ray.scale)
+            rec.update(err_inv=it.E.norm(rho), err_omega=it.E_omega,
+                       omega=it.cand.dio.omega.tolist(), ray_scale=it.ray.scale)
         log.append(rec)
         if err <= schedule.stop_tol:
             return SolveResult(True, f"converged in {s} steps", it, log)

@@ -107,7 +107,7 @@ def random_map(bands, shape, rng, decay: float = 0.0, scale: float = 1.0) -> Fou
     if decay > 0:
         k1 = _k1_box(tuple(bands))
         raw = raw * np.exp(-decay * k1).reshape(k1.shape + (1, 1))
-    return FourierMap.from_coeffs(symmetrize(scale * raw), tuple(bands))
+    return FourierMap.from_coeffs(symmetrize(scale * raw))
 
 
 def on_band(f: FourierMap, bands) -> FourierMap:

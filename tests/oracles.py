@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kamtorus.certificate import _INTEGRAL_FIELDS, ConstantLedger, GlobalNormConstants, _ledger
-from kamtorus.fourier import TWO_PI, FourierMap, StripNorm, assemble_blocks, dealias_grid, matmul
+from kamtorus.fourier import TWO_PI, FourierMap, assemble_blocks, dealias_grid, matmul
 from kamtorus import frames as fr
 from kamtorus.frames import FrameBundle, GridKitchen, TorusCandidate
 from kamtorus.hamiltonian import DomainBox, HamiltonianSystem, _linear_integrals, _sample_points
@@ -64,7 +64,7 @@ def error_maps(cand: TorusCandidate, frames: FrameBundle, kitchen: GridKitchen) 
     # the products torsion forms, by its own calls, so the (1,2) block of E_red
     # is exactly zero
     NT_Om = frames.N.T.matmul_constant(omega)
-    loper_n = matmul(kitchen.DXH, frames.N) + frames.N.lie(cand.omega)
+    loper_n = matmul(kitchen.DXH, frames.N) + frames.N.lie(cand.dio.omega)
     OmegaK, Elag = fr.isotropy_errors(cand, frames.L, LT_Om)
     Esym = fr.symplecticity_error(cand, assemble_blocks([[frames.L, frames.N]]))
     Ered = fr.reducibility_error(cand, frames.L, frames.T, loper_n, LT_Om, NT_Om, kitchen)
@@ -108,15 +108,15 @@ def soundness_report(it: Iterate, frames: FrameBundle, globs: GlobalNormConstant
     r2 = max(rho - 2 * delta, 0.0)
     maps = error_maps(cand, frames, it.kitchen)
     pairs = [
-        ("L@rho", frames.L.norm(rho).value, led["C_L"]),
-        ("LT@rho", frames.L.norm(rho, transpose=True).value, led["C_LT"]),
-        ("N@rho", frames.N.norm(rho).value, led["C_N"]),
-        ("NT@rho", frames.N.norm(rho, transpose=True).value, led["C_NT"]),
-        ("OmegaK", maps.OmegaK.norm(r2).value, led["C_OmegaK"] * loss2 * error_norm),
-        ("Elag", maps.Elag.norm(r2).value, led["C_OmegaL"] * loss2 * error_norm),
-        ("Esym", maps.Esym.norm(r2).value, led["C_sym"] * loss2 * error_norm),
-        ("T", frames.T.norm(r1).value, led["C_T"]),
-        ("Ered", maps.Ered.norm(r2).value, led["C_red"] * loss2 * error_norm),
+        ("L@rho", frames.L.norm(rho), led["C_L"]),
+        ("LT@rho", frames.L.norm(rho, transpose=True), led["C_LT"]),
+        ("N@rho", frames.N.norm(rho), led["C_N"]),
+        ("NT@rho", frames.N.norm(rho, transpose=True), led["C_NT"]),
+        ("OmegaK", maps.OmegaK.norm(r2), led["C_OmegaK"] * loss2 * error_norm),
+        ("Elag", maps.Elag.norm(r2), led["C_OmegaL"] * loss2 * error_norm),
+        ("Esym", maps.Esym.norm(r2), led["C_sym"] * loss2 * error_norm),
+        ("T", frames.T.norm(r1), led["C_T"]),
+        ("Ered", maps.Ered.norm(r2), led["C_red"] * loss2 * error_norm),
     ]
     if c_level_norm is not None:
         pairs.append(
@@ -191,15 +191,16 @@ def matrix_inverse_control(M: np.ndarray, Mbar: np.ndarray, sigma: float) -> Inv
 # ---------------------------------------------------------------------------
 
 
-def cauchy_bound(norm: StripNorm, delta: float, kind: str, dim: int | None = None) -> StripNorm:
-    """Cauchy estimate carrying a strip norm from rho to rho - delta.
+def cauchy_bound(rho: float, value: float, delta: float, kind: str,
+                 dim: int | None = None) -> float:
+    """Cauchy estimate carrying a strip norm ``value`` from rho to rho - delta.
 
     kind "D":           ||D M||_{rho-delta}     <= (d/delta) ||M||_rho   (dim = d)
     kind "D-transpose": ||(D u)^T||_{rho-delta} <= (1/delta) ||u||_rho   (scalar u)
     kind "vector":      ||(D w)^T||_{rho-delta} <= (n/delta) ||w||_rho   (dim = n)
     """
-    if not 0 < delta < norm.rho:
-        raise ValueError(f"delta must lie in (0, rho={norm.rho}), got {delta}")
+    if not 0 < delta < rho:
+        raise ValueError(f"delta must lie in (0, rho={rho}), got {delta}")
     if kind == "D":
         if dim is None:
             raise ValueError("kind 'D' needs dim = torus dimension d")
@@ -212,7 +213,7 @@ def cauchy_bound(norm: StripNorm, delta: float, kind: str, dim: int | None = Non
         factor = dim / delta
     else:
         raise ValueError(f"unknown Cauchy kind {kind!r}")
-    return StripNorm(rho=norm.rho - delta, value=norm.value * factor)
+    return value * factor
 
 
 def russmann_raw_ratio(tau: float, delta: float, band_limit) -> float:
@@ -451,7 +452,8 @@ def ledger_diff(a: ConstantLedger, b: ConstantLedger) -> dict:
 def contains_margin(box: DomainBox, z: np.ndarray) -> float:
     """min over points/coords of the distance to the boundary of ``box`` (<=0: outside)."""
     z = np.asarray(z)
-    x, y = z[..., :box.n], z[..., box.n:]
+    n = box.y_center.size
+    x, y = z[..., :n], z[..., n:]
     return float(min(box.imag_width - np.abs(x.imag).max(),
                      box.y_radius - np.abs(y - box.y_center).max()))
 

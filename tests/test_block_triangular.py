@@ -31,7 +31,7 @@ def reference_solve(eta_L, eta_N, T, dio):
     xi_L = solve_cohomological(eta_L - T_xiN, dio)
     res_L = xi_L.lie(dio.omega) + T_xiN - eta_L
     res_N = (xi_N.lie(dio.omega) - eta_N).add_constant(eta_N.average())
-    residual = max(res_L.norm(0.0).value, res_N.norm(0.0).value)
+    residual = max(res_L.norm(0.0), res_N.norm(0.0))
     assert xi_N0.shape == (n, 1)
     return xi_L, xi_N, xi_N0, residual
 
@@ -62,7 +62,7 @@ def reference_solve_iso(eta_L, eta_N, eta_omega, T, Tdown, dio):
     res_omega = abs(
         float((Tdown_RetaN + Tdown.matmul_constant(xi_N0)).average().real[0, 0]) - eta_omega
     )
-    residual = max(res_L.norm(0.0).value, res_N.norm(0.0).value, res_omega)
+    residual = max(res_L.norm(0.0), res_N.norm(0.0), res_omega)
     return xi_L, xi_N, xi_N0, xi_omega, residual
 
 
@@ -108,7 +108,6 @@ def test_iso_solve_matches_the_bordered_reference(golden_dio, n):
         ref = reference_solve_iso(eta_L, eta_N, eta_omega, T, Tdown, golden_dio)
         for got, want in zip((xi_L, xi_N, xi_N0, xi_omega, diag["residual"]), ref):
             assert _same_bits(got, want)
-        assert diag["xi_omega"] == xi_omega
 
 
 def test_frames_store_the_bordered_average_the_iso_solve_reads():
@@ -116,7 +115,7 @@ def test_frames_store_the_bordered_average_the_iso_solve_reads():
     cand = seed.cand
     fr = build_frames(cand, seed.kitchen)
     n = cand.system.n
-    omega_hat = np.concatenate([cand.omega, np.zeros(n - cand.d)])
+    omega_hat = np.concatenate([cand.dio.omega, np.zeros(n - cand.d)])
     expected = np.block([[fr.T.average().real, omega_hat[:, None]],
                          [fr.Tdown.average().real, np.zeros((1, 1))]])
     assert np.array_equal(fr.avgTc, expected)

@@ -299,7 +299,7 @@ def test_lattice_boundary_takes_every_sign_pattern(name):
 # -------------------------------------------------------------------- ledger
 
 
-def base_ledger_inputs(case="III", mode="ordinary", n=2, d=2, eps_zero=True):
+def base_ledger_inputs(case="III", mode="ordinary", n=2, eps_zero=True):
     omega = np.array([1.0, GOLDEN])
     dio = DiophantineParams(omega, 1.0, 1.0, 100)
     sched = NewtonSchedule(a1=2, a2=2, c_n=2.0, rho0=0.1)
@@ -329,7 +329,7 @@ def golden_ledgers() -> dict:
     for mode in ("ordinary", "iso"):
         globs, hyp, dio, sched, kw = base_ledger_inputs(mode=mode, eps_zero=False)
         for case in ("II", "III"):
-            led = build_ledger(mode, globs, hyp, dio, 0.1, 0.1 / 12, sched, n=2, d=2,
+            led = build_ledger(mode, globs, hyp, dio, 0.1, 0.1 / 12, sched, n=2,
                                case_tag=case, **kw)
             out[f"{mode}-{case}"] = [[row.name, row.value.hex()] for row in led.rows.values()]
     return out
@@ -354,7 +354,7 @@ def test_free_rotor_ledger_hand_rows():
     """Canonical Case III, d = n, zero coupling: closed-form first rows."""
     globs, hyp, dio, sched, _ = base_ledger_inputs()
     led = build_ledger("ordinary", globs, hyp, dio, rho=0.1, delta=0.1 / 12,
-                       schedule=sched, n=2, d=2, case_tag="III")
+                       schedule=sched, n=2, case_tag="III")
     sK, sB = hyp["sigma_K"], hyp["sigma_B"]
     assert led["C_L"] == pytest.approx(sK)        # c_Xp_0 = 0
     assert led["C_A"] == 0.0                       # Case III
@@ -375,7 +375,7 @@ def test_free_rotor_ledger_hand_rows():
 def test_case_ii_vs_case_iii_star_rows():
     globs, hyp, dio, sched, _ = base_ledger_inputs()
     common = dict(mode="ordinary", globs=globs, hyp=hyp, dio=dio, rho=0.1,
-                  delta=0.1 / 12, schedule=sched, n=2, d=2)
+                  delta=0.1 / 12, schedule=sched, n=2)
     led3 = build_ledger(case_tag="III", **common)
     led2 = build_ledger(case_tag="II", **common)
     starred = ("C_A", "C_LieA", "C_DeltaA", "C_DeltaLieA")
@@ -394,7 +394,7 @@ def test_ledger_nan_guard():
     bad["sigma_B"] = np.inf
     with pytest.raises(HypothesisError, match="sigma_B = inf") as info:
         build_ledger("ordinary", globs, bad, dio, rho=0.1, delta=0.1 / 12,
-                     schedule=sched, n=2, d=2)
+                     schedule=sched, n=2)
     assert info.value.hypothesis == "ledger"
 
 
@@ -402,14 +402,14 @@ def test_ledger_monotone_in_global_inputs():
     """E1 must not decrease when any global constant grows by 1%."""
     globs, hyp, dio, sched, _ = base_ledger_inputs(eps_zero=False)
     base = build_ledger("ordinary", globs, hyp, dio, rho=0.1, delta=0.1 / 12,
-                        schedule=sched, n=2, d=2)["E1"]
+                        schedule=sched, n=2)["E1"]
     for key in ("c_XH_0", "c_XH_1", "c_XH_2", "c_XHT_1", "c_H_1", "c_Omega_0",
                 "c_G_0", "c_J_0", "c_tOmega_0", "c_c_1"):
         bumped_vals = dict(globs.values)
         bumped_vals[key] = bumped_vals[key] * 1.01 if bumped_vals[key] else 0.01
         bumped = type(globs)(bumped_vals, globs.provenance)
         led = build_ledger("ordinary", bumped, hyp, dio, rho=0.1, delta=0.1 / 12,
-                           schedule=sched, n=2, d=2)
+                           schedule=sched, n=2)
         assert led["E1"] >= base * (1 - 1e-12), key
 
 
@@ -428,9 +428,9 @@ def test_degenerate_reduction_to_lagrangian_ledger():
     dio = DiophantineParams(omega, 1.0, 1.0, 100)
     sched = NewtonSchedule(a1=2, a2=2, c_n=2.0, rho0=0.1)
     led_zero = build_ledger("ordinary", zeroed, hyp, dio, 0.1, 0.1 / 12, sched,
-                            n=3, d=2)
+                            n=3)
     led_again = build_ledger("ordinary", zeroed, hyp, dio, 0.1, 0.1 / 12, sched,
-                             n=3, d=2)
+                             n=3)
     assert ledger_diff(led_zero, led_again) == {}
     for key in ("c_p_1", "c_pT_1", "c_Xp_0", "c_XpT_0"):
         assert led_zero[key] == 0.0
@@ -441,7 +441,7 @@ def test_degenerate_reduction_to_lagrangian_ledger():
 
 def test_ledger_csv_format():
     globs, hyp, dio, sched, _ = base_ledger_inputs()
-    led = build_ledger("ordinary", globs, hyp, dio, 0.1, 0.1 / 12, sched, n=2, d=2)
+    led = build_ledger("ordinary", globs, hyp, dio, 0.1, 0.1 / 12, sched, n=2)
     csv = led.to_csv()
     head, first = csv.splitlines()[:2]
     assert head == "name,value,formula_label,group,provenance"
@@ -451,7 +451,7 @@ def test_ledger_csv_format():
 
 def test_iso_ledger_rows():
     globs, hyp, dio, sched, kw = base_ledger_inputs(mode="iso")
-    led = build_ledger("iso", globs, hyp, dio, 0.1, 0.1 / 12, sched, n=2, d=2, **kw)
+    led = build_ledger("iso", globs, hyp, dio, 0.1, 0.1 / 12, sched, n=2, **kw)
     assert led["C_omega"] == pytest.approx(2.0 * GOLDEN)
     assert led["C_xiomega"] == led["C_xiN0"]
     assert led["C_Deltaomega"] == pytest.approx(led["C_omega"] * led["C_xiN0"])
@@ -478,7 +478,7 @@ def iso_flat_torus(level_offset):
 def test_iso_kam_check_reports_bordered_margin():
     it, sched, globs = iso_flat_torus(0.0)
     fr = build_frames(it.cand, it.kitchen)
-    _, ledger = certify(it, fr, sched, globs)
+    _, ledger = certify(it, fr, sched, globs, 1.1)
     report = kam_check(it.cand, ledger, 0.0)
     assert report.mode == "iso" and ledger.mode == "iso"
     assert report.passed and report.ratio == 0.0
@@ -490,9 +490,9 @@ def test_iso_kam_check_reports_bordered_margin():
 def test_iso_certify_default_error_is_the_combined_norm():
     """An iso certificate bounds max(||E||, |E^omega|)."""
     it, sched, globs = iso_flat_torus(1e-3)
-    assert abs(it.E_omega) > it.E.norm(it.cand.rho).value
+    assert abs(it.E_omega) > it.E.norm(it.cand.rho)
     fr = build_frames(it.cand, it.kitchen)
-    report, _ = certify(it, fr, sched, globs)
+    report, _ = certify(it, fr, sched, globs, 1.1)
     assert report.error_norm == abs(it.E_omega)
 
 
@@ -512,8 +512,8 @@ def test_case_ii_structure_solves_the_same_torus_and_certifies_from_exact_rows()
     for geometry in (None, scaled_structure(2)):
         seed, sched, _ = seed_run(**config)
         if geometry is not None:
-            seed = evaluate(seed.cand.with_updates(
-                system=dataclasses.replace(seed.cand.system, geometry=geometry)))
+            seed = evaluate(dataclasses.replace(
+                seed.cand, system=dataclasses.replace(seed.cand.system, geometry=geometry)))
         runs[geometry is None] = iterate_newton(seed, sched, None)
     canonical, scaled = runs[True], runs[False]
     assert canonical.converged and scaled.converged
@@ -524,8 +524,8 @@ def test_case_ii_structure_solves_the_same_torus_and_certifies_from_exact_rows()
     it = scaled.iterate
     globs = estimate_global_constants(it.cand.system)
     assert set(globs.provenance.values()) <= {"exact", "canonical-exact"}
-    report, ledger = certify(it, build_frames(it.cand, it.kitchen), sched, globs)
-    assert ledger.case_tag == "II" and ledger["C_A"] > 0.0
+    report, ledger = certify(it, build_frames(it.cand, it.kitchen), sched, globs, 1.1)
+    assert it.cand.system.geometry.case_tag == "II" and ledger["C_A"] > 0.0
     assert all(np.isfinite(row.value) for row in ledger.rows.values())
     assert np.isfinite(report.ratio)
 
@@ -536,7 +536,7 @@ def test_case_ii_structure_solves_the_same_torus_and_certifies_from_exact_rows()
 def test_kam_check_zero_error_passes():
     it, sched, _ = seed_run(epsilon=0.0, bands=[8, 8], rho0=0.1)
     fr = build_frames(it.cand, it.kitchen)
-    _, ledger = certify(it, fr, sched, estimate_global_constants(it.cand.system))
+    _, ledger = certify(it, fr, sched, estimate_global_constants(it.cand.system), 1.1)
     report = kam_check(it.cand, ledger, 0.0)
     assert report.passed and report.ratio == 0.0
     assert report.closeness_K == 0.0
@@ -546,7 +546,7 @@ def test_kam_check_zero_error_passes():
 def test_kam_check_garbage_candidate_fails():
     it, sched, _ = seed_run(epsilon=0.0, bands=[8, 8], rho0=0.1)
     fr = build_frames(it.cand, it.kitchen)
-    _, ledger = certify(it, fr, sched, estimate_global_constants(it.cand.system))
+    _, ledger = certify(it, fr, sched, estimate_global_constants(it.cand.system), 1.1)
     report = kam_check(it.cand, ledger, 1.0)
     assert not report.passed
     assert report.ratio > 1.0
@@ -558,13 +558,13 @@ def test_kam_check_requires_positive_margins():
     it = seed_run(epsilon=0.0, bands=[8, 8], rho0=0.1)[0]
     cand = it.cand
     fr = build_frames(cand, it.kitchen)
-    hyp = measure_hypothesis_data(cand, fr)
+    hyp = measure_hypothesis_data(cand, fr, 1.1)
     hyp["sigma_K"] = hyp["norm_DK"]  # kill the margin
     globs = estimate_global_constants(cand.system)
     sched = NewtonSchedule(a1=2, a2=2, c_n=2.0, rho0=cand.rho)
     with pytest.raises(HypothesisError, match="sigma_K") as info:
         build_ledger("ordinary", globs, hyp, cand.dio, cand.rho, cand.rho / 12,
-                     sched, n=2, d=2)
+                     sched, n=2)
     assert info.value.hypothesis == "sigma margins"
 
 

@@ -542,10 +542,13 @@ def _short_map(doc):
     ("iso", _drop("ray_scale"), "ray_scale"),
     ("iso", lambda doc: doc.update(ray_scale="1.3"), "ray_scale"),
     ("iso", lambda doc: doc.update(ray_scale=1.9), "ray_scale"),  # omega is not on it
+    ("ordinary", lambda doc: doc["map"].update(bands=[4.7, 4.2]), "map"),  # not truncated to 4
+    ("ordinary", lambda doc: doc["map"].update(dims=[2.9, 4, 1]), "map"),
 ], ids=["dio-missing", "rho-string", "rho-negative", "grid-too-small", "grid-not-2N+1",
         "omega-short", "map-short", "rho-outside-domain", "rho-overflows-weights", "c0-missing",
         "c0-string", "c0-nan", "gamma-nan", "tau-inf", "scan-limit-fraction", "angle-block-string",
-        "ray-scale-missing", "ray-scale-string", "ray-scale-off-omega"])
+        "ray-scale-missing", "ray-scale-string", "ray-scale-off-omega", "map-bands-fraction",
+        "map-dims-fraction"])
 def test_certify_malformed_torus_exit_two_names_field(tmp_path, capsys, solved_tori, mode,
                                                        spoil, field):
     doc = json.loads(json.dumps(solved_tori[mode]))

@@ -105,7 +105,7 @@ def test_involution_fails_on_broken_integral():
         return out
 
     broken = HamiltonianSystem(
-        name="broken", n=2, n_integrals=1, geometry=base.geometry,
+        n_integrals=1, geometry=base.geometry,
         H=H, DH=DH, XH=base.XH, DXH=base.DXH, D2XH=base.D2XH,
         p=lambda z: z[..., 2:3], Dp=Dp,
         Xp=base.Xp, DXp=base.DXp, D2Xp=base.D2Xp, domain=base.domain,
@@ -137,7 +137,7 @@ def test_commutation_detects_injected_fault():
         return out
 
     broken = HamiltonianSystem(
-        name="fault", n=base.n, n_integrals=1, geometry=base.geometry,
+        n_integrals=1, geometry=base.geometry,
         H=base.H, DH=base.DH, XH=base.XH, DXH=base.DXH, D2XH=base.D2XH,
         p=base.p, Dp=base.Dp, Xp=base.Xp, DXp=bad_DXp, D2Xp=base.D2Xp,
         domain=base.domain,
@@ -160,7 +160,7 @@ def non_involutive_system():
     table = TermTable(np.array([0.01, 0.008, 0.004]),
                       np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]),
                       np.array([[0.0, 1.0, 1.0]]))
-    return _trig_potential_system("non_involutive", table, system_b().domain)
+    return _trig_potential_system(table, system_b().domain)
 
 
 @pytest.mark.parametrize("make", [system_a, system_b, non_involutive_system],
@@ -286,11 +286,22 @@ def test_structure_invariants_refuse_a_false_claim():
 
 
 def test_domain_box_margin():
-    box = DomainBox(n=2, y_center=np.array([1.0, 1.6]), y_radius=0.5, imag_width=0.2)
+    box = DomainBox(y_center=np.array([1.0, 1.6]), y_radius=0.5, imag_width=0.2)
     z = np.array([[0.3 + 0.05j, 0.9, 1.2, 1.5]])
     assert contains_margin(box, z) > 0
     z_out = np.array([[0.3 + 0.25j, 0.9, 1.2, 1.5]])
     assert contains_margin(box, z_out) < 0
+
+
+def test_system_refuses_a_domain_of_another_size():
+    """n is read off the structure: a domain centre with another number of
+    momenta is refused, and so is a centre that is not a vector."""
+    base = system_a()
+    assert base.n == 2 and base.domain.y_center.shape == (2,)
+    with pytest.raises(ValueError, match=r"n = 3 entries, got shape \(2,\)"):
+        dataclasses.replace(base, geometry=canonical_structure(3))
+    with pytest.raises(ValueError, match=r"n = 2 entries, got shape \(2, 1\)"):
+        dataclasses.replace(base, domain=DomainBox(np.zeros((2, 1)), 0.5, 0.2))
 
 
 # --------------------------------------------------- trajectory sanity (RK4)

@@ -39,11 +39,11 @@ def d3_candidate(bands, seed=0) -> frames.TorusCandidate:
     k = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, -1], [1, 0, -1, 1]], dtype=float)
     table = TermTable(np.array([1e-3, 1e-3, 0.5e-3, 0.5e-3]), k, np.array([[0.0, 0.0, 1.0, 1.0]]))
     system = _trig_potential_system(
-        "d3_rotors", table, DomainBox(n=4, y_center=np.zeros(4), y_radius=0.5, imag_width=0.2))
+        table, DomainBox(y_center=np.zeros(4), y_radius=0.5, imag_width=0.2))
     dio = DiophantineParams(2.0 ** (np.arange(3) / 3), 1e-3, 2.0, 10, check=False)
     cand = seed_torus(system, dio, bands, 0.03)
     noise = random_map(bands, (8, 1), np.random.default_rng(seed), decay=0.5, scale=1e-2)
-    return cand.with_updates(k_per=cand.k_per + noise)
+    return dataclasses.replace(cand, k_per=cand.k_per + noise)
 
 
 def planar_candidate(bands=(8, 8), **fields):
@@ -51,7 +51,7 @@ def planar_candidate(bands=(8, 8), **fields):
     seed, _, target = seed_run(bands=list(bands), **fields)
     noise = random_map(bands, seed.cand.k_per.shape, np.random.default_rng(5), decay=0.5,
                        scale=1e-2)
-    cand = seed.cand.with_updates(k_per=seed.cand.k_per + noise)
+    cand = dataclasses.replace(seed.cand, k_per=seed.cand.k_per + noise)
     return cand, None if target is None else target.conserved
 
 
@@ -71,7 +71,7 @@ def whole_grid_kitchen(cand, conserved=None) -> dict:
         samples["Dc"] = np.asarray(dc)[..., None, :]
         samples["c_map"] = np.asarray(c)[..., None, None]
     out = {name: half_of(rfftn_coefficients(s, bands), bands) for name, s in samples.items()}
-    xp = (FourierMap(half_of(rfftn_coefficients(system.Xp(kv), bands), bands), bands)
+    xp = (FourierMap(half_of(rfftn_coefficients(system.Xp(kv), bands), bands))
           if system.n_integrals else FourierMap.zeros(bands, (2 * system.n, 0)))
     out["L"] = cand.tangent_family(xp).half
     return out
@@ -115,7 +115,7 @@ def scaled_candidate():
     """The canonical case's candidate under the non-canonical scaled structure."""
     cand = planar_candidate(system="lagrangian_rotors", epsilon=0.02)[0]
     geometry = scaled_structure(2)
-    return cand.with_updates(system=dataclasses.replace(cand.system, geometry=geometry)), None
+    return dataclasses.replace(cand, system=dataclasses.replace(cand.system, geometry=geometry)), None
 
 
 KITCHENS = {
@@ -178,7 +178,7 @@ def bad_pivot_map():
         box[3, 2, entry, entry] = 0.3
         box[4, 2, entry, entry] = -0.5j * sign
         box[2, 2, entry, entry] = 0.5j * sign
-    return FourierMap.from_coeffs(box, (3, 2))
+    return FourierMap.from_coeffs(box)
 
 
 @pytest.mark.parametrize("slab", SLABS)
@@ -277,7 +277,7 @@ def deficient_frame_candidate(row):
     samples = np.zeros((9, 9, 4, 1))
     samples[..., 0, 0] = -np.sin(s) / (2 * np.pi)
     samples[..., 2, 0] = np.sin(s) * np.sin(2 * np.pi * t2) / (2 * np.pi)
-    return cand.with_updates(k_per=cand.k_per + FourierMap.from_samples(samples, (4, 4)))
+    return dataclasses.replace(cand, k_per=cand.k_per + FourierMap.from_samples(samples, (4, 4)))
 
 
 def rotors_candidate():

@@ -72,7 +72,7 @@ def test_solve_triangular_cosine_chain(golden_dio):
     box = np.zeros((13, 13, n, 1), dtype=complex)
     box[6 + 1, 6, 0, 0] = 0.5
     box[6 - 1, 6, 0, 0] = 0.5
-    eta_N = FourierMap.from_coeffs(box, bands)
+    eta_N = FourierMap.from_coeffs(box)
     T = _identity_torsion(bands, n)
     xi_L, xi_N, xi_N0, diag = solve_triangular(eta_L, eta_N, torsion_frames(T), golden_dio)
     # xi^N = R(eta^N) = -sin(2 pi theta_1)/(2 pi omega_1) e_1, zero average
@@ -98,7 +98,7 @@ def test_solve_triangular_random_plugback(golden_dio):
         eta_N = random_map(bands, (n, 1), rng, decay=0.4)
         eta_N = eta_N.add_constant(-eta_N.average())  # force compatibility
         xi_L, xi_N, xi_N0, diag = solve_triangular(eta_L, eta_N, torsion_frames(T), golden_dio)
-        scale = max(eta_L.norm(0.0).value, eta_N.norm(0.0).value)
+        scale = max(eta_L.norm(0.0), eta_N.norm(0.0))
         assert diag["residual"] <= 1e-11 * scale
         assert np.max(np.abs(xi_L.average())) == 0.0  # phase fix
 
@@ -137,7 +137,7 @@ def test_newton_step_zero_error_is_identity():
     nxt, _ = newton_step(it, sched, it.cand.rho / 12.0)
     delta_k = nxt.cand.k_per - it.cand.k_per
     assert np.max(np.abs(delta_k.coeffs)) < 1e-14
-    assert it.E.norm(it.cand.rho).value < 1e-13
+    assert it.E.norm(it.cand.rho) < 1e-13
 
 
 def test_newton_step_quadratic_gain(phase_fix):
@@ -145,7 +145,7 @@ def test_newton_step_quadratic_gain(phase_fix):
     cand = it.cand
     nxt, rec = newton_step(it, sched, cand.rho / 12.0)
     new_cand = nxt.cand
-    err_before = it.E.norm(cand.rho).value
+    err_before = it.E.norm(cand.rho)
     assert err_before / rec["err_after"] >= 1e2
     assert rec["compat"] <= 1e-12 * max(1.0, err_before)
     assert phase_fix == [0.0]
@@ -175,7 +175,7 @@ def test_iterate_converges_and_bookkeeping(phase_fix):
     res = iterate_newton(seed, sched)
     assert res.converged, res.reason
     # frequency bit-identical across the run
-    assert res.iterate.cand.omega.tobytes() == seed.cand.omega.tobytes()
+    assert res.iterate.cand.dio.omega.tobytes() == seed.cand.dio.omega.tobytes()
     # strips follow rho_{s+1} = rho_s - 3 delta_s and stay above rho_inf
     rhos = [rec["rho"] for rec in res.log]
     for s, (r1, r2) in enumerate(zip(rhos, rhos[1:])):
@@ -217,12 +217,12 @@ def test_per_step_ledger_soundness():
         delta = sched.delta(s)
         it = evaluate(current)
         frames = build_frames(current, it.kitchen)
-        err = it.E.norm(current.rho).value
+        err = it.E.norm(current.rho)
         if err < 1e-13:
             break
-        hyp = measure_hypothesis_data(current, frames)
+        hyp = measure_hypothesis_data(current, frames, 1.1)
         led = build_ledger("ordinary", globs, hyp, current.dio, current.rho, delta,
-                           sched, n=2, d=2)
+                           sched, n=2)
         nxt, rec = newton_step(it, sched, delta)
         dk_bound = led["C_DeltaK"] / (gamma**2 * delta ** (2 * tau)) * err
         e_bound = led["C_E"] / (gamma**4 * delta ** (4 * tau)) * err**2
