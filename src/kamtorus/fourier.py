@@ -28,6 +28,10 @@ of about SLAB_POINTS points at a time (:func:`slab_samples`), and every real
 analysis samples a pointwise function of maps that way and holds only the
 kept bins of the whole grid (:func:`slab_analysis`): the memory of a
 grid-sampled stage grows like M^(d-1) instead of M^d, with the same bits.
+A synthesis transforms only the matrix entries that vary: an entry whose
+modes off k = 0 are all zero takes the real part of its k = 0 value at every
+grid point, which is what the transforms give, bit for bit, unless that
+value is -0.0 (then the entry is transformed).
 
 Norms: the sup of |f| on the complex strip |Im theta| < rho is bounded
 entry-wise by the Fourier majorant
@@ -484,11 +488,38 @@ def _fft_kept(data: np.ndarray, axis: int, n: int) -> np.ndarray:
     return hat.take(_kept_rows(n, data.shape[axis]), axis=axis)
 
 
-def _synthesis_head(f: FourierMap, grid: tuple) -> np.ndarray:
-    """The half box of ``f``, inverse-transformed along axis 0 when d > 1."""
+def _constant_entries(f: FourierMap):
+    """The mask of the constant entries of ``f``, or None when no entry is constant.
+
+    An entry is constant when its modes off k = 0 are all zero, of either sign,
+    and its f_0 is finite with a real part other than -0.0; ``irfftn`` then
+    gives Re f_0 at every grid point, bit for bit.  A -0.0 synthesizes to +0.0
+    or to zeros of mixed sign, so that entry is transformed like a varying one.
+    """
+    modes = f.half.reshape(-1, *f.shape)  # the torus axes in C order
+    o = np.ravel_multi_index(_origin(f.bands), f.half.shape[:f.d])
+    if len(modes) > 1 and np.logical_or(modes[o - 1], modes[o + 1]).all():
+        return None  # every entry has a mode next to k = 0 that is not zero
+    f0 = modes[o]
+    varies = modes[:o].any(axis=0) | modes[o + 1:].any(axis=0)
+    zero_sign = (f0.real == 0) & np.signbit(f0.real)
+    const = ~varies & np.isfinite(f0) & ~zero_sign
+    return const if const.any() else None
+
+
+def _synthesis_head(f: FourierMap, const, grid: tuple):
+    """The entries of ``f`` that are not ``const`` (all of them when ``const`` is
+    None; else its half box indexed by ``~const``, one axis for the entries),
+    inverse-transformed along axis 0 when d > 1; None when no entry varies."""
     if any(m < 2 * n + 1 for n, m in zip(f.bands, grid)):
         raise FourierShapeError(f"evaluation grid {grid} too small for bands {f.bands}")
-    return _ifft_kept(f.half, 0, f.bands[0], grid[0]) if f.d > 1 else f.half
+    if const is None:
+        part = f.half
+    elif const.all():
+        return None
+    else:
+        part = f.half[..., ~const]
+    return _ifft_kept(part, 0, f.bands[0], grid[0]) if f.d > 1 else part
 
 
 def _synthesis_tail(head: np.ndarray, bands: tuple, grid: tuple) -> np.ndarray:
@@ -528,23 +559,42 @@ def _analysis_tail(acc: np.ndarray, bands: tuple) -> np.ndarray:
     return _symmetrize_half(half, d)
 
 
+def _slab_values(f: FourierMap, head, const, grid: tuple, rows: slice) -> np.ndarray:
+    """The real samples of ``f`` on ``rows``, from the synthesis ``head`` of its
+    entries that are not ``const`` (:func:`_synthesis_head`): the tail
+    transforms run for those entries only, and each constant entry is filled
+    with the real part of its k = 0 value."""
+    if const is None:
+        return _synthesis_tail(head[rows], f.bands, grid)
+    out = np.empty((rows.stop - rows.start,) + grid[1:] + f.shape)
+    out[..., const] = f.half[_origin(f.bands)].real[const]
+    if head is not None:
+        out[..., ~const] = _synthesis_tail(head[rows], f.bands, grid)
+    return out
+
+
 def slab_samples(grid: tuple, *maps: FourierMap):
     """Yield ``(rows, samples)`` per axis-0 slab of about SLAB_POINTS points of
     ``grid``: ``rows`` a slice and ``samples`` the real samples of each of
     ``maps`` on those rows, bit for bit ``irfftn`` of its k_d >= 0 half spectrum
-    (``norm="forward"``) on the whole grid.  Each map's axis-0 ``ifft`` runs
-    once, on its kept data (:func:`_synthesis_head`), and each slab runs the
-    rest (:func:`_synthesis_tail`); at d = 1 the slab is the grid."""
+    (``norm="forward"``) on the whole grid.  Each map's constant entries are
+    found once (:func:`_constant_entries`) and filled with their values; only
+    the other entries are transformed.  Their axis-0 ``ifft`` runs once, on the
+    kept data (:func:`_synthesis_head`), and each slab runs the rest
+    (:func:`_synthesis_tail`); at d = 1 the slab is the grid."""
     grid = tuple(grid)
     step = grid[0] if len(grid) == 1 else max(1, SLAB_POINTS // int(np.prod(grid[1:])))
+    consts = [_constant_entries(f) for f in maps]
     if step >= grid[0]:  # one slab: each head is released once it is synthesized
-        yield slice(0, grid[0]), [_synthesis_tail(_synthesis_head(f, grid), f.bands, grid)
-                                  for f in maps]
+        rows = slice(0, grid[0])
+        yield rows, [_slab_values(f, _synthesis_head(f, const, grid), const, grid, rows)
+                     for f, const in zip(maps, consts)]
         return
-    heads = [_synthesis_head(f, grid) for f in maps]
+    heads = [_synthesis_head(f, const, grid) for f, const in zip(maps, consts)]
     for start in range(0, grid[0], step):
         rows = slice(start, min(start + step, grid[0]))
-        yield rows, [_synthesis_tail(h[rows], f.bands, grid) for h, f in zip(heads, maps)]
+        yield rows, [_slab_values(f, h, const, grid, rows)
+                     for f, h, const in zip(maps, heads, consts)]
 
 
 def slab_analysis(pointwise, grid: tuple, bands: tuple, *maps: FourierMap) -> list:

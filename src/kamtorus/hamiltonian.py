@@ -171,7 +171,8 @@ class TermTable:
 @dataclass(frozen=True)
 class HamiltonianSystem:
     """The callbacks of a system on R^{2n}, n read off its structure, with its
-    domain (whose centre has n entries) and, when generated, its term table."""
+    domain (whose centre has n entries) and, when generated, its term table
+    (whose integral rows number ``n_integrals``)."""
 
     n_integrals: int
     geometry: GeometricStructure
@@ -192,6 +193,9 @@ class HamiltonianSystem:
         if self.domain.y_center.shape != (self.n,):
             raise ValueError(f"the domain centre must have n = {self.n} entries, "
                              f"got shape {self.domain.y_center.shape}")
+        if self.table is not None and self.table.c.shape[0] != self.n_integrals:
+            raise ValueError(f"n_integrals = {self.n_integrals} but the term table has "
+                             f"{self.table.c.shape[0]} integral rows")
 
     @property
     def n(self) -> int:

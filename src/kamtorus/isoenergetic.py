@@ -29,6 +29,7 @@ from .fourier import matmul  # noqa: F401
 from .frames import (FrameBundle, HypothesisError, TorusCandidate, grid_kitchen,
                      invariance_error)
 from .solver import (
+    Correction,
     Iterate,
     NewtonSchedule,
     newton_correction,
@@ -117,13 +118,14 @@ class IsoTarget:
         return solve_triangular_iso(eta_L, eta_N, eta_omega, frames, dio)
 
     def step(self, it: Iterate, schedule: NewtonSchedule, delta: float,
-             contraction_ledger=None):
+             contraction_ledger=None) -> Correction:
         """One iso Newton step of the shared loop, through :func:`newton_step_iso`."""
         return newton_step_iso(it, self, schedule, delta, contraction_ledger)
 
 
 def newton_step_iso(it: Iterate, target: IsoTarget, schedule: NewtonSchedule, delta: float,
-                    contraction_ledger=None):
+                    contraction_ledger=None) -> Correction:
     """One simultaneous (K, omega) correction of ``it`` towards the level of
-    ``target``; returns (next Iterate, the step's log record)."""
+    ``target`` (``kamtorus.solver.newton_correction``); its ``evaluate()`` gives
+    the next Iterate and the step's log record."""
     return newton_correction(it, schedule, delta, target, contraction_ledger)

@@ -216,39 +216,57 @@ def evaluate(cand: TorusCandidate, target: IsoTarget | None = None,
     return Iterate(cand, kitchen, invariance_error(cand, kitchen))
 
 
+@dataclass(frozen=True)
+class Correction:
+    """A Newton step's corrected candidate before its kitchen is built: its ray
+    (None in ordinary mode), the middle strip its error is measured on, the
+    step's log fields that read the old iterate's frames, and the iso target
+    (None in ordinary mode)."""
+
+    cand: TorusCandidate
+    ray: FrequencyRay | None
+    mid_rho: float
+    record: dict
+    target: IsoTarget | None = None
+
+    def evaluate(self) -> tuple[Iterate, dict]:
+        """The corrected candidate's iterate (:func:`evaluate`) and the step's
+        whole log record: the fields of ``record``, the error after the step on
+        the middle strip, the contraction check and, in iso mode, the level
+        error after the step.
+
+        It raises no HypothesisError: the one hypothesis that evaluating a
+        candidate checks is its domain margin, which :func:`newton_correction`
+        has already checked for this candidate.
+        """
+        nxt = evaluate(self.cand, self.target, self.ray)
+        err_after = nxt.E.norm(self.mid_rho)
+        rec = {"err_after": err_after, **self.record}
+        if self.ray is not None:
+            rec["err_omega_after"] = nxt.E_omega
+        if rec["contraction_bound"] is not None:
+            measured = err_after if self.ray is None else np.maximum(err_after, abs(nxt.E_omega))
+            rec["contraction_ok"] = bool(measured <= rec["contraction_bound"])
+        return nxt, rec
+
+
 def newton_correction(it: Iterate, schedule: NewtonSchedule, delta: float,
-                      target: IsoTarget | None = None, contraction_ledger=None):
-    """One quasi-Newton correction of ``it``; returns (next Iterate, record).
+                      target: IsoTarget | None = None, contraction_ledger=None) -> Correction:
+    """One quasi-Newton correction of ``it``, not yet evaluated.
 
-    The record holds the step's keys of the iteration log: the error after
-    the step and the correction's norm on the middle strip, the solve's
+    The correction's record holds the step's keys of the iteration log that
+    read the frames: the correction's norm on the middle strip, the solve's
     residual and <eta^N>, the frame norms, the hypothesis margins and the
-    contraction check; in iso mode also the level error after the step,
-    xi^omega and the ray margin.  With an iso ``target`` the frequency moves
-    too, along ``it.ray``, through the bordered solve.  The next candidate
-    lives on the strip rho - 3*delta.  ``contraction_ledger`` is as in
-    iterate_newton.  The frames and the step's products live only in
-    :func:`_correction`, so they are released before the next candidate's
-    kitchen is built.  A failure raises HypothesisError, named after the
-    hypothesis that fails.
+    contraction bound; in iso mode also xi^omega and the ray margin.
+    :meth:`Correction.evaluate` adds the error after the step.  With an iso
+    ``target`` the frequency moves too, along ``it.ray``, through the bordered
+    solve.  The next candidate lives on the strip rho - 3*delta.
+    ``contraction_ledger`` is as in iterate_newton.  The frames and the step's
+    products are released when this returns, and the correction holds nothing
+    of ``it``, so a caller that drops ``it`` before it evaluates the correction
+    keeps one kitchen alive at a time.  A failure raises HypothesisError, named
+    after the hypothesis that fails.
     """
-    new_cand, ray, mid_rho, partial = _correction(it, schedule, delta, target,
-                                                  contraction_ledger)
-    nxt = evaluate(new_cand, target, ray)
-    err_after = nxt.E.norm(mid_rho)
-    rec = {"err_after": err_after, **partial}
-    if ray is not None:
-        rec["err_omega_after"] = nxt.E_omega
-    if rec["contraction_bound"] is not None:
-        measured = err_after if ray is None else np.maximum(err_after, abs(nxt.E_omega))
-        rec["contraction_ok"] = bool(measured <= rec["contraction_bound"])
-    return nxt, rec
-
-
-def _correction(it: Iterate, schedule: NewtonSchedule, delta: float,
-                target: IsoTarget | None, contraction_ledger):
-    """The corrected candidate of ``it``, its ray (None in ordinary mode), the
-    middle strip, and every record field of the step that reads the frames."""
     cand = it.cand
     rho = cand.rho
     if not 0 < 3 * delta < rho:
@@ -295,12 +313,14 @@ def _correction(it: Iterate, schedule: NewtonSchedule, delta: float,
         c_e = contraction_ledger(it, fr, delta)
         gamma, tau = cand.dio.gamma, cand.dio.tau
         rec["contraction_bound"] = c_e / (gamma**4 * delta ** (4 * tau)) * err**2
-    return new_cand, ray, mid_rho, rec
+    return Correction(new_cand, ray, mid_rho, rec, target)
 
 
-def newton_step(it: Iterate, schedule: NewtonSchedule, delta: float, contraction_ledger=None):
-    """One ordinary quasi-Newton correction of ``it``; returns (next Iterate,
-    the step's log record).  Iso mode steps through ``IsoTarget.step``."""
+def newton_step(it: Iterate, schedule: NewtonSchedule, delta: float,
+                contraction_ledger=None) -> Correction:
+    """One ordinary quasi-Newton correction of ``it`` (:func:`newton_correction`);
+    its ``evaluate()`` gives the next Iterate and the step's log record.  Iso
+    mode steps through ``IsoTarget.step``."""
     return newton_correction(it, schedule, delta, contraction_ledger=contraction_ledger)
 
 
@@ -335,9 +355,15 @@ def iterate_newton(it: Iterate, schedule: NewtonSchedule, target: IsoTarget | No
     ``it``; when given, the literal inequality ||E_{s+1}|| <= C_E/(gamma^4
     delta_s^{4 tau}) ||E_s||^2 is recorded in the step's log record.
 
+    At most one kitchen is alive at a time: each step's correction is taken
+    from the iterate, the iterate is dropped, and only then is the corrected
+    candidate evaluated (:meth:`Correction.evaluate`).  The caller keeps the
+    seed's kitchen alive through the first step if it holds the seed.
+
     Failure modes: two consecutive error increases (divergence), any named
-    hypothesis failure (a ``HypothesisError`` of the step), or the iteration
-    cap.
+    hypothesis failure (a ``HypothesisError`` of the step's correction; its
+    evaluation raises none), or the iteration cap.  A failed step returns the
+    last evaluated iterate.
     """
     if it.cand.rho != schedule.rho0:
         raise ValueError(f"the seed lives on the strip rho = {it.cand.rho}, "
@@ -364,13 +390,14 @@ def iterate_newton(it: Iterate, schedule: NewtonSchedule, target: IsoTarget | No
         if s >= schedule.max_iters:
             return SolveResult(False, f"iteration cap {schedule.max_iters} reached", it, log)
         try:
-            nxt, step_rec = (newton_step if target is None else target.step)(
+            step = (newton_step if target is None else target.step)(
                 it, schedule, schedule.delta(s), contraction_ledger)
         except HypothesisError as exc:
             return SolveResult(False, f"step {s}: {exc}", it, log)
+        del it  # the old kitchen dies before the corrected candidate's is built
+        it, step_rec = step.evaluate()
         rec.update(step_rec)
         prev_err = err
-        it = nxt
 
 
 def contraction_slope(log: list) -> float | None:

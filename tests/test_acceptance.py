@@ -266,7 +266,7 @@ def test_criterion_7_certificate_end_to_end():
             ratios.append(rep_s.ratio)
             from kamtorus.solver import newton_step
 
-            current = newton_step(it_s, sched, sched.delta(s))[0].cand
+            current = newton_step(it_s, sched, sched.delta(s)).cand
         drops = [a / b for a, b in zip(ratios, ratios[1:]) if b > 0]
         fallback_ok = all(drop >= 10.0 for drop in drops) and bad_fails
         announce(7, fallback_ok,

@@ -304,6 +304,19 @@ def test_system_refuses_a_domain_of_another_size():
         dataclasses.replace(base, domain=DomainBox(np.zeros((2, 1)), 0.5, 0.2))
 
 
+def test_system_refuses_an_integral_count_its_table_does_not_have():
+    """A generated system's first integrals are the rows of its term table: a
+    count that differs is refused, and one that agrees is kept."""
+    base = system_b()
+    assert base.n_integrals == base.table.c.shape[0] == 1
+    for count in (0, 2):
+        with pytest.raises(ValueError, match=rf"n_integrals = {count} but the term table "
+                                             r"has 1 integral rows"):
+            dataclasses.replace(base, n_integrals=count)
+    assert dataclasses.replace(base, n_integrals=1).d == 2
+    assert dataclasses.replace(base, n_integrals=0, table=None).d == 3
+
+
 # --------------------------------------------------- trajectory sanity (RK4)
 
 

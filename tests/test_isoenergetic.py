@@ -111,7 +111,7 @@ def test_solve_triangular_iso_random_plugback(golden_dio):
 def test_newton_step_iso_no_error_no_change():
     it, sched, target = seed_run(**ISO, epsilon=0.0, bands=[8, 8], rho0=0.05, c_n=100.0)
     assert it.E_omega == 0.0  # the target is the seed's own level
-    nxt, _ = newton_step_iso(it, target, sched, it.cand.rho / 12.0)
+    nxt, _ = newton_step_iso(it, target, sched, it.cand.rho / 12.0).evaluate()
     assert np.max(np.abs((nxt.cand.k_per - it.cand.k_per).coeffs)) < 1e-13
     assert abs(nxt.ray.scale - it.ray.scale) < 1e-14
 
@@ -126,7 +126,7 @@ def test_newton_step_iso_level_gain():
     c0 = level.c0 + settled.iterate.E_omega + 1e-4  # the settled level + 1e-4
     target = IsoTarget(level.conserved, c0)
     it = target.evaluate(base, base_ray)
-    nxt, rec = newton_step_iso(it, target, sched, base.rho / 12.0)
+    nxt, rec = newton_step_iso(it, target, sched, base.rho / 12.0).evaluate()
     assert abs(it.E_omega) == pytest.approx(1e-4)
     assert abs(it.E_omega) / max(abs(rec["err_omega_after"]), 1e-300) >= 1e2
     assert rec["ray_margin"] > 0

@@ -41,9 +41,21 @@ def test_peak_memory_reports_each_command(tmp_path):
                                   "bands": [4, 4], "rho0": 0.05}))
     (record,) = run_script("peak_memory.py", str(config), "--out", str(tmp_path / "out"))
     assert record["config"] == str(config)
+    frames = {"grid_kitchen", "normal_frame", "torsion", "_pointwise_inverse"}
+    phases = {"solve": frames | {"_json_dump"}, "certify": frames | {"_json_dump", "_read_json"}}
     for name in ("solve", "certify"):
         assert record[name]["rc"] in (0, 1) and record[name]["s"] > 0
         assert 0 < record[name]["peak_mb"] <= record["peak_mb"]
+        # each phase that ran: its calls, and the live memory at entry and the
+        # peak inside of its call with the highest peak, within the command's peak
+        assert set(record[name]["phases"]) == phases[name]
+        for phase in record[name]["phases"].values():
+            assert set(phase) == {"calls", "entry_mb", "peak_mb"} and phase["calls"] >= 1
+            assert 0 <= phase["entry_mb"] <= phase["peak_mb"] <= record[name]["peak_mb"]
+    # the Gram inverse runs inside the normal frame, and its peak is the frame's at most
+    solve = record["solve"]["phases"]
+    assert solve["_pointwise_inverse"]["peak_mb"] <= solve["normal_frame"]["peak_mb"]
+    assert solve["grid_kitchen"]["calls"] == solve["torsion"]["calls"] + 1
     assert (tmp_path / "out" / "certificate.json").exists()
 
 

@@ -344,3 +344,63 @@ def test_d3_matmul_peak_memory_bounded():
         tracemalloc.stop()
     assert prod.shape == (8, 4)
     assert peak - entry < 10.5e6
+
+
+CONSTANTS = [0.0, 1.0, -1.0, 0.37, -2.5, 1.5 + 0.75j, -0.0]  # the last one is transformed
+
+
+def mixed_map(bands, rng) -> FourierMap:
+    """A 3 x 4 map whose first entries in C order are the constants of CONSTANTS
+    and a random real, with +0 and -0 off k = 0 in turn, and whose other
+    entries vary."""
+    half = random_map(bands, (3, 4), rng, decay=0.3).half.copy()
+    for e, c in enumerate(CONSTANTS + [rng.standard_normal()]):
+        entry = np.unravel_index(e, (3, 4))
+        half[(...,) + entry] = complex(-0.0, -0.0) if e % 2 else 0.0
+        half[fourier._origin(bands) + entry] = c
+    return FourierMap(half)
+
+
+@pytest.mark.parametrize("slab", SLABS)
+@pytest.mark.parametrize("grid_of", ["dealias", "work"])
+@pytest.mark.parametrize("bands", [(7,), (6, 5), (3, 2, 3)], ids=["d1", "d2", "d3"])
+def test_constant_entries_are_filled_bit_for_bit(monkeypatch, bands, grid_of, slab):
+    """Each entry's samples are those of its own irfftn, bit for bit: a constant
+    entry's fill is the real part of its k = 0 value, whatever the signs of the
+    zeros off k = 0 and its imaginary part; a -0.0 constant is transformed,
+    since its samples are not all -0.0."""
+    f = mixed_map(bands, np.random.default_rng(len(bands)))
+    const = fourier._constant_entries(f)
+    negative_zero = np.unravel_index(len(CONSTANTS) - 1, f.shape)
+    assert const.sum() == len(CONSTANTS) and not const[negative_zero]
+    grid = fourier.dealias_grid(bands, bands, bands) if grid_of == "dealias" else work_grid(bands)
+    monkeypatch.setattr(fourier, "SLAB_POINTS", slab_points(slab, grid))
+    got = np.concatenate([vals for _, (vals,) in fourier.slab_samples(grid, f)])
+    assert got.shape == grid + f.shape
+    for entry in np.ndindex(f.shape):
+        ref = irfftn_samples(f.block(*(slice(i, i + 1) for i in entry)), grid)[..., 0, 0]
+        assert np.array_equal(np.ascontiguousarray(got[(...,) + entry]).view(np.uint64),
+                              ref.view(np.uint64)), entry
+    assert not np.signbit(got[(...,) + negative_zero]).all()
+
+
+def test_product_transforms_only_the_varying_entries(monkeypatch):
+    """A product whose left operand has 7 constant entries of 12 runs ``irfft``
+    on the lines of the 5 others and of the right operand's 8 entries only, one
+    line per entry and axis-0 row of the work grid, and keeps its bits."""
+    bands = (6, 5)
+    rng = np.random.default_rng(3)
+    a, b = mixed_map(bands, rng), random_map(bands, (4, 2), rng, decay=0.3)
+    work = fourier.dealias_grid(bands, bands, bands)
+    ref = rfftn_coefficients(irfftn_samples(a, work) @ irfftn_samples(b, work), bands)
+    lines = []
+    irfft = np.fft.irfft
+
+    def counting(x, *args, axis=-1, **kwargs):
+        lines.append(x.size // x.shape[axis])
+        return irfft(x, *args, axis=axis, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counting)
+    got = matmul(a, b)
+    assert_same_bits(got.half, half_of(ref, bands))
+    assert sum(lines) == work[0] * (5 + 8)

@@ -134,7 +134,7 @@ def phase_fix(monkeypatch):
 def test_newton_step_zero_error_is_identity():
     it, sched, _ = seed_run(system="symmetric_rotors", epsilon=0.0, bands=[8, 8], rho0=0.05,
                             c_n=10.0)
-    nxt, _ = newton_step(it, sched, it.cand.rho / 12.0)
+    nxt, _ = newton_step(it, sched, it.cand.rho / 12.0).evaluate()
     delta_k = nxt.cand.k_per - it.cand.k_per
     assert np.max(np.abs(delta_k.coeffs)) < 1e-14
     assert it.E.norm(it.cand.rho) < 1e-13
@@ -143,7 +143,7 @@ def test_newton_step_zero_error_is_identity():
 def test_newton_step_quadratic_gain(phase_fix):
     it, sched, _ = seed_run(epsilon=1e-3, bands=[16, 16], rho0=0.03)
     cand = it.cand
-    nxt, rec = newton_step(it, sched, cand.rho / 12.0)
+    nxt, rec = newton_step(it, sched, cand.rho / 12.0).evaluate()
     new_cand = nxt.cand
     err_before = it.E.norm(cand.rho)
     assert err_before / rec["err_after"] >= 1e2
@@ -223,7 +223,7 @@ def test_per_step_ledger_soundness():
         hyp = measure_hypothesis_data(current, frames, 1.1)
         led = build_ledger("ordinary", globs, hyp, current.dio, current.rho, delta,
                            sched, n=2)
-        nxt, rec = newton_step(it, sched, delta)
+        nxt, rec = newton_step(it, sched, delta).evaluate()
         dk_bound = led["C_DeltaK"] / (gamma**2 * delta ** (2 * tau)) * err
         e_bound = led["C_E"] / (gamma**4 * delta ** (4 * tau)) * err**2
         assert rec["delta_k"] <= dk_bound
