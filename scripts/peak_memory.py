@@ -34,6 +34,7 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 PHASES = {"frames": ("grid_kitchen", "normal_frame", "torsion", "_pointwise_inverse"),
+          "fourier": ("matmul",),
           "cli": ("_json_dump", "_read_json")}  # the functions measured, by module
 
 

@@ -121,17 +121,17 @@ class RunConfig:
             raise ConfigError(f"imag_width must be at most {width!r} at epsilon = "
                               f"{self.epsilon!r}, where the certificate's closed-form bounds "
                               f"stay finite, got {self.imag_width!r}")
-        schedule = NewtonSchedule(a1=self.a1, a2=self.a2, rho0=self.rho0)
-        if not 0 < schedule.delta0 < self.rho0 / 3:  # a3 is NaN, infinite or rounds to 3
-            raise ConfigError(f"a1 = {self.a1!r} and a2 = {self.a2!r} give the strip schedule "
-                              f"a3 = {schedule.a3!r} and delta0 = {schedule.delta0!r}, which "
-                              "must lie in (0, rho0/3)")
         if not (_is_real(self.tau) and self.tau >= d - 1):
             raise ConfigError(f"tau must be a finite number >= d-1 = {d - 1}, got {self.tau!r}")
         for name, low in (("max_iters", 0), ("scan_limit", 1)):
             value = getattr(self, name)
             if not (_is_int(value) and value >= low):
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        schedule = _schedule(self)
+        if not 0 < schedule.delta0 < self.rho0 / 3:  # a3 is NaN, infinite or rounds to 3
+            raise ConfigError(f"a1 = {self.a1!r} and a2 = {self.a2!r} give the strip schedule "
+                              f"a3 = {schedule.a3!r} and delta0 = {schedule.delta0!r}, which "
+                              "must lie in (0, rho0/3)")
         # each mode defaults its own frequency; a set one is checked in either mode
         if self.mode == "ordinary" and self.omega is None:
             self.omega = self._default_omega(d)

@@ -23,11 +23,15 @@ real FFTs.  These real transforms are pruned to the kept box: they run numpy's
 1-D transforms in the axis order of ``rfftn``/``irfftn`` but only on the lines
 that hold kept modes, so each kept value is bit for bit what
 ``rfftn``/``irfftn`` give.  Every transform but axis 0's acts on lines inside
-one axis-0 slab of the grid, so every real synthesis walks the grid one slab
-of about SLAB_POINTS points at a time (:func:`slab_samples`), and every real
-analysis samples a pointwise function of maps that way and holds only the
-kept bins of the whole grid (:func:`slab_analysis`): the memory of a
-grid-sampled stage grows like M^(d-1) instead of M^d, with the same bits.
+one axis-0 slab of the grid, so every real synthesis walks the grid in slabs
+of near-equal height (:func:`slab_samples`), and every real analysis samples
+a pointwise function of maps that way and holds only the kept bins of the
+whole grid (:func:`slab_analysis`), with the same bits.  What one pass holds
+beyond its maps' axis-0 heads and its outputs' kept bins is one slab: at most
+SLAB_POINTS points and SLAB_VALUES sample values, counting the operands'
+matrix entries and the outputs' together, with each axis-0 head transformed
+in place and each output's spectrum taken in blocks of rows about as large as
+the bins the slab keeps.
 A synthesis transforms only the matrix entries that vary: an entry whose
 modes off k = 0 are all zero takes the real part of its k = 0 value at every
 grid point, which is what the transforms give, bit for bit, unless that
@@ -51,7 +55,8 @@ from functools import lru_cache
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-SLAB_POINTS = 4096  # grid points per slab of slab_samples, which bounds its memory
+SLAB_POINTS = 4096  # most grid points in a slab; with SLAB_VALUES it bounds a pass's samples
+SLAB_VALUES = 32 * SLAB_POINTS  # most sample values in a slab, the operands' and the outputs'
 SYMMETRY_RTOL = 1e-12  # largest relative |f_-k - conj f_k| that from_coeffs accepts
 
 
@@ -100,6 +105,13 @@ def _k1_box(bands: tuple) -> np.ndarray:
 def _kept_rows(n: int, m: int) -> np.ndarray:
     """FFT bins k mod m of the modes k = -n .. n, in box order."""
     return np.arange(-n, n + 1) % m
+
+
+def _split(m: int, count: int) -> list:
+    """``count`` slices of near-equal length that cover 0 .. m-1, the longer first."""
+    q, r = divmod(m, count)
+    edges = [i * q + min(i, r) for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def _embed_slices(bands: tuple, grid: tuple):
@@ -476,10 +488,11 @@ def _is_constant(f: FourierMap) -> bool:
 
 
 def _ifft_kept(data: np.ndarray, axis: int, n: int, m: int) -> np.ndarray:
-    """``ifft`` along ``axis`` of the kept rows -n .. n embedded in m bins."""
+    """``ifft`` along ``axis`` of the kept rows -n .. n embedded in m bins, in place
+    in the zero-padded array."""
     full = np.zeros(data.shape[:axis] + (m,) + data.shape[axis + 1:], dtype=np.complex128)
     full[(slice(None),) * axis + (_kept_rows(n, m),)] = data
-    return np.fft.ifft(full, axis=axis, norm="forward")
+    return np.fft.ifft(full, axis=axis, norm="forward", out=full)
 
 
 def _fft_kept(data: np.ndarray, axis: int, n: int) -> np.ndarray:
@@ -530,14 +543,23 @@ def _synthesis_tail(head: np.ndarray, bands: tuple, grid: tuple) -> np.ndarray:
     return np.fft.irfft(head, n=grid[-1], axis=len(bands) - 1, norm="forward")
 
 
-def _analysis_head(samples: np.ndarray, bands: tuple) -> np.ndarray:
-    """``rfft`` on the last torus axis cut to its N_d + 1 kept bins, then ``fft``
-    on axes d-2 .. 1 cut to the kept rows: every transform but axis 0's."""
+def _analysis_head(samples: np.ndarray, bands: tuple, out: np.ndarray):
+    """Write into ``out`` the ``rfft`` of ``samples`` on the last torus axis cut to
+    its N_d + 1 kept bins, then ``fft`` on axes d-2 .. 1 cut to the kept rows:
+    every transform but axis 0's.
+
+    At d > 1 they run over ceil((M_d/2 + 1) / (N_d + 1)) blocks of axis-0 rows
+    (one per row at most), so that a block's full M_d/2 + 1-bin ``rfft`` is
+    about as large as the bins that ``out`` keeps; each block's values are bit
+    for bit those of one call on the whole array."""
     d = len(bands)
-    upper = np.fft.rfft(samples, axis=d - 1, norm="forward")[..., :bands[-1] + 1, :, :]
-    for axis in range(d - 2, 0, -1):
-        upper = _fft_kept(upper, axis, bands[axis])
-    return upper
+    bins = samples.shape[d - 1] // 2 + 1
+    count = 1 if d == 1 else min(len(samples), -(-bins // (bands[-1] + 1)))
+    for block in _split(len(samples), count):
+        upper = np.fft.rfft(samples[block], axis=d - 1, norm="forward")[..., :bands[-1] + 1, :, :]
+        for axis in range(d - 2, 0, -1):
+            upper = _fft_kept(upper, axis, bands[axis])
+        out[block] = upper
 
 
 def _analysis_tail(acc: np.ndarray, bands: tuple) -> np.ndarray:
@@ -573,53 +595,70 @@ def _slab_values(f: FourierMap, head, const, grid: tuple, rows: slice) -> np.nda
     return out
 
 
-def slab_samples(grid: tuple, *maps: FourierMap):
-    """Yield ``(rows, samples)`` per axis-0 slab of about SLAB_POINTS points of
-    ``grid``: ``rows`` a slice and ``samples`` the real samples of each of
-    ``maps`` on those rows, bit for bit ``irfftn`` of its k_d >= 0 half spectrum
-    (``norm="forward"``) on the whole grid.  Each map's constant entries are
-    found once (:func:`_constant_entries`) and filled with their values; only
-    the other entries are transformed.  Their axis-0 ``ifft`` runs once, on the
+def _slabs(grid: tuple, values: int) -> list:
+    """The axis-0 row slices of the slabs of ``grid``: ceil(M_0 / step) of
+    near-equal height, step the most rows that hold at most SLAB_POINTS points
+    and SLAB_VALUES sample values at ``values`` per point (at least one row).
+    At d = 1 the slab is the grid."""
+    if len(grid) == 1:
+        return [slice(0, grid[0])]
+    points = min(SLAB_POINTS, SLAB_VALUES // max(1, values))
+    step = max(1, points // int(np.prod(grid[1:])))
+    return _split(grid[0], -(-grid[0] // step))
+
+
+def slab_samples(grid: tuple, *maps: FourierMap, outputs: int = 0):
+    """Yield ``(rows, samples)`` per axis-0 slab of ``grid`` (:func:`_slabs`):
+    ``rows`` a slice and ``samples`` the real samples of each of ``maps`` on
+    those rows, bit for bit ``irfftn`` of its k_d >= 0 half spectrum
+    (``norm="forward"``) on the whole grid.  A slab's values per point are the
+    maps' matrix entries plus ``outputs``, the values the caller computes from
+    them.  Each map's constant entries are found once
+    (:func:`_constant_entries`) and filled with their values; only the other
+    entries are transformed.  Their axis-0 ``ifft`` runs once, in place on the
     kept data (:func:`_synthesis_head`), and each slab runs the rest
-    (:func:`_synthesis_tail`); at d = 1 the slab is the grid."""
+    (:func:`_synthesis_tail`)."""
     grid = tuple(grid)
-    step = grid[0] if len(grid) == 1 else max(1, SLAB_POINTS // int(np.prod(grid[1:])))
+    slabs = _slabs(grid, outputs + sum(int(np.prod(f.shape)) for f in maps))
     consts = [_constant_entries(f) for f in maps]
-    if step >= grid[0]:  # one slab: each head is released once it is synthesized
-        rows = slice(0, grid[0])
+    if len(slabs) == 1:  # one slab: each head is released once it is synthesized
+        rows = slabs[0]
         yield rows, [_slab_values(f, _synthesis_head(f, const, grid), const, grid, rows)
                      for f, const in zip(maps, consts)]
         return
     heads = [_synthesis_head(f, const, grid) for f, const in zip(maps, consts)]
-    for start in range(0, grid[0], step):
-        rows = slice(start, min(start + step, grid[0]))
+    for rows in slabs:
         yield rows, [_slab_values(f, h, const, grid, rows)
                      for f, h, const in zip(maps, heads, consts)]
 
 
-def slab_analysis(pointwise, grid: tuple, bands: tuple, *maps: FourierMap) -> list:
+def slab_analysis(pointwise, grid: tuple, bands: tuple, *maps: FourierMap,
+                  outputs: int = 0) -> list:
     """Half boxes on ``bands`` of the real sample arrays (a list) that
     ``pointwise(rows, samples)`` returns for each slab of :func:`slab_samples`
     of ``maps``, bit for bit the k_d >= 0 half of the symmetrized box of
-    ``rfftn`` (``norm="forward"``) of the whole grid's samples.
+    ``rfftn`` (``norm="forward"``) of the whole grid's samples.  ``outputs`` is
+    the number of values per point that those arrays hold together (0 when
+    they are views of samples held anyway).
 
     At most one slab of samples is held at a time: each slab runs ``pointwise``
     and every analysis transform but axis 0's (:func:`_analysis_head`) into one
     accumulator of kept bins per output; the axis-0 ``fft`` and the
     symmetrization (:func:`_analysis_tail`) run last.
     """
+    d = len(bands)
     accs = []
-    for rows, vals in slab_samples(grid, *maps):
+    for rows, vals in slab_samples(grid, *maps, outputs=outputs):
         outs = pointwise(rows, vals)
         del vals
         for i in range(len(outs)):
-            upper = _analysis_head(np.asarray(outs[i], dtype=np.float64), bands)
+            samples = np.asarray(outs[i], dtype=np.float64)
             outs[i] = None  # each sample array is released once it is analysed
-            if rows.start == 0:  # at d = 1 axis 0 is already cut to its kept bins
-                rows0 = grid[0] if len(bands) > 1 else upper.shape[0]
-                accs.append(np.empty((rows0,) + upper.shape[1:], dtype=np.complex128))
-            accs[i][rows] = upper
-            del upper  # before the next output's transforms
+            if rows.start == 0:  # all M_0 rows of axis 0, but at d = 1, where the rfft cuts it
+                box = (grid[0],) + _half_box(bands)[1:] if d > 1 else _half_box(bands)
+                accs.append(np.empty(box + samples.shape[d:], dtype=np.complex128))
+            _analysis_head(samples, bands, accs[i][rows] if d > 1 else accs[i])
+            del samples  # before the next output's transforms
     return [_analysis_tail(accs.pop(0), bands) for _ in range(len(accs))]
 
 
@@ -649,7 +688,8 @@ def matmul(a: FourierMap, b: FourierMap) -> FourierMap:
     if _is_constant(b):
         return a.matmul_constant(b.average())
     work = dealias_grid(a.bands, b.bands, a.bands)
-    return FourierMap(slab_analysis(lambda rows, v: [v[0] @ v[1]], work, a.bands, a, b)[0])
+    return FourierMap(slab_analysis(lambda rows, v: [v[0] @ v[1]], work, a.bands, a, b,
+                                    outputs=a.shape[0] * b.shape[1])[0])
 
 
 def assemble_blocks(blocks) -> FourierMap:

@@ -226,7 +226,10 @@ def grid_kitchen(cand: TorusCandidate, conserved=None) -> GridKitchen:
             out += [np.asarray(dc)[..., None, :], np.asarray(c)[..., None, None]]
         return out
 
-    maps = [FourierMap(c) for c in slab_analysis(sample, grid, bands, cand.k_per)]
+    n2 = 2 * sys.n  # the values of X_H, DX_H and X_p per point, then of Dc and c
+    outputs = n2 * (1 + n2 + sys.n_integrals) + (n2 + 1 if conserved is not None else 0)
+    maps = [FourierMap(c) for c in slab_analysis(sample, grid, bands, cand.k_per,
+                                                 outputs=outputs)]
     xh, dxh = maps.pop(0), maps.pop(0)
     xp = maps.pop(0) if sys.n_integrals else FourierMap.zeros(bands, (2 * sys.n, 0))
     dc, c_map = maps if conserved is not None else (None, None)
@@ -346,18 +349,19 @@ def _pointwise_inverse(f: FourierMap):
     conds, bad_pivots = [], []  # per slab: its condition estimate; (pivot, value, count)
 
     def invert(rows, vals):
-        a = np.ascontiguousarray(np.moveaxis(vals[0], (-2, -1), (0, 1)))
+        a = np.moveaxis(vals.pop(), (-2, -1), (0, 1))  # the slab's samples, not a copy
         n = a.shape[0]
         diag = (np.arange(n),) * 2
         w = a.copy()
-        x = np.zeros_like(a)
+        x = np.zeros(a.shape)
         x[diag] = 1.0
         for p in range(n):
             piv = w[p, p].copy()
             bad = ~(np.isfinite(piv) & (piv > 0))
             if bad.any():
                 bad_pivots.append((p, piv[bad][0], int(bad.sum())))
-                return vals  # the slab is not inverted; the whole inverse is refused
+                # the slab is not inverted; the whole inverse is refused
+                return [np.moveaxis(a, (0, 1), (-2, -1))]
             w[p] /= piv
             x[p] /= piv
             for r in range(n):
@@ -365,13 +369,16 @@ def _pointwise_inverse(f: FourierMap):
                     fac = w[r, p].copy()
                     w[r] -= fac * w[p]
                     x[r] -= fac * x[p]
-        resid = -_front_matmul(a, x)
+        del w
+        resid = _front_matmul(a, x)
+        np.negative(resid, out=resid)
         resid[diag] += 1.0
         x += _front_matmul(x, resid)
-        conds.append(np.max(np.abs(a).sum(axis=1).max(axis=0) * np.abs(x).sum(axis=1).max(axis=0)))
+        del resid
+        conds.append(np.max(_abs_row_sums(a).max(axis=0) * _abs_row_sums(x).max(axis=0)))
         return [np.moveaxis(x, (0, 1), (-2, -1))]
 
-    coeffs = slab_analysis(invert, work_grid(f.bands), f.bands, f)[0]
+    coeffs = slab_analysis(invert, work_grid(f.bands), f.bands, f, outputs=f.shape[0] ** 2)[0]
     if bad_pivots:  # the whole-grid elimination stops at the least bad pivot
         p = min(bad[0] for bad in bad_pivots)
         first = next(value for q, value, _ in bad_pivots if q == p)
@@ -386,8 +393,24 @@ def _pointwise_inverse(f: FourierMap):
 
 
 def _front_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of arrays whose first two axes are the matrix axes."""
-    return np.stack([sum(a[i, j] * b[j] for j in range(a.shape[1])) for i in range(a.shape[0])])
+    """Matrix product of arrays whose first two axes are the matrix axes, each
+    entry summed from 0 in column order, as ``sum`` does, into one array."""
+    out = np.zeros(a.shape[:1] + b.shape[1:], dtype=np.result_type(a, b))
+    term = np.empty(b.shape[1:], dtype=out.dtype)
+    for i in range(a.shape[0]):
+        for j in range(a.shape[1]):
+            out[i] += np.multiply(a[i, j], b[j], out=term)
+    return out
+
+
+def _abs_row_sums(m: np.ndarray) -> np.ndarray:
+    """sum_j |m_ij| of an array whose first two axes are the matrix axes, added in
+    column order as ``np.abs(m).sum(axis=1)`` adds them on a C-ordered ``m``."""
+    total = np.abs(m[:, 0])
+    term = np.empty_like(total)
+    for j in range(1, m.shape[1]):
+        total += np.abs(m[:, j], out=term)
+    return total
 
 
 def normal_frame(cand: TorusCandidate, L: FourierMap):

@@ -371,6 +371,9 @@ _BUILTIN_TERMS = {
     # H = |y|^2/2 + eps cos(2pi x1)(1 + cos 2pi(x2 - x3)), p = y2 + y3
     "symmetric_rotors": ([(1.0, (1, 0, 0)), (0.5, (1, 1, -1)), (0.5, (1, -1, 1))],
                          [(0, 1, 1)]),
+    # H = |y|^2/2 + eps (cos 2pi x1 + cos 2pi x2 + cos 2pi x1 cos 2pi(x3 - x4)), p = y3 + y4
+    "d3_rotors": ([(1.0, (1, 0, 0, 0)), (1.0, (0, 1, 0, 0)), (0.5, (1, 0, 1, -1)),
+                   (0.5, (1, 0, -1, 1))], [(0, 0, 1, 1)]),
 }
 
 
@@ -397,6 +400,8 @@ def builtin_system(name: str, epsilon: float = 0.0, y_center=None,
     "lagrangian_rotors":  n = d = 2 coupled rotors (no extra integrals).
     "symmetric_rotors":   n = 3, d = 2 rotors with translation symmetry,
                           p = y2 + y3; target quantity selectable as H or p.
+    "d3_rotors":          n = 4, d = 3 rotors with the first integral
+                          p = y3 + y4; target quantity selectable as H or p.
     """
     table = builtin_table(name, epsilon)
     domain = DomainBox(np.zeros(table.k.shape[1]) if y_center is None else y_center,

@@ -50,14 +50,15 @@ SLOPE_CAP = 1e-1  # contraction pairs start below this error (the asymptotic reg
 
 @dataclass(frozen=True)
 class NewtonSchedule:
-    """Strip-shrinking schedule and stopping policy of the iteration."""
+    """Strip-shrinking schedule and stopping policy of the iteration.  Every
+    field is given; their defaults are ``cli.RunConfig``'s alone."""
 
-    a1: float = 2.0
-    a2: float = 2.0
-    c_n: float | None = None  # smallness scale; None = max(1, ||X_H o K||_rho) at start
-    max_iters: int = 20
-    stop_tol: float = 1e-12
-    rho0: float = 0.1
+    a1: float
+    a2: float
+    c_n: float | None  # smallness scale; None = max(1, ||X_H o K||_rho) at start
+    max_iters: int
+    stop_tol: float
+    rho0: float
 
     def __post_init__(self):
         if self.a1 <= 1 or self.a2 <= 1:

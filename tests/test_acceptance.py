@@ -170,7 +170,7 @@ def test_criterion_5_isoenergetic_targeting(selector):
 
 def test_criterion_6_lemma_bound_soundness():
     rng = np.random.default_rng(66)
-    sched = NewtonSchedule(a1=2, a2=2, c_n=None, rho0=0.03)
+    sched = NewtonSchedule(a1=2, a2=2, c_n=None, max_iters=20, stop_tol=1e-12, rho0=0.03)
     violations = []
     checked = 0
     candidates = []
@@ -316,7 +316,7 @@ def test_criterion_9_lagrangian_reduction():
     # the ledger with explicitly zeroed integral constants is bit-identical
     fr = build_frames(cand, kk)
     hyp = measure_hypothesis_data(cand, fr, 1.1)
-    sched = NewtonSchedule(a1=2, a2=2, c_n=2.0, rho0=cand.rho)
+    sched = NewtonSchedule(a1=2, a2=2, c_n=2.0, max_iters=20, stop_tol=1e-12, rho0=cand.rho)
     led = build_ledger("ordinary", globs, hyp, cand.dio, cand.rho, cand.rho / 12,
                        sched, n=2)
     led_zeroed = build_ledger("ordinary", with_zero_integrals(globs), hyp,

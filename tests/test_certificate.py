@@ -302,7 +302,7 @@ def test_lattice_boundary_takes_every_sign_pattern(name):
 def base_ledger_inputs(case="III", mode="ordinary", n=2, eps_zero=True):
     omega = np.array([1.0, GOLDEN])
     dio = DiophantineParams(omega, 1.0, 1.0, 100)
-    sched = NewtonSchedule(a1=2, a2=2, c_n=2.0, rho0=0.1)
+    sched = NewtonSchedule(a1=2, a2=2, c_n=2.0, max_iters=20, stop_tol=1e-12, rho0=0.1)
     sys_obj = builtin_system("lagrangian_rotors", epsilon=0.0 if eps_zero else 1e-3,
                              y_center=omega)
     globs = estimate_global_constants(sys_obj)
@@ -426,7 +426,7 @@ def test_degenerate_reduction_to_lagrangian_ledger():
         "dist_domain": 0.05,
     }
     dio = DiophantineParams(omega, 1.0, 1.0, 100)
-    sched = NewtonSchedule(a1=2, a2=2, c_n=2.0, rho0=0.1)
+    sched = NewtonSchedule(a1=2, a2=2, c_n=2.0, max_iters=20, stop_tol=1e-12, rho0=0.1)
     led_zero = build_ledger("ordinary", zeroed, hyp, dio, 0.1, 0.1 / 12, sched,
                             n=3)
     led_again = build_ledger("ordinary", zeroed, hyp, dio, 0.1, 0.1 / 12, sched,
@@ -561,7 +561,7 @@ def test_kam_check_requires_positive_margins():
     hyp = measure_hypothesis_data(cand, fr, 1.1)
     hyp["sigma_K"] = hyp["norm_DK"]  # kill the margin
     globs = estimate_global_constants(cand.system)
-    sched = NewtonSchedule(a1=2, a2=2, c_n=2.0, rho0=cand.rho)
+    sched = NewtonSchedule(a1=2, a2=2, c_n=2.0, max_iters=20, stop_tol=1e-12, rho0=cand.rho)
     with pytest.raises(HypothesisError, match="sigma_K") as info:
         build_ledger("ordinary", globs, hyp, cand.dio, cand.rho, cand.rho / 12,
                      sched, n=2)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kamtorus import cli, frames, hamiltonian
+from kamtorus import cli, frames
 from kamtorus.certificate import estimate_global_constants, table_width_limit
 from kamtorus.cli import ConfigError, RunConfig, main
 from kamtorus.fourier import FourierMap
@@ -860,19 +860,11 @@ def test_torus_file_symmetry_is_checked_by_the_loader(tmp_path, capsys, bands8_t
         assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
 
-# the d = 3, n = 4 table of the ROADMAP: cos 2 pi x1 + cos 2 pi x2 + cos 2 pi x1
-# cos 2 pi (x3 - x4), times epsilon, with the first integral p = y3 + y4
-D3_ROTORS = ([(1.0, (1, 0, 0, 0)), (1.0, (0, 1, 0, 0)), (0.5, (1, 0, 1, -1)),
-              (0.5, (1, 0, -1, 1))], [(0, 0, 1, 1)])
-
-
 @pytest.mark.parametrize("mode", ["ordinary", "iso"])
 def test_d3_rotors_solve_and_round_trip_the_torus(tmp_path, monkeypatch, mode):
-    """At bands 4 the d = 3 table solves in process in both modes (the table is
-    handed to the CLI for this test only, and its system built by
-    ``_trig_potential_system``); its torus file reads back to the bits of the
-    solved map and is written back to its own bytes, and it certifies."""
-    monkeypatch.setitem(hamiltonian._BUILTIN_TERMS, "d3_rotors", D3_ROTORS)
+    """At bands 4 the registered d = 3 system solves in process in both modes;
+    its torus file reads back to the bits of the solved map and is written
+    back to its own bytes, and it certifies."""
     fields = {"system": "d3_rotors", "epsilon": 1e-3, "tau": 2.0, "scan_limit": 300,
               "bands": [4, 4, 4]}
     if mode == "iso":
@@ -1007,3 +999,26 @@ def test_solve_peak_memory_bounded(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak - entry < 2.5e6
+
+
+def test_iso_solve_peak_memory_bounded(tmp_path):
+    """The iso-b16 solve (symmetric_rotors, n = 3 with a first integral, bands 16):
+    with slabs of up to 56 rows, each output's whole-slab rfft spectrum, an
+    out-of-place axis-0 head transform and a pass capped only by its points
+    (the kitchen's 55 outputs, the 6 x 6 by 6 x 3 product on one slab), it
+    peaked at about 3.28 MB above entry; with balanced slabs, analyses in row
+    blocks, in-place heads, the value cap and a leaner pointwise inverse at
+    about 2.58 MB."""
+    from kamtorus.cli import cmd_solve
+
+    cfg = RunConfig(system="symmetric_rotors", epsilon=0.01, mode="iso", conserved="H",
+                    c0_offset=1e-3, bands=[16, 16], rho0=0.03).validate()
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        code = cmd_solve(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak - entry < 2.9e6

@@ -350,10 +350,6 @@ def test_json_round_trip():
 def test_pruned_real_transforms_equal_rfftn_irfftn_bit_for_bit(monkeypatch, bands, grid):
     """At one axis-0 row per slab, two rows (ragged on odd grids) and the whole
     grid in one slab (d = 1 is always one slab)."""
-    for name in ("fft", "ifft", "rfft", "irfft"):  # numpy < 2.0 signatures: no ``out``
-        def numpy1(a, n=None, axis=-1, norm=None, _f=getattr(np.fft, name)):
-            return _f(a, n=n, axis=axis, norm=norm)
-        monkeypatch.setattr(np.fft, name, numpy1)
     rng = np.random.default_rng(sum(grid))
     f = random_map(bands, (3, 2), rng, decay=0.1)
     f.half[..., 1, 0] = 0.0  # an identically zero entry keeps its zeros' signs

@@ -201,6 +201,9 @@ CLOSED_FORMS = {
         np.cos(2 * np.pi * x[:, 0]) + np.cos(2 * np.pi * (x[:, 0] - x[:, 1]))),
     "symmetric_rotors": lambda x, y, eps: 0.5 * np.sum(y**2, axis=-1) + eps * np.cos(
         2 * np.pi * x[:, 0]) * (1.0 + np.cos(2 * np.pi * (x[:, 1] - x[:, 2]))),
+    "d3_rotors": lambda x, y, eps: 0.5 * np.sum(y**2, axis=-1) + eps * (
+        np.cos(2 * np.pi * x[:, 0]) + np.cos(2 * np.pi * x[:, 1])
+        + np.cos(2 * np.pi * x[:, 0]) * np.cos(2 * np.pi * (x[:, 2] - x[:, 3]))),
 }
 
 

@@ -41,7 +41,7 @@ def test_peak_memory_reports_each_command(tmp_path):
                                   "bands": [4, 4], "rho0": 0.05}))
     (record,) = run_script("peak_memory.py", str(config), "--out", str(tmp_path / "out"))
     assert record["config"] == str(config)
-    frames = {"grid_kitchen", "normal_frame", "torsion", "_pointwise_inverse"}
+    frames = {"grid_kitchen", "normal_frame", "torsion", "_pointwise_inverse", "matmul"}
     phases = {"solve": frames | {"_json_dump"}, "certify": frames | {"_json_dump", "_read_json"}}
     for name in ("solve", "certify"):
         assert record[name]["rc"] in (0, 1) and record[name]["s"] > 0
@@ -52,9 +52,11 @@ def test_peak_memory_reports_each_command(tmp_path):
         for phase in record[name]["phases"].values():
             assert set(phase) == {"calls", "entry_mb", "peak_mb"} and phase["calls"] >= 1
             assert 0 <= phase["entry_mb"] <= phase["peak_mb"] <= record[name]["peak_mb"]
-    # the Gram inverse runs inside the normal frame, and its peak is the frame's at most
+    # the Gram inverse runs inside the normal frame, and its peak is the frame's at most;
+    # so do products, and the top one's peak is at most the top frame stage's
     solve = record["solve"]["phases"]
     assert solve["_pointwise_inverse"]["peak_mb"] <= solve["normal_frame"]["peak_mb"]
+    assert solve["matmul"]["peak_mb"] <= max(solve[name]["peak_mb"] for name in frames)
     assert solve["grid_kitchen"]["calls"] == solve["torsion"]["calls"] + 1
     assert (tmp_path / "out" / "certificate.json").exists()
 

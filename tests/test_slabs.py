@@ -20,6 +20,7 @@ from conftest import on_band, random_map, scaled_structure, seed_run
 from oracles import assert_same_bits, half_of, irfftn_samples, rfftn_coefficients, svd_rank_check
 
 SLABS = ["one-row", "ragged", "whole"]
+PASSES = SLABS + ["balanced", "value-cap"]  # for the kitchen, the product and the inverse
 
 
 def slab_points(kind: str, grid: tuple) -> int:
@@ -31,6 +32,21 @@ def slab_points(kind: str, grid: tuple) -> int:
     if kind == "ragged":
         return row * next(r for r in range(5, grid[0]) if grid[0] % r)
     return row * grid[0]
+
+
+def use_slabs(monkeypatch, kind: str, grid: tuple):
+    """The slabs of ``kind`` on ``grid``: those of SLABS; two of near-equal height
+    where the most rows a slab may hold (M_0 // 2 + 1) would leave a shorter
+    second one ("balanced"); or rows capped by the sample values a pass holds,
+    at 100 values per row's point ("value-cap")."""
+    row = int(np.prod(grid[1:]))
+    if kind in SLABS:
+        monkeypatch.setattr(fourier, "SLAB_POINTS", slab_points(kind, grid))
+    elif kind == "balanced":
+        monkeypatch.setattr(fourier, "SLAB_POINTS", row * (grid[0] // 2 + 1))
+    else:
+        monkeypatch.setattr(fourier, "SLAB_POINTS", row * grid[0])
+        monkeypatch.setattr(fourier, "SLAB_VALUES", row * 100)
 
 
 def d3_candidate(bands, seed=0) -> frames.TorusCandidate:
@@ -127,13 +143,13 @@ KITCHENS = {
 }
 
 
-@pytest.mark.parametrize("slab", SLABS)
+@pytest.mark.parametrize("slab", PASSES)
 @pytest.mark.parametrize("case", sorted(KITCHENS))
 def test_kitchen_equals_the_whole_grid_kitchen_bit_for_bit(monkeypatch, case, slab):
     cand, conserved = KITCHENS[case]()
     ref = whole_grid_kitchen(cand, conserved)
     assert ("Dc" in ref) == (case == "iso")
-    monkeypatch.setattr(fourier, "SLAB_POINTS", slab_points(slab, work_grid(cand.bands)))
+    use_slabs(monkeypatch, slab, work_grid(cand.bands))
     kitchen = grid_kitchen(cand, conserved)
     for name, half in ref.items():
         assert_same_bits(getattr(kitchen, name).half, half)
@@ -158,13 +174,13 @@ def spd_map(bands, n, seed):
     return matmul(m.T, m).add_constant(np.eye(n))  # eigenvalues >= 1 pointwise
 
 
-@pytest.mark.parametrize("slab", SLABS)
+@pytest.mark.parametrize("slab", PASSES)
 @pytest.mark.parametrize("bands, n", [((3, 2), 2), ((3, 2), 3), ((2, 1, 2), 2)])
 def test_pointwise_inverse_equals_the_whole_grid_inverse_bit_for_bit(monkeypatch, bands, n,
                                                                      slab):
     f = spd_map(bands, n, 40 + n)
     ref, ref_cond = whole_grid_inverse(f)
-    monkeypatch.setattr(fourier, "SLAB_POINTS", slab_points(slab, work_grid(f.bands)))
+    use_slabs(monkeypatch, slab, work_grid(f.bands))
     inv, cond = _pointwise_inverse(f)
     assert_same_bits(inv.half, half_of(ref, f.bands))
     assert cond == ref_cond
@@ -219,6 +235,74 @@ def test_nan_condition_in_a_later_slab_is_refused(monkeypatch):
     assert len(calls) == 12  # all six slabs of the 27 x 18 grid ran
 
 
+def slab_heights(grid: tuple, values: int) -> list:
+    return [rows.stop - rows.start for rows in fourier._slabs(grid, values)]
+
+
+def test_slabs_have_near_equal_heights_and_a_value_cap():
+    """ceil(M_0 / step) slabs of near-equal height, the longer first: 72 rows of
+    72 points make 36 + 36, not 56 + 16, and 100 rows of 100 make 34 + 33 + 33.
+    The value cap splits the passes of iso-b16 that hold more than 32 values per
+    point, its kitchen (K's 6 entries and 55 outputs on 72 x 72) and its DX_H N
+    product (36 + 18 + 18 on 50 x 50), and leaves every ordinary-b32 pass its
+    count: the widest, DX_H N, holds 16 + 8 + 8 on 100 x 100, its kitchen 4 + 20
+    on 144 x 144."""
+    assert slab_heights((72, 72), 0) == [36, 36]
+    assert slab_heights((100, 100), 0) == [34, 33, 33]
+    assert slab_heights((9,), 10**6) == [9]  # at d = 1 the slab is the grid
+    assert slab_heights((72, 72), 61) == [24, 24, 24]
+    assert slab_heights((50, 50), 72) == [25, 25]
+    assert slab_heights((100, 100), 32) == slab_heights((100, 100), 0)
+    assert slab_heights((144, 144), 24) == slab_heights((144, 144), 0) == [24] * 6
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_head_transform_runs_in_place_with_the_bits_of_a_new_array(axis):
+    """The ``ifft`` of a synthesis head's kept rows (axis 0, and at d = 3 axis 1
+    of each slab) runs in place in its zero-padded array: the bits, read as
+    uint64, are numpy's ``ifft`` into a new array, and no second array of that
+    size is allocated."""
+    rng = np.random.default_rng(axis)
+    n, m = 5, 16
+    shape = [7, 9, 3, 2]
+    shape[axis] = 2 * n + 1
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    full = np.zeros(shape[:axis] + [m] + shape[axis + 1:], dtype=complex)
+    full[(slice(None),) * axis + (np.arange(-n, n + 1) % m,)] = data
+    ref = np.fft.ifft(full, axis=axis, norm="forward")
+    tracemalloc.start()
+    try:
+        got = fourier._ifft_kept(data, axis, n, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert peak < 1.5 * ref.nbytes
+
+
+@pytest.mark.parametrize("rows", [1, 2, 24])
+@pytest.mark.parametrize("bands, grid", [((16, 16), (72, 72)), ((3, 4, 16), (16, 12, 72))],
+                         ids=["d2", "d3"])
+def test_analysis_runs_in_row_blocks_with_the_bits_of_one_call(monkeypatch, bands, grid, rows):
+    """A slab's ``rfft`` runs over ceil((M_d/2 + 1) / (N_d + 1)) blocks of axis-0
+    rows, at most one per row: rows of 72 points have 37 bins, of which bands 16
+    keep 17, so 24 rows make three blocks of 8, and a one-row slab is one call.
+    The blocks' kept bins, and at d = 3 the kept rows of axis 1's ``fft`` after
+    them, are those of one call on the whole slab."""
+    d = len(bands)
+    samples = np.random.default_rng(rows).standard_normal((rows,) + grid[1:] + (3, 2))
+    calls = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda x, *a, **k: calls.append(len(x)) or rfft(x, *a, **k))
+    out = np.empty((rows,) + fourier._half_box(bands)[1:] + (3, 2), dtype=complex)
+    fourier._analysis_head(samples, bands, out)
+    assert calls == {1: [1], 2: [1, 1], 24: [8, 8, 8]}[rows]
+    ref = rfft(samples, axis=d - 1, norm="forward")[..., :bands[-1] + 1, :, :]
+    if d == 3:
+        ref = np.fft.fft(ref, axis=1, norm="forward")[:, np.arange(-4, 5) % 12]
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+
 def test_d3_kitchen_peak_memory_bounded():
     """d = 3, n = 4 at bands 6 (work grid 27^3): the whole-grid kitchen peaked
     at about 27 MB above entry, most of it DX_H o K's samples and their
@@ -251,7 +335,7 @@ PRODUCTS = {  # bands, shape_a, shape_b, transpose_a
 }
 
 
-@pytest.mark.parametrize("slab", SLABS)
+@pytest.mark.parametrize("slab", PASSES)
 @pytest.mark.parametrize("case", sorted(PRODUCTS))
 def test_matmul_equals_the_whole_grid_product_bit_for_bit(monkeypatch, case, slab):
     """The slab-wise product equals rfftn of the whole-grid irfftn samples'
@@ -261,7 +345,7 @@ def test_matmul_equals_the_whole_grid_product_bit_for_bit(monkeypatch, case, sla
     assert a.half.flags.c_contiguous != transpose_a
     work = fourier.dealias_grid(bands, bands, bands)
     ref = rfftn_coefficients(irfftn_samples(a, work) @ irfftn_samples(b, work), bands)
-    monkeypatch.setattr(fourier, "SLAB_POINTS", slab_points(slab, work))
+    use_slabs(monkeypatch, slab, work)
     got = matmul(a, b)
     assert got.bands == bands
     assert_same_bits(got.half, half_of(ref, bands))

@@ -25,8 +25,11 @@ from conftest import ORDINARY_FRAME_NORMS, random_map, seed_run, torsion_frames
 # ----------------------------------------------------------------- schedule
 
 
+SCHEDULE = dict(a1=2.0, a2=2.0, c_n=None, max_iters=20, stop_tol=1e-12, rho0=0.1)
+
+
 def test_schedule_derived_quantities():
-    s = NewtonSchedule(a1=2.0, a2=2.0, rho0=0.12)
+    s = NewtonSchedule(**{**SCHEDULE, "rho0": 0.12})
     assert s.a3 == pytest.approx(12.0)
     assert s.delta0 == pytest.approx(0.01)
     rho_inf = s.rho0 / s.a2  # the final strip of the schedule
@@ -42,9 +45,9 @@ def test_schedule_derived_quantities():
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        NewtonSchedule(a1=1.0)
+        NewtonSchedule(**{**SCHEDULE, "a1": 1.0})
     with pytest.raises(ValueError):
-        NewtonSchedule(rho0=-0.1)
+        NewtonSchedule(**{**SCHEDULE, "rho0": -0.1})
 
 
 # ---------------------------------------------------------- triangular solve
