@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Byte-identity check of two source trees on the outputs of solve + certify + validate.
+"""Byte-identity check of two source trees on the outputs of solve, certify, validate and plotdata.
 
     python scripts/compare_outputs.py SRC_A SRC_B [--workloads W ...] [--seeds N ...]
     python scripts/compare_outputs.py SRC_A SRC_B --config FILE [FILE ...]
@@ -8,18 +8,20 @@
 SRC_A and SRC_B are checkouts, or their ``src/`` directories.  Each config
 (``perfbench/workloads.make_config`` for every workload and seed, or each
 ``--config`` file) is solved and then certified by ``kamtorus solve`` and
-``kamtorus certify``, and checked by ``kamtorus validate``, from each tree, each
-command in its own subprocess, once with ``KAMTORUS_THREADS`` and the numerical
-backends' thread caps at 1 and once at 2.  The runs work in a temporary
+``kamtorus certify``, checked by ``kamtorus validate`` and sampled by
+``kamtorus plotdata --log``, from each tree, each command in its own
+subprocess, once with ``KAMTORUS_THREADS`` and the numerical backends' thread
+caps at 1 and once at 2.  The runs work in a temporary
 directory and write no bytecode, so both trees are only read.
 
 One line per config and output gives the SHA-256 written by SRC_A at one
 thread, then ``same`` when all four runs wrote those bytes, or ``differs`` and
-each run's digest; the outputs are the five files and the stdout of validate
-(``validate.stdout``).  A last line per config does the same for the exit codes
-of solve, certify and validate.  ``--files`` limits the comparison to the
-named outputs (all six by default), e.g. to show that the solve outputs are
-unchanged by a change that moves the certificate.  The exit code is 1 when
+each run's digest; the outputs are the five files, the stdout of validate
+(``validate.stdout``) and the two files of plotdata.  A last line per config
+does the same for the exit codes of solve, certify, validate and plotdata.
+``--files`` limits the comparison to the named outputs (all eight by default),
+e.g. to show that the solve outputs are unchanged by a change that moves the
+certificate.  The exit code is 1 when
 anything compared differs.
 """
 
@@ -37,7 +39,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS, make_config  # noqa: E402
 
 OUTPUTS = ("torus.json", "log.jsonl", "summary.json", "certificate.json", "ledger.csv",
-           "validate.stdout")
+           "validate.stdout", "torus_grid.csv", "errors.csv")
 # the backends read their caps when numpy loads; importing kamtorus applies
 # KAMTORUS_THREADS first, but older trees load numpy before they read it, so
 # all are set here
@@ -54,22 +56,23 @@ def source_dir(tree: str) -> Path:
 
 
 def run_commands(src: Path, config: Path, out: Path, threads: int) -> dict:
-    """Exit codes and output digests of solve, certify and validate with the
-    sources in ``src``; validate's stdout is kept in ``out``/validate.stdout."""
+    """Exit codes and output digests of solve, certify, validate and plotdata
+    with the sources in ``src``; validate's stdout is kept in
+    ``out``/validate.stdout."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
                **{var: str(threads) for var in THREAD_VARS})
-    codes = []
-    for command in (["solve", "--config", str(config), "--out", str(out)],
-                    ["certify", str(out / "torus.json"), "--out", str(out)],
-                    ["validate", "--config", str(config)]):
-        proc = subprocess.run([sys.executable, "-m", "kamtorus._entry", *command],
-                              cwd=out.parent, env=env, capture_output=True, text=True)
-        codes.append(str(proc.returncode))
+    procs = [subprocess.run([sys.executable, "-m", "kamtorus._entry", *command],
+                            cwd=out.parent, env=env, capture_output=True, text=True)
+             for command in (["solve", "--config", str(config), "--out", str(out)],
+                             ["certify", str(out / "torus.json"), "--out", str(out)],
+                             ["validate", "--config", str(config)],
+                             ["plotdata", str(out / "torus.json"), "--log",
+                              str(out / "log.jsonl"), "--out", str(out)])]
     out.mkdir(parents=True, exist_ok=True)  # a refused config makes no output directory
-    (out / "validate.stdout").write_text(proc.stdout)
+    (out / "validate.stdout").write_text(procs[2].stdout)
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                if (out / name).is_file() else "missing" for name in OUTPUTS}
-    return {**digests, "exit codes": "/".join(codes)}
+    return {**digests, "exit codes": "/".join(str(proc.returncode) for proc in procs)}
 
 
 def main(argv=None) -> int:

@@ -1,40 +1,40 @@
-"""Truncated Fourier series on the d-torus with analytic-strip norm bounds.
+"""Truncated Fourier series on the d-torus, d >= 2, with analytic-strip norm bounds.
 
 A ``FourierMap`` represents a real-analytic periodic map T^d -> C^{n1 x n2}
 through the coefficients f_k of
 
     f(theta) = sum_k  f_k  exp(2*pi*i k.theta),       k in Z^d, |k_i| <= N_i,
 
-with f_{-k} = conj(f_k).  A map stores only the k_d >= 0 half of the index box,
-k_i in [-N_i, N_i] on every axis but the last and k_d in [0, N_d] (the k_d = 0
-plane keeps both signs of the other axes); each k_d < 0 mode is the conjugate
-of the mode it mirrors, and the bands are read off the half's shape.  The full
-box (``coeffs``) is built only where it is read whole: by the JSON writer and
-``eval_grid`` and, as moduli, by the norms and the torus's domain margin.  A
-sample grid (M_i >= 2*N_i + 1 points per axis) is chosen only where sampling
-happens.  Differentiation and averaging act coefficient-wise on the half and
-are exact on the truncation; a product of two maps on one band N is computed
-on a dealiased grid and truncated back to N, so the library always manipulates
-the *truncated model* of each object.  Per axis a product's grid is the
-smallest size with no prime factor above 5 that is at least 3N + 1: only the
-kept modes need to be alias-free (the 3/2 rule).  Products synthesize their
-real-analytic operands with real FFTs, and real grid samples are analysed with
-real FFTs.  These real transforms are pruned to the kept box: they run numpy's
-1-D transforms in the axis order of ``rfftn``/``irfftn`` but only on the lines
-that hold kept modes, so each kept value is bit for bit what
+with f_{-k} = conj(f_k).  A map has d >= 2 torus axes, as every torus does, and
+stores only the k_d >= 0 half of the index box, k_i in [-N_i, N_i] on every axis
+but the last and k_d in [0, N_d] (the k_d = 0 plane keeps both signs of the
+other axes); each k_d < 0 mode is the conjugate of the mode it mirrors, and the
+bands are read off the half's shape.  The full box (``coeffs``) is built only
+for the JSON writer and, as moduli, for the norms and the torus's domain
+margin.  A sample grid (M_i >= 2*N_i + 1 points per axis) is chosen only where
+sampling happens.  Differentiation and averaging act coefficient-wise on the
+half and are exact on the truncation; a product of two maps on one band N is
+computed on a dealiased grid and truncated back to N, so the library always
+manipulates the *truncated model* of each object.  Per axis a product's grid
+is the smallest size with no prime factor above 5 that is at least 3N + 1: only
+the kept modes need to be alias-free (the 3/2 rule).
+
+There is one transform path: real FFTs pruned to the kept box, which run
+numpy's 1-D transforms in the axis order of ``rfftn``/``irfftn`` but only on
+the lines that hold kept modes, so each kept value is bit for bit what
 ``rfftn``/``irfftn`` give.  Every transform but axis 0's acts on lines inside
-one axis-0 slab of the grid, so every real synthesis walks the grid in slabs
-of near-equal height (:func:`slab_samples`), and every real analysis samples
-a pointwise function of maps that way and holds only the kept bins of the
-whole grid (:func:`slab_analysis`), with the same bits.  What one pass holds
-beyond its maps' axis-0 heads and its outputs' kept bins is one slab: at most
-SLAB_POINTS points and SLAB_VALUES sample values, counting the operands'
-matrix entries and the outputs' together, with each axis-0 head transformed
-in place and each output's spectrum taken in blocks of rows about as large as
-the bins the slab keeps.
-A synthesis transforms only the matrix entries that vary: an entry whose
-modes off k = 0 are all zero takes the real part of its k = 0 value at every
-grid point, which is what the transforms give, bit for bit, unless that
+one axis-0 slab of the grid, so every synthesis walks the grid in slabs of
+near-equal height (:func:`slab_samples`; ``eval_grid`` joins them), and every
+analysis samples a pointwise function of maps that way and holds only the kept
+bins of the whole grid (:func:`slab_analysis`; ``from_samples`` analyses given
+samples), with the same bits.  What one pass holds beyond its maps' axis-0
+heads and its outputs' kept bins is one slab: at most SLAB_POINTS points and
+SLAB_VALUES sample values, counting the operands' matrix entries and the
+outputs' together, with each axis-0 head transformed in place and each
+output's spectrum taken in blocks of rows about as large as the bins the slab
+keeps.  A synthesis transforms only the matrix entries that vary: an entry
+whose modes off k = 0 are all zero takes the real part of its k = 0 value at
+every grid point, which is what the transforms give, bit for bit, unless that
 value is -0.0 (then the entry is transformed).
 
 Norms: the sup of |f| on the complex strip |Im theta| < rho is bounded
@@ -114,11 +114,6 @@ def _split(m: int, count: int) -> list:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _embed_slices(bands: tuple, grid: tuple):
-    """Advanced-index arrays mapping box position k+N to FFT bin k mod M."""
-    return np.ix_(*(_kept_rows(n, m) for n, m in zip(bands, grid)))
-
-
 def _mirrored(half: np.ndarray, d: int) -> np.ndarray:
     """The full index box of a half box: each k_d < 0 mode is the conjugate of
     the mode -k it mirrors, its imaginary part 0.0 - Im f_-k, so that a zero part
@@ -168,10 +163,10 @@ class FourierMap:
 
     def __post_init__(self):
         box = self.half.shape[:-2]
-        if self.half.ndim < 3 or any(m % 2 == 0 for m in box[:-1]) or box[-1] < 1:
+        if self.half.ndim < 4 or any(m % 2 == 0 for m in box[:-1]) or box[-1] < 1:
             raise FourierShapeError(
-                "a half box needs torus axes of odd length 2N+1 but the last, of length "
-                f"N_d+1 >= 1, plus 2 matrix axes, got shape {self.half.shape}"
+                "a half box needs d >= 2 torus axes of odd length 2N+1 but the last, of "
+                f"length N_d+1 >= 1, plus 2 matrix axes, got shape {self.half.shape}"
             )
         object.__setattr__(self, "bands", tuple(m // 2 for m in box[:-1]) + (box[-1] - 1,))
         if self.half.dtype != np.complex128:
@@ -230,9 +225,9 @@ class FourierMap:
         """
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         box = coeffs.shape[:-2]
-        if coeffs.ndim < 3 or any(m % 2 == 0 for m in box):
-            raise FourierShapeError("a full box needs torus axes of odd length 2N+1 plus 2 "
-                                    f"matrix axes, got shape {coeffs.shape}")
+        if coeffs.ndim < 4 or any(m % 2 == 0 for m in box):
+            raise FourierShapeError("a full box needs d >= 2 torus axes of odd length 2N+1 "
+                                    f"plus 2 matrix axes, got shape {coeffs.shape}")
         flipped = np.conj(coeffs[tuple(slice(None, None, -1) for _ in box)])
         defect = float(np.max(np.abs(coeffs - flipped), initial=0.0))
         if not defect <= SYMMETRY_RTOL * max(1.0, float(np.max(np.abs(coeffs), initial=0.0))):
@@ -241,45 +236,23 @@ class FourierMap:
 
     @classmethod
     def from_samples(cls, samples: np.ndarray, bands) -> "FourierMap":
-        """FFT analysis of uniform-grid samples, band-truncated and symmetrized.
-
-        ``samples`` has shape (M_1, ..., M_d, n1, n2): the grid is the sample
-        array's own shape, and M_i >= 2*N_i + 1 is required.  Inverse of
-        :meth:`eval_grid` on band-limited input.  Real samples are analysed
-        with a real FFT, complex ones with a complex FFT and projected onto
-        f_-k = conj(f_k).
-        """
-        samples = np.asarray(samples)
-        real = np.isrealobj(samples)
-        samples = samples.astype(np.float64 if real else np.complex128, copy=False)
+        """The map on ``bands`` of real samples of shape (M_1, ..., M_d, n1, n2)
+        on their uniform grid, M_i >= 2*N_i + 1: :func:`slab_analysis` of them.
+        Inverse of :meth:`eval_grid` on band-limited input; complex samples
+        raise TypeError."""
+        if np.iscomplexobj(samples):
+            raise TypeError("from_samples analyses real samples, got complex ones")
+        samples = np.asarray(samples, dtype=np.float64)
         bands = tuple(int(n) for n in bands)
-        d = len(bands)
-        grid = samples.shape[:d]
-        if any(m < 2 * n + 1 for n, m in zip(bands, grid)):
-            raise FourierShapeError(f"grid {grid} too small for bands {bands}")
-        if real:
-            return cls(slab_analysis(lambda rows, _: [samples[rows]], grid, bands)[0])
-        hat = np.fft.fftn(samples, axes=tuple(range(d))) / float(np.prod(grid))
-        box = hat[_embed_slices(bands, grid)]
-        half = np.conj(box[tuple(slice(None, None, -1) for _ in bands)][..., bands[-1]:, :, :])
-        half += box[..., bands[-1]:, :, :]
-        half *= 0.5
-        return cls(half)
+        return cls(slab_analysis(lambda rows, _: [samples[rows]], samples.shape[:-2], bands)[0])
 
-    # -- synthesis / analysis ------------------------------------------------
+    # -- synthesis -------------------------------------------------------------
 
-    def eval_grid(self, grid=None) -> np.ndarray:
-        """Samples on the uniform grid theta_j = j/M (complex array); ``grid``
-        defaults to the smallest exact one, M_i = 2*N_i + 1."""
-        if grid is None:
-            grid = tuple(2 * n + 1 for n in self.bands)
-        grid = tuple(int(m) for m in grid)
-        if any(m < 2 * n + 1 for n, m in zip(self.bands, grid)):
-            raise FourierShapeError(f"evaluation grid {grid} too small for bands {self.bands}")
-        full = np.zeros(grid + self.shape, dtype=np.complex128)
-        full[_embed_slices(self.bands, grid)] = self.coeffs
-        axes = tuple(range(self.d))
-        return np.fft.ifftn(full, axes=axes) * float(np.prod(grid))
+    def eval_grid(self, grid) -> np.ndarray:
+        """Real samples on the uniform grid theta_j = j/M, shape (M_1, ..., M_d,
+        n1, n2): the slabs of :func:`slab_samples`, bit for bit ``irfftn`` of the
+        half spectrum (``norm="forward"``)."""
+        return np.concatenate([vals for _, (vals,) in slab_samples(grid, self)])
 
     # -- coefficient-wise calculus -------------------------------------------
 
@@ -335,8 +308,9 @@ class FourierMap:
     def truncate(self, bands) -> "FourierMap":
         """Restrict to a smaller index box (tails are discarded)."""
         bands = tuple(int(n) for n in bands)
-        if any(nb > n for nb, n in zip(bands, self.bands)):
-            raise FourierShapeError(f"cannot truncate {self.bands} to larger bands {bands}")
+        if len(bands) != self.d or any(nb > n for nb, n in zip(bands, self.bands)):
+            raise FourierShapeError(f"cannot truncate bands {self.bands} of length {self.d} "
+                                    f"to bands {bands} of length {len(bands)}")
         sl = tuple(slice(n - nb, n + nb + 1) for n, nb in zip(self.bands[:-1], bands[:-1]))
         return FourierMap(self.half[sl + (slice(0, bands[-1] + 1),)].copy())
 
@@ -479,12 +453,22 @@ def dealias_grid(bands_a: tuple, bands_b: tuple, out_bands=None) -> tuple:
                  for na, nb, no in zip(bands_a, bands_b, out_bands))
 
 
-def _is_constant(f: FourierMap) -> bool:
-    """True when every coefficient off k = 0 is exactly zero."""
-    plane = f.half[..., 0, :, :].reshape(-1, *f.shape)
-    center = plane.shape[0] // 2  # k = 0 is the middle of the odd-sized k_d = 0 plane
-    return not (np.any(f.half[..., 1:, :, :]) or np.any(plane[:center])
-                or np.any(plane[center + 1:]))
+def _check_grid(bands: tuple, grid: tuple):
+    """Refuse a grid that is not one size M_i >= 2*N_i + 1 per axis of ``bands``, d >= 2."""
+    if len(grid) != len(bands) or len(bands) < 2 or any(
+            m < 2 * n + 1 for n, m in zip(bands, grid)):
+        raise FourierShapeError(f"grid {grid} of length {len(grid)} does not fit bands {bands} "
+                                f"of length {len(bands)}: it needs M_i >= 2*N_i + 1, d >= 2")
+
+
+def _varying_entries(f: FourierMap) -> np.ndarray:
+    """The mask of the entries of ``f`` with a nonzero mode off k = 0; all True,
+    without a look at the other modes, when each has one next to k = 0."""
+    modes = f.half.reshape(-1, *f.shape)  # the torus axes in C order
+    o = np.ravel_multi_index(_origin(f.bands), f.half.shape[:f.d])
+    if len(modes) > 1 and (near := np.logical_or(modes[o - 1], modes[o + 1])).all():
+        return near
+    return modes[:o].any(axis=0) | modes[o + 1:].any(axis=0)
 
 
 def _ifft_kept(data: np.ndarray, axis: int, n: int, m: int) -> np.ndarray:
@@ -509,12 +493,10 @@ def _constant_entries(f: FourierMap):
     gives Re f_0 at every grid point, bit for bit.  A -0.0 synthesizes to +0.0
     or to zeros of mixed sign, so that entry is transformed like a varying one.
     """
-    modes = f.half.reshape(-1, *f.shape)  # the torus axes in C order
-    o = np.ravel_multi_index(_origin(f.bands), f.half.shape[:f.d])
-    if len(modes) > 1 and np.logical_or(modes[o - 1], modes[o + 1]).all():
-        return None  # every entry has a mode next to k = 0 that is not zero
-    f0 = modes[o]
-    varies = modes[:o].any(axis=0) | modes[o + 1:].any(axis=0)
+    varies = _varying_entries(f)
+    if varies.all():
+        return None
+    f0 = f.half[_origin(f.bands)]
     zero_sign = (f0.real == 0) & np.signbit(f0.real)
     const = ~varies & np.isfinite(f0) & ~zero_sign
     return const if const.any() else None
@@ -523,16 +505,11 @@ def _constant_entries(f: FourierMap):
 def _synthesis_head(f: FourierMap, const, grid: tuple):
     """The entries of ``f`` that are not ``const`` (all of them when ``const`` is
     None; else its half box indexed by ``~const``, one axis for the entries),
-    inverse-transformed along axis 0 when d > 1; None when no entry varies."""
-    if any(m < 2 * n + 1 for n, m in zip(f.bands, grid)):
-        raise FourierShapeError(f"evaluation grid {grid} too small for bands {f.bands}")
-    if const is None:
-        part = f.half
-    elif const.all():
+    inverse-transformed along axis 0; None when no entry varies."""
+    if const is not None and const.all():
         return None
-    else:
-        part = f.half[..., ~const]
-    return _ifft_kept(part, 0, f.bands[0], grid[0]) if f.d > 1 else part
+    part = f.half if const is None else f.half[..., ~const]
+    return _ifft_kept(part, 0, f.bands[0], grid[0])
 
 
 def _synthesis_tail(head: np.ndarray, bands: tuple, grid: tuple) -> np.ndarray:
@@ -548,13 +525,13 @@ def _analysis_head(samples: np.ndarray, bands: tuple, out: np.ndarray):
     its N_d + 1 kept bins, then ``fft`` on axes d-2 .. 1 cut to the kept rows:
     every transform but axis 0's.
 
-    At d > 1 they run over ceil((M_d/2 + 1) / (N_d + 1)) blocks of axis-0 rows
-    (one per row at most), so that a block's full M_d/2 + 1-bin ``rfft`` is
-    about as large as the bins that ``out`` keeps; each block's values are bit
-    for bit those of one call on the whole array."""
+    They run over ceil((M_d/2 + 1) / (N_d + 1)) blocks of axis-0 rows (one per
+    row at most), so that a block's full M_d/2 + 1-bin ``rfft`` is about as
+    large as the bins that ``out`` keeps; each block's values are bit for bit
+    those of one call on the whole array."""
     d = len(bands)
     bins = samples.shape[d - 1] // 2 + 1
-    count = 1 if d == 1 else min(len(samples), -(-bins // (bands[-1] + 1)))
+    count = min(len(samples), -(-bins // (bands[-1] + 1)))
     for block in _split(len(samples), count):
         upper = np.fft.rfft(samples[block], axis=d - 1, norm="forward")[..., :bands[-1] + 1, :, :]
         for axis in range(d - 2, 0, -1):
@@ -564,21 +541,18 @@ def _analysis_head(samples: np.ndarray, bands: tuple, out: np.ndarray):
 
 def _analysis_tail(acc: np.ndarray, bands: tuple) -> np.ndarray:
     """The half box of an accumulator of kept bins: ``fft`` on axis 0 cut to its
-    kept rows (d > 1), then symmetrized (:func:`_symmetrize_half`).
+    kept rows, then symmetrized (:func:`_symmetrize_half`).
 
     The axis-0 ``fft`` runs over blocks of axis 1 of about SLAB_POINTS values,
     so the transform of the whole grid is never held; each block's values are
     bit for bit those of one call on the whole accumulator.
     """
-    d = len(bands)
-    if d == 1:
-        return _symmetrize_half(acc, d)
     half = np.empty((2 * bands[0] + 1,) + acc.shape[1:], dtype=np.complex128)
     step = max(1, SLAB_POINTS // max(1, acc[:, :1].size))
     for start in range(0, acc.shape[1], step):
         cols = slice(start, start + step)
         half[:, cols] = _fft_kept(acc[:, cols], 0, bands[0])
-    return _symmetrize_half(half, d)
+    return _symmetrize_half(half, len(bands))
 
 
 def _slab_values(f: FourierMap, head, const, grid: tuple, rows: slice) -> np.ndarray:
@@ -598,10 +572,7 @@ def _slab_values(f: FourierMap, head, const, grid: tuple, rows: slice) -> np.nda
 def _slabs(grid: tuple, values: int) -> list:
     """The axis-0 row slices of the slabs of ``grid``: ceil(M_0 / step) of
     near-equal height, step the most rows that hold at most SLAB_POINTS points
-    and SLAB_VALUES sample values at ``values`` per point (at least one row).
-    At d = 1 the slab is the grid."""
-    if len(grid) == 1:
-        return [slice(0, grid[0])]
+    and SLAB_VALUES sample values at ``values`` per point (at least one row)."""
     points = min(SLAB_POINTS, SLAB_VALUES // max(1, values))
     step = max(1, points // int(np.prod(grid[1:])))
     return _split(grid[0], -(-grid[0] // step))
@@ -617,8 +588,11 @@ def slab_samples(grid: tuple, *maps: FourierMap, outputs: int = 0):
     (:func:`_constant_entries`) and filled with their values; only the other
     entries are transformed.  Their axis-0 ``ifft`` runs once, in place on the
     kept data (:func:`_synthesis_head`), and each slab runs the rest
-    (:func:`_synthesis_tail`)."""
+    (:func:`_synthesis_tail`).  :func:`_check_grid` refuses a grid that does
+    not fit a map."""
     grid = tuple(grid)
+    for f in maps:
+        _check_grid(f.bands, grid)
     slabs = _slabs(grid, outputs + sum(int(np.prod(f.shape)) for f in maps))
     consts = [_constant_entries(f) for f in maps]
     if len(slabs) == 1:  # one slab: each head is released once it is synthesized
@@ -644,8 +618,10 @@ def slab_analysis(pointwise, grid: tuple, bands: tuple, *maps: FourierMap,
     At most one slab of samples is held at a time: each slab runs ``pointwise``
     and every analysis transform but axis 0's (:func:`_analysis_head`) into one
     accumulator of kept bins per output; the axis-0 ``fft`` and the
-    symmetrization (:func:`_analysis_tail`) run last.
+    symmetrization (:func:`_analysis_tail`) run last.  :func:`_check_grid`
+    refuses a grid that does not fit ``bands``.
     """
+    _check_grid(bands, grid)
     d = len(bands)
     accs = []
     for rows, vals in slab_samples(grid, *maps, outputs=outputs):
@@ -654,10 +630,10 @@ def slab_analysis(pointwise, grid: tuple, bands: tuple, *maps: FourierMap,
         for i in range(len(outs)):
             samples = np.asarray(outs[i], dtype=np.float64)
             outs[i] = None  # each sample array is released once it is analysed
-            if rows.start == 0:  # all M_0 rows of axis 0, but at d = 1, where the rfft cuts it
-                box = (grid[0],) + _half_box(bands)[1:] if d > 1 else _half_box(bands)
+            if rows.start == 0:  # all M_0 rows of axis 0, the kept bins of the others
+                box = (grid[0],) + _half_box(bands)[1:]
                 accs.append(np.empty(box + samples.shape[d:], dtype=np.complex128))
-            _analysis_head(samples, bands, accs[i][rows] if d > 1 else accs[i])
+            _analysis_head(samples, bands, accs[i][rows])
             del samples  # before the next output's transforms
     return [_analysis_tail(accs.pop(0), bands) for _ in range(len(accs))]
 
@@ -683,9 +659,9 @@ def matmul(a: FourierMap, b: FourierMap) -> FourierMap:
         raise FourierShapeError(f"matrix shapes {a.shape} x {b.shape} do not chain")
     if not (np.any(a.half) and np.any(b.half)):
         return FourierMap.zeros(a.bands, (a.shape[0], b.shape[1]))
-    if _is_constant(a):
+    if not _varying_entries(a).any():
         return b.rmatmul_constant(a.average())
-    if _is_constant(b):
+    if not _varying_entries(b).any():
         return a.matmul_constant(b.average())
     work = dealias_grid(a.bands, b.bands, a.bands)
     return FourierMap(slab_analysis(lambda rows, v: [v[0] @ v[1]], work, a.bands, a, b,

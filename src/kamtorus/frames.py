@@ -110,8 +110,7 @@ class TorusCandidate:
 
     def k_values(self, grid) -> np.ndarray:
         """Real samples of K on a uniform grid (theta added to angle components)."""
-        return np.concatenate([self._add_angles(vals[..., 0], grid, rows)
-                               for rows, (vals,) in slab_samples(grid, self.k_per)])
+        return self._add_angles(self.k_per.eval_grid(grid)[..., 0], grid, slice(None))
 
     def _add_angles(self, vals: np.ndarray, grid, rows: slice) -> np.ndarray:
         """``vals``, the periodic part of K on the axis-0 ``rows`` of ``grid``, with

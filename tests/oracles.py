@@ -413,6 +413,21 @@ def rfftn_coefficients(samples, bands):
     return 0.5 * (box + np.conj(box[tuple(slice(None, None, -1) for _ in range(d))]))
 
 
+def ifftn_samples(f, grid):
+    """Reference complex synthesis: ifftn of the whole index box embedded in ``grid``."""
+    full = np.zeros(tuple(grid) + f.shape, dtype=np.complex128)
+    full[np.ix_(*(np.arange(-n, n + 1) % m for n, m in zip(f.bands, grid)))] = f.coeffs
+    return np.fft.ifftn(full, axes=tuple(range(f.d)), norm="forward")
+
+
+def fftn_coefficients(samples, bands):
+    """Reference complex analysis: the box ``bands`` cut from the whole fftn
+    spectrum of ``samples``, symmetrized."""
+    hat = np.fft.fftn(samples, axes=tuple(range(len(bands))), norm="forward")
+    rows = [np.arange(-n, n + 1) % m for n, m in zip(bands, samples.shape)]
+    return symmetrize(hat[np.ix_(*rows)])
+
+
 def half_of(box: np.ndarray, bands) -> np.ndarray:
     """The k_d >= 0 half of a full box (2N_1+1, ..., 2N_d+1, n1, n2): what a
     ``FourierMap`` stores."""

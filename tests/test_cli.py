@@ -1,7 +1,10 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -404,24 +407,29 @@ def test_seed_strip_outside_domain_is_config_error(tmp_path, capsys, command):
     assert "rho0" in err and "solver failure" not in err
 
 
+def entry_env(threads: str) -> dict:
+    """The environment of a subprocess on this tree's src/ at KAMTORUS_THREADS
+    ``threads``, with the backends' thread caps left for kamtorus to set."""
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    return dict(env, KAMTORUS_THREADS=threads,
+                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
+def run_entry(threads: str, *args: str) -> subprocess.CompletedProcess:
+    """``kamtorus *args`` in a subprocess (:func:`entry_env`)."""
+    return subprocess.run([sys.executable, "-m", "kamtorus._entry", *args],
+                          env=entry_env(threads), capture_output=True, text=True, timeout=300)
+
+
 def test_outputs_identical_across_thread_caps(tmp_path):
     """KAMTORUS_THREADS changes throughput only: the solve outputs keep their bytes."""
-    import os
-    import subprocess
-    import sys
-
     cfg = write_config(tmp_path, mode="iso", epsilon=5e-3, bands=[8, 8], rho0=0.03,
                        conserved="H", c0_offset=1e-3, stop_tol=1e-10, max_iters=6)
-    src = Path(__file__).resolve().parents[1] / "src"
-    base = {k: v for k, v in os.environ.items() if k not in (
-        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        env = dict(base, KAMTORUS_THREADS=threads, PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-m", "kamtorus._entry", "solve", "--config",
-                               str(cfg), "--out", str(out)], env=env, capture_output=True,
-                              text=True, timeout=300)
+        proc = run_entry(threads, "solve", "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 0, proc.stderr[-2000:]
         outs.append(out)
     for name in ("torus.json", "log.jsonl", "summary.json"):
@@ -860,15 +868,21 @@ def test_torus_file_symmetry_is_checked_by_the_loader(tmp_path, capsys, bands8_t
         assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
 
+def d3_rotors_fields(mode: str) -> dict:
+    """A config of the registered d = 3 system at bands 4 in ``mode``."""
+    fields = {"system": "d3_rotors", "epsilon": 1e-3, "tau": 2.0, "scan_limit": 300,
+              "bands": [4, 4, 4]}
+    if mode == "iso":
+        fields.update(mode="iso", conserved="H", c0_offset=1e-4)
+    return fields
+
+
 @pytest.mark.parametrize("mode", ["ordinary", "iso"])
 def test_d3_rotors_solve_and_round_trip_the_torus(tmp_path, monkeypatch, mode):
     """At bands 4 the registered d = 3 system solves in process in both modes;
     its torus file reads back to the bits of the solved map and is written
     back to its own bytes, and it certifies."""
-    fields = {"system": "d3_rotors", "epsilon": 1e-3, "tau": 2.0, "scan_limit": 300,
-              "bands": [4, 4, 4]}
-    if mode == "iso":
-        fields.update(mode="iso", conserved="H", c0_offset=1e-4)
+    fields = d3_rotors_fields(mode)
     solved = []
     candidate_doc = cli._candidate_doc
     monkeypatch.setattr(cli, "_candidate_doc",
@@ -884,6 +898,25 @@ def test_d3_rotors_solve_and_round_trip_the_torus(tmp_path, monkeypatch, mode):
     assert (tmp_path / "again.json").read_text() == text
     assert main(["certify", str(out / "torus.json"), "--out", str(out)]) in (0, 1)
     assert json.loads((out / "certificate.json").read_text())["ratio"] > 0
+
+
+@pytest.mark.parametrize("mode", ["ordinary", "iso"])
+def test_d3_rotors_outputs_identical_across_thread_caps(tmp_path, mode):
+    """The d = 3 system at bands 4 writes the same five files from solve and
+    certify at KAMTORUS_THREADS 1 and 2, with the same exit codes."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(d3_rotors_fields(mode)))
+    outs, codes = [], []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        for args in (["solve", "--config", str(cfg)], ["certify", str(out / "torus.json")]):
+            proc = run_entry(threads, *args, "--out", str(out))
+            assert proc.returncode in (0, 1), proc.stderr[-2000:]
+            codes.append(proc.returncode)
+        outs.append(out)
+    assert codes[0] == 0 and codes[:2] == codes[2:]
+    for name in ("torus.json", "log.jsonl", "summary.json", "certificate.json", "ledger.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def _empty_map(doc):
@@ -958,20 +991,12 @@ def test_number_items_are_the_items_of_json_dumps(values):
 def test_kamtorus_threads_caps_the_backends_before_numpy_starts(tmp_path):
     """Importing the entry point with KAMTORUS_THREADS=1 leaves one thread in the
     process: the cap is in place before numpy starts its BLAS pool."""
-    import os
-    import subprocess
-    import sys
-
     if not Path("/proc/self/task").is_dir():
         pytest.skip("no /proc/self/task to count threads")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {k: v for k, v in os.environ.items() if k not in (
-        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
     code = ("import os, kamtorus._entry, numpy\n"
             "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(env, KAMTORUS_THREADS="1",
-                          PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
-                          cwd=tmp_path)
+    proc = subprocess.run([sys.executable, "-c", code], env=entry_env("1"), capture_output=True,
+                          text=True, timeout=120, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == ["1", "1"]
 

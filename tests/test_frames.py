@@ -68,8 +68,8 @@ def test_invariance_error_order_epsilon_and_pointwise_oracle(perturbed_candidate
     # direct grid evaluation of X_H o K - DK omega
     wg = work_grid(cand.bands)
     kv = cand.k_values(wg)
-    direct = cand.system.XH(kv) - dk_map(cand).eval_grid(wg).real @ cand.dio.omega
-    sampled = E.eval_grid(wg)[..., 0].real
+    direct = cand.system.XH(kv) - dk_map(cand).eval_grid(wg) @ cand.dio.omega
+    sampled = E.eval_grid(wg)[..., 0]
     assert np.max(np.abs(direct - sampled)) < 1e-12
 
 
@@ -309,7 +309,7 @@ def test_structure_products_equal_full_band_constant_products_bit_for_bit(torus,
         cand = replace(cand, system=replace(cand.system, geometry=scaled_structure(2)))
     kk = grid_kitchen(cand)
     L = tangent_frame(cand, kk)
-    assert fourier._is_constant(L) == (torus == "seed")
+    assert (not fourier._varying_entries(L).any()) == (torus == "seed")
     N = normal_frame(cand, L)[2]
     E = invariance_error(cand, kk)
     dk = L.block(slice(None), slice(0, cand.d))

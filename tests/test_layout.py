@@ -15,6 +15,9 @@ class, so a bug keeps its traceback.
 No code in ``src/`` writes a frozen dataclass's field behind its constructor:
 ``object.__setattr__`` appears only in a ``__post_init__``, where it
 normalizes a field the constructor was given.
+
+Every transform the program runs takes one path: ``np.fft`` is named in
+``src/`` only inside the four pruned-transform helpers of the slab layer.
 """
 
 import ast
@@ -161,3 +164,29 @@ def test_no_frozen_field_written_outside_post_init():
                     getattr(node.value, "id", None) == "object" and id(node) not in allowed:
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert found == [], "object.__setattr__ outside a __post_init__: " + ", ".join(found)
+
+
+FFT_HELPERS = {"_ifft_kept", "_fft_kept", "_synthesis_tail", "_analysis_head"}
+
+
+def test_every_transform_goes_through_the_slab_helpers():
+    """``np.fft`` appears in src/ only inside the slab layer's transform helpers,
+    and no module imports an FFT by another name."""
+    found = []
+
+    def visit(node, where, path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "fft" and \
+                getattr(node.value, "id", None) == "np" and where not in FFT_HELPERS:
+            found.append(f"{path.name}:{node.lineno} in {where}")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            if any("fft" in name for name in names):
+                found.append(f"{path.name}:{node.lineno} imports an FFT")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, path)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), "module level", path)
+    assert found == [], "np.fft outside the slab helpers: " + ", ".join(found)

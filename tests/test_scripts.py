@@ -77,10 +77,10 @@ def test_compare_outputs_finds_a_tree_identical_to_itself(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr[-2000:]
     lines = proc.stdout.splitlines()
     names = ["torus.json", "log.jsonl", "summary.json", "certificate.json", "ledger.csv",
-             "validate.stdout", "exit codes"]
+             "validate.stdout", "torus_grid.csv", "errors.csv", "exit codes"]
     assert [line.split(" ", 1)[1].rsplit(" ", 2)[0] for line in lines] == names
     assert all(line.endswith(" same") for line in lines)
-    assert lines[-1] == "config.json exit codes 0/0/0 same"
+    assert lines[-1] == "config.json exit codes 0/0/0/0 same"
 
 
 def test_compare_outputs_reports_a_difference(tmp_path):
